@@ -1,14 +1,14 @@
 //! Microbenchmarks of the scale-pass hot paths: surrogate-routing
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
-//! through the coordinate index vs the brute-force scan, and raw engine
-//! event dispatch. These are the three inner loops a 10k-node scenario
-//! run spends its time in; the scale driver measures them end to end,
-//! this file isolates them.
+//! through the coordinate index vs the brute-force scan, raw engine
+//! event dispatch, and the driver's per-event result collection. These
+//! are the inner loops a 10k-node scenario run spends its time in; the
+//! scale driver measures them end to end, this file isolates them.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tapestry_core::{NodeRef, RoutingTable};
+use tapestry_core::{NodeRef, RoutingTable, TapestryConfig, TapestryNetwork};
 use tapestry_id::{Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
 use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, SimTime};
@@ -109,5 +109,36 @@ fn bench_engine_dispatch(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_nearest, bench_next_hop, bench_engine_dispatch);
+/// What a driver pays per scheduled event to learn that no locate has
+/// finished, with 1 000 locates in flight from 1 000 origins (issued,
+/// engine not advanced): one drain of the completion feed, against one
+/// polling pass of `take_results` over the origins. Each iteration makes
+/// 1 000 feed calls — one is below the timer's resolution — so divide
+/// that row by 1 000 before comparing.
+fn bench_collect_idle(c: &mut Criterion) {
+    const IN_FLIGHT: usize = 1000;
+    let space = TorusSpace::random(N, 8000.0, 7);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 7);
+    let guid = net.random_guid();
+    net.publish(0, guid);
+    for origin in 0..IN_FLIGHT {
+        net.locate_async(origin, guid);
+    }
+    c.bench_function("network/take_completed_idle_1000_in_flight_x1000", |b| {
+        b.iter(|| {
+            for _ in 0..1000 {
+                black_box(net.take_completed());
+            }
+        })
+    });
+    c.bench_function("network/take_results_poll_1000_origins", |b| {
+        b.iter(|| {
+            for origin in 0..IN_FLIGHT {
+                black_box(net.take_results(origin));
+            }
+        })
+    });
+}
+
+criterion_group!(benches, bench_nearest, bench_next_hop, bench_engine_dispatch, bench_collect_idle);
 criterion_main!(benches);

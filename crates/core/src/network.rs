@@ -83,15 +83,18 @@ pub struct TapestryNetwork {
     rng: StdRng,
     seed: u64,
     /// Per-op completion callback, invoked once for every locate result
-    /// collected through [`TapestryNetwork::take_results`] /
-    /// [`TapestryNetwork::drain_results`].
+    /// the driver collects, whichever call collects it
+    /// ([`TapestryNetwork::take_results`],
+    /// [`TapestryNetwork::take_completed`] or a synchronous
+    /// [`TapestryNetwork::locate`]).
     locate_hook: Option<LocateHook>,
     /// Event budget for each `run_to_idle` call.
     pub max_events_per_op: u64,
 }
 
-/// Callback observing every completed locate as the driver collects it
-/// (workload runners harvest latency/hop distributions this way).
+/// Callback observing every completed locate as the driver collects it:
+/// once per result, in collection order. A result that is never
+/// collected (its origin died first) is never observed.
 pub type LocateHook = Box<dyn FnMut(&LocateResult) + Send>;
 
 /// One pending slot fill of the indexed bootstrap: node, slot digit, and
@@ -483,11 +486,15 @@ impl TapestryNetwork {
         self.engine.inject(server, Msg::AppPublish { guid });
     }
 
-    /// Locate `guid` from `origin`, drain, and return the result.
+    /// Locate `guid` from `origin`, drain, and return the result. Only
+    /// that result is collected: anything else queued at `origin` (earlier
+    /// async locates) stays there, and stays on the completion feed.
     pub fn locate(&mut self, origin: NodeIdx, guid: Guid) -> Option<LocateResult> {
         self.locate_async(origin, guid);
         self.run_to_idle();
-        self.take_results(origin).into_iter().rev().find(|r| r.guid == guid)
+        let result = self.engine.node_mut(origin)?.take_locate_result_for(guid)?;
+        self.fire_locate_hook(std::slice::from_ref(&result));
+        Some(result)
     }
 
     /// Issue a locate without draining.
@@ -521,29 +528,48 @@ impl TapestryNetwork {
             .sum()
     }
 
-    /// Collect finished locate results queued at `origin`. Each result
-    /// passes through the completion hook (if set) exactly once.
+    /// Collect finished locate results queued at `origin` (nothing if it
+    /// is dead — its results died with it). Each result passes through
+    /// the completion hook (if set) exactly once. This is the collection
+    /// call for a driver that knows its one origin; a driver with locates
+    /// in flight from many origins uses
+    /// [`TapestryNetwork::take_completed`] instead of polling each.
     pub fn take_results(&mut self, origin: NodeIdx) -> Vec<LocateResult> {
         let results =
             self.engine.node_mut(origin).map(|n| n.take_locate_results()).unwrap_or_default();
-        if let Some(hook) = self.locate_hook.as_mut() {
-            for r in &results {
-                hook(r);
-            }
-        }
+        self.fire_locate_hook(&results);
         results
     }
 
-    /// Collect finished locate results from *every* live member, in node
-    /// order — the harvesting step of a workload runner that issues many
-    /// concurrent async locates from different origins.
-    pub fn drain_results(&mut self) -> Vec<LocateResult> {
+    /// Collect every finished locate result in the network, from exactly
+    /// the origins the engine's completion feed lists — O(results), and
+    /// O(1) without allocating or touching any node when nothing finished
+    /// since the last call. Origins are visited in node order, each
+    /// origin's results in completion order; an origin that died since
+    /// completing yields nothing. Funnels through
+    /// [`TapestryNetwork::take_results`], so the hook fires once per
+    /// result.
+    pub fn take_completed(&mut self) -> Vec<LocateResult> {
+        let mut ready = self.engine.take_notified();
+        ready.sort_unstable();
         let mut all = Vec::new();
-        for i in 0..self.members.len() {
-            let idx = self.members[i];
-            all.extend(self.take_results(idx));
+        for origin in ready {
+            all.extend(self.take_results(origin));
         }
         all
+    }
+
+    /// Collect every finished locate result in the network: the name
+    /// existing drivers call [`TapestryNetwork::take_completed`] by.
+    pub fn drain_results(&mut self) -> Vec<LocateResult> {
+        self.take_completed()
+    }
+
+    /// Show `results` to the completion hook, as they leave the network.
+    fn fire_locate_hook(&mut self, results: &[LocateResult]) {
+        if let Some(hook) = self.locate_hook.as_mut() {
+            results.iter().for_each(hook);
+        }
     }
 
     /// Install a per-op completion callback observing every collected

@@ -8,7 +8,7 @@ use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
-use tapestry_id::Id;
+use tapestry_id::{Guid, Id};
 use tapestry_repair::{FactKind, RepairLedger};
 use tapestry_sim::{Actor, Ctx, NodeIdx};
 use tapestry_trace::metrics;
@@ -256,6 +256,13 @@ impl TapestryNode {
     /// Drain completed locate operations.
     pub fn take_locate_results(&mut self) -> Vec<LocateResult> {
         std::mem::take(&mut self.locate_results)
+    }
+
+    /// Remove and return the most recently completed locate of `guid`,
+    /// leaving every other queued result in place.
+    pub(crate) fn take_locate_result_for(&mut self, guid: Guid) -> Option<LocateResult> {
+        let at = self.locate_results.iter().rposition(|r| r.guid == guid)?;
+        Some(self.locate_results.remove(at))
     }
 
     /// One step of the configured surrogate-routing scheme (§2.3):

@@ -249,7 +249,10 @@ impl TapestryNode {
         self.handle_routed(ctx, None, m);
     }
 
-    /// Origin-side completion: record the result for the driver.
+    /// Origin-side completion: record the result for the driver, and put
+    /// this node on the engine's completion feed when the queue goes
+    /// empty → non-empty (a node with a non-empty queue is already
+    /// listed: `take_completed` empties every queue it unlists).
     pub(crate) fn on_locate_done(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
@@ -262,6 +265,9 @@ impl TapestryNode {
         let Some((guid, issued_at)) = self.pending_locates.remove(&op) else {
             return; // duplicate or forged completion
         };
+        if self.locate_results.is_empty() {
+            ctx.notify_driver();
+        }
         self.locate_results.push(LocateResult {
             guid,
             op,

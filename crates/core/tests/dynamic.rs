@@ -326,3 +326,71 @@ fn join_message_accounting_tracks_insertions() {
         "accounted join messages ({join_msgs}) cannot exceed actual sends ({all_msgs})"
     );
 }
+
+/// Regression: a synchronous `locate` used to take the origin's whole
+/// result queue and keep only its own answer, so async locates issued
+/// earlier from the same node vanished (a runner would count them lost).
+#[test]
+fn sync_locate_leaves_earlier_async_results_collectable() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let mut net = boot(32, 32, 29);
+    let members = net.node_ids();
+    let guids: Vec<_> = (0..3)
+        .map(|i| {
+            let guid = net.random_guid();
+            net.publish(members[i + 1], guid);
+            guid
+        })
+        .collect();
+    let observed = std::sync::Arc::new(AtomicU64::new(0));
+    let hook_count = observed.clone();
+    net.set_locate_hook(Box::new(move |_| {
+        hook_count.fetch_add(1, Ordering::Relaxed);
+    }));
+    let origin = members[10];
+    net.locate_async(origin, guids[0]);
+    net.locate_async(origin, guids[1]);
+    let sync = net.locate(origin, guids[2]).expect("completes");
+    assert_eq!(sync.guid, guids[2]);
+    assert_eq!(observed.load(Ordering::Relaxed), 1, "only the returned result was collected");
+    // The two async results are still queued at the origin, and the
+    // origin is still on the completion feed.
+    let mut rest: Vec<_> = net.take_completed().iter().map(|r| r.guid).collect();
+    rest.sort();
+    let mut expected = vec![guids[0], guids[1]];
+    expected.sort();
+    assert_eq!(rest, expected);
+    assert_eq!(observed.load(Ordering::Relaxed), 3, "hook fires once per result");
+    assert!(net.take_results(origin).is_empty());
+    assert!(net.take_completed().is_empty());
+}
+
+#[test]
+fn take_completed_collects_from_exactly_the_origins_that_finished() {
+    let mut net = boot(32, 32, 30);
+    let members = net.node_ids();
+    let guid = net.random_guid();
+    net.publish(members[0], guid);
+    assert!(net.take_completed().is_empty(), "publishes complete nothing");
+    // Issue in descending origin order: results come back in node order.
+    for origin in [members[20], members[7], members[20], members[3]] {
+        net.locate_async(origin, guid);
+    }
+    net.run_to_idle();
+    // An origin killed between completion and collection takes its
+    // result with it.
+    net.kill(members[7]);
+    let got = net.take_completed();
+    // An op id carries its initiating node in the high bits.
+    let origins: Vec<usize> = got.iter().map(|r| (r.op.0 >> 40) as usize).collect();
+    assert_eq!(origins, vec![members[3], members[20], members[20]]);
+    assert!(got.iter().all(|r| r.guid == guid && r.server.is_some()));
+    assert!(net.take_results(members[3]).is_empty(), "already collected");
+    assert!(net.drain_results().is_empty(), "second drain is empty");
+    // A driver that polls one origin leaves a stale feed entry behind;
+    // draining it later finds nothing and costs nothing.
+    net.locate_async(members[3], guid);
+    net.run_to_idle();
+    assert_eq!(net.take_results(members[3]).len(), 1);
+    assert!(net.take_completed().is_empty());
+}

@@ -44,6 +44,7 @@ pub trait Actor {
 enum Effect<M, T> {
     Send { to: NodeIdx, msg: M },
     Timer { delay: SimTime, timer: T },
+    Notify,
 }
 
 /// Handler-side view of the engine: lets a node send messages, set timers
@@ -72,6 +73,15 @@ impl<M, T> Ctx<'_, M, T> {
     /// Arm a timer that fires on this node after `delay`.
     pub fn set_timer(&mut self, delay: SimTime, timer: T) {
         self.out.push(Effect::Timer { delay, timer });
+    }
+
+    /// Tell the driver this node has output to collect: the node joins
+    /// the engine's completion feed ([`Engine::take_notified`]) — once,
+    /// however often it notifies before the driver drains the feed.
+    /// Buffered like a send, so the feed fills in event pop order at
+    /// every thread count.
+    pub fn notify_driver(&mut self) {
+        self.out.push(Effect::Notify);
     }
 
     /// Metric distance between two nodes.
@@ -248,6 +258,13 @@ pub struct Engine<A: Actor> {
     /// the return latency), feeding [`Actor::on_contact_failed`].
     /// Off by default: the silent drop is the pre-repair contract.
     failure_notices: bool,
+    /// The completion feed: nodes that called [`Ctx::notify_driver`]
+    /// since the last [`Engine::take_notified`], in event pop order.
+    /// `listed` keeps each node in it at most once, so it never outgrows
+    /// the population even if the driver never drains it.
+    notified: Vec<NodeIdx>,
+    /// `listed[i]`: node `i` is currently in `notified`.
+    listed: Vec<bool>,
 }
 
 impl<A: Actor> Engine<A> {
@@ -280,6 +297,8 @@ impl<A: Actor> Engine<A> {
             race_reports: Vec::new(),
             race_panic: true,
             failure_notices: false,
+            notified: Vec::new(),
+            listed: vec![false; n],
         }
     }
 
@@ -422,6 +441,20 @@ impl<A: Actor> Engine<A> {
         self.partition.is_some()
     }
 
+    /// Drain the completion feed: every node that called
+    /// [`Ctx::notify_driver`] since the previous call, once each, in the
+    /// pop order of the events that notified first. O(1) and
+    /// allocation-free when nothing notified. A listed node may have been
+    /// removed since — the feed records that it *had* output, not that it
+    /// is still alive.
+    pub fn take_notified(&mut self) -> Vec<NodeIdx> {
+        let ready = std::mem::take(&mut self.notified);
+        for &node in &ready {
+            self.listed[node] = false;
+        }
+        ready
+    }
+
     /// Inject a message from outside the network; it is delivered to `to`
     /// after the processing delay.
     pub fn inject(&mut self, to: NodeIdx, msg: A::Msg) {
@@ -547,9 +580,10 @@ impl<A: Actor> Engine<A> {
     }
 
     /// Apply one buffered handler effect from `node`: account the send
-    /// and schedule the resulting event. Shared verbatim by the
-    /// sequential and batched drains — sequence assignment and the
-    /// `stats.distance` float accumulation happen here, in application
+    /// and schedule the resulting event, or list the node in the
+    /// completion feed. Shared verbatim by the sequential and batched
+    /// drains — sequence assignment, the `stats.distance` float
+    /// accumulation and feed order all happen here, in application
     /// order, which is what keeps the two paths byte-identical.
     fn apply_effect(&mut self, node: NodeIdx, eff: Effect<A::Msg, A::Timer>) {
         match eff {
@@ -563,6 +597,11 @@ impl<A: Actor> Engine<A> {
             Effect::Timer { delay, timer } => {
                 let at = self.now + delay;
                 self.push(at, Event::Fire { node, timer });
+            }
+            Effect::Notify => {
+                if !std::mem::replace(&mut self.listed[node], true) {
+                    self.notified.push(node);
+                }
             }
         }
     }

@@ -257,9 +257,6 @@ pub fn run_instrumented(
         let mut latency = Histogram::new();
         let mut hops = Histogram::new();
         let mut path_dist = Histogram::new();
-        // Origins with locates in flight → how many. Harvesting polls
-        // only these instead of sweeping every member per event.
-        let mut pending: BTreeMap<NodeIdx, u64> = BTreeMap::new();
 
         // ----- drive the phase -------------------------------------------
         for (t, action) in events {
@@ -284,7 +281,6 @@ pub fn run_instrumented(
                         } else {
                             net.locate_async(origin, obj.guid);
                         }
-                        *pending.entry(origin).or_insert(0) += 1;
                         ops.issued += 1;
                     }
                 }
@@ -303,7 +299,7 @@ pub fn run_instrumented(
                 c.pump(&mut net);
             }
             settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, false);
-            harvest(&mut net, &mut pending, &mut ops, &mut latency, &mut hops, &mut path_dist);
+            harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
             poll_series(&net, &mut series);
         }
 
@@ -322,9 +318,9 @@ pub fn run_instrumented(
         }
         settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, true);
         net.run_to_idle();
-        harvest(&mut net, &mut pending, &mut ops, &mut latency, &mut hops, &mut path_dist);
+        harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
         poll_series(&net, &mut series);
-        pending.clear(); // whatever is left can never complete
+        // The network is idle: whatever has not completed never will.
         ops.lost = ops.issued.saturating_sub(ops.completed);
 
         let invariants = if phase.checks && !net.partition_active() {
@@ -542,27 +538,20 @@ fn settle_membership(
 }
 
 /// Collect completed locates into the phase accumulators and the
-/// engine-level [`SimStats`] histograms. Only origins with ops still in
-/// flight are polled; results on dead origins are gone for good (their
-/// entries drop out and the ops count as lost).
+/// engine-level [`SimStats`] histograms. Called after every scheduled
+/// event, so it must cost nothing when nothing finished: the network's
+/// completion feed names exactly the origins with results, in node
+/// order. A result whose origin was killed before this call is gone for
+/// good (the op counts as lost); `found_live` / `found_dead` judge the
+/// server's liveness as of this call.
 fn harvest(
     net: &mut TapestryNetwork,
-    pending: &mut BTreeMap<NodeIdx, u64>,
     ops: &mut OpStats,
     latency: &mut Histogram,
     hops: &mut Histogram,
     path_dist: &mut Histogram,
 ) {
-    let mut results = Vec::new();
-    pending.retain(|&origin, in_flight| {
-        if !net.engine().alive(origin) {
-            return false;
-        }
-        let collected = net.take_results(origin);
-        *in_flight = in_flight.saturating_sub(collected.len() as u64);
-        results.extend(collected);
-        *in_flight > 0
-    });
+    let results = net.take_completed();
     if results.is_empty() {
         return;
     }

@@ -100,6 +100,6 @@ fn main() {
         net.locate_async(origin, guid);
     }
     net.run_to_idle();
-    net.drain_results();
+    net.take_completed();
     println!("hook observed {} successful locates", hits.load(Ordering::Relaxed));
 }
