@@ -1,7 +1,8 @@
 //! Microbenchmarks of the scale-pass hot paths: surrogate-routing
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
 //! through the coordinate index vs the brute-force scan, raw engine
-//! event dispatch, and the driver's per-event result collection. These
+//! event dispatch, the event queue at the two depths the benchmark
+//! workloads show, and the driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
 //! scale driver measures them end to end, this file isolates them.
 
@@ -11,7 +12,7 @@ use rand::SeedableRng;
 use tapestry_core::{NodeRef, RoutingTable, TapestryConfig, TapestryNetwork};
 use tapestry_id::{Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
-use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, SimTime};
+use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimTime};
 
 const N: usize = 4096;
 
@@ -109,6 +110,49 @@ fn bench_engine_dispatch(c: &mut Criterion) {
     });
 }
 
+/// The event queue in steady state at a fixed depth: pop the next event,
+/// push one due a delivery latency later. `engine/dispatch_256_events`
+/// keeps one event pending, so it sees neither regime the benchmark
+/// workloads run in — ~1.2 k pending on `locate-steady`, 556 k after a
+/// probe round on `churn-repair`. The payload is 192 bytes, the size of
+/// an engine event plus its node key; due times scatter over 8 192
+/// distance units like in-flight deliveries on the scenario spaces. One
+/// iteration is `QUEUE_PAIRS` pop + push pairs — a single pair is below
+/// the timer's resolution — so divide the row by that.
+fn bench_queue(c: &mut Criterion) {
+    const QUEUE_PAIRS: usize = 100_000;
+    const POINTS: usize = 5_000;
+    type Payload = [u64; 24];
+    for (name, depth) in
+        [("queue/push_pop_deep_500k", 500_000u64), ("queue/push_pop_shallow_1k", 1_000)]
+    {
+        // The engine's geometry: 1 024 nodes per range, at most 16.
+        let mut q: ShardedQueue<Payload> = ShardedQueue::new(POINTS, 1024, 16);
+        let mut seq = 0u64;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut push = |q: &mut ShardedQueue<Payload>, now: SimTime| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            seq += 1;
+            let latency = SimTime(1 + (x >> 16) % (8192 * 1024));
+            q.push(now + latency, seq, (x % POINTS as u64) as usize, [seq; 24]);
+        };
+        for _ in 0..depth {
+            push(&mut q, SimTime::ZERO);
+        }
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..QUEUE_PAIRS {
+                    let event = black_box(q.pop().expect("depth stays constant"));
+                    push(&mut q, event.0);
+                }
+                black_box(q.len())
+            })
+        });
+    }
+}
+
 /// What a driver pays per scheduled event to learn that no locate has
 /// finished, with 1 000 locates in flight from 1 000 origins (issued,
 /// engine not advanced): one drain of the completion feed, against one
@@ -140,5 +184,12 @@ fn bench_collect_idle(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_nearest, bench_next_hop, bench_engine_dispatch, bench_collect_idle);
+criterion_group!(
+    benches,
+    bench_nearest,
+    bench_next_hop,
+    bench_engine_dispatch,
+    bench_queue,
+    bench_collect_idle
+);
 criterion_main!(benches);

@@ -162,7 +162,7 @@ enum Event<M, T> {
 }
 
 impl<M, T> Event<M, T> {
-    /// The node the event fires on — the queue's shard key.
+    /// The node the event fires on — the queue's node key.
     fn target(&self) -> NodeIdx {
         match *self {
             Event::Deliver { to, .. } => to,
@@ -186,10 +186,10 @@ impl<M, T> Event<M, T> {
 /// notices.
 pub const EVENT_KINDS: [&str; 3] = ["deliver", "timer", "contact_failed"];
 
-/// Node ranges per queue shard (the queue caps the shard count, so small
-/// populations collapse to a single heap with no merge overhead).
+/// Nodes per range of the queue-depth telemetry series
+/// ([`Engine::shard_depths`]).
 const NODES_PER_SHARD: usize = 1024;
-/// Upper bound on queue shards regardless of population.
+/// Upper bound on the number of those ranges regardless of population.
 const MAX_SHARDS: usize = 16;
 /// Minimum same-instant batch size worth fanning out to worker threads.
 /// Each fan-out spawns a fresh `thread::scope` (tens of microseconds),
@@ -217,8 +217,8 @@ pub struct RunBudget {
 pub struct Engine<A: Actor> {
     now: SimTime,
     seq: u64,
-    /// Pending events, sharded by node range; pops follow the exact
-    /// `(at, seq)` total order of a single heap (see [`ShardedQueue`]).
+    /// Pending events; pops follow the exact `(at, seq)` total order of
+    /// a single heap (see [`ShardedQueue`]).
     queue: ShardedQueue<Event<A::Msg, A::Timer>>,
     actors: Vec<Option<A>>,
     metric: Box<dyn MetricSpace>,
@@ -383,8 +383,9 @@ impl<A: Actor> Engine<A> {
 
     /// Remove the actor at `idx` (involuntary failure or the final step of
     /// a voluntary departure). In-flight messages to it will be dropped.
+    /// `None` when no node is there, including an out-of-range `idx`.
     pub fn remove_node(&mut self, idx: NodeIdx) -> Option<A> {
-        self.actors[idx].take()
+        self.actors.get_mut(idx).and_then(Option::take)
     }
 
     /// Is a node alive at `idx`?
@@ -472,7 +473,7 @@ impl<A: Actor> Engine<A> {
         self.queue.len()
     }
 
-    /// Number of shards the event queue is split into.
+    /// Number of node ranges the queue-depth series is split into.
     pub fn queue_shards(&self) -> usize {
         self.queue.shard_count()
     }
@@ -492,7 +493,7 @@ impl<A: Actor> Engine<A> {
         self.events_by_kind
     }
 
-    /// Pending events per queue shard (the telemetry sampler's
+    /// Pending events per node range (the telemetry sampler's
     /// queue-depth series).
     pub fn shard_depths(&self) -> Vec<usize> {
         self.queue.shard_lens()
@@ -532,26 +533,21 @@ impl<A: Actor> Engine<A> {
         }
     }
 
-    /// Take the live actor at `node`, accounting a dead-target drop.
-    /// `None`: the node has departed (message drops are counted, timers
-    /// and failure notices on dead nodes are inert). With failure notices
-    /// enabled, a dropped node-to-node message also bounces: the sender
-    /// hears [`Actor::on_contact_failed`] after the return latency.
-    /// Called in pop order on both drain paths, so the bounce's sequence
-    /// number is identical at every thread count.
-    fn take_actor(&mut self, node: NodeIdx, work: &Work<A::Msg, A::Timer>) -> Option<A> {
-        let actor = self.actors.get_mut(node).and_then(Option::take);
-        if actor.is_none() {
-            if let Work::Msg(from, _) = *work {
-                self.stats.dropped += 1;
-                if self.failure_notices && from != EXTERNAL {
-                    let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
-                    let at = self.now + self.proc_delay + SimTime::from_distance(d);
-                    self.push(at, Event::ContactFailed { node: from, peer: node });
-                }
+    /// Account `work` finding no live node at `node`: message drops are
+    /// counted, timers and failure notices on dead nodes are inert. With
+    /// failure notices enabled, a dropped node-to-node message also
+    /// bounces: the sender hears [`Actor::on_contact_failed`] after the
+    /// return latency. Called in pop order on both drain paths, so the
+    /// bounce's sequence number is identical at every thread count.
+    fn dead_target(&mut self, node: NodeIdx, work: &Work<A::Msg, A::Timer>) {
+        if let Work::Msg(from, _) = *work {
+            self.stats.dropped += 1;
+            if self.failure_notices && from != EXTERNAL {
+                let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
+                let at = self.now + self.proc_delay + SimTime::from_distance(d);
+                self.push(at, Event::ContactFailed { node: from, peer: node });
             }
         }
-        actor
     }
 
     /// Invoke the handler for `work` on `actor`, with sends/timers and
@@ -608,7 +604,13 @@ impl<A: Actor> Engine<A> {
 
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some((at, _, _, ev)) = self.queue.pop() else {
+        self.step_due(SimTime(u64::MAX))
+    }
+
+    /// Process the next event if it is due at or before `deadline`.
+    /// Returns `false` when it is not, or the queue is empty.
+    fn step_due(&mut self, deadline: SimTime) -> bool {
+        let Some((at, _, _, ev)) = self.queue.pop_due(deadline) else {
             return false;
         };
         self.events_processed += 1;
@@ -619,7 +621,10 @@ impl<A: Actor> Engine<A> {
         let Some((node, work)) = self.decode(ev) else {
             return true;
         };
-        let Some(mut actor) = self.take_actor(node, &work) else {
+        // The handler runs on the actor where it sits: `actors`, `metric`
+        // and `stats` are disjoint fields, so nothing is moved out.
+        let Some(actor) = self.actors.get_mut(node).and_then(Option::as_mut) else {
+            self.dead_target(node, &work);
             return true;
         };
         let mut out = std::mem::take(&mut self.out_buf);
@@ -631,7 +636,7 @@ impl<A: Actor> Engine<A> {
             None
         };
         Self::run_handler(
-            &mut actor,
+            actor,
             self.now,
             node,
             &*self.metric,
@@ -644,7 +649,6 @@ impl<A: Actor> Engine<A> {
         if let Some(t0) = started {
             self.handler_ns[kind].record(t0.elapsed().as_nanos() as u64);
         }
-        self.actors[node] = Some(actor);
         for eff in out.drain(..) {
             self.apply_effect(node, eff);
         }
@@ -691,11 +695,7 @@ impl<A: Actor> Engine<A> {
     /// Run while the next event is at or before `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some((at, _, _)) = self.queue.peek() {
-            if at > deadline {
-                break;
-            }
-            self.step();
+        while self.step_due(deadline) {
             n += 1;
         }
         self.now = self.now.max(deadline);
@@ -819,7 +819,12 @@ impl<A: Actor> Engine<A> {
                     race::EventDesc { seq: 0, node: 0, kind: "", from: None }
                 };
                 let Some((node, work)) = self.decode(ev) else { continue };
-                let Some(actor) = self.take_actor(node, &work) else { continue };
+                // Scoped workers need ownership, so this drain moves the
+                // actor into its batch item and back at absorb time.
+                let Some(actor) = self.actors.get_mut(node).and_then(Option::take) else {
+                    self.dead_target(node, &work);
+                    continue;
+                };
                 seen.insert(node);
                 batch.push(BatchItem {
                     node,
@@ -1026,6 +1031,41 @@ mod tests {
         e.run_until_idle(100);
         assert_eq!(e.stats().dropped, 1, "the drop is still counted");
         assert_eq!(e.node(0).unwrap().failures, vec![1], "sender heard the bounce");
+    }
+
+    /// `step()` runs handlers on the actor in place; a removed target
+    /// takes the other branch. With notices on, the drop is counted once
+    /// and the bounce is due one return trip after the drop.
+    #[test]
+    fn step_counts_one_drop_and_times_the_bounce() {
+        let space = RingSpace::even(2, 100.0);
+        let mut e: Engine<Bouncer> = Engine::new(Box::new(space), SimTime(1));
+        e.set_failure_notices(true);
+        e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
+        e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
+        e.inject(0, 3);
+        assert!(e.step()); // t=1: node 0 sends to 1 across the 50.0 half-ring
+        e.remove_node(1);
+        assert!(e.step()); // the delivery finds node 1 gone
+        let dropped_at = 1 + 1 + 50 * 1024;
+        assert_eq!(e.now(), SimTime(dropped_at));
+        assert_eq!((e.stats().dropped, e.pending()), (1, 1), "one drop, one bounce queued");
+        assert!(e.step()); // the notice reaches node 0
+        assert_eq!(e.now(), SimTime(dropped_at + 1 + 50 * 1024));
+        assert_eq!(e.node(0).unwrap().failures, vec![1]);
+        assert_eq!(e.events_by_kind(), [2, 0, 1]);
+        assert!(!e.step());
+        assert_eq!(e.stats().dropped, 1);
+    }
+
+    #[test]
+    fn remove_node_tolerates_an_out_of_range_index() {
+        let mut e = engine2();
+        assert!(e.remove_node(2).is_none());
+        assert!(e.remove_node(usize::MAX).is_none());
+        assert!(e.remove_node(1).is_some());
+        assert!(e.remove_node(1).is_none(), "already gone");
+        assert_eq!(e.alive_nodes(), vec![0]);
     }
 
     #[test]

@@ -1,88 +1,141 @@
-//! The sharded event queue: per-node-range binary heaps behind a
-//! deterministic k-way merge.
+//! The engine's event queue: 24-byte ordering keys over a payload slab,
+//! split into a near heap and far time buckets.
 //!
-//! A single `BinaryHeap` over every pending event is the engine's
-//! bottleneck past ~100k nodes: each push/pop pays `O(log pending)` on
-//! one ever-growing heap and the whole structure is a serialization
-//! point. Sharding by node range keeps each heap small (`O(log
-//! (pending/K))` push) while the pop side merges the `K` shard heads by
-//! the *same* `(at, seq)` total order a single heap would use — `seq` is
-//! globally unique, so the merged order is a strict total order and the
-//! pop sequence is bit-identical to the unsharded queue. That identity is
-//! the contract the determinism gates (`--threads 1` vs `--threads N`
-//! byte-compares in CI) enforce end to end.
+//! **Keys and slab.** What the queue orders is `(at, seq)`; what it
+//! carries is a `(node, event)` payload that no comparison ever looks
+//! at. Measured on the `churn-repair` benchmark workload, one probe
+//! round leaves 556 453 events pending at once, and an engine event with
+//! its key is 208 bytes (the routed-message header is inline in `Msg`),
+//! so a heap of whole entries drags ~116 MB through ~17 cache-missing
+//! levels on every sift. Here the ordered structures hold only a [`Key`] — `at`,
+//! `seq` and a `u32` slot, 24 bytes — and the payload sits in a slab
+//! (`Vec<Option<_>>` with a LIFO free list): written once on push, read
+//! once on pop, never moved. Freed slots are reused before the slab
+//! grows, so its length never exceeds the peak number pending.
+//!
+//! **Near heap, far buckets.** Time is cut into buckets of
+//! `2^BUCKET_SHIFT` units (`at >> BUCKET_SHIFT`). Invariant: every key
+//! in the `near` binary heap lies in a bucket *before* `horizon`, every
+//! key in a `far` bucket lies *at or after* it. A push below the horizon
+//! (same-instant self-timers, `proc_delay` sends) goes into the heap; a
+//! later one is appended, unsorted, to its bucket's `Vec` — O(1) however
+//! many are pending. `pop` takes from the heap, and whenever that leaves
+//! the heap empty while events remain, the earliest bucket is heapified
+//! in O(n) and `horizon` moves just past it; a push into an empty queue
+//! starts the heap and puts `horizon` just past itself. So the heap is
+//! non-empty whenever the queue is, `peek(&self)` never has to mutate,
+//! and pops come from a heap the size of one bucket rather than of the
+//! whole backlog. `horizon` is kept in bucket units: the last bucket is
+//! `u64::MAX >> BUCKET_SHIFT`, so `bucket + 1` cannot overflow and
+//! `SimTime(u64::MAX)` is legal input. When every event shares one
+//! instant there is one bucket and the structure is exactly a single heap
+//! of slim keys.
+//!
+//! **Order.** `seq` is globally unique, so `(at, seq)` is a strict total
+//! order; every key below the horizon precedes every key at or above it,
+//! and the heap orders the rest. `pop` therefore returns exactly the
+//! sequence one `BinaryHeap` over all events would — the contract the
+//! determinism gates (`--threads 1` vs `--threads N` byte-compares in CI)
+//! enforce end to end, and the proptests below check against that
+//! reference heap.
+//!
+//! The node key does not affect order. It is kept to count pending
+//! events per node range for the telemetry sampler
+//! ([`ShardedQueue::shard_lens`]), which is where the type's name comes
+//! from.
 
 use crate::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
-/// One queued item: its due time, global sequence number, owning node key
-/// and payload. Ordered by `(at, seq)` — `seq` uniqueness makes the order
-/// total, so shard-head merging is deterministic.
-struct Entry<E> {
+/// log2 of the far-bucket width in [`SimTime`] units: 2^16 units is 64
+/// units of metric distance, a fraction of one overlay hop on the spaces
+/// the scenarios use, so a burst of in-flight deliveries spreads over
+/// many buckets while the near heap stays cache-sized.
+const BUCKET_SHIFT: u32 = 16;
+
+/// Largest spent buffer, in keys, kept for reuse as a bucket. A shallow
+/// queue holds a dozen keys per bucket and recycles its buffers, so its
+/// steady state allocates nothing; a buffer that held a burst goes back
+/// to the allocator instead — pooled unconditionally, capacity only ever
+/// ratchets up as big buffers land on small buckets (measured on
+/// `churn-repair`: 2.7 M keys of pooled capacity, +40 MB resident, for
+/// 556 k pending).
+const POOLED_KEYS_MAX: usize = 1024;
+
+/// What the queue orders: due time, global sequence number, and the slab
+/// slot holding the payload. `seq` is unique, so the derived ordering
+/// never reaches `slot`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    node: usize,
-    item: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Key {
+    fn bucket(&self) -> u64 {
+        self.at.0 >> BUCKET_SHIFT
     }
 }
 
-/// A min-queue of timed events sharded by node range.
+/// A min-queue of timed events, each keyed by the node it fires on
+/// (delivery target or timer owner).
 ///
-/// Events are keyed by the node they fire on (delivery target or timer
-/// owner); node indices `0..points` are split into `K` contiguous ranges,
-/// one heap each. `pop` returns events in ascending `(at, seq)` order —
-/// exactly the order a single binary heap over all events would produce.
+/// `pop` returns events in ascending `(at, seq)` order — exactly the
+/// order a single binary heap over all events would produce. See the
+/// module documentation for the structure.
 pub struct ShardedQueue<E> {
-    shards: Vec<BinaryHeap<Reverse<Entry<E>>>>,
-    /// Nodes per shard (`node / per_shard` is the shard of `node`).
-    per_shard: usize,
+    /// Keys in buckets before `horizon`, as a min-heap.
+    near: BinaryHeap<Reverse<Key>>,
+    /// Keys in buckets at or after `horizon`, unsorted within a bucket.
+    far: BTreeMap<u64, Vec<Reverse<Key>>>,
+    /// First bucket not yet merged into `near`.
+    horizon: u64,
+    /// Spent buffers of at most [`POOLED_KEYS_MAX`] keys, reused as
+    /// buckets.
+    pool: Vec<Vec<Reverse<Key>>>,
+    /// Payloads by slot: the node key and the item.
+    slab: Vec<Option<(usize, E)>>,
+    /// Vacant slab slots, reused last-freed-first.
+    free: Vec<u32>,
+    /// Pending events per node range (`node / per_range`).
+    range_lens: Vec<usize>,
+    per_range: usize,
     len: usize,
 }
 
 impl<E> ShardedQueue<E> {
-    /// A queue for node keys `0..points` with roughly one shard per
-    /// `nodes_per_shard` range (at least one, at most `max_shards`).
-    /// Out-of-range keys (e.g. an external-injection sentinel) fall into
-    /// the last shard.
+    /// A queue for node keys `0..points`, counting pending events over
+    /// roughly one range per `nodes_per_shard` keys (at least one, at
+    /// most `max_shards`). Out-of-range keys (e.g. an external-injection
+    /// sentinel) count toward the last range.
     pub fn new(points: usize, nodes_per_shard: usize, max_shards: usize) -> Self {
         let k = (points / nodes_per_shard.max(1)).clamp(1, max_shards.max(1));
-        let per_shard = points.div_ceil(k).max(1);
-        let mut shards = Vec::with_capacity(k);
-        // Pre-size each shard to its share of the population: scenario
-        // drivers keep a few in-flight events per node, and growing a
-        // binary heap mid-run re-copies every pending event.
-        shards.resize_with(k, || BinaryHeap::with_capacity(per_shard.max(64)));
-        ShardedQueue { shards, per_shard, len: 0 }
+        ShardedQueue {
+            near: BinaryHeap::new(),
+            far: BTreeMap::new(),
+            horizon: 0,
+            pool: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            range_lens: vec![0; k],
+            per_range: points.div_ceil(k).max(1),
+            len: 0,
+        }
     }
 
-    /// Number of shards in use.
+    /// Number of node ranges pending events are counted over.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.range_lens.len()
     }
 
-    /// Pending events per shard, in shard order — the queue-depth series
-    /// the telemetry sampler reports. Purely a size snapshot: shard
-    /// membership is a pure function of the node key, so at any simulated
-    /// instant the depths are identical at every thread count.
+    /// Pending events per node range, in range order — the queue-depth
+    /// series the telemetry sampler reports. Range membership is a pure
+    /// function of the node key, so at any simulated instant the depths
+    /// are identical at every thread count.
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|h| h.len()).collect()
+        self.range_lens.clone()
     }
 
     /// Total pending events.
@@ -95,8 +148,8 @@ impl<E> ShardedQueue<E> {
         self.len == 0
     }
 
-    fn shard_of(&self, node: usize) -> usize {
-        (node / self.per_shard).min(self.shards.len() - 1)
+    fn range_of(&self, node: usize) -> usize {
+        (node / self.per_range).min(self.range_lens.len() - 1)
     }
 
     /// Queue `item` for `node` at time `at`. `seq` must be unique and
@@ -104,39 +157,83 @@ impl<E> ShardedQueue<E> {
     /// event counter) — it is the deterministic tie-break within an
     /// instant.
     pub fn push(&mut self, at: SimTime, seq: u64, node: usize, item: E) {
-        let shard = self.shard_of(node);
-        self.shards[shard].push(Reverse(Entry { at, seq, node, item }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some((node, item));
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .expect("more than u32::MAX events pending at once");
+                self.slab.push(Some((node, item)));
+                slot
+            }
+        };
+        let key = Key { at, seq, slot };
+        if self.len == 0 {
+            // Nothing is pending, so any horizon satisfies the invariant:
+            // put it just past this key and start the heap with it.
+            self.horizon = key.bucket() + 1;
+        }
+        if key.bucket() < self.horizon {
+            self.near.push(Reverse(key));
+        } else {
+            let pool = &mut self.pool;
+            self.far
+                .entry(key.bucket())
+                .or_insert_with(|| pool.pop().unwrap_or_default())
+                .push(Reverse(key));
+        }
+        let range = self.range_of(node);
+        self.range_lens[range] += 1;
         self.len += 1;
     }
 
-    /// The shard holding the globally next event (minimum `(at, seq)`
-    /// over all shard heads), or `None` when empty.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, heap) in self.shards.iter().enumerate() {
-            if let Some(Reverse(head)) = heap.peek() {
-                let key = (head.at, head.seq, s);
-                if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                    best = Some(key);
-                }
-            }
+    /// Heapify the earliest far bucket into the (empty) near heap and
+    /// move the horizon just past it; the heap's old buffer is recycled.
+    /// No-op when nothing is far.
+    fn refill(&mut self) {
+        debug_assert!(self.near.is_empty());
+        let Some((bucket, keys)) = self.far.pop_first() else {
+            return;
+        };
+        self.horizon = bucket + 1;
+        let spent = std::mem::replace(&mut self.near, BinaryHeap::from(keys)).into_vec();
+        if spent.capacity() <= POOLED_KEYS_MAX {
+            self.pool.push(spent);
         }
-        best.map(|(_, _, s)| s)
     }
 
     /// Due time, sequence number and node key of the next event, without
     /// removing it.
     pub fn peek(&self) -> Option<(SimTime, u64, usize)> {
-        let Reverse(head) = self.shards[self.min_shard()?].peek().expect("shard has a head");
-        Some((head.at, head.seq, head.node))
+        let Reverse(key) = self.near.peek()?;
+        let (node, _) = self.slab[key.slot as usize].as_ref().expect("queued key has a payload");
+        Some((key.at, key.seq, *node))
     }
 
     /// Remove and return the next event in `(at, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, u64, usize, E)> {
-        let shard = self.min_shard()?;
-        let Reverse(e) = self.shards[shard].pop().expect("shard has a head");
+        self.pop_due(SimTime(u64::MAX))
+    }
+
+    /// [`pop`](ShardedQueue::pop), but only if the next event is due at
+    /// or before `deadline` — the check costs a look at the heap's head,
+    /// without the slab read `peek` makes for the node key.
+    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize, E)> {
+        if self.near.peek()?.0.at > deadline {
+            return None;
+        }
+        let Reverse(key) = self.near.pop().expect("peeked");
+        if self.near.is_empty() {
+            self.refill();
+        }
+        let (node, item) = self.slab[key.slot as usize].take().expect("queued key has a payload");
+        self.free.push(key.slot);
+        let range = self.range_of(node);
+        self.range_lens[range] -= 1;
         self.len -= 1;
-        Some((e.at, e.seq, e.node, e.item))
+        Some((key.at, key.seq, node, item))
     }
 }
 
@@ -145,33 +242,61 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Reference: the single binary heap the sharded queue must match.
-    fn reference_order(pushes: &[(u64, usize)]) -> Vec<(u64, u64, usize)> {
-        let mut heap: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-        for (seq, &(at, node)) in pushes.iter().enumerate() {
-            heap.push(Reverse((SimTime(at), seq as u64, node)));
-        }
-        let mut out = Vec::new();
-        while let Some(Reverse((at, seq, node))) = heap.pop() {
-            out.push((at.0, seq, node));
-        }
-        out
+    /// The queue beside the single binary heap it must match. Payloads
+    /// are derived from `seq`, so a slot mix-up in the slab shows up as
+    /// another event's payload.
+    struct Checked {
+        q: ShardedQueue<u64>,
+        reference: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     }
 
-    fn sharded_order(
-        pushes: &[(u64, usize)],
-        points: usize,
-        shards: usize,
-    ) -> Vec<(u64, u64, usize)> {
-        let mut q: ShardedQueue<()> = ShardedQueue::new(points, points.div_ceil(shards), shards);
-        for (seq, &(at, node)) in pushes.iter().enumerate() {
-            q.push(SimTime(at), seq as u64, node, ());
+    fn payload(seq: u64) -> u64 {
+        seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    impl Checked {
+        fn new(points: usize, nodes_per_shard: usize, max_shards: usize) -> Self {
+            Checked {
+                q: ShardedQueue::new(points, nodes_per_shard, max_shards),
+                reference: BinaryHeap::new(),
+            }
         }
-        let mut out = Vec::new();
-        while let Some((at, seq, node, ())) = q.pop() {
-            out.push((at.0, seq, node));
+
+        fn push(&mut self, at: u64, seq: u64, node: usize) {
+            self.q.push(SimTime(at), seq, node, payload(seq));
+            self.reference.push(Reverse((SimTime(at), seq, node)));
         }
-        out
+
+        /// Pop both sides. Panics unless the queue's head, length and
+        /// payload are the reference heap's; returns the popped `at`.
+        fn pop(&mut self) -> Option<u64> {
+            let expect = self.reference.pop().map(|Reverse(e)| e);
+            assert_eq!(self.q.peek(), expect, "peek is not the single-heap head");
+            let got = self.q.pop();
+            assert_eq!(got.map(|(at, seq, node, _)| (at, seq, node)), expect, "pop order");
+            if let Some((_, seq, _, item)) = got {
+                assert_eq!(item, payload(seq), "payload pushed with another seq");
+            }
+            assert_eq!(self.q.len(), self.reference.len());
+            expect.map(|(at, ..)| at.0)
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.q.is_empty());
+            assert!(self.q.shard_lens().iter().all(|&n| n == 0), "range counters drained");
+        }
+    }
+
+    /// Deterministic pseudo-random stream (xorshift64) from a salt.
+    fn xorshift(salt: u64) -> impl FnMut() -> u64 {
+        let mut x = salt | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
     }
 
     #[test]
@@ -194,7 +319,9 @@ mod tests {
         let mut q: ShardedQueue<u32> = ShardedQueue::new(64, 8, 8);
         q.push(SimTime(5), 1, usize::MAX, 7);
         assert_eq!(q.len(), 1);
+        assert_eq!(q.shard_lens(), [0, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(q.pop().map(|(_, _, n, v)| (n, v)), Some((usize::MAX, 7)));
+        assert_eq!(q.shard_lens(), [0; 8]);
     }
 
     /// Same-instant FIFO stress across shard boundaries: a burst of
@@ -233,9 +360,99 @@ mod tests {
         assert_eq!(got, expect, "same-instant burst pops in push (FIFO) order");
     }
 
+    /// The last two representable instants: bucket and horizon arithmetic
+    /// must not overflow (this suite runs with overflow checks on).
+    #[test]
+    fn end_of_time_pushes_pop_in_order() {
+        let mut c = Checked::new(16, 4, 4);
+        c.push(u64::MAX, 0, 1);
+        c.push(u64::MAX - 1, 1, 2);
+        c.push(3, 2, 3);
+        c.push(u64::MAX, 3, 4);
+        assert_eq!(c.pop(), Some(3));
+        // The near heap now holds the last bucket; these land below,
+        // inside and (again) inside it.
+        c.push(u64::MAX - (1 << BUCKET_SHIFT), 4, 5);
+        c.push(u64::MAX - 1, 5, 6);
+        c.push(u64::MAX, 6, 7);
+        c.drain();
+    }
+
+    /// Freed slots are reused before the slab grows: a long run with few
+    /// events pending keeps the slab at the peak, not at the total.
+    #[test]
+    fn slab_never_outgrows_peak_pending() {
+        let mut q: ShardedQueue<u64> = ShardedQueue::new(64, 8, 8);
+        let mut next = xorshift(11);
+        let (mut now, mut peak) = (0u64, 0usize);
+        for seq in 0..1_000_000u64 {
+            q.push(SimTime(now + next() % (8 << BUCKET_SHIFT)), seq, seq as usize % 64, seq);
+            peak = peak.max(q.len());
+            // Hover between 1 and 100 pending.
+            if q.len() == 100 || next() & 1 == 0 {
+                now = q.pop().expect("just pushed").0 .0;
+            }
+            assert!(q.slab.len() <= peak, "slab {} past peak {peak}", q.slab.len());
+        }
+        assert!(peak <= 100);
+        assert!(q.pool.iter().all(|b| b.capacity() <= POOLED_KEYS_MAX));
+    }
+
+    /// Pushes at, just below and just above the horizon while the queue
+    /// drains — including same-instant pushes at the popped time, the
+    /// self-timer pattern — keep single-heap order across refills.
+    #[test]
+    fn pushes_around_the_horizon_while_draining_keep_heap_order() {
+        let mut c = Checked::new(256, 32, 8);
+        let mut next = xorshift(5);
+        let mut seq = 0u64;
+        let mut push = |c: &mut Checked, at: u64| {
+            c.push(at, seq, next() as usize % 256);
+            seq += 1;
+        };
+        for k in 0..400 {
+            push(&mut c, k * (1 << (BUCKET_SHIFT - 2)) + 17);
+        }
+        let mut pops = 0u32;
+        while let Some(now) = c.pop() {
+            pops += 1;
+            if pops > 3_000 {
+                continue; // stop feeding, let it drain
+            }
+            let edge = c.q.horizon << BUCKET_SHIFT;
+            for at in [now, edge - 1, edge, edge + 1, edge + (3 << BUCKET_SHIFT)] {
+                // Never schedule into the past, like the engine.
+                if at >= now && !pops.is_multiple_of(3) {
+                    push(&mut c, at);
+                }
+            }
+        }
+        assert!(pops > 3_000, "fed pushes were drained too");
+    }
+
+    /// A probe-round-sized burst whose due times span many buckets pops
+    /// in single-heap order, with pops interleaved so refills happen
+    /// while later buckets are still filling.
+    #[test]
+    fn burst_over_many_buckets_matches_reference_heap() {
+        let mut c = Checked::new(5_000, 1024, 16);
+        let mut next = xorshift(42);
+        // An early first event pins the horizon at bucket 1, so the whole
+        // burst is far.
+        c.push(0, 0, 0);
+        for seq in 1..100_000u64 {
+            c.push(next() % (64 << BUCKET_SHIFT), seq, next() as usize % 5_000);
+            if seq % 1_000 == 999 {
+                c.pop();
+            }
+        }
+        assert!(c.q.far.len() >= 50, "burst spread over {} buckets", c.q.far.len());
+        c.drain();
+    }
+
     proptest! {
         /// Any interleaving of pushes pops in exactly the single-heap
-        /// `(at, seq)` order, for every shard geometry.
+        /// `(at, seq)` order, for every range geometry.
         #[test]
         fn prop_pop_order_matches_single_heap(
             n in 0usize..120,
@@ -243,59 +460,44 @@ mod tests {
             shards in 1usize..12,
             at_salt in 0u64..u64::MAX,
         ) {
-            // Deterministic pseudo-random pushes from the salt: times
-            // cluster heavily (small range) to force same-instant ties.
-            let mut x = at_salt | 1;
-            let mut step = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let pushes: Vec<(u64, usize)> =
-                (0..n).map(|_| (step() % 8, (step() as usize) % points)).collect();
-            prop_assert_eq!(
-                sharded_order(&pushes, points, shards),
-                reference_order(&pushes)
-            );
+            // Times cluster heavily (small range) to force same-instant
+            // ties.
+            let mut next = xorshift(at_salt);
+            let mut c = Checked::new(points, points.div_ceil(shards), shards);
+            for seq in 0..n {
+                c.push(next() % 8, seq as u64, (next() as usize) % points);
+            }
+            c.drain();
         }
 
         /// Interleaving pops *between* pushes must also respect the order
-        /// among events present at each pop (drain-while-filling).
+        /// among events present at each pop (drain-while-filling), with
+        /// steps wide enough to cross bucket boundaries.
         #[test]
         fn prop_interleaved_pops_stay_ordered(
             n in 1usize..80,
             points in 1usize..128,
+            spread in 0u32..20,
             salt in 0u64..u64::MAX,
         ) {
-            let mut q: ShardedQueue<u64> = ShardedQueue::new(points, 16, 8);
-            let mut x = salt | 1;
-            let mut step = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
+            let mut c = Checked::new(points, 16, 8);
+            let mut next = xorshift(salt);
             let mut seq = 0u64;
-            let mut last_popped: Option<(u64, u64)> = None;
+            let mut last_popped: Option<u64> = None;
             let mut clock = 0u64;
             for _ in 0..n {
                 // Push a small burst at non-decreasing times, then pop one.
-                for _ in 0..(step() % 4) {
-                    clock += step() % 3;
-                    q.push(SimTime(clock), seq, (step() as usize) % points, seq);
+                for _ in 0..(next() % 4) {
+                    clock += next() % (3 << spread);
+                    c.push(clock, seq, (next() as usize) % points);
                     seq += 1;
                 }
-                if let Some((at, s, _, _)) = q.pop() {
-                    if let Some(prev) = last_popped {
-                        prop_assert!(
-                            prev < (at.0, s),
-                            "pop order regressed: {:?} then {:?}", prev, (at.0, s)
-                        );
-                    }
-                    last_popped = Some((at.0, s));
+                if let Some(at) = c.pop() {
+                    prop_assert!(last_popped.is_none_or(|prev| prev <= at), "time went backwards");
+                    last_popped = Some(at);
                 }
             }
+            c.drain();
         }
     }
 }
