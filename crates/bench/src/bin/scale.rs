@@ -8,7 +8,7 @@
 //!
 //! ```sh
 //! scale                                      # 1k/4k/10k/25k, torus, 1+4 threads
-//! scale --nodes 256 --threads 1              # one point, sequential
+//! scale --nodes 256 --threads 1              # one point, one bootstrap worker
 //! scale --nodes 1000,10000 --space torus,transit-stub
 //! scale --churn 1000,25000,100000            # churn-scale points (both
 //!                                            #   maintenance modes side by side)
@@ -28,10 +28,11 @@
 //! incremental mode runs — a global repair round there is exactly the
 //! O(n)-per-failure cost the scheduler exists to avoid.
 //!
-//! Every point is run once per `--threads` value and the driver *fails*
-//! unless all thread counts produce byte-identical reports — the
-//! determinism contract CI's `determinism-matrix` job enforces on the
-//! scenario presets is enforced here on every scale point, every run.
+//! `--threads` sets the workers of the static bootstrap and the
+//! Property 1/2 sweeps (events are dispatched sequentially). Every point
+//! is run once per `--threads` value and the driver *fails* unless all
+//! thread counts produce byte-identical reports — the determinism
+//! contract of that fan-out, enforced on every scale point, every run.
 //!
 //! The `--json` output contains wall-clock figures and is therefore a
 //! *benchmark* artifact (machine-dependent); `--sim-json` writes the full

@@ -11,13 +11,10 @@
 //!
 //! Identical arguments (including `--seed`) produce bit-identical
 //! reports — `BENCH_scenarios.json` is regenerated with `--preset all`
-//! and diffed across PRs. `--verify-threads T[,T..]` re-runs every
-//! preset at the listed thread counts and byte-compares each report to
-//! the primary run, exiting non-zero with a first-divergence summary on
-//! mismatch (the in-binary form of CI's `cmp` gate).
+//! and diffed across PRs.
 
-use tapestry_bench::{diff_summary, f2, header, row};
-use tapestry_workload::{presets, runner, ScenarioReport, ScenarioSpec, Telemetry};
+use tapestry_bench::{f2, header, row};
+use tapestry_workload::{presets, runner, ScenarioReport, ScenarioSpec};
 
 /// Default `--metrics-window` when `--metrics-json` is given without one:
 /// 1024 distance units of simulated time per sample.
@@ -29,7 +26,6 @@ struct Args {
     ops: u64,
     seed: u64,
     threads: usize,
-    verify_threads: Vec<usize>,
     json: Option<String>,
     csv: Option<String>,
     trace_json: Option<String>,
@@ -43,14 +39,13 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scenarios --preset <name|all> [--nodes N] [--ops N] [--seed S] [--threads T]\n\
-         \x20                [--verify-threads T[,T..]] [--json PATH] [--csv PATH]\n\
+         \x20                [--json PATH] [--csv PATH]\n\
          \x20                [--trace-json PATH] [--trace-sample N] [--trace-cap N]\n\
          \x20                [--metrics-json PATH] [--metrics-window UNITS] [--quiet]\n\
          \x20      scenarios --list\n\
          presets: {}\n\
-         --threads only changes wall-clock time: reports are byte-identical at every value\n\
-         --verify-threads re-runs each preset at the given counts and byte-compares reports\n\
-         \x20  (including the trace/metrics JSON when enabled)\n\
+         --threads sets bootstrap and invariant-sweep workers; it only changes wall-clock time:\n\
+         \x20  reports are byte-identical at every value\n\
          --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
          --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW})",
         presets::PRESET_NAMES.join(", ")
@@ -70,11 +65,6 @@ fn instrument(spec: ScenarioSpec, args: &Args) -> ScenarioSpec {
     spec
 }
 
-/// The telemetry JSON strings of one run (None when the flag is off).
-fn telemetry_strings(tel: &Telemetry) -> (Option<String>, Option<String>) {
-    (tel.trace_json(), tel.metrics_json())
-}
-
 /// One JSON artifact per preset: the single object, or an array for
 /// `--preset all` (mirroring the report file's shape).
 fn join_artifacts(parts: &[String]) -> String {
@@ -92,7 +82,6 @@ fn parse_args() -> Args {
         ops: 500,
         seed: 42,
         threads: 1,
-        verify_threads: Vec::new(),
         json: None,
         csv: None,
         trace_json: None,
@@ -118,15 +107,6 @@ fn parse_args() -> Args {
             "--threads" => {
                 args.threads = val("--threads").parse().unwrap_or_else(|_| usage());
                 if args.threads == 0 {
-                    usage()
-                }
-            }
-            "--verify-threads" => {
-                args.verify_threads = val("--verify-threads")
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if args.verify_threads.contains(&0) {
                     usage()
                 }
             }
@@ -221,69 +201,21 @@ fn main() {
             &args,
         )
         .threads(args.threads);
-        let (trace, metric) = match runner::run_instrumented(&spec) {
+        match runner::run_instrumented(&spec) {
             Ok((r, _, _, tel)) => {
                 if !args.quiet {
                     summarize(&r);
                     println!();
                 }
                 reports.push(r);
-                telemetry_strings(&tel)
+                traces.extend(tel.trace_json());
+                metrics.extend(tel.metrics_json());
             }
             Err(e) => {
                 eprintln!("{name}: {e}");
                 std::process::exit(1)
             }
-        };
-        // The in-binary determinism gate: the same preset at every
-        // requested thread count must reproduce the report — and, when
-        // enabled, the trace/metrics artifacts — byte for byte.
-        let primary = reports.last().expect("just pushed").to_json();
-        for &threads in &args.verify_threads {
-            if threads == args.threads {
-                continue;
-            }
-            let spec = instrument(
-                presets::preset(name, args.nodes, args.ops, args.seed).expect("known preset"),
-                &args,
-            )
-            .threads(threads);
-            let (rerun, rerun_tel) = match runner::run_instrumented(&spec) {
-                Ok((r, _, _, tel)) => (r.to_json(), telemetry_strings(&tel)),
-                Err(e) => {
-                    eprintln!("{name} (--verify-threads {threads}): {e}");
-                    std::process::exit(1)
-                }
-            };
-            if rerun != primary {
-                eprintln!(
-                    "{name}: report diverged between --threads {} and {threads}",
-                    args.threads
-                );
-                if let Some(d) = diff_summary(&primary, &rerun) {
-                    eprintln!("{d}");
-                }
-                std::process::exit(1)
-            }
-            for (what, a, b) in
-                [("trace", &trace, &rerun_tel.0), ("metrics", &metric, &rerun_tel.1)]
-            {
-                if a != b {
-                    eprintln!(
-                        "{name}: {what} JSON diverged between --threads {} and {threads}",
-                        args.threads
-                    );
-                    if let (Some(a), Some(b)) = (a.as_deref(), b.as_deref()) {
-                        if let Some(d) = diff_summary(a, b) {
-                            eprintln!("{d}");
-                        }
-                    }
-                    std::process::exit(1)
-                }
-            }
         }
-        traces.extend(trace);
-        metrics.extend(metric);
     }
 
     // JSON: a single report object, or an array for `--preset all`.

@@ -75,10 +75,11 @@ pub struct TapestryNetwork {
     /// Live members, kept sorted ascending (set semantics; a sorted `Vec`
     /// so hot paths can sample and iterate without allocating).
     members: Vec<NodeIdx>,
-    /// Worker threads for the bootstrap / invariant-sweep fan-out and the
-    /// engine's same-instant drain. Any value yields bit-identical
-    /// behaviour (the fan-outs collect into deterministically ordered
-    /// buffers applied sequentially); it only trades wall-clock time.
+    /// Worker threads for the bootstrap / invariant-sweep fan-out (events
+    /// are always dispatched one at a time). Any value yields
+    /// bit-identical behaviour (the fan-outs collect into
+    /// deterministically ordered buffers applied sequentially); it only
+    /// trades wall-clock time.
     threads: usize,
     rng: StdRng,
     seed: u64,
@@ -178,12 +179,12 @@ impl TapestryNetwork {
         net
     }
 
-    /// Set the worker-thread count for bootstrap fan-out, invariant
-    /// sweeps and the engine's same-instant drain (clamped to ≥ 1).
-    /// Behaviour stays bit-identical at every setting.
+    /// Set the worker-thread count for the bootstrap fan-out and the
+    /// Property 1/2 invariant sweeps (clamped to ≥ 1). The event drain
+    /// is sequential whatever this says. Behaviour stays bit-identical
+    /// at every setting.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        self.engine.set_threads(self.threads);
     }
 
     /// Worker threads in force.
@@ -459,17 +460,15 @@ impl TapestryNetwork {
         self.members[self.rng.gen_range(0..self.members.len())]
     }
 
-    /// Drain all scheduled events (bounded by `max_events_per_op`).
-    /// With `threads > 1` same-instant bursts (probe rounds, optimize
-    /// rounds, catalog publishes) fan out across workers; the event trace
-    /// is bit-identical either way.
+    /// Drain all scheduled events, one at a time in `(time, sequence)`
+    /// order (bounded by `max_events_per_op`).
     pub fn run_to_idle(&mut self) -> u64 {
-        self.engine.run_until_idle_threaded(self.max_events_per_op)
+        self.engine.run_until_idle(self.max_events_per_op)
     }
 
     /// Advance simulated time to `deadline`, processing due events.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.engine.run_until_threaded(deadline)
+        self.engine.run_until(deadline)
     }
 
     // --------------------------- application API ---------------------------
@@ -513,7 +512,7 @@ impl TapestryNetwork {
 
     /// Turn on hop tracing with a bounded collector of `cap` records
     /// (overflow is counted, not stored). Deterministic: records land in
-    /// event pop order at every thread count.
+    /// event pop order.
     pub fn enable_trace(&mut self, cap: usize) {
         self.engine.stats_mut().enable_trace(cap);
     }

@@ -13,9 +13,7 @@
 //! the churn rate, not the population size.
 //!
 //! Everything here touches only the owning node's state plus ordinary
-//! `ctx.send`s, so the engine's same-instant batch drain needs no extra
-//! `note_read`/`note_write` declarations: the PR 6 race contract is
-//! satisfied by construction (the implicit own-actor write covers it).
+//! `ctx.send`s.
 
 use crate::messages::{Msg, Timer};
 use crate::node::TapestryNode;

@@ -17,8 +17,7 @@
 //! here exercise the scheduling contract (dedup, FIFO order, budget
 //! slicing, backlog cap) with plain integers. Everything is `BTreeSet`/
 //! `VecDeque`-based and insertion-ordered, so draining is byte-identical
-//! across thread counts — the engine's same-instant batch drain only ever
-//! sees the owning node touch its own ledger.
+//! from run to run.
 
 use std::collections::{BTreeSet, VecDeque};
 use tapestry_sim::SimTime;

@@ -1,4 +1,3 @@
-use crate::race::{self, RaceReport};
 use crate::shard::ShardedQueue;
 use crate::{Histogram, SimStats, SimTime, TraceRecord};
 use tapestry_metric::MetricSpace;
@@ -57,10 +56,6 @@ pub struct Ctx<'a, M, T> {
     metric: &'a dyn MetricSpace,
     stats: &'a mut SimStats,
     out: &'a mut Vec<Effect<M, T>>,
-    /// Shadow footprint for the race detector: `Some` only on the batched
-    /// drain in detector builds, so the sequential path and release
-    /// builds without the feature record nothing.
-    race: Option<&'a mut Vec<race::Touch>>,
 }
 
 impl<M, T> Ctx<'_, M, T> {
@@ -78,8 +73,7 @@ impl<M, T> Ctx<'_, M, T> {
     /// Tell the driver this node has output to collect: the node joins
     /// the engine's completion feed ([`Engine::take_notified`]) — once,
     /// however often it notifies before the driver drains the feed.
-    /// Buffered like a send, so the feed fills in event pop order at
-    /// every thread count.
+    /// Buffered like a send, so the feed fills in event pop order.
     pub fn notify_driver(&mut self) {
         self.out.push(Effect::Notify);
     }
@@ -120,25 +114,6 @@ impl<M, T> Ctx<'_, M, T> {
     /// (no-op when tracing is off).
     pub fn trace(&mut self, rec: TraceRecord) {
         self.stats.trace_push(rec);
-    }
-
-    /// Declare to the race detector that this handler *read* state of
-    /// class `class` on `node`. A handler's own actor is covered by an
-    /// implicit write; declare anything beyond it (shared tables,
-    /// debug-only globals, out-of-band state). No-op outside the batched
-    /// drain and in builds without the detector.
-    pub fn note_read(&mut self, node: NodeIdx, class: &'static str) {
-        if let Some(trace) = self.race.as_deref_mut() {
-            trace.push((node, class, race::Access::Read));
-        }
-    }
-
-    /// Declare a cross-node *write* of state class `class` on `node` for
-    /// the race detector (see [`Ctx::note_read`]).
-    pub fn note_write(&mut self, node: NodeIdx, class: &'static str) {
-        if let Some(trace) = self.race.as_deref_mut() {
-            trace.push((node, class, race::Access::Write));
-        }
     }
 }
 
@@ -191,27 +166,6 @@ pub const EVENT_KINDS: [&str; 3] = ["deliver", "timer", "contact_failed"];
 const NODES_PER_SHARD: usize = 1024;
 /// Upper bound on the number of those ranges regardless of population.
 const MAX_SHARDS: usize = 16;
-/// Minimum same-instant batch size worth fanning out to worker threads.
-/// Each fan-out spawns a fresh `thread::scope` (tens of microseconds),
-/// while a typical handler runs in about a microsecond — so only bulk
-/// bursts (probe/optimize rounds, catalog publishes, which inject one
-/// event per node) clear this bar; small coincidences stay sequential.
-const PARALLEL_BATCH_MIN: usize = 256;
-
-/// Wall-clock throughput report of one bounded engine run — the
-/// real-time measure scale benchmarks track (simulated time and costs
-/// stay in [`SimStats`]; this is about how fast the hardware drains the
-/// queue).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunBudget {
-    /// Events processed during the run.
-    pub events: u64,
-    /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
-    /// Events per wall-clock second (0 when nothing was processed).
-    pub events_per_sec: f64,
-}
-
 /// The discrete-event engine: an event queue over a population of actors
 /// placed at the points of a metric space.
 pub struct Engine<A: Actor> {
@@ -224,17 +178,12 @@ pub struct Engine<A: Actor> {
     metric: Box<dyn MetricSpace>,
     stats: SimStats,
     proc_delay: SimTime,
-    /// Worker threads for the same-instant parallel drain (1 = strictly
-    /// sequential). Any value produces bit-identical behaviour; this only
-    /// trades wall-clock time.
-    threads: usize,
     out_buf: Vec<Effect<A::Msg, A::Timer>>,
     /// Total events popped over the engine's lifetime (deliveries, timer
     /// fires, and drops alike) — the denominator of events/sec reporting.
     events_processed: u64,
-    /// `events_processed` split by event kind (see [`EVENT_KINDS`]) —
-    /// counted at pop time on both drain paths, so the split is as
-    /// deterministic as the total.
+    /// `events_processed` split by event kind (see [`EVENT_KINDS`]),
+    /// counted at pop time.
     events_by_kind: [u64; 3],
     /// Per-event-kind handler wall time in nanoseconds, recorded only
     /// when [`Engine::set_profile`] is on. Observational: wall clock
@@ -248,11 +197,6 @@ pub struct Engine<A: Actor> {
     /// (so a heal lets *later* sends through but cannot resurrect
     /// messages lost while the cut was up).
     partition: Option<Vec<u32>>,
-    /// Same-instant conflicts recorded by the race detector when
-    /// [`Engine::set_race_panic`] turned panicking off.
-    race_reports: Vec<RaceReport>,
-    /// Panic on the first detected race (default) instead of recording.
-    race_panic: bool,
     /// When enabled, a message delivered to a dead node additionally
     /// schedules an [`Event::ContactFailed`] back at the sender (after
     /// the return latency), feeding [`Actor::on_contact_failed`].
@@ -285,7 +229,6 @@ impl<A: Actor> Engine<A> {
             metric,
             stats: SimStats::default(),
             proc_delay,
-            threads: 1,
             // Reused across every handler invocation (taken, drained,
             // put back) — the engine allocates no per-event buffers.
             out_buf: Vec::with_capacity(32),
@@ -294,8 +237,6 @@ impl<A: Actor> Engine<A> {
             handler_ns: [Histogram::default(), Histogram::default(), Histogram::default()],
             profile: false,
             partition: None,
-            race_reports: Vec::new(),
-            race_panic: true,
             failure_notices: false,
             notified: Vec::new(),
             listed: vec![false; n],
@@ -313,42 +254,6 @@ impl<A: Actor> Engine<A> {
     /// Are transport failure notices enabled?
     pub fn failure_notices(&self) -> bool {
         self.failure_notices
-    }
-
-    /// Is the same-instant race detector compiled into this build?
-    /// (Debug builds and any build with the `race-detector` feature.)
-    pub fn race_detector_compiled() -> bool {
-        race::RACE_DETECTOR_COMPILED
-    }
-
-    /// Race policy: `true` (default) panics on the first same-instant
-    /// conflict so CI fails loudly; `false` records reports instead,
-    /// retrievable via [`Engine::race_reports`].
-    pub fn set_race_panic(&mut self, panic_on_race: bool) {
-        self.race_panic = panic_on_race;
-    }
-
-    /// Race reports recorded so far (empty unless panicking was turned
-    /// off and the detector is compiled in).
-    pub fn race_reports(&self) -> &[RaceReport] {
-        &self.race_reports
-    }
-
-    /// Drain the recorded race reports.
-    pub fn take_race_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.race_reports)
-    }
-
-    /// Set the worker-thread count for the same-instant parallel drain.
-    /// Clamped to at least 1. Simulated behaviour is unaffected — every
-    /// thread count produces the same event trace, bit for bit.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Worker threads in force.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Current simulated time.
@@ -513,74 +418,9 @@ impl<A: Actor> Engine<A> {
         &self.handler_ns
     }
 
-    /// Decode a popped event into `(target node, handler work)`,
-    /// accounting partition cuts. `None`: dropped at an active cut.
-    /// Shared by the sequential and batched drains so their drop
-    /// accounting cannot diverge.
-    fn decode(&mut self, ev: Event<A::Msg, A::Timer>) -> Option<NodeWork<A::Msg, A::Timer>> {
-        match ev {
-            Event::Deliver { from, to, msg } => {
-                if let Some(groups) = &self.partition {
-                    if from != EXTERNAL && groups[from] != groups[to] {
-                        self.stats.partition_dropped += 1;
-                        return None;
-                    }
-                }
-                Some((to, Work::Msg(from, msg)))
-            }
-            Event::Fire { node, timer } => Some((node, Work::Timer(timer))),
-            Event::ContactFailed { node, peer } => Some((node, Work::Failed(peer))),
-        }
-    }
-
-    /// Account `work` finding no live node at `node`: message drops are
-    /// counted, timers and failure notices on dead nodes are inert. With
-    /// failure notices enabled, a dropped node-to-node message also
-    /// bounces: the sender hears [`Actor::on_contact_failed`] after the
-    /// return latency. Called in pop order on both drain paths, so the
-    /// bounce's sequence number is identical at every thread count.
-    fn dead_target(&mut self, node: NodeIdx, work: &Work<A::Msg, A::Timer>) {
-        if let Work::Msg(from, _) = *work {
-            self.stats.dropped += 1;
-            if self.failure_notices && from != EXTERNAL {
-                let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
-                let at = self.now + self.proc_delay + SimTime::from_distance(d);
-                self.push(at, Event::ContactFailed { node: from, peer: node });
-            }
-        }
-    }
-
-    /// Invoke the handler for `work` on `actor`, with sends/timers and
-    /// stats routed into the given buffers (the sequential path passes
-    /// the engine's own; the batched path passes per-item scratch).
-    #[allow(clippy::too_many_arguments)] // split borrows of Engine fields, not a real API
-    fn run_handler(
-        actor: &mut A,
-        now: SimTime,
-        me: NodeIdx,
-        metric: &dyn MetricSpace,
-        stats: &mut SimStats,
-        out: &mut Vec<Effect<A::Msg, A::Timer>>,
-        race: Option<&mut Vec<race::Touch>>,
-        work: Work<A::Msg, A::Timer>,
-    ) {
-        let mut ctx = Ctx { now, me, metric, stats, out, race };
-        match work {
-            Work::Msg(from, msg) => actor.on_message(&mut ctx, from, msg),
-            Work::Timer(t) => {
-                ctx.stats.timers += 1;
-                actor.on_timer(&mut ctx, t);
-            }
-            Work::Failed(peer) => actor.on_contact_failed(&mut ctx, peer),
-        }
-    }
-
-    /// Apply one buffered handler effect from `node`: account the send
-    /// and schedule the resulting event, or list the node in the
-    /// completion feed. Shared verbatim by the sequential and batched
-    /// drains — sequence assignment, the `stats.distance` float
-    /// accumulation and feed order all happen here, in application
-    /// order, which is what keeps the two paths byte-identical.
+    /// Apply one buffered handler effect from `node`, in the order the
+    /// handler issued it: account the send and schedule the resulting
+    /// event, or list the node in the completion feed.
     fn apply_effect(&mut self, node: NodeIdx, eff: Effect<A::Msg, A::Timer>) {
         match eff {
             Effect::Send { to, msg } => {
@@ -608,9 +448,10 @@ impl<A: Actor> Engine<A> {
     }
 
     /// Process the next event if it is due at or before `deadline`.
-    /// Returns `false` when it is not, or the queue is empty.
+    /// Returns `false` when it is not, or the queue is empty. Every event
+    /// the engine ever dispatches goes through here.
     fn step_due(&mut self, deadline: SimTime) -> bool {
-        let Some((at, _, _, ev)) = self.queue.pop_due(deadline) else {
+        let Some((at, _, node, ev)) = self.queue.pop_due(deadline) else {
             return false;
         };
         self.events_processed += 1;
@@ -618,13 +459,27 @@ impl<A: Actor> Engine<A> {
         self.events_by_kind[kind] += 1;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        let Some((node, work)) = self.decode(ev) else {
-            return true;
-        };
+        if let (Event::Deliver { from, .. }, Some(groups)) = (&ev, &self.partition) {
+            if *from != EXTERNAL && groups[*from] != groups[node] {
+                self.stats.partition_dropped += 1;
+                return true;
+            }
+        }
         // The handler runs on the actor where it sits: `actors`, `metric`
         // and `stats` are disjoint fields, so nothing is moved out.
         let Some(actor) = self.actors.get_mut(node).and_then(Option::as_mut) else {
-            self.dead_target(node, &work);
+            // Timers and failure notices on dead nodes are inert; a
+            // message is counted as dropped and, with failure notices
+            // enabled, bounces: the sender hears
+            // `on_contact_failed` after the return latency.
+            if let Event::Deliver { from, .. } = ev {
+                self.stats.dropped += 1;
+                if self.failure_notices && from != EXTERNAL {
+                    let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
+                    let at = self.now + self.proc_delay + SimTime::from_distance(d);
+                    self.push(at, Event::ContactFailed { node: from, peer: node });
+                }
+            }
             return true;
         };
         let mut out = std::mem::take(&mut self.out_buf);
@@ -635,17 +490,21 @@ impl<A: Actor> Engine<A> {
         } else {
             None
         };
-        Self::run_handler(
-            actor,
-            self.now,
-            node,
-            &*self.metric,
-            &mut self.stats,
-            &mut out,
-            // Sequential execution cannot race; nothing is recorded.
-            None,
-            work,
-        );
+        let mut ctx = Ctx {
+            now: self.now,
+            me: node,
+            metric: &*self.metric,
+            stats: &mut self.stats,
+            out: &mut out,
+        };
+        match ev {
+            Event::Deliver { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
+            Event::Fire { timer, .. } => {
+                ctx.stats.timers += 1;
+                actor.on_timer(&mut ctx, timer);
+            }
+            Event::ContactFailed { peer, .. } => actor.on_contact_failed(&mut ctx, peer),
+        }
         if let Some(t0) = started {
             self.handler_ns[kind].record(t0.elapsed().as_nanos() as u64);
         }
@@ -666,32 +525,6 @@ impl<A: Actor> Engine<A> {
         n
     }
 
-    /// Like [`Engine::run_until_idle`], but timed: returns how many
-    /// events were processed, how long it took in wall-clock terms, and
-    /// the resulting events/sec — the engine-level throughput figure
-    /// (workload's `RunTiming` reports the whole-drive analogue).
-    /// Honors the configured thread count via the threaded drain;
-    /// simulated behaviour is unaffected (timing is observation only,
-    /// and the threaded drain is byte-identical by contract).
-    pub fn run_budget(&mut self, max_events: u64) -> RunBudget
-    where
-        A: Send,
-        A::Msg: Send,
-        A::Timer: Send,
-    {
-        // Wall-clock is observation only here: it lands in RunBudget's
-        // throughput figures and never feeds simulated behaviour (the
-        // drain is bounded by max_events, not elapsed time).
-        let start = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
-        let events = self.run_until_idle_threaded(max_events);
-        let wall_secs = start.elapsed().as_secs_f64();
-        RunBudget {
-            events,
-            wall_secs,
-            events_per_sec: if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 },
-        }
-    }
-
     /// Run while the next event is at or before `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
@@ -701,224 +534,6 @@ impl<A: Actor> Engine<A> {
         self.now = self.now.max(deadline);
         n
     }
-
-    /// [`Engine::run_until_idle`] with the same-instant parallel drain:
-    /// identical event trace (and therefore identical stats, actor state
-    /// and report bytes), potentially less wall-clock time when multiple
-    /// threads are set and many events share an instant. Falls back to
-    /// the sequential loop at `threads == 1`.
-    pub fn run_until_idle_threaded(&mut self, max_events: u64) -> u64
-    where
-        A: Send,
-        A::Msg: Send,
-        A::Timer: Send,
-    {
-        if self.threads <= 1 {
-            return self.run_until_idle(max_events);
-        }
-        self.drain_batched(None, max_events)
-    }
-
-    /// [`Engine::run_until`] with the same-instant parallel drain (see
-    /// [`Engine::run_until_idle_threaded`] for the contract).
-    pub fn run_until_threaded(&mut self, deadline: SimTime) -> u64
-    where
-        A: Send,
-        A::Msg: Send,
-        A::Timer: Send,
-    {
-        if self.threads <= 1 {
-            return self.run_until(deadline);
-        }
-        let n = self.drain_batched(Some(deadline), u64::MAX);
-        self.now = self.now.max(deadline);
-        n
-    }
-
-    /// The batched drain behind the `_threaded` entry points.
-    ///
-    /// Events due at one instant on *distinct* nodes are independent: a
-    /// handler mutates only its own actor, reads only the immutable
-    /// metric, and every observable side effect (sends, timers, stats)
-    /// goes through its `Ctx` buffers. So each batch runs its handlers on
-    /// scoped worker threads, then applies the buffered effects **in pop
-    /// order** — sequence numbers, float accumulation order and stats
-    /// merges all match the sequential engine exactly, which is what
-    /// keeps `--threads N` byte-identical to `--threads 1`. An instant's
-    /// batch ends early at the second event for the same node (it must
-    /// observe the first handler's state) and new events scheduled *at*
-    /// the current instant carry higher sequence numbers, so they
-    /// correctly fall into a later batch.
-    fn drain_batched(&mut self, deadline: Option<SimTime>, max_events: u64) -> u64
-    where
-        A: Send,
-        A::Msg: Send,
-        A::Timer: Send,
-    {
-        struct BatchItem<A: Actor> {
-            node: NodeIdx,
-            actor: A,
-            work: Option<Work<A::Msg, A::Timer>>,
-            out: Vec<Effect<A::Msg, A::Timer>>,
-            stats: SimStats,
-            /// Event identity for race reports (zeroed out of detector
-            /// builds — the const guard folds the fill away).
-            desc: race::EventDesc,
-            /// Shadow footprint this event's handler recorded.
-            trace: Vec<race::Touch>,
-            /// Event-kind index, for the profiling histograms.
-            kind: usize,
-            /// Handler wall time (profiling runs only; absorbed in pop
-            /// order like every other per-item observation).
-            elapsed_ns: u64,
-        }
-
-        let mut processed = 0u64;
-        let mut batch: Vec<BatchItem<A>> = Vec::new();
-        let mut seen: std::collections::BTreeSet<NodeIdx> = std::collections::BTreeSet::new();
-        // Recycled effect buffers, one per batch slot — the batched
-        // sibling of the sequential path's reused `out_buf`, so the hot
-        // path allocates no per-event buffers either way.
-        let mut out_pool: Vec<Vec<Effect<A::Msg, A::Timer>>> = Vec::new();
-        while processed < max_events {
-            let Some((t, _, _)) = self.queue.peek() else { break };
-            if deadline.is_some_and(|d| t > d) {
-                break;
-            }
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            // ---- collect one same-instant, distinct-node batch ----------
-            batch.clear();
-            seen.clear();
-            while processed < max_events {
-                let Some((at, _, key)) = self.queue.peek() else { break };
-                if at != t || seen.contains(&key) {
-                    break;
-                }
-                let (_, seq, _, ev) = self.queue.pop().expect("peeked");
-                processed += 1;
-                self.events_processed += 1;
-                let kind = ev.kind_idx();
-                self.events_by_kind[kind] += 1;
-                let desc = if race::RACE_DETECTOR_COMPILED {
-                    race::EventDesc {
-                        seq,
-                        node: ev.target(),
-                        kind: match ev {
-                            Event::Deliver { .. } => "deliver",
-                            Event::Fire { .. } => "timer",
-                            Event::ContactFailed { .. } => "contact-failed",
-                        },
-                        from: match ev {
-                            Event::Deliver { from, .. } => Some(from),
-                            Event::Fire { .. } => None,
-                            Event::ContactFailed { peer, .. } => Some(peer),
-                        },
-                    }
-                } else {
-                    race::EventDesc { seq: 0, node: 0, kind: "", from: None }
-                };
-                let Some((node, work)) = self.decode(ev) else { continue };
-                // Scoped workers need ownership, so this drain moves the
-                // actor into its batch item and back at absorb time.
-                let Some(actor) = self.actors.get_mut(node).and_then(Option::take) else {
-                    self.dead_target(node, &work);
-                    continue;
-                };
-                seen.insert(node);
-                batch.push(BatchItem {
-                    node,
-                    actor,
-                    work: Some(work),
-                    out: out_pool.pop().unwrap_or_default(),
-                    // Scratch inherits trace enablement so handlers see
-                    // the same `trace_enabled` answer as the sequential
-                    // path; records merge back in pop order at absorb.
-                    stats: self.stats.scratch(),
-                    desc,
-                    trace: Vec::new(),
-                    kind,
-                    elapsed_ns: 0,
-                });
-            }
-            // ---- run handlers (parallel when the batch is worth it) -----
-            let metric = &*self.metric;
-            let record_races = race::RACE_DETECTOR_COMPILED && batch.len() >= 2;
-            let profile = self.profile;
-            let run_item = |item: &mut BatchItem<A>| {
-                let work = item.work.take().expect("work set at collection");
-                // Observation only (see `step`); each worker times its
-                // own items and the engine records them in pop order.
-                let started = if profile {
-                    Some(std::time::Instant::now()) // tapestry-lint: allow(wall-clock)
-                } else {
-                    None
-                };
-                Self::run_handler(
-                    &mut item.actor,
-                    t,
-                    item.node,
-                    metric,
-                    &mut item.stats,
-                    &mut item.out,
-                    // A one-event batch cannot conflict with itself, so
-                    // footprints are only recorded when a second event
-                    // shares the instant.
-                    if record_races { Some(&mut item.trace) } else { None },
-                    work,
-                );
-                if let Some(t0) = started {
-                    item.elapsed_ns = t0.elapsed().as_nanos() as u64;
-                }
-            };
-            if batch.len() >= PARALLEL_BATCH_MIN && self.threads > 1 {
-                let chunk = batch.len().div_ceil(self.threads);
-                std::thread::scope(|s| {
-                    for ch in batch.chunks_mut(chunk) {
-                        s.spawn(|| ch.iter_mut().for_each(run_item));
-                    }
-                });
-            } else {
-                batch.iter_mut().for_each(run_item);
-            }
-            // ---- intersect shadow footprints (detector builds only) -----
-            if record_races {
-                let items: Vec<(race::EventDesc, Vec<race::Touch>)> = batch
-                    .iter_mut()
-                    .map(|item| (item.desc, std::mem::take(&mut item.trace)))
-                    .collect();
-                for report in race::check_batch(t, &items) {
-                    if self.race_panic {
-                        panic!("race detector: {report}");
-                    }
-                    self.race_reports.push(report);
-                }
-            }
-            // ---- apply effects in pop order (sequential, deterministic) -
-            for mut item in batch.drain(..) {
-                self.actors[item.node] = Some(item.actor);
-                self.stats.absorb(&item.stats);
-                if profile {
-                    self.handler_ns[item.kind].record(item.elapsed_ns);
-                }
-                for eff in item.out.drain(..) {
-                    self.apply_effect(item.node, eff);
-                }
-                out_pool.push(item.out);
-            }
-        }
-        processed
-    }
-}
-
-/// A decoded event, ready to run: the node it fires on and the work.
-type NodeWork<M, T> = (NodeIdx, Work<M, T>);
-
-enum Work<M, T> {
-    Msg(NodeIdx, M),
-    Timer(T),
-    /// A prior send from this node bounced off dead `peer`.
-    Failed(NodeIdx),
 }
 
 #[cfg(test)]
@@ -1190,18 +805,6 @@ mod tests {
         assert_eq!(e.stats().dropped, 1);
     }
 
-    #[test]
-    fn run_budget_reports_throughput() {
-        let mut e = engine2();
-        e.inject(0, 100);
-        let b = e.run_budget(1000);
-        assert_eq!(b.events, 101);
-        assert!(b.wall_secs >= 0.0);
-        assert!(b.events_per_sec > 0.0, "non-zero run yields a rate");
-        let idle = e.run_budget(1000);
-        assert_eq!(idle.events, 0);
-    }
-
     /// An actor that logs every receipt into a shared trace, for ordering
     /// stress tests: `(time, node, payload)` triples in processing order.
     struct Tracer {
@@ -1267,122 +870,5 @@ mod tests {
             .collect();
         let expected: Vec<u32> = (0..64).map(|i| i % 8).collect();
         assert_eq!(first, expected, "same-instant deliveries keep scheduling order");
-    }
-
-    /// A `Send` tracer (shared log behind a mutex) for exercising the
-    /// threaded drain; entries are re-sorted by a per-event ticket so the
-    /// mutex's arbitrary interleaving doesn't obscure the comparison.
-    struct SyncTracer {
-        log: std::sync::Arc<std::sync::Mutex<Vec<(u64, NodeIdx, u32)>>>,
-    }
-
-    impl Actor for SyncTracer {
-        type Msg = u32;
-        type Timer = u32;
-
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u32, u32>, _from: NodeIdx, msg: u32) {
-            self.log.lock().unwrap().push((ctx.now.0, ctx.me, msg));
-            // tapestry-lint: allow(raw-counter)
-            ctx.record("payload", u64::from(msg));
-            // tapestry-lint: allow(raw-counter)
-            ctx.count("receipts", 1);
-            if ctx.trace_enabled() {
-                ctx.trace(TraceRecord {
-                    trace: u64::from(msg),
-                    kind: "locate",
-                    hop: 0,
-                    level: 0,
-                    digit: 0,
-                    from: ctx.me,
-                    to: (ctx.me + 1) % 8,
-                    dist: 1.0,
-                    cum_dist: 1.0,
-                    at: ctx.now,
-                });
-            }
-            if msg < 6 {
-                // Same-instant self-timer, a cross-node send and a burst
-                // timer landing on a shared future instant.
-                ctx.set_timer(SimTime::ZERO, msg + 100);
-                ctx.send((ctx.me + 1) % 8, msg + 1);
-                ctx.set_timer(SimTime(32 - ctx.now.0 % 32), msg + 200);
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, u32>, timer: u32) {
-            self.log.lock().unwrap().push((ctx.now.0, ctx.me, timer));
-        }
-    }
-
-    /// The threaded drain must yield the same stats, clock and per-node
-    /// event multiset as the sequential engine — the engine-level half of
-    /// the `--threads 1` vs `--threads N` byte-compare contract.
-    #[test]
-    fn threaded_drain_matches_sequential_engine() {
-        let run = |threads: usize| {
-            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let space = RingSpace::even(8, 64.0);
-            let mut e: Engine<SyncTracer> = Engine::new(Box::new(space), SimTime(1));
-            e.set_threads(threads);
-            // A deliberately tight trace cap so overflow accounting is
-            // exercised across the scratch merges too.
-            e.stats_mut().enable_trace(10);
-            for i in 0..8 {
-                e.add_node(i, SyncTracer { log: log.clone() });
-            }
-            for i in 0..64u32 {
-                e.inject((i as usize) % 8, i % 6);
-            }
-            let n = e.run_until_idle_threaded(100_000);
-            assert!(e.is_idle());
-            let mut trace = log.lock().unwrap().clone();
-            // Workers may append same-instant entries in any real-time
-            // order; the *simulated* outcome is the sorted multiset.
-            trace.sort_unstable();
-            let hops = e.stats().trace().expect("tracing on");
-            assert!(hops.dropped() > 0, "cap of 10 must overflow here");
-            (
-                n,
-                trace,
-                e.stats().messages,
-                e.stats().timers,
-                e.stats().get("receipts"),
-                e.stats().histogram("payload").map(|h| (h.count(), h.p50(), h.p99())),
-                e.stats().distance.to_bits(),
-                e.now(),
-                e.events_processed(),
-                e.events_by_kind(),
-                hops.records().to_vec(),
-                hops.dropped(),
-            )
-        };
-        assert_eq!(run(1), run(4), "threaded drain diverged from sequential");
-        assert_eq!(run(4), run(2), "thread counts must agree with each other");
-    }
-
-    /// `run_until_threaded` honors the deadline exactly like `run_until`.
-    #[test]
-    fn threaded_run_until_respects_deadline() {
-        let run = |threads: usize| {
-            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let space = RingSpace::even(8, 64.0);
-            let mut e: Engine<SyncTracer> = Engine::new(Box::new(space), SimTime(1));
-            e.set_threads(threads);
-            for i in 0..8 {
-                e.add_node(i, SyncTracer { log: log.clone() });
-            }
-            for i in 0..32u32 {
-                e.inject((i as usize) % 8, i % 6);
-            }
-            let before = e.run_until_threaded(SimTime(40));
-            let now_mid = e.now();
-            let pending_mid = e.pending();
-            e.run_until_idle_threaded(100_000);
-            (before, now_mid, pending_mid, e.now(), e.stats().messages)
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq, par);
-        assert!(seq.1 >= SimTime(40), "clock advanced to the deadline");
     }
 }

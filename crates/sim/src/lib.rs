@@ -10,21 +10,20 @@
 //! * nodes are actors with `on_message` / `on_timer` handlers and may be
 //!   added (insertion) or removed (voluntary/involuntary deletion) at any
 //!   point, and
-//! * runs are bit-for-bit reproducible: ties in delivery time are broken
-//!   by a global sequence number and all randomness is seeded upstream.
+//! * runs are bit-for-bit reproducible: [`Engine::step`] dispatches one
+//!   event at a time, ties in delivery time are broken by a global
+//!   sequence number and all randomness is seeded upstream.
 
 #![forbid(unsafe_code)]
 
 mod engine;
 mod histogram;
-mod race;
 mod shard;
 mod stats;
 mod time;
 
-pub use engine::{Actor, Ctx, Engine, NodeIdx, RunBudget, EVENT_KINDS, EXTERNAL};
+pub use engine::{Actor, Ctx, Engine, NodeIdx, EVENT_KINDS, EXTERNAL};
 pub use histogram::Histogram;
-pub use race::{Access, EventDesc, RaceReport, RACE_DETECTOR_COMPILED};
 pub use shard::ShardedQueue;
 pub use stats::{SimStats, TraceBuf, TraceRecord};
 pub use time::SimTime;

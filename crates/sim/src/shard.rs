@@ -23,9 +23,9 @@
 //! the heap empty while events remain, the earliest bucket is heapified
 //! in O(n) and `horizon` moves just past it; a push into an empty queue
 //! starts the heap and puts `horizon` just past itself. So the heap is
-//! non-empty whenever the queue is, `peek(&self)` never has to mutate,
-//! and pops come from a heap the size of one bucket rather than of the
-//! whole backlog. `horizon` is kept in bucket units: the last bucket is
+//! non-empty whenever the queue is, the next event is always the heap's
+//! head, and pops come from a heap the size of one bucket rather than of
+//! the whole backlog. `horizon` is kept in bucket units: the last bucket is
 //! `u64::MAX >> BUCKET_SHIFT`, so `bucket + 1` cannot overflow and
 //! `SimTime(u64::MAX)` is legal input. When every event shares one
 //! instant there is one bucket and the structure is exactly a single heap
@@ -35,9 +35,8 @@
 //! order; every key below the horizon precedes every key at or above it,
 //! and the heap orders the rest. `pop` therefore returns exactly the
 //! sequence one `BinaryHeap` over all events would — the contract the
-//! determinism gates (`--threads 1` vs `--threads N` byte-compares in CI)
-//! enforce end to end, and the proptests below check against that
-//! reference heap.
+//! proptests below check against that reference heap, and the
+//! byte-compares of committed reports in CI enforce end to end.
 //!
 //! The node key does not affect order. It is kept to count pending
 //! events per node range for the telemetry sampler
@@ -132,8 +131,8 @@ impl<E> ShardedQueue<E> {
 
     /// Pending events per node range, in range order — the queue-depth
     /// series the telemetry sampler reports. Range membership is a pure
-    /// function of the node key, so at any simulated instant the depths
-    /// are identical at every thread count.
+    /// function of the node key, so the depths at a simulated instant
+    /// are the same on every run.
     pub fn shard_lens(&self) -> Vec<usize> {
         self.range_lens.clone()
     }
@@ -204,22 +203,14 @@ impl<E> ShardedQueue<E> {
         }
     }
 
-    /// Due time, sequence number and node key of the next event, without
-    /// removing it.
-    pub fn peek(&self) -> Option<(SimTime, u64, usize)> {
-        let Reverse(key) = self.near.peek()?;
-        let (node, _) = self.slab[key.slot as usize].as_ref().expect("queued key has a payload");
-        Some((key.at, key.seq, *node))
-    }
-
     /// Remove and return the next event in `(at, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, u64, usize, E)> {
         self.pop_due(SimTime(u64::MAX))
     }
 
     /// [`pop`](ShardedQueue::pop), but only if the next event is due at
-    /// or before `deadline` — the check costs a look at the heap's head,
-    /// without the slab read `peek` makes for the node key.
+    /// or before `deadline` — the check costs a look at the heap's head
+    /// and no slab read.
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64, usize, E)> {
         if self.near.peek()?.0.at > deadline {
             return None;
@@ -267,11 +258,10 @@ mod tests {
             self.reference.push(Reverse((SimTime(at), seq, node)));
         }
 
-        /// Pop both sides. Panics unless the queue's head, length and
+        /// Pop both sides. Panics unless the popped event, length and
         /// payload are the reference heap's; returns the popped `at`.
         fn pop(&mut self) -> Option<u64> {
             let expect = self.reference.pop().map(|Reverse(e)| e);
-            assert_eq!(self.q.peek(), expect, "peek is not the single-heap head");
             let got = self.q.pop();
             assert_eq!(got.map(|(at, seq, node, _)| (at, seq, node)), expect, "pop order");
             if let Some((_, seq, _, item)) = got {
@@ -303,7 +293,6 @@ mod tests {
     fn empty_queue_behaves() {
         let mut q: ShardedQueue<u32> = ShardedQueue::new(100, 10, 8);
         assert!(q.is_empty());
-        assert_eq!(q.peek(), None);
         assert!(q.pop().is_none());
         assert!(q.shard_count() > 1);
     }

@@ -3,8 +3,8 @@ use std::collections::BTreeMap;
 
 /// One causal hop of a sampled operation: who forwarded to whom, at which
 /// routing level/digit, at what metric cost. Records are keyed by **sim
-/// time** (never wall clock), so a trace is byte-identical at every thread
-/// count — the same contract the deterministic reports ride.
+/// time** (never wall clock), so a trace is byte-identical from run to
+/// run — the same contract the deterministic reports ride.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Operation identity threaded through the message path (sampled
@@ -34,12 +34,6 @@ pub struct TraceRecord {
 /// Bounded ring collector for [`TraceRecord`]s: keeps the first `cap`
 /// records in global event (pop) order and counts the overflow instead of
 /// growing without bound.
-///
-/// Determinism across the two drain paths: the sequential engine pushes
-/// records in handler order (= pop order); the batched drain pushes into
-/// per-item scratch buffers and [`SimStats::absorb`]s them **in pop
-/// order**, so the merged buffer holds exactly the same first-`cap`
-/// records and the same `dropped` count at every thread count.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuf {
     cap: usize,
@@ -75,15 +69,6 @@ impl TraceBuf {
     /// Records that arrived after the buffer filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Fold a scratch buffer in, preserving the cap and overflow count —
-    /// the absorb-side half of the pop-order determinism argument above.
-    pub fn merge(&mut self, other: &TraceBuf) {
-        for rec in &other.records {
-            self.push(*rec);
-        }
-        self.dropped += other.dropped;
     }
 }
 
@@ -174,44 +159,6 @@ impl SimStats {
         }
     }
 
-    /// A fresh scratch accumulator for one parallel-drain work item:
-    /// empty counters, and a trace buffer iff this (the engine-global)
-    /// stats has one — so handlers see the same `trace_enabled` answer on
-    /// both drain paths.
-    pub fn scratch(&self) -> SimStats {
-        SimStats { trace: self.trace.as_ref().map(|b| TraceBuf::new(b.cap)), ..SimStats::default() }
-    }
-
-    /// Fold another stats accumulation into this one (counter sums,
-    /// histogram bucket merges, trace-buffer appends). The engine's
-    /// parallel drain gives each same-instant worker a private scratch
-    /// `SimStats` and absorbs the scratches in event order — all merged
-    /// quantities are integer adds, bucket counts or order-preserving
-    /// appends, so the result is identical to having accumulated
-    /// sequentially.
-    pub fn absorb(&mut self, other: &SimStats) {
-        self.messages += other.messages;
-        self.dropped += other.dropped;
-        self.partition_dropped += other.partition_dropped;
-        self.distance += other.distance;
-        self.timers += other.timers;
-        for (name, v) in other.named() {
-            self.add(name, v);
-        }
-        for (name, h) in other.histograms() {
-            self.hists.entry(name).or_default().merge(h);
-        }
-        if let Some(theirs) = &other.trace {
-            match &mut self.trace {
-                Some(mine) => mine.merge(theirs),
-                // A scratch with records but no parent buffer cannot occur
-                // in the engine (scratches inherit the parent's buffer),
-                // but direct absorb callers get the obvious semantics.
-                None => self.trace = Some(theirs.clone()),
-            }
-        }
-    }
-
     /// Snapshot the difference `self - earlier` for the builtin counters —
     /// handy for measuring the cost of a single operation window.
     pub fn delta_messages(&self, earlier: &SimStats) -> u64 {
@@ -298,78 +245,6 @@ mod tests {
         assert_eq!(buf.records()[1].hop, 1, "first records win, not last");
         assert_eq!(buf.dropped(), 3);
         assert_eq!(buf.cap(), 2);
-    }
-
-    #[test]
-    fn trace_merge_preserves_cap_and_overflow() {
-        let mut a = TraceBuf::new(3);
-        a.push(rec(1, 0));
-        a.push(rec(1, 1));
-        let mut b = TraceBuf::new(3);
-        for hop in 0..4 {
-            b.push(rec(2, hop));
-        }
-        assert_eq!(b.dropped(), 1);
-        a.merge(&b);
-        assert_eq!(a.records().len(), 3, "merge respects the receiving cap");
-        assert_eq!(a.records()[2].trace, 2, "appended in order");
-        assert_eq!(a.dropped(), 1 + 2, "their overflow plus merge overflow");
-    }
-
-    #[test]
-    fn scratch_inherits_trace_enablement_and_absorb_merges() {
-        let mut parent = SimStats::default();
-        parent.enable_trace(4);
-        let mut s1 = parent.scratch();
-        let mut s2 = parent.scratch();
-        assert!(s1.trace_enabled() && s2.trace_enabled());
-        s1.trace_push(rec(1, 0));
-        s2.trace_push(rec(2, 0));
-        parent.absorb(&s1);
-        parent.absorb(&s2);
-        let buf = parent.trace().expect("enabled");
-        let ids: Vec<u64> = buf.records().iter().map(|r| r.trace).collect();
-        assert_eq!(ids, vec![1, 2], "absorb order is record order");
-        // An untraced parent's scratch records nothing.
-        let plain = SimStats::default().scratch();
-        assert!(!plain.trace_enabled());
-    }
-
-    /// `absorb` is associative over sharded drains: folding scratches
-    /// one-by-one equals folding pre-merged halves, for counters,
-    /// histograms and trace buffers alike.
-    #[test]
-    fn absorb_merge_is_associative() {
-        let mk = |seed: u64| {
-            let mut s = SimStats { messages: seed, distance: seed as f64, ..SimStats::default() };
-            // tapestry-lint: allow(raw-counter)
-            s.add("k", seed);
-            // tapestry-lint: allow(raw-counter)
-            s.record("h", seed * 10 + 1);
-            s.enable_trace(3);
-            s.trace_push(rec(seed, 0));
-            s
-        };
-        let (a, b, c) = (mk(1), mk(2), mk(3));
-        let mut one_by_one = SimStats::default();
-        one_by_one.enable_trace(3);
-        for s in [&a, &b, &c] {
-            one_by_one.absorb(s);
-        }
-        let mut halves = SimStats::default();
-        halves.enable_trace(3);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        halves.absorb(&a);
-        halves.absorb(&bc);
-        assert_eq!(one_by_one.messages, halves.messages);
-        assert_eq!(one_by_one.get("k"), halves.get("k"));
-        assert_eq!(
-            one_by_one.histogram("h").map(|h| (h.count(), h.p50())),
-            halves.histogram("h").map(|h| (h.count(), h.p50()))
-        );
-        assert_eq!(one_by_one.trace().unwrap().records(), halves.trace().unwrap().records());
-        assert_eq!(one_by_one.trace().unwrap().dropped(), halves.trace().unwrap().dropped());
     }
 
     #[test]

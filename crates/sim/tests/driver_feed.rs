@@ -1,6 +1,6 @@
 //! The engine's completion feed: handlers call `Ctx::notify_driver`, the
 //! driver drains `Engine::take_notified`. The feed must list nodes in
-//! event pop order at every thread count, hold each node at most once
+//! event pop order, hold each node at most once
 //! (so it is bounded by the population whatever the driver does), and
 //! shrug off nodes that are removed before the driver collects.
 
@@ -23,9 +23,8 @@ impl Actor for Notifier {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, ()>, _timer: ()) {}
 }
 
-fn engine(n: usize, threads: usize) -> Engine<Notifier> {
+fn engine(n: usize) -> Engine<Notifier> {
     let mut e = Engine::new(Box::new(RingSpace::even(n, 1000.0)), SimTime(1));
-    e.set_threads(threads);
     for i in 0..n {
         e.add_node(i, Notifier);
     }
@@ -34,7 +33,7 @@ fn engine(n: usize, threads: usize) -> Engine<Notifier> {
 
 #[test]
 fn feed_lists_notifiers_in_pop_order_and_drains() {
-    let mut e = engine(8, 1);
+    let mut e = engine(8);
     // Same-instant injections pop in injection order; node 4 stays silent.
     for (node, times) in [(5, 1), (2, 1), (4, 0), (7, 1)] {
         e.inject(node, times);
@@ -47,28 +46,23 @@ fn feed_lists_notifiers_in_pop_order_and_drains() {
 }
 
 #[test]
-fn feed_order_is_identical_on_the_batched_drain() {
-    // 300 distinct nodes at one instant: above the engine's 256-event
-    // fan-out floor, so at 4 threads the handlers really run on workers.
+fn feed_lists_a_same_instant_burst_in_pop_order() {
+    // 300 distinct nodes notify at one instant, injected in a scrambled
+    // order: the feed follows the pop (injection) order, not node order.
     const N: usize = 300;
     let order: Vec<NodeIdx> = (0..N).map(|i| (i * 7) % N).collect(); // 7 ⊥ 300: a permutation
-    let run = |threads: usize| {
-        let mut e = engine(N, threads);
-        for &node in &order {
-            e.inject(node, (node % 3) as u32); // every third node stays silent
-        }
-        assert_eq!(e.run_until_idle_threaded(10_000), N as u64);
-        e.take_notified()
-    };
+    let mut e = engine(N);
+    for &node in &order {
+        e.inject(node, (node % 3) as u32); // every third node stays silent
+    }
+    assert_eq!(e.run_until_idle(10_000), N as u64);
     let expected: Vec<NodeIdx> = order.iter().copied().filter(|n| n % 3 != 0).collect();
-    assert_eq!(run(1), expected, "sequential drain: pop order");
-    assert_eq!(run(4), expected, "batched drain: effects applied in pop order");
-    assert_eq!(run(2), expected);
+    assert_eq!(e.take_notified(), expected);
 }
 
 #[test]
 fn a_node_is_listed_once_however_often_it_notifies() {
-    let mut e = engine(4, 1);
+    let mut e = engine(4);
     e.inject(3, 5); // five notifications from one handler
     e.inject(3, 2); // and more from a second event
     e.inject(1, 1);
@@ -82,7 +76,7 @@ fn a_node_is_listed_once_however_often_it_notifies() {
 
 #[test]
 fn an_undrained_feed_is_bounded_by_the_population() {
-    let mut e = engine(16, 1);
+    let mut e = engine(16);
     for round in 0..10 {
         for node in 0..16 {
             e.inject((node + round) % 16, 3);
@@ -94,7 +88,7 @@ fn an_undrained_feed_is_bounded_by_the_population() {
 
 #[test]
 fn a_notifier_removed_before_collection_is_harmless() {
-    let mut e = engine(4, 1);
+    let mut e = engine(4);
     e.inject(1, 1);
     e.inject(2, 1);
     e.run_until_idle(100);

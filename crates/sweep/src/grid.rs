@@ -410,6 +410,10 @@ fn apply_grid_key(g: &mut GridSpec, key: &str, vals: &[&str]) -> Result<(), Stri
         "ops" => {
             g.ops =
                 one(vals).and_then(|s: String| parse_u64(&s)).map_err(|e| format!("ops: {e}"))?;
+            // 0 is `finish_grid`'s "no `ops` line yet" marker.
+            if g.ops == 0 {
+                return Err("ops: '0' is not an op count ≥ 1".into());
+            }
         }
         "nodes" => {
             g.nodes = parse_list(vals, "node count", |s| {
@@ -605,6 +609,19 @@ gate wall.events_per_sec min_abs 1000
         must_fail(
             "name x\nseeds 1\nworkers 0\ngrid g\npreset steady-zipf\nnodes 8\nops 10",
             "zero workers",
+        );
+        // `ops 0` is blamed on its own line, also after a valid `ops`;
+        // only a grid with no `ops` line at all is called missing one.
+        let err = |body: &str| SweepSpec::parse(body).unwrap_err();
+        let zero = "line 6: ops: '0' is not an op count ≥ 1";
+        assert_eq!(err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8\nops 0"), zero);
+        assert_eq!(
+            err("name x\nseeds 1\ngrid g\npreset steady-zipf\nops 100\nops 0\nnodes 8"),
+            zero
+        );
+        assert_eq!(
+            err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
+            "grid 'g' is missing an `ops` line"
         );
     }
 

@@ -80,8 +80,8 @@ pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepResult, String
 /// Run one cell at one seed and extract its metrics.
 pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
     let spec = cell.build(seed)?;
-    let (report, totals, timing) =
-        runner::run_timed(&spec).map_err(|e| format!("cell {} seed {seed}: {e}", cell.key()))?;
+    let (report, totals, timing, _) = runner::run_instrumented(&spec)
+        .map_err(|e| format!("cell {} seed {seed}: {e}", cell.key()))?;
 
     let mut det = BTreeMap::new();
     det.insert("events".into(), totals.events as f64);

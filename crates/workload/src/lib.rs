@@ -43,8 +43,6 @@ pub mod traffic;
 pub use churn::{ChurnEvent, ChurnSpec};
 pub use presets::{sweep_preset, SweepKnobs};
 pub use report::{HistSummary, InvariantReport, JsonWriter, OpStats, PhaseReport, ScenarioReport};
-pub use runner::{
-    run, run_instrumented, run_timed, run_with_totals, RunTiming, RunTotals, Telemetry,
-};
+pub use runner::{run, run_instrumented, RunTiming, RunTotals, Telemetry};
 pub use spec::{PhaseSpec, ScenarioSpec, SpaceKind, TrafficSpec};
 pub use traffic::{Arrival, Popularity, PopularitySampler};

@@ -101,8 +101,8 @@ pub fn scale_stub_shape(nodes: usize) -> (usize, usize, usize) {
 /// larger space, sized for 1k/4k/10k+ node throughput runs. Phase
 /// durations also stretch with the side so simulated latencies occupy
 /// the same fraction of a phase at every size. `threads` sets the
-/// worker-thread count for bootstrap/drain fan-out — the report is
-/// byte-identical at every value.
+/// worker-thread count for the bootstrap and invariant-sweep fan-out —
+/// the report is byte-identical at every value.
 pub fn scale_preset(
     nodes: usize,
     ops: u64,

@@ -117,10 +117,9 @@ impl Telemetry {
 impl RunTiming {
     /// Engine events per wall-clock second of the *whole* drive loop —
     /// event dispatch plus between-phase invariant checks and report
-    /// assembly (a whole-run analogue of [`tapestry_sim::RunBudget`],
-    /// not a pure engine-dispatch rate; at large n the checked phases'
-    /// invariant sweeps are a real share of the denominator). 0 when
-    /// nothing ran.
+    /// assembly (not a pure engine-dispatch rate; at large n the checked
+    /// phases' invariant sweeps are a real share of the denominator). 0
+    /// when nothing ran.
     pub fn events_per_sec(&self, events: u64) -> f64 {
         if self.drive_secs > 0.0 {
             events as f64 / self.drive_secs
@@ -135,23 +134,13 @@ impl RunTiming {
 /// Deterministic: the same spec (including seed) produces a bit-identical
 /// report on the same platform — regardless of `spec.threads`.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
-    run_with_totals(spec).map(|(report, _)| report)
+    run_instrumented(spec).map(|(report, ..)| report)
 }
 
 /// [`run`], additionally returning the engine-level [`RunTotals`] the
-/// deterministic report deliberately omits.
-pub fn run_with_totals(spec: &ScenarioSpec) -> Result<(ScenarioReport, RunTotals), String> {
-    run_timed(spec).map(|(report, totals, _)| (report, totals))
-}
-
-/// [`run_with_totals`], additionally returning wall-clock [`RunTiming`]
-/// (bootstrap vs drive) for the scale driver's per-thread-count columns.
-pub fn run_timed(spec: &ScenarioSpec) -> Result<(ScenarioReport, RunTotals, RunTiming), String> {
-    run_instrumented(spec).map(|(report, totals, timing, _)| (report, totals, timing))
-}
-
-/// [`run_timed`], additionally returning the run's [`Telemetry`] (hop
-/// traces and time-series samples — empty unless the spec enables them).
+/// deterministic report deliberately omits, wall-clock [`RunTiming`]
+/// (bootstrap vs drive) and the run's [`Telemetry`] (hop traces and
+/// time-series samples — empty unless the spec enables them).
 #[allow(clippy::type_complexity)] // the four run artifacts, nothing more
 pub fn run_instrumented(
     spec: &ScenarioSpec,

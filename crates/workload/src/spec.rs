@@ -147,11 +147,11 @@ pub struct ScenarioSpec {
     pub initial_nodes: usize,
     /// Catalog size: objects published before the first phase.
     pub objects: usize,
-    /// Worker threads for the bootstrap fan-out, invariant sweeps and
-    /// the engine's same-instant drain. **Never** affects the report:
-    /// every value produces byte-identical output (CI's
-    /// `determinism-matrix` job enforces this), so it is deliberately
-    /// omitted from the report JSON.
+    /// Worker threads for the static bootstrap fan-out and the
+    /// Property 1/2 invariant sweeps; events are always dispatched
+    /// sequentially. **Never** affects the report: every value produces
+    /// byte-identical output (CI's `determinism-matrix` job enforces
+    /// this), so it is deliberately omitted from the report JSON.
     pub threads: usize,
     /// Join coalescing: route scripted joins through a
     /// `tapestry_membership::JoinCoalescer` so joins sharing the window

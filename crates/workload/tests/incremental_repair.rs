@@ -62,15 +62,12 @@ fn zero_budget_never_panics_and_still_drains_to_idle() {
 #[test]
 fn incremental_reports_are_byte_identical_across_thread_counts() {
     let run = |threads: usize| {
-        let (report, totals) = runner::run_with_totals(&incr_spec(16, threads)).expect("runs");
+        let (report, totals, ..) = runner::run_instrumented(&incr_spec(16, threads)).expect("runs");
         (report.to_json(), totals)
     };
     let (json1, totals1) = run(1);
-    let (json2, totals2) = run(2);
     let (json4, totals4) = run(4);
-    assert_eq!(json1, json2, "threads 1 vs 2");
     assert_eq!(json1, json4, "threads 1 vs 4");
-    assert_eq!(totals1, totals2);
     assert_eq!(totals1, totals4);
 }
 

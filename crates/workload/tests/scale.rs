@@ -15,7 +15,8 @@ use tapestry_workload::{presets, runner};
 fn thousand_node_snapshot_determinism() {
     let run = || {
         let spec = presets::scale_preset(1000, 300, 42, presets::ScaleSpace::Torus, 1);
-        runner::run_with_totals(&spec).expect("scale scenario runs")
+        let (report, totals, ..) = runner::run_instrumented(&spec).expect("scale scenario runs");
+        (report, totals)
     };
     let (report_a, totals_a) = run();
     let (report_b, totals_b) = run();
@@ -38,7 +39,7 @@ fn thousand_node_snapshot_determinism() {
 #[test]
 fn run_totals_report_engine_work() {
     let spec = presets::scale_preset(1000, 300, 7, presets::ScaleSpace::Torus, 1);
-    let (report, totals) = runner::run_with_totals(&spec).expect("runs");
+    let (report, totals, ..) = runner::run_instrumented(&spec).expect("runs");
     assert!(totals.events > 0);
     assert!(
         totals.events >= totals.messages + totals.timers,
@@ -69,23 +70,21 @@ fn scale_grid_variant_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// The merge-order contract end to end: the same scale scenario run with
-/// 1, 2 and 4 worker threads must produce byte-identical reports *and*
-/// identical engine totals — the in-process mirror of CI's
-/// `determinism-matrix` job.
+/// The merge-order contract end to end: the same scale scenario with the
+/// bootstrap and invariant sweeps fanned out over 1 and 4 workers must
+/// produce byte-identical reports *and* identical engine totals — the
+/// in-process mirror of CI's `determinism-matrix` job.
 #[test]
 fn thread_counts_produce_byte_identical_reports() {
     let run = |threads: usize| {
         let spec = presets::scale_preset(512, 250, 42, presets::ScaleSpace::Torus, threads);
-        let (report, totals, _timing) = runner::run_timed(&spec).expect("scale scenario runs");
+        let (report, totals, ..) = runner::run_instrumented(&spec).expect("scale scenario runs");
         (report.to_json(), totals)
     };
     let (json1, totals1) = run(1);
-    for threads in [2, 4] {
-        let (json_n, totals_n) = run(threads);
-        assert_eq!(json1, json_n, "report bytes diverged at --threads {threads}");
-        assert_eq!(totals1, totals_n, "engine totals diverged at --threads {threads}");
-    }
+    let (json4, totals4) = run(4);
+    assert_eq!(json1, json4, "report bytes diverged at --threads 4");
+    assert_eq!(totals1, totals4, "engine totals diverged at --threads 4");
 }
 
 /// The transit-stub scale point: runs, checks out, and stays

@@ -26,12 +26,10 @@ fn trace_and_metrics_json_are_byte_identical_across_threads() {
     assert!(trace1.contains("\"kind\":\"locate\""), "sampled locates traced: {trace1}");
     assert!(trace1.contains("\"kind\":\"join\""), "joins traced under churn");
     assert!(metrics1.contains("\"samples\":[{"), "series non-empty");
-    for threads in [2, 4] {
-        let (report, _, _, tel) = runner::run_instrumented(&spec(threads)).unwrap();
-        assert_eq!(report1.to_json(), report.to_json(), "report @ {threads} threads");
-        assert_eq!(trace1, tel.trace_json().unwrap(), "trace JSON @ {threads} threads");
-        assert_eq!(metrics1, tel.metrics_json().unwrap(), "metrics JSON @ {threads} threads");
-    }
+    let (report4, _, _, tel4) = runner::run_instrumented(&spec(4)).unwrap();
+    assert_eq!(report1.to_json(), report4.to_json(), "report @ 4 threads");
+    assert_eq!(trace1, tel4.trace_json().unwrap(), "trace JSON @ 4 threads");
+    assert_eq!(metrics1, tel4.metrics_json().unwrap(), "metrics JSON @ 4 threads");
 }
 
 #[test]
