@@ -1,12 +1,13 @@
 //! Microbenchmarks of the scale-pass hot paths: surrogate-routing
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
-//! through the coordinate index vs the brute-force scan, raw engine
+//! through the coordinate index vs the brute-force scan, the static
+//! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, raw engine
 //! event dispatch, the event queue at the two depths the benchmark
 //! workloads show, and the driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
 //! scale driver measures them end to end, this file isolates them.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tapestry_core::{NodeRef, RoutingTable, TapestryConfig, TapestryNetwork};
@@ -51,6 +52,44 @@ fn bench_nearest(c: &mut Criterion) {
     c.bench_function("metric/build_index_4096", |b| {
         b.iter(|| black_box(space.build_index(members.clone())))
     });
+    // A `(prefix, digit)` group from the third level of a mesh down: six
+    // members, the regime most slot queries of a bootstrap run in. One
+    // iteration is `GROUP_QUERIES` queries — a single one is below the
+    // timer's resolution — so divide these two rows by that.
+    const GROUP_QUERIES: usize = 1000;
+    let group = space.build_index((0..N).step_by(N / 6).take(6).collect());
+    c.bench_function("metric/nearest_group6", |b| {
+        b.iter(|| {
+            for q in 0..GROUP_QUERIES {
+                black_box(group.nearest(black_box(q)));
+            }
+        })
+    });
+    c.bench_function("metric/closest3_group6", |b| {
+        b.iter(|| {
+            for q in 0..GROUP_QUERIES {
+                black_box(group.closest_k(black_box(q), 3));
+            }
+        })
+    });
+}
+
+/// The global-knowledge layer on a 4 096-node mesh: the whole static
+/// build (a fresh network per iteration, its drop included), its last
+/// stage alone, and the two between-phase sweeps.
+fn bench_global_knowledge(c: &mut Criterion) {
+    let space = TorusSpace::random(N, 8000.0, 7);
+    c.bench_function("core/static_populate_4096", |b| {
+        b.iter_batched(
+            || Box::new(space.clone()),
+            |space| TapestryNetwork::build(TapestryConfig::default(), space, 7),
+            BatchSize::PerIteration,
+        )
+    });
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space.clone()), 7);
+    c.bench_function("core/backpointers_4096", |b| b.iter(|| net.rebuild_backpointers()));
+    c.bench_function("core/check_property1_4096", |b| b.iter(|| black_box(net.check_property1())));
+    c.bench_function("core/check_property2_4096", |b| b.iter(|| black_box(net.check_property2())));
 }
 
 fn bench_next_hop(c: &mut Criterion) {
@@ -187,6 +226,7 @@ fn bench_collect_idle(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_nearest,
+    bench_global_knowledge,
     bench_next_hop,
     bench_engine_dispatch,
     bench_queue,

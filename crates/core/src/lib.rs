@@ -40,6 +40,7 @@ mod neighbor_set;
 mod network;
 mod node;
 mod object_store;
+mod prefix_runs;
 mod refs;
 mod repair;
 mod route;
@@ -49,7 +50,7 @@ pub mod wire;
 pub use config::{RoutingScheme, TapestryConfig};
 pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
 pub use neighbor_set::{AddOutcome, NeighborSet};
-pub use network::{LocateHook, LocateResult, NetworkSnapshot, TapestryNetwork};
+pub use network::{BootstrapStage, LocateHook, LocateResult, NetworkSnapshot, TapestryNetwork};
 pub use node::{BatchJoinInfo, NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
 pub use refs::NodeRef;

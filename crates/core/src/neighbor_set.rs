@@ -130,6 +130,22 @@ impl NeighborSet {
         AddOutcome::Added { evicted: None, filled_hole }
     }
 
+    /// Add `closest` — nodes not yet in the set — with no capacity bound:
+    /// what offering each in turn to [`NeighborSet::add_if_closer`] with
+    /// unbounded capacity leaves. The static builder knows a slot's whole
+    /// content at once, so it allocates for exactly that and sorts once.
+    pub(crate) fn extend_unbounded(
+        &mut self,
+        closest: impl ExactSizeIterator<Item = (NodeRef, f64)>,
+    ) {
+        self.entries.reserve_exact(closest.len());
+        for (nref, dist) in closest {
+            debug_assert!(!self.contains(nref.idx), "extend_unbounded takes new nodes only");
+            self.entries.push(Entry { nref, dist, pinned: false });
+        }
+        self.sort();
+    }
+
     /// Insert a node as *pinned* (simultaneous-insertion protection). If
     /// already present it becomes pinned in place.
     pub fn add_pinned(&mut self, nref: NodeRef, dist: f64) {

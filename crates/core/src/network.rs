@@ -7,11 +7,12 @@
 use crate::config::TapestryConfig;
 use crate::messages::{Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
+use crate::prefix_runs::{Level, PrefixRuns};
 use crate::refs::NodeRef;
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use tapestry_id::{root_id, Guid, Id};
 use tapestry_metric::{MetricSpace, NearestIndex};
 use tapestry_repair::MaintenanceMode;
@@ -98,10 +99,29 @@ pub struct TapestryNetwork {
 /// collected (its origin died first) is never observed.
 pub type LocateHook = Box<dyn FnMut(&LocateResult) + Send>;
 
-/// One pending slot fill of the indexed bootstrap: node, slot digit, and
-/// the `(member, distance)` entries to install (level is implicit —
-/// fills are produced and applied one level at a time).
-type SlotFill = (NodeIdx, u8, Vec<(NodeIdx, f64)>);
+/// One table entry the indexed bootstrap installs: `member`, at distance
+/// `dist`, into slot `digit` of `node` (the level is implicit — fills are
+/// produced and applied one level at a time).
+struct Fill {
+    node: NodeIdx,
+    digit: u8,
+    member: NodeIdx,
+    dist: f64,
+}
+
+/// A stage of the static bootstrap, reported to the observer of
+/// [`TapestryNetwork::bootstrap_observed`] when the stage ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BootstrapStage {
+    /// Every bootstrap node exists, with only its self entries.
+    NodesAdded,
+    /// The slot queries of this level have been answered.
+    LevelQueried(usize),
+    /// Their answers are in the routing tables.
+    LevelApplied(usize),
+    /// Every forward pointer has its backpointer.
+    Backpointers,
+}
 
 /// Fan a read-only per-item computation out over `threads` contiguous
 /// chunks of `items` on scoped workers, concatenating chunk results in
@@ -126,6 +146,18 @@ where
     })
 }
 
+/// One coordinate index per group of `level`, in group order.
+fn group_indexes<'m>(
+    metric: &'m dyn MetricSpace,
+    runs: &PrefixRuns<'_>,
+    level: &Level,
+    threads: usize,
+) -> Vec<Box<dyn NearestIndex + 'm>> {
+    fan_out_chunks(threads, &level.groups, |ch| {
+        ch.iter().map(|g| metric.build_index(runs.members(g).to_vec())).collect()
+    })
+}
+
 impl TapestryNetwork {
     /// Statically build a fully populated network: every point of the
     /// metric space becomes a node and all routing tables are constructed
@@ -147,7 +179,7 @@ impl TapestryNetwork {
         let mut net = Self::empty(cfg, space, seed);
         net.set_threads(threads);
         let all: Vec<NodeIdx> = (0..n).collect();
-        net.static_populate(&all);
+        net.static_populate(&all, &mut |_| {});
         net
     }
 
@@ -171,11 +203,26 @@ impl TapestryNetwork {
         n0: usize,
         threads: usize,
     ) -> Self {
+        Self::bootstrap_observed(cfg, space, seed, n0, threads, &mut |_| {})
+    }
+
+    /// [`TapestryNetwork::bootstrap_threaded`], calling `stage` as each
+    /// stage of the construction ends. The library reads no clock; this
+    /// is the hook the `bootstrap_stages` bench binary times the stages
+    /// of README's table through.
+    pub fn bootstrap_observed(
+        cfg: TapestryConfig,
+        space: Box<dyn MetricSpace>,
+        seed: u64,
+        n0: usize,
+        threads: usize,
+        stage: &mut dyn FnMut(BootstrapStage),
+    ) -> Self {
         assert!(n0 >= 1, "need at least one bootstrap node");
         let mut net = Self::empty(cfg, space, seed);
         net.set_threads(threads);
         let initial: Vec<NodeIdx> = (0..n0.min(net.ids.len())).collect();
-        net.static_populate(&initial);
+        net.static_populate(&initial, stage);
         net
     }
 
@@ -241,30 +288,22 @@ impl TapestryNetwork {
     /// and 2 by construction), including backpointers.
     ///
     /// Tables are filled through per-`(prefix, digit)` coordinate indexes
-    /// in O(n · levels · base) instead of the all-pairs
-    /// `AddToTableIfCloser` sweep — the change that takes a 10k-node
-    /// bootstrap from minutes to sub-second. The result is bit-identical
-    /// to the pairwise sweep (debug builds verify it on networks small
-    /// enough to afford the O(n²) cross-check).
-    fn static_populate(&mut self, members: &[NodeIdx]) {
+    /// instead of the all-pairs `AddToTableIfCloser` sweep — the change
+    /// that takes a 10k-node bootstrap from minutes to sub-second. The
+    /// result is bit-identical to the pairwise sweep (debug builds verify
+    /// it on networks small enough to afford the O(n²) cross-check).
+    fn static_populate(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         for &idx in members {
             let node = TapestryNode::new_active(self.cfg, self.ref_of(idx), self.seed);
             self.engine.add_node(idx, node);
             self.insert_member(idx);
         }
-        self.populate_tables(members);
+        stage(BootstrapStage::NodesAdded);
+        self.populate_tables(members, stage);
+        self.rebuild_backpointers();
+        stage(BootstrapStage::Backpointers);
         #[cfg(debug_assertions)]
         self.verify_static_tables(members);
-        // Record backpointers for every forward pointer.
-        for &a in members {
-            let a_ref = self.ref_of(a);
-            let fwd = self.engine.node(a).expect("added").table().all_refs();
-            for r in fwd {
-                if let Some(peer) = self.engine.node_mut(r.idx) {
-                    peer.add_backpointer(a_ref);
-                }
-            }
-        }
     }
 
     /// Indexed slot construction: slot `(l, j)` of node `a` holds the
@@ -272,73 +311,107 @@ impl TapestryNetwork {
     /// prefix with digit `j` (one fewer for `a`'s own digit, whose slot
     /// the owner occupies at distance 0). Divergence entries and the
     /// nested own-digit memberships of §2.1 both reduce to exactly this
-    /// prefix-group query, so grouping members by `prefix_key` and
+    /// prefix-group query, so walking the members' [`PrefixRuns`] and
     /// querying one coordinate index per group reproduces the incremental
     /// sweep's tables — including its `(distance, index)` tie-breaks.
+    /// The work per level is proportional to the members whose prefix is
+    /// still shared at that level, times the groups of their family (at
+    /// most `base`); past the first `log_b n` levels that is a handful
+    /// of members, and the loop ends at the first level nobody shares.
     ///
     /// The per-(prefix, digit) group queries within one level have no
     /// data dependency on each other (the paper's level-by-level
     /// construction), so index builds and slot queries fan out across
     /// `threads` scoped workers. Determinism is pinned by construction:
-    /// each worker owns a contiguous chunk of the *sorted* member list,
-    /// chunk results are concatenated in chunk order (= the sequential
-    /// query order), and the collected fills are applied to the tables
-    /// sequentially — so the fill order, and therefore every slot's
-    /// contents, is byte-identical at any thread count.
-    fn populate_tables(&mut self, members: &[NodeIdx]) {
-        let levels = self.cfg.levels();
-        let base = self.cfg.base();
+    /// each worker owns a contiguous chunk of the visits (ascending node
+    /// index), chunk results are concatenated in chunk order (= the
+    /// sequential query order), and the collected fills are applied to
+    /// the tables sequentially — so the fill order, and therefore every
+    /// slot's contents, is byte-identical at any thread count.
+    fn populate_tables(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         let cap = self.cfg.redundancy;
-        let threads = self.threads.max(1);
-        let mut sorted: Vec<NodeIdx> = members.to_vec();
-        sorted.sort_unstable();
-        for l in 0..levels {
-            let mut groups: BTreeMap<u128, Vec<NodeIdx>> = BTreeMap::new();
-            for &m in &sorted {
-                groups.entry(self.ids[m].prefix_key(l + 1)).or_default().push(m);
+        let threads = self.threads;
+        let runs = PrefixRuns::new(&self.ids, members);
+        for l in 0..self.cfg.levels() {
+            let level = runs.level(l);
+            if level.is_empty() {
+                break;
             }
-            let metric = self.engine.metric();
-            // Index builds are independent per group; distribute them
-            // through the same ordered fan-out as every other sweep (the
-            // order is even immaterial here — results land in a map —
-            // but one helper keeps one collection contract).
-            let entries: Vec<(u128, Vec<NodeIdx>)> = groups.into_iter().collect();
-            let indexes: BTreeMap<u128, Box<dyn NearestIndex + '_>> =
-                fan_out_chunks(threads, &entries, |ch| {
-                    ch.iter().map(|(k, v)| (*k, metric.build_index(v.clone()))).collect()
-                })
-                .into_iter()
-                .collect();
+            let indexes = group_indexes(self.engine.metric(), &runs, &level, threads);
             let ids = &self.ids;
-            let query_chunk = |ch: &[NodeIdx]| {
-                let mut out: Vec<SlotFill> = Vec::new();
-                for &a in ch {
-                    let aid = ids[a];
-                    let own = aid.digit(l);
-                    let a_key = aid.prefix_key(l);
-                    for j in 0..base as u8 {
-                        let want = cap - usize::from(j == own);
-                        if want == 0 {
-                            continue;
-                        }
-                        if let Some(ix) = indexes.get(&(a_key * base as u128 + j as u128)) {
-                            let list = ix.closest_k(a, want);
-                            if !list.is_empty() {
-                                out.push((a, j, list));
-                            }
-                        }
+            let fills: Vec<Fill> = fan_out_chunks(threads, &level.visits, |ch| {
+                let mut out = Vec::new();
+                let mut closest = Vec::new();
+                for visit in ch {
+                    let node = visit.node;
+                    let own = ids[node].digit(l);
+                    for (g, digit) in level.family(visit) {
+                        let want = cap - usize::from(digit == own);
+                        indexes[g].closest_k_into(node, want, &mut closest);
+                        out.extend(closest.iter().map(|&(member, dist)| Fill {
+                            node,
+                            digit,
+                            member,
+                            dist,
+                        }));
                     }
                 }
                 out
-            };
-            let fills: Vec<SlotFill> = fan_out_chunks(threads, &sorted, query_chunk);
+            });
             drop(indexes);
-            for (a, j, list) in fills {
-                let node = self.engine.node_mut(a).expect("just added");
-                let slot = node.table_mut().slot_mut(l, j);
-                for (m, d) in list {
-                    slot.add_if_closer(NodeRef::new(m, self.ids[m]), d, usize::MAX);
+            stage(BootstrapStage::LevelQueried(l));
+            for of_slot in fills.chunk_by(|x, y| (x.node, x.digit) == (y.node, y.digit)) {
+                let Fill { node, digit, .. } = of_slot[0];
+                let table = self.engine.node_mut(node).expect("just added").table_mut();
+                table.slot_mut(l, digit).extend_unbounded(
+                    of_slot.iter().map(|f| (NodeRef::new(f.member, self.ids[f.member]), f.dist)),
+                );
+            }
+            stage(BootstrapStage::LevelApplied(l));
+        }
+    }
+
+    /// Make every node's backpointer set the exact inverse of the
+    /// members' forward pointers (§2.1 pairs each forward pointer with a
+    /// backpointer): node `b` ends up with `{a : a ≠ b ∧ a's table
+    /// references b}`. One `(peer, owner)` pair is emitted per table
+    /// entry, the pairs are sorted once — which also makes the result
+    /// independent of the emission order, hence of the worker count —
+    /// and each node's map is built in one pass from its sorted run.
+    /// The static builder's last stage; on a quiescent network, where the
+    /// protocol has kept the same relation by message, it changes nothing.
+    pub fn rebuild_backpointers(&mut self) {
+        // One key per forward pointer, peer in the high half and owner in
+        // the low, so sorting the keys sorts by (peer, owner).
+        assert!(u32::try_from(self.ids.len()).is_ok(), "node indices fit 32 bits");
+        let engine = &self.engine;
+        let mut keys: Vec<u64> = fan_out_chunks(self.threads, &self.members, |ch| {
+            let mut out = Vec::new();
+            for &owner in ch {
+                if let Some(node) = engine.node(owner) {
+                    out.extend(
+                        node.table().refs().map(|peer| (peer.idx as u64) << 32 | owner as u64),
+                    );
                 }
+            }
+            out
+        });
+        keys.sort_unstable();
+        keys.dedup();
+        for &m in &self.members {
+            if let Some(node) = self.engine.node_mut(m) {
+                node.backptrs.clear();
+            }
+        }
+        for of_peer in keys.chunk_by(|x, y| x >> 32 == y >> 32) {
+            if let Some(peer) = self.engine.node_mut((of_peer[0] >> 32) as NodeIdx) {
+                peer.backptrs = of_peer
+                    .iter()
+                    .map(|&key| {
+                        let owner = key as u32 as NodeIdx;
+                        (owner, self.ids[owner])
+                    })
+                    .collect();
             }
         }
     }
@@ -379,16 +452,20 @@ impl TapestryNetwork {
                 }
             }
         }
-    }
-
-    /// Fan a read-only per-member computation out over the live member
-    /// list (see [`fan_out_chunks`] for the determinism contract).
-    fn sweep_members<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&[NodeIdx]) -> Vec<R> + Sync,
-    {
-        fan_out_chunks(self.threads, &self.members, f)
+        // §2.1 by the definition the bulk pass replaces: one insert per
+        // forward pointer into the referenced node's set.
+        let mut inverse: std::collections::BTreeMap<NodeIdx, BTreeSet<NodeIdx>> =
+            members.iter().map(|&b| (b, BTreeSet::new())).collect();
+        for &a in members {
+            for r in self.engine.node(a).expect("added").table().all_refs() {
+                inverse.entry(r.idx).or_default().insert(a);
+            }
+        }
+        for (b, want) in inverse {
+            let got: BTreeSet<NodeIdx> =
+                self.engine.node(b).expect("added").backpointers().map(|r| r.idx).collect();
+            assert_eq!(got, want, "backpointers of node {b} are not the inverse of the tables");
+        }
     }
 
     // ------------------------------ accessors ------------------------------
@@ -851,40 +928,32 @@ impl TapestryNetwork {
     /// Property 1 violations: `(node, level, digit)` slots that are empty
     /// even though a matching member exists.
     ///
-    /// Computed by per-level prefix-key counting — O(n · levels · base)
-    /// instead of the pairwise O(n²) scan, with identical output: a slot
-    /// `(l, j)` of node `a` has a matching member iff some member's ID
-    /// extends `a`'s `l`-digit prefix with `j`, and own-digit slots are
-    /// never violations (the owner occupies them at every level).
+    /// Computed from the members' [`PrefixRuns`] instead of the pairwise
+    /// O(n²) scan, with identical output: slot `(l, j)` of node `a` has a
+    /// matching member iff `a`'s family at level `l` has a group for
+    /// digit `j`, and own-digit slots are never violations (the owner
+    /// occupies them at every level). One slot probe per visited member
+    /// and group of its family, at the levels where prefixes are shared.
     pub fn check_property1(&self) -> Vec<(NodeIdx, usize, u8)> {
-        let levels = self.cfg.levels();
-        let base = self.cfg.base();
+        let runs = PrefixRuns::new(&self.ids, &self.members);
         let mut bad = Vec::new();
-        for l in 0..levels {
-            // Membership-only (contains_key below): a BTreeSet keeps the
-            // check hash-free on the determinism-gated path.
-            let mut present: BTreeSet<u128> = BTreeSet::new();
-            for &b in &self.members {
-                present.insert(self.ids[b].prefix_key(l + 1));
+        for l in 0..self.cfg.levels() {
+            let level = runs.level(l);
+            if level.is_empty() {
+                break;
             }
             // The per-member slot scan is read-only and independent per
             // member: fan out over contiguous chunks, concatenate in
             // chunk order (the final sort+dedup canonicalizes anyway).
-            let (engine, ids) = (&self.engine, &self.ids);
-            bad.extend(self.sweep_members(move |ch| {
+            let (engine, ids, level) = (&self.engine, &self.ids, &level);
+            bad.extend(fan_out_chunks(self.threads, &level.visits, move |ch| {
                 let mut out = Vec::new();
-                for &a in ch {
+                for visit in ch {
+                    let a = visit.node;
                     let Some(node) = engine.node(a) else { continue };
-                    let aid = ids[a];
-                    let own = aid.digit(l);
-                    let a_key = aid.prefix_key(l);
-                    for j in 0..base as u8 {
-                        if j == own {
-                            continue;
-                        }
-                        if node.table().slot(l, j).is_empty()
-                            && present.contains(&(a_key * base as u128 + j as u128))
-                        {
+                    let own = ids[a].digit(l);
+                    for (_, j) in level.family(visit) {
+                        if j != own && node.table().slot(l, j).is_empty() {
                             out.push((a, l, j));
                         }
                     }
@@ -906,45 +975,39 @@ impl TapestryNetwork {
     /// so tests assert a high fraction rather than perfection.
     ///
     /// The "true closest matching member" is a nearest-in-prefix-group
-    /// query, answered through per-group coordinate indexes — the same
-    /// machinery as the fast bootstrap, and again O(n · levels · base)
-    /// instead of O(n² · slots).
+    /// query, answered through per-group coordinate indexes over the
+    /// members' [`PrefixRuns`] — the same machinery as the fast
+    /// bootstrap, in place of O(n² · slots): one query per visited member
+    /// and group of its family, at the levels where prefixes are shared.
     pub fn check_property2(&self) -> (usize, usize) {
-        let levels = self.cfg.levels();
-        let base = self.cfg.base();
         let metric = self.engine.metric();
+        let runs = PrefixRuns::new(&self.ids, &self.members);
         let mut optimal = 0;
         let mut total = 0;
-        for l in 0..levels {
-            let mut groups: BTreeMap<u128, Vec<NodeIdx>> = BTreeMap::new();
-            for &b in &self.members {
-                groups.entry(self.ids[b].prefix_key(l + 1)).or_default().push(b);
+        for l in 0..self.cfg.levels() {
+            let level = runs.level(l);
+            if level.is_empty() {
+                break;
             }
-            let indexes: BTreeMap<u128, Box<dyn NearestIndex + '_>> =
-                groups.into_iter().map(|(k, v)| (k, metric.build_index(v))).collect();
+            let indexes = group_indexes(metric, &runs, &level, self.threads);
             // Independent read-only per-member queries: fan out, then sum
             // the per-chunk tallies (integer sums are order-free).
-            let (engine, ids, indexes) = (&self.engine, &self.ids, &indexes);
-            for (o, t) in self.sweep_members(move |ch| {
+            let (engine, ids, level, indexes) = (&self.engine, &self.ids, &level, &indexes);
+            for (o, t) in fan_out_chunks(self.threads, &level.visits, move |ch| {
                 let (mut opt, mut tot) = (0usize, 0usize);
-                for &a in ch {
+                for visit in ch {
+                    let a = visit.node;
                     let Some(node) = engine.node(a) else { continue };
-                    let aid = ids[a];
-                    let own = aid.digit(l);
-                    let a_key = aid.prefix_key(l);
-                    for j in 0..base as u8 {
+                    let own = ids[a].digit(l);
+                    for (g, j) in level.family(visit) {
                         if j == own {
                             continue; // the owner's slot; never counted
                         }
-                        let slot = node.table().slot(l, j);
-                        let Some(primary) = slot.primary(None) else { continue };
+                        let Some(primary) = node.table().slot(l, j).primary(None) else { continue };
                         if primary.idx == a {
                             continue; // self entry
                         }
-                        let Some(ix) = indexes.get(&(a_key * base as u128 + j as u128)) else {
-                            continue;
-                        };
-                        let Some((_, db)) = ix.nearest(a) else { continue };
+                        let Some((_, db)) = indexes[g].nearest(a) else { continue };
                         tot += 1;
                         let dp = metric.distance(a, primary.idx);
                         if dp <= db + 1e-9 {

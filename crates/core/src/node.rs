@@ -219,11 +219,6 @@ impl TapestryNode {
         self.backptrs.iter().map(|(&idx, &id)| NodeRef::new(idx, id))
     }
 
-    /// Record a backpointer (static builder).
-    pub fn add_backpointer(&mut self, r: NodeRef) {
-        self.backptrs.insert(r.idx, r.id);
-    }
-
     /// Voluntary departure finished — safe to remove from the engine.
     pub fn leave_finished(&self) -> bool {
         self.leave.as_ref().is_some_and(|l| l.finished)

@@ -164,32 +164,33 @@ impl RoutingTable {
         self.slots.iter().filter(|s| s.contains(idx)).count()
     }
 
+    /// Every slot entry other than the owner's self entries, slot by slot
+    /// (a node in several slots is yielded once per slot).
+    pub fn refs(&self) -> impl Iterator<Item = NodeRef> + '_ {
+        self.slots.iter().flat_map(|s| s.iter()).filter(|r| r.idx != self.owner.idx)
+    }
+
     /// Every distinct node referenced by the table (excluding the owner),
-    /// in deterministic order.
+    /// ascending by index.
     pub fn all_refs(&self) -> Vec<NodeRef> {
-        let mut v: Vec<NodeRef> =
-            self.slots.iter().flat_map(|s| s.iter()).filter(|r| r.idx != self.owner.idx).collect();
-        v.sort();
-        v.dedup();
-        v
+        distinct_by_idx(self.refs().collect())
     }
 
     /// Neighbors at one level (the forward pointers `GetNextList` asks
-    /// for), excluding the owner.
+    /// for), excluding the owner, ascending by index.
     pub fn level_refs(&self, level: usize) -> Vec<NodeRef> {
-        let mut v: Vec<NodeRef> = (0..self.base as u8)
-            .flat_map(|j| self.slot(level, j).iter())
-            .filter(|r| r.idx != self.owner.idx)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+        distinct_by_idx(
+            (0..self.base as u8)
+                .flat_map(|j| self.slot(level, j).iter())
+                .filter(|r| r.idx != self.owner.idx)
+                .collect(),
+        )
     }
 
     /// Total number of neighbor entries (the paper's space measure),
     /// excluding self entries.
     pub fn entry_count(&self) -> usize {
-        self.slots.iter().map(|s| s.iter().filter(|r| r.idx != self.owner.idx).count()).sum()
+        self.refs().count()
     }
 
     /// Slots at `level` that are empty — candidate holes for the watch
@@ -296,6 +297,14 @@ impl RoutingTable {
     pub fn slot_prefix(&self, level: usize, digit: u8) -> Prefix {
         self.owner.id.prefix(level).extend(digit)
     }
+}
+
+/// Sort by node index and drop repeats. The index alone identifies a
+/// node, so the 18-byte `Id` never enters a comparison.
+fn distinct_by_idx(mut refs: Vec<NodeRef>) -> Vec<NodeRef> {
+    refs.sort_unstable_by_key(|r| r.idx);
+    refs.dedup_by_key(|r| r.idx);
+    refs
 }
 
 /// Number of leading bits (within the digit width of `base`) on which two
@@ -454,6 +463,35 @@ mod tests {
         assert_eq!(t.level_refs(1).len(), 1);
         assert_eq!(t.all_refs().len(), 2, "all_refs dedups across slots");
         assert_eq!(t.entry_count(), 3, "4111… occupies two slots");
+    }
+
+    #[test]
+    fn refs_sorted_by_index_match_refs_sorted_whole() {
+        // Ordering whole `NodeRef`s (index, then id) and ordering by the
+        // index alone give the same list: an index names one node.
+        let mut t = table(0x4227_0000);
+        let mut v = 0x9E37_79B9u64;
+        for idx in 1..400 {
+            v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            // Half the ids share the owner's first digit, so nested
+            // own-digit slots repeat nodes across levels.
+            let id = if idx % 2 == 0 { 0x4000_0000 | (v >> 36) } else { v >> 32 };
+            t.add_if_closer(nref(idx, id), (v % 1000) as f64, 3);
+        }
+        let whole = |mut refs: Vec<NodeRef>| {
+            refs.sort();
+            refs.dedup();
+            refs
+        };
+        assert!(t.refs().count() > t.all_refs().len(), "some node sits in two slots");
+        assert_eq!(t.all_refs(), whole(t.refs().collect()));
+        for l in 0..t.levels() {
+            let level: Vec<NodeRef> = (0..16u8)
+                .flat_map(|j| t.slot(l, j).iter().collect::<Vec<_>>())
+                .filter(|r| r.idx != 0)
+                .collect();
+            assert_eq!(t.level_refs(l), whole(level), "level {l}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use tapestry_core::{TapestryConfig, TapestryNetwork};
 use tapestry_id::{Guid, Id};
-use tapestry_metric::TorusSpace;
+use tapestry_metric::{MetricSpace, RingSpace, TorusSpace};
 
 fn net(n: usize, seed: u64) -> TapestryNetwork {
     let space = TorusSpace::random(n, 1000.0, seed);
@@ -220,6 +220,56 @@ fn parallel_bootstrap_is_bit_identical_to_sequential() {
         }
         assert_eq!(seq.check_property1(), par.check_property1(), "threads={threads}");
         assert_eq!(seq.check_property2(), par.check_property2(), "threads={threads}");
+    }
+}
+
+/// §2.1 pairs every forward pointer with a backpointer: node `b`'s
+/// backpointers must be exactly the nodes whose tables reference `b`.
+fn assert_backpointers_invert_tables(net: &TapestryNetwork, when: &str) {
+    let members = net.node_ids();
+    for &b in &members {
+        let want: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&a| a != b && net.node(a).expect("member").table().contains(b))
+            .collect();
+        let got: Vec<usize> = net.node(b).expect("member").backpointers().map(|r| r.idx).collect();
+        assert_eq!(got, want, "{when}: backpointers of node {b}");
+    }
+}
+
+/// The bulk-built backpointers are the inverse of the tables at any
+/// bootstrap worker count, in whatever profile this runs in — and the
+/// dynamic protocol, which keeps the same relation one message at a time,
+/// picks the bulk-built state up without a seam: one join and one
+/// voluntary departure later it still holds.
+#[test]
+fn backpointers_invert_forward_pointers_through_join_and_leave() {
+    for name in ["torus", "ring"] {
+        // One point more than the bootstrap takes, for the join.
+        let space = || -> Box<dyn MetricSpace> {
+            match name {
+                "torus" => Box::new(TorusSpace::random(301, 1000.0, 41)),
+                _ => Box::new(RingSpace::random(257, 5000.0, 42)),
+            }
+        };
+        for threads in [1, 2, 4] {
+            let n0 = space().len() - 1;
+            let mut net = TapestryNetwork::bootstrap_threaded(
+                TapestryConfig::default(),
+                space(),
+                7,
+                n0,
+                threads,
+            );
+            let when = |what: &str| format!("{name}, {threads} workers, {what}");
+            assert_eq!(net.len(), n0);
+            assert_backpointers_invert_tables(&net, &when("after bootstrap"));
+            assert!(net.insert_node(n0), "dynamic join completes");
+            assert_backpointers_invert_tables(&net, &when("after a join"));
+            assert!(net.leave(n0 / 2), "voluntary departure completes");
+            assert_backpointers_invert_tables(&net, &when("after a leave"));
+        }
     }
 }
 

@@ -100,29 +100,6 @@ impl Id {
         &self.digits[..self.len as usize]
     }
 
-    /// Pack the first `len` digits into an integer key: two identifiers
-    /// agree on their first `len` digits iff their `prefix_key(len)` are
-    /// equal, and keys of different lengths never collide (a leading
-    /// sentinel digit guards the length).
-    ///
-    /// This is the grouping primitive behind the scale-path bootstrap and
-    /// invariant checks: hashing nodes by prefix key replaces pairwise
-    /// `shared_prefix_len` scans. Supported for every namespace whose
-    /// cardinality fits in `u64` (all constructible via [`Id::from_u64`]).
-    #[inline]
-    pub fn prefix_key(&self, len: usize) -> u128 {
-        assert!(len <= self.len as usize);
-        debug_assert!(
-            self.space().cardinality() < u64::MAX,
-            "prefix_key requires a namespace with u64-sized cardinality"
-        );
-        let mut k: u128 = 1;
-        for &d in &self.digits[..len] {
-            k = k * self.base as u128 + d as u128;
-        }
-        k
-    }
-
     /// Length of the longest common prefix with `other`, in digits.
     ///
     /// This is the paper's `GreatestCommonPrefix`: the level at which two
@@ -245,21 +222,6 @@ mod tests {
         fn prop_shared_prefix_symmetric(a in 0u64..(1 << 32), b in 0u64..(1 << 32)) {
             let (x, y) = (Id::from_u64(S, a), Id::from_u64(S, b));
             prop_assert_eq!(x.shared_prefix_len(&y), y.shared_prefix_len(&x));
-        }
-
-        /// prefix_key equality ⟺ digit-wise prefix equality, and keys of
-        /// different lengths never collide.
-        #[test]
-        fn prop_prefix_key_matches_shared_prefix(a in 0u64..(1 << 32), b in 0u64..(1 << 32)) {
-            let (x, y) = (Id::from_u64(S, a), Id::from_u64(S, b));
-            let p = x.shared_prefix_len(&y);
-            for l in 0..=8usize {
-                prop_assert_eq!(x.prefix_key(l) == y.prefix_key(l), l <= p);
-                if l < 8 {
-                    // Keys of different lengths never collide.
-                    prop_assert_ne!(x.prefix_key(l), x.prefix_key(l + 1));
-                }
-            }
         }
 
         #[test]

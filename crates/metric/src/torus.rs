@@ -49,6 +49,15 @@ impl TorusSpace {
         let d = (a - b).abs();
         d.min(self.side - d)
     }
+
+    /// Torus distance between two coordinate pairs — the one place the
+    /// metric is computed, so [`MetricSpace::distance`] and an index that
+    /// keeps coordinates beside its members agree to the bit.
+    pub(crate) fn between(&self, (ax, ay): (f64, f64), (bx, by): (f64, f64)) -> f64 {
+        let dx = self.axis(ax, bx);
+        let dy = self.axis(ay, by);
+        (dx * dx + dy * dy).sqrt()
+    }
 }
 
 impl MetricSpace for TorusSpace {
@@ -57,11 +66,7 @@ impl MetricSpace for TorusSpace {
     }
 
     fn distance(&self, a: PointIdx, b: PointIdx) -> f64 {
-        let (ax, ay) = self.pts[a];
-        let (bx, by) = self.pts[b];
-        let dx = self.axis(ax, bx);
-        let dy = self.axis(ay, by);
-        (dx * dx + dy * dy).sqrt()
+        self.between(self.pts[a], self.pts[b])
     }
 
     fn name(&self) -> &'static str {
