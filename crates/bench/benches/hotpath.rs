@@ -1,7 +1,8 @@
 //! Microbenchmarks of the scale-pass hot paths: surrogate-routing
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
 //! through the coordinate index vs the brute-force scan, the static
-//! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, raw engine
+//! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
+//! routing table's whole-table passes, raw engine
 //! event dispatch, the event queue at the two depths the benchmark
 //! workloads show, and the driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
@@ -92,15 +93,56 @@ fn bench_global_knowledge(c: &mut Criterion) {
     c.bench_function("core/check_property2_4096", |b| b.iter(|| black_box(net.check_property2())));
 }
 
+/// A table that has been offered `N - 1` random nodes, three to a slot.
+fn offered_table(candidates: &[NodeRef]) -> RoutingTable {
+    let mut table = RoutingTable::new(candidates[0], 16, 8);
+    for (i, &r) in candidates.iter().enumerate().skip(1) {
+        table.add_if_closer(r, (i % 997) as f64, 3);
+    }
+    table
+}
+
+fn random_refs(rng: &mut StdRng) -> Vec<NodeRef> {
+    (0..N).map(|i| NodeRef::new(i, Id::random(IdSpace::base16(), rng))).collect()
+}
+
+/// The routing table's whole-table passes: the dynamic
+/// `AddToTableIfCloser` stream that fills it, the membership test behind
+/// every eviction and failed contact, and a departed node's removal.
+fn bench_table(c: &mut Criterion) {
+    let candidates = random_refs(&mut StdRng::seed_from_u64(2));
+    c.bench_function("core/add_if_closer_dynamic_4096", |b| {
+        b.iter(|| black_box(offered_table(&candidates)))
+    });
+    let table = offered_table(&candidates);
+    let held: Vec<NodeIdx> = table.all_refs().iter().map(|r| r.idx).collect();
+    c.bench_function("core/table_contains_4096", |b| {
+        // Half the probes are held, half are not (a full scan).
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % held.len();
+            black_box(table.contains(held[i])) ^ black_box(table.contains(N + i))
+        })
+    });
+    c.bench_function("core/table_remove_node_4096", |b| {
+        // The copy is made and dropped in the untimed set-up.
+        let scratch = std::cell::RefCell::new(table.clone());
+        let mut i = 0usize;
+        b.iter_batched(
+            || *scratch.borrow_mut() = table.clone(),
+            |()| {
+                i = (i + 1) % held.len();
+                black_box(scratch.borrow_mut().remove_node(held[i]))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
 fn bench_next_hop(c: &mut Criterion) {
     let s = IdSpace::base16();
     let mut rng = StdRng::seed_from_u64(2);
-    let owner = NodeRef::new(0, Id::random(s, &mut rng));
-    let mut table = RoutingTable::new(owner, 16, 8);
-    for i in 1..N {
-        let r = NodeRef::new(i, Id::random(s, &mut rng));
-        table.add_if_closer(r, (i % 997) as f64, 3);
-    }
+    let table = offered_table(&random_refs(&mut rng));
     let targets: Vec<Id> = (0..256).map(|_| Id::random(s, &mut rng)).collect();
     c.bench_function("route/next_hop_filled_table", |b| {
         let mut i = 0usize;
@@ -227,6 +269,7 @@ criterion_group!(
     benches,
     bench_nearest,
     bench_global_knowledge,
+    bench_table,
     bench_next_hop,
     bench_engine_dispatch,
     bench_queue,

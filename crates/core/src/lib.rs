@@ -49,10 +49,10 @@ pub mod wire;
 
 pub use config::{RoutingScheme, TapestryConfig};
 pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
-pub use neighbor_set::{AddOutcome, NeighborSet};
+pub use neighbor_set::{AddOutcome, Slot};
 pub use network::{BootstrapStage, LocateHook, LocateResult, NetworkSnapshot, TapestryNetwork};
 pub use node::{BatchJoinInfo, NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
-pub use refs::NodeRef;
+pub use refs::{NodeRef, MAX_NODES};
 pub use routing_table::{Hop, RoutingTable, TableAddOutcome};
 pub use tapestry_repair::MaintenanceMode;

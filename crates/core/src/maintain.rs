@@ -208,8 +208,7 @@ impl TapestryNode {
         }
 
         // Phase 1: Leaving + replacement candidates to backpointer holders.
-        let holders: Vec<NodeRef> =
-            self.backptrs.iter().map(|(&i, &id)| NodeRef::new(i, id)).collect();
+        let holders: Vec<NodeRef> = self.backptrs.iter().collect();
         if holders.is_empty() {
             leave.finished = true;
             self.leave = Some(leave);
@@ -244,7 +243,7 @@ impl TapestryNode {
         replacements: Vec<NodeRef>,
     ) {
         self.table.remove_node(who.idx);
-        self.backptrs.remove(&who.idx);
+        self.backptrs.remove(who.idx);
         for r in replacements {
             self.consider_neighbor(ctx, r);
         }
@@ -266,7 +265,7 @@ impl TapestryNode {
         leave.pending_acks.remove(&who.idx);
         if leave.pending_acks.is_empty() && !leave.finished {
             leave.finished = true;
-            let mut all: Vec<NodeIdx> = self.backptrs.keys().copied().collect();
+            let mut all: Vec<NodeIdx> = self.backptrs.iter().map(|r| r.idx).collect();
             all.extend(self.table.all_refs().iter().map(|r| r.idx));
             all.sort_unstable();
             all.dedup();
@@ -281,7 +280,7 @@ impl TapestryNode {
     /// Final removal notice from a departing node.
     pub(crate) fn on_leave_final(&mut self, _ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef) {
         self.table.remove_node(who.idx);
-        self.backptrs.remove(&who.idx);
+        self.backptrs.remove(who.idx);
     }
 
     fn closest_other_neighbor(&self) -> Option<NodeRef> {
@@ -360,7 +359,7 @@ impl TapestryNode {
     /// Remove a failed neighbor and repair the table (§5.2).
     pub(crate) fn handle_dead_neighbor(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, dead: NodeIdx) {
         let holes = self.table.remove_node(dead);
-        self.backptrs.remove(&dead);
+        self.backptrs.remove(dead);
         self.optimize_pointers_after_change(ctx, dead);
         if holes.is_empty() {
             return;

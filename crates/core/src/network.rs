@@ -8,7 +8,7 @@ use crate::config::TapestryConfig;
 use crate::messages::{Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
-use crate::refs::NodeRef;
+use crate::refs::{Backpointers, NodeRef, MAX_NODES};
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,6 +241,9 @@ impl TapestryNetwork {
 
     fn empty(cfg: TapestryConfig, space: Box<dyn MetricSpace>, seed: u64) -> Self {
         let n = space.len();
+        // Tables and backpointer sets store node indices in 32 bits; the
+        // space is never resized, so this is the one place to refuse.
+        assert!(n <= MAX_NODES, "a network is limited to MAX_NODES = {MAX_NODES} nodes, got {n}");
         let mut rng = StdRng::seed_from_u64(seed);
         // Unique uniformly random node IDs (the paper assumes uniform,
         // collision-free names).
@@ -332,12 +335,30 @@ impl TapestryNetwork {
         let cap = self.cfg.redundancy;
         let threads = self.threads;
         let runs = PrefixRuns::new(&self.ids, members);
-        for l in 0..self.cfg.levels() {
-            let level = runs.level(l);
-            if level.is_empty() {
-                break;
+        let levels: Vec<Level> =
+            (0..self.cfg.levels()).map(|l| runs.level(l)).take_while(|lv| !lv.is_empty()).collect();
+        // How many entries each slot query below will return is known from
+        // the group sizes alone, so every table is sized once, to exactly
+        // what it will hold, instead of growing level by level.
+        let mut room = vec![0usize; self.ids.len()];
+        for (l, level) in levels.iter().enumerate() {
+            for visit in &level.visits {
+                let own = self.ids[visit.node].digit(l);
+                room[visit.node] += level
+                    .family(visit)
+                    .map(|(g, digit)| {
+                        let own = usize::from(digit == own);
+                        (cap - own).min(level.groups[g].len() - own)
+                    })
+                    .sum::<usize>();
             }
-            let indexes = group_indexes(self.engine.metric(), &runs, &level, threads);
+        }
+        for &m in members {
+            self.engine.node_mut(m).expect("just added").table_mut().make_room(room[m]);
+        }
+        drop(room);
+        for (l, level) in levels.iter().enumerate() {
+            let indexes = group_indexes(self.engine.metric(), &runs, level, threads);
             let ids = &self.ids;
             let fills: Vec<Fill> = fan_out_chunks(threads, &level.visits, |ch| {
                 let mut out = Vec::new();
@@ -360,10 +381,15 @@ impl TapestryNetwork {
             });
             drop(indexes);
             stage(BootstrapStage::LevelQueried(l));
+            // A node's fills arrive slot by slot, digits ascending, so each
+            // slot is an append: behind it lie only the owner's deeper
+            // self entries.
             for of_slot in fills.chunk_by(|x, y| (x.node, x.digit) == (y.node, y.digit)) {
                 let Fill { node, digit, .. } = of_slot[0];
                 let table = self.engine.node_mut(node).expect("just added").table_mut();
-                table.slot_mut(l, digit).extend_unbounded(
+                table.extend_unbounded(
+                    l,
+                    digit,
                     of_slot.iter().map(|f| (NodeRef::new(f.member, self.ids[f.member]), f.dist)),
                 );
             }
@@ -377,13 +403,13 @@ impl TapestryNetwork {
     /// references b}`. One `(peer, owner)` pair is emitted per table
     /// entry, the pairs are sorted once — which also makes the result
     /// independent of the emission order, hence of the worker count —
-    /// and each node's map is built in one pass from its sorted run.
+    /// and each node's vector is its sorted run, written once.
     /// The static builder's last stage; on a quiescent network, where the
     /// protocol has kept the same relation by message, it changes nothing.
     pub fn rebuild_backpointers(&mut self) {
         // One key per forward pointer, peer in the high half and owner in
-        // the low, so sorting the keys sorts by (peer, owner).
-        assert!(u32::try_from(self.ids.len()).is_ok(), "node indices fit 32 bits");
+        // the low (both fit: the network is sized under MAX_NODES), so
+        // sorting the keys sorts by (peer, owner).
         let engine = &self.engine;
         let mut keys: Vec<u64> = fan_out_chunks(self.threads, &self.members, |ch| {
             let mut out = Vec::new();
@@ -400,18 +426,15 @@ impl TapestryNetwork {
         keys.dedup();
         for &m in &self.members {
             if let Some(node) = self.engine.node_mut(m) {
-                node.backptrs.clear();
+                node.backptrs = Backpointers::default();
             }
         }
         for of_peer in keys.chunk_by(|x, y| x >> 32 == y >> 32) {
             if let Some(peer) = self.engine.node_mut((of_peer[0] >> 32) as NodeIdx) {
-                peer.backptrs = of_peer
-                    .iter()
-                    .map(|&key| {
-                        let owner = key as u32 as NodeIdx;
-                        (owner, self.ids[owner])
-                    })
-                    .collect();
+                let owners = of_peer.iter().map(|&key| key as u32);
+                peer.backptrs = Backpointers::from_sorted(
+                    owners.map(|owner| (owner, self.ids[owner as NodeIdx])).collect(),
+                );
             }
         }
     }
@@ -1182,6 +1205,54 @@ impl TapestryNetwork {
             max_table_entries: max_t,
             avg_object_ptrs: tot_p as f64 / n as f64,
             max_object_ptrs: max_p,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tapestry_metric::TorusSpace;
+
+    /// A space that only claims a size — it is refused before any point
+    /// is looked at.
+    struct Claimed(usize);
+
+    impl MetricSpace for Claimed {
+        fn len(&self) -> usize {
+            self.0
+        }
+        fn distance(&self, _: usize, _: usize) -> f64 {
+            unreachable!("refused by size")
+        }
+        fn name(&self) -> &'static str {
+            "claimed"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "limited to MAX_NODES = 4294967295")]
+    fn a_space_past_the_index_width_is_refused() {
+        TapestryNetwork::bootstrap(
+            TapestryConfig::default(),
+            Box::new(Claimed(MAX_NODES + 1)),
+            1,
+            2,
+        );
+    }
+
+    /// The static builder sizes every table and backpointer vector once,
+    /// to what it ends up holding: no growth slack survives the bootstrap.
+    #[test]
+    fn static_tables_hold_exactly_their_length() {
+        let cfg = TapestryConfig::default();
+        let net = TapestryNetwork::build(cfg, Box::new(TorusSpace::random(300, 1000.0, 7)), 7);
+        for &m in net.members() {
+            let node = net.node(m).unwrap();
+            let entries = node.table().entry_count() + cfg.levels();
+            let want =
+                32 * entries + 2 * cfg.base() * cfg.levels() + 24 * node.backpointers().count();
+            assert_eq!(node.heap_bytes(), want, "node {m}");
         }
     }
 }

@@ -2,13 +2,13 @@ use crate::config::TapestryConfig;
 use crate::messages::{Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
-use crate::refs::NodeRef;
+use crate::refs::{Backpointers, NodeRef};
 use crate::repair::RepairTask;
 use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
-use tapestry_id::{Guid, Id};
+use tapestry_id::Guid;
 use tapestry_repair::{FactKind, RepairLedger};
 use tapestry_sim::{Actor, Ctx, NodeIdx};
 use tapestry_trace::metrics;
@@ -114,7 +114,7 @@ pub struct TapestryNode {
     pub(crate) status: NodeStatus,
     pub(crate) table: RoutingTable,
     /// Nodes that keep us in their routing table (§2.1 backpointers).
-    pub(crate) backptrs: BTreeMap<NodeIdx, Id>,
+    pub(crate) backptrs: Backpointers,
     pub(crate) store: ObjectStore,
     pub(crate) op_counter: u64,
     pub(crate) insert: Option<InsertState>,
@@ -167,7 +167,7 @@ impl TapestryNode {
             me,
             status,
             table: RoutingTable::new(me, cfg.base(), cfg.levels()),
-            backptrs: BTreeMap::new(),
+            backptrs: Backpointers::default(),
             store: ObjectStore::new(),
             op_counter: 0,
             insert: None,
@@ -216,7 +216,14 @@ impl TapestryNode {
 
     /// Backpointer set (who references us).
     pub fn backpointers(&self) -> impl Iterator<Item = NodeRef> + '_ {
-        self.backptrs.iter().map(|(&idx, &id)| NodeRef::new(idx, id))
+        self.backptrs.iter()
+    }
+
+    /// Bytes of heap behind the routing mesh: the table's entry and
+    /// offset arrays and the backpointer vector, by capacity. Computed
+    /// from the containers alone, so it repeats exactly from run to run.
+    pub fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes() + self.backptrs.heap_bytes()
     }
 
     /// Voluntary departure finished — safe to remove from the engine.
@@ -370,11 +377,11 @@ impl Actor for TapestryNode {
             }
             Msg::Pointers { op, level, refs } => self.on_pointers(ctx, from, op, level, refs),
             Msg::AddedYou { me } => {
-                self.backptrs.insert(me.idx, me.id);
+                self.backptrs.insert(me);
                 self.consider_neighbor(ctx, me);
             }
             Msg::RemovedYou { me } => {
-                self.backptrs.remove(&me.idx);
+                self.backptrs.remove(me.idx);
             }
             Msg::TransferPtrs { ptrs, from: sender } => self.on_transfer_ptrs(ctx, ptrs, sender),
             Msg::TransferAck { guids } => self.on_transfer_ack(ctx, guids),
@@ -444,7 +451,7 @@ impl Actor for TapestryNode {
     fn on_contact_failed(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
         let excised = self.dead_list.contains(&peer)
             && !self.table.contains(peer)
-            && !self.backptrs.contains_key(&peer);
+            && !self.backptrs.contains(peer);
         if excised {
             return;
         }

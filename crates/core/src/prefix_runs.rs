@@ -34,6 +34,13 @@ pub(crate) struct Group {
     pub(crate) digit: u8,
 }
 
+impl Group {
+    /// How many members it has.
+    pub(crate) fn len(&self) -> usize {
+        self.run.len()
+    }
+}
+
 /// One member to visit at a level, with the groups of its family — the
 /// non-empty `(prefix, j)` groups for its own `l`-digit prefix, ascending
 /// in `j`, its own digit's group among them.

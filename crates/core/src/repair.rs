@@ -174,14 +174,14 @@ impl TapestryNode {
     /// re-query instead of a network-wide broadcast.
     fn repair_remove_dead(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
         let occupied = self.table.occupancy(peer);
-        if occupied == 0 && !self.backptrs.contains_key(&peer) {
+        if occupied == 0 && !self.backptrs.contains(peer) {
             return; // stale evidence — already removed
         }
         let holes = self.table.remove_node(peer);
         // Every occupied slot that did not become a hole had a §3 backup
         // entry step up as the new primary.
         metrics::REPAIR_PROMOTIONS.add(ctx, (occupied - holes.len()) as u64);
-        self.backptrs.remove(&peer);
+        self.backptrs.remove(peer);
         self.optimize_pointers_after_change(ctx, peer);
         let locals: Vec<_> = self.store.local_objects().collect();
         for g in locals {

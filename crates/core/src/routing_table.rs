@@ -1,5 +1,7 @@
-use crate::neighbor_set::{AddOutcome, NeighborSet};
-use crate::refs::NodeRef;
+use crate::neighbor_set::{AddOutcome, Entry, Slot};
+use crate::refs::{NodeRef, GROW_STEP};
+use std::mem::size_of;
+use std::ops::Range;
 use tapestry_id::{Id, Prefix};
 use tapestry_sim::NodeIdx;
 
@@ -32,25 +34,34 @@ pub struct TableAddOutcome {
 /// The owner appears in its own-digit slot of every level at distance 0,
 /// which makes surrogate routing's "self step" (resolving a digit without
 /// leaving the node) fall out naturally.
+///
+/// All slots share one allocation: `entries` holds them back to back,
+/// slot `s = level · base + digit` being `entries[ends[s-1]..ends[s]]`
+/// (from 0 for `s = 0`), each sorted by `(dist, idx)`. A hole costs its
+/// two bytes of `ends` and nothing else.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     owner: NodeRef,
-    base: usize,
-    levels: usize,
-    slots: Vec<NeighborSet>,
+    base: u8,
+    levels: u8,
+    entries: Vec<Entry>,
+    ends: Box<[u16]>,
 }
 
 impl RoutingTable {
     /// A fresh table containing only the owner's self entries.
     pub fn new(owner: NodeRef, base: usize, levels: usize) -> Self {
-        let mut slots = Vec::with_capacity(base * levels);
-        slots.resize_with(base * levels, NeighborSet::new);
-        let mut t = RoutingTable { owner, base, levels, slots };
+        let mut table = RoutingTable {
+            owner,
+            base: u8::try_from(base).expect("a digit is a u8, so base <= 255"),
+            levels: u8::try_from(levels).expect("an Id has at most 16 digits"),
+            entries: Vec::with_capacity(levels),
+            ends: vec![0; base * levels].into(),
+        };
         for l in 0..levels {
-            let j = owner.id.digit(l);
-            t.slot_mut(l, j).add_if_closer(owner, 0.0, usize::MAX);
+            table.insert_sorted(table.index(l, owner.id.digit(l)), Entry::new(owner, 0.0, false));
         }
-        t
+        table
     }
 
     /// The owner of this table.
@@ -60,22 +71,63 @@ impl RoutingTable {
 
     /// Digit radix.
     pub fn base(&self) -> usize {
-        self.base
+        self.base as usize
     }
 
     /// Number of levels.
     pub fn levels(&self) -> usize {
-        self.levels
+        self.levels as usize
     }
 
-    /// Immutable slot access.
-    pub fn slot(&self, level: usize, digit: u8) -> &NeighborSet {
-        &self.slots[level * self.base + digit as usize]
+    /// Bytes of heap the table holds (capacity, not length).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<Entry>() + self.ends.len() * size_of::<u16>()
     }
 
-    /// Mutable slot access.
-    pub fn slot_mut(&mut self, level: usize, digit: u8) -> &mut NeighborSet {
-        &mut self.slots[level * self.base + digit as usize]
+    /// Slot `(level, digit)`'s place in `ends`.
+    #[inline]
+    fn index(&self, level: usize, digit: u8) -> usize {
+        level * self.base() + digit as usize
+    }
+
+    /// Where slots `from..to` lie in `entries`.
+    #[inline]
+    fn span(&self, from: usize, to: usize) -> Range<usize> {
+        let lo = if from == 0 { 0 } else { self.ends[from - 1] as usize };
+        lo..self.ends[to - 1] as usize
+    }
+
+    /// Slot access.
+    #[inline]
+    pub fn slot(&self, level: usize, digit: u8) -> Slot<'_> {
+        let s = self.index(level, digit);
+        Slot { entries: &self.entries[self.span(s, s + 1)] }
+    }
+
+    fn slot_entries(&mut self, s: usize) -> &mut [Entry] {
+        let span = self.span(s, s + 1);
+        &mut self.entries[span]
+    }
+
+    /// Room for `additional` more entries, refusing what `u16` offsets
+    /// cannot address. A full table grows by [`GROW_STEP`], not by
+    /// doubling; a larger request — the static builder knows what a table
+    /// will hold before it fills it — is met exactly.
+    pub(crate) fn make_room(&mut self, additional: usize) {
+        let len = self.entries.len() + additional;
+        assert!(len <= MAX_ENTRIES, "a routing table holds at most {MAX_ENTRIES} entries");
+        if len > self.entries.capacity() {
+            self.entries.reserve_exact(additional.max(GROW_STEP));
+        }
+    }
+
+    /// Put `new` into slot `s` at its `(dist, idx)` place.
+    fn insert_sorted(&mut self, s: usize, new: Entry) {
+        self.make_room(1);
+        let span = self.span(s, s + 1);
+        let at = self.entries[span.clone()].partition_point(|e| Entry::order(e, &new).is_lt());
+        self.entries.insert(span.start + at, new);
+        self.ends[s..].iter_mut().for_each(|end| *end += 1);
     }
 
     /// The slot (level, digit) where `other` belongs in this table:
@@ -83,10 +135,7 @@ impl RoutingTable {
     /// `None` for the owner itself or an ID identical to the owner's.
     pub fn slot_for(&self, other: &Id) -> Option<(usize, u8)> {
         let p = self.owner.id.shared_prefix_len(other);
-        if p >= self.levels {
-            return None;
-        }
-        Some((p, other.digit(p)))
+        (p < self.levels()).then(|| (p, other.digit(p)))
     }
 
     /// Offer `other` to every slot it qualifies for (`AddToTableIfCloser`
@@ -103,36 +152,83 @@ impl RoutingTable {
     /// routing decisions and hole patterns are unaffected.
     pub fn add_if_closer(&mut self, other: NodeRef, dist: f64, capacity: usize) -> TableAddOutcome {
         let mut outcome = TableAddOutcome::default();
-        let Some((p, j)) = self.slot_for(&other.id) else {
+        let Some((p, _)) = self.slot_for(&other.id) else {
             return outcome;
         };
-        let mut offer = |slot: &mut NeighborSet| match slot.add_if_closer(other, dist, capacity) {
-            AddOutcome::Added { evicted, .. } => {
+        for l in 0..=p {
+            let s = self.index(l, other.id.digit(l));
+            if let AddOutcome::Added { evicted, .. } = self.offer(s, other, dist, capacity) {
                 outcome.newly_added = true;
-                if let Some(e) = evicted {
-                    outcome.evicted.push(e);
-                }
+                outcome.evicted.extend(evicted);
             }
-            AddOutcome::AlreadyPresent | AddOutcome::Rejected => {}
-        };
-        for l in 0..p {
-            offer(&mut self.slots[l * self.base + other.id.digit(l) as usize]);
         }
-        offer(&mut self.slots[p * self.base + j as usize]);
         outcome
     }
 
-    /// Insert `other` pinned (multicast in progress, §4.4).
-    pub fn add_pinned(&mut self, other: NodeRef, dist: f64) {
-        if let Some((l, j)) = self.slot_for(&other.id) {
-            self.slot_mut(l, j).add_pinned(other, dist);
+    /// Offer `nref` to slot `s` alone; keep the closest `cap` entries
+    /// (`AddToTableIfCloser`). Pinned entries never count against
+    /// eviction and are never evicted.
+    pub(crate) fn offer(&mut self, s: usize, nref: NodeRef, dist: f64, cap: usize) -> AddOutcome {
+        let slot = self.slot_entries(s);
+        if let Some(e) = slot.iter_mut().find(|e| e.is(nref.idx)) {
+            e.dist = dist;
+            slot.sort_by(Entry::order);
+            return AddOutcome::AlreadyPresent;
+        }
+        let new = Entry::new(nref, dist, false);
+        if slot.iter().filter(|e| !e.pinned).count() >= cap {
+            // Full: admit only if closer than the farthest unpinned
+            // entry — the last one, the slot being sorted by (dist, idx).
+            let far = slot.iter().rposition(|e| !e.pinned).expect("unpinned >= capacity >= 1");
+            if slot[far].dist <= dist {
+                return AddOutcome::Rejected;
+            }
+            let evicted = std::mem::replace(&mut slot[far], new).nref();
+            slot.sort_by(Entry::order);
+            return AddOutcome::Added { evicted: Some(evicted), filled_hole: false };
+        }
+        let filled_hole = slot.is_empty();
+        self.insert_sorted(s, new);
+        AddOutcome::Added { evicted: None, filled_hole }
+    }
+
+    /// Add `closest` — nodes not yet in slot `(level, digit)` — with no
+    /// capacity bound: what offering each in turn with unbounded capacity
+    /// leaves. The static builder fills slots in ascending order, so this
+    /// is an append but for the owner's deeper self entries.
+    pub(crate) fn extend_unbounded(
+        &mut self,
+        level: usize,
+        digit: u8,
+        closest: impl ExactSizeIterator<Item = (NodeRef, f64)>,
+    ) {
+        let s = self.index(level, digit);
+        self.make_room(closest.len());
+        for (nref, dist) in closest {
+            debug_assert!(!self.slot(level, digit).contains(nref.idx), "new nodes only");
+            self.insert_sorted(s, Entry::new(nref, dist, false));
         }
     }
 
-    /// Unpin `other` everywhere it could be pinned.
+    /// Insert `other` pinned (multicast in progress, §4.4). If already
+    /// present it becomes pinned in place.
+    pub fn add_pinned(&mut self, other: NodeRef, dist: f64) {
+        let Some((l, j)) = self.slot_for(&other.id) else { return };
+        let s = self.index(l, j);
+        match self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
+            Some(e) => e.pinned = true,
+            None => self.insert_sorted(s, Entry::new(other, dist, true)),
+        }
+    }
+
+    /// Unpin `other` (its introducing multicast was acknowledged). The
+    /// entry remains as a regular neighbor; a later `add_if_closer` may
+    /// evict it normally.
     pub fn unpin(&mut self, other: &NodeRef) {
-        if let Some((l, j)) = self.slot_for(&other.id) {
-            self.slot_mut(l, j).unpin(other.idx);
+        let Some((l, j)) = self.slot_for(&other.id) else { return };
+        let s = self.index(l, j);
+        if let Some(e) = self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
+            e.pinned = false;
         }
     }
 
@@ -141,33 +237,42 @@ impl RoutingTable {
     /// must repair or justify (no matching nodes remain anywhere).
     pub fn remove_node(&mut self, idx: NodeIdx) -> Vec<(usize, u8)> {
         let mut new_holes = Vec::new();
-        for l in 0..self.levels {
-            for j in 0..self.base as u8 {
-                let s = self.slot_mut(l, j);
-                if s.remove(idx) && s.is_empty() {
-                    new_holes.push((l, j));
-                }
+        let mut at = 0;
+        // One scan; a node sits in a slot at most once and in at most
+        // `levels` slots, so the tail moves a handful of times.
+        while let Some(found) = self.entries[at..].iter().position(|e| e.is(idx)) {
+            at += found;
+            let s = self.ends.partition_point(|&end| end as usize <= at);
+            if self.span(s, s + 1).len() == 1 {
+                new_holes.push((s / self.base(), (s % self.base()) as u8));
             }
+            self.entries.remove(at);
+            self.ends[s..].iter_mut().for_each(|end| *end -= 1);
         }
         new_holes
     }
 
     /// Does any slot reference `idx`?
     pub fn contains(&self, idx: NodeIdx) -> bool {
-        self.slots.iter().any(|s| s.contains(idx))
+        self.entries.iter().any(|e| e.is(idx))
     }
 
     /// Number of slots referencing `idx` — removal's backup-promotion
     /// accounting (slots occupied minus holes created = slots where a
     /// backup entry was promoted to primary, §3 redundancy).
     pub fn occupancy(&self, idx: NodeIdx) -> usize {
-        self.slots.iter().filter(|s| s.contains(idx)).count()
+        self.entries.iter().filter(|e| e.is(idx)).count()
+    }
+
+    /// The entries of `span` other than the owner's self entries.
+    fn others(&self, span: Range<usize>) -> impl Iterator<Item = NodeRef> + '_ {
+        self.entries[span].iter().filter(|e| !e.is(self.owner.idx)).map(Entry::nref)
     }
 
     /// Every slot entry other than the owner's self entries, slot by slot
     /// (a node in several slots is yielded once per slot).
     pub fn refs(&self) -> impl Iterator<Item = NodeRef> + '_ {
-        self.slots.iter().flat_map(|s| s.iter()).filter(|r| r.idx != self.owner.idx)
+        self.others(0..self.entries.len())
     }
 
     /// Every distinct node referenced by the table (excluding the owner),
@@ -179,12 +284,8 @@ impl RoutingTable {
     /// Neighbors at one level (the forward pointers `GetNextList` asks
     /// for), excluding the owner, ascending by index.
     pub fn level_refs(&self, level: usize) -> Vec<NodeRef> {
-        distinct_by_idx(
-            (0..self.base as u8)
-                .flat_map(|j| self.slot(level, j).iter())
-                .filter(|r| r.idx != self.owner.idx)
-                .collect(),
-        )
+        let span = self.span(level * self.base(), (level + 1) * self.base());
+        distinct_by_idx(self.others(span).collect())
     }
 
     /// Total number of neighbor entries (the paper's space measure),
@@ -196,7 +297,7 @@ impl RoutingTable {
     /// Slots at `level` that are empty — candidate holes for the watch
     /// list of Fig. 11.
     pub fn holes_at(&self, level: usize) -> Vec<u8> {
-        (0..self.base as u8).filter(|&j| self.slot(level, j).is_empty()).collect()
+        (0..self.base() as u8).filter(|&j| self.slot(level, j).is_empty()).collect()
     }
 
     /// Tapestry-native surrogate routing (§2.3): starting with `level`
@@ -212,11 +313,11 @@ impl RoutingTable {
         // plain slice read (the digits were materialized when the Id was
         // built — nothing is unpacked per hop).
         let digits = target.digits();
-        while level < self.levels {
+        while level < self.levels() {
             let want = digits[level] as usize;
             let mut chosen = None;
-            for off in 0..self.base {
-                let j = ((want + off) % self.base) as u8;
+            for off in 0..self.base() {
+                let j = ((want + off) % self.base()) as u8;
                 if let Some(p) = self.slot(level, j).primary(exclude) {
                     chosen = Some(p);
                     break;
@@ -253,10 +354,10 @@ impl RoutingTable {
         mut past_hole: bool,
     ) -> (Hop, bool) {
         let digits = target.digits();
-        while level < self.levels {
+        while level < self.levels() {
             let choice = if past_hole {
                 // Numerically highest filled digit.
-                (0..self.base as u8)
+                (0..self.base() as u8)
                     .rev()
                     .find_map(|j| self.slot(level, j).primary(exclude).map(|p| (j, p)))
             } else {
@@ -267,9 +368,9 @@ impl RoutingTable {
                         // First hole: most significant matching bits, ties
                         // to the numerically higher digit.
                         past_hole = true;
-                        (0..self.base as u8)
+                        (0..self.base() as u8)
                             .filter_map(|j| self.slot(level, j).primary(exclude).map(|p| (j, p)))
-                            .max_by_key(|&(j, _)| (digit_match_bits(want, j, self.base), j))
+                            .max_by_key(|&(j, _)| (digit_match_bits(want, j, self.base()), j))
                     }
                 }
             };
@@ -287,10 +388,9 @@ impl RoutingTable {
     /// exact condition Theorem 2's proof requires of Property 1.
     pub fn consistent_with(&self, peer: &RoutingTable) -> bool {
         let p = self.owner.id.shared_prefix_len(&peer.owner.id);
-        if p >= self.levels {
-            return true;
-        }
-        (0..self.base as u8).all(|j| self.slot(p, j).is_empty() == peer.slot(p, j).is_empty())
+        p >= self.levels()
+            || (0..self.base() as u8)
+                .all(|j| self.slot(p, j).is_empty() == peer.slot(p, j).is_empty())
     }
 
     /// The prefix naming slot `(level, digit)`: `owner[0..level] · digit`.
@@ -298,6 +398,9 @@ impl RoutingTable {
         self.owner.id.prefix(level).extend(digit)
     }
 }
+
+/// Most entries one table can hold: slot boundaries are `u16` offsets.
+const MAX_ENTRIES: usize = u16::MAX as usize;
 
 /// Sort by node index and drop repeats. The index alone identifies a
 /// node, so the 18-byte `Id` never enters a comparison.
@@ -570,5 +673,299 @@ mod tests {
         // Only self entries: every level resolves through the owner.
         let (hop, _) = t.next_hop_prr(&Id::from_u64(S, 0x5000_0000), 0, None, false);
         assert_eq!(hop, Hop::Root);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 entries")]
+    fn a_table_past_its_offset_width_fails_loudly() {
+        // One self entry + 65 535 offered = one more than `ends` can
+        // address; refused before anything is stored.
+        let mut t = RoutingTable::new(nref(0, 0x4227_0000), 16, 1);
+        let many = (1..1 + u16::MAX as usize).map(|i| (nref(i, 0x5000_0000 + i as u64), 1.0));
+        t.extend_unbounded(0, 5, many);
+    }
+
+    // ---------------- model test: the layout this table replaced ----------------
+
+    #[derive(Debug, Clone, Copy)]
+    struct ModelEntry {
+        nref: NodeRef,
+        dist: f64,
+        pinned: bool,
+    }
+
+    /// One owned, sorted `Vec` per slot — the previous representation,
+    /// with its mutation logic kept verbatim as the reference.
+    struct Model {
+        owner: NodeRef,
+        base: usize,
+        levels: usize,
+        slots: Vec<Vec<ModelEntry>>,
+    }
+
+    fn model_sort(slot: &mut [ModelEntry]) {
+        slot.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap().then(a.nref.idx.cmp(&b.nref.idx)));
+    }
+
+    fn model_offer(slot: &mut Vec<ModelEntry>, nref: NodeRef, dist: f64, cap: usize) -> AddOutcome {
+        if let Some(e) = slot.iter_mut().find(|e| e.nref.idx == nref.idx) {
+            e.dist = dist;
+            model_sort(slot);
+            return AddOutcome::AlreadyPresent;
+        }
+        let filled_hole = slot.is_empty();
+        if slot.iter().filter(|e| !e.pinned).count() >= cap {
+            let farthest = slot
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| !e.pinned)
+                // Sorted by (dist, idx) and max_by keeps the last of
+                // equals: the highest (dist, idx) without a .then.
+                // tapestry-lint: allow(float-tiebreak)
+                .max_by(|a, b| a.1.dist.partial_cmp(&b.1.dist).unwrap())
+                .map(|(i, _)| i)
+                .expect("unpinned >= capacity >= 1");
+            if slot[farthest].dist <= dist {
+                return AddOutcome::Rejected;
+            }
+            let evicted = slot.remove(farthest).nref;
+            slot.push(ModelEntry { nref, dist, pinned: false });
+            model_sort(slot);
+            return AddOutcome::Added { evicted: Some(evicted), filled_hole: false };
+        }
+        slot.push(ModelEntry { nref, dist, pinned: false });
+        model_sort(slot);
+        AddOutcome::Added { evicted: None, filled_hole }
+    }
+
+    impl Model {
+        fn new(owner: NodeRef, base: usize, levels: usize) -> Self {
+            let mut m = Model { owner, base, levels, slots: vec![Vec::new(); base * levels] };
+            for l in 0..levels {
+                model_offer(
+                    &mut m.slots[l * base + owner.id.digit(l) as usize],
+                    owner,
+                    0.0,
+                    usize::MAX,
+                );
+            }
+            m
+        }
+
+        fn slot_of(&mut self, other: &Id) -> Option<&mut Vec<ModelEntry>> {
+            let p = self.owner.id.shared_prefix_len(other);
+            (p < self.levels).then(|| &mut self.slots[p * self.base + other.digit(p) as usize])
+        }
+
+        fn add_if_closer(&mut self, other: NodeRef, dist: f64, cap: usize) -> (bool, Vec<NodeRef>) {
+            let p = self.owner.id.shared_prefix_len(&other.id);
+            let (mut newly_added, mut evicted) = (false, Vec::new());
+            if p >= self.levels {
+                return (newly_added, evicted);
+            }
+            for l in 0..=p {
+                let slot = &mut self.slots[l * self.base + other.id.digit(l) as usize];
+                if let AddOutcome::Added { evicted: e, .. } = model_offer(slot, other, dist, cap) {
+                    newly_added = true;
+                    evicted.extend(e);
+                }
+            }
+            (newly_added, evicted)
+        }
+
+        fn add_pinned(&mut self, other: NodeRef, dist: f64) {
+            let Some(slot) = self.slot_of(&other.id) else { return };
+            match slot.iter_mut().find(|e| e.nref.idx == other.idx) {
+                Some(e) => e.pinned = true,
+                None => {
+                    slot.push(ModelEntry { nref: other, dist, pinned: true });
+                    model_sort(slot);
+                }
+            }
+        }
+
+        fn unpin(&mut self, other: &NodeRef) {
+            if let Some(e) =
+                self.slot_of(&other.id).and_then(|s| s.iter_mut().find(|e| e.nref.idx == other.idx))
+            {
+                e.pinned = false;
+            }
+        }
+
+        fn remove_node(&mut self, idx: NodeIdx) -> Vec<(usize, u8)> {
+            let mut new_holes = Vec::new();
+            for (s, slot) in self.slots.iter_mut().enumerate() {
+                let before = slot.len();
+                slot.retain(|e| e.nref.idx != idx);
+                if slot.len() != before && slot.is_empty() {
+                    new_holes.push((s / self.base, (s % self.base) as u8));
+                }
+            }
+            new_holes
+        }
+
+        fn extend_unbounded(&mut self, level: usize, digit: u8, closest: &[(NodeRef, f64)]) {
+            let slot = &mut self.slots[level * self.base + digit as usize];
+            slot.extend(closest.iter().map(|&(nref, dist)| ModelEntry {
+                nref,
+                dist,
+                pinned: false,
+            }));
+            model_sort(slot);
+        }
+
+        fn others(&self, slots: std::ops::Range<usize>) -> Vec<NodeRef> {
+            let all = self.slots[slots].iter().flatten().map(|e| e.nref);
+            all.filter(|r| r.idx != self.owner.idx).collect()
+        }
+
+        fn next_hop(&self, target: &Id, mut level: usize, exclude: Option<NodeIdx>) -> Hop {
+            while level < self.levels {
+                let want = target.digit(level) as usize;
+                let primary = (0..self.base).find_map(|off| {
+                    let slot = &self.slots[level * self.base + (want + off) % self.base];
+                    slot.iter().find(|e| Some(e.nref.idx) != exclude).map(|e| e.nref)
+                });
+                match primary {
+                    None => return Hop::Root,
+                    Some(p) if p.idx == self.owner.idx => level += 1,
+                    Some(p) => return Hop::Forward(p, level + 1),
+                }
+            }
+            Hop::Root
+        }
+    }
+
+    /// The flat layout's own invariants.
+    fn debug_validate(t: &RoutingTable) {
+        assert_eq!(t.ends.len(), t.base() * t.levels());
+        assert!(t.ends.windows(2).all(|w| w[0] <= w[1]), "offsets are monotone");
+        assert_eq!(
+            t.ends.last().map(|&e| e as usize),
+            Some(t.entries.len()),
+            "and end at the length"
+        );
+        for l in 0..t.levels() {
+            for j in 0..t.base() as u8 {
+                let slot = t.slot(l, j).entries;
+                assert!(
+                    slot.windows(2).all(|w| Entry::order(&w[0], &w[1]).is_lt()),
+                    "slot ({l},{j}) is sorted by (dist, idx)"
+                );
+                for (i, e) in slot.iter().enumerate() {
+                    let r = e.nref();
+                    assert!(!slot[..i].iter().any(|o| o.is(r.idx)), "{r} twice in slot ({l},{j})");
+                    assert!(
+                        r.id.shared_prefix_len(&t.owner.id) >= l && r.id.digit(l) == j,
+                        "{r} does not belong in slot ({l},{j}) of {}",
+                        t.owner
+                    );
+                }
+            }
+        }
+    }
+
+    fn by_idx(mut refs: Vec<NodeRef>) -> Vec<NodeRef> {
+        refs.sort();
+        refs.dedup();
+        refs
+    }
+
+    /// Everything observable about the table equals the model's.
+    fn assert_same(t: &RoutingTable, m: &Model, rng: &mut impl rand::Rng, ids: &[NodeRef]) {
+        debug_validate(t);
+        let (base, levels) = (m.base, m.levels);
+        for l in 0..levels {
+            for j in 0..base {
+                let got: Vec<_> = t
+                    .slot(l, j as u8)
+                    .entries
+                    .iter()
+                    .map(|e| (e.nref(), e.dist.to_bits(), e.pinned))
+                    .collect();
+                let want: Vec<_> = m.slots[l * base + j]
+                    .iter()
+                    .map(|e| (e.nref, e.dist.to_bits(), e.pinned))
+                    .collect();
+                assert_eq!(got, want, "slot ({l},{j})");
+            }
+            assert_eq!(t.level_refs(l), by_idx(m.others(l * base..(l + 1) * base)), "level {l}");
+        }
+        let all = m.others(0..base * levels);
+        assert_eq!(t.entry_count(), all.len());
+        assert_eq!(t.refs().collect::<Vec<_>>(), all);
+        assert_eq!(t.all_refs(), by_idx(all));
+        for r in ids {
+            let occupancy =
+                m.slots.iter().filter(|s| s.iter().any(|e| e.nref.idx == r.idx)).count();
+            assert_eq!(t.occupancy(r.idx), occupancy);
+            assert_eq!(t.contains(r.idx), occupancy > 0);
+        }
+        for _ in 0..16 {
+            let target = ids[rng.gen_range(0..ids.len())].id;
+            let level = rng.gen_range(0..levels);
+            let exclude = rng.gen_bool(0.3).then(|| ids[rng.gen_range(0..ids.len())].idx);
+            assert_eq!(t.next_hop(&target, level, exclude), m.next_hop(&target, level, exclude));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random mutation sequences leave the flat table and the
+        /// per-slot model in the same state, with the same return values.
+        #[test]
+        fn flat_table_matches_the_per_slot_model(seed in 0u64..u64::MAX, steps in 20usize..120) {
+            use rand::{Rng, SeedableRng};
+            // A 4 × 4 mesh over 256 names: prefixes collide often, so
+            // the nested own-digit slots and evictions see real traffic.
+            let space = IdSpace::new(4, 4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let ids: Vec<NodeRef> =
+                (0..256usize).map(|v| NodeRef::new(v, Id::from_u64(space, v as u64))).collect();
+            let owner = ids[rng.gen_range(0..ids.len())];
+            let mut t = RoutingTable::new(owner, 4, 4);
+            let mut m = Model::new(owner, 4, 4);
+            assert_same(&t, &m, &mut rng, &ids);
+            for _ in 0..steps {
+                let r = ids[rng.gen_range(0..ids.len())];
+                // Few distinct values: equal distances are the common case.
+                let dist = [0.0, 1.0, 1.0, 2.0, 2.5, 4.0][rng.gen_range(0..6usize)];
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let cap = rng.gen_range(1..=4);
+                        let got = t.add_if_closer(r, dist, cap);
+                        assert_eq!((got.newly_added, got.evicted), m.add_if_closer(r, dist, cap));
+                    }
+                    5 => {
+                        t.add_pinned(r, dist);
+                        m.add_pinned(r, dist);
+                    }
+                    6 => {
+                        t.unpin(&r);
+                        m.unpin(&r);
+                    }
+                    7 | 8 => assert_eq!(t.remove_node(r.idx), m.remove_node(r.idx)),
+                    _ => {
+                        // Up to three nodes of one slot that are not in it yet.
+                        let (l, j) = (rng.gen_range(0..4usize), rng.gen_range(0..4u8));
+                        let mut fresh: Vec<(NodeRef, f64)> = Vec::new();
+                        for _ in 0..3 {
+                            let c = ids[rng.gen_range(0..ids.len())];
+                            let fits = c.idx != owner.idx
+                                && c.id.shared_prefix_len(&owner.id) >= l
+                                && c.id.digit(l) == j;
+                            let held = t.slot(l, j).contains(c.idx) || fresh.iter().any(|f| f.0 == c);
+                            if fits && !held {
+                                fresh.push((c, dist + fresh.len() as f64 * 0.5));
+                            }
+                        }
+                        t.extend_unbounded(l, j, fresh.iter().copied());
+                        m.extend_unbounded(l, j, &fresh);
+                    }
+                }
+                assert_same(&t, &m, &mut rng, &ids);
+            }
+        }
     }
 }

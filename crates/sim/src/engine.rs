@@ -117,35 +117,25 @@ impl<M, T> Ctx<'_, M, T> {
     }
 }
 
+/// What happens at a node. The node itself is not stored here: it is the
+/// queue's node key, handed back by every pop.
 enum Event<M, T> {
     Deliver {
         from: NodeIdx,
-        to: NodeIdx,
         msg: M,
     },
     Fire {
-        node: NodeIdx,
         timer: T,
     },
-    /// Failure notice: a message `node` sent to `peer` found it dead.
+    /// Failure notice: a message the node sent to `peer` found it dead.
     /// Scheduled only when failure notices are enabled; arrives after the
     /// round trip (the sender learns by its own timeout/ICMP analogue).
     ContactFailed {
-        node: NodeIdx,
         peer: NodeIdx,
     },
 }
 
 impl<M, T> Event<M, T> {
-    /// The node the event fires on — the queue's node key.
-    fn target(&self) -> NodeIdx {
-        match *self {
-            Event::Deliver { to, .. } => to,
-            Event::Fire { node, .. } => node,
-            Event::ContactFailed { node, .. } => node,
-        }
-    }
-
     /// Index into the per-kind event counters (see [`EVENT_KINDS`]).
     fn kind_idx(&self) -> usize {
         match *self {
@@ -365,7 +355,7 @@ impl<A: Actor> Engine<A> {
     /// after the processing delay.
     pub fn inject(&mut self, to: NodeIdx, msg: A::Msg) {
         let at = self.now + self.proc_delay;
-        self.push(at, Event::Deliver { from: EXTERNAL, to, msg });
+        self.push(at, to, Event::Deliver { from: EXTERNAL, msg });
     }
 
     /// True when no events remain.
@@ -383,9 +373,10 @@ impl<A: Actor> Engine<A> {
         self.queue.shard_count()
     }
 
-    fn push(&mut self, at: SimTime, ev: Event<A::Msg, A::Timer>) {
+    /// Schedule `ev` to happen at `node` at time `at`.
+    fn push(&mut self, at: SimTime, node: NodeIdx, ev: Event<A::Msg, A::Timer>) {
         self.seq += 1;
-        self.queue.push(at, self.seq, ev.target(), ev);
+        self.queue.push(at, self.seq, node, ev);
     }
 
     /// Total events processed since construction.
@@ -428,11 +419,11 @@ impl<A: Actor> Engine<A> {
                 self.stats.messages += 1;
                 self.stats.distance += d;
                 let at = self.now + self.proc_delay + SimTime::from_distance(d);
-                self.push(at, Event::Deliver { from: node, to, msg });
+                self.push(at, to, Event::Deliver { from: node, msg });
             }
             Effect::Timer { delay, timer } => {
                 let at = self.now + delay;
-                self.push(at, Event::Fire { node, timer });
+                self.push(at, node, Event::Fire { timer });
             }
             Effect::Notify => {
                 if !std::mem::replace(&mut self.listed[node], true) {
@@ -477,7 +468,7 @@ impl<A: Actor> Engine<A> {
                 if self.failure_notices && from != EXTERNAL {
                     let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
                     let at = self.now + self.proc_delay + SimTime::from_distance(d);
-                    self.push(at, Event::ContactFailed { node: from, peer: node });
+                    self.push(at, from, Event::ContactFailed { peer: node });
                 }
             }
             return true;
@@ -498,12 +489,12 @@ impl<A: Actor> Engine<A> {
             out: &mut out,
         };
         match ev {
-            Event::Deliver { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
-            Event::Fire { timer, .. } => {
+            Event::Deliver { from, msg } => actor.on_message(&mut ctx, from, msg),
+            Event::Fire { timer } => {
                 ctx.stats.timers += 1;
                 actor.on_timer(&mut ctx, timer);
             }
-            Event::ContactFailed { peer, .. } => actor.on_contact_failed(&mut ctx, peer),
+            Event::ContactFailed { peer } => actor.on_contact_failed(&mut ctx, peer),
         }
         if let Some(t0) = started {
             self.handler_ns[kind].record(t0.elapsed().as_nanos() as u64);

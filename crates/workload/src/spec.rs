@@ -5,7 +5,7 @@
 
 use crate::churn::ChurnSpec;
 use crate::traffic::{Arrival, Popularity};
-use tapestry_core::{MaintenanceMode, TapestryConfig};
+use tapestry_core::{MaintenanceMode, TapestryConfig, MAX_NODES};
 use tapestry_membership::BatchPolicy;
 use tapestry_metric::{GridSpace, MetricSpace, TorusSpace, TransitStubSpace};
 use tapestry_sim::SimTime;
@@ -347,6 +347,12 @@ impl ScenarioSpec {
                 self.capacity, self.initial_nodes
             ));
         }
+        if self.capacity > MAX_NODES {
+            return Err(format!(
+                "capacity {} above the {MAX_NODES} nodes one network can hold",
+                self.capacity
+            ));
+        }
         if self.objects == 0 {
             return Err("catalog must hold at least one object".into());
         }
@@ -475,5 +481,13 @@ mod tests {
             correlated: false,
         });
         assert!(mf.validate().is_err(), "cannot kill everyone");
+    }
+
+    #[test]
+    fn validation_rejects_a_capacity_past_the_index_width() {
+        let base = || ScenarioSpec::new("x").phase(PhaseSpec::new("p", SimTime(100)));
+        assert!(base().capacity(MAX_NODES).validate().is_ok());
+        let err = base().capacity(MAX_NODES + 1).validate().unwrap_err();
+        assert!(err.contains("4294967295"), "names the limit: {err}");
     }
 }
