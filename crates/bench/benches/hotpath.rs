@@ -2,7 +2,8 @@
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
 //! through the coordinate index vs the brute-force scan, the static
 //! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
-//! routing table's whole-table passes, raw engine
+//! routing table's whole-table passes, name comparison and the object
+//! store at the size a node's is, raw engine
 //! event dispatch, the event queue at the two depths the benchmark
 //! workloads show, and the driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
@@ -11,7 +12,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tapestry_core::{NodeRef, RoutingTable, TapestryConfig, TapestryNetwork};
+use tapestry_core::{
+    NodeRef, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
+};
+use tapestry_id::Guid;
 use tapestry_id::{Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
 use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimTime};
@@ -91,6 +95,74 @@ fn bench_global_knowledge(c: &mut Criterion) {
     c.bench_function("core/backpointers_4096", |b| b.iter(|| net.rebuild_backpointers()));
     c.bench_function("core/check_property1_4096", |b| b.iter(|| black_box(net.check_property1())));
     c.bench_function("core/check_property2_4096", |b| b.iter(|| black_box(net.check_property2())));
+    bench_store(c, net);
+}
+
+/// The object store as a node of the 4 096-node mesh holds it after
+/// `N / 2` objects were published: one lookup that finds its pointers,
+/// and depositing every pointer of the mesh into empty stores (one
+/// iteration is all of them, node by node).
+fn bench_store(c: &mut Criterion, mut net: TapestryNetwork) {
+    for _ in 0..N / 2 {
+        let (server, guid) = (net.random_member(), net.random_guid());
+        net.publish(server, guid);
+    }
+    let now = net.engine().now();
+    let stores: Vec<&ObjectStore> =
+        net.members().iter().map(|&m| net.node(m).expect("member").store()).collect();
+    let held: Vec<(usize, Guid, PtrEntry)> = stores
+        .iter()
+        .enumerate()
+        .flat_map(|(at, st)| st.iter().map(move |(g, e)| (at, g, *e)))
+        .collect();
+    c.bench_function("store/lookup_hit_4096", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 61) % held.len();
+            let (at, guid, _) = held[i];
+            black_box(stores[at].lookup(black_box(guid), now).count())
+        })
+    });
+    c.bench_function("store/deposit_4096", |b| {
+        b.iter(|| {
+            let mut fresh = vec![ObjectStore::new(); N];
+            for &(at, guid, entry) in &held {
+                fresh[at].deposit(guid, entry);
+            }
+            black_box(fresh)
+        })
+    });
+}
+
+/// Names as the routing and bootstrap loops use them: where two names
+/// diverge, and which sorts first. Half the pairs share a few digits.
+fn bench_id(c: &mut Criterion) {
+    let s = IdSpace::base16();
+    let mut rng = StdRng::seed_from_u64(3);
+    let pairs: Vec<(Id, Id)> = (0..256)
+        .map(|i| {
+            let a = Id::random(s, &mut rng);
+            let mut b = Id::random(s, &mut rng);
+            for l in 0..i % 8 {
+                b = b.with_digit(l, a.digit(l));
+            }
+            (a, b)
+        })
+        .collect();
+    c.bench_function("id/shared_prefix_len", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % pairs.len();
+            black_box(black_box(&pairs[i].0).shared_prefix_len(black_box(&pairs[i].1)))
+        })
+    });
+    c.bench_function("id/cmp", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % pairs.len();
+            black_box(black_box(&pairs[i].0).cmp(black_box(&pairs[i].1)))
+        })
+    });
 }
 
 /// A table that has been offered `N - 1` random nodes, three to a slot.
@@ -270,6 +342,7 @@ criterion_group!(
     bench_nearest,
     bench_global_knowledge,
     bench_table,
+    bench_id,
     bench_next_hop,
     bench_engine_dispatch,
     bench_queue,

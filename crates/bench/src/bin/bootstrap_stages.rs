@@ -1,6 +1,7 @@
-//! Host seconds of each stage of the static bootstrap and of the two
-//! Property sweeps, then what the mesh costs in memory — the stage table
-//! and the bytes-per-node table in README *Performance*.
+//! Host seconds of each stage of the static bootstrap, of the two
+//! Property sweeps and of publishing a catalog of `nodes / 2` objects,
+//! then what the mesh and the pointers cost in memory — the stage table
+//! and the bytes-per-node tables in README *Performance*.
 //!
 //!   bootstrap_stages [--nodes N]
 //!
@@ -12,8 +13,13 @@
 //! repetition's, for the same reason the other way round: a heap earlier
 //! repetitions have grown says nothing about one mesh.
 
+use std::mem::size_of;
 use std::time::Instant;
-use tapestry_core::{BootstrapStage, TapestryConfig, TapestryNetwork, TapestryNode};
+use tapestry_core::{
+    BootstrapStage, Msg, NodeRef, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
+    TapestryNode,
+};
+use tapestry_id::Id;
 use tapestry_metric::TorusSpace;
 
 const SEED: u64 = 42;
@@ -66,7 +72,7 @@ fn main() {
             (0.0, 0.0, 0.0, 0.0, 0.0);
         let start = Instant::now();
         let mut last = start;
-        let net = TapestryNetwork::bootstrap_observed(
+        let mut net = TapestryNetwork::bootstrap_observed(
             TapestryConfig::default(),
             Box::new(space),
             SEED,
@@ -93,9 +99,17 @@ fn main() {
         let violations = net.check_property1().len();
         let p1_secs = t.elapsed().as_secs_f64();
         let after_sweeps = resident_mb();
+        let t = Instant::now();
+        for _ in 0..nodes / 2 {
+            let (server, guid) = (net.random_member(), net.random_guid());
+            net.publish(server, guid);
+        }
+        let publish_secs = t.elapsed().as_secs_f64();
+        let after_publish = resident_mb();
         let members = || net.members().iter().map(|&m| net.node(m).expect("member"));
         let entries: usize = members().map(|n| n.table().entry_count()).sum();
         let backpointers: usize = members().map(|n| n.backpointers().count()).sum();
+        let pointers: usize = members().map(|n| n.store().ptr_count()).sum();
         if rep == 0 {
             let filled: usize = members()
                 .map(|n| {
@@ -107,11 +121,22 @@ fn main() {
                 })
                 .sum();
             let heap: usize = members().map(TapestryNode::heap_bytes).sum();
+            let store_heap: usize = members().map(|n| n.store().heap_bytes()).sum();
             let mean = |total: usize| total as f64 / nodes as f64;
             memory = vec![
                 resident_row("after bootstrap", after_bootstrap, nodes),
                 resident_row("after the sweeps", after_sweeps, nodes),
-                format!("  size_of::<TapestryNode>() {} B", std::mem::size_of::<TapestryNode>()),
+                resident_row("after the publish", after_publish, nodes),
+                format!(
+                    "  size_of: Id {} B, table entry {} B, NodeRef {} B, PtrEntry {} B, Msg {} B, \
+                     TapestryNode {} B",
+                    size_of::<Id>(),
+                    RoutingTable::ENTRY_BYTES,
+                    size_of::<NodeRef>(),
+                    size_of::<PtrEntry>(),
+                    size_of::<Msg>(),
+                    size_of::<TapestryNode>()
+                ),
                 format!(
                     "  mean per node: {:.1} table entries in {:.1} filled slots, {:.1} backpointers",
                     mean(entries),
@@ -119,6 +144,12 @@ fn main() {
                     mean(backpointers)
                 ),
                 format!("  heap_bytes/node {:.0}", mean(heap)),
+                format!(
+                    "  store heap_bytes/node {:.0}, per pointer {:.1} ({pointers} pointers of {} objects)",
+                    mean(store_heap),
+                    store_heap as f64 / pointers as f64,
+                    nodes / 2
+                ),
             ];
         }
         rows = vec![
@@ -130,6 +161,7 @@ fn main() {
             ("bootstrap".into(), bootstrap),
             (format!("check_property2 ({optimal}/{total} slots optimal)"), p2_secs),
             (format!("check_property1 ({violations} violations)"), p1_secs),
+            (format!("publish {} objects ({pointers} pointers)", nodes / 2), publish_secs),
         ];
     }
     println!("{nodes}-node torus, seed {SEED}, 1 thread, repetition {REPS} of {REPS}");

@@ -34,7 +34,7 @@ impl TapestryNode {
     ) {
         debug_assert_eq!(self.status, NodeStatus::Inserting);
         let op = self.next_op();
-        self.insert = Some(InsertState {
+        self.insert = Some(Box::new(InsertState {
             op,
             surrogate: None,
             shared_len: 0,
@@ -46,7 +46,7 @@ impl TapestryNode {
             k: self.cfg.k_for(8), // refined when the surrogate answers
             deferred,
             ready: None,
-        });
+        }));
         let m = RoutedMsg {
             kind: RoutedKind::FindSurrogate { reply_to: self.me, op },
             target: self.me.id,

@@ -5,7 +5,7 @@
 use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
 use crate::node::{LeaveState, NodeStatus, TapestryNode};
 use crate::object_store::PtrEntry;
-use crate::refs::NodeRef;
+use crate::refs::{idx32, NodeRef};
 use crate::repair::RepairTask;
 use tapestry_id::Prefix;
 use tapestry_repair::FactKind;
@@ -66,10 +66,8 @@ impl TapestryNode {
         guids: Vec<tapestry_id::Guid>,
     ) {
         for g in guids {
-            if let Some(entries) = self.store.entries_mut(g) {
-                for e in entries {
-                    e.is_root = false;
-                }
+            for e in self.store.entries_mut(g) {
+                e.is_root = false;
             }
         }
     }
@@ -310,13 +308,17 @@ impl TapestryNode {
     pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
         self.probe.nonce += 1;
         let nonce = self.probe.nonce;
-        self.probe.awaiting = self.table.all_refs().iter().map(|r| r.idx).collect();
-        if self.probe.awaiting.is_empty() {
+        let awaiting = &mut self.probe.awaiting;
+        awaiting.clear();
+        awaiting.extend(self.table.refs().map(|r| (idx32(r.idx), false)));
+        awaiting.sort_unstable();
+        awaiting.dedup();
+        if awaiting.is_empty() {
             return;
         }
-        for &idx in &self.probe.awaiting {
+        for &(idx, _) in awaiting.iter() {
             metrics::REPAIR_PINGS.inc(ctx);
-            ctx.send(idx, Msg::Ping { nonce });
+            ctx.send(idx as NodeIdx, Msg::Ping { nonce });
         }
         ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { nonce });
     }
@@ -329,7 +331,10 @@ impl TapestryNode {
     /// (which would leave the node re-declared dead every round).
     pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, nonce: u64) {
         if nonce == self.probe.nonce {
-            self.probe.awaiting.remove(&who.idx);
+            let awaiting = &mut self.probe.awaiting;
+            if let Ok(at) = awaiting.binary_search_by_key(&who.idx, |&(idx, _)| idx as NodeIdx) {
+                awaiting[at].1 = true;
+            }
         } else {
             self.record_fact(ctx, FactKind::LateProbeAck, RepairTask::Readmit { peer: who });
         }
@@ -344,7 +349,9 @@ impl TapestryNode {
         if nonce != self.probe.nonce {
             return;
         }
-        let dead: Vec<NodeIdx> = std::mem::take(&mut self.probe.awaiting).into_iter().collect();
+        let silent = self.probe.awaiting.iter().filter(|&&(_, answered)| !answered);
+        let dead: Vec<NodeIdx> = silent.map(|&(idx, _)| idx as NodeIdx).collect();
+        self.probe.awaiting.clear();
         for d in dead {
             metrics::REPAIR_DETECTED_DEAD.inc(ctx);
             if self.incremental() {

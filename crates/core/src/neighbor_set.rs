@@ -22,7 +22,7 @@ pub enum AddOutcome {
     Rejected,
 }
 
-/// One table entry, packed to 32 bytes: the node's index is narrowed to
+/// One table entry, packed to 24 bytes: the node's index is narrowed to
 /// `u32` on the way in ([`idx32`]); what leaves the table is a full
 /// [`NodeRef`].
 #[derive(Debug, Clone, Copy)]
@@ -144,8 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn entry_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    fn entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::config::TapestryConfig;
 use crate::messages::{Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
-use crate::refs::{Backpointers, NodeRef, MAX_NODES};
+use crate::refs::{idx32, Backpointers, NodeRef, MAX_NODES};
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,13 +100,13 @@ pub struct TapestryNetwork {
 pub type LocateHook = Box<dyn FnMut(&LocateResult) + Send>;
 
 /// One table entry the indexed bootstrap installs: `member`, at distance
-/// `dist`, into slot `digit` of `node` (the level is implicit — fills are
-/// produced and applied one level at a time).
+/// `dist`, into `node`'s table. The level is implicit — fills are produced
+/// and applied one level at a time — and the slot's digit is `member`'s
+/// digit at that level, so a fill is 16 bytes.
 struct Fill {
-    node: NodeIdx,
-    digit: u8,
-    member: NodeIdx,
     dist: f64,
+    node: u32,
+    member: u32,
 }
 
 /// A stage of the static bootstrap, reported to the observer of
@@ -364,16 +364,14 @@ impl TapestryNetwork {
                 let mut out = Vec::new();
                 let mut closest = Vec::new();
                 for visit in ch {
-                    let node = visit.node;
-                    let own = ids[node].digit(l);
+                    let (node, own) = (idx32(visit.node), ids[visit.node].digit(l));
                     for (g, digit) in level.family(visit) {
                         let want = cap - usize::from(digit == own);
-                        indexes[g].closest_k_into(node, want, &mut closest);
+                        indexes[g].closest_k_into(visit.node, want, &mut closest);
                         out.extend(closest.iter().map(|&(member, dist)| Fill {
-                            node,
-                            digit,
-                            member,
                             dist,
+                            node,
+                            member: idx32(member),
                         }));
                     }
                 }
@@ -384,14 +382,14 @@ impl TapestryNetwork {
             // A node's fills arrive slot by slot, digits ascending, so each
             // slot is an append: behind it lie only the owner's deeper
             // self entries.
-            for of_slot in fills.chunk_by(|x, y| (x.node, x.digit) == (y.node, y.digit)) {
-                let Fill { node, digit, .. } = of_slot[0];
-                let table = self.engine.node_mut(node).expect("just added").table_mut();
-                table.extend_unbounded(
-                    l,
-                    digit,
-                    of_slot.iter().map(|f| (NodeRef::new(f.member, self.ids[f.member]), f.dist)),
-                );
+            let slot_of = |f: &Fill| (f.node, ids[f.member as NodeIdx].digit(l));
+            for of_slot in fills.chunk_by(|x, y| slot_of(x) == slot_of(y)) {
+                let (node, digit) = slot_of(&of_slot[0]);
+                let table = self.engine.node_mut(node as NodeIdx).expect("just added").table_mut();
+                let refs = of_slot
+                    .iter()
+                    .map(|f| (NodeRef::new(f.member as NodeIdx, ids[f.member as NodeIdx]), f.dist));
+                table.extend_unbounded(l, digit, refs);
             }
             stage(BootstrapStage::LevelApplied(l));
         }
@@ -400,41 +398,42 @@ impl TapestryNetwork {
     /// Make every node's backpointer set the exact inverse of the
     /// members' forward pointers (§2.1 pairs each forward pointer with a
     /// backpointer): node `b` ends up with `{a : a ≠ b ∧ a's table
-    /// references b}`. One `(peer, owner)` pair is emitted per table
-    /// entry, the pairs are sorted once — which also makes the result
-    /// independent of the emission order, hence of the worker count —
-    /// and each node's vector is its sorted run, written once.
+    /// references b}`. The tables are walked twice, owners ascending: the
+    /// first walk counts each peer's owners, so every vector is allocated
+    /// once, at its final size; the second pushes them, and they arrive
+    /// sorted.
     /// The static builder's last stage; on a quiescent network, where the
     /// protocol has kept the same relation by message, it changes nothing.
     pub fn rebuild_backpointers(&mut self) {
-        // One key per forward pointer, peer in the high half and owner in
-        // the low (both fit: the network is sized under MAX_NODES), so
-        // sorting the keys sorts by (peer, owner).
-        let engine = &self.engine;
-        let mut keys: Vec<u64> = fan_out_chunks(self.threads, &self.members, |ch| {
-            let mut out = Vec::new();
-            for &owner in ch {
-                if let Some(node) = engine.node(owner) {
-                    out.extend(
-                        node.table().refs().map(|peer| (peer.idx as u64) << 32 | owner as u64),
-                    );
-                }
-            }
-            out
-        });
-        keys.sort_unstable();
-        keys.dedup();
+        let mut owners = vec![0usize; self.ids.len()];
+        self.each_forward_pointer(|peer, _| owners[peer] += 1);
+        let mut inverse: Vec<Vec<(u32, Id)>> = owners.into_iter().map(Vec::with_capacity).collect();
+        self.each_forward_pointer(|peer, owner| inverse[peer].push(owner));
         for &m in &self.members {
             if let Some(node) = self.engine.node_mut(m) {
                 node.backptrs = Backpointers::default();
             }
         }
-        for of_peer in keys.chunk_by(|x, y| x >> 32 == y >> 32) {
-            if let Some(peer) = self.engine.node_mut((of_peer[0] >> 32) as NodeIdx) {
-                let owners = of_peer.iter().map(|&key| key as u32);
-                peer.backptrs = Backpointers::from_sorted(
-                    owners.map(|owner| (owner, self.ids[owner as NodeIdx])).collect(),
-                );
+        for (peer, owners) in inverse.into_iter().enumerate().filter(|(_, v)| !v.is_empty()) {
+            if let Some(peer) = self.engine.node_mut(peer) {
+                peer.backptrs = Backpointers::from_sorted(owners);
+            }
+        }
+    }
+
+    /// Call `f(peer, owner)` once for every pair where member `owner`'s
+    /// table references `peer`, owners ascending. A table names a peer in
+    /// several slots; `last[peer]` is the owner that named it last, and an
+    /// owner's entries are one uninterrupted stretch of the walk.
+    fn each_forward_pointer(&self, mut f: impl FnMut(NodeIdx, (u32, Id))) {
+        let mut last = vec![u32::MAX; self.ids.len()]; // no owner: indices end below MAX_NODES
+        for &owner in &self.members {
+            let Some(node) = self.engine.node(owner) else { continue };
+            let owner = (idx32(owner), self.ids[owner]);
+            for peer in node.table().refs() {
+                if std::mem::replace(&mut last[peer.idx], owner.0) != owner.0 {
+                    f(peer.idx, owner);
+                }
             }
         }
     }
@@ -1251,7 +1250,7 @@ mod tests {
             let node = net.node(m).unwrap();
             let entries = node.table().entry_count() + cfg.levels();
             let want =
-                32 * entries + 2 * cfg.base() * cfg.levels() + 24 * node.backpointers().count();
+                24 * entries + 2 * cfg.base() * cfg.levels() + 16 * node.backpointers().count();
             assert_eq!(node.heap_bytes(), want, "node {m}");
         }
     }

@@ -102,8 +102,11 @@ pub(crate) struct LeaveState {
 pub(crate) struct ProbeState {
     /// Nonce of the outstanding round.
     pub nonce: u64,
-    /// Neighbors that have not answered the outstanding round.
-    pub awaiting: BTreeSet<NodeIdx>,
+    /// The neighbors pinged in the outstanding round, ascending by index,
+    /// each with whether it has answered. An answer marks its entry and
+    /// moves nothing, so the vector stays searchable; the buffer is
+    /// reused from round to round.
+    pub awaiting: Vec<(u32, bool)>,
 }
 
 /// A Tapestry overlay node: routing mesh, object pointers and all
@@ -117,7 +120,8 @@ pub struct TapestryNode {
     pub(crate) backptrs: Backpointers,
     pub(crate) store: ObjectStore,
     pub(crate) op_counter: u64,
-    pub(crate) insert: Option<InsertState>,
+    /// Boxed: only a joining node has one.
+    pub(crate) insert: Option<Box<InsertState>>,
     pub(crate) mcast: BTreeMap<OpId, McastSession>,
     /// Sessions already completed (suppresses duplicate multicasts, §4.4).
     pub(crate) mcast_done: BTreeSet<OpId>,
@@ -222,6 +226,7 @@ impl TapestryNode {
     /// Bytes of heap behind the routing mesh: the table's entry and
     /// offset arrays and the backpointer vector, by capacity. Computed
     /// from the containers alone, so it repeats exactly from run to run.
+    /// (The object pointers are [`ObjectStore::heap_bytes`].)
     pub fn heap_bytes(&self) -> usize {
         self.table.heap_bytes() + self.backptrs.heap_bytes()
     }
@@ -457,5 +462,19 @@ impl Actor for TapestryNode {
         }
         self.dead_list.insert(peer);
         self.record_fact(ctx, FactKind::FailedContact, RepairTask::RemoveDead { peer });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 816 bytes before the join state moved out of line and the `Id`
+    /// shrank: what every node pays before its tables.
+    #[test]
+    fn a_node_is_at_most_600_bytes_before_its_tables() {
+        let size = std::mem::size_of::<TapestryNode>();
+        assert!(size <= 600, "size_of::<TapestryNode>() = {size}");
+        assert!(std::mem::size_of::<Msg>() <= 144, "Msg = {}", std::mem::size_of::<Msg>());
     }
 }

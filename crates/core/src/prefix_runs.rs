@@ -61,7 +61,7 @@ impl<'a> PrefixRuns<'a> {
     /// Sort `members` by their identifier in `ids` (indexed by node).
     pub(crate) fn new(ids: &'a [Id], members: &[NodeIdx]) -> Self {
         let mut order = members.to_vec();
-        order.sort_unstable_by(|&a, &b| ids[a].digits().cmp(ids[b].digits()).then(a.cmp(&b)));
+        order.sort_unstable_by_key(|&m| (ids[m], m));
         let shared = (0..order.len())
             .map(|r| if r == 0 { 0 } else { ids[order[r]].shared_prefix_len(&ids[order[r - 1]]) })
             .collect();

@@ -50,6 +50,14 @@ pub(crate) fn idx32(idx: NodeIdx) -> u32 {
 /// its table; a fixed step bounds the slack at half a kilobyte.
 pub(crate) const GROW_STEP: usize = 16;
 
+/// `v.insert(at, row)`, a full `v` growing by `step` rows, not by doubling.
+pub(crate) fn insert_growing_by<T>(step: usize, v: &mut Vec<T>, at: usize, row: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(step);
+    }
+    v.insert(at, row);
+}
+
 /// The nodes that keep us in their routing table (§2.1 backpointers):
 /// one vector sorted by node index.
 #[derive(Debug, Clone, Default)]
@@ -69,12 +77,7 @@ impl Backpointers {
     pub fn insert(&mut self, r: NodeRef) {
         match self.find(r.idx) {
             Ok(at) => self.0[at].1 = r.id,
-            Err(at) => {
-                if self.0.len() == self.0.capacity() {
-                    self.0.reserve_exact(GROW_STEP);
-                }
-                self.0.insert(at, (idx32(r.idx), r.id));
-            }
+            Err(at) => insert_growing_by(GROW_STEP, &mut self.0, at, (idx32(r.idx), r.id)),
         }
     }
 
@@ -116,6 +119,12 @@ mod tests {
         let b = NodeRef::new(2, Id::from_u64(s, 5));
         assert_ne!(a, b);
         assert_eq!(a, NodeRef::new(1, Id::from_u64(s, 5)));
+    }
+
+    #[test]
+    fn a_ref_is_24_bytes_and_a_backpointer_16() {
+        assert_eq!(std::mem::size_of::<NodeRef>(), 24);
+        assert_eq!(std::mem::size_of::<(u32, Id)>(), 16);
     }
 
     #[test]

@@ -79,9 +79,12 @@ impl RoutingTable {
         self.levels as usize
     }
 
+    /// Bytes one entry of a slot occupies.
+    pub const ENTRY_BYTES: usize = size_of::<Entry>();
+
     /// Bytes of heap the table holds (capacity, not length).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * size_of::<Entry>() + self.ends.len() * size_of::<u16>()
+        self.entries.capacity() * Self::ENTRY_BYTES + self.ends.len() * size_of::<u16>()
     }
 
     /// Slot `(level, digit)`'s place in `ends`.
@@ -309,12 +312,8 @@ impl RoutingTable {
     ///
     /// `exclude` routes around a departing node (§5.1).
     pub fn next_hop(&self, target: &Id, mut level: usize, exclude: Option<NodeIdx>) -> Hop {
-        // One bounds check up front; per-level digit access is then a
-        // plain slice read (the digits were materialized when the Id was
-        // built — nothing is unpacked per hop).
-        let digits = target.digits();
         while level < self.levels() {
-            let want = digits[level] as usize;
+            let want = target.digit(level) as usize;
             let mut chosen = None;
             for off in 0..self.base() {
                 let j = ((want + off) % self.base()) as u8;
@@ -353,7 +352,6 @@ impl RoutingTable {
         exclude: Option<NodeIdx>,
         mut past_hole: bool,
     ) -> (Hop, bool) {
-        let digits = target.digits();
         while level < self.levels() {
             let choice = if past_hole {
                 // Numerically highest filled digit.
@@ -361,7 +359,7 @@ impl RoutingTable {
                     .rev()
                     .find_map(|j| self.slot(level, j).primary(exclude).map(|p| (j, p)))
             } else {
-                let want = digits[level];
+                let want = target.digit(level);
                 match self.slot(level, want).primary(exclude) {
                     Some(p) => Some((want, p)),
                     None => {
@@ -403,7 +401,7 @@ impl RoutingTable {
 const MAX_ENTRIES: usize = u16::MAX as usize;
 
 /// Sort by node index and drop repeats. The index alone identifies a
-/// node, so the 18-byte `Id` never enters a comparison.
+/// node, so the `Id` never enters a comparison.
 fn distinct_by_idx(mut refs: Vec<NodeRef>) -> Vec<NodeRef> {
     refs.sort_unstable_by_key(|r| r.idx);
     refs.dedup_by_key(|r| r.idx);

@@ -30,6 +30,8 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown kind tag.
     BadKind(u8),
+    /// A name whose `(base, digits)` is not an identifier space.
+    BadIdSpace(u8, u8),
 }
 
 fn put_id(buf: &mut BytesMut, id: &Id) {
@@ -45,7 +47,8 @@ fn get_id(buf: &mut Bytes) -> Result<Id, WireError> {
     let base = buf.get_u8();
     let len = buf.get_u8();
     let v = buf.get_u64();
-    Ok(Id::from_u64(IdSpace::new(base, len), v))
+    let space = IdSpace::try_new(base, len).map_err(|_| WireError::BadIdSpace(base, len))?;
+    Ok(Id::from_u64(space, v))
 }
 
 fn put_ref(buf: &mut BytesMut, r: &NodeRef) {
@@ -257,6 +260,31 @@ mod tests {
             let d = decode_routed(encode_routed(&m)).expect("decodes");
             assert!(d.local_branch);
             assert_eq!(d.target, m.target);
+        }
+    }
+
+    /// The bytes the 18-byte digit-array `Id` encoded to: the numeral on
+    /// the wire does not depend on how a name is held in memory.
+    #[test]
+    fn encoding_is_the_digit_array_ids() {
+        let hex: String = encode_routed(&sample_locate(vec![1, 2, 3]))
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "01100800000000437800000205000000000000002a00000003405edd2f1a9fbe7700030000000000\
+             00000100000000000000020000000000000003021008000000004378000000000000000000071008\
+             00000000197e0000000007000000000301"
+        );
+    }
+
+    #[test]
+    fn a_name_outside_every_id_space_is_an_error_not_a_panic() {
+        for (base, len) in [(1u8, 8u8), (16, 0), (16, 17), (255, 16)] {
+            let mut raw = BytesMut::from(&encode_routed(&sample_locate(vec![]))[..]);
+            (raw[1], raw[2]) = (base, len);
+            assert_eq!(decode_routed(raw.freeze()).err(), Some(WireError::BadIdSpace(base, len)));
         }
     }
 

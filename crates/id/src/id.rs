@@ -1,62 +1,90 @@
-use crate::{IdSpace, Prefix, MAX_DIGITS};
+use crate::{IdSpace, Prefix};
 use rand::Rng;
 use std::fmt;
 
 /// A full-length identifier: a string of digits in some [`IdSpace`].
 ///
-/// `Id` is `Copy` and lives entirely on the stack so that routing-table
-/// lookups and prefix comparisons never allocate. Digits are stored
-/// most-significant first: `digit(0)` is the digit resolved by a level-1
-/// routing hop, matching the paper's "resolve one digit at a time" model.
+/// `Id` is `Copy`, ten bytes and alignment 1, so a routing-table entry,
+/// a backpointer or an object pointer pays for the 32 bits of name it
+/// carries and little more. The digits are packed into one big-endian
+/// 64-bit word, most significant first — `digit(0)` is the digit resolved
+/// by a level-1 routing hop, matching the paper's "resolve one digit at a
+/// time" model:
+///
+/// ```text
+///  byte    0        1        2        3        4 .. 7     8     9
+///       +--------+--------+--------+--------+----------+-----+------+
+///       | d0  d1 | d2  d3 | d4  d5 | d6  d7 |   zero   | len | base |   base <= 16
+///       |   d0   |   d1   |   d2   |   d3   | d4 .. d7 | len | base |   base  > 16
+///       +--------+--------+--------+--------+----------+-----+------+
+/// ```
+///
+/// A digit is 4 bits wide up to base 16 and 8 above; [`IdSpace`] admits a
+/// shape only if `width · digits ≤ 64`. Unused low bits are zero, so byte
+/// order is lexicographic digit order (the derived `Ord`) and two names
+/// diverge at the first set bit of their XOR.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Id {
-    digits: [u8; MAX_DIGITS],
+    word: [u8; 8],
     len: u8,
     base: u8,
 }
 
 impl Id {
+    /// `len` digits of `base` produced by `digit(i)`, in order.
+    fn build(base: u8, len: u8, mut digit: impl FnMut(usize) -> u8) -> Self {
+        let mut id = Id { word: [0; 8], len, base };
+        for i in 0..len as usize {
+            id = id.with_digit(i, digit(i));
+        }
+        id
+    }
+
+    #[inline]
+    fn word(&self) -> u64 {
+        u64::from_be_bytes(self.word)
+    }
+
+    /// How far digit `i` sits above the word's low end.
+    #[inline]
+    fn shift(&self, i: usize) -> u32 {
+        u64::BITS - IdSpace::digit_bits(self.base) * (i as u32 + 1)
+    }
+
+    /// One digit's bits, at the word's low end.
+    #[inline]
+    fn mask(&self) -> u64 {
+        (1 << IdSpace::digit_bits(self.base)) - 1
+    }
+
     /// Build an identifier from explicit digits.
     ///
     /// # Panics
     /// If `digits.len()` disagrees with the space, or any digit `>= base`.
     pub fn from_digits(space: IdSpace, digits: &[u8]) -> Self {
         assert_eq!(digits.len(), space.digits as usize, "wrong digit count");
-        let mut d = [0u8; MAX_DIGITS];
-        for (i, &x) in digits.iter().enumerate() {
-            assert!(x < space.base, "digit {x} out of range for base {}", space.base);
-            d[i] = x;
-        }
-        Id { digits: d, len: space.digits, base: space.base }
+        Self::build(space.base, space.digits, |i| digits[i])
     }
 
     /// Interpret the low bits/digits of `value` as an identifier
     /// (most-significant digit first).
     pub fn from_u64(space: IdSpace, mut value: u64) -> Self {
-        let mut d = [0u8; MAX_DIGITS];
+        let mut id = Id { word: [0; 8], len: space.digits, base: space.base };
         for i in (0..space.digits as usize).rev() {
-            d[i] = (value % space.base as u64) as u8;
+            id = id.with_digit(i, (value % space.base as u64) as u8);
             value /= space.base as u64;
         }
-        Id { digits: d, len: space.digits, base: space.base }
+        id
     }
 
     /// The integer value of this identifier (digits as a base-`b` numeral).
     pub fn to_u64(&self) -> u64 {
-        let mut v: u64 = 0;
-        for i in 0..self.len as usize {
-            v = v * self.base as u64 + self.digits[i] as u64;
-        }
-        v
+        self.digits().fold(0, |v, d| v * self.base as u64 + d as u64)
     }
 
     /// Draw an identifier uniformly at random.
     pub fn random<R: Rng + ?Sized>(space: IdSpace, rng: &mut R) -> Self {
-        let mut d = [0u8; MAX_DIGITS];
-        for slot in d.iter_mut().take(space.digits as usize) {
-            *slot = rng.gen_range(0..space.base);
-        }
-        Id { digits: d, len: space.digits, base: space.base }
+        Self::build(space.base, space.digits, |_| rng.gen_range(0..space.base))
     }
 
     /// The namespace this identifier belongs to.
@@ -79,25 +107,20 @@ impl Id {
         self.base
     }
 
-    /// The `i`-th digit, most significant first.
-    ///
-    /// The digit array is materialized once at construction (`Id` is a
-    /// fixed inline buffer), so per-hop digit access in routing is a
-    /// single inlined array read — nothing is re-extracted from a packed
-    /// integer on the hot path.
+    /// The `i`-th digit, most significant first: one shift and one mask.
     ///
     /// # Panics
     /// If `i >= len()`.
     #[inline]
     pub fn digit(&self, i: usize) -> u8 {
         assert!(i < self.len as usize);
-        self.digits[i]
+        ((self.word() >> self.shift(i)) & self.mask()) as u8
     }
 
-    /// All digits as a slice.
+    /// All digits, most significant first.
     #[inline]
-    pub fn digits(&self) -> &[u8] {
-        &self.digits[..self.len as usize]
+    pub fn digits(&self) -> impl ExactSizeIterator<Item = u8> + '_ {
+        (0..self.len as usize).map(|i| self.digit(i))
     }
 
     /// Length of the longest common prefix with `other`, in digits.
@@ -108,18 +131,33 @@ impl Id {
     #[inline]
     pub fn shared_prefix_len(&self, other: &Id) -> usize {
         debug_assert_eq!(self.base, other.base);
-        let n = (self.len.min(other.len)) as usize;
-        for i in 0..n {
-            if self.digits[i] != other.digits[i] {
-                return i;
-            }
-        }
-        n
+        let same = (self.word() ^ other.word()).leading_zeros() / IdSpace::digit_bits(self.base);
+        (same as usize).min(self.len.min(other.len) as usize)
     }
 
     /// The prefix consisting of the first `len` digits.
     pub fn prefix(&self, len: usize) -> Prefix {
         Prefix::new(self, len)
+    }
+
+    /// The digit string of the first `len` digits alone — what a
+    /// [`Prefix`] wraps.
+    ///
+    /// # Panics
+    /// If `len > len()`.
+    pub(crate) fn truncated(&self, len: usize) -> Id {
+        assert!(len <= self.len as usize);
+        let keep = if len == 0 { 0 } else { u64::MAX << self.shift(len - 1) };
+        Id { word: (self.word() & keep).to_be_bytes(), len: len as u8, base: self.base }
+    }
+
+    /// This digit string with `d` appended (a [`Prefix`] growing by one).
+    ///
+    /// # Panics
+    /// If the word has no room for another digit or `d >= base`.
+    pub(crate) fn pushed(&self, d: u8) -> Id {
+        assert!(IdSpace::digit_bits(self.base) * (self.len as u32 + 1) <= u64::BITS);
+        Id { len: self.len + 1, ..*self }.with_digit(self.len as usize, d)
     }
 
     /// Does this identifier start with `prefix`?
@@ -129,10 +167,9 @@ impl Id {
 
     /// A copy of this identifier with digit `i` replaced by `d`.
     pub fn with_digit(&self, i: usize, d: u8) -> Id {
-        assert!(i < self.len as usize && d < self.base);
-        let mut out = *self;
-        out.digits[i] = d;
-        out
+        assert!(i < self.len as usize && d < self.base, "digit {d} at {i} out of range");
+        let word = (self.word() & !(self.mask() << self.shift(i))) | ((d as u64) << self.shift(i));
+        Id { word: word.to_be_bytes(), ..*self }
     }
 }
 
@@ -144,10 +181,7 @@ impl fmt::Debug for Id {
 
 impl fmt::Display for Id {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.len as usize {
-            crate::hex::write_digit(f, self.digits[i])?;
-        }
-        Ok(())
+        self.digits().try_for_each(|d| crate::hex::write_digit(f, d))
     }
 }
 
@@ -200,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             let id = Id::random(S, &mut rng);
-            assert!(id.digits().iter().all(|&d| d < 16));
+            assert!(id.digits().all(|d| d < 16));
         }
     }
 

@@ -7,9 +7,10 @@
 //! strings: shared prefixes, per-level digits, and pseudo-random mappings
 //! from object GUIDs to root identifiers ([`map_roots`]).
 //!
-//! This crate is allocation-free in all hot paths: an [`Id`] is a fixed
-//! inline array of digits plus a length, and every operation is `O(len)`
-//! at worst.
+//! This crate is allocation-free in all hot paths: an [`Id`] is one
+//! packed 64-bit word of digits plus a length and a radix (ten bytes),
+//! and comparing, indexing or finding the shared prefix of two names is
+//! a handful of word operations.
 
 #![forbid(unsafe_code)]
 
@@ -17,6 +18,8 @@ mod guid;
 mod hex;
 mod id;
 mod maproots;
+#[cfg(test)]
+mod model;
 mod prefix;
 mod space;
 
@@ -27,7 +30,8 @@ pub use maproots::{map_roots, root_id, splitmix64};
 pub use prefix::Prefix;
 pub use space::IdSpace;
 
-/// Maximum number of digits an [`Id`] can hold.
+/// Maximum number of digits an [`Id`] can hold (fewer above base 16 —
+/// see [`IdSpace::try_new`]).
 ///
 /// 16 base-16 digits give a 64-bit namespace, far beyond what any
 /// laptop-scale simulation needs; the paper's own deployment used 40-digit

@@ -1,17 +1,14 @@
-use crate::{Id, MAX_DIGITS};
+use crate::Id;
 use std::fmt;
 
-/// A prefix of an identifier: the first `len` digits of some name.
+/// A prefix of an identifier: the first `len` digits of some name, held
+/// as the shorter digit string it is.
 ///
 /// Prefixes name the multicast groups of the paper's acknowledged multicast
 /// (§4.1) and the neighbor sets `N_{α,j}` of the routing mesh (§2.1): the
 /// `(α, j)` nodes are exactly those whose IDs start with `α · j`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Prefix {
-    digits: [u8; MAX_DIGITS],
-    len: u8,
-    base: u8,
-}
+pub struct Prefix(Id);
 
 impl Prefix {
     /// The prefix made of the first `len` digits of `id`.
@@ -19,48 +16,42 @@ impl Prefix {
     /// # Panics
     /// If `len > id.len()`.
     pub fn new(id: &Id, len: usize) -> Self {
-        assert!(len <= id.len());
-        let mut d = [0u8; MAX_DIGITS];
-        d[..len].copy_from_slice(&id.digits()[..len]);
-        Prefix { digits: d, len: len as u8, base: id.base() }
+        Prefix(id.truncated(len))
     }
 
     /// The empty prefix (matched by every identifier of the same base).
     pub fn empty(base: u8) -> Self {
-        Prefix { digits: [0; MAX_DIGITS], len: 0, base }
+        Prefix(Id::from_u64(crate::IdSpace { base, digits: 0 }, 0))
     }
 
     /// Number of digits in the prefix.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.0.len()
     }
 
     /// True for the empty prefix.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.0.is_empty()
     }
 
     /// Digit radix.
     pub fn base(&self) -> u8 {
-        self.base
+        self.0.base()
     }
 
     /// The digits of this prefix.
-    pub fn digits(&self) -> &[u8] {
-        &self.digits[..self.len as usize]
+    pub fn digits(&self) -> impl ExactSizeIterator<Item = u8> + '_ {
+        self.0.digits()
     }
 
     /// The `i`-th digit of the prefix.
     pub fn digit(&self, i: usize) -> u8 {
-        assert!(i < self.len as usize);
-        self.digits[i]
+        self.0.digit(i)
     }
 
     /// Does `id` start with this prefix?
     pub fn matches(&self, id: &Id) -> bool {
-        debug_assert_eq!(self.base, id.base());
-        self.len as usize <= id.len()
-            && id.digits()[..self.len as usize] == self.digits[..self.len as usize]
+        self.len() <= id.len() && self.0.shared_prefix_len(id) == self.len()
     }
 
     /// The one-digit extension `α · j` of this prefix (the paper's
@@ -69,11 +60,7 @@ impl Prefix {
     /// # Panics
     /// If the prefix is already full-length or `j >= base`.
     pub fn extend(&self, j: u8) -> Prefix {
-        assert!((self.len as usize) < MAX_DIGITS && j < self.base);
-        let mut out = *self;
-        out.digits[self.len as usize] = j;
-        out.len += 1;
-        out
+        Prefix(self.0.pushed(j))
     }
 
     /// The prefix one digit shorter (parent group in the multicast tree).
@@ -81,17 +68,13 @@ impl Prefix {
     /// # Panics
     /// If the prefix is empty.
     pub fn shorten(&self) -> Prefix {
-        assert!(self.len > 0);
-        let mut out = *self;
-        out.len -= 1;
-        out.digits[out.len as usize] = 0;
-        out
+        assert!(!self.is_empty());
+        Prefix(self.0.truncated(self.len() - 1))
     }
 
     /// Is `other` an extension of (or equal to) `self`?
     pub fn contains(&self, other: &Prefix) -> bool {
-        other.len >= self.len
-            && other.digits[..self.len as usize] == self.digits[..self.len as usize]
+        self.matches(&other.0)
     }
 }
 
@@ -103,13 +86,10 @@ impl fmt::Debug for Prefix {
 
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.len == 0 {
+        if self.is_empty() {
             return write!(f, "ε");
         }
-        for i in 0..self.len as usize {
-            crate::hex::write_digit(f, self.digits[i])?;
-        }
-        Ok(())
+        self.0.fmt(f)
     }
 }
 

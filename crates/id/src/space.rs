@@ -1,5 +1,3 @@
-use crate::MAX_DIGITS;
-
 /// The shape of an identifier namespace: digit radix and name length.
 ///
 /// All identifiers that interact (node IDs, GUIDs, prefixes) must come from
@@ -17,11 +15,46 @@ impl IdSpace {
     /// Create a namespace with radix `base` and `digits` digits per name.
     ///
     /// # Panics
-    /// If `base < 2` or `digits` is zero or exceeds [`MAX_DIGITS`].
+    /// If [`IdSpace::try_new`] would refuse the shape.
     pub const fn new(base: u8, digits: u8) -> Self {
-        assert!(base >= 2, "radix must be at least 2");
-        assert!(digits as usize <= MAX_DIGITS && digits > 0);
-        IdSpace { base, digits }
+        match Self::refusal(base, digits) {
+            None => IdSpace { base, digits },
+            Some(why) => panic!("{}", why),
+        }
+    }
+
+    /// [`IdSpace::new`] for shapes that come from input: an error instead
+    /// of a panic.
+    pub fn try_new(base: u8, digits: u8) -> Result<Self, String> {
+        match Self::refusal(base, digits) {
+            None => Ok(IdSpace { base, digits }),
+            Some(why) => Err(format!("identifier space (base {base}, {digits} digits): {why}")),
+        }
+    }
+
+    /// Why a shape is not a namespace. A name is one 64-bit word of
+    /// [`IdSpace::digit_bits`]-wide digits, which is also what keeps
+    /// every name's numeral ([`crate::Id::to_u64`]) inside a `u64`.
+    const fn refusal(base: u8, digits: u8) -> Option<&'static str> {
+        if base < 2 {
+            Some("radix must be at least 2")
+        } else if digits == 0 {
+            Some("a name needs at least one digit")
+        } else if Self::digit_bits(base) * digits as u32 > u64::BITS {
+            Some("digits must fit one 64-bit word (4 bits each up to base 16, 8 above)")
+        } else {
+            None
+        }
+    }
+
+    /// Bits one digit occupies in a packed name: a nibble while every
+    /// digit fits one, a byte above base 16.
+    pub(crate) const fn digit_bits(base: u8) -> u32 {
+        if base <= 16 {
+            4
+        } else {
+            8
+        }
     }
 
     /// The conventional Tapestry namespace: base 16, 8 digits (32 bits).
@@ -64,9 +97,30 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_saturates() {
-        let s = IdSpace::new(255, 16);
-        assert_eq!(s.cardinality(), u64::MAX);
+    fn a_space_past_one_word_is_refused() {
+        // (255, 16) used to be admitted: `cardinality` saturated and
+        // `Id::to_u64` multiplied past `u64`.
+        for (base, digits) in [(255, 16), (255, 9), (17, 9), (16, 17), (2, 17), (1, 4), (16, 0)] {
+            let refused = IdSpace::try_new(base, digits).expect_err("refused");
+            assert!(refused.contains(&format!("base {base}, {digits} digits")), "{refused}");
+        }
+        assert!(std::panic::catch_unwind(|| IdSpace::new(255, 16)).is_err());
+    }
+
+    #[test]
+    fn the_largest_admitted_spaces_round_trip() {
+        use crate::Id;
+        for (base, digits) in [(16u8, 16u8), (255, 8), (2, 16)] {
+            let s = IdSpace::try_new(base, digits).expect("admitted");
+            let top = vec![base - 1; digits as usize];
+            let id = Id::from_digits(s, &top);
+            assert!(id.digits().eq(top.iter().copied()));
+            let v = id.to_u64();
+            assert_eq!(v, (0..digits).fold(0u64, |v, _| v * base as u64 + (base - 1) as u64));
+            assert_eq!(Id::from_u64(s, v), id, "({base}, {digits})");
+            assert_eq!(Id::from_u64(s, 12345).to_u64(), 12345);
+            assert_eq!(Id::from_u64(s, 0), Id::from_digits(s, &vec![0; digits as usize]));
+        }
     }
 
     #[test]

@@ -321,10 +321,8 @@ pub fn sweep_preset(
         }
     };
     if let Some(b) = knobs.base {
-        if b < 2 {
-            return Err("base: identifier radix must be at least 2".into());
-        }
-        spec.cfg.space = tapestry_id::IdSpace::new(b, spec.cfg.space.digits);
+        let space = tapestry_id::IdSpace::try_new(b, spec.cfg.space.digits);
+        spec.cfg.space = space.map_err(|why| format!("base: {why}"))?;
     }
     if let Some(f) = knobs.multicast_fanout {
         spec.cfg.multicast_fanout = if f == 0 { None } else { Some(f) };
@@ -622,6 +620,9 @@ mod tests {
             "coalesce_window needs batched joins"
         );
         let bad_base = SweepKnobs { base: Some(1), ..Default::default() };
-        assert!(sweep_preset("steady-zipf", 64, 500, 42, None, 1, &bad_base).is_err(), "radix 1");
+        let err = sweep_preset("steady-zipf", 64, 500, 42, None, 1, &bad_base).unwrap_err();
+        assert!(err.starts_with("base: ") && err.contains("at least 2"), "radix 1: {err}");
+        let widest = SweepKnobs { base: Some(255), ..Default::default() };
+        assert!(sweep_preset("steady-zipf", 64, 500, 42, None, 1, &widest).is_ok());
     }
 }

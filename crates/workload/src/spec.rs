@@ -353,6 +353,9 @@ impl ScenarioSpec {
                 self.capacity
             ));
         }
+        // The fields of an `IdSpace` are public, so a spec can carry a
+        // shape no constructor admitted.
+        tapestry_id::IdSpace::try_new(self.cfg.space.base, self.cfg.space.digits)?;
         if self.objects == 0 {
             return Err("catalog must hold at least one object".into());
         }
@@ -489,5 +492,15 @@ mod tests {
         assert!(base().capacity(MAX_NODES).validate().is_ok());
         let err = base().capacity(MAX_NODES + 1).validate().unwrap_err();
         assert!(err.contains("4294967295"), "names the limit: {err}");
+    }
+
+    #[test]
+    fn validation_rejects_an_id_space_past_one_word() {
+        let mut spec = ScenarioSpec::new("x").phase(PhaseSpec::new("p", SimTime(100)));
+        spec.cfg.space = tapestry_id::IdSpace { base: 255, digits: 16 };
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("base 255, 16 digits"), "names the shape: {err}");
+        spec.cfg.space = tapestry_id::IdSpace { base: 255, digits: 8 };
+        assert!(spec.validate().is_ok());
     }
 }
