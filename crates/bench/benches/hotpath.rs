@@ -4,8 +4,9 @@
 //! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
 //! routing table's whole-table passes, name comparison and the object
 //! store at the size a node's is, raw engine
-//! event dispatch, the event queue at the two depths the benchmark
-//! workloads show, and the driver's per-event result collection. These
+//! event dispatch, a send from inside a handler, a counter bump, the
+//! event queue at the two depths the benchmark workloads show, and the
+//! driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
 //! scale driver measures them end to end, this file isolates them.
 
@@ -18,7 +19,8 @@ use tapestry_core::{
 use tapestry_id::Guid;
 use tapestry_id::{Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
-use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimTime};
+use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimStats, SimTime};
+use tapestry_trace::metrics;
 
 const N: usize = 4096;
 
@@ -263,6 +265,71 @@ fn bench_engine_dispatch(c: &mut Criterion) {
     });
 }
 
+/// A payload the size of the protocol's `Msg` (144 bytes), forwarded on
+/// every receipt.
+struct Relay;
+
+impl Actor for Relay {
+    type Msg = [u64; 18];
+    type Timer = ();
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg, ()>, _from: NodeIdx, msg: Self::Msg) {
+        ctx.send((ctx.me * 7 + 1) % RELAYS, msg);
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self::Msg, ()>, _timer: ()) {}
+}
+
+const RELAYS: usize = 1024;
+
+/// What one protocol message costs the engine: pop, dispatch, and a
+/// handler that sends one `Msg`-sized message on (accounted and pushed
+/// from inside the handler). `engine/dispatch_256_events` does the same
+/// with a 4-byte payload and one event pending; here 1 024 messages stay
+/// in flight, `locate-steady`'s depth. One iteration is `RELAY_EVENTS`
+/// events, so divide the row by that.
+fn bench_send_deliver(c: &mut Criterion) {
+    const RELAY_EVENTS: u64 = 100_000;
+    let space = RingSpace::even(RELAYS, 8192.0);
+    let mut e = Engine::new(Box::new(space), SimTime(1));
+    for i in 0..RELAYS {
+        e.add_node(i, Relay);
+        e.inject(i, [i as u64; 18]);
+    }
+    c.bench_function("engine/send_deliver", |b| {
+        b.iter(|| black_box(e.run_until_idle(RELAY_EVENTS)))
+    });
+}
+
+/// A counter bump as handlers issue it: eight hot handles in turn over a
+/// store every registered counter has touched. One iteration is `BUMPS`
+/// bumps, so divide the row by that.
+fn bench_counter_bump(c: &mut Criterion) {
+    const BUMPS: usize = 100_000;
+    let hot = [
+        metrics::ROUTE_HOPS,
+        metrics::LOCATE_FOUND,
+        metrics::PUBLISH_ROOTED,
+        metrics::JOIN_MESSAGES,
+        metrics::MULTICAST_EDGES,
+        metrics::REPAIR_PINGS,
+        metrics::REPAIR_FACTS,
+        metrics::REPAIR_EVENTS,
+    ];
+    let mut stats = SimStats::default();
+    for counter in metrics::counters() {
+        counter.add_to(&mut stats, 1);
+    }
+    c.bench_function("stats/counter_bump", |b| {
+        b.iter(|| {
+            for i in 0..BUMPS {
+                black_box(hot[i % hot.len()]).add_to(&mut stats, 1);
+            }
+            black_box(metrics::REPAIR_EVENTS.read(&stats))
+        })
+    });
+}
+
 /// The event queue in steady state at a fixed depth: pop the next event,
 /// push one due a delivery latency later. `engine/dispatch_256_events`
 /// keeps one event pending, so it sees neither regime the benchmark
@@ -345,6 +412,8 @@ criterion_group!(
     bench_id,
     bench_next_hop,
     bench_engine_dispatch,
+    bench_send_deliver,
+    bench_counter_bump,
     bench_queue,
     bench_collect_idle
 );

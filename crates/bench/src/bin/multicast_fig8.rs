@@ -10,6 +10,7 @@
 use tapestry_bench::{f2, header, parallel_sweep, row};
 use tapestry_core::{TapestryConfig, TapestryNetwork};
 use tapestry_metric::{diameter_upper_bound, TorusSpace};
+use tapestry_trace::metrics;
 
 fn main() {
     header(&[
@@ -30,12 +31,12 @@ fn main() {
         let members_space = space.clone();
         let mut net =
             TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), seed, n);
-        let before_msgs = net.engine().stats().get("multicast.recipients");
-        let before_edges = net.engine().stats().get("multicast.edges");
+        let before_msgs = metrics::MULTICAST_RECIPIENTS.read(net.engine().stats());
+        let before_edges = metrics::MULTICAST_EDGES.read(net.engine().stats());
         let before_dist = net.engine().stats().distance;
         assert!(net.insert_node(n), "insert completes");
-        let recipients = net.engine().stats().get("multicast.recipients") - before_msgs;
-        let edges = net.engine().stats().get("multicast.edges") - before_edges;
+        let recipients = metrics::MULTICAST_RECIPIENTS.read(net.engine().stats()) - before_msgs;
+        let edges = metrics::MULTICAST_EDGES.read(net.engine().stats()) - before_edges;
         let dist = net.engine().stats().distance - before_dist;
 
         // Ground truth: the multicast covered GCP(new node, surrogate);

@@ -7,8 +7,8 @@
 //! p50/p99 locate latency and hops.
 //!
 //! ```sh
-//! scale                                      # 1k/4k/10k/25k, torus, 1+4 threads
-//! scale --nodes 256 --threads 1              # one point, one bootstrap worker
+//! scale                                      # 1k/4k/10k/25k, torus, one bootstrap worker
+//! scale --nodes 256 --threads 1,4            # one point, run at 1 and at 4 workers
 //! scale --nodes 1000,10000 --space torus,transit-stub
 //! scale --churn 1000,25000,100000            # churn-scale points (both
 //!                                            #   maintenance modes side by side)
@@ -29,10 +29,10 @@
 //! O(n)-per-failure cost the scheduler exists to avoid.
 //!
 //! `--threads` sets the workers of the static bootstrap and the
-//! Property 1/2 sweeps (events are dispatched sequentially). Every point
-//! is run once per `--threads` value and the driver *fails* unless all
-//! thread counts produce byte-identical reports — the determinism
-//! contract of that fan-out, enforced on every scale point, every run.
+//! Property 1/2 sweeps (events are dispatched sequentially; default one
+//! worker). Given several values, every point is run once per value and
+//! the driver *fails* unless all thread counts produce byte-identical
+//! reports — the determinism contract of that fan-out.
 //!
 //! The `--json` output contains wall-clock figures and is therefore a
 //! *benchmark* artifact (machine-dependent); `--sim-json` writes the full
@@ -41,6 +41,7 @@
 
 use tapestry_bench::{f2, header, row};
 use tapestry_core::MaintenanceMode;
+use tapestry_trace::metrics;
 use tapestry_workload::presets::{churn_scale_preset, scale_preset, ScaleSpace, SCALE_SIZES};
 use tapestry_workload::{runner, RunTiming, RunTotals, ScenarioReport, Telemetry};
 
@@ -83,7 +84,7 @@ fn usage() -> ! {
          \x20            [--json PATH] [--sim-json PATH]\n\
          \x20            [--trace-json PATH] [--trace-sample N] [--trace-cap N]\n\
          \x20            [--metrics-json PATH] [--metrics-window UNITS] [--quiet]\n\
-         defaults: --nodes {} --ops 2000 --seed 42 --space torus --threads 1,4 --churn (none)\n\
+         defaults: --nodes {} --ops 2000 --seed 42 --space torus --threads 1 --churn (none)\n\
          --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
          --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW});\n\
          telemetry rides the same byte-identity gate across --threads as the reports",
@@ -133,7 +134,7 @@ fn parse_args() -> Args {
         ops: 2000,
         seed: 42,
         spaces: vec![ScaleSpace::Torus],
-        threads: vec![1, 4],
+        threads: vec![1],
         churn: Vec::new(),
         exhaustive_checks: false,
         json: None,
@@ -288,7 +289,7 @@ struct IncrCols {
 /// Mean `join.messages` per completed join (0 when no join completed).
 fn join_msgs_mean(r: &ScenarioReport) -> f64 {
     tapestry_membership::mean_messages_per_join(
-        r.counter_total("join.messages"),
+        r.counter_total(metrics::JOIN_MESSAGES),
         r.joins_ok_total(),
     )
 }
@@ -471,12 +472,12 @@ fn churn_point(args: &Args, n: usize) -> Point {
             ))
         });
     let nodes = incr_point.report.initial_nodes as f64;
-    let repair_events = incr_point.report.counter_total("repair.events");
+    let repair_events = incr_point.report.counter_total(metrics::REPAIR_EVENTS);
     let incr = IncrCols {
         joins_ok: incr_point.report.joins_ok_total(),
-        repair_facts: incr_point.report.counter_total("repair.facts"),
+        repair_facts: incr_point.report.counter_total(metrics::REPAIR_FACTS),
         repair_events,
-        repair_promotions: incr_point.report.counter_total("repair.promotions"),
+        repair_promotions: incr_point.report.counter_total(metrics::REPAIR_PROMOTIONS),
         repair_events_per_node_round: repair_events as f64 / nodes / CHURN_PROBE_ROUNDS,
         wall_secs: incr_point.timings.iter().map(|t| t.bootstrap_secs + t.drive_secs).collect(),
         report: incr_point.report.clone(),
@@ -505,8 +506,8 @@ fn churn_point(args: &Args, n: usize) -> Point {
             std::process::exit(1)
         }
     };
-    let waves = point.report.counter_total("multicast.batch_waves");
-    let batch_joins = point.report.counter_total("multicast.batch_joins");
+    let waves = point.report.counter_total(metrics::MULTICAST_BATCH_WAVES);
+    let batch_joins = point.report.counter_total(metrics::MULTICAST_BATCH_JOINS);
     point.churn = Some(ChurnCols {
         global: Some(GlobalChurnCols {
             joins_ok: point.report.joins_ok_total(),

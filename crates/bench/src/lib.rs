@@ -10,9 +10,6 @@
 
 #![forbid(unsafe_code)]
 
-use parking_lot::Mutex;
-use std::sync::Arc;
-
 /// Locate the first divergence between two texts that should have been
 /// byte-identical (thread-count determinism gates): returns a summary
 /// naming the byte offset, the 1-based line, and both lines' contents —
@@ -65,35 +62,17 @@ pub fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Run `jobs(i)` for `i ∈ 0..n` across threads, collecting results in
-/// input order. The closure receives the job index; each job should build
-/// its own simulation (deterministic from its index/seed).
+/// Run `jobs(i)` for `i ∈ 0..n` across one worker per available core,
+/// collecting results in input order. The closure receives the job index;
+/// each job should build its own simulation (deterministic from its
+/// index/seed).
 pub fn parallel_sweep<T, F>(n: usize, jobs: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let results: Arc<Mutex<Vec<Option<T>>>> = Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = jobs(i);
-                results.lock()[i] = Some(out);
-            });
-        }
-    });
-    Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("workers joined"))
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("every job ran"))
-        .collect()
+    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+    tapestry_sweep::run_parallel(n, workers, jobs)
 }
 
 /// Print a tab-separated header row.

@@ -45,7 +45,6 @@ mod refs;
 mod repair;
 mod route;
 mod routing_table;
-pub mod wire;
 
 pub use config::{RoutingScheme, TapestryConfig};
 pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};

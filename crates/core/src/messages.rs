@@ -50,8 +50,8 @@ pub struct RoutedMsg {
     pub local_branch: bool,
     /// Causal-trace identity for sampled operations: every forward of a
     /// carrying message emits one hop record into the engine's bounded
-    /// collector. Sim-side instrumentation only — the wire codec does not
-    /// serialize it, so byte accounting is identical traced or not.
+    /// collector. Sim-side instrumentation only: no handler reads it to
+    /// decide anything, so a traced run sends what an untraced one does.
     pub trace: Option<TraceId>,
 }
 

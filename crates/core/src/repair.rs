@@ -69,7 +69,15 @@ impl TapestryNode {
             return;
         }
         metrics::REPAIR_FACTS.inc(ctx);
-        ctx.count(kind.counter(), 1);
+        let by_kind = match kind {
+            FactKind::FailedContact => metrics::REPAIR_FACT_FAILED_CONTACT,
+            FactKind::MissedProbeAck => metrics::REPAIR_FACT_MISSED_ACK,
+            FactKind::LateProbeAck => metrics::REPAIR_FACT_LATE_ACK,
+            FactKind::Eviction => metrics::REPAIR_FACT_EVICTION,
+            FactKind::DeferredBranch => metrics::REPAIR_FACT_DEFERRED_BRANCH,
+            FactKind::ExpiredPointer => metrics::REPAIR_FACT_EXPIRED_POINTER,
+        };
+        by_kind.inc(ctx);
         self.schedule_task(ctx, task);
     }
 

@@ -4,6 +4,7 @@
 
 use tapestry_core::{NodeStatus, TapestryConfig, TapestryNetwork};
 use tapestry_metric::TorusSpace;
+use tapestry_trace::metrics;
 
 fn boot(n_total: usize, n0: usize, seed: u64) -> TapestryNetwork {
     let space = TorusSpace::random(n_total, 1000.0, seed);
@@ -278,7 +279,7 @@ fn fanout_bound_defers_branches_but_insertion_completes() {
     for idx in n..n + 4 {
         assert!(net.insert_node(idx), "bounded-fanout insert {idx} completes");
     }
-    let deferred = net.engine().stats().get("multicast.fanout_deferred");
+    let deferred = metrics::MULTICAST_FANOUT_DEFERRED.read(net.engine().stats());
     assert!(deferred > 0, "a width-1 bound must defer branches at 64 nodes");
     // Deferred subtrees may hold Property 1 holes; a §6.4 optimization
     // round plus a probe round is the designated repair path.
@@ -297,10 +298,10 @@ fn fanout_bound_defers_branches_but_insertion_completes() {
     for idx in n..n + 4 {
         assert!(unbounded.insert_node(idx));
     }
-    assert_eq!(unbounded.engine().stats().get("multicast.fanout_deferred"), 0);
+    assert_eq!(metrics::MULTICAST_FANOUT_DEFERRED.read(unbounded.engine().stats()), 0);
     assert!(
-        unbounded.engine().stats().get("multicast.edges")
-            >= net.engine().stats().get("multicast.edges"),
+        metrics::MULTICAST_EDGES.read(unbounded.engine().stats())
+            >= metrics::MULTICAST_EDGES.read(net.engine().stats()),
         "the bound must not add edges"
     );
 }
@@ -311,14 +312,18 @@ fn join_message_accounting_tracks_insertions() {
     let n = 48;
     let space = TorusSpace::random(n + 2, 1000.0, 13);
     let mut net = TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), 13, n);
-    assert_eq!(net.engine().stats().get("join.messages"), 0, "static bootstrap sends none");
+    assert_eq!(metrics::JOIN_MESSAGES.read(net.engine().stats()), 0, "static bootstrap sends none");
     let guid = net.random_guid();
     net.publish(net.members()[0], guid);
     net.locate(net.members()[5], guid);
-    assert_eq!(net.engine().stats().get("join.messages"), 0, "publish/locate are not joins");
+    assert_eq!(
+        metrics::JOIN_MESSAGES.read(net.engine().stats()),
+        0,
+        "publish/locate are not joins"
+    );
     let before = net.engine().stats().messages;
     assert!(net.insert_node(n));
-    let join_msgs = net.engine().stats().get("join.messages");
+    let join_msgs = metrics::JOIN_MESSAGES.read(net.engine().stats());
     let all_msgs = net.engine().stats().messages - before;
     assert!(join_msgs > 0, "insertion must be accounted");
     assert!(

@@ -5,6 +5,7 @@
 use tapestry_core::{Msg, TapestryConfig, TapestryNetwork, WirePtr};
 use tapestry_metric::TorusSpace;
 use tapestry_sim::SimTime;
+use tapestry_trace::metrics;
 
 #[test]
 fn table_sharing_restores_locality_after_churn() {
@@ -247,7 +248,7 @@ fn delete_pointers_backward_cleans_expired_path_state() {
     let deadline = net.engine().now() + SimTime::from_distance(80_000.0);
     net.run_until(deadline);
     let server_ref = net.ref_of(server);
-    let deleted_before = net.engine().stats().get("optimize.deleted");
+    let deleted_before = metrics::OPTIMIZE_DELETED.read(net.engine().stats());
     net.engine_mut().inject(
         root,
         Msg::DeleteBackward { ptr: WirePtr { guid, server: server_ref }, changed: usize::MAX },
@@ -258,7 +259,7 @@ fn delete_pointers_backward_cleans_expired_path_state() {
         "expired entries must be removed along the whole path: {:?}",
         holders(&net)
     );
-    let deleted = net.engine().stats().get("optimize.deleted") - deleted_before;
+    let deleted = metrics::OPTIMIZE_DELETED.read(net.engine().stats()) - deleted_before;
     assert!(
         deleted as usize >= path_holders.len(),
         "each path holder deletes once: {deleted} < {}",

@@ -31,12 +31,6 @@
 //!   workspace contract is `(distance, index)` ordering; a bare float
 //!   comparator leans on container order, which must then be *proven*
 //!   deterministic in an `allow` justification.
-//! * [`RULE_RAW_COUNTER`] — `.count("…")`/`.add("…")`/`.record("…")`
-//!   with a string-literal key: ad-hoc counter names bypass the typed
-//!   metrics registry (`tapestry-trace`), so the same metric can be
-//!   spelled two ways and the canonical-name mapping silently misses it.
-//!   Dynamic keys (`kind.counter()`) are not literals and pass; the rare
-//!   intentional literal (tests, fixtures) carries an `allow`.
 //!
 //! Suppressions are explicit and auditable in-diff:
 //!
@@ -71,8 +65,6 @@ pub const RULE_WALL_CLOCK: &str = "wall-clock";
 pub const RULE_UNSEEDED_RNG: &str = "unseeded-rng";
 /// Float ordering without the `(dist, idx)` tie-break contract.
 pub const RULE_FLOAT_TIEBREAK: &str = "float-tiebreak";
-/// String-literal counter/histogram key instead of a registry handle.
-pub const RULE_RAW_COUNTER: &str = "raw-counter";
 /// An `allow` pragma that suppressed nothing.
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 /// An `allow` pragma naming a rule this lint does not define.
@@ -84,7 +76,6 @@ pub const RULES: &[(&str, &str)] = &[
     (RULE_WALL_CLOCK, "wall-clock source (Instant/SystemTime) in sim logic"),
     (RULE_UNSEEDED_RNG, "unseeded or thread-local RNG construction (thread_rng/from_entropy)"),
     (RULE_FLOAT_TIEBREAK, "float sort/min/max comparator without a .then(..) tie-break"),
-    (RULE_RAW_COUNTER, "string-literal counter key (.count/.add/.record) bypassing the registry"),
     (RULE_UNUSED_ALLOW, "allow pragma that suppressed nothing (stale exemption)"),
     (RULE_UNKNOWN_RULE, "allow pragma naming an unknown rule (typo disables nothing)"),
 ];
@@ -219,23 +210,6 @@ pub fn scan_source(file: &str, source: &str, class: GateClass) -> Vec<Finding> {
                  thread a seeded StdRng instead"
                     .to_string(),
             ),
-            "count" | "add" | "record"
-                if i > 0
-                    && toks[i - 1].1 == Tok::Punct('.')
-                    && toks.get(i + 1).map(|(_, t)| t) == Some(&Tok::Punct('('))
-                    && toks.get(i + 2).map(|(_, t)| t) == Some(&Tok::Str) =>
-            {
-                push(
-                    *line,
-                    RULE_RAW_COUNTER,
-                    format!(
-                        "`.{name}(\"…\")` records through a raw string key: use a typed \
-                         handle from the tapestry-trace metrics registry so the name has \
-                         exactly one definition (and a canonical spelling), or justify \
-                         the literal"
-                    ),
-                )
-            }
             "sort_by" | "sort_unstable_by" | "min_by" | "max_by" => {
                 if let Some((has_partial, has_then)) = comparator_shape(toks, i) {
                     if has_partial && !has_then {

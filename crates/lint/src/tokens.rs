@@ -15,8 +15,8 @@ pub enum Tok {
     Ident(String),
     /// A single punctuation character (`(`, `)`, `:`, `.`, ...).
     Punct(char),
-    /// A string literal (contents discarded — rules only care *that* a
-    /// literal sits in argument position, e.g. a raw counter key).
+    /// A string literal (contents discarded — a rule can only see *that*
+    /// a literal sits in argument position).
     Str,
 }
 
@@ -347,9 +347,9 @@ mod tests {
 
     #[test]
     fn string_literals_leave_a_str_token() {
-        // Rules need to see *that* a literal sits in argument position
-        // (raw counter keys) even though its contents are discarded.
-        let s = tokenize("ctx.count(\"locate.found\", 1); let r = r#\"raw\"#;");
+        // A literal stays visible in argument position even though its
+        // contents are discarded.
+        let s = tokenize("log.push(\"locate.found\", 1); let r = r#\"raw\"#;");
         let strs = s.toks.iter().filter(|(_, t)| *t == Tok::Str).count();
         assert_eq!(strs, 2);
         let after_paren =

@@ -4,8 +4,8 @@
 //! the same `scan_source` entry point the CLI uses.
 
 use tapestry_lint::{
-    scan_source, GateClass, RULE_FLOAT_TIEBREAK, RULE_HASH_ITER, RULE_RAW_COUNTER,
-    RULE_UNKNOWN_RULE, RULE_UNSEEDED_RNG, RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
+    scan_source, GateClass, RULE_FLOAT_TIEBREAK, RULE_HASH_ITER, RULE_UNKNOWN_RULE,
+    RULE_UNSEEDED_RNG, RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
 };
 
 fn rules_of(source: &str, class: GateClass) -> Vec<&'static str> {
@@ -54,33 +54,6 @@ fn float_tiebreak_fires_without_then_and_not_with_it() {
     assert!(det(tied_with).is_empty());
     // Integer comparators (no partial_cmp) are not float sites.
     assert!(det("v.sort_by(|a, b| a.i.cmp(&b.i));").is_empty());
-}
-
-#[test]
-fn raw_counter_fires_on_literal_keys_only() {
-    // Literal keys through any of the three recording calls.
-    assert_eq!(det("ctx.count(\"locate.found\", 1);"), vec![RULE_RAW_COUNTER]);
-    assert_eq!(det("stats.add(\"join.messages\", 2);"), vec![RULE_RAW_COUNTER]);
-    assert_eq!(det("stats.record(\"locate.hops\", h);"), vec![RULE_RAW_COUNTER]);
-    // Dynamic keys are the registry-bypass escape hatch by design.
-    assert!(det("ctx.count(kind.counter(), 1);").is_empty());
-    // A typed handle call has no literal in argument position.
-    assert!(det("metrics::LOCATE_FOUND.inc(ctx);").is_empty());
-    // Free functions and unrelated methods named add/record don't fire.
-    assert!(det("add(\"x\", 1);").is_empty());
-    assert!(det("v.push(\"x\");").is_empty());
-    // Observational crates are held to it too (bench drivers).
-    assert_eq!(rules_of("ctx.count(\"x\", 1);", GateClass::Observational), vec![RULE_RAW_COUNTER]);
-    // Non-gated crates are not.
-    assert!(rules_of("ctx.count(\"x\", 1);", GateClass::NonGated).is_empty());
-}
-
-#[test]
-fn raw_counter_pragma_suppresses() {
-    let src = "// tapestry-lint: allow(raw-counter)\nstats.add(\"join.messages\", 2);\n";
-    assert!(det(src).is_empty());
-    let same_line = "ctx.count(\"x\", 1); // tapestry-lint: allow(raw-counter)\n";
-    assert!(det(same_line).is_empty());
 }
 
 // ---- every pragma form suppresses ---------------------------------------

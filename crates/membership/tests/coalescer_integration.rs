@@ -5,6 +5,7 @@ use tapestry_core::{TapestryConfig, TapestryNetwork};
 use tapestry_membership::{BatchPolicy, JoinCoalescer};
 use tapestry_metric::TorusSpace;
 use tapestry_sim::SimTime;
+use tapestry_trace::metrics;
 
 fn boot(total: usize, n0: usize, seed: u64) -> TapestryNetwork {
     let space = TorusSpace::random(total, 1000.0, seed);
@@ -42,8 +43,8 @@ fn full_batch_flushes_early_and_joins_complete() {
     assert_eq!(o.solo_joins, 0);
     assert_eq!(o.abandoned, 0);
     assert!(c.is_idle());
-    assert_eq!(net.engine().stats().get("multicast.batch_waves"), 1);
-    assert_eq!(net.engine().stats().get("insert.completed"), 4);
+    assert_eq!(metrics::MULTICAST_BATCH_WAVES.read(net.engine().stats()), 1);
+    assert_eq!(metrics::INSERT_COMPLETED.read(net.engine().stats()), 4);
 }
 
 #[test]
@@ -79,7 +80,7 @@ fn disabled_policy_takes_the_solo_path() {
     assert_eq!(c.outcome().solo_joins, 1);
     assert_eq!(c.outcome().waves, 0);
     assert!(c.is_idle(), "solo joins never occupy the coalescer");
-    assert_eq!(net.engine().stats().get("multicast.batch_waves"), 0);
+    assert_eq!(metrics::MULTICAST_BATCH_WAVES.read(net.engine().stats()), 0);
 }
 
 #[test]

@@ -86,21 +86,6 @@ pub enum FactKind {
     ExpiredPointer,
 }
 
-impl FactKind {
-    /// Counter name under which this fact kind is recorded
-    /// (`repair.fact.*` namespace, stable across reports).
-    pub fn counter(&self) -> &'static str {
-        match self {
-            FactKind::FailedContact => "repair.fact.failed_contact",
-            FactKind::MissedProbeAck => "repair.fact.missed_ack",
-            FactKind::LateProbeAck => "repair.fact.late_ack",
-            FactKind::Eviction => "repair.fact.eviction",
-            FactKind::DeferredBranch => "repair.fact.deferred_branch",
-            FactKind::ExpiredPointer => "repair.fact.expired_pointer",
-        }
-    }
-}
-
 /// One "maintenance second" of simulated time: 1000 distance units at
 /// the engine's `UNITS_PER_DISTANCE = 1024` granularity. The budget knob
 /// is expressed per maintenance second, and the scheduler fires one tick
@@ -266,21 +251,6 @@ mod tests {
         assert_eq!(MaintenanceMode::parse("incr"), Some(MaintenanceMode::Incremental));
         assert_eq!(MaintenanceMode::parse("nope"), None);
         assert_eq!(MaintenanceMode::default(), MaintenanceMode::GlobalRounds);
-    }
-
-    #[test]
-    fn fact_counters_are_distinct() {
-        let kinds = [
-            FactKind::FailedContact,
-            FactKind::MissedProbeAck,
-            FactKind::LateProbeAck,
-            FactKind::Eviction,
-            FactKind::DeferredBranch,
-            FactKind::ExpiredPointer,
-        ];
-        let names: BTreeSet<_> = kinds.iter().map(|k| k.counter()).collect();
-        assert_eq!(names.len(), kinds.len());
-        assert!(names.iter().all(|n| n.starts_with("repair.fact.")));
     }
 
     #[test]

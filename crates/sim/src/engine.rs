@@ -1,5 +1,5 @@
 use crate::shard::ShardedQueue;
-use crate::{Histogram, SimStats, SimTime, TraceRecord};
+use crate::{Histogram, SimStats, SimTime, Slot, TraceRecord};
 use tapestry_metric::MetricSpace;
 
 /// Index of a node. Node indices coincide with point indices of the
@@ -40,14 +40,11 @@ pub trait Actor {
     }
 }
 
-enum Effect<M, T> {
-    Send { to: NodeIdx, msg: M },
-    Timer { delay: SimTime, timer: T },
-    Notify,
-}
-
 /// Handler-side view of the engine: lets a node send messages, set timers
-/// and measure distances, while every cost is recorded centrally.
+/// and measure distances, while every cost is recorded centrally. It
+/// borrows the engine fields a handler's effects land in (all disjoint
+/// from the actor the handler runs on), so a send is accounted and queued
+/// at the moment it is issued.
 pub struct Ctx<'a, M, T> {
     /// Current simulated time.
     pub now: SimTime,
@@ -55,27 +52,42 @@ pub struct Ctx<'a, M, T> {
     pub me: NodeIdx,
     metric: &'a dyn MetricSpace,
     stats: &'a mut SimStats,
-    out: &'a mut Vec<Effect<M, T>>,
+    queue: &'a mut ShardedQueue<Event<M, T>>,
+    seq: &'a mut u64,
+    proc_delay: SimTime,
+    notified: &'a mut Vec<NodeIdx>,
+    listed: &'a mut [bool],
 }
 
 impl<M, T> Ctx<'_, M, T> {
     /// Send `msg` to `to`; it arrives after the metric latency plus the
     /// engine's fixed processing delay.
     pub fn send(&mut self, to: NodeIdx, msg: M) {
-        self.out.push(Effect::Send { to, msg });
+        let d = if to == self.me { 0.0 } else { self.metric.distance(self.me, to) };
+        self.stats.messages += 1;
+        self.stats.distance += d;
+        let at = self.now + self.proc_delay + SimTime::from_distance(d);
+        self.push(at, to, Event::Deliver { from: self.me, msg });
     }
 
     /// Arm a timer that fires on this node after `delay`.
     pub fn set_timer(&mut self, delay: SimTime, timer: T) {
-        self.out.push(Effect::Timer { delay, timer });
+        self.push(self.now + delay, self.me, Event::Fire { timer });
     }
 
     /// Tell the driver this node has output to collect: the node joins
     /// the engine's completion feed ([`Engine::take_notified`]) — once,
-    /// however often it notifies before the driver drains the feed.
-    /// Buffered like a send, so the feed fills in event pop order.
+    /// however often it notifies before the driver drains the feed — so
+    /// the feed fills in event pop order.
     pub fn notify_driver(&mut self) {
-        self.out.push(Effect::Notify);
+        if !std::mem::replace(&mut self.listed[self.me], true) {
+            self.notified.push(self.me);
+        }
+    }
+
+    fn push(&mut self, at: SimTime, node: NodeIdx, ev: Event<M, T>) {
+        *self.seq += 1;
+        self.queue.push(at, *self.seq, node, ev);
     }
 
     /// Metric distance between two nodes.
@@ -94,14 +106,14 @@ impl<M, T> Ctx<'_, M, T> {
         self.metric.distance(self.me, other)
     }
 
-    /// Bump a named statistics counter.
-    pub fn count(&mut self, name: &'static str, v: u64) {
-        self.stats.add(name, v);
+    /// Bump the statistics counter in `slot`.
+    pub fn count(&mut self, slot: Slot, v: u64) {
+        self.stats.add(slot, v);
     }
 
-    /// Record a sample into a named statistics histogram.
-    pub fn record(&mut self, name: &'static str, v: u64) {
-        self.stats.record(name, v);
+    /// Record a sample into the statistics histogram in `slot`.
+    pub fn record(&mut self, slot: Slot, v: u64) {
+        self.stats.record(slot, v);
     }
 
     /// Is hop tracing on for this run? Handlers gate their record
@@ -168,7 +180,6 @@ pub struct Engine<A: Actor> {
     metric: Box<dyn MetricSpace>,
     stats: SimStats,
     proc_delay: SimTime,
-    out_buf: Vec<Effect<A::Msg, A::Timer>>,
     /// Total events popped over the engine's lifetime (deliveries, timer
     /// fires, and drops alike) — the denominator of events/sec reporting.
     events_processed: u64,
@@ -219,9 +230,6 @@ impl<A: Actor> Engine<A> {
             metric,
             stats: SimStats::default(),
             proc_delay,
-            // Reused across every handler invocation (taken, drained,
-            // put back) — the engine allocates no per-event buffers.
-            out_buf: Vec::with_capacity(32),
             events_processed: 0,
             events_by_kind: [0; 3],
             handler_ns: [Histogram::default(), Histogram::default(), Histogram::default()],
@@ -409,30 +417,6 @@ impl<A: Actor> Engine<A> {
         &self.handler_ns
     }
 
-    /// Apply one buffered handler effect from `node`, in the order the
-    /// handler issued it: account the send and schedule the resulting
-    /// event, or list the node in the completion feed.
-    fn apply_effect(&mut self, node: NodeIdx, eff: Effect<A::Msg, A::Timer>) {
-        match eff {
-            Effect::Send { to, msg } => {
-                let d = if to == node { 0.0 } else { self.metric.distance(node, to) };
-                self.stats.messages += 1;
-                self.stats.distance += d;
-                let at = self.now + self.proc_delay + SimTime::from_distance(d);
-                self.push(at, to, Event::Deliver { from: node, msg });
-            }
-            Effect::Timer { delay, timer } => {
-                let at = self.now + delay;
-                self.push(at, node, Event::Fire { timer });
-            }
-            Effect::Notify => {
-                if !std::mem::replace(&mut self.listed[node], true) {
-                    self.notified.push(node);
-                }
-            }
-        }
-    }
-
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.step_due(SimTime(u64::MAX))
@@ -456,8 +440,8 @@ impl<A: Actor> Engine<A> {
                 return true;
             }
         }
-        // The handler runs on the actor where it sits: `actors`, `metric`
-        // and `stats` are disjoint fields, so nothing is moved out.
+        // The handler runs on the actor where it sits: `actors` and the
+        // fields `Ctx` borrows are disjoint, so nothing is moved out.
         let Some(actor) = self.actors.get_mut(node).and_then(Option::as_mut) else {
             // Timers and failure notices on dead nodes are inert; a
             // message is counted as dropped and, with failure notices
@@ -473,7 +457,6 @@ impl<A: Actor> Engine<A> {
             }
             return true;
         };
-        let mut out = std::mem::take(&mut self.out_buf);
         // Observation only: handler wall time lands in `handler_ns`,
         // never in simulated state.
         let started = if self.profile {
@@ -486,7 +469,11 @@ impl<A: Actor> Engine<A> {
             me: node,
             metric: &*self.metric,
             stats: &mut self.stats,
-            out: &mut out,
+            queue: &mut self.queue,
+            seq: &mut self.seq,
+            proc_delay: self.proc_delay,
+            notified: &mut self.notified,
+            listed: &mut self.listed,
         };
         match ev {
             Event::Deliver { from, msg } => actor.on_message(&mut ctx, from, msg),
@@ -499,10 +486,6 @@ impl<A: Actor> Engine<A> {
         if let Some(t0) = started {
             self.handler_ns[kind].record(t0.elapsed().as_nanos() as u64);
         }
-        for eff in out.drain(..) {
-            self.apply_effect(node, eff);
-        }
-        self.out_buf = out;
         true
     }
 
@@ -532,6 +515,8 @@ mod tests {
     use super::*;
     use tapestry_metric::RingSpace;
 
+    const TICKS: Slot = Slot(0);
+
     /// Ping-pong actor: replies `n - 1` until zero, counting receipts.
     struct Pinger {
         peer: NodeIdx,
@@ -551,8 +536,7 @@ mod tests {
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_, u32, &'static str>, timer: &'static str) {
             assert_eq!(timer, "tick");
-            // tapestry-lint: allow(raw-counter) -- engine test, no registry here
-            ctx.count("ticks", 1);
+            ctx.count(TICKS, 1);
         }
     }
 
@@ -712,7 +696,7 @@ mod tests {
         // so set timers through a handler: inject 0 (no reply) then check.
         e.inject(0, 0);
         e.run_until_idle(10);
-        assert_eq!(e.stats().get("ticks"), 0);
+        assert_eq!(e.stats().get(TICKS), 0);
     }
 
     #[test]

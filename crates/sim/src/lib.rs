@@ -25,5 +25,5 @@ mod time;
 pub use engine::{Actor, Ctx, Engine, NodeIdx, EVENT_KINDS, EXTERNAL};
 pub use histogram::Histogram;
 pub use shard::ShardedQueue;
-pub use stats::{SimStats, TraceBuf, TraceRecord};
+pub use stats::{SimStats, Slot, TraceBuf, TraceRecord};
 pub use time::SimTime;

@@ -1,5 +1,4 @@
 use crate::{Histogram, SimTime};
-use std::collections::BTreeMap;
 
 /// One causal hop of a sampled operation: who forwarded to whom, at which
 /// routing level/digit, at what metric cost. Records are keyed by **sim
@@ -72,16 +71,23 @@ impl TraceBuf {
     }
 }
 
+/// Where one metric lives in [`SimStats`]: an index into the counter
+/// vector or the histogram vector (each kind numbers its own slots from
+/// zero). The layer that names metrics hands slots out — the engine never
+/// sees a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(pub u16);
+
 /// Global cost counters for one simulation run.
 ///
 /// The unit of account follows the paper: messages (one per overlay send),
 /// network distance (the metric length of each send — the paper's
 /// "network latency" or "traffic"), and drops (sends to departed nodes).
-/// Named counters let higher layers attribute costs to logical operations
-/// ("insert.multicast", "locate.hops", …) without the engine knowing
-/// anything about Tapestry. Named histograms do the same for per-operation
-/// *distributions* (locate latency, hop counts) so drivers can report
-/// percentiles, not just totals.
+/// Slotted counters let higher layers attribute costs to logical
+/// operations (join messages, locate hops, …) without the engine knowing
+/// anything about Tapestry. Slotted histograms do the same for
+/// per-operation *distributions* (locate latency, hop counts) so drivers
+/// can report percentiles, not just totals.
 #[derive(Debug, Default, Clone)]
 pub struct SimStats {
     /// Total messages delivered or in flight.
@@ -94,43 +100,44 @@ pub struct SimStats {
     pub distance: f64,
     /// Timer events fired.
     pub timers: u64,
-    named: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    /// `counters[slot]`; as long as the highest slot touched so far.
+    counters: Vec<u64>,
+    /// `hists[slot]`, grown like `counters`.
+    hists: Vec<Histogram>,
     /// Hop-trace collector; `None` (the default) costs one branch per
     /// would-be record and keeps reports byte-identical to untraced runs.
     trace: Option<TraceBuf>,
 }
 
 impl SimStats {
-    /// Increment a named counter by `v`.
-    pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.named.entry(name).or_insert(0) += v;
+    /// Increment the counter in `slot` by `v`. The first touch of a slot
+    /// past the end grows the vector; every later bump is an indexed add.
+    pub fn add(&mut self, slot: Slot, v: u64) {
+        let i = usize::from(slot.0);
+        if i >= self.counters.len() {
+            self.counters.resize(i + 1, 0);
+        }
+        self.counters[i] += v;
     }
 
-    /// Read a named counter (0 when never touched).
-    pub fn get(&self, name: &'static str) -> u64 {
-        self.named.get(name).copied().unwrap_or(0)
+    /// Read the counter in `slot` (0 when never touched).
+    pub fn get(&self, slot: Slot) -> u64 {
+        self.counters.get(usize::from(slot.0)).copied().unwrap_or(0)
     }
 
-    /// All named counters, sorted by name (deterministic output).
-    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.named.iter().map(|(&k, &v)| (k, v))
+    /// Record one sample into the histogram in `slot` (mirrors
+    /// [`SimStats::add`] for distributions).
+    pub fn record(&mut self, slot: Slot, v: u64) {
+        let i = usize::from(slot.0);
+        if i >= self.hists.len() {
+            self.hists.resize_with(i + 1, Histogram::default);
+        }
+        self.hists[i].record(v);
     }
 
-    /// Record one sample into the named histogram, creating it on first
-    /// use (mirrors [`SimStats::add`] for distributions).
-    pub fn record(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().record(v);
-    }
-
-    /// Read a named histogram (`None` when never recorded into).
-    pub fn histogram(&self, name: &'static str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// All named histograms, sorted by name (deterministic output).
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.hists.iter().map(|(&k, v)| (k, v))
+    /// Read the histogram in `slot` (`None` when never recorded into).
+    pub fn histogram(&self, slot: Slot) -> Option<&Histogram> {
+        self.hists.get(usize::from(slot.0)).filter(|h| h.count() > 0)
     }
 
     /// Turn on hop tracing with a ring buffer of `cap` records. Enabling
@@ -158,17 +165,6 @@ impl SimStats {
             buf.push(rec);
         }
     }
-
-    /// Snapshot the difference `self - earlier` for the builtin counters —
-    /// handy for measuring the cost of a single operation window.
-    pub fn delta_messages(&self, earlier: &SimStats) -> u64 {
-        self.messages - earlier.messages
-    }
-
-    /// Distance accumulated since `earlier`.
-    pub fn delta_distance(&self, earlier: &SimStats) -> f64 {
-        self.distance - earlier.distance
-    }
 }
 
 #[cfg(test)]
@@ -178,38 +174,54 @@ mod tests {
     #[test]
     fn named_counters_accumulate() {
         let mut s = SimStats::default();
-        // tapestry-lint: allow(raw-counter) -- exercising the raw key API
-        s.add("locate.hops", 3);
-        // tapestry-lint: allow(raw-counter)
-        s.add("locate.hops", 2);
-        assert_eq!(s.get("locate.hops"), 5);
-        assert_eq!(s.get("never"), 0);
+        s.add(Slot(3), 3);
+        s.add(Slot(3), 2);
+        assert_eq!(s.get(Slot(3)), 5);
+        assert_eq!(s.get(Slot(2)), 0, "below the touched slot");
+        assert_eq!(s.get(Slot(40)), 0, "past the end");
     }
 
     #[test]
-    fn named_iteration_sorted() {
+    fn a_bump_past_the_end_grows_once() {
         let mut s = SimStats::default();
-        // tapestry-lint: allow(raw-counter) -- sorted-iteration fixture
-        s.add("b", 1);
-        // tapestry-lint: allow(raw-counter)
-        s.add("a", 2);
-        let names: Vec<_> = s.named().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["a", "b"]);
+        s.add(Slot(7), 1);
+        assert_eq!(s.counters.len(), 8);
+        let (ptr, cap) = (s.counters.as_ptr(), s.counters.capacity());
+        for slot in 0..8 {
+            s.add(Slot(slot), 1);
+        }
+        assert_eq!((s.counters.as_ptr(), s.counters.capacity()), (ptr, cap), "no reallocation");
+        assert_eq!(s.get(Slot(7)), 2);
+
+        s.record(Slot(2), 10);
+        let (ptr, cap) = (s.hists.as_ptr(), s.hists.capacity());
+        s.record(Slot(2), 20);
+        s.record(Slot(0), 30);
+        assert_eq!((s.hists.as_ptr(), s.hists.capacity()), (ptr, cap), "no reallocation");
+    }
+
+    #[test]
+    fn a_mid_run_clone_subtracts_to_the_window() {
+        let mut s = SimStats::default();
+        s.add(Slot(1), 4);
+        let before = s.clone();
+        s.add(Slot(1), 6);
+        s.add(Slot(5), 2); // first touched after the snapshot
+        let delta = |slot| s.get(slot) - before.get(slot);
+        assert_eq!((delta(Slot(0)), delta(Slot(1)), delta(Slot(5))), (0, 6, 2));
     }
 
     #[test]
     fn named_histograms_record_and_report() {
         let mut s = SimStats::default();
         for v in [10u64, 20, 30, 40] {
-            // tapestry-lint: allow(raw-counter) -- exercising the raw key API
-            s.record("locate.latency", v);
+            s.record(Slot(1), v);
         }
-        let h = s.histogram("locate.latency").expect("recorded");
+        let h = s.histogram(Slot(1)).expect("recorded");
         assert_eq!(h.count(), 4);
         assert_eq!(h.p50(), 20);
-        assert!(s.histogram("never").is_none());
-        let names: Vec<_> = s.histograms().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["locate.latency"]);
+        assert!(s.histogram(Slot(0)).is_none(), "grown over, never recorded into");
+        assert!(s.histogram(Slot(9)).is_none(), "past the end");
     }
 
     fn rec(trace: u64, hop: u32) -> TraceRecord {
@@ -245,15 +257,5 @@ mod tests {
         assert_eq!(buf.records()[1].hop, 1, "first records win, not last");
         assert_eq!(buf.dropped(), 3);
         assert_eq!(buf.cap(), 2);
-    }
-
-    #[test]
-    fn deltas() {
-        let before = SimStats { messages: 10, distance: 5.0, ..Default::default() };
-        let mut after = before.clone();
-        after.messages = 25;
-        after.distance = 9.0;
-        assert_eq!(after.delta_messages(&before), 15);
-        assert!((after.delta_distance(&before) - 4.0).abs() < 1e-12);
     }
 }

@@ -7,11 +7,12 @@
 //! is unaffected by scheduling and the only shared state is the work
 //! index and the result slots.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Run `job(0..n)` across `workers` scoped threads (clamped to ≥ 1) and
-/// return the results indexed by input position.
+/// return the results indexed by input position. A panicking job
+/// panics the caller once the other workers have been joined.
 pub fn run_parallel<T, F>(n: usize, workers: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -31,11 +32,12 @@ where
                     break;
                 }
                 let out = job(i);
-                slots.lock()[i] = Some(out);
+                slots.lock().expect("no worker panics holding the slots")[i] = Some(out);
             });
         }
     });
-    slots.into_inner().into_iter().map(|s| s.expect("every job ran")).collect()
+    let slots = slots.into_inner().expect("no worker panics holding the slots");
+    slots.into_iter().map(|s| s.expect("every job ran")).collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use crate::pool::run_parallel;
 use std::collections::BTreeMap;
 use tapestry_core::MaintenanceMode;
 use tapestry_membership::mean_messages_per_join;
+use tapestry_trace::metrics;
 use tapestry_workload::{runner, ChurnSpec, ScenarioReport, ScenarioSpec};
 
 /// Metrics of one (cell, seed) run.
@@ -103,17 +104,17 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
         det.insert("joins_ok".into(), joins as f64);
         det.insert(
             "join_msgs_mean".into(),
-            mean_messages_per_join(report.counter_total("join.messages"), joins),
+            mean_messages_per_join(report.counter_total(metrics::JOIN_MESSAGES), joins),
         );
     }
     // Repair metrics exist exactly under the fact-driven scheduler.
     if spec.cfg.maintenance == MaintenanceMode::Incremental {
         let rounds = probe_rounds(&spec).max(1) as f64;
-        det.insert("repair_events".into(), report.counter_total("repair.events") as f64);
-        det.insert("repair_facts".into(), report.counter_total("repair.facts") as f64);
+        det.insert("repair_events".into(), report.counter_total(metrics::REPAIR_EVENTS) as f64);
+        det.insert("repair_facts".into(), report.counter_total(metrics::REPAIR_FACTS) as f64);
         det.insert(
             "repairs_per_node_round".into(),
-            report.counter_total("repair.events") as f64 / cell.nodes as f64 / rounds,
+            report.counter_total(metrics::REPAIR_EVENTS) as f64 / cell.nodes as f64 / rounds,
         );
     }
     verify_det_metrics(cell, seed, &report, &det)?;

@@ -8,7 +8,7 @@
 //! histograms) is emitted separately — it belongs next to sweep's
 //! `--timing-json`, never in the byte-compared files.
 
-use crate::registry::canonical_for;
+use crate::registry::metrics;
 use crate::sampler::SeriesSample;
 use tapestry_sim::{Histogram, SimStats, TraceBuf, EVENT_KINDS};
 
@@ -54,12 +54,12 @@ pub fn trace_json(buf: &TraceBuf, sample: u64) -> String {
 }
 
 /// Serialize the time-series samples plus a final counter/histogram dump
-/// under **canonical** registry names (storage keys are included so the
-/// legacy spelling stays greppable):
-/// `{"schema":"tapestry-metrics/v1","window":…,"samples":[…],"counters":[…],"histograms":[…]}`.
+/// under registry names — the engine builtins, then every counter that
+/// moved and every histogram that was recorded into, sorted by name:
+/// `{"schema":"tapestry-metrics/v2","window":…,"samples":[…],"counters":[…],"histograms":[…]}`.
 pub fn metrics_json(window: u64, samples: &[SeriesSample], stats: &SimStats) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str("{\"schema\":\"tapestry-metrics/v1\"");
+    out.push_str("{\"schema\":\"tapestry-metrics/v2\"");
     out.push_str(&format!(",\"window\":{window}"));
     out.push_str(",\"samples\":[");
     for (i, s) in samples.iter().enumerate() {
@@ -89,44 +89,33 @@ pub fn metrics_json(window: u64, samples: &[SeriesSample], stats: &SimStats) -> 
         out.push_str("]}");
     }
     out.push(']');
-    // Engine builtins, then the named counters in sorted-key order (the
-    // BTreeMap order — deterministic by construction).
     out.push_str(",\"counters\":[");
-    let builtins: [(&str, u64); 4] = [
-        ("engine.messages", stats.messages),
-        ("engine.dropped", stats.dropped),
-        ("engine.partition_dropped", stats.partition_dropped),
-        ("engine.timers", stats.timers),
+    let builtins = [
+        (metrics::ENGINE_MESSAGES.name(), stats.messages),
+        (metrics::ENGINE_DROPPED.name(), stats.dropped),
+        (metrics::ENGINE_PARTITION_DROPPED.name(), stats.partition_dropped),
+        (metrics::ENGINE_TIMERS.name(), stats.timers),
     ];
-    let mut first = true;
-    for (name, v) in builtins {
-        if !first {
+    let mut moved: Vec<(&str, u64)> =
+        metrics::counters().map(|c| (c.name(), c.read(stats))).filter(|&(_, v)| v > 0).collect();
+    moved.sort_unstable();
+    for (i, (name, v)) in builtins.iter().chain(&moved).enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&format!("{{\"name\":\"{name}\",\"key\":\"{name}\",\"value\":{v}}}"));
-    }
-    for (key, v) in stats.named() {
-        out.push(',');
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"key\":\"{key}\",\"value\":{v}}}",
-            canonical_for(key)
-        ));
+        out.push_str(&format!("{{\"name\":\"{name}\",\"value\":{v}}}"));
     }
     out.push(']');
     out.push_str(&format!(",\"distance\":{}", f3(stats.distance)));
     out.push_str(",\"histograms\":[");
-    let mut first = true;
-    for (key, h) in stats.histograms() {
-        if !first {
+    let mut recorded: Vec<(&str, &Histogram)> =
+        metrics::hists().filter_map(|h| Some((h.name(), h.read(stats)?))).collect();
+    recorded.sort_unstable_by_key(|&(name, _)| name);
+    for (i, (name, h)) in recorded.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"key\":\"{key}\",{}}}",
-            canonical_for(key),
-            histogram_fields(h)
-        ));
+        out.push_str(&format!("{{\"name\":\"{name}\",{}}}", histogram_fields(h)));
     }
     out.push_str("]}\n");
     out
@@ -193,13 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_uses_canonical_names_with_legacy_keys() {
+    fn metrics_json_lists_what_moved_sorted_by_name() {
         let mut stats = SimStats::default();
         stats.messages = 7;
-        // tapestry-lint: allow(raw-counter)
-        stats.add("join.messages", 3);
-        // tapestry-lint: allow(raw-counter)
-        stats.record("locate.hops", 4);
+        // Bumped against name order; one counter touched but still zero.
+        metrics::REPAIR_PINGS.add_to(&mut stats, 9);
+        metrics::JOIN_MESSAGES.add_to(&mut stats, 3);
+        metrics::LOCATE_FOUND.add_to(&mut stats, 0);
+        metrics::LOCATE_HOPS.record_to(&mut stats, 4);
         let sample = SeriesSample {
             at: SimTime(100),
             events: [5, 2, 0],
@@ -210,16 +200,20 @@ mod tests {
             queue_depths: vec![1, 2],
         };
         let j = metrics_json(50, &[sample], &stats);
-        assert!(j.contains("\"window\":50"));
+        assert!(j.starts_with("{\"schema\":\"tapestry-metrics/v2\",\"window\":50,"));
         assert!(j.contains("\"events\":{\"deliver\":5,\"timer\":2,\"contact_failed\":0}"));
         assert!(j.contains("\"queue_depths\":[1,2]"));
         assert!(j.contains(
-            "{\"name\":\"membership.join.messages\",\"key\":\"join.messages\",\"value\":3}"
+            "\"counters\":[{\"name\":\"engine.messages\",\"value\":7},\
+             {\"name\":\"engine.dropped\",\"value\":0},\
+             {\"name\":\"engine.partition_dropped\",\"value\":0},\
+             {\"name\":\"engine.timers\",\"value\":0},\
+             {\"name\":\"join.messages\",\"value\":3},\
+             {\"name\":\"repair.pings\",\"value\":9}]"
         ));
-        assert!(
-            j.contains("{\"name\":\"engine.messages\",\"key\":\"engine.messages\",\"value\":7}")
-        );
-        assert!(j.contains("\"name\":\"locate.hops\",\"key\":\"locate.hops\",\"count\":1"));
+        assert!(j.contains("\"histograms\":[{\"name\":\"locate.hops\",\"count\":1,"));
+        assert!(!j.contains("\"key\""));
+        assert!(!j.contains("locate.found"), "a counter at zero is omitted");
     }
 
     #[test]

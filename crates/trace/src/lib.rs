@@ -6,11 +6,10 @@
 //!    collector. Everything is keyed by **sim time**, so traces are
 //!    byte-identical at every thread count.
 //! 2. **Typed metrics registry** — every counter and histogram the system
-//!    emits is declared once in [`metrics`], with its storage key (the
-//!    legacy report-compatible name), its canonical namespaced name, its
-//!    kind and a help string. Handlers go through the typed handles
-//!    ([`Counter`], [`Hist`]) instead of ad-hoc string inserts; the
-//!    `raw-counter` lint rule keeps it that way.
+//!    emits is declared once in [`metrics`], with its one namespaced
+//!    name, its kind and a help string. Handlers bump through the typed
+//!    handles ([`Counter`], [`Hist`]), which index a dense slot in
+//!    `SimStats`; a name is looked at only where a report is written.
 //! 3. **Time-series telemetry** — a per-sim-window [`SeriesSampler`]
 //!    (events by kind, queue depths, repair backlog, live nodes) plus
 //!    deterministic JSON emitters in [`json`]. Wall-clock observations
@@ -27,13 +26,11 @@ pub mod json;
 mod registry;
 mod sampler;
 
-pub use registry::{
-    canonical_for, lookup_key, metrics, Counter, Gauge, Hist, MetricDef, MetricKind,
-};
+pub use registry::{metrics, Counter, Gauge, Hist, MetricDef, MetricKind};
 pub use sampler::{EngineObservation, SeriesSample, SeriesSampler};
 
 /// Identity of one traced operation, carried in the routed-message header
-/// (sim-side only — the wire codec deliberately does not serialize it).
+/// (sim-side instrumentation only).
 ///
 /// The id spaces are disjoint by construction:
 /// * sampled **locates** use [`TraceId::locate`] — bit 63 set over the

@@ -1,8 +1,10 @@
 //! The typed metrics registry: one declaration per metric the system
-//! emits, binding together its **storage key** (the legacy name committed
-//! reports were built on — `SimStats` keeps storing under it, so every
-//! `BENCH_*.json` field is byte-identical), its **canonical** namespaced
-//! name (what `--metrics-json` emits), its kind and a help line.
+//! emits, binding together its **name**, its kind and a help line. A
+//! metric has one name, declared once, here; where its value lives in
+//! `SimStats` is a slot the `registry!` macro assigns (declaration order
+//! within its kind) and nobody else chooses. Bumps are indexed adds;
+//! names are resolved only where bytes are written
+//! ([`metrics::counters`] / [`metrics::hists`] walk the slots in order).
 //!
 //! Namespace scheme (the counter-name audit's outcome):
 //!
@@ -16,12 +18,8 @@
 //! | `membership.*`   | insert/join protocol and acknowledged multicast       |
 //! | `maintenance.*`  | global probe/optimize/leave rounds                    |
 //! | `repair.*`       | fact ledger, detection and targeted repairs           |
-//!
-//! Handlers never pass string literals to `Ctx::count`/`record` — they go
-//! through the [`Counter`]/[`Hist`] handles below, and the lint's
-//! `raw-counter` rule flags any ad-hoc insert that bypasses them.
 
-use tapestry_sim::{Ctx, SimStats};
+use tapestry_sim::{Ctx, Histogram, SimStats, Slot};
 
 /// What a metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,64 +35,122 @@ pub enum MetricKind {
 /// One registry entry.
 #[derive(Debug)]
 pub struct MetricDef {
-    /// `SimStats` storage key — the legacy name committed reports use.
-    /// Engine builtins and sampler gauges have no stats slot; their key
-    /// equals the canonical name.
-    pub key: &'static str,
-    /// Canonical namespaced name (see the module table).
-    pub canonical: &'static str,
+    /// The metric's name (see the module table), as every report and
+    /// `--metrics-json` print it.
+    pub name: &'static str,
     /// Counter, gauge or histogram.
     pub kind: MetricKind,
     /// One-line description.
     pub help: &'static str,
 }
 
-/// Typed counter handle: increments land in `SimStats` under the def's
-/// storage key, so reports are byte-identical to the pre-registry runs.
+/// The slot of the metric declared at `at`: its rank among the earlier
+/// declarations of its own kind.
+const fn slot_of(at: usize) -> Slot {
+    let defs = metrics::REGISTRY;
+    let (mut i, mut rank) = (0, 0);
+    while i < at {
+        if defs[i].kind as u8 == defs[at].kind as u8 {
+            rank += 1;
+        }
+        i += 1;
+    }
+    Slot(rank)
+}
+
+/// Every declaration of `kind` with its slot, in slot order.
+fn slotted(kind: MetricKind) -> impl Iterator<Item = (&'static MetricDef, Slot)> {
+    let defs = metrics::REGISTRY.iter().enumerate();
+    defs.filter(move |(_, def)| def.kind == kind).map(|(at, def)| (def, slot_of(at)))
+}
+
+/// Typed counter handle: a bump is an indexed add into `SimStats`.
 #[derive(Debug, Clone, Copy)]
-pub struct Counter(pub &'static MetricDef);
+pub struct Counter {
+    def: &'static MetricDef,
+    slot: Slot,
+}
 
 impl Counter {
+    const fn declared(at: usize) -> Self {
+        Counter { def: &metrics::REGISTRY[at], slot: slot_of(at) }
+    }
+
+    /// The metric's name.
+    pub fn name(&self) -> &'static str {
+        self.def.name
+    }
+
     /// Bump by one through a handler context.
     pub fn inc<M, T>(&self, ctx: &mut Ctx<'_, M, T>) {
-        ctx.count(self.0.key, 1);
+        ctx.count(self.slot, 1);
     }
 
     /// Bump by `v` through a handler context.
     pub fn add<M, T>(&self, ctx: &mut Ctx<'_, M, T>, v: u64) {
-        ctx.count(self.0.key, v);
+        ctx.count(self.slot, v);
     }
 
     /// Bump by `v` directly on a stats accumulator (drivers, tests).
     pub fn add_to(&self, stats: &mut SimStats, v: u64) {
-        stats.add(self.0.key, v);
+        stats.add(self.slot, v);
     }
 
-    /// Current value in `stats`.
+    /// Current value in `stats` (0 when never bumped).
     pub fn read(&self, stats: &SimStats) -> u64 {
-        stats.get(self.0.key)
+        stats.get(self.slot)
     }
 }
 
 /// Typed gauge handle. Gauges have no `SimStats` slot — they are sampled
 /// levels the [`crate::SeriesSampler`] reports; the handle exists so the
-/// canonical name and help live in the registry like everything else.
+/// name and help live in the registry like everything else.
 #[derive(Debug, Clone, Copy)]
-pub struct Gauge(pub &'static MetricDef);
+pub struct Gauge {
+    def: &'static MetricDef,
+}
 
-/// Typed histogram handle, storing under the def's key like [`Counter`].
+impl Gauge {
+    const fn declared(at: usize) -> Self {
+        Gauge { def: &metrics::REGISTRY[at] }
+    }
+
+    /// The metric's name.
+    pub fn name(&self) -> &'static str {
+        self.def.name
+    }
+}
+
+/// Typed histogram handle, slotted like [`Counter`].
 #[derive(Debug, Clone, Copy)]
-pub struct Hist(pub &'static MetricDef);
+pub struct Hist {
+    def: &'static MetricDef,
+    slot: Slot,
+}
 
 impl Hist {
+    const fn declared(at: usize) -> Self {
+        Hist { def: &metrics::REGISTRY[at], slot: slot_of(at) }
+    }
+
+    /// The metric's name.
+    pub fn name(&self) -> &'static str {
+        self.def.name
+    }
+
     /// Record one sample through a handler context.
     pub fn record<M, T>(&self, ctx: &mut Ctx<'_, M, T>, v: u64) {
-        ctx.record(self.0.key, v);
+        ctx.record(self.slot, v);
     }
 
     /// Record one sample directly on a stats accumulator.
     pub fn record_to(&self, stats: &mut SimStats, v: u64) {
-        stats.record(self.0.key, v);
+        stats.record(self.slot, v);
+    }
+
+    /// The distribution in `stats` (`None` when nothing was recorded).
+    pub fn read<'s>(&self, stats: &'s SimStats) -> Option<&'s Histogram> {
+        stats.histogram(self.slot)
     }
 }
 
@@ -111,243 +167,201 @@ macro_rules! kind_of {
 }
 
 macro_rules! registry {
-    ($( $ty:ident $ident:ident : $key:literal => $canonical:literal, $help:literal; )*) => {
-        mod defs {
-            use super::{MetricDef, MetricKind};
-            $(
-                pub static $ident: MetricDef = MetricDef {
-                    key: $key,
-                    canonical: $canonical,
-                    kind: kind_of!($ty),
-                    help: $help,
-                };
-            )*
-        }
+    ($( $ty:ident $ident:ident : $name:literal, $help:literal; )*) => {
+        /// Every metric the system emits, in declaration order.
+        pub static REGISTRY: &[MetricDef] = &[
+            $( MetricDef { name: $name, kind: kind_of!($ty), help: $help } ),*
+        ];
+        /// Position of each declaration in `REGISTRY`.
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        enum Decl { $( $ident ),* }
         $(
             #[doc = $help]
-            pub static $ident: $ty = $ty(&defs::$ident);
+            pub static $ident: $ty = $ty::declared(Decl::$ident as usize);
         )*
-        /// Every metric the system emits, in declaration order.
-        pub static REGISTRY: &[&'static MetricDef] = &[ $( &defs::$ident ),* ];
     };
 }
 
-/// All metric declarations. Storage keys are the pre-registry counter
-/// names — renames happen only at the canonical level, which is what
-/// keeps every committed `BENCH_*.json` field byte-identical.
+/// All metric declarations.
 pub mod metrics {
-    use super::{Counter, Gauge, Hist, MetricDef, MetricKind};
+    use super::{slotted, Counter, Gauge, Hist, MetricDef, MetricKind};
+
+    /// Every counter, in slot order.
+    pub fn counters() -> impl Iterator<Item = Counter> {
+        slotted(MetricKind::Counter).map(|(def, slot)| Counter { def, slot })
+    }
+
+    /// Every histogram, in slot order.
+    pub fn hists() -> impl Iterator<Item = Hist> {
+        slotted(MetricKind::Histogram).map(|(def, slot)| Hist { def, slot })
+    }
 
     registry! {
-        // -- engine builtins (no named-counter slot; key == canonical) --
-        Counter ENGINE_EVENTS: "engine.events" => "engine.events",
+        // -- engine builtins (counted in `SimStats`' own fields) ---------
+        Counter ENGINE_EVENTS: "engine.events",
             "Events popped from the queue (deliveries, timers, drops alike)";
-        Counter ENGINE_MESSAGES: "engine.messages" => "engine.messages",
+        Counter ENGINE_MESSAGES: "engine.messages",
             "Node-to-node sends accounted by the engine";
-        Counter ENGINE_DROPPED: "engine.dropped" => "engine.dropped",
+        Counter ENGINE_DROPPED: "engine.dropped",
             "Messages addressed to departed nodes";
-        Counter ENGINE_PARTITION_DROPPED: "engine.partition_dropped" => "engine.partition_dropped",
+        Counter ENGINE_PARTITION_DROPPED: "engine.partition_dropped",
             "Messages dropped at an active partition cut";
-        Counter ENGINE_TIMERS: "engine.timers" => "engine.timers",
+        Counter ENGINE_TIMERS: "engine.timers",
             "Timer events fired";
-        Gauge ENGINE_DISTANCE: "engine.distance" => "engine.distance",
+        Gauge ENGINE_DISTANCE: "engine.distance",
             "Sum of metric distances of all sends (the paper's traffic measure)";
-        Gauge ENGINE_LIVE_NODES: "engine.live_nodes" => "engine.live_nodes",
+        Gauge ENGINE_LIVE_NODES: "engine.live_nodes",
             "Nodes alive at the sample instant";
-        Gauge ENGINE_QUEUE_DEPTH: "engine.queue_depth" => "engine.queue_depth",
+        Gauge ENGINE_QUEUE_DEPTH: "engine.queue_depth",
             "Pending events per queue shard at the sample instant";
-        Hist ENGINE_HANDLER_NS: "engine.handler_ns" => "engine.handler_ns",
+        Hist ENGINE_HANDLER_NS: "engine.handler_ns",
             "Handler wall time per event kind, ns (observational; timing JSON only)";
 
         // -- routing ---------------------------------------------------
-        Counter ROUTE_HOPS: "route.hops" => "routing.hops",
+        Counter ROUTE_HOPS: "route.hops",
             "Prefix-routing forwards taken by routed messages";
-        Counter LOCALITY_RESUME_GLOBAL: "locality.resume_global" => "routing.locality.resume_global",
+        Counter LOCALITY_RESUME_GLOBAL: "locality.resume_global",
             "Local-branch routes that fell back to the global mesh";
 
         // -- locate / publish / availability ---------------------------
-        Counter LOCATE_FOUND: "locate.found" => "locate.found",
+        Counter LOCATE_FOUND: "locate.found",
             "Locates that found a pointer and reached a server";
-        Counter LOCATE_NOT_FOUND: "locate.not_found" => "locate.not_found",
+        Counter LOCATE_NOT_FOUND: "locate.not_found",
             "Locates that terminated at the root without a pointer";
-        Counter PUBLISH_ROOTED: "publish.rooted" => "publish.rooted",
+        Counter PUBLISH_ROOTED: "publish.rooted",
             "Publishes that reached the object's root";
-        Counter AVAILABILITY_BOUNCE_TO_SURROGATE: "availability.bounce_to_surrogate" => "availability.bounce_to_surrogate",
+        Counter AVAILABILITY_BOUNCE_TO_SURROGATE: "availability.bounce_to_surrogate",
             "Not-found locates bounced to the pre-insertion surrogate (§4.3)";
-        Hist LOCATE_LATENCY_UNITS: "locate.latency_units" => "locate.latency_units",
+        Hist LOCATE_LATENCY_UNITS: "locate.latency_units",
             "Locate round-trip latency in sim-time units";
-        Hist LOCATE_LATENCY_UNITS_FOUND_LIVE: "locate.latency_units.found_live" => "locate.latency_units.found_live",
+        Hist LOCATE_LATENCY_UNITS_FOUND_LIVE: "locate.latency_units.found_live",
             "Locate latency restricted to found-and-live results";
-        Hist LOCATE_HOPS: "locate.hops" => "locate.hops",
+        Hist LOCATE_HOPS: "locate.hops",
             "Overlay hops per locate";
 
         // -- membership: insert / join / multicast ---------------------
-        Counter INSERT_STARTED: "insert.started" => "membership.insert.started",
+        Counter INSERT_STARTED: "insert.started",
             "Node insertions started";
-        Counter INSERT_COMPLETED: "insert.completed" => "membership.insert.completed",
+        Counter INSERT_COMPLETED: "insert.completed",
             "Node insertions completed";
-        Counter INSERT_BATCH_READY: "insert.batch_ready" => "membership.insert.batch_ready",
+        Counter INSERT_BATCH_READY: "insert.batch_ready",
             "Insertions released by a coalesced batch wave";
-        Counter INSERT_GETPTR: "insert.getptr" => "membership.insert.getptr",
+        Counter INSERT_GETPTR: "insert.getptr",
             "Pointer-transfer fetches during insertion";
-        Counter INSERT_LEVEL_TIMEOUT: "insert.level_timeout" => "membership.insert.level_timeout",
+        Counter INSERT_LEVEL_TIMEOUT: "insert.level_timeout",
             "Per-level acknowledgment deadlines that expired";
-        Counter INSERT_ROOT_TRANSFERS: "insert.root_transfers" => "membership.insert.root_transfers",
+        Counter INSERT_ROOT_TRANSFERS: "insert.root_transfers",
             "Object roots transferred to a newly inserted node";
-        Counter INSERT_CHAINED_TRANSFERS: "insert.chained_transfers" => "membership.insert.chained_transfers",
+        Counter INSERT_CHAINED_TRANSFERS: "insert.chained_transfers",
             "Root transfers chained through a departing node";
-        Counter JOIN_MESSAGES: "join.messages" => "membership.join.messages",
+        Counter JOIN_MESSAGES: "join.messages",
             "Messages attributed to the join protocol";
-        Counter MULTICAST_RECIPIENTS: "multicast.recipients" => "membership.multicast.recipients",
+        Counter MULTICAST_RECIPIENTS: "multicast.recipients",
             "Nodes reached by acknowledged multicasts";
-        Counter MULTICAST_FANOUT_DEFERRED: "multicast.fanout_deferred" => "membership.multicast.fanout_deferred",
+        Counter MULTICAST_FANOUT_DEFERRED: "multicast.fanout_deferred",
             "Multicast branches deferred by the fanout bound";
-        Counter MULTICAST_EDGES: "multicast.edges" => "membership.multicast.edges",
+        Counter MULTICAST_EDGES: "multicast.edges",
             "Multicast tree edges traversed";
-        Counter MULTICAST_BATCH_WAVES: "multicast.batch_waves" => "membership.multicast.batch_waves",
+        Counter MULTICAST_BATCH_WAVES: "multicast.batch_waves",
             "Coalesced multicast waves sent";
-        Counter MULTICAST_BATCH_JOINS: "multicast.batch_joins" => "membership.multicast.batch_joins",
+        Counter MULTICAST_BATCH_JOINS: "multicast.batch_joins",
             "Joins carried by coalesced waves";
-        Counter MULTICAST_BATCH_INSERTEES: "multicast.batch_insertees" => "membership.multicast.batch_insertees",
+        Counter MULTICAST_BATCH_INSERTEES: "multicast.batch_insertees",
             "Insertees advertised per coalesced wave";
-        Counter MULTICAST_DEADLINE_FORCED: "multicast.deadline_forced" => "membership.multicast.deadline_forced",
+        Counter MULTICAST_DEADLINE_FORCED: "multicast.deadline_forced",
             "Coalescing windows flushed by deadline rather than size";
 
         // -- maintenance: global rounds --------------------------------
-        Counter OPTIMIZE_REPUBLISHED: "optimize.republished" => "maintenance.optimize.republished",
+        Counter OPTIMIZE_REPUBLISHED: "optimize.republished",
             "Objects republished by optimize rounds";
-        Counter OPTIMIZE_DELETED: "optimize.deleted" => "maintenance.optimize.deleted",
+        Counter OPTIMIZE_DELETED: "optimize.deleted",
             "Stale pointers deleted by optimize rounds";
-        Counter OPTIMIZE_TABLE_SHARES: "optimize.table_shares" => "maintenance.optimize.table_shares",
+        Counter OPTIMIZE_TABLE_SHARES: "optimize.table_shares",
             "Routing-table entries shared during optimize rounds";
-        Counter LEAVE_REROOTED: "leave.rerooted" => "maintenance.leave.rerooted",
+        Counter LEAVE_REROOTED: "leave.rerooted",
             "Objects re-rooted by voluntary departures";
 
         // -- repair: detection, ledger, targeted repairs ---------------
-        Counter REPAIR_PINGS: "repair.pings" => "repair.pings",
+        Counter REPAIR_PINGS: "repair.pings",
             "Liveness probes sent";
-        Counter REPAIR_DETECTED_DEAD: "repair.detected_dead" => "repair.detected_dead",
+        Counter REPAIR_DETECTED_DEAD: "repair.detected_dead",
             "Dead neighbors detected by probing";
-        Counter REPAIR_QUERIES: "repair.queries" => "repair.queries",
+        Counter REPAIR_QUERIES: "repair.queries",
             "Replacement queries sent for dead table slots";
-        Counter REPAIR_FACTS: "repair.facts" => "repair.facts",
+        Counter REPAIR_FACTS: "repair.facts",
             "Staleness facts recorded into the ledger";
-        Counter REPAIR_OVERFLOW: "repair.overflow" => "repair.overflow",
+        Counter REPAIR_OVERFLOW: "repair.overflow",
             "Ledger inserts rejected by the per-node cap";
-        Counter REPAIR_EVENTS: "repair.events" => "repair.events",
+        Counter REPAIR_EVENTS: "repair.events",
             "Targeted repair tasks released by the scheduler";
-        Counter REPAIR_DEFERRED_BUDGET: "repair.deferred_budget" => "repair.deferred_budget",
+        Counter REPAIR_DEFERRED_BUDGET: "repair.deferred_budget",
             "Repair tasks deferred by the per-node budget";
-        Counter REPAIR_REROUTED: "repair.rerouted" => "repair.rerouted",
+        Counter REPAIR_REROUTED: "repair.rerouted",
             "Pointers re-routed around dead servers";
-        Counter REPAIR_REPUBLISHED: "repair.republished" => "repair.republished",
+        Counter REPAIR_REPUBLISHED: "repair.republished",
             "Objects republished by targeted repair";
-        Counter REPAIR_REINTRODUCED: "repair.reintroduced" => "repair.reintroduced",
+        Counter REPAIR_REINTRODUCED: "repair.reintroduced",
             "Insertees reintroduced after a deferred multicast branch";
-        Counter REPAIR_READMITTED: "repair.readmitted" => "repair.readmitted",
+        Counter REPAIR_READMITTED: "repair.readmitted",
             "Flapping nodes re-admitted after a death certificate lapsed";
-        Counter REPAIR_PROMOTIONS: "repair.promotions" => "repair.promotions",
+        Counter REPAIR_PROMOTIONS: "repair.promotions",
             "Backup neighbors promoted into dead primary slots";
-        Gauge REPAIR_BACKLOG: "repair.backlog" => "repair.backlog",
+        Gauge REPAIR_BACKLOG: "repair.backlog",
             "Ledger facts pending across live nodes at the sample instant";
-        Counter REPAIR_FACT_FAILED_CONTACT: "repair.fact.failed_contact" => "repair.fact.failed_contact",
+        Counter REPAIR_FACT_FAILED_CONTACT: "repair.fact.failed_contact",
             "Facts from transport-level failed contacts";
-        Counter REPAIR_FACT_MISSED_ACK: "repair.fact.missed_ack" => "repair.fact.missed_ack",
+        Counter REPAIR_FACT_MISSED_ACK: "repair.fact.missed_ack",
             "Facts from missed probe acknowledgments";
-        Counter REPAIR_FACT_LATE_ACK: "repair.fact.late_ack" => "repair.fact.late_ack",
+        Counter REPAIR_FACT_LATE_ACK: "repair.fact.late_ack",
             "Facts from late probe acknowledgments";
-        Counter REPAIR_FACT_EVICTION: "repair.fact.eviction" => "repair.fact.eviction",
+        Counter REPAIR_FACT_EVICTION: "repair.fact.eviction",
             "Facts from table evictions";
-        Counter REPAIR_FACT_DEFERRED_BRANCH: "repair.fact.deferred_branch" => "repair.fact.deferred_branch",
+        Counter REPAIR_FACT_DEFERRED_BRANCH: "repair.fact.deferred_branch",
             "Facts from deferred multicast branches";
-        Counter REPAIR_FACT_EXPIRED_POINTER: "repair.fact.expired_pointer" => "repair.fact.expired_pointer",
+        Counter REPAIR_FACT_EXPIRED_POINTER: "repair.fact.expired_pointer",
             "Facts from expired object pointers";
     }
 }
 
-/// The registry entry whose storage key is `key`, if any.
-pub fn lookup_key(key: &str) -> Option<&'static MetricDef> {
-    metrics::REGISTRY.iter().find(|d| d.key == key).copied()
-}
-
-/// Canonical name for a storage key (the key itself when unregistered —
-/// emitters stay total over whatever a driver recorded).
-pub fn canonical_for(key: &str) -> &str {
-    lookup_key(key).map_or(key, |d| d.canonical)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::metrics::REGISTRY;
+    use super::metrics::{self, REGISTRY};
     use super::*;
     use std::collections::BTreeSet;
 
-    const NAMESPACES: [&str; 8] = [
-        "engine.",
-        "routing.",
-        "locate.",
-        "publish.",
-        "availability.",
-        "membership.",
-        "maintenance.",
-        "repair.",
-    ];
-
     #[test]
-    fn keys_and_canonicals_are_unique() {
-        let keys: BTreeSet<_> = REGISTRY.iter().map(|d| d.key).collect();
-        let canon: BTreeSet<_> = REGISTRY.iter().map(|d| d.canonical).collect();
-        assert_eq!(keys.len(), REGISTRY.len(), "duplicate storage key");
-        assert_eq!(canon.len(), REGISTRY.len(), "duplicate canonical name");
-    }
-
-    #[test]
-    fn every_canonical_name_is_namespaced() {
+    fn names_are_unique_and_documented() {
+        let names: BTreeSet<_> = REGISTRY.iter().map(|d| d.name).collect();
+        assert_eq!(names.len(), REGISTRY.len(), "duplicate name");
         for def in REGISTRY {
-            assert!(
-                NAMESPACES.iter().any(|ns| def.canonical.starts_with(ns)),
-                "{} is outside the documented namespaces",
-                def.canonical
-            );
-            assert!(!def.help.is_empty(), "{} has no help", def.canonical);
+            assert!(!def.help.is_empty(), "{} has no help", def.name);
         }
     }
 
+    /// Each kind numbers its slots `0..n` with no gap and no reuse.
     #[test]
-    fn lookup_and_canonical_mapping() {
-        let def = lookup_key("join.messages").expect("registered");
-        assert_eq!(def.canonical, "membership.join.messages");
-        assert_eq!(def.kind, MetricKind::Counter);
-        assert_eq!(canonical_for("join.messages"), "membership.join.messages");
-        assert_eq!(canonical_for("not.a.metric"), "not.a.metric");
-    }
-
-    /// The repair crate's fact counters are minted by `FactKind::counter`
-    /// rather than through handles — the registry must cover every one.
-    #[test]
-    fn fact_kind_counters_are_all_registered() {
-        use tapestry_repair::FactKind;
-        for kind in [
-            FactKind::FailedContact,
-            FactKind::MissedProbeAck,
-            FactKind::LateProbeAck,
-            FactKind::Eviction,
-            FactKind::DeferredBranch,
-            FactKind::ExpiredPointer,
-        ] {
-            let def = lookup_key(kind.counter())
-                .unwrap_or_else(|| panic!("{} not registered", kind.counter()));
-            assert_eq!(def.kind, MetricKind::Counter);
-        }
+    fn slots_are_dense_per_kind() {
+        let of = |kind| REGISTRY.iter().filter(|d| d.kind == kind).count();
+        let counters: Vec<usize> = metrics::counters().map(|c| c.slot.0.into()).collect();
+        let hists: Vec<usize> = metrics::hists().map(|h| h.slot.0.into()).collect();
+        assert_eq!(counters, (0..of(MetricKind::Counter)).collect::<Vec<_>>());
+        assert_eq!(hists, (0..of(MetricKind::Histogram)).collect::<Vec<_>>());
+        assert_eq!(of(MetricKind::Gauge) + counters.len() + hists.len(), REGISTRY.len());
     }
 
     #[test]
-    fn handles_store_under_the_legacy_key() {
+    fn handles_round_trip_and_untouched_slots_read_empty() {
         let mut stats = SimStats::default();
         metrics::JOIN_MESSAGES.add_to(&mut stats, 3);
         metrics::LOCATE_HOPS.record_to(&mut stats, 4);
-        assert_eq!(stats.get("join.messages"), 3, "storage key is the legacy name");
         assert_eq!(metrics::JOIN_MESSAGES.read(&stats), 3);
-        assert_eq!(stats.histogram("locate.hops").map(|h| h.count()), Some(1));
+        assert_eq!(metrics::LOCATE_HOPS.read(&stats).map(|h| h.count()), Some(1));
+        // Below and above the touched slots alike.
+        assert_eq!(metrics::ROUTE_HOPS.read(&stats), 0);
+        assert_eq!(metrics::REPAIR_FACT_EXPIRED_POINTER.read(&stats), 0);
+        assert!(metrics::LOCATE_LATENCY_UNITS.read(&stats).is_none());
+        for c in metrics::counters().filter(|c| c.name() != metrics::JOIN_MESSAGES.name()) {
+            assert_eq!(c.read(&stats), 0, "{} moved with another counter", c.name());
+        }
     }
 }

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tapestry_sim::Histogram;
+use tapestry_trace::Counter;
 
 /// Percentile summary of one histogram, in the unit of the caller's
 /// choosing (latencies are scaled from integer time units to metric
@@ -162,6 +163,13 @@ pub struct PhaseReport {
     pub avg_table_entries: f64,
 }
 
+impl PhaseReport {
+    /// How far `counter` moved during the phase.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters.get(counter.name()).copied().unwrap_or(0)
+    }
+}
+
 /// The full scenario result.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioReport {
@@ -194,10 +202,9 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// Sum a named protocol counter across every phase (0 when the
-    /// counter never moved).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.phases.iter().filter_map(|p| p.counters.get(name)).sum()
+    /// Sum a protocol counter across every phase (0 when it never moved).
+    pub fn counter_total(&self, counter: Counter) -> u64 {
+        self.phases.iter().map(|p| p.counter(counter)).sum()
     }
 
     /// Joins completed across every phase.
@@ -521,6 +528,7 @@ impl JsonWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tapestry_trace::metrics;
 
     fn tiny_report() -> ScenarioReport {
         let mut lat = Histogram::new();
@@ -544,7 +552,7 @@ mod tests {
                 latency: HistSummary::scaled(&lat, 1.0 / 1024.0),
                 hops: HistSummary::scaled(&hops, 1.0),
                 messages: 10,
-                counters: BTreeMap::from([("locate.found".to_string(), 3u64)]),
+                counters: BTreeMap::from([(metrics::LOCATE_FOUND.name().to_string(), 3u64)]),
                 invariants: Some(InvariantReport {
                     prop1_violations: 0,
                     prop2_optimal: 5,

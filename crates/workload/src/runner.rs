@@ -575,11 +575,10 @@ fn harvest(
 /// Deltas of the named protocol counters across the phase (only counters
 /// that moved).
 fn counter_deltas(after: &SimStats, before: &SimStats) -> BTreeMap<String, u64> {
-    after
-        .named()
-        .filter_map(|(name, v)| {
-            let d = v - before.get(name);
-            (d > 0).then(|| (name.to_string(), d))
+    metrics::counters()
+        .filter_map(|c| {
+            let d = c.read(after) - c.read(before);
+            (d > 0).then(|| (c.name().to_string(), d))
         })
         .collect()
 }

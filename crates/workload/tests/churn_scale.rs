@@ -4,6 +4,7 @@
 //! run the same churn schedule.
 
 use tapestry_core::MaintenanceMode;
+use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner};
 
 /// Scaled-down churn-scale run (the preset family itself starts at 1k;
@@ -18,12 +19,12 @@ fn batched_joins_complete_through_shared_waves() {
     let churn_phase = &report.phases[1];
     assert!(churn_phase.churn.joins_ok > 0, "batched joins completed: {churn_phase:?}");
     // The waves actually ran: wave + per-wave insertee counters moved.
-    let waves = churn_phase.counters.get("multicast.batch_waves").copied().unwrap_or(0);
-    let carried = churn_phase.counters.get("multicast.batch_insertees").copied().unwrap_or(0);
+    let waves = churn_phase.counter(metrics::MULTICAST_BATCH_WAVES);
+    let carried = churn_phase.counter(metrics::MULTICAST_BATCH_INSERTEES);
     assert!(waves > 0, "no shared wave launched: {:?}", churn_phase.counters);
     assert!(carried >= waves, "waves carried insertees");
     // Join-cost accounting flowed into the report.
-    assert!(churn_phase.counters.get("join.messages").copied().unwrap_or(0) > 0);
+    assert!(churn_phase.counter(metrics::JOIN_MESSAGES) > 0);
     // The settle phase's spot-checks still pass under batched admission.
     let inv = report.phases[2].invariants.expect("checked settle phase");
     assert_eq!(inv.roots_unique, inv.roots_sampled, "Theorem 2 after batched churn");
@@ -35,11 +36,11 @@ fn unbatched_sibling_runs_same_schedule_solo() {
     let churn_phase = &report.phases[1];
     assert!(churn_phase.churn.joins_ok > 0, "solo joins completed");
     assert_eq!(
-        churn_phase.counters.get("multicast.batch_waves"),
-        None,
+        churn_phase.counter(metrics::MULTICAST_BATCH_WAVES),
+        0,
         "solo sibling must not launch shared waves"
     );
-    assert!(churn_phase.counters.get("join.messages").copied().unwrap_or(0) > 0);
+    assert!(churn_phase.counter(metrics::JOIN_MESSAGES) > 0);
 }
 
 #[test]

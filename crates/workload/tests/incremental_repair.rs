@@ -5,6 +5,7 @@
 //! must freeze repairs without wedging or panicking the run.
 
 use tapestry_core::MaintenanceMode;
+use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner};
 
 fn incr_spec(budget: u32, threads: usize) -> tapestry_workload::ScenarioSpec {
@@ -21,9 +22,8 @@ fn incremental_repair_converges_under_every_finite_budget() {
         assert!(churn_phase.churn.joins_ok > 0, "budget {budget}: churn happened");
         // The scheduler actually ran: facts were recorded and repairs
         // released somewhere in the run.
-        let facts: u64 = report.phases.iter().filter_map(|p| p.counters.get("repair.facts")).sum();
-        let events: u64 =
-            report.phases.iter().filter_map(|p| p.counters.get("repair.events")).sum();
+        let facts: u64 = report.counter_total(metrics::REPAIR_FACTS);
+        let events: u64 = report.counter_total(metrics::REPAIR_EVENTS);
         assert!(facts > 0, "budget {budget}: staleness facts recorded");
         assert!(events > 0, "budget {budget}: repairs released");
         // Convergence: the checked settle phase restores the paper's
@@ -41,7 +41,7 @@ fn incremental_repair_converges_under_every_finite_budget() {
 fn tighter_budgets_defer_more_work() {
     let deferred_at = |budget: u32| -> u64 {
         let report = runner::run(&incr_spec(budget, 1)).expect("runs");
-        report.phases.iter().filter_map(|p| p.counters.get("repair.deferred_budget")).sum()
+        report.counter_total(metrics::REPAIR_DEFERRED_BUDGET)
     };
     // Not a strict monotonicity claim (backlogs drain between ticks),
     // but a budget of 1 must visibly queue more than a budget of 16.
@@ -53,9 +53,9 @@ fn zero_budget_never_panics_and_still_drains_to_idle() {
     let report = runner::run(&incr_spec(0, 1)).expect("zero-budget run completes");
     // Facts accumulate (bounded by the ledger cap) but no repair tick
     // ever fires, so no repair events are released.
-    let events: u64 = report.phases.iter().filter_map(|p| p.counters.get("repair.events")).sum();
+    let events: u64 = report.counter_total(metrics::REPAIR_EVENTS);
     assert_eq!(events, 0, "a frozen scheduler releases nothing");
-    let facts: u64 = report.phases.iter().filter_map(|p| p.counters.get("repair.facts")).sum();
+    let facts: u64 = report.counter_total(metrics::REPAIR_FACTS);
     assert!(facts > 0, "evidence still recorded while frozen");
 }
 
@@ -77,7 +77,8 @@ fn global_rounds_reports_carry_no_new_repair_counters() {
     // hook is a no-op, so none of the scheduler's counters may appear in
     // the report (counters only surface when they move). The three
     // pre-existing probe-round counters are the global path's own.
-    let legacy = ["repair.pings", "repair.detected_dead", "repair.queries"];
+    let legacy = [metrics::REPAIR_PINGS, metrics::REPAIR_DETECTED_DEAD, metrics::REPAIR_QUERIES]
+        .map(|c| c.name());
     let spec = presets::churn_scale_preset(96, 400, 11, 1, true, MaintenanceMode::GlobalRounds);
     let report = runner::run(&spec).expect("runs");
     for p in &report.phases {

@@ -3,6 +3,7 @@
 //! invariant spot-checks.
 
 use tapestry_sim::SimTime;
+use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner, Arrival, ChurnSpec, PhaseSpec, Popularity, ScenarioSpec};
 
 fn d(units: f64) -> SimTime {
@@ -93,7 +94,7 @@ fn mass_failure_surfaces_drops_and_unreachability() {
     let visible = failure.ops.lost + failure.ops.not_found + failure.ops.found_dead;
     assert!(visible > 0, "churn must be visible in op outcomes: {:?}", failure.ops);
     // Repair counters moved (probe rounds ran).
-    assert!(failure.counters.contains_key("repair.pings"), "{:?}", failure.counters);
+    assert!(failure.counter(metrics::REPAIR_PINGS) > 0, "{:?}", failure.counters);
 }
 
 #[test]
@@ -103,8 +104,8 @@ fn churn_storm_grows_and_shrinks_membership() {
     assert!(storm.churn.joins_ok + storm.churn.joins_failed > 0, "joins happened");
     assert!(storm.churn.kills > 0, "kills happened");
     assert!(
-        storm.counters.contains_key("insert.chained_transfers")
-            || storm.counters.contains_key("publish.rooted"),
+        storm.counter(metrics::INSERT_CHAINED_TRANSFERS) + storm.counter(metrics::PUBLISH_ROOTED)
+            > 0,
         "protocol counters recorded: {:?}",
         storm.counters
     );
