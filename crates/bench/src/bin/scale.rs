@@ -20,7 +20,7 @@
 //!
 //! Churn points run the `churn-scale` preset in **both maintenance
 //! modes**: the classic global-rounds schedule (batched joins plus the
-//! solo-join baseline, reporting measured mean `join.messages` per
+//! solo-join baseline, reporting measured mean `membership.join.messages` per
 //! completed join side by side) and the incremental fact-driven repair
 //! scheduler (`tapestry-repair`), whose mean repair events per node per
 //! probe round is the O(churn)-not-O(n) figure the maintenance item
@@ -258,7 +258,7 @@ struct ChurnCols {
 /// solo baseline.
 struct GlobalChurnCols {
     joins_ok: u64,
-    /// Mean `join.messages` per completed join under coalescing.
+    /// Mean `membership.join.messages` per completed join under coalescing.
     join_msgs_mean: f64,
     waves: u64,
     mean_batch: f64,
@@ -286,7 +286,7 @@ struct IncrCols {
     report: ScenarioReport,
 }
 
-/// Mean `join.messages` per completed join (0 when no join completed).
+/// Mean `membership.join.messages` per completed join (0 when no join completed).
 fn join_msgs_mean(r: &ScenarioReport) -> f64 {
     tapestry_membership::mean_messages_per_join(
         r.counter_total(metrics::JOIN_MESSAGES),

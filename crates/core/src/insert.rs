@@ -5,7 +5,7 @@
 //! Every protocol message belonging to an insertion (surrogate
 //! discovery hops, table copy, multicast wave, `SendID`/`Candidates`
 //! reports, `GetNextList` pointer fetches, root transfers and acks) also
-//! bumps the `join.messages` counter, so drivers can report a measured
+//! bumps the `membership.join.messages` counter, so drivers can report a measured
 //! mean messages/join figure. Opportunistic backpointer maintenance
 //! (`AddedYou` / `RemovedYou` out of `consider_neighbor`) is deliberately
 //! excluded — it is shared with every flow that touches a routing

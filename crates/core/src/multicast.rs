@@ -24,7 +24,7 @@
 //! * **Fan-out bound** (`TapestryConfig::multicast_fanout`): when set,
 //!   each recipient forwards to at most that many unpinned child
 //!   branches per level and defers the rest (counted in
-//!   `multicast.fanout_deferred`) to soft-state repair — the deferred
+//!   `membership.multicast.fanout_deferred`) to soft-state repair — the deferred
 //!   subtrees learn the insertee through later probe/optimize rounds and
 //!   ordinary traffic instead of the wave.
 
@@ -308,7 +308,7 @@ impl TapestryNode {
     /// *unpinned* child branches are forwarded per level (lowest digits
     /// first — deterministic); branches deferred to soft-state repair are
     /// collected into `deferred` (their count is the
-    /// `multicast.fanout_deferred` figure, and incremental maintenance
+    /// `membership.multicast.fanout_deferred` figure, and incremental maintenance
     /// turns each into a targeted reintroduction). Pinned entries are
     /// always forwarded: §4.4 requires every multicast through a pinned
     /// slot to reach the in-flight insertee, bound or no bound.

@@ -308,7 +308,7 @@ fn fanout_bound_defers_branches_but_insertion_completes() {
 
 #[test]
 fn join_message_accounting_tracks_insertions() {
-    // Every insertion bumps `join.messages`; quiet traffic does not.
+    // Every insertion bumps `membership.join.messages`; quiet traffic does not.
     let n = 48;
     let space = TorusSpace::random(n + 2, 1000.0, 13);
     let mut net = TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), 13, n);

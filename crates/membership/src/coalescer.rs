@@ -49,7 +49,7 @@ impl BatchPolicy {
 }
 
 /// Counts of what the coalescer did (driver-side bookkeeping; the
-/// protocol-level counters live in `SimStats` under `multicast.batch_*`).
+/// protocol-level counters live in `SimStats` under `membership.multicast.batch_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalescerOutcome {
     /// Joins routed through the classic solo path.

@@ -1,6 +1,6 @@
 //! Join-cost accounting and churn sizing.
 //!
-//! `tapestry-core` bumps the `join.messages` counter on every protocol
+//! `tapestry-core` bumps the `membership.join.messages` counter on every protocol
 //! message belonging to an insertion (surrogate discovery hops, table
 //! copy, the multicast wave with its Hellos/Candidates/acks, `GetNextList`
 //! pointer fetches, root transfers). Dividing its delta by the number of
@@ -13,7 +13,7 @@
 //! unaffordable on paper). [`max_churn_nodes`] derives the admissible
 //! scale from the measured cost and a message budget instead.
 
-/// Measured mean protocol messages per join: `join.messages / joins`.
+/// Measured mean protocol messages per join: `membership.join.messages / joins`.
 /// 0 when no join ran.
 pub fn mean_messages_per_join(join_messages: u64, joins: u64) -> f64 {
     if joins == 0 {

@@ -22,7 +22,7 @@
 //! * [`BatchPolicy`] — the batching window, batch-size cap and readiness
 //!   deadline. `BatchPolicy::disabled()` routes every join through the
 //!   classic solo path, untouched.
-//! * [`cost`] — join-cost accounting over the `join.messages` counter
+//! * [`cost`] — join-cost accounting over the `membership.join.messages` counter
 //!   that `tapestry-core` threads through the Figs. 4/7/8/11 protocol
 //!   messages, plus the churn sizing rule that replaces the old
 //!   hard-coded "churn only at toy sizes" ceiling with a cap derived

@@ -208,7 +208,7 @@ mod tests {
              {\"name\":\"engine.dropped\",\"value\":0},\
              {\"name\":\"engine.partition_dropped\",\"value\":0},\
              {\"name\":\"engine.timers\",\"value\":0},\
-             {\"name\":\"join.messages\",\"value\":3},\
+             {\"name\":\"membership.join.messages\",\"value\":3},\
              {\"name\":\"repair.pings\",\"value\":9}]"
         ));
         assert!(j.contains("\"histograms\":[{\"name\":\"locate.hops\",\"count\":1,"));

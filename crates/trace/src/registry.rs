@@ -218,9 +218,9 @@ pub mod metrics {
             "Handler wall time per event kind, ns (observational; timing JSON only)";
 
         // -- routing ---------------------------------------------------
-        Counter ROUTE_HOPS: "route.hops",
+        Counter ROUTE_HOPS: "routing.hops",
             "Prefix-routing forwards taken by routed messages";
-        Counter LOCALITY_RESUME_GLOBAL: "locality.resume_global",
+        Counter LOCALITY_RESUME_GLOBAL: "routing.locality.resume_global",
             "Local-branch routes that fell back to the global mesh";
 
         // -- locate / publish / availability ---------------------------
@@ -240,45 +240,45 @@ pub mod metrics {
             "Overlay hops per locate";
 
         // -- membership: insert / join / multicast ---------------------
-        Counter INSERT_STARTED: "insert.started",
+        Counter INSERT_STARTED: "membership.insert.started",
             "Node insertions started";
-        Counter INSERT_COMPLETED: "insert.completed",
+        Counter INSERT_COMPLETED: "membership.insert.completed",
             "Node insertions completed";
-        Counter INSERT_BATCH_READY: "insert.batch_ready",
+        Counter INSERT_BATCH_READY: "membership.insert.batch_ready",
             "Insertions released by a coalesced batch wave";
-        Counter INSERT_GETPTR: "insert.getptr",
+        Counter INSERT_GETPTR: "membership.insert.getptr",
             "Pointer-transfer fetches during insertion";
-        Counter INSERT_LEVEL_TIMEOUT: "insert.level_timeout",
+        Counter INSERT_LEVEL_TIMEOUT: "membership.insert.level_timeout",
             "Per-level acknowledgment deadlines that expired";
-        Counter INSERT_ROOT_TRANSFERS: "insert.root_transfers",
+        Counter INSERT_ROOT_TRANSFERS: "membership.insert.root_transfers",
             "Object roots transferred to a newly inserted node";
-        Counter INSERT_CHAINED_TRANSFERS: "insert.chained_transfers",
+        Counter INSERT_CHAINED_TRANSFERS: "membership.insert.chained_transfers",
             "Root transfers chained through a departing node";
-        Counter JOIN_MESSAGES: "join.messages",
+        Counter JOIN_MESSAGES: "membership.join.messages",
             "Messages attributed to the join protocol";
-        Counter MULTICAST_RECIPIENTS: "multicast.recipients",
+        Counter MULTICAST_RECIPIENTS: "membership.multicast.recipients",
             "Nodes reached by acknowledged multicasts";
-        Counter MULTICAST_FANOUT_DEFERRED: "multicast.fanout_deferred",
+        Counter MULTICAST_FANOUT_DEFERRED: "membership.multicast.fanout_deferred",
             "Multicast branches deferred by the fanout bound";
-        Counter MULTICAST_EDGES: "multicast.edges",
+        Counter MULTICAST_EDGES: "membership.multicast.edges",
             "Multicast tree edges traversed";
-        Counter MULTICAST_BATCH_WAVES: "multicast.batch_waves",
+        Counter MULTICAST_BATCH_WAVES: "membership.multicast.batch_waves",
             "Coalesced multicast waves sent";
-        Counter MULTICAST_BATCH_JOINS: "multicast.batch_joins",
+        Counter MULTICAST_BATCH_JOINS: "membership.multicast.batch_joins",
             "Joins carried by coalesced waves";
-        Counter MULTICAST_BATCH_INSERTEES: "multicast.batch_insertees",
+        Counter MULTICAST_BATCH_INSERTEES: "membership.multicast.batch_insertees",
             "Insertees advertised per coalesced wave";
-        Counter MULTICAST_DEADLINE_FORCED: "multicast.deadline_forced",
+        Counter MULTICAST_DEADLINE_FORCED: "membership.multicast.deadline_forced",
             "Coalescing windows flushed by deadline rather than size";
 
         // -- maintenance: global rounds --------------------------------
-        Counter OPTIMIZE_REPUBLISHED: "optimize.republished",
+        Counter OPTIMIZE_REPUBLISHED: "maintenance.optimize.republished",
             "Objects republished by optimize rounds";
-        Counter OPTIMIZE_DELETED: "optimize.deleted",
+        Counter OPTIMIZE_DELETED: "maintenance.optimize.deleted",
             "Stale pointers deleted by optimize rounds";
-        Counter OPTIMIZE_TABLE_SHARES: "optimize.table_shares",
+        Counter OPTIMIZE_TABLE_SHARES: "maintenance.optimize.table_shares",
             "Routing-table entries shared during optimize rounds";
-        Counter LEAVE_REROOTED: "leave.rerooted",
+        Counter LEAVE_REROOTED: "maintenance.leave.rerooted",
             "Objects re-rooted by voluntary departures";
 
         // -- repair: detection, ledger, targeted repairs ---------------
@@ -335,6 +335,27 @@ mod tests {
         assert_eq!(names.len(), REGISTRY.len(), "duplicate name");
         for def in REGISTRY {
             assert!(!def.help.is_empty(), "{} has no help", def.name);
+        }
+    }
+
+    #[test]
+    fn every_canonical_name_is_namespaced() {
+        const NAMESPACES: [&str; 8] = [
+            "engine.",
+            "routing.",
+            "locate.",
+            "publish.",
+            "availability.",
+            "membership.",
+            "maintenance.",
+            "repair.",
+        ];
+        for def in REGISTRY {
+            assert!(
+                NAMESPACES.iter().any(|ns| def.name.starts_with(ns)),
+                "{} is outside the documented namespaces",
+                def.name
+            );
         }
     }
 

@@ -36,7 +36,7 @@ const CHURN_JOIN_MSG_BUDGET: u64 = 4_000_000;
 
 /// Join-cost anchor for the budget derivation, in messages per join.
 /// The committed `churn` entries of `BENCH_scale.json` measure
-/// ~250 `join.messages` per join at the 50k torus point (protocol
+/// ~250 `membership.join.messages` per join at the 50k torus point (protocol
 /// messages only — the counter excludes opportunistic table
 /// maintenance); a solo join's *total* traffic including that
 /// maintenance fan-out measures ~750 messages at 25k. The anchor uses
