@@ -13,7 +13,7 @@
 //! sends when *pinning* the insertee (§4.4) is counted, because that
 //! pin is a mandatory step of the wave protocol itself.
 
-use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer};
+use crate::messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer};
 use crate::node::{InsertState, NodeStatus, TapestryNode};
 use crate::refs::NodeRef;
 use crate::repair::RepairTask;
@@ -98,8 +98,9 @@ impl TapestryNode {
     }
 
     /// Fig. 7, steps 3–4: absorb the preliminary table, then ask the
-    /// surrogate to multicast `LinkAndXferRoot` + `SendID` over the shared
-    /// prefix, carrying the watch list of our remaining holes (Fig. 11).
+    /// surrogate for a wave of one that multicasts `LinkAndXferRoot` +
+    /// `SendID` over the shared prefix, carrying the watch list of our
+    /// remaining holes (Fig. 11).
     pub(crate) fn on_table_copy(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
@@ -132,15 +133,16 @@ impl TapestryNode {
             }
         }
         let surrogate = ins.surrogate.expect("surrogate known");
-        let prefix = self.me.id.prefix(shared_len);
+        let insertee =
+            BatchInsertee { op, new_node: self.me, prefix: self.me.id.prefix(shared_len), watch };
         if ins.deferred {
             // Batched mode: report readiness to the driver (which reads it
-            // through `batch_join_ready`) instead of starting a solo wave.
-            ins.ready = Some((prefix, watch));
+            // through `batch_join_ready`) instead of asking for a wave.
+            ins.ready = Some(insertee);
             metrics::INSERT_BATCH_READY.inc(ctx);
         } else {
             metrics::JOIN_MESSAGES.inc(ctx);
-            ctx.send(surrogate.idx, Msg::StartMulticast { op, prefix, new_node: self.me, watch });
+            ctx.send(surrogate.idx, Msg::StartBatchMulticast { insertees: vec![insertee] });
         }
     }
 
@@ -170,7 +172,7 @@ impl TapestryNode {
     /// The multicast finished: we are a core node (Theorem 6). Begin the
     /// level-by-level neighbor-table build (Fig. 4) from the multicast's
     /// `SendID` list.
-    pub(crate) fn on_multicast_done(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
+    pub(crate) fn on_mcast_done(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
         let me = self.me;
         let Some(ins) = self.insert.as_mut() else { return };
         if ins.op != op {

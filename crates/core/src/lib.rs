@@ -50,7 +50,7 @@ pub use config::{RoutingScheme, TapestryConfig};
 pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
 pub use neighbor_set::{AddOutcome, Slot};
 pub use network::{BootstrapStage, LocateHook, LocateResult, NetworkSnapshot, TapestryNetwork};
-pub use node::{BatchJoinInfo, NodeStatus, TapestryNode};
+pub use node::{NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
 pub use refs::{NodeRef, MAX_NODES};
 pub use routing_table::{Hop, RoutingTable, TableAddOutcome};

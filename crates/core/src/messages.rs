@@ -1,3 +1,6 @@
+//! Every message and timer a Tapestry node handles. Insertion has one
+//! multicast: the wave (`StartBatchMulticast` / `BatchMulticast`).
+
 use crate::refs::NodeRef;
 use tapestry_id::{Guid, Id, Prefix};
 use tapestry_sim::NodeIdx;
@@ -88,19 +91,19 @@ pub enum RoutedKind {
     },
 }
 
-/// One member of a coalesced join batch as carried by the shared
-/// acknowledged-multicast wave (§4.4 generalized: the wave's FUNCTION is
-/// applied once per insertee at every recipient the insertee's coverage
-/// prefix matches).
+/// One insertee as carried by an acknowledged-multicast wave (§4.4
+/// generalized: the wave's FUNCTION is applied once per insertee at every
+/// recipient the insertee's coverage prefix matches). A solo join is a
+/// wave of one; a coalesced batch shares one wave.
 #[derive(Debug, Clone)]
 pub struct BatchInsertee {
     /// The insertee's insertion op (Hellos, Candidates and the final
-    /// `MulticastDone` are tagged with it, exactly as in a solo wave).
+    /// `MulticastDone` are tagged with it).
     pub op: OpId,
     /// The node being inserted.
     pub new_node: NodeRef,
     /// Coverage this insertee requires: the GCP of insertee and surrogate
-    /// (a solo multicast covers exactly `G(prefix)`; within a shared wave
+    /// (its wave reaches all of `G(prefix)`; within a shared wave
     /// recipients outside `prefix` skip this insertee's FUNCTION).
     pub prefix: Prefix,
     /// Remaining watched holes (Fig. 11), per insertee.
@@ -147,23 +150,23 @@ pub enum Msg {
     StartInsert {
         /// Any existing member of the network.
         gateway: NodeRef,
+        /// Stop after Fig. 7 step 3 (surrogate found, preliminary table
+        /// absorbed) and wait for the driver to launch a wave carrying
+        /// several insertees — the batched-join entry point of
+        /// `tapestry-membership`. Otherwise the new node asks its
+        /// surrogate for a wave of one itself.
+        deferred: bool,
     },
-    /// Driver → new node: begin inserting via `gateway`, but stop after
-    /// Fig. 7 step 3 (surrogate found, preliminary table absorbed) and
-    /// wait for the driver to launch a *shared* multicast wave — the
-    /// batched-join entry point of `tapestry-membership`.
-    StartInsertDeferred {
-        /// Any existing member of the network.
-        gateway: NodeRef,
-    },
-    /// Driver → wave initiator: run one acknowledged multicast carrying a
-    /// whole coalesced join batch (§4.4's simultaneous-insertion
+    /// New node or driver → wave initiator: run one acknowledged
+    /// multicast (Fig. 7 step 4, Fig. 8) carrying one insertee (a solo
+    /// join) or a whole coalesced batch (§4.4's simultaneous-insertion
     /// machinery, amortized: one spanning tree serves every insertee).
     StartBatchMulticast {
-        /// The coalesced batch, in coalescer admission order.
+        /// The insertees, in coalescer admission order.
         insertees: Vec<BatchInsertee>,
     },
-    /// The shared wave proper: one branch of the batch multicast tree.
+    /// The wave proper (Fig. 8 / Fig. 11): one branch of the multicast
+    /// tree.
     BatchMulticast {
         /// Wave session op (allocated by the initiator; distinct from the
         /// per-insertee insertion ops).
@@ -193,33 +196,6 @@ pub enum Msg {
         /// Length of the greatest common prefix between surrogate and new
         /// node — the starting level for the neighbor-table build.
         shared_len: usize,
-    },
-    /// New node → surrogate: run the acknowledged multicast over the
-    /// shared prefix with `LinkAndXferRoot` + `SendID` semantics.
-    StartMulticast {
-        /// Insertion op id.
-        op: OpId,
-        /// The prefix to cover (GCP of new node and surrogate).
-        prefix: Prefix,
-        /// Node being inserted.
-        new_node: NodeRef,
-        /// Watched holes: slots `(level, digit)` of the new node's table
-        /// with no known member (Fig. 11's watch list).
-        watch: Vec<(usize, u8)>,
-    },
-    /// The multicast proper (Fig. 8 / Fig. 11).
-    Multicast {
-        /// Session = (insertion op, initiating surrogate).
-        op: OpId,
-        /// Prefix this branch covers.
-        prefix: Prefix,
-        /// Node being inserted (the multicast's FUNCTION argument).
-        new_node: NodeRef,
-        /// The hole `(level, digit)` the new node fills in its surrogate's
-        /// table, used for pinned-pointer forwarding (§4.4).
-        hole: Option<(usize, u8)>,
-        /// Remaining watched holes.
-        watch: Vec<(usize, u8)>,
     },
     /// Child → parent acknowledgment (Theorem 5's completion signal).
     MulticastAck {
@@ -434,11 +410,11 @@ pub enum Timer {
     /// repair tasks. Armed only while the node's staleness ledger is
     /// non-empty (reactive — an idle mesh schedules nothing).
     RepairTick,
-    /// Deadline for a shared wave's child acknowledgments (batched joins
-    /// only): a child killed mid-wave would otherwise strand the whole
-    /// batch, so the session force-completes and the unreached subtree
-    /// is deferred to soft-state repair — the same degradation the
-    /// fan-out bound deliberately accepts. Solo waves are untouched.
+    /// Deadline for a wave's child acknowledgments: a child killed
+    /// mid-wave would otherwise strand every join the wave carries, so
+    /// the session force-completes and the unreached subtree is deferred
+    /// to soft-state repair — the same degradation the fan-out bound
+    /// deliberately accepts.
     McastDeadline {
         /// Wave session op.
         op: OpId,

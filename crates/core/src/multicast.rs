@@ -9,24 +9,25 @@
 //! in-place here, so the message tree is exactly the spanning tree the
 //! paper derives (`k − 1` edges for `k` recipients).
 //!
-//! Two extensions ride on the same tree:
+//! There is one multicast, the **wave** (`StartBatchMulticast` /
+//! `BatchMulticast`). A solo join is a wave of one: the new node sends
+//! its surrogate `StartBatchMulticast` carrying itself (Fig. 7 step 4).
+//! A coalesced join batch travels as *one* wave whose prefix is the
+//! common prefix of the batch's coverage prefixes; each recipient applies
+//! the per-insertee FUNCTION (SendID, pin, watch scan, `LinkAndXferRoot`)
+//! only for insertees whose own coverage prefix it matches — so every
+//! insertee sees exactly the recipients a wave of its own would have
+//! reached, while the batch shares one spanning tree and one ack sweep.
+//! Correctness rests on the §4.4 machinery unchanged: insertees are
+//! pinned for the wave's duration and concurrent insertees are reported
+//! through the Fig. 11 watch lists. A child killed mid-wave cannot strand
+//! the wave's joins: every session with children arms `McastDeadline`.
 //!
-//! * **Shared waves** (`BatchMulticast`): a coalesced join batch travels
-//!   as *one* wave whose prefix is the common prefix of the batch's
-//!   coverage prefixes; each recipient applies the per-insertee FUNCTION
-//!   (SendID, pin, watch scan, `LinkAndXferRoot`) only for insertees
-//!   whose own coverage prefix it matches — so every insertee sees
-//!   exactly the recipients its solo multicast would have reached, while
-//!   the batch shares one spanning tree and one ack sweep. Correctness
-//!   rests on the §4.4 machinery unchanged: insertees are pinned for the
-//!   wave's duration and concurrent insertees are reported through the
-//!   Fig. 11 watch lists.
-//! * **Fan-out bound** (`TapestryConfig::multicast_fanout`): when set,
-//!   each recipient forwards to at most that many unpinned child
-//!   branches per level and defers the rest (counted in
-//!   `membership.multicast.fanout_deferred`) to soft-state repair — the deferred
-//!   subtrees learn the insertee through later probe/optimize rounds and
-//!   ordinary traffic instead of the wave.
+//! The **fan-out bound** (`TapestryConfig::multicast_fanout`), when set,
+//! caps each recipient at that many unpinned child branches per level and
+//! defers the rest (counted in `membership.multicast.fanout_deferred`) to
+//! soft-state repair: the deferred subtrees learn the insertee through
+//! later probe/optimize rounds and ordinary traffic instead of the wave.
 
 use crate::messages::{BatchInsertee, Msg, OpId, Timer, WirePtr};
 use crate::node::{McastSession, TapestryNode};
@@ -38,105 +39,12 @@ use tapestry_sim::{Ctx, NodeIdx};
 use tapestry_trace::metrics;
 
 impl TapestryNode {
-    /// The new node asks its surrogate to initiate the multicast
-    /// (Fig. 7 line 4).
-    pub(crate) fn on_start_multicast(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg, Timer>,
-        op: OpId,
-        prefix: Prefix,
-        new_node: NodeRef,
-        watch: Vec<(usize, u8)>,
-    ) {
-        // The hole the new node fills in this (surrogate's) table.
-        let hole = self.table.slot_for(&new_node.id);
-        self.run_multicast(ctx, op, prefix, new_node, hole, watch, None);
-    }
-
-    /// A multicast branch arrived from `from`.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-    pub(crate) fn on_multicast(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg, Timer>,
-        from: NodeIdx,
-        op: OpId,
-        prefix: Prefix,
-        new_node: NodeRef,
-        hole: Option<(usize, u8)>,
-        watch: Vec<(usize, u8)>,
-    ) {
-        if self.mcast_done.contains(&op) || self.mcast.contains_key(&op) {
-            // Duplicate (pinned-pointer forwarding can deliver a session
-            // twice); the function already ran here — acknowledge so the
-            // sender's count stays correct.
-            metrics::JOIN_MESSAGES.inc(ctx);
-            ctx.send(from, Msg::MulticastAck { op });
-            return;
-        }
-        self.run_multicast(ctx, op, prefix, new_node, hole, watch, Some(from));
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-    fn run_multicast(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg, Timer>,
-        op: OpId,
-        prefix: Prefix,
-        new_node: NodeRef,
-        hole: Option<(usize, u8)>,
-        watch: Vec<(usize, u8)>,
-        parent: Option<NodeIdx>,
-    ) {
-        metrics::MULTICAST_RECIPIENTS.inc(ctx);
-        // ---- apply FUNCTION: SendID + pin + watch scan + LinkAndXferRoot
-        if new_node.idx != self.me.idx {
-            self.apply_wave_function(ctx, op, new_node);
-        }
-        let watch = self.serve_watch_list(ctx, new_node, op, watch);
-
-        // ---- forward along one unpinned + all pinned pointers per child
-        let mut children: Vec<(Prefix, NodeRef)> = Vec::new();
-        let mut deferred: Vec<(Prefix, NodeRef)> = Vec::new();
-        self.gather_children(prefix, &mut children, &mut deferred);
-        if !deferred.is_empty() {
-            metrics::MULTICAST_FANOUT_DEFERRED.add(ctx, deferred.len() as u64);
-            // Deferred subtrees heal via targeted repair: reintroduce the
-            // insertee to each deferred branch's representative instead of
-            // waiting for a global round (no-op under GlobalRounds).
-            for &(p, rep) in &deferred {
-                if rep.idx != new_node.idx {
-                    self.record_fact(
-                        ctx,
-                        FactKind::DeferredBranch,
-                        RepairTask::Reintroduce { rep, insertee: new_node, level: p.len() },
-                    );
-                }
-            }
-        }
-        children.retain(|(_, r)| r.idx != self.me.idx && r.idx != new_node.idx);
-        children.sort_by_key(|(_, r)| r.idx);
-        children.dedup_by_key(|(_, r)| r.idx);
-
-        let pending = children.len();
-        self.mcast
-            .insert(op, McastSession { parent, pending, insertees: vec![(op, new_node, true)] });
-        for (p, r) in children {
-            metrics::MULTICAST_EDGES.inc(ctx);
-            metrics::JOIN_MESSAGES.inc(ctx);
-            ctx.send(r.idx, Msg::Multicast { op, prefix: p, new_node, hole, watch: watch.clone() });
-        }
-        if pending == 0 {
-            self.complete_session(ctx, op);
-        }
-    }
-
     /// The per-insertee half of the multicast FUNCTION: `SendID`, pin the
     /// insertee in its slot for the session's duration (§4.4 — it must
     /// not be evicted, and further multicasts through the slot must reach
     /// it), `LinkAndXferRoot`, and the Fig. 11 concurrent-insertee report
     /// (a new insertee may be exactly the filler some earlier watcher is
-    /// still waiting for). Shared verbatim by solo and batched waves so
-    /// the two paths cannot drift.
+    /// still waiting for).
     fn apply_wave_function(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId, new_node: NodeRef) {
         metrics::JOIN_MESSAGES.add(ctx, 2);
         ctx.send(new_node.idx, Msg::Hello { op, me: self.me });
@@ -147,12 +55,13 @@ impl TapestryNode {
         self.notify_watchers(ctx, new_node);
     }
 
-    /// Driver → wave initiator: one acknowledged multicast carrying a
-    /// whole coalesced join batch. The wave covers the common prefix of
-    /// the batch's coverage prefixes; co-insertees are introduced to each
-    /// other up front under the same coverage rule a solo wave applies
-    /// (insertee `a` hears `SendID` from everything `a.prefix` matches —
-    /// including concurrent insertees, per §4.4).
+    /// New node or driver → wave initiator: one acknowledged multicast
+    /// carrying one insertee or a whole coalesced join batch. The wave
+    /// covers the common prefix of the insertees' coverage prefixes;
+    /// co-insertees are introduced to each other up front under the
+    /// coverage rule the wave applies (insertee `a` hears `SendID` from
+    /// everything `a.prefix` matches — including concurrent insertees,
+    /// per §4.4).
     pub(crate) fn on_start_batch_multicast(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
@@ -186,8 +95,8 @@ impl TapestryNode {
         insertees: Vec<BatchInsertee>,
     ) {
         if self.mcast_done.contains(&op) || self.mcast.contains_key(&op) {
-            // Duplicate via pinned-pointer forwarding — ack and stop, as
-            // in the solo path.
+            // Duplicate via pinned-pointer forwarding (the FUNCTION
+            // already ran here) — ack so the sender's count stays right.
             metrics::JOIN_MESSAGES.inc(ctx);
             ctx.send(from, Msg::MulticastAck { op });
             return;
@@ -214,7 +123,7 @@ impl TapestryNode {
             let covered = ins.prefix.matches(&self.me.id);
             session.push((ins.op, ins.new_node, covered));
             if !covered {
-                // Outside this insertee's coverage: a solo wave for it
+                // Outside this insertee's coverage: a wave of its own
                 // would never have reached this node — pass it along for
                 // deeper branches that may match, untouched.
                 fwd.push(ins.clone());
@@ -232,8 +141,10 @@ impl TapestryNode {
         self.gather_children(prefix, &mut children, &mut deferred);
         if !deferred.is_empty() {
             metrics::MULTICAST_FANOUT_DEFERRED.add(ctx, deferred.len() as u64);
-            // Same healing as the solo wave, per prefix-compatible
-            // insertee (the branch would only have carried those).
+            // Deferred subtrees heal via targeted repair: reintroduce
+            // each prefix-compatible insertee (the branch would only have
+            // carried those) to the branch's representative instead of
+            // waiting for a global round (no-op under GlobalRounds).
             for &(p, rep) in &deferred {
                 for ins in &insertees {
                     if (ins.prefix.contains(&p) || p.contains(&ins.prefix))
@@ -254,8 +165,8 @@ impl TapestryNode {
         children.dedup_by_key(|(_, r)| r.idx);
         // Prune: a branch is forwarded only with — and only because of —
         // the insertees whose coverage is prefix-compatible with it, so
-        // the wave tree is exactly the *union* of the solo trees the
-        // batch replaces (one shared trunk, no ε-explosion when the
+        // the wave tree is exactly the *union* of the insertees' own
+        // trees (one shared trunk, no ε-explosion when the
         // batch's common prefix collapses), and every node in any
         // insertee's `G(prefix)` is still reached (its whole prefix
         // chain is compatible by construction).
@@ -282,16 +193,16 @@ impl TapestryNode {
             self.complete_session(ctx, op);
         } else {
             // A child killed mid-wave would strand every join in the
-            // batch behind its missing ack; force-complete after a few
+            // wave behind its missing ack; force-complete after a few
             // level deadlines and leave the unreached subtree to repair.
             let deadline = tapestry_sim::SimTime(self.cfg.insert_level_timeout.0.saturating_mul(4));
             ctx.set_timer(deadline, Timer::McastDeadline { op });
         }
     }
 
-    /// A shared wave's ack deadline fired: if the session is still open,
+    /// A wave's ack deadline fired: if the session is still open,
     /// some child subtree is gone — complete anyway (acking upward /
-    /// reporting `MulticastDone`) so the batch's joins proceed, and let
+    /// reporting `MulticastDone`) so the wave's joins proceed, and let
     /// soft-state repair reintroduce whatever the lost subtree missed.
     pub(crate) fn on_mcast_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
         if self.mcast.contains_key(&op) {
@@ -440,7 +351,7 @@ impl TapestryNode {
     }
 
     /// A child's subtree finished (Theorem 5 ack).
-    pub(crate) fn on_multicast_ack(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
+    pub(crate) fn on_mcast_ack(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
         let done = match self.mcast.get_mut(&op) {
             Some(s) => {
                 s.pending = s.pending.saturating_sub(1);

@@ -5,7 +5,7 @@
 //! experiments (Properties 1, 2 and 4; Theorem 2 root uniqueness).
 
 use crate::config::TapestryConfig;
-use crate::messages::{Msg, OpId};
+use crate::messages::{BatchInsertee, Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
 use crate::refs::{idx32, Backpointers, NodeRef, MAX_NODES};
@@ -744,9 +744,9 @@ impl TapestryNetwork {
         self.admit_inserting(idx, gateway, false);
     }
 
-    /// Shared admission step of the solo and deferred join paths: place
-    /// the inserting actor (with `k` frozen for the current population)
-    /// and kick off Fig. 7 via `gateway`.
+    /// Admission step of solo and deferred joins: place the inserting
+    /// actor (with `k` frozen for the current population) and kick off
+    /// Fig. 7 via `gateway`.
     fn admit_inserting(&mut self, idx: NodeIdx, gateway: NodeIdx, deferred: bool) {
         assert!(!self.engine.alive(idx), "point already occupied");
         assert!(self.engine.alive(gateway), "gateway not alive");
@@ -756,13 +756,7 @@ impl TapestryNetwork {
         }
         let node = TapestryNode::new_inserting(cfg, self.ref_of(idx), self.seed);
         self.engine.add_node(idx, node);
-        let gateway = self.ref_of(gateway);
-        let start = if deferred {
-            Msg::StartInsertDeferred { gateway }
-        } else {
-            Msg::StartInsert { gateway }
-        };
-        self.engine.inject(idx, start);
+        self.engine.inject(idx, Msg::StartInsert { gateway: self.ref_of(gateway), deferred });
     }
 
     /// Start a *deferred* dynamic insertion: Fig. 7 steps 1–3 run (the
@@ -775,22 +769,18 @@ impl TapestryNetwork {
     }
 
     /// If the deferred insertee at `idx` has finished Fig. 7 steps 1–3,
-    /// everything a wave needs to carry it (its op, surrogate, coverage
-    /// prefix and Fig. 11 watch list).
-    pub fn batch_join_ready(&self, idx: NodeIdx) -> Option<crate::node::BatchJoinInfo> {
+    /// its wave entry (op, coverage prefix and Fig. 11 watch list) and its
+    /// surrogate.
+    pub fn batch_join_ready(&self, idx: NodeIdx) -> Option<(BatchInsertee, NodeRef)> {
         self.engine.node(idx).and_then(|n| n.batch_join_ready())
     }
 
     /// Launch one shared acknowledged-multicast wave carrying a coalesced
     /// join batch, initiated at `initiator` (canonically the first
     /// insertee's surrogate). Each insertee's `MulticastDone` arrives
-    /// exactly as in a solo insertion; completion is then observed via
-    /// [`TapestryNetwork::finish_insert_bookkeeping`].
-    pub fn launch_batch_multicast(
-        &mut self,
-        initiator: NodeIdx,
-        insertees: Vec<crate::messages::BatchInsertee>,
-    ) {
+    /// exactly as in a solo insertion's wave of one; completion is then
+    /// observed via [`TapestryNetwork::finish_insert_bookkeeping`].
+    pub fn launch_batch_multicast(&mut self, initiator: NodeIdx, insertees: Vec<BatchInsertee>) {
         assert!(self.engine.alive(initiator), "wave initiator not alive");
         assert!(!insertees.is_empty(), "empty wave");
         self.engine.inject(initiator, Msg::StartBatchMulticast { insertees });

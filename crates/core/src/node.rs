@@ -1,5 +1,5 @@
 use crate::config::TapestryConfig;
-use crate::messages::{Msg, OpId, Timer};
+use crate::messages::{BatchInsertee, Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
 use crate::refs::{Backpointers, NodeRef};
@@ -44,17 +44,17 @@ pub(crate) struct InsertState {
     pub acc: Vec<NodeRef>,
     /// List size `k` (fixed at insertion start).
     pub k: usize,
-    /// Deferred mode (`StartInsertDeferred`): stop after Fig. 7 step 3
-    /// and wait for the driver to launch a shared multicast wave.
+    /// Deferred mode (`StartInsert { deferred: true }`): stop after
+    /// Fig. 7 step 3 and wait for the driver to launch a shared wave.
     pub deferred: bool,
-    /// Set when a deferred insert has finished steps 1–3: the coverage
-    /// prefix and watch list a shared wave must carry for this insertee.
-    pub ready: Option<(tapestry_id::Prefix, Vec<(usize, u8)>)>,
+    /// Set when a deferred insert has finished steps 1–3: the entry a
+    /// shared wave carries for this insertee.
+    pub ready: Option<BatchInsertee>,
 }
 
 /// State of one acknowledged-multicast session on a participant. A solo
-/// insertion carries exactly one insertee; a shared wave carries the
-/// whole coalesced batch (same ack tree, same pin/unpin discipline).
+/// insertion's wave carries exactly one insertee; a shared wave carries
+/// the whole coalesced batch (same ack tree, same pin/unpin discipline).
 #[derive(Debug)]
 pub(crate) struct McastSession {
     /// Where to send our ack (None = we initiated; completion reports
@@ -64,28 +64,11 @@ pub(crate) struct McastSession {
     pub pending: usize,
     /// The nodes this multicast introduces, as `(insertion op, node,
     /// covered)`. `covered` records whether this participant matched the
-    /// insertee's coverage prefix (always true for a solo wave): only
-    /// covered insertees were pinned, so only they are unpinned and
-    /// re-offered at session end — an uncovered insertee must leave no
-    /// trace here, exactly as if its solo multicast had never arrived.
+    /// insertee's coverage prefix: only covered insertees were pinned, so
+    /// only they are unpinned and re-offered at session end — an
+    /// uncovered insertee must leave no trace here, exactly as if a wave
+    /// of its own had never arrived.
     pub insertees: Vec<(OpId, NodeRef, bool)>,
-}
-
-/// What a deferred insertee reports once Fig. 7 steps 1–3 completed —
-/// everything a driver needs to place it into a shared multicast wave.
-#[derive(Debug, Clone)]
-pub struct BatchJoinInfo {
-    /// The insertee's insertion op.
-    pub op: OpId,
-    /// The insertee itself.
-    pub new_node: NodeRef,
-    /// Its surrogate (the canonical wave initiator).
-    pub surrogate: NodeRef,
-    /// Coverage prefix the wave must reach for this insertee (the GCP of
-    /// insertee and surrogate — a solo multicast would cover exactly it).
-    pub prefix: tapestry_id::Prefix,
-    /// Watched holes for the Fig. 11 watch list.
-    pub watch: Vec<(usize, u8)>,
 }
 
 /// State of a voluntary departure on the departing node.
@@ -237,21 +220,14 @@ impl TapestryNode {
     }
 
     /// If this node is a deferred insertee that finished Fig. 7 steps 1–3
-    /// and is waiting for a shared multicast wave, everything the driver
-    /// needs to include it in one.
-    pub fn batch_join_ready(&self) -> Option<BatchJoinInfo> {
+    /// and is waiting for a shared multicast wave: its wave entry and its
+    /// surrogate (the canonical wave initiator).
+    pub fn batch_join_ready(&self) -> Option<(BatchInsertee, NodeRef)> {
         if self.status != NodeStatus::Inserting {
             return None;
         }
         let ins = self.insert.as_ref()?;
-        let (prefix, watch) = ins.ready.as_ref()?;
-        Some(BatchJoinInfo {
-            op: ins.op,
-            new_node: self.me,
-            surrogate: ins.surrogate?,
-            prefix: *prefix,
-            watch: watch.clone(),
-        })
+        Some((ins.ready.clone()?, ins.surrogate?))
     }
 
     /// Queued repair tasks awaiting budget (0 unless incremental
@@ -357,8 +333,7 @@ impl Actor for TapestryNode {
                 self.on_locate_done(ctx, op, server, hops, dist, reached_root)
             }
             Msg::SurrogateIs { op, surrogate } => self.on_surrogate_is(ctx, op, surrogate),
-            Msg::StartInsert { gateway } => self.start_insert(ctx, gateway, false),
-            Msg::StartInsertDeferred { gateway } => self.start_insert(ctx, gateway, true),
+            Msg::StartInsert { gateway, deferred } => self.start_insert(ctx, gateway, deferred),
             Msg::StartBatchMulticast { insertees } => self.on_start_batch_multicast(ctx, insertees),
             Msg::BatchMulticast { op, prefix, insertees } => {
                 self.on_batch_multicast(ctx, from, op, prefix, insertees)
@@ -367,14 +342,8 @@ impl Actor for TapestryNode {
             Msg::TableCopy { op, refs, shared_len } => {
                 self.on_table_copy(ctx, op, refs, shared_len)
             }
-            Msg::StartMulticast { op, prefix, new_node, watch } => {
-                self.on_start_multicast(ctx, op, prefix, new_node, watch)
-            }
-            Msg::Multicast { op, prefix, new_node, hole, watch } => {
-                self.on_multicast(ctx, from, op, prefix, new_node, hole, watch)
-            }
-            Msg::MulticastAck { op } => self.on_multicast_ack(ctx, op),
-            Msg::MulticastDone { op } => self.on_multicast_done(ctx, op),
+            Msg::MulticastAck { op } => self.on_mcast_ack(ctx, op),
+            Msg::MulticastDone { op } => self.on_mcast_done(ctx, op),
             Msg::Hello { op, me } => self.on_hello(ctx, op, me),
             Msg::Candidates { op, refs } => self.on_candidates(ctx, op, refs),
             Msg::GetPointers { op, level, new_node } => {

@@ -307,6 +307,38 @@ fn fanout_bound_defers_branches_but_insertion_completes() {
 }
 
 #[test]
+fn solo_join_survives_wave_recipients_killed_mid_wave() {
+    // A solo join is a wave of one, so it carries the wave's ack
+    // deadline: killing the wave's recipients right after the initiator
+    // forwarded to them must not strand the join behind their missing
+    // acks (before waves of one, it stayed `Inserting` forever).
+    let n = 64;
+    let mut net = boot(n + 1, n, 29);
+    let gw = net.members()[0];
+    let new_id = net.id_of(n);
+    let initiator = net.root_from(gw, &new_id);
+    let coverage = new_id.shared_prefix_len(&net.id_of(initiator));
+    net.insert_node_via(n, gw);
+    while metrics::MULTICAST_EDGES.read(net.engine().stats()) == 0 {
+        assert!(net.engine_mut().step(), "the wave never forwarded a branch");
+    }
+    // Everything else the wave covers: its recipients, in flight now.
+    let victims: Vec<_> = net
+        .node_ids()
+        .into_iter()
+        .filter(|&m| m != initiator)
+        .filter(|&m| net.id_of(m).shared_prefix_len(&new_id) >= coverage)
+        .collect();
+    assert!(!victims.is_empty());
+    for v in victims {
+        net.kill(v);
+    }
+    net.run_to_idle();
+    assert!(net.finish_insert_bookkeeping(n), "the join completed");
+    assert!(metrics::MULTICAST_DEADLINE_FORCED.read(net.engine().stats()) >= 1);
+}
+
+#[test]
 fn join_message_accounting_tracks_insertions() {
     // Every insertion bumps `membership.join.messages`; quiet traffic does not.
     let n = 48;

@@ -4,23 +4,27 @@
 //! Life of a batched join:
 //!
 //! 1. [`JoinCoalescer::request`] starts the insertee on the *deferred*
-//!    protocol immediately (`StartInsertDeferred`: surrogate discovery
-//!    and the preliminary table copy overlap the coalescing window) and
-//!    queues it. The first queued join opens the window.
+//!    protocol immediately (surrogate discovery and the preliminary table
+//!    copy overlap the coalescing window) and queues it. The first queued
+//!    join opens the window.
 //! 2. When the window closes — or the batch-size cap fills — the queue
 //!    becomes a pending **wave**.
 //! 3. [`JoinCoalescer::pump`] launches the wave once every member has
 //!    finished Fig. 7 steps 1–3 (or the readiness deadline passes, in
 //!    which case the ready subset flies and stragglers are abandoned to
 //!    the driver's usual stuck-join cleanup). The initiator is the first
-//!    ready insertee's surrogate — exactly the node a solo join would
-//!    have asked — so a batch of size 1 is byte-identical to the classic
-//!    path.
+//!    ready insertee's surrogate — exactly the node a solo join asks for
+//!    its own wave of one — so a batch of size 1 is byte-identical to a
+//!    solo join.
+//!
+//! The coalescer is the only batching policy; the wave is the only wave.
+//! Under [`BatchPolicy::disabled`] a request is a solo join, which runs
+//! its own wave of one without the coalescer's help.
 //!
 //! Everything is driven off the simulated clock through explicit `pump`
 //! calls, so runs are deterministic for a given event schedule.
 
-use tapestry_core::{BatchInsertee, BatchJoinInfo, TapestryNetwork};
+use tapestry_core::{BatchInsertee, NodeRef, TapestryNetwork};
 use tapestry_sim::{NodeIdx, SimTime};
 
 /// When and how joins coalesce.
@@ -37,7 +41,7 @@ pub struct BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Route every join through the classic solo path.
+    /// No coalescing: every join is a solo join (a wave of one).
     pub fn disabled() -> Self {
         BatchPolicy { window: SimTime::ZERO, max_batch: 1, ready_timeout: SimTime::ZERO }
     }
@@ -52,7 +56,7 @@ impl BatchPolicy {
 /// protocol-level counters live in `SimStats` under `membership.multicast.batch_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalescerOutcome {
-    /// Joins routed through the classic solo path.
+    /// Joins admitted solo (each runs its own wave of one).
     pub solo_joins: u64,
     /// Joins carried by shared waves.
     pub batched_joins: u64,
@@ -174,7 +178,7 @@ impl JoinCoalescer {
         let mut i = 0;
         while i < self.waves.len() {
             let overdue = force || now >= self.waves[i].deadline;
-            let ready: Vec<BatchJoinInfo> =
+            let ready: Vec<(BatchInsertee, NodeRef)> =
                 self.waves[i].members.iter().filter_map(|&idx| net.batch_join_ready(idx)).collect();
             if ready.len() < self.waves[i].members.len() && !overdue {
                 i += 1;
@@ -187,32 +191,22 @@ impl JoinCoalescer {
                 continue;
             }
             // The canonical initiator: the first ready insertee's
-            // surrogate — the node a solo join would have asked. The
-            // initiator must match the wave's common prefix (the branch
-            // walk reads *its* routing-table levels), and every ready
-            // insertee's surrogate does by GCP construction — so if churn
-            // killed the first one while the batch was forming, any other
-            // live surrogate of the batch is a valid stand-in. If none
-            // survives, the batch is abandoned to the driver's stuck-join
-            // cleanup (the solo path would equally have stalled).
-            let Some(initiator) =
-                ready.iter().map(|r| r.surrogate.idx).find(|&s| net.engine().alive(s))
+            // surrogate — the node a solo join asks. The initiator must
+            // match the wave's common prefix (the branch walk reads *its*
+            // routing-table levels), and every ready insertee's surrogate
+            // does by GCP construction — so if churn killed the first one
+            // while the batch was forming, any other live surrogate of the
+            // batch is a valid stand-in. If none survives, the batch is
+            // abandoned to the driver's stuck-join cleanup (a solo join
+            // would equally have stalled).
+            let Some(initiator) = ready.iter().map(|(_, s)| s.idx).find(|&s| net.engine().alive(s))
             else {
                 self.outcome.abandoned += ready.len() as u64;
                 continue;
             };
             self.outcome.batched_joins += ready.len() as u64;
             self.outcome.waves += 1;
-            let insertees: Vec<BatchInsertee> = ready
-                .into_iter()
-                .map(|r| BatchInsertee {
-                    op: r.op,
-                    new_node: r.new_node,
-                    prefix: r.prefix,
-                    watch: r.watch,
-                })
-                .collect();
-            net.launch_batch_multicast(initiator, insertees);
+            net.launch_batch_multicast(initiator, ready.into_iter().map(|(i, _)| i).collect());
         }
     }
 }

@@ -15,13 +15,13 @@
 //!   simultaneous-insertion machinery (Fig. 11): insertees are pinned
 //!   for the wave's duration, concurrent insertees are reported through
 //!   held watch lists, and every insertee still hears `SendID` from
-//!   exactly the recipients its solo multicast would have reached (each
-//!   carries its own coverage prefix inside the shared wave). A batch of
-//!   size 1 reproduces the solo join bit-for-bit (see the byte-compare
-//!   test in `tests/batch_equivalence.rs`).
+//!   exactly the recipients a wave of its own would have reached (each
+//!   carries its own coverage prefix inside the shared wave). A solo
+//!   join is a wave of one, so a batch of size 1 reproduces it
+//!   bit-for-bit (see the byte-compare test in
+//!   `tests/batch_equivalence.rs`).
 //! * [`BatchPolicy`] — the batching window, batch-size cap and readiness
-//!   deadline. `BatchPolicy::disabled()` routes every join through the
-//!   classic solo path, untouched.
+//!   deadline. Under `BatchPolicy::disabled()` every join is a solo join.
 //! * [`cost`] — join-cost accounting over the `membership.join.messages` counter
 //!   that `tapestry-core` threads through the Figs. 4/7/8/11 protocol
 //!   messages, plus the churn sizing rule that replaces the old

@@ -54,17 +54,8 @@ fn table_fingerprint(net: &TapestryNetwork) -> Vec<(NodeIdx, usize, u8, NodeIdx,
 fn batched_single_join(net: &mut TapestryNetwork, idx: NodeIdx, gateway: NodeIdx) {
     net.insert_node_deferred(idx, gateway);
     net.run_to_idle();
-    let info = net.batch_join_ready(idx).expect("discovery finished");
-    let initiator = info.surrogate.idx;
-    net.launch_batch_multicast(
-        initiator,
-        vec![tapestry_core::BatchInsertee {
-            op: info.op,
-            new_node: info.new_node,
-            prefix: info.prefix,
-            watch: info.watch,
-        }],
-    );
+    let (insertee, surrogate) = net.batch_join_ready(idx).expect("discovery finished");
+    net.launch_batch_multicast(surrogate.idx, vec![insertee]);
     net.run_to_idle();
     assert!(net.finish_insert_bookkeeping(idx), "batched join completed");
 }
@@ -137,20 +128,9 @@ fn batched_interleaving(
             net.insert_node_deferred(w, gw);
         }
         net.run_to_idle();
-        let insertees: Vec<_> = wave
-            .iter()
-            .map(|&w| {
-                let info = net.batch_join_ready(w).expect("ready");
-                tapestry_core::BatchInsertee {
-                    op: info.op,
-                    new_node: info.new_node,
-                    prefix: info.prefix,
-                    watch: info.watch,
-                }
-            })
-            .collect();
-        let initiator = net.batch_join_ready(wave[0]).expect("ready").surrogate.idx;
-        net.launch_batch_multicast(initiator, insertees);
+        let ready: Vec<_> = wave.iter().map(|&w| net.batch_join_ready(w).expect("ready")).collect();
+        let initiator = ready[0].1.idx;
+        net.launch_batch_multicast(initiator, ready.into_iter().map(|(i, _)| i).collect());
         net.run_to_idle();
         for &w in &wave {
             assert!(net.finish_insert_bookkeeping(w), "batched join {w}");

@@ -1,5 +1,6 @@
 //! The coalescer against a live network: window and batch-size flushes,
-//! wave launching, the solo fallback, and straggler abandonment.
+//! wave launching, solo joins under a disabled policy, and straggler
+//! abandonment.
 
 use tapestry_core::{TapestryConfig, TapestryNetwork};
 use tapestry_membership::{BatchPolicy, JoinCoalescer};
@@ -78,9 +79,13 @@ fn disabled_policy_takes_the_solo_path() {
     net.run_to_idle();
     assert!(net.finish_insert_bookkeeping(32));
     assert_eq!(c.outcome().solo_joins, 1);
-    assert_eq!(c.outcome().waves, 0);
+    assert_eq!(c.outcome().waves, 0, "no coalescing");
     assert!(c.is_idle(), "solo joins never occupy the coalescer");
-    assert_eq!(metrics::MULTICAST_BATCH_WAVES.read(net.engine().stats()), 0);
+    // The solo join ran its own wave of one.
+    let stats = net.engine().stats();
+    assert_eq!(metrics::MULTICAST_BATCH_WAVES.read(stats), 1);
+    assert_eq!(metrics::MULTICAST_BATCH_JOINS.read(stats), 1);
+    assert_eq!(metrics::INSERT_STARTED.read(stats), 1);
 }
 
 #[test]

@@ -28,7 +28,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -71,9 +71,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting `Parser::value` descends into. The
+/// committed artifacts nest fewer than 10 levels; the bound keeps the
+/// recursion off the end of the stack on hostile `--compare` input.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -100,8 +107,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if c == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -280,7 +294,10 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "{\"a\":1,}", "12 34", "\"open", "nul", "{1:2}"] {
+        let deep = "[".repeat(200_000);
+        for bad in
+            ["", "{", "[1,", "{\"a\":}", "{\"a\":1,}", "12 34", "\"open", "nul", "{1:2}", &deep]
+        {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
     }

@@ -263,13 +263,13 @@ pub mod metrics {
         Counter MULTICAST_EDGES: "membership.multicast.edges",
             "Multicast tree edges traversed";
         Counter MULTICAST_BATCH_WAVES: "membership.multicast.batch_waves",
-            "Coalesced multicast waves sent";
+            "Multicast waves launched (a solo join is a wave of one)";
         Counter MULTICAST_BATCH_JOINS: "membership.multicast.batch_joins",
-            "Joins carried by coalesced waves";
+            "Joins carried by multicast waves, solo or coalesced";
         Counter MULTICAST_BATCH_INSERTEES: "membership.multicast.batch_insertees",
-            "Insertees advertised per coalesced wave";
+            "Insertees carried into each wave recipient, summed";
         Counter MULTICAST_DEADLINE_FORCED: "membership.multicast.deadline_forced",
-            "Coalescing windows flushed by deadline rather than size";
+            "Wave sessions force-completed by their ack deadline";
 
         // -- maintenance: global rounds --------------------------------
         Counter OPTIMIZE_REPUBLISHED: "maintenance.optimize.republished",

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use tapestry_core::TapestryNetwork;
 use tapestry_id::{root_id, Guid};
-use tapestry_membership::JoinCoalescer;
+use tapestry_membership::{BatchPolicy, JoinCoalescer};
 use tapestry_sim::{Histogram, NodeIdx, SimStats, SimTime, TraceBuf};
 use tapestry_trace::{metrics, EngineObservation, SeriesSample, SeriesSampler, TraceId};
 
@@ -168,9 +168,10 @@ pub fn run_instrumented(
     // trace identity (deterministic — the count is part of the schedule).
     let mut read_seq: u64 = 0;
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5CE7_A1E5);
-    // Join admission: scripted joins route through the coalescer when the
-    // spec asks for batching; otherwise the classic solo path, untouched.
-    let mut coalescer = spec.join_batch.map(JoinCoalescer::new);
+    // Join admission: every scripted join goes through the coalescer. A
+    // spec without `join_batch` gets a disabled policy, under which a
+    // request is a solo join (a wave of one) and pump/force do nothing.
+    let mut coalescer = JoinCoalescer::new(spec.join_batch.unwrap_or(BatchPolicy::disabled()));
 
     // Unoccupied points, lowest first (pop from the back).
     let mut free: Vec<NodeIdx> = (spec.initial_nodes..total_points).rev().collect();
@@ -284,9 +285,7 @@ pub fn run_instrumented(
                     &mut churn,
                 ),
             }
-            if let Some(c) = coalescer.as_mut() {
-                c.pump(&mut net);
-            }
+            coalescer.pump(&mut net);
             settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, false);
             harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
             poll_series(&net, &mut series);
@@ -295,16 +294,14 @@ pub fn run_instrumented(
         // ----- drain and finalize ----------------------------------------
         net.run_until(end);
         net.run_to_idle();
-        if let Some(c) = coalescer.as_mut() {
-            // Deferred insertees still waiting on a window or wave: flush
-            // and fly with whoever finished discovery (the drain above
-            // settled it), then drain the waves and table builds too.
-            // One pass suffices — `force` launches or abandons every
-            // pending wave unconditionally.
-            c.force(&mut net);
-            net.run_to_idle();
-            debug_assert!(c.is_idle(), "force drains the coalescer");
-        }
+        // Deferred insertees still waiting on a window or wave: flush and
+        // fly with whoever finished discovery (the drain above settled
+        // it), then drain the waves and table builds too. One pass
+        // suffices — `force` launches or abandons every pending wave
+        // unconditionally.
+        coalescer.force(&mut net);
+        net.run_to_idle();
+        debug_assert!(coalescer.is_idle(), "force drains the coalescer");
         settle_membership(&mut net, &mut free, &mut joining, &mut leaving, &mut churn, true);
         net.run_to_idle();
         harvest(&mut net, &mut ops, &mut latency, &mut hops, &mut path_dist);
@@ -404,7 +401,7 @@ fn apply_churn(
     ev: ChurnEvent,
     net: &mut TapestryNetwork,
     rng: &mut StdRng,
-    coalescer: &mut Option<JoinCoalescer>,
+    coalescer: &mut JoinCoalescer,
     free: &mut Vec<NodeIdx>,
     joining: &mut Vec<NodeIdx>,
     leaving: &mut Vec<NodeIdx>,
@@ -414,10 +411,7 @@ fn apply_churn(
         ChurnEvent::Join => match free.pop() {
             Some(idx) => {
                 let gw = random_member(net, rng);
-                match coalescer.as_mut() {
-                    Some(c) => c.request(net, idx, gw),
-                    None => net.insert_node_via(idx, gw),
-                }
+                coalescer.request(net, idx, gw);
                 joining.push(idx);
             }
             None => churn.joins_skipped += 1,
