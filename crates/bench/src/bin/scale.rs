@@ -22,9 +22,9 @@
 //! modes**: the classic global-rounds schedule (batched joins plus the
 //! solo-join baseline, reporting measured mean `membership.join.messages` per
 //! completed join side by side) and the incremental fact-driven repair
-//! scheduler (`tapestry-repair`), whose mean repair events per node per
-//! probe round is the O(churn)-not-O(n) figure the maintenance item
-//! asks for. Past [`GLOBAL_ROUNDS_CHURN_MAX`] nodes only the
+//! scheduler (`MaintenanceMode::Incremental`), whose mean repair events
+//! per node per probe round is the O(churn)-not-O(n) figure the
+//! maintenance item asks for. Past [`GLOBAL_ROUNDS_CHURN_MAX`] nodes only the
 //! incremental mode runs — a global repair round there is exactly the
 //! O(n)-per-failure cost the scheduler exists to avoid.
 //!
@@ -41,6 +41,7 @@
 
 use tapestry_bench::{f2, header, row};
 use tapestry_core::MaintenanceMode;
+use tapestry_trace::json::{f3, JsonWriter};
 use tapestry_trace::metrics;
 use tapestry_workload::presets::{churn_scale_preset, scale_preset, ScaleSpace, SCALE_SIZES};
 use tapestry_workload::{runner, RunTiming, RunTotals, ScenarioReport, Telemetry};
@@ -294,81 +295,83 @@ fn join_msgs_mean(r: &ScenarioReport) -> f64 {
     )
 }
 
-fn join_f3(vals: impl Iterator<Item = f64>) -> String {
-    vals.map(|v| format!("{v:.3}")).collect::<Vec<_>>().join(",")
+/// `"key":[v,…]` over already-formatted numbers.
+fn num_array(w: &mut JsonWriter, key: &str, vals: impl Iterator<Item = String>) {
+    w.key(key);
+    w.open_arr();
+    for v in vals {
+        w.raw(&v);
+    }
+    w.close_arr();
 }
 
-/// Hand-rolled JSON for the benchmark artifact: fixed key order, three
-/// decimals for floats, integers verbatim (the same conventions as the
-/// scenario reports, minus the machine-independence guarantee — wall
-/// clock is the point here). Per-thread-count measurements are parallel
-/// arrays under `threads` / `wall_secs` / `bootstrap_secs` /
-/// `events_per_sec`; churn points append a deterministic `churn` object
-/// with the batched/solo join-cost columns.
+/// `[a,b,…]` over serialized JSON documents, each with its trailing
+/// newline trimmed.
+fn json_array<S: AsRef<str>>(docs: impl IntoIterator<Item = S>) -> String {
+    let mut w = JsonWriter::new();
+    w.open_arr();
+    for d in docs {
+        w.raw(d.as_ref().trim_end());
+    }
+    w.close_arr();
+    w.out
+}
+
+/// One point of the benchmark artifact, in the workspace's JSON
+/// conventions minus the machine-independence guarantee — wall clock is
+/// the point here. Per-thread-count measurements are parallel arrays
+/// under `threads` / `wall_secs` / `bootstrap_secs` / `events_per_sec`
+/// (whole events per second: CI reads `[0]["events_per_sec"][0]`); churn
+/// points append a deterministic `churn` object with the batched/solo
+/// join-cost columns.
 fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     let r = &p.report;
-    let churn = match &p.churn {
-        None => String::new(),
-        Some(c) => {
-            let incr = format!(
-                "\"incr\":{{\"joins_ok\":{},\"repair_facts\":{},\"repair_events\":{},\
-                 \"repair_promotions\":{},\"repair_events_per_node_round\":{:.3},\
-                 \"wall_secs\":[{}]}}",
-                c.incr.joins_ok,
-                c.incr.repair_facts,
-                c.incr.repair_events,
-                c.incr.repair_promotions,
-                c.incr.repair_events_per_node_round,
-                join_f3(c.incr.wall_secs.iter().copied()),
-            );
-            match &c.global {
-                Some(g) => format!(
-                    ",\"churn\":{{\"joins_ok\":{},\"join_msgs_mean\":{:.3},\
-                     \"waves\":{},\"mean_batch\":{:.3},\
-                     \"joins_ok_seq\":{},\"join_msgs_mean_seq\":{:.3},{incr}}}",
-                    g.joins_ok,
-                    g.join_msgs_mean,
-                    g.waves,
-                    g.mean_batch,
-                    g.seq_joins_ok,
-                    g.seq_join_msgs_mean,
-                ),
-                None => format!(",\"churn\":{{{incr}}}"),
-            }
+    let mut w = JsonWriter::new();
+    w.open_obj();
+    w.u64_field("nodes", r.initial_nodes);
+    w.str_field("space", &r.space);
+    w.u64_field("seed", seed);
+    w.u64_field("ops", ops);
+    num_array(&mut w, "threads", p.threads.iter().map(|t| t.to_string()));
+    num_array(&mut w, "wall_secs", p.timings.iter().map(|t| f3(t.bootstrap_secs + t.drive_secs)));
+    num_array(&mut w, "bootstrap_secs", p.timings.iter().map(|t| f3(t.bootstrap_secs)));
+    let per_sec = p.timings.iter().map(|t| format!("{:.0}", t.events_per_sec(p.totals.events)));
+    num_array(&mut w, "events_per_sec", per_sec);
+    w.u64_field("events", p.totals.events);
+    w.u64_field("messages", p.totals.messages);
+    w.u64_field("timers", p.totals.timers);
+    w.u64_field("peak_table_entries", p.totals.peak_table_entries as u64);
+    w.u64_field("issued", r.total_ops.issued);
+    w.u64_field("found_live", r.total_ops.found_live);
+    w.u64_field("lost", r.total_ops.lost);
+    w.f64_field("latency_p50", r.total_latency.p50);
+    w.f64_field("latency_p99", r.total_latency.p99);
+    w.f64_field("hops_p50", r.total_hops.p50);
+    w.f64_field("hops_p99", r.total_hops.p99);
+    if let Some(c) = &p.churn {
+        w.key("churn");
+        w.open_obj();
+        if let Some(g) = &c.global {
+            w.u64_field("joins_ok", g.joins_ok);
+            w.f64_field("join_msgs_mean", g.join_msgs_mean);
+            w.u64_field("waves", g.waves);
+            w.f64_field("mean_batch", g.mean_batch);
+            w.u64_field("joins_ok_seq", g.seq_joins_ok);
+            w.f64_field("join_msgs_mean_seq", g.seq_join_msgs_mean);
         }
-    };
-    format!(
-        "{{\"nodes\":{},\"space\":\"{}\",\"seed\":{},\"ops\":{},\
-         \"threads\":[{}],\"wall_secs\":[{}],\"bootstrap_secs\":[{}],\
-         \"events_per_sec\":[{}],\"events\":{},\
-         \"messages\":{},\"timers\":{},\"peak_table_entries\":{},\
-         \"issued\":{},\"found_live\":{},\"lost\":{},\
-         \"latency_p50\":{:.3},\"latency_p99\":{:.3},\
-         \"hops_p50\":{:.3},\"hops_p99\":{:.3}{churn}}}",
-        r.initial_nodes,
-        r.space,
-        seed,
-        ops,
-        p.threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(","),
-        join_f3(p.timings.iter().map(|t| t.bootstrap_secs + t.drive_secs)),
-        join_f3(p.timings.iter().map(|t| t.bootstrap_secs)),
-        p.timings
-            .iter()
-            .map(|t| format!("{:.0}", t.events_per_sec(p.totals.events)))
-            .collect::<Vec<_>>()
-            .join(","),
-        p.totals.events,
-        p.totals.messages,
-        p.totals.timers,
-        p.totals.peak_table_entries,
-        r.total_ops.issued,
-        r.total_ops.found_live,
-        r.total_ops.lost,
-        r.total_latency.p50,
-        r.total_latency.p99,
-        r.total_hops.p50,
-        r.total_hops.p99,
-    )
+        w.key("incr");
+        w.open_obj();
+        w.u64_field("joins_ok", c.incr.joins_ok);
+        w.u64_field("repair_facts", c.incr.repair_facts);
+        w.u64_field("repair_events", c.incr.repair_events);
+        w.u64_field("repair_promotions", c.incr.repair_promotions);
+        w.f64_field("repair_events_per_node_round", c.incr.repair_events_per_node_round);
+        num_array(&mut w, "wall_secs", c.incr.wall_secs.iter().map(|&s| f3(s)));
+        w.close_obj();
+        w.close_obj();
+    }
+    w.close_obj();
+    w.out
 }
 
 /// Run one spec per `--threads` value and enforce the determinism gate:
@@ -595,16 +598,13 @@ fn main() {
                     c.incr.repair_events,
                     c.incr.repair_promotions,
                     c.incr.repair_events_per_node_round,
-                    join_f3(c.incr.wall_secs.iter().copied()),
+                    c.incr.wall_secs.iter().map(|&s| f3(s)).collect::<Vec<_>>().join(","),
                 );
             }
         }
     }
 
-    let json = format!(
-        "[{}]",
-        points.iter().map(|p| point_json(p, args.ops, args.seed)).collect::<Vec<_>>().join(",")
-    );
+    let json = json_array(points.iter().map(|p| point_json(p, args.ops, args.seed)));
     match &args.json {
         Some(path) => std::fs::write(path, &json).expect("write scale json"),
         None if args.quiet => println!("{json}"),
@@ -626,19 +626,100 @@ fn main() {
                 }
             }
         }
-        std::fs::write(path, format!("[{}]", reports.join(",")))
-            .expect("write deterministic sim json");
+        std::fs::write(path, json_array(&reports)).expect("write deterministic sim json");
     }
     // Telemetry artifacts: one array entry per trajectory point (each
     // entry already verified byte-identical across thread counts).
     if let Some(path) = &args.trace_json {
-        let parts: Vec<&str> =
-            points.iter().filter_map(|p| p.trace.as_deref()).map(str::trim_end).collect();
-        std::fs::write(path, format!("[{}]\n", parts.join(","))).expect("write trace json");
+        let trace = json_array(points.iter().filter_map(|p| p.trace.as_deref())) + "\n";
+        std::fs::write(path, trace).expect("write trace json");
     }
     if let Some(path) = &args.metrics_json {
-        let parts: Vec<&str> =
-            points.iter().filter_map(|p| p.metrics.as_deref()).map(str::trim_end).collect();
-        std::fs::write(path, format!("[{}]\n", parts.join(","))).expect("write metrics json");
+        let metrics = json_array(points.iter().filter_map(|p| p.metrics.as_deref())) + "\n";
+        std::fs::write(path, metrics).expect("write metrics json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tapestry_trace::json::Json;
+    use tapestry_workload::{HistSummary, OpStats};
+
+    fn point(churn: Option<ChurnCols>) -> Point {
+        let report = ScenarioReport {
+            space: "torus(1000)".into(),
+            initial_nodes: 64,
+            total_ops: OpStats { issued: 50, found_live: 48, lost: 2, ..Default::default() },
+            total_latency: HistSummary { p50: 1.5, p99: 2.0625, ..Default::default() },
+            total_hops: HistSummary { p50: 2.0, p99: 4.0, ..Default::default() },
+            ..Default::default()
+        };
+        Point {
+            report,
+            totals: RunTotals {
+                events: 1000,
+                messages: 700,
+                timers: 30,
+                peak_table_entries: 41,
+                final_nodes: 64,
+            },
+            threads: vec![1, 4],
+            timings: vec![
+                RunTiming { bootstrap_secs: 0.5, drive_secs: 1.25 },
+                RunTiming { bootstrap_secs: 0.1234, drive_secs: 0.3 },
+            ],
+            churn,
+            trace: None,
+            metrics: None,
+        }
+    }
+
+    fn incr() -> IncrCols {
+        IncrCols {
+            joins_ok: 9,
+            repair_facts: 40,
+            repair_events: 25,
+            repair_promotions: 5,
+            repair_events_per_node_round: 0.1953125,
+            wall_secs: vec![2.0, 1.0005],
+            report: ScenarioReport::default(),
+        }
+    }
+
+    #[test]
+    fn point_json_bytes_are_pinned() {
+        let head = concat!(
+            r#"{"nodes":64,"space":"torus(1000)","seed":42,"ops":500,"threads":[1,4],"#,
+            r#""wall_secs":[1.750,0.423],"bootstrap_secs":[0.500,0.123],"#,
+            r#""events_per_sec":[800,3333],"events":1000,"messages":700,"timers":30,"#,
+            r#""peak_table_entries":41,"issued":50,"found_live":48,"lost":2,"#,
+            r#""latency_p50":1.500,"latency_p99":2.062,"hops_p50":2.000,"hops_p99":4.000"#,
+        );
+        let incr_json = concat!(
+            r#""incr":{"joins_ok":9,"repair_facts":40,"repair_events":25,"#,
+            r#""repair_promotions":5,"repair_events_per_node_round":0.195,"#,
+            r#""wall_secs":[2.000,1.000]}"#,
+        );
+        assert_eq!(point_json(&point(None), 500, 42), format!("{head}}}"));
+        let incr_only = point(Some(ChurnCols { global: None, incr: incr() }));
+        assert_eq!(point_json(&incr_only, 500, 42), format!(r#"{head},"churn":{{{incr_json}}}}}"#));
+        let global = GlobalChurnCols {
+            joins_ok: 10,
+            join_msgs_mean: 123.4567,
+            waves: 3,
+            mean_batch: 10.0 / 3.0,
+            seq_joins_ok: 8,
+            seq_join_msgs_mean: 99.5,
+            seq_report: ScenarioReport::default(),
+        };
+        let both = point(Some(ChurnCols { global: Some(global), incr: incr() }));
+        let global_json = concat!(
+            r#""joins_ok":10,"join_msgs_mean":123.457,"waves":3,"mean_batch":3.333,"#,
+            r#""joins_ok_seq":8,"join_msgs_mean_seq":99.500,"#,
+        );
+        let out = point_json(&both, 500, 42);
+        assert_eq!(out, format!(r#"{head},"churn":{{{global_json}{incr_json}}}}}"#));
+        assert!(Json::parse(&out).is_ok());
     }
 }

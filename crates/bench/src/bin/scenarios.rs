@@ -14,6 +14,7 @@
 //! and diffed across PRs.
 
 use tapestry_bench::{f2, header, row};
+use tapestry_trace::json::JsonWriter;
 use tapestry_workload::{presets, runner, ScenarioReport, ScenarioSpec};
 
 /// Default `--metrics-window` when `--metrics-json` is given without one:
@@ -65,14 +66,23 @@ fn instrument(spec: ScenarioSpec, args: &Args) -> ScenarioSpec {
     spec
 }
 
-/// One JSON artifact per preset: the single object, or an array for
-/// `--preset all` (mirroring the report file's shape).
+/// One JSON artifact per run: the single document, or an array of them
+/// for `--preset all`. The array ends in a newline when its documents
+/// do (the telemetry files; reports have none).
 fn join_artifacts(parts: &[String]) -> String {
-    if parts.len() == 1 {
-        parts[0].clone()
-    } else {
-        format!("[{}]\n", parts.iter().map(|s| s.trim_end()).collect::<Vec<_>>().join(","))
+    if let [one] = parts {
+        return one.clone();
     }
+    let mut w = JsonWriter::new();
+    w.open_arr();
+    for p in parts {
+        w.raw(p.trim_end());
+    }
+    w.close_arr();
+    if parts.iter().any(|p| p.ends_with('\n')) {
+        w.out.push('\n');
+    }
+    w.out
 }
 
 fn parse_args() -> Args {
@@ -218,20 +228,7 @@ fn main() {
         }
     }
 
-    // JSON: a single report object, or an array for `--preset all`.
-    let json = if reports.len() == 1 {
-        reports[0].to_json()
-    } else {
-        let mut s = String::from("[");
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push(']');
-        s
-    };
+    let json = join_artifacts(&reports.iter().map(ScenarioReport::to_json).collect::<Vec<_>>());
     match &args.json {
         Some(path) => std::fs::write(path, &json).expect("write json report"),
         None if args.quiet => println!("{json}"),

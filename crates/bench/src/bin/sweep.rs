@@ -19,7 +19,8 @@
 //! `3` baseline/spec mismatch (missing cell or metric), `4`
 //! threads-determinism violation inside the fresh sweep.
 
-use tapestry_sweep::{agg, compare, grid::SweepSpec, json::Json, run};
+use tapestry_sweep::{agg, compare, grid::SweepSpec, run};
+use tapestry_trace::json::Json;
 
 struct Args {
     spec: String,

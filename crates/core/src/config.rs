@@ -1,5 +1,5 @@
+use crate::repair::MaintenanceMode;
 use tapestry_id::IdSpace;
-use tapestry_repair::MaintenanceMode;
 use tapestry_sim::SimTime;
 
 /// The two localized surrogate-routing variants of §2.3.
@@ -73,8 +73,9 @@ pub struct TapestryConfig {
     /// `(level, digit)` repair events under a budget).
     pub maintenance: MaintenanceMode,
     /// Incremental-repair budget: repair events per node per maintenance
-    /// second (see `tapestry_repair::REPAIR_TICK`). Zero freezes the
-    /// scheduler — facts accumulate (bounded) but nothing is repaired.
+    /// second (one `repair::REPAIR_TICK` of 1000 distance units). Zero
+    /// freezes the scheduler — facts accumulate (bounded) but nothing is
+    /// repaired.
     /// Ignored under `MaintenanceMode::GlobalRounds`.
     pub repairs_per_sec_per_node: u32,
     /// Enable the §6.3 transit-stub locality enhancement: publishes and

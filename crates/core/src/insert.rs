@@ -16,9 +16,8 @@
 use crate::messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer};
 use crate::node::{InsertState, NodeStatus, TapestryNode};
 use crate::refs::NodeRef;
-use crate::repair::RepairTask;
+use crate::repair::{FactKind, RepairTask};
 use std::collections::BTreeSet;
-use tapestry_repair::FactKind;
 use tapestry_sim::{Ctx, NodeIdx};
 use tapestry_trace::{metrics, TraceId};
 

@@ -53,5 +53,87 @@ pub use network::{BootstrapStage, LocateHook, LocateResult, NetworkSnapshot, Tap
 pub use node::{NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
 pub use refs::{NodeRef, MAX_NODES};
+pub use repair::MaintenanceMode;
 pub use routing_table::{Hop, RoutingTable, TableAddOutcome};
-pub use tapestry_repair::MaintenanceMode;
+
+/// The repair ledger's scheduling contract (dedup, FIFO order, budget
+/// slicing, backlog cap, one armed tick), with plain integers as tasks.
+#[cfg(test)]
+mod tests {
+    use crate::repair::{RepairLedger, MAX_BACKLOG, REPAIR_TICK};
+    use crate::MaintenanceMode;
+    use tapestry_sim::SimTime;
+
+    #[test]
+    fn push_dedups_and_preserves_fifo_order() {
+        let mut l: RepairLedger<u32> = RepairLedger::new();
+        assert!(l.push(3));
+        assert!(l.push(1));
+        assert!(!l.push(3), "duplicate coalesces");
+        assert!(l.push(2));
+        assert_eq!(l.len(), 3);
+        assert_eq!(l.drain(10), vec![3, 1, 2], "arrival order, not sorted");
+        assert!(l.is_empty());
+    }
+
+    #[test]
+    fn drain_respects_budget() {
+        let mut l: RepairLedger<u32> = RepairLedger::new();
+        for i in 0..10 {
+            l.push(i);
+        }
+        assert_eq!(l.drain(3), vec![0, 1, 2]);
+        assert_eq!(l.len(), 7);
+        assert_eq!(l.drain(3), vec![3, 4, 5]);
+        // A task drained earlier may be re-queued later (new evidence).
+        assert!(l.push(0));
+        assert_eq!(l.drain(100), vec![6, 7, 8, 9, 0]);
+    }
+
+    #[test]
+    fn zero_budget_drains_nothing() {
+        let mut l: RepairLedger<u32> = RepairLedger::new();
+        l.push(1);
+        assert!(l.drain(0).is_empty());
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn backlog_cap_drops_oldest() {
+        let mut l: RepairLedger<u32> = RepairLedger::new();
+        for i in 0..(MAX_BACKLOG as u32 + 5) {
+            l.push(i);
+        }
+        assert_eq!(l.len(), MAX_BACKLOG);
+        assert_eq!(l.overflowed, 5);
+        // The oldest five were dropped; the head is now task 5 — and the
+        // dropped ones can be re-queued (dedup set was cleaned up).
+        assert_eq!(l.drain(1), vec![5]);
+        assert!(l.push(0), "dropped task no longer counts as queued");
+    }
+
+    #[test]
+    fn arm_claims_once_until_disarmed() {
+        let mut l: RepairLedger<u32> = RepairLedger::new();
+        assert!(l.arm(), "first claim wins");
+        assert!(!l.arm(), "second claim refused while outstanding");
+        l.disarm();
+        assert!(l.arm(), "re-armable after the tick fires");
+    }
+
+    #[test]
+    fn mode_parse_round_trips() {
+        for m in [MaintenanceMode::GlobalRounds, MaintenanceMode::Incremental] {
+            assert_eq!(MaintenanceMode::parse(m.as_str()), Some(m));
+        }
+        assert_eq!(MaintenanceMode::parse("incr"), Some(MaintenanceMode::Incremental));
+        assert_eq!(MaintenanceMode::parse("nope"), None);
+        assert_eq!(MaintenanceMode::default(), MaintenanceMode::GlobalRounds);
+    }
+
+    #[test]
+    fn repair_tick_is_one_maintenance_second() {
+        // 1000 distance units at 1024 units/distance.
+        assert_eq!(REPAIR_TICK, SimTime::from_distance(1000.0));
+    }
+}

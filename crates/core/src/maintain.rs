@@ -6,9 +6,8 @@ use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
 use crate::node::{LeaveState, NodeStatus, TapestryNode};
 use crate::object_store::PtrEntry;
 use crate::refs::{idx32, NodeRef};
-use crate::repair::RepairTask;
+use crate::repair::{FactKind, RepairTask};
 use tapestry_id::Prefix;
-use tapestry_repair::FactKind;
 use tapestry_sim::{Ctx, NodeIdx, SimTime};
 use tapestry_trace::metrics;
 

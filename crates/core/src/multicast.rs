@@ -32,9 +32,8 @@
 use crate::messages::{BatchInsertee, Msg, OpId, Timer, WirePtr};
 use crate::node::{McastSession, TapestryNode};
 use crate::refs::NodeRef;
-use crate::repair::RepairTask;
+use crate::repair::{FactKind, RepairTask};
 use tapestry_id::Prefix;
-use tapestry_repair::FactKind;
 use tapestry_sim::{Ctx, NodeIdx};
 use tapestry_trace::metrics;
 

@@ -9,13 +9,13 @@ use crate::messages::{BatchInsertee, Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
 use crate::refs::{idx32, Backpointers, NodeRef, MAX_NODES};
+use crate::repair::MaintenanceMode;
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use tapestry_id::{root_id, Guid, Id};
 use tapestry_metric::{MetricSpace, NearestIndex};
-use tapestry_repair::MaintenanceMode;
 use tapestry_sim::{Engine, NodeIdx, SimTime};
 use tapestry_trace::TraceId;
 

@@ -3,13 +3,12 @@ use crate::messages::{BatchInsertee, Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
 use crate::refs::{Backpointers, NodeRef};
-use crate::repair::RepairTask;
+use crate::repair::{FactKind, RepairLedger, RepairTask};
 use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use tapestry_id::Guid;
-use tapestry_repair::{FactKind, RepairLedger};
 use tapestry_sim::{Actor, Ctx, NodeIdx};
 use tapestry_trace::metrics;
 

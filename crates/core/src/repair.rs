@@ -13,15 +13,171 @@
 //! the churn rate, not the population size.
 //!
 //! Everything here touches only the owning node's state plus ordinary
-//! `ctx.send`s.
+//! `ctx.send`s. The ledger is generic over the task type so its
+//! scheduling contract (dedup, FIFO order, budget slicing, backlog cap)
+//! is unit-tested with plain integers; it is `BTreeSet`/`VecDeque`-based
+//! and insertion-ordered, so draining is byte-identical from run to run.
 
 use crate::messages::{Msg, Timer};
 use crate::node::TapestryNode;
 use crate::refs::NodeRef;
+use std::collections::{BTreeSet, VecDeque};
 use tapestry_id::Guid;
-use tapestry_repair::{FactKind, MaintenanceMode, REPAIR_TICK};
-use tapestry_sim::{Ctx, NodeIdx, TraceRecord};
+use tapestry_sim::{Ctx, NodeIdx, SimTime, TraceRecord};
 use tapestry_trace::{metrics, TraceId};
+
+/// How a deployment keeps its mesh healthy under churn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MaintenanceMode {
+    /// Synchronized global rounds: every probe/optimize sweep walks
+    /// every node's full table (Θ(n · table) per round). The default of
+    /// every committed report.
+    #[default]
+    GlobalRounds,
+    /// Fact-driven localized repair: staleness facts accumulate in a
+    /// per-node ledger and a budgeted scheduler issues targeted
+    /// `(level, digit)` repair events, so maintenance cost follows the
+    /// churn rate instead of the population size.
+    Incremental,
+}
+
+impl MaintenanceMode {
+    /// Parse the CLI / spec spelling (`global` | `incremental`).
+    pub fn parse(s: &str) -> Option<MaintenanceMode> {
+        match s {
+            "global" | "global-rounds" | "rounds" => Some(MaintenanceMode::GlobalRounds),
+            "incremental" | "incr" => Some(MaintenanceMode::Incremental),
+            _ => None,
+        }
+    }
+
+    /// The CLI spelling (inverse of [`MaintenanceMode::parse`]).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            MaintenanceMode::GlobalRounds => "global",
+            MaintenanceMode::Incremental => "incremental",
+        }
+    }
+}
+
+/// The staleness-fact taxonomy. Facts are *evidence*, not commands: each
+/// kind maps to the targeted repair the scheduler will eventually run,
+/// and to the `repair.fact.*` counter that makes the evidence auditable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum FactKind {
+    /// A message we sent bounced off a dead node (failed Hello): the
+    /// engine's contact-failure notice. Repairs as dead-neighbor removal
+    /// with backup promotion plus per-hole slot re-query.
+    FailedContact,
+    /// A neighbor missed the probe-ack deadline (§5.2 beacon timeout).
+    /// Same repair as `FailedContact`, but scheduled rather than swept.
+    MissedProbeAck,
+    /// A probe ack arrived *after* its round's deadline — the node is
+    /// slow or flapping, not dead. Repairs by re-admitting the sender so
+    /// it is not re-declared dead every round.
+    LateProbeAck,
+    /// `consider_neighbor` evicted a live node from a full slot; the
+    /// evictee may still be the best entry somewhere else. Repairs by
+    /// re-routing pointers that traveled through it.
+    Eviction,
+    /// An acknowledged-multicast branch was deferred past the
+    /// `multicast_fanout` bound (`membership.multicast.fanout_deferred`).
+    /// Repairs by re-introducing the insertee to the deferred subtree's
+    /// representative directly.
+    DeferredBranch,
+    /// A soft-state object pointer lapsed (§2.2). Repairs by
+    /// republishing the local replica along the current mesh.
+    ExpiredPointer,
+}
+
+/// One "maintenance second" of simulated time: 1000 distance units at
+/// the engine's `UNITS_PER_DISTANCE = 1024` granularity. The budget knob
+/// is expressed per maintenance second, and the scheduler fires one tick
+/// per second while a backlog exists.
+pub(crate) const REPAIR_TICK: SimTime = SimTime(1_024_000);
+
+/// Backlog cap: a ledger never holds more than this many queued tasks.
+/// Overflow drops the *oldest* entries — under sustained churn the newest
+/// evidence supersedes repairs for state that has likely churned again.
+pub(crate) const MAX_BACKLOG: usize = 4096;
+
+/// Per-node staleness ledger and budgeted repair scheduler.
+///
+/// A deduplicating FIFO: pushing a task already queued is a no-op (facts
+/// are monotonic — repeated evidence for the same repair coalesces), and
+/// `drain(budget)` releases at most `budget` tasks in arrival order.
+/// The `armed` flag carries the "is a RepairTick timer outstanding"
+/// state so the owner arms exactly one timer per busy period.
+#[derive(Debug, Clone)]
+pub(crate) struct RepairLedger<T: Ord + Clone> {
+    queue: VecDeque<T>,
+    queued: BTreeSet<T>,
+    armed: bool,
+    /// Tasks dropped to the backlog cap (observability; surfaces as the
+    /// `repair.overflow` counter when the owner records it).
+    pub(crate) overflowed: u64,
+}
+
+impl<T: Ord + Clone> RepairLedger<T> {
+    pub(crate) fn new() -> Self {
+        RepairLedger {
+            queue: VecDeque::new(),
+            queued: BTreeSet::new(),
+            armed: false,
+            overflowed: 0,
+        }
+    }
+
+    /// Queue a repair task unless an identical one is already pending.
+    /// Returns `true` if the task was newly queued.
+    pub(crate) fn push(&mut self, task: T) -> bool {
+        if !self.queued.insert(task.clone()) {
+            return false;
+        }
+        self.queue.push_back(task);
+        if self.queue.len() > MAX_BACKLOG {
+            if let Some(old) = self.queue.pop_front() {
+                self.queued.remove(&old);
+                self.overflowed += 1;
+            }
+        }
+        true
+    }
+
+    /// Release up to `budget` tasks in arrival order.
+    pub(crate) fn drain(&mut self, budget: usize) -> Vec<T> {
+        let n = budget.min(self.queue.len());
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let t = self.queue.pop_front().expect("len checked");
+            self.queued.remove(&t);
+            out.push(t);
+        }
+        out
+    }
+
+    /// Number of queued tasks.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Try to claim the single outstanding repair-tick timer slot.
+    /// Returns `true` exactly when no timer is currently armed (the
+    /// caller should then set one); subsequent calls return `false`
+    /// until [`RepairLedger::disarm`].
+    pub(crate) fn arm(&mut self) -> bool {
+        !std::mem::replace(&mut self.armed, true)
+    }
+
+    /// Release the timer slot (called when the tick fires).
+    pub(crate) fn disarm(&mut self) {
+        self.armed = false;
+    }
+}
 
 /// Targeted peers per single-slot re-query — versus the global path's
 /// broadcast to *every* table reference per hole.

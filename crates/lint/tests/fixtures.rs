@@ -164,3 +164,28 @@ fn json_report_is_well_formed_and_sorted() {
     assert!(json.contains("\"files_scanned\":2"), "{json}");
     assert!(json.contains("\"line\":1"));
 }
+
+// ---- scan roots ---------------------------------------------------------
+
+/// Every crate's `src` is a scan root and every `crates/*/src` root
+/// exists: the CLI skips a missing root silently, so without this a new
+/// crate would escape the determinism gate, and a deleted one would
+/// leave a dead root behind.
+#[test]
+fn workspace_targets_cover_every_crate() {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut on_disk: Vec<String> = std::fs::read_dir(repo.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .map(|name| format!("crates/{name}/src"))
+        .filter(|src| repo.join(src).is_dir())
+        .collect();
+    on_disk.sort();
+    let mut listed: Vec<String> = tapestry_lint::WORKSPACE_TARGETS
+        .iter()
+        .map(|&(root, _)| root.to_string())
+        .filter(|root| root.starts_with("crates/"))
+        .collect();
+    listed.sort();
+    assert_eq!(listed, on_disk);
+}

@@ -1,16 +1,15 @@
 //! Per-cell aggregation over seeds and the deterministic emitters:
 //! committed JSON (`BENCH_sweep.json`, deterministic metrics only), CSV,
 //! the timing JSON CI uploads as an artifact, and a markdown table for
-//! job summaries. All share `tapestry_workload`'s JSON conventions
-//! (fixed key order, three-decimal floats) so a regenerated artifact is
+//! job summaries. All follow `tapestry_trace::json`'s conventions (fixed
+//! key order, three-decimal floats) so a regenerated artifact is
 //! byte-identical to the committed one.
 
 use crate::run::SweepResult;
 use crate::stats::Agg;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tapestry_workload::report::f3;
-use tapestry_workload::JsonWriter;
+use tapestry_trace::json::{f3, JsonWriter};
 
 /// One cell's aggregate: every metric summarized over the seed set.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,6 +290,7 @@ mod tests {
         assert!(!timing.contains("\"events\":{"), "timing artifact has no deterministic metrics");
         assert!(committed.ends_with('\n'));
         assert_eq!(committed.matches('{').count(), committed.matches('}').count());
+        assert!(tapestry_trace::json::Json::parse(&committed).is_ok());
     }
 
     #[test]

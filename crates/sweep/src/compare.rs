@@ -6,10 +6,9 @@
 
 use crate::agg::SweepAgg;
 use crate::grid::{Gate, GateKind};
-use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tapestry_workload::report::f3;
+use tapestry_trace::json::{f3, Json};
 
 /// Overall verdict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

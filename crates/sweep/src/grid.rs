@@ -357,11 +357,11 @@ impl SweepSpec {
             }
         }
         // Surface un-runnable cells at parse time, not mid-sweep: build
-        // every cell once with the first seed.
-        for g in &spec.grids {
-            for cell in g.expand() {
-                cell.build(spec.seeds[0])?;
-            }
+        // and validate every cell once with the first seed.
+        for cell in spec.cells() {
+            cell.build(spec.seeds[0])?
+                .validate()
+                .map_err(|e| format!("cell {}: {e}", cell.key()))?;
         }
         Ok(spec)
     }
@@ -488,7 +488,12 @@ fn parse_gate(vals: &[&str]) -> Result<Gate, String> {
         [m, k, v, rest @ ..] => (*m, *k, *v, rest),
         _ => return Err("expected `gate METRIC KIND VALUE [abs_slack V] [cell SUBSTR]`".into()),
     };
-    let v: f64 = val.parse().map_err(|_| format!("'{val}' is not a number"))?;
+    // A non-finite limit cannot gate: ∞ never fails, NaN always does.
+    let finite = |s: &str, what: &str| match s.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(format!("'{s}' is not a finite {what}")),
+    };
+    let v = finite(val, "number")?;
     let kind = match kw {
         "max_ratio" => GateKind::MaxRatio(v),
         "min_ratio" => GateKind::MinRatio(v),
@@ -501,10 +506,7 @@ fn parse_gate(vals: &[&str]) -> Result<Gate, String> {
     while let Some(&opt) = rest.next() {
         let arg = rest.next().ok_or_else(|| format!("'{opt}' needs a value"))?;
         match opt {
-            "abs_slack" => {
-                gate.abs_slack =
-                    arg.parse().map_err(|_| format!("'{arg}' is not a slack value"))?;
-            }
+            "abs_slack" => gate.abs_slack = finite(arg, "slack value")?,
             "cell" => gate.cell_filter = Some((*arg).to_string()),
             _ => return Err(format!("unknown gate option '{opt}'")),
         }
@@ -515,6 +517,10 @@ fn parse_gate(vals: &[&str]) -> Result<Gate, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     const SPEC: &str = "\
 # demo sweep
@@ -610,6 +616,22 @@ gate wall.events_per_sec min_abs 1000
             "name x\nseeds 1\nworkers 0\ngrid g\npreset steady-zipf\nnodes 8\nops 10",
             "zero workers",
         );
+        for nodes in ["0", "1", "18446744073709551615"] {
+            must_fail(
+                &format!("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8 {nodes}\nops 10"),
+                "an un-runnable node count caught at parse time",
+            );
+        }
+        for gate in
+            ["max_ratio inf", "min_abs -inf", "max_ratio NaN", "max_ratio 1.1 abs_slack inf"]
+        {
+            must_fail(
+                &format!(
+                    "name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8\nops 10\ngate m {gate}"
+                ),
+                "a non-finite gate value or slack",
+            );
+        }
         // `ops 0` is blamed on its own line, also after a valid `ops`;
         // only a grid with no `ops` line at all is called missing one.
         let err = |body: &str| SweepSpec::parse(body).unwrap_err();
@@ -623,6 +645,41 @@ gate wall.events_per_sec min_abs 1000
             err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
             "grid 'g' is missing an `ops` line"
         );
+    }
+
+    /// Spec keys and values for the never-panic property: every key, an
+    /// unknown one, valid and invalid values, and comment noise.
+    const KEYS: &str = "name seeds workers grid preset ops nodes threads space base fanout \
+                        window budget maintenance batched gate bogus #";
+    const VALUES: &str = "x 0 1 2 16 -1 1.5 inf NaN 18446744073709551615 default steady-zipf \
+                          churn-scale torus incremental on max_ratio min_abs abs_slack cell \
+                          wall.events_per_sec # é";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Token soup is `Ok` or `Err`, never a panic. Half the cases
+        /// append it to a valid spec, so it also reaches cell expansion,
+        /// validation and the gates.
+        #[test]
+        fn parse_never_panics_on_token_soup(seed in 0u64..u64::MAX) {
+            let keys: Vec<&str> = KEYS.split_whitespace().collect();
+            let values: Vec<&str> = VALUES.split_whitespace().collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut text = String::new();
+            if rng.gen_bool(0.5) {
+                text.push_str("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8\nops 10\n");
+            }
+            for _ in 0..rng.gen_range(0..16usize) {
+                text.push_str(keys.choose(&mut rng).unwrap());
+                for _ in 0..rng.gen_range(0..3usize) {
+                    text.push(' ');
+                    text.push_str(values.choose(&mut rng).unwrap());
+                }
+                text.push('\n');
+            }
+            let _ = SweepSpec::parse(&text);
+        }
     }
 
     #[test]

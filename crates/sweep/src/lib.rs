@@ -17,11 +17,11 @@
 //!   deterministic metrics (committed) and wall-clock metrics
 //!   (artifact-only);
 //! * [`stats`] / [`agg`] — mean / stddev / 95% CI (Student-t) per cell
-//!   over seeds, with deterministic JSON/CSV/markdown emitters sharing
-//!   `tapestry_workload`'s conventions, and the threads-axis determinism
-//!   audit;
-//! * [`json`] / [`compare`] — a minimal JSON reader for committed
-//!   baselines and the gate engine that folds every check into one CI
+//!   over seeds, with deterministic JSON/CSV/markdown emitters written
+//!   through `tapestry_trace::json` (the workspace's one JSON writer),
+//!   and the threads-axis determinism audit;
+//! * [`compare`] — the gate engine that reads a committed baseline back
+//!   with `tapestry_trace::json::Json` and folds every check into one CI
 //!   exit status (0 pass, 1 regression, 3 missing cell).
 //!
 //! The driver binary lives in `tapestry-bench` (`tapestry-sweep`); this
@@ -29,7 +29,8 @@
 //! `tapestry_workload`'s own timing observations.
 //!
 //! ```
-//! use tapestry_sweep::{agg, compare, grid::SweepSpec, json::Json, run};
+//! use tapestry_sweep::{agg, compare, grid::SweepSpec, run};
+//! use tapestry_trace::json::Json;
 //!
 //! let spec = SweepSpec::parse(
 //!     "name demo\nseeds 1 2\n\ngrid g\npreset steady-zipf\nnodes 16\nops 30\n\
@@ -49,7 +50,6 @@
 pub mod agg;
 pub mod compare;
 pub mod grid;
-pub mod json;
 pub mod pool;
 pub mod run;
 pub mod stats;
@@ -57,7 +57,6 @@ pub mod stats;
 pub use agg::{aggregate, audit_threads_determinism, CellAgg, SweepAgg};
 pub use compare::{compare, CompareReport, CompareStatus};
 pub use grid::{CellSpec, Gate, GateKind, GridSpec, SweepSpec};
-pub use json::Json;
 pub use pool::run_parallel;
 pub use run::{run_one, run_sweep, CellResult, RunMetrics, SweepResult};
 pub use stats::Agg;

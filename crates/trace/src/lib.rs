@@ -13,12 +13,16 @@
 //! 3. **Time-series telemetry** — a per-sim-window [`SeriesSampler`]
 //!    (events by kind, queue depths, repair backlog, live nodes) plus
 //!    deterministic JSON emitters in [`json`]. Wall-clock observations
-//!    (handler-time histograms) are segregated into the uncommitted
-//!    timing JSON, exactly like sweep's `--timing-json`.
+//!    never enter these files.
+//!
+//! [`json`] is also the workspace's one JSON module: `JsonWriter` (and
+//! its three-decimal `f3`), through which every committed artifact is
+//! written, and the `Json` reader that loads one back.
 //!
 //! The dependency direction is deliberate: this crate sits on
-//! `tapestry-sim` only, and `tapestry-core`/`tapestry-workload`/bench
-//! bins sit on it — the registry is below the protocol, not beside it.
+//! `tapestry-sim` only, and `tapestry-core`/`tapestry-workload`/
+//! `tapestry-sweep`/bench bins sit on it — the registry is below the
+//! protocol, not beside it.
 
 #![forbid(unsafe_code)]
 

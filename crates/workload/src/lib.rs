@@ -17,7 +17,8 @@
 //!   spec, harvesting per-op latency/hops/distance into log-bucketed
 //!   [`tapestry_sim::Histogram`]s (p50/p90/p99/p999) and running the
 //!   invariant spot-checks (Properties 1/2, Theorem 2) between phases;
-//! * [`report`] — deterministic JSON/CSV emitters, so
+//! * [`report`] — deterministic JSON/CSV emitters (the JSON written
+//!   through `tapestry_trace::json::JsonWriter`), so
 //!   `BENCH_scenarios.json` can be committed and diffed across PRs;
 //! * [`presets`] — the named workloads (`steady-zipf`, `flash-crowd`,
 //!   `churn-storm`, `partition-heal`, `mass-failure`).
@@ -42,7 +43,7 @@ pub mod traffic;
 
 pub use churn::{ChurnEvent, ChurnSpec};
 pub use presets::{sweep_preset, SweepKnobs};
-pub use report::{HistSummary, InvariantReport, JsonWriter, OpStats, PhaseReport, ScenarioReport};
+pub use report::{HistSummary, InvariantReport, OpStats, PhaseReport, ScenarioReport};
 pub use runner::{run, run_instrumented, RunTiming, RunTotals, Telemetry};
 pub use spec::{PhaseSpec, ScenarioSpec, SpaceKind, TrafficSpec};
 pub use traffic::{Arrival, Popularity, PopularitySampler};

@@ -3,13 +3,14 @@
 //! CSV emitters stable enough to commit (`BENCH_scenarios.json`) and diff
 //! across PRs.
 //!
-//! The JSON writer is hand-rolled (std-only, no serde in the container):
-//! keys appear in a fixed order, floats are printed with three decimals,
-//! and every collection is emitted in deterministic order.
+//! The JSON goes through `tapestry_trace::json::JsonWriter`, so the
+//! report follows the workspace's one set of JSON conventions (fixed key
+//! order, three-decimal floats); the CSV shares its `f3`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tapestry_sim::Histogram;
+use tapestry_trace::json::{f3, JsonWriter};
 use tapestry_trace::Counter;
 
 /// Percentile summary of one histogram, in the unit of the caller's
@@ -391,12 +392,6 @@ fn write_hist(w: &mut JsonWriter, h: &HistSummary) {
     w.close_obj();
 }
 
-/// Fixed three-decimal float formatting — the determinism anchor for
-/// committed reports (shared by the sweep aggregator's emitters).
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 /// RFC-4180 quoting for free-form fields (scenario and phase names come
 /// from user-supplied builder strings).
 fn csv_field(s: &str) -> String {
@@ -404,124 +399,6 @@ fn csv_field(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
-    }
-}
-
-/// Minimal JSON writer: tracks comma placement, escapes strings, prints
-/// floats via [`f3`]. Public so every committed JSON artifact in the
-/// workspace (scenario reports here, sweep aggregates in
-/// `tapestry-sweep`) shares one set of determinism conventions.
-pub struct JsonWriter {
-    /// The emitted JSON so far; take it when the document is closed.
-    pub out: String,
-    /// Does the current container already hold an element?
-    needs_comma: Vec<bool>,
-}
-
-impl Default for JsonWriter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl JsonWriter {
-    /// An empty writer positioned at the document root.
-    pub fn new() -> Self {
-        JsonWriter { out: String::new(), needs_comma: vec![false] }
-    }
-
-    /// Emit the separating comma if the current container already holds
-    /// an element, and mark it non-empty.
-    pub fn elem_prefix(&mut self) {
-        if let Some(last) = self.needs_comma.last_mut() {
-            if *last {
-                self.out.push(',');
-            }
-            *last = true;
-        }
-    }
-
-    /// Open `{`.
-    pub fn open_obj(&mut self) {
-        self.elem_prefix();
-        self.out.push('{');
-        self.needs_comma.push(false);
-    }
-
-    /// Close `}`.
-    pub fn close_obj(&mut self) {
-        self.out.push('}');
-        self.needs_comma.pop();
-    }
-
-    /// Open `[`.
-    pub fn open_arr(&mut self) {
-        self.elem_prefix();
-        self.out.push('[');
-        self.needs_comma.push(false);
-    }
-
-    /// Close `]`.
-    pub fn close_arr(&mut self) {
-        self.out.push(']');
-        self.needs_comma.pop();
-    }
-
-    /// `"key":` — the value that follows must not get its own comma, so
-    /// the container is marked empty again until the value lands.
-    pub fn key(&mut self, k: &str) {
-        self.elem_prefix();
-        self.push_escaped(k);
-        self.out.push(':');
-        if let Some(last) = self.needs_comma.last_mut() {
-            *last = false;
-        }
-    }
-
-    /// A bare scalar value (after `key`, or an array element).
-    pub fn raw(&mut self, v: &str) {
-        self.elem_prefix();
-        self.out.push_str(v);
-    }
-
-    /// `"k":"v"` with escaping.
-    pub fn str_field(&mut self, k: &str, v: &str) {
-        self.key(k);
-        self.elem_prefix();
-        self.push_escaped(v);
-    }
-
-    /// `"k":v` for integers.
-    pub fn u64_field(&mut self, k: &str, v: u64) {
-        self.key(k);
-        self.elem_prefix();
-        let _ = write!(self.out, "{v}");
-    }
-
-    /// `"k":v` with fixed three-decimal floats.
-    pub fn f64_field(&mut self, k: &str, v: f64) {
-        self.key(k);
-        self.elem_prefix();
-        self.out.push_str(&f3(v));
-    }
-
-    /// A JSON string literal with escaping.
-    pub fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\t' => self.out.push_str("\\t"),
-                '\r' => self.out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
     }
 }
 
@@ -579,6 +456,7 @@ mod tests {
         assert!(a.contains("\"p50\":2.000"), "latency scaled to distance units: {a}");
         assert!(a.contains("\"locate.found\":3"));
         assert!(a.contains("\"invariants\":{"));
+        assert!(tapestry_trace::json::Json::parse(&a).is_ok());
     }
 
     #[test]
