@@ -10,23 +10,21 @@
 //! scale                                      # 1k/4k/10k/25k, torus, one bootstrap worker
 //! scale --nodes 256 --threads 1,4            # one point, run at 1 and at 4 workers
 //! scale --nodes 1000,10000 --space torus,transit-stub
-//! scale --churn 1000,25000,100000            # churn-scale points (both
-//!                                            #   maintenance modes side by side)
+//! scale --churn 1000,25000,100000            # churn-scale points
 //! scale --exhaustive-checks                  # every-member Theorem 2 walks
 //! # the committed trajectory:
 //! scale --space torus,transit-stub --churn 1000,25000,100000 --json BENCH_scale.json
 //! scale --nodes 1000 --sim-json a.json       # deterministic part only
 //! ```
 //!
-//! Churn points run the `churn-scale` preset in **both maintenance
-//! modes**: the classic global-rounds schedule (batched joins plus the
-//! solo-join baseline, reporting measured mean `membership.join.messages` per
-//! completed join side by side) and the incremental fact-driven repair
-//! scheduler (`MaintenanceMode::Incremental`), whose mean repair events
-//! per node per probe round is the O(churn)-not-O(n) figure the
-//! maintenance item asks for. Past [`GLOBAL_ROUNDS_CHURN_MAX`] nodes only the
-//! incremental mode runs — a global repair round there is exactly the
-//! O(n)-per-failure cost the scheduler exists to avoid.
+//! A churn point is one run of the `churn-scale` preset (batched joins,
+//! unannounced kills, probe rounds feeding the fact-driven repair
+//! scheduler). Its `churn` columns report the measured mean
+//! `membership.join.messages` per completed join and the mean repair
+//! events per node per probe round — the O(churn)-not-O(n) figure. Up to
+//! [`SOLO_BASELINE_CHURN_MAX`] nodes a second run of the same schedule
+//! with solo joins (`churn-scale-seq`) adds the solo join cost beside the
+//! batched one.
 //!
 //! `--threads` sets the workers of the static bootstrap and the
 //! Property 1/2 sweeps (events are dispatched sequentially; default one
@@ -40,7 +38,6 @@
 //! as a non-determinism gate.
 
 use tapestry_bench::{f2, header, row};
-use tapestry_core::MaintenanceMode;
 use tapestry_trace::json::{f3, JsonWriter};
 use tapestry_trace::metrics;
 use tapestry_workload::presets::{churn_scale_preset, scale_preset, ScaleSpace, SCALE_SIZES};
@@ -50,14 +47,9 @@ use tapestry_workload::{runner, RunTiming, RunTotals, ScenarioReport, Telemetry}
 /// 1024 distance units of simulated time per sample.
 const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
 
-/// Largest churn point that still runs the global-rounds mode (and its
-/// solo-join baseline). Beyond this the point is incremental-only.
-const GLOBAL_ROUNDS_CHURN_MAX: usize = 50_000;
-
-/// Probe rounds a churn-scale run performs (`ProbeAt` in the churn and
-/// settle phases) — the denominator of the repairs-per-node-per-round
-/// column.
-const CHURN_PROBE_ROUNDS: f64 = 2.0;
+/// Largest churn point that also runs the solo-join baseline, a second
+/// full churn run. Beyond it the point reports the batched run alone.
+const SOLO_BASELINE_CHURN_MAX: usize = 50_000;
 
 struct Args {
     nodes: Vec<usize>,
@@ -240,51 +232,54 @@ struct Point {
     totals: RunTotals,
     threads: Vec<usize>,
     timings: Vec<RunTiming>,
-    /// Churn points carry measured join-cost columns (batched and solo).
-    churn: Option<ChurnCols>,
+    /// Churn points carry what their `churn` columns need beyond the
+    /// report itself.
+    churn: Option<Churn>,
     /// Telemetry artifacts when the flags are on — verified byte-identical
     /// across thread counts like the report itself.
     trace: Option<String>,
     metrics: Option<String>,
 }
 
-/// Churn-point measurements: the global-rounds columns (absent past
-/// [`GLOBAL_ROUNDS_CHURN_MAX`]) and the incremental-mode columns.
-struct ChurnCols {
-    global: Option<GlobalChurnCols>,
-    incr: IncrCols,
+/// A churn point's inputs beside its own report: the probe rounds the
+/// spec scripts (the repairs-per-node-round divisor) and, up to
+/// [`SOLO_BASELINE_CHURN_MAX`], the solo-join baseline's report.
+struct Churn {
+    probe_rounds: usize,
+    solo: Option<ScenarioReport>,
 }
 
-/// Measured join cost of one global-rounds churn run, batched vs the
-/// solo baseline.
-struct GlobalChurnCols {
+/// The measured columns of a churn point, all read off its reports.
+struct ChurnCols {
     joins_ok: u64,
     /// Mean `membership.join.messages` per completed join under coalescing.
     join_msgs_mean: f64,
     waves: u64,
     mean_batch: f64,
-    seq_joins_ok: u64,
-    /// The same schedule through the classic solo path.
-    seq_join_msgs_mean: f64,
-    /// The solo sibling's full report (for `--sim-json`).
-    seq_report: ScenarioReport,
-}
-
-/// Measured incremental-maintenance columns of one churn point.
-struct IncrCols {
-    joins_ok: u64,
+    /// `(joins_ok, join_msgs_mean)` of the solo-join baseline.
+    solo: Option<(u64, f64)>,
     repair_facts: u64,
     repair_events: u64,
     repair_promotions: u64,
-    /// Mean targeted repairs released per node per probe round — the
-    /// figure that must stay flat as n grows for maintenance cost to be
-    /// O(churn rate) instead of O(n).
     repair_events_per_node_round: f64,
-    /// Per-`--threads`-value wall seconds of the incremental run
-    /// (parallel to the point's `threads` array).
-    wall_secs: Vec<f64>,
-    /// The incremental run's full report (for `--sim-json`).
-    report: ScenarioReport,
+}
+
+impl ChurnCols {
+    fn of(r: &ScenarioReport, c: &Churn) -> Self {
+        let waves = r.counter_total(metrics::MULTICAST_BATCH_WAVES);
+        let batch_joins = r.counter_total(metrics::MULTICAST_BATCH_JOINS);
+        ChurnCols {
+            joins_ok: r.joins_ok_total(),
+            join_msgs_mean: join_msgs_mean(r),
+            waves,
+            mean_batch: if waves == 0 { 0.0 } else { batch_joins as f64 / waves as f64 },
+            solo: c.solo.as_ref().map(|s| (s.joins_ok_total(), join_msgs_mean(s))),
+            repair_facts: r.counter_total(metrics::REPAIR_FACTS),
+            repair_events: r.counter_total(metrics::REPAIR_EVENTS),
+            repair_promotions: r.counter_total(metrics::REPAIR_PROMOTIONS),
+            repair_events_per_node_round: r.repairs_per_node_round(c.probe_rounds),
+        }
+    }
 }
 
 /// Mean `membership.join.messages` per completed join (0 when no join completed).
@@ -322,8 +317,9 @@ fn json_array<S: AsRef<str>>(docs: impl IntoIterator<Item = S>) -> String {
 /// the point here. Per-thread-count measurements are parallel arrays
 /// under `threads` / `wall_secs` / `bootstrap_secs` / `events_per_sec`
 /// (whole events per second: CI reads `[0]["events_per_sec"][0]`); churn
-/// points append a deterministic `churn` object with the batched/solo
-/// join-cost columns.
+/// points append a deterministic, flat `churn` object with the join-cost
+/// (batched, and solo up to [`SOLO_BASELINE_CHURN_MAX`]) and repair
+/// columns.
 fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     let r = &p.report;
     let mut w = JsonWriter::new();
@@ -349,25 +345,21 @@ fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     w.f64_field("hops_p50", r.total_hops.p50);
     w.f64_field("hops_p99", r.total_hops.p99);
     if let Some(c) = &p.churn {
+        let c = ChurnCols::of(r, c);
         w.key("churn");
         w.open_obj();
-        if let Some(g) = &c.global {
-            w.u64_field("joins_ok", g.joins_ok);
-            w.f64_field("join_msgs_mean", g.join_msgs_mean);
-            w.u64_field("waves", g.waves);
-            w.f64_field("mean_batch", g.mean_batch);
-            w.u64_field("joins_ok_seq", g.seq_joins_ok);
-            w.f64_field("join_msgs_mean_seq", g.seq_join_msgs_mean);
+        w.u64_field("joins_ok", c.joins_ok);
+        w.f64_field("join_msgs_mean", c.join_msgs_mean);
+        w.u64_field("waves", c.waves);
+        w.f64_field("mean_batch", c.mean_batch);
+        if let Some((joins_ok, msgs_mean)) = c.solo {
+            w.u64_field("joins_ok_seq", joins_ok);
+            w.f64_field("join_msgs_mean_seq", msgs_mean);
         }
-        w.key("incr");
-        w.open_obj();
-        w.u64_field("joins_ok", c.incr.joins_ok);
-        w.u64_field("repair_facts", c.incr.repair_facts);
-        w.u64_field("repair_events", c.incr.repair_events);
-        w.u64_field("repair_promotions", c.incr.repair_promotions);
-        w.f64_field("repair_events_per_node_round", c.incr.repair_events_per_node_round);
-        num_array(&mut w, "wall_secs", c.incr.wall_secs.iter().map(|&s| f3(s)));
-        w.close_obj();
+        w.u64_field("repair_facts", c.repair_facts);
+        w.u64_field("repair_events", c.repair_events);
+        w.u64_field("repair_promotions", c.repair_promotions);
+        w.f64_field("repair_events_per_node_round", c.repair_events_per_node_round);
         w.close_obj();
     }
     w.close_obj();
@@ -447,13 +439,12 @@ fn run_across_threads(
     point.expect("at least one thread count")
 }
 
-/// One churn trajectory point. The incremental-maintenance run goes
-/// through the thread-count determinism gate at every `--threads` value;
-/// up to [`GLOBAL_ROUNDS_CHURN_MAX`] the classic global-rounds run rides
-/// alongside for the mode comparison, plus the **solo-join baseline** —
-/// which is a single sequential-path run by construction (its only job
-/// is the batched-vs-solo join-cost column), hoisted here so it can
-/// never be re-run per thread count.
+/// One churn trajectory point: the `churn-scale` run goes through the
+/// thread-count determinism gate at every `--threads` value. Up to
+/// [`SOLO_BASELINE_CHURN_MAX`] the **solo-join baseline** rides along —
+/// a single run by construction (its only job is the batched-vs-solo
+/// join-cost column), hoisted here so it is never re-run per thread
+/// count.
 fn churn_point(args: &Args, n: usize) -> Point {
     let finish = |spec: tapestry_workload::ScenarioSpec| {
         if args.exhaustive_checks {
@@ -463,66 +454,17 @@ fn churn_point(args: &Args, n: usize) -> Point {
         }
     };
     let tel = TelOpts::from_args(args);
-    let incr_point =
-        run_across_threads(&format!("churn-scale-incr({n})"), &args.threads, tel, |t| {
-            finish(churn_scale_preset(
-                n,
-                args.ops,
-                args.seed,
-                t,
-                true,
-                MaintenanceMode::Incremental,
-            ))
-        });
-    let nodes = incr_point.report.initial_nodes as f64;
-    let repair_events = incr_point.report.counter_total(metrics::REPAIR_EVENTS);
-    let incr = IncrCols {
-        joins_ok: incr_point.report.joins_ok_total(),
-        repair_facts: incr_point.report.counter_total(metrics::REPAIR_FACTS),
-        repair_events,
-        repair_promotions: incr_point.report.counter_total(metrics::REPAIR_PROMOTIONS),
-        repair_events_per_node_round: repair_events as f64 / nodes / CHURN_PROBE_ROUNDS,
-        wall_secs: incr_point.timings.iter().map(|t| t.bootstrap_secs + t.drive_secs).collect(),
-        report: incr_point.report.clone(),
-    };
-    if n > GLOBAL_ROUNDS_CHURN_MAX {
-        let mut point = incr_point;
-        point.churn = Some(ChurnCols { global: None, incr });
-        return point;
-    }
-    let mut point = run_across_threads(&format!("churn-scale({n})"), &args.threads, tel, |t| {
-        finish(churn_scale_preset(n, args.ops, args.seed, t, true, MaintenanceMode::GlobalRounds))
-    });
-    // The solo baseline: one run, outside the per-thread loop.
-    let seq_spec = finish(churn_scale_preset(
-        n,
-        args.ops,
-        args.seed,
-        args.threads[0],
-        false,
-        MaintenanceMode::GlobalRounds,
-    ));
-    let seq_report = match runner::run(&seq_spec) {
-        Ok(r) => r,
-        Err(e) => {
+    let build =
+        |t: usize, batched: bool| finish(churn_scale_preset(n, args.ops, args.seed, t, batched));
+    let mut point =
+        run_across_threads(&format!("churn-scale({n})"), &args.threads, tel, |t| build(t, true));
+    let solo = (n <= SOLO_BASELINE_CHURN_MAX).then(|| {
+        runner::run(&build(args.threads[0], false)).unwrap_or_else(|e| {
             eprintln!("churn-scale-seq({n}): {e}");
             std::process::exit(1)
-        }
-    };
-    let waves = point.report.counter_total(metrics::MULTICAST_BATCH_WAVES);
-    let batch_joins = point.report.counter_total(metrics::MULTICAST_BATCH_JOINS);
-    point.churn = Some(ChurnCols {
-        global: Some(GlobalChurnCols {
-            joins_ok: point.report.joins_ok_total(),
-            join_msgs_mean: join_msgs_mean(&point.report),
-            waves,
-            mean_batch: if waves == 0 { 0.0 } else { batch_joins as f64 / waves as f64 },
-            seq_joins_ok: seq_report.joins_ok_total(),
-            seq_join_msgs_mean: join_msgs_mean(&seq_report),
-            seq_report,
-        }),
-        incr,
+        })
     });
+    point.churn = Some(Churn { probe_rounds: build(1, true).probe_rounds(), solo });
     point
 }
 
@@ -575,32 +517,25 @@ fn main() {
             }
         }
         for p in &points {
-            if let Some(c) = &p.churn {
-                if let Some(g) = &c.global {
-                    println!(
-                        "churn-scale {}: batched {} joins, {:.1} msgs/join mean \
-                         ({} waves, mean batch {:.1}) | solo {} joins, {:.1} msgs/join mean",
-                        p.report.initial_nodes,
-                        g.joins_ok,
-                        g.join_msgs_mean,
-                        g.waves,
-                        g.mean_batch,
-                        g.seq_joins_ok,
-                        g.seq_join_msgs_mean,
-                    );
-                }
-                println!(
-                    "churn-scale-incr {}: {} joins | {} facts -> {} repairs \
-                     ({} promotions), {:.2} repairs/node/round | wall [{}] s",
-                    c.incr.report.initial_nodes,
-                    c.incr.joins_ok,
-                    c.incr.repair_facts,
-                    c.incr.repair_events,
-                    c.incr.repair_promotions,
-                    c.incr.repair_events_per_node_round,
-                    c.incr.wall_secs.iter().map(|&s| f3(s)).collect::<Vec<_>>().join(","),
-                );
-            }
+            let Some(c) = &p.churn else { continue };
+            let c = ChurnCols::of(&p.report, c);
+            let solo = c.solo.map_or(String::new(), |(joins, mean)| {
+                format!(" | solo {joins} joins, {mean:.1} msgs/join mean")
+            });
+            println!(
+                "churn-scale {}: batched {} joins, {:.1} msgs/join mean \
+                 ({} waves, mean batch {:.1}){solo} | {} facts -> {} repairs \
+                 ({} promotions), {:.2} repairs/node/round",
+                p.report.initial_nodes,
+                c.joins_ok,
+                c.join_msgs_mean,
+                c.waves,
+                c.mean_batch,
+                c.repair_facts,
+                c.repair_events,
+                c.repair_promotions,
+                c.repair_events_per_node_round,
+            );
         }
     }
 
@@ -617,13 +552,8 @@ fn main() {
         let mut reports: Vec<String> = Vec::new();
         for p in &points {
             reports.push(p.report.to_json());
-            if let Some(c) = &p.churn {
-                if let Some(g) = &c.global {
-                    reports.push(g.seq_report.to_json());
-                    // The incremental report is distinct from the point's
-                    // own (global-rounds) report only when both ran.
-                    reports.push(c.incr.report.to_json());
-                }
+            if let Some(solo) = p.churn.as_ref().and_then(|c| c.solo.as_ref()) {
+                reports.push(solo.to_json());
             }
         }
         std::fs::write(path, json_array(&reports)).expect("write deterministic sim json");
@@ -644,12 +574,32 @@ fn main() {
 mod tests {
     use super::*;
     use tapestry_trace::json::Json;
-    use tapestry_workload::{HistSummary, OpStats};
+    use tapestry_trace::Counter;
+    use tapestry_workload::report::ChurnOutcome;
+    use tapestry_workload::{HistSummary, OpStats, PhaseReport};
 
-    fn point(churn: Option<ChurnCols>) -> Point {
+    /// One phase that completed `joins` joins and moved `counters`.
+    fn phases(joins: u64, counters: &[(Counter, u64)]) -> Vec<PhaseReport> {
+        vec![PhaseReport {
+            churn: ChurnOutcome { joins_ok: joins, ..Default::default() },
+            counters: counters.iter().map(|&(c, v)| (c.name().to_string(), v)).collect(),
+            ..Default::default()
+        }]
+    }
+
+    fn point(churn: Option<Churn>) -> Point {
+        let counters = [
+            (metrics::JOIN_MESSAGES, 1234),
+            (metrics::MULTICAST_BATCH_WAVES, 3),
+            (metrics::MULTICAST_BATCH_JOINS, 10),
+            (metrics::REPAIR_FACTS, 40),
+            (metrics::REPAIR_EVENTS, 25),
+            (metrics::REPAIR_PROMOTIONS, 5),
+        ];
         let report = ScenarioReport {
             space: "torus(1000)".into(),
             initial_nodes: 64,
+            phases: phases(10, &counters),
             total_ops: OpStats { issued: 50, found_live: 48, lost: 2, ..Default::default() },
             total_latency: HistSummary { p50: 1.5, p99: 2.0625, ..Default::default() },
             total_hops: HistSummary { p50: 2.0, p99: 4.0, ..Default::default() },
@@ -675,18 +625,6 @@ mod tests {
         }
     }
 
-    fn incr() -> IncrCols {
-        IncrCols {
-            joins_ok: 9,
-            repair_facts: 40,
-            repair_events: 25,
-            repair_promotions: 5,
-            repair_events_per_node_round: 0.1953125,
-            wall_secs: vec![2.0, 1.0005],
-            report: ScenarioReport::default(),
-        }
-    }
-
     #[test]
     fn point_json_bytes_are_pinned() {
         let head = concat!(
@@ -696,30 +634,25 @@ mod tests {
             r#""peak_table_entries":41,"issued":50,"found_live":48,"lost":2,"#,
             r#""latency_p50":1.500,"latency_p99":2.062,"hops_p50":2.000,"hops_p99":4.000"#,
         );
-        let incr_json = concat!(
-            r#""incr":{"joins_ok":9,"repair_facts":40,"repair_events":25,"#,
-            r#""repair_promotions":5,"repair_events_per_node_round":0.195,"#,
-            r#""wall_secs":[2.000,1.000]}"#,
+        let joins = r#""joins_ok":10,"join_msgs_mean":123.400,"waves":3,"mean_batch":3.333,"#;
+        let solo = r#""joins_ok_seq":8,"join_msgs_mean_seq":99.500,"#;
+        let repairs = concat!(
+            r#""repair_facts":40,"repair_events":25,"repair_promotions":5,"#,
+            r#""repair_events_per_node_round":0.195"#,
         );
         assert_eq!(point_json(&point(None), 500, 42), format!("{head}}}"));
-        let incr_only = point(Some(ChurnCols { global: None, incr: incr() }));
-        assert_eq!(point_json(&incr_only, 500, 42), format!(r#"{head},"churn":{{{incr_json}}}}}"#));
-        let global = GlobalChurnCols {
-            joins_ok: 10,
-            join_msgs_mean: 123.4567,
-            waves: 3,
-            mean_batch: 10.0 / 3.0,
-            seq_joins_ok: 8,
-            seq_join_msgs_mean: 99.5,
-            seq_report: ScenarioReport::default(),
-        };
-        let both = point(Some(ChurnCols { global: Some(global), incr: incr() }));
-        let global_json = concat!(
-            r#""joins_ok":10,"join_msgs_mean":123.457,"waves":3,"mean_batch":3.333,"#,
-            r#""joins_ok_seq":8,"join_msgs_mean_seq":99.500,"#,
+        let batched_only = point(Some(Churn { probe_rounds: 2, solo: None }));
+        assert_eq!(
+            point_json(&batched_only, 500, 42),
+            format!(r#"{head},"churn":{{{joins}{repairs}}}}}"#)
         );
+        let solo_report = ScenarioReport {
+            phases: phases(8, &[(metrics::JOIN_MESSAGES, 796)]),
+            ..Default::default()
+        };
+        let both = point(Some(Churn { probe_rounds: 2, solo: Some(solo_report) }));
         let out = point_json(&both, 500, 42);
-        assert_eq!(out, format!(r#"{head},"churn":{{{global_json}{incr_json}}}}}"#));
+        assert_eq!(out, format!(r#"{head},"churn":{{{joins}{solo}{repairs}}}}}"#));
         assert!(Json::parse(&out).is_ok());
     }
 }

@@ -67,16 +67,15 @@ pub struct TapestryConfig {
     /// responses at one level before proceeding with whatever arrived
     /// (makes insertion robust to nodes dying mid-insert).
     pub insert_level_timeout: SimTime,
-    /// How the mesh is kept healthy under churn: PR 5's synchronized
-    /// global probe/optimize rounds (the committed-report baseline) or
-    /// fact-driven incremental repair (staleness facts → targeted
-    /// `(level, digit)` repair events under a budget).
+    /// Unread: there is one maintenance behaviour. The field stays only
+    /// because the standalone `benchmark/` package sets it in a
+    /// `TapestryConfig` literal; nothing in the workspace reads it, and
+    /// the benchmark-only PR that re-points `benchmark/src/workloads.rs`
+    /// deletes it with [`MaintenanceMode`].
     pub maintenance: MaintenanceMode,
-    /// Incremental-repair budget: repair events per node per maintenance
-    /// second (one `repair::REPAIR_TICK` of 1000 distance units). Zero
-    /// freezes the scheduler — facts accumulate (bounded) but nothing is
-    /// repaired.
-    /// Ignored under `MaintenanceMode::GlobalRounds`.
+    /// Repair budget: repair events per node per maintenance second (one
+    /// `repair::REPAIR_TICK` of 1000 distance units). Zero freezes the
+    /// scheduler — facts accumulate (bounded) but nothing is repaired.
     pub repairs_per_sec_per_node: u32,
     /// Enable the §6.3 transit-stub locality enhancement: publishes and
     /// queries spawn a local branch that never leaves the stub. Requires
@@ -129,7 +128,7 @@ impl Default for TapestryConfig {
             republish_interval: SimTime::ZERO,
             heartbeat_interval: SimTime::ZERO,
             insert_level_timeout: SimTime::from_distance(50_000.0),
-            maintenance: MaintenanceMode::GlobalRounds,
+            maintenance: MaintenanceMode::Incremental,
             repairs_per_sec_per_node: 16,
             local_stub_optimization: false,
             stub_latency_threshold: 0.0,

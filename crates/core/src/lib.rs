@@ -61,7 +61,6 @@ pub use routing_table::{Hop, RoutingTable, TableAddOutcome};
 #[cfg(test)]
 mod tests {
     use crate::repair::{RepairLedger, MAX_BACKLOG, REPAIR_TICK};
-    use crate::MaintenanceMode;
     use tapestry_sim::SimTime;
 
     #[test]
@@ -119,16 +118,6 @@ mod tests {
         assert!(!l.arm(), "second claim refused while outstanding");
         l.disarm();
         assert!(l.arm(), "re-armable after the tick fires");
-    }
-
-    #[test]
-    fn mode_parse_round_trips() {
-        for m in [MaintenanceMode::GlobalRounds, MaintenanceMode::Incremental] {
-            assert_eq!(MaintenanceMode::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(MaintenanceMode::parse("incr"), Some(MaintenanceMode::Incremental));
-        assert_eq!(MaintenanceMode::parse("nope"), None);
-        assert_eq!(MaintenanceMode::default(), MaintenanceMode::GlobalRounds);
     }
 
     #[test]

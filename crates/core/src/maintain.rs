@@ -322,28 +322,27 @@ impl TapestryNode {
         ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { nonce });
     }
 
-    /// A neighbor answered the current round. An answer carrying a stale
-    /// nonce missed its round's deadline — the sender is slow or
-    /// flapping, not dead. It was (or is about to be) dropped by that
-    /// round's deadline handler, so under incremental maintenance the
-    /// late ack becomes a re-admission fact instead of being discarded
-    /// (which would leave the node re-declared dead every round).
+    /// A neighbor answered a probe. An answer that matches no entry still
+    /// awaited in the current round — its nonce is stale, or it arrived
+    /// after this round's deadline — is late: the sender is slow or
+    /// flapping, not dead. The deadline handler has excised it (or is
+    /// about to), so the late ack becomes a re-admission fact instead of
+    /// being discarded, which would leave the node excised for good.
     pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, nonce: u64) {
         if nonce == self.probe.nonce {
             let awaiting = &mut self.probe.awaiting;
             if let Ok(at) = awaiting.binary_search_by_key(&who.idx, |&(idx, _)| idx as NodeIdx) {
                 awaiting[at].1 = true;
+                return;
             }
-        } else {
-            self.record_fact(ctx, FactKind::LateProbeAck, RepairTask::Readmit { peer: who });
         }
+        self.record_fact(ctx, FactKind::LateProbeAck, RepairTask::Readmit { peer: who });
     }
 
     /// Probe deadline: every silent neighbor is declared dead. Fix local
-    /// state only (the paper's lazy stance): drop it everywhere, search
-    /// for replacements for any hole it leaves, and re-route pointers.
-    /// Incremental maintenance records the evidence instead and lets the
-    /// budgeted scheduler run the (targeted) removal.
+    /// state only (the paper's lazy stance): the evidence earns a death
+    /// certificate and a fact, and the budgeted scheduler runs the
+    /// targeted removal.
     pub(crate) fn on_probe_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, nonce: u64) {
         if nonce != self.probe.nonce {
             return;
@@ -353,43 +352,8 @@ impl TapestryNode {
         self.probe.awaiting.clear();
         for d in dead {
             metrics::REPAIR_DETECTED_DEAD.inc(ctx);
-            if self.incremental() {
-                self.dead_list.insert(d);
-                self.record_fact(ctx, FactKind::MissedProbeAck, RepairTask::RemoveDead { peer: d });
-            } else {
-                self.handle_dead_neighbor(ctx, d);
-            }
-        }
-    }
-
-    /// Remove a failed neighbor and repair the table (§5.2).
-    pub(crate) fn handle_dead_neighbor(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, dead: NodeIdx) {
-        let holes = self.table.remove_node(dead);
-        self.backptrs.remove(dead);
-        self.optimize_pointers_after_change(ctx, dead);
-        if holes.is_empty() {
-            return;
-        }
-        // Local replacement search: ask remaining neighbors for their
-        // nearest matching nodes.
-        let op = self.next_op();
-        let peers = self.table.all_refs();
-        for (lvl, dig) in holes {
-            let prefix = self.me.id.prefix(lvl);
-            for p in &peers {
-                metrics::REPAIR_QUERIES.inc(ctx);
-                ctx.send(
-                    p.idx,
-                    Msg::FindReplacement { op, prefix, digit: dig, dead, reply_to: self.me },
-                );
-            }
-        }
-        // Local objects must be re-announced so their pointers route
-        // around the failure (soft state republish would do this
-        // eventually; doing it now shortens the unavailability window).
-        let locals: Vec<_> = self.store.local_objects().collect();
-        for g in locals {
-            self.publish_now(ctx, g);
+            self.dead_list.insert(d);
+            self.record_fact(ctx, FactKind::MissedProbeAck, RepairTask::RemoveDead { peer: d });
         }
     }
 

@@ -143,7 +143,7 @@ impl TapestryNode {
             // Deferred subtrees heal via targeted repair: reintroduce
             // each prefix-compatible insertee (the branch would only have
             // carried those) to the branch's representative instead of
-            // waiting for a global round (no-op under GlobalRounds).
+            // waiting for an optimize round.
             for &(p, rep) in &deferred {
                 for ins in &insertees {
                     if (ins.prefix.contains(&p) || p.contains(&ins.prefix))

@@ -9,7 +9,6 @@ use crate::messages::{BatchInsertee, Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
 use crate::refs::{idx32, Backpointers, NodeRef, MAX_NODES};
-use crate::repair::MaintenanceMode;
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -255,13 +254,8 @@ impl TapestryNetwork {
                 ids.push(id);
             }
         }
-        let mut engine = Engine::new(space, SimTime(1));
-        // Incremental maintenance feeds on failed-contact evidence; the
-        // global-rounds path must stay byte-identical, so the notices
-        // (and the events they add) exist only in incremental mode.
-        engine.set_failure_notices(cfg.maintenance == MaintenanceMode::Incremental);
         TapestryNetwork {
-            engine,
+            engine: Engine::new(space, SimTime(1)),
             cfg,
             ids,
             members: Vec::new(),

@@ -118,8 +118,7 @@ pub struct TapestryNode {
     pub(crate) locate_results: Vec<LocateResult>,
     /// Locates issued here and still in flight: op → (guid, issue time).
     pub(crate) pending_locates: BTreeMap<OpId, (tapestry_id::Guid, tapestry_sim::SimTime)>,
-    /// Staleness-fact ledger and budgeted repair scheduler (incremental
-    /// maintenance only; stays empty under `GlobalRounds`).
+    /// Staleness-fact ledger and budgeted repair scheduler.
     pub(crate) repair: RepairLedger<RepairTask>,
     /// Death certificates: peers declared dead by strong evidence (a
     /// bounced message or a missed probe ack). Stale `Candidates` /
@@ -128,9 +127,7 @@ pub struct TapestryNode {
     /// next contact bounces, and the remove/re-query cycle repeats —
     /// amplifying repair traffic super-linearly with n. Entries are
     /// retired by a late probe ack (`Readmit`, the flapping path); node
-    /// indices are never reused, so there is no expiry. Only populated
-    /// under incremental maintenance, so checks against it are no-ops
-    /// (and byte-identity-safe) under `GlobalRounds`.
+    /// indices are never reused, so there is no expiry.
     pub(crate) dead_list: BTreeSet<NodeIdx>,
     pub(crate) rng: StdRng,
 }
@@ -229,8 +226,8 @@ impl TapestryNode {
         Some((ins.ready.clone()?, ins.surrogate?))
     }
 
-    /// Queued repair tasks awaiting budget (0 unless incremental
-    /// maintenance is on) — the sampler's per-node backlog contribution.
+    /// Queued repair tasks awaiting budget — the sampler's per-node
+    /// backlog contribution.
     pub fn repair_backlog(&self) -> usize {
         self.repair.len()
     }
@@ -290,7 +287,7 @@ impl TapestryNode {
                 ctx.send(e.idx, Msg::RemovedYou { me: self.me });
                 // The evictee is alive but no longer routes through us —
                 // pointers that traveled via it deserve a re-route once
-                // the budget allows (no-op under GlobalRounds).
+                // the budget allows.
                 self.record_fact(ctx, FactKind::Eviction, RepairTask::ReRoute { peer: e.idx });
             }
         }
@@ -392,20 +389,13 @@ impl Actor for TapestryNode {
         match timer {
             Timer::Republish(guid) => self.on_republish_timer(ctx, guid),
             Timer::ExpirySweep => {
-                if self.incremental() {
-                    // Expired pointers for objects stored *here* are
-                    // soft-state losses we can heal: queue a republish.
-                    for guid in self.store.sweep_expired(ctx.now) {
-                        if self.store.has_local(guid) {
-                            self.record_fact(
-                                ctx,
-                                FactKind::ExpiredPointer,
-                                RepairTask::Republish { guid },
-                            );
-                        }
+                // Expired pointers for objects stored *here* are
+                // soft-state losses we can heal: queue a republish.
+                for guid in self.store.sweep_expired(ctx.now) {
+                    if self.store.has_local(guid) {
+                        let task = RepairTask::Republish { guid };
+                        self.record_fact(ctx, FactKind::ExpiredPointer, task);
                     }
-                } else {
-                    self.store.sweep(ctx.now);
                 }
             }
             Timer::Heartbeat => self.on_heartbeat_timer(ctx),
@@ -416,11 +406,11 @@ impl Actor for TapestryNode {
         }
     }
 
-    /// Transport failure notice (enabled only under incremental
-    /// maintenance): a message we sent bounced off a dead node — the
-    /// "failed Hello" staleness fact. A bounce is authoritative, so the
-    /// peer earns a death certificate; once it is fully excised, further
-    /// bounces carry no new evidence and are not recorded.
+    /// Transport failure notice: a message we sent bounced off a dead
+    /// node — the "failed Hello" staleness fact. A bounce is
+    /// authoritative, so the peer earns a death certificate; once it is
+    /// fully excised, further bounces carry no new evidence and are not
+    /// recorded.
     fn on_contact_failed(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
         let excised = self.dead_list.contains(&peer)
             && !self.table.contains(peer)

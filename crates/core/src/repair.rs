@@ -1,16 +1,14 @@
-//! Incremental, fact-driven maintenance (`MaintenanceMode::Incremental`).
+//! Incremental, fact-driven maintenance: §5.2's lazy, local repair.
 //!
-//! The global rounds of §5.2/§6.4 sweep every node's full table each
-//! round; here the *response* side of maintenance is localized instead.
-//! Hooks across `maintain`/`insert`/`multicast` and the engine's
+//! The node that notices a failure fixes its own state, and nothing
+//! else. Hooks across `maintain`/`insert`/`multicast` and the engine's
 //! contact-failure notices record staleness **facts** into a per-node
 //! [`RepairLedger`]; a reactive `RepairTick` timer (armed only while the
 //! ledger is non-empty) releases at most `repairs_per_sec_per_node`
-//! targeted repair tasks per maintenance second. Detection stays
-//! beacon-based (§5.2 probes still run), but a dead neighbor now costs a
-//! handful of targeted `(level, digit)` messages instead of a
-//! network-wide `FindReplacement` broadcast — maintenance cost follows
-//! the churn rate, not the population size.
+//! targeted repair tasks per maintenance second. Detection is
+//! beacon-based (§5.2 probe rounds), and a dead neighbor costs a handful
+//! of targeted `(level, digit)` messages, so maintenance cost follows the
+//! churn rate, not the population size.
 //!
 //! Everything here touches only the owning node's state plus ordinary
 //! `ctx.send`s. The ledger is generic over the task type so its
@@ -26,38 +24,19 @@ use tapestry_id::Guid;
 use tapestry_sim::{Ctx, NodeIdx, SimTime, TraceRecord};
 use tapestry_trace::{metrics, TraceId};
 
-/// How a deployment keeps its mesh healthy under churn.
+/// The one maintenance behaviour, fact-driven localized repair.
+///
+/// Kept only because the standalone `benchmark/` package names
+/// `MaintenanceMode::Incremental` in a `TapestryConfig` literal; nothing
+/// in the workspace reads it. The benchmark-only PR that re-points
+/// `benchmark/src/workloads.rs` deletes this type and
+/// `TapestryConfig::maintenance`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceMode {
-    /// Synchronized global rounds: every probe/optimize sweep walks
-    /// every node's full table (Θ(n · table) per round). The default of
-    /// every committed report.
+    /// Staleness facts accumulate in a per-node ledger and a budgeted
+    /// scheduler issues targeted `(level, digit)` repair events.
     #[default]
-    GlobalRounds,
-    /// Fact-driven localized repair: staleness facts accumulate in a
-    /// per-node ledger and a budgeted scheduler issues targeted
-    /// `(level, digit)` repair events, so maintenance cost follows the
-    /// churn rate instead of the population size.
     Incremental,
-}
-
-impl MaintenanceMode {
-    /// Parse the CLI / spec spelling (`global` | `incremental`).
-    pub fn parse(s: &str) -> Option<MaintenanceMode> {
-        match s {
-            "global" | "global-rounds" | "rounds" => Some(MaintenanceMode::GlobalRounds),
-            "incremental" | "incr" => Some(MaintenanceMode::Incremental),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling (inverse of [`MaintenanceMode::parse`]).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MaintenanceMode::GlobalRounds => "global",
-            MaintenanceMode::Incremental => "incremental",
-        }
-    }
 }
 
 /// The staleness-fact taxonomy. Facts are *evidence*, not commands: each
@@ -179,8 +158,8 @@ impl<T: Ord + Clone> RepairLedger<T> {
     }
 }
 
-/// Targeted peers per single-slot re-query — versus the global path's
-/// broadcast to *every* table reference per hole.
+/// Targeted peers per single-slot re-query, rather than every table
+/// reference per hole.
 const REQUERY_PEERS: usize = 4;
 
 /// One queued repair: the targeted action a staleness fact schedules.
@@ -208,22 +187,13 @@ pub(crate) enum RepairTask {
 }
 
 impl TapestryNode {
-    /// Is fact-driven maintenance enabled on this node?
-    pub(crate) fn incremental(&self) -> bool {
-        self.cfg.maintenance == MaintenanceMode::Incremental
-    }
-
-    /// Record a staleness fact and queue its repair task. No-op under
-    /// `GlobalRounds` — every committed report stays byte-identical.
+    /// Record a staleness fact and queue its repair task.
     pub(crate) fn record_fact(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
         kind: FactKind,
         task: RepairTask,
     ) {
-        if !self.incremental() {
-            return;
-        }
         metrics::REPAIR_FACTS.inc(ctx);
         let by_kind = match kind {
             FactKind::FailedContact => metrics::REPAIR_FACT_FAILED_CONTACT,
@@ -335,7 +305,7 @@ impl TapestryNode {
 
     /// The localized §5.2 removal: promote backups, re-route pointers,
     /// republish local replicas, and turn each hole into a targeted
-    /// re-query instead of a network-wide broadcast.
+    /// re-query.
     fn repair_remove_dead(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
         let occupied = self.table.occupancy(peer);
         if occupied == 0 && !self.backptrs.contains(peer) {

@@ -1,6 +1,6 @@
 //! Tests of the maintenance machinery: §6.4 continual optimization,
 //! Observation 1 multi-root fault tolerance, soft-state republish timers,
-//! and pointer hygiene (Fig. 9).
+//! pointer hygiene (Fig. 9) and §5.2 probe acks that miss their deadline.
 
 use tapestry_core::{Msg, TapestryConfig, TapestryNetwork, WirePtr};
 use tapestry_metric::TorusSpace;
@@ -270,6 +270,31 @@ fn delete_pointers_backward_cleans_expired_path_state() {
     net.publish(server, guid);
     let r = net.locate(net.node_ids()[11], guid).expect("completes");
     assert!(r.server.is_some(), "republish after cleanup restores reachability");
+}
+
+#[test]
+fn a_probe_ack_after_its_own_rounds_deadline_readmits_the_neighbor() {
+    // A deadline far shorter than any round trip: every neighbor is
+    // declared dead, and every ack then arrives late, carrying the
+    // *current* round's nonce. Each must be read as a late ack that
+    // lifts the death certificate, not dropped for missing the (already
+    // cleared) awaited set — which would leave the live mesh excised.
+    let cfg =
+        TapestryConfig { insert_level_timeout: SimTime::from_distance(1.0), ..Default::default() };
+    let space = TorusSpace::random(16, 1000.0, 7);
+    let mut net = TapestryNetwork::build(cfg, Box::new(space), 7);
+    let tables = |net: &TapestryNetwork| -> Vec<_> {
+        net.node_ids().into_iter().map(|m| net.node(m).unwrap().table().all_refs()).collect()
+    };
+    let before = tables(&net);
+    let refs: usize = before.iter().map(Vec::len).sum();
+    assert_eq!(refs, 16 * 15, "a 16-node base-16 mesh: everyone knows everyone");
+    net.probe_all();
+    let stats = net.engine().stats();
+    assert_eq!(metrics::REPAIR_DETECTED_DEAD.read(stats), refs as u64, "every ack missed");
+    assert_eq!(metrics::REPAIR_FACT_LATE_ACK.read(stats), refs as u64, "every ack came late");
+    assert_eq!(metrics::REPAIR_READMITTED.read(stats), refs as u64);
+    assert_eq!(tables(&net), before, "every live neighbor is back where it was");
 }
 
 #[test]

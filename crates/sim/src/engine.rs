@@ -31,10 +31,9 @@ pub trait Actor {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>, timer: Self::Timer);
 
     /// A message this node sent to `peer` bounced off a dead target — the
-    /// transport-level failure notice behind incremental repair's "failed
-    /// Hello" facts. Only delivered when the engine has
-    /// [`Engine::set_failure_notices`] enabled; the default ignores it,
-    /// preserving the silent-drop behaviour existing actors rely on.
+    /// transport-level failure notice behind repair's "failed Hello"
+    /// facts. Partition drops and external injections never bounce. The
+    /// default ignores the notice.
     fn on_contact_failed(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Timer>, peer: NodeIdx) {
         let _ = (ctx, peer);
     }
@@ -140,8 +139,8 @@ enum Event<M, T> {
         timer: T,
     },
     /// Failure notice: a message the node sent to `peer` found it dead.
-    /// Scheduled only when failure notices are enabled; arrives after the
-    /// round trip (the sender learns by its own timeout/ICMP analogue).
+    /// Arrives after the round trip (the sender learns by its own
+    /// timeout/ICMP analogue).
     ContactFailed {
         peer: NodeIdx,
     },
@@ -198,11 +197,6 @@ pub struct Engine<A: Actor> {
     /// (so a heal lets *later* sends through but cannot resurrect
     /// messages lost while the cut was up).
     partition: Option<Vec<u32>>,
-    /// When enabled, a message delivered to a dead node additionally
-    /// schedules an [`Event::ContactFailed`] back at the sender (after
-    /// the return latency), feeding [`Actor::on_contact_failed`].
-    /// Off by default: the silent drop is the pre-repair contract.
-    failure_notices: bool,
     /// The completion feed: nodes that called [`Ctx::notify_driver`]
     /// since the last [`Engine::take_notified`], in event pop order.
     /// `listed` keeps each node in it at most once, so it never outgrows
@@ -235,23 +229,9 @@ impl<A: Actor> Engine<A> {
             handler_ns: [Histogram::default(), Histogram::default(), Histogram::default()],
             profile: false,
             partition: None,
-            failure_notices: false,
             notified: Vec::new(),
             listed: vec![false; n],
         }
-    }
-
-    /// Enable (or disable) transport failure notices: bounced messages
-    /// feed [`Actor::on_contact_failed`] on the sender instead of
-    /// vanishing. Partition drops never bounce — a cut link looks like
-    /// silence, not like a dead peer.
-    pub fn set_failure_notices(&mut self, enabled: bool) {
-        self.failure_notices = enabled;
-    }
-
-    /// Are transport failure notices enabled?
-    pub fn failure_notices(&self) -> bool {
-        self.failure_notices
     }
 
     /// Current simulated time.
@@ -444,12 +424,12 @@ impl<A: Actor> Engine<A> {
         // fields `Ctx` borrows are disjoint, so nothing is moved out.
         let Some(actor) = self.actors.get_mut(node).and_then(Option::as_mut) else {
             // Timers and failure notices on dead nodes are inert; a
-            // message is counted as dropped and, with failure notices
-            // enabled, bounces: the sender hears
-            // `on_contact_failed` after the return latency.
+            // message is counted as dropped and bounces: a node sender
+            // hears `on_contact_failed` after the return latency. A
+            // partition drop returned above, so a cut link stays silence.
             if let Event::Deliver { from, .. } = ev {
                 self.stats.dropped += 1;
-                if self.failure_notices && from != EXTERNAL {
+                if from != EXTERNAL {
                     let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
                     let at = self.now + self.proc_delay + SimTime::from_distance(d);
                     self.push(at, from, Event::ContactFailed { peer: node });
@@ -608,13 +588,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failure_notices_bounce_to_sender() {
+    fn bouncers() -> Engine<Bouncer> {
         let space = RingSpace::even(2, 100.0);
-        let mut e: Engine<Bouncer> = Engine::new(Box::new(space), SimTime(1));
-        e.set_failure_notices(true);
+        let mut e = Engine::new(Box::new(space), SimTime(1));
         e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
         e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
+        e
+    }
+
+    #[test]
+    fn failure_notices_bounce_to_sender() {
+        let mut e = bouncers();
         e.inject(0, 3);
         e.step(); // node 0 sends to 1
         e.remove_node(1);
@@ -624,15 +608,11 @@ mod tests {
     }
 
     /// `step()` runs handlers on the actor in place; a removed target
-    /// takes the other branch. With notices on, the drop is counted once
-    /// and the bounce is due one return trip after the drop.
+    /// takes the other branch. The drop is counted once and the bounce is
+    /// due one return trip after the drop.
     #[test]
     fn step_counts_one_drop_and_times_the_bounce() {
-        let space = RingSpace::even(2, 100.0);
-        let mut e: Engine<Bouncer> = Engine::new(Box::new(space), SimTime(1));
-        e.set_failure_notices(true);
-        e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
-        e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
+        let mut e = bouncers();
         e.inject(0, 3);
         assert!(e.step()); // t=1: node 0 sends to 1 across the 50.0 half-ring
         e.remove_node(1);
@@ -660,11 +640,7 @@ mod tests {
 
     #[test]
     fn partition_drops_never_bounce() {
-        let space = RingSpace::even(2, 100.0);
-        let mut e: Engine<Bouncer> = Engine::new(Box::new(space), SimTime(1));
-        e.set_failure_notices(true);
-        e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
-        e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
+        let mut e = bouncers();
         e.set_partition(vec![0, 1]);
         e.inject(0, 3);
         e.run_until_idle(100);
@@ -672,18 +648,17 @@ mod tests {
         assert!(e.node(0).unwrap().failures.is_empty(), "a cut link is silence, not death");
     }
 
+    /// An injection has no node to bounce to: it is counted as dropped
+    /// and nothing else is queued.
     #[test]
-    fn notices_disabled_by_default() {
-        let space = RingSpace::even(2, 100.0);
-        let mut e: Engine<Bouncer> = Engine::new(Box::new(space), SimTime(1));
-        assert!(!e.failure_notices());
-        e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
-        e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
-        e.inject(0, 3);
-        e.step();
+    fn external_sends_never_bounce() {
+        let mut e = bouncers();
         e.remove_node(1);
+        e.inject(1, 3);
         e.run_until_idle(100);
-        assert!(e.node(0).unwrap().failures.is_empty(), "silent drop is the default");
+        assert_eq!(e.stats().dropped, 1);
+        assert_eq!(e.events_by_kind(), [1, 0, 0], "no notice was scheduled");
+        assert!(e.node(0).unwrap().failures.is_empty());
     }
 
     #[test]
@@ -771,12 +746,14 @@ mod tests {
         e.inject(0, 3);
         e.run_until_idle(1000);
         assert_eq!(e.events_processed(), 4, "injection + 3 bounces");
-        // Drops count too: they are popped from the queue.
+        // Drops count too: they are popped from the queue, and so is the
+        // failure notice the drop bounces back to node 1.
         e.inject(1, 1);
         e.step();
         e.remove_node(0);
         e.run_until_idle(1000);
-        assert_eq!(e.events_processed(), 6);
+        assert_eq!(e.events_processed(), 7);
+        assert_eq!(e.events_by_kind(), [6, 0, 1]);
         assert_eq!(e.stats().dropped, 1);
     }
 

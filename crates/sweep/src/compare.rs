@@ -178,7 +178,7 @@ pub fn compare(
             }
             let map = if is_wall.is_some() { &cell.wall } else { &cell.det };
             // Gates apply only where the metric exists: join gates skip
-            // steady cells, repair gates skip global-rounds cells.
+            // cells without joins, repair gates cells without a probe round.
             let Some(agg) = map.get(metric) else { continue };
             applied += 1;
             let (ok, baseline_mean, limit) = match gate.kind {

@@ -20,7 +20,7 @@
 //! nodes 1000
 //! ops 2000
 //! threads 1 4
-//! maintenance global incremental
+//! budget default 4
 //!
 //! gate join_msgs_mean max_ratio 1.5
 //! gate repairs_per_node_round max_ratio 1.5 abs_slack 1.0
@@ -29,10 +29,9 @@
 //!
 //! Axis lines accept several whitespace-separated values; the grid is the
 //! cross-product of every axis. The literal `default` leaves a knob at
-//! the preset's own value, so `maintenance default incremental` sweeps
-//! "whatever the preset does" against the fact-driven scheduler.
+//! the preset's own value, so `budget default 4` sweeps the preset's
+//! repair budget against a budget of 4 repairs per node per second.
 
-use tapestry_core::MaintenanceMode;
 use tapestry_workload::presets::ScaleSpace;
 use tapestry_workload::{sweep_preset, ScenarioSpec, SweepKnobs};
 
@@ -74,10 +73,8 @@ pub struct GridSpec {
     pub fanouts: Vec<Option<usize>>,
     /// Join-coalescing window axis, in distance units.
     pub windows: Vec<Option<f64>>,
-    /// Incremental-repair budget axis (repairs/sec/node).
+    /// Repair budget axis (repairs/sec/node).
     pub budgets: Vec<Option<u32>>,
-    /// Maintenance-mode axis.
-    pub maintenance: Vec<Option<MaintenanceMode>>,
     /// Join-batching axis (`churn-scale` only).
     pub batched: Vec<Option<bool>>,
 }
@@ -95,7 +92,6 @@ impl GridSpec {
             fanouts: vec![None],
             windows: vec![None],
             budgets: vec![None],
-            maintenance: vec![None],
             batched: vec![None],
         }
     }
@@ -112,26 +108,23 @@ impl GridSpec {
                     for &fanout in &self.fanouts {
                         for &window in &self.windows {
                             for &budget in &self.budgets {
-                                for &maint in &self.maintenance {
-                                    for &batch in &self.batched {
-                                        for &threads in &self.threads {
-                                            cells.push(CellSpec {
-                                                grid: self.name.clone(),
-                                                preset: self.preset.clone(),
-                                                nodes,
-                                                ops: self.ops,
-                                                space,
-                                                threads,
-                                                knobs: SweepKnobs {
-                                                    base,
-                                                    multicast_fanout: fanout,
-                                                    coalesce_window: window,
-                                                    repair_budget: budget,
-                                                    maintenance: maint,
-                                                    batched: batch,
-                                                },
-                                            });
-                                        }
+                                for &batch in &self.batched {
+                                    for &threads in &self.threads {
+                                        cells.push(CellSpec {
+                                            grid: self.name.clone(),
+                                            preset: self.preset.clone(),
+                                            nodes,
+                                            ops: self.ops,
+                                            space,
+                                            threads,
+                                            knobs: SweepKnobs {
+                                                base,
+                                                multicast_fanout: fanout,
+                                                coalesce_window: window,
+                                                repair_budget: budget,
+                                                batched: batch,
+                                            },
+                                        });
                                     }
                                 }
                             }
@@ -195,12 +188,6 @@ impl CellSpec {
         }
         if let Some(r) = self.knobs.repair_budget {
             k.push_str(&format!("/budget={r}"));
-        }
-        if let Some(m) = self.knobs.maintenance {
-            k.push_str(match m {
-                MaintenanceMode::GlobalRounds => "/maint=global",
-                MaintenanceMode::Incremental => "/maint=incr",
-            });
         }
         if let Some(b) = self.knobs.batched {
             k.push_str(if b { "/batch=on" } else { "/batch=off" });
@@ -451,13 +438,6 @@ fn apply_grid_key(g: &mut GridSpec, key: &str, vals: &[&str]) -> Result<(), Stri
                 s.parse::<u32>().map_err(|_| format!("'{s}' is not a budget"))
             })?;
         }
-        "maintenance" => {
-            g.maintenance = parse_axis(vals, "maintenance mode", |s| match s {
-                "global" => Ok(MaintenanceMode::GlobalRounds),
-                "incremental" => Ok(MaintenanceMode::Incremental),
-                _ => Err(format!("unknown maintenance mode '{s}' (global|incremental)")),
-            })?;
-        }
         "batched" => {
             g.batched = parse_axis(vals, "batched flag", |s| match s {
                 "on" => Ok(true),
@@ -539,7 +519,7 @@ preset churn-scale
 nodes 64
 ops 100
 threads 1
-maintenance default incremental
+budget default 4
 
 gate join_msgs_mean max_ratio 1.5 cell churny
 gate hops_p50 max_ratio 1.2 abs_slack 0.5
@@ -554,13 +534,13 @@ gate wall.events_per_sec min_abs 1000
         assert_eq!(s.default_workers, Some(2));
         assert_eq!(s.grids.len(), 2);
         let cells = s.cells();
-        // tiny: 2 nodes × 2 threads; churny: 1 × 2 maintenance.
+        // tiny: 2 nodes × 2 threads; churny: 1 × 2 budgets.
         assert_eq!(cells.len(), 6);
         assert_eq!(cells[0].key(), "tiny/n16/t1");
         assert_eq!(cells[3].key(), "tiny/n32/t2");
         assert_eq!(cells[4].key(), "churny/n64/t1");
-        assert_eq!(cells[5].key(), "churny/n64/maint=incr/t1");
-        assert_eq!(cells[5].key_without_threads(), "churny/n64/maint=incr");
+        assert_eq!(cells[5].key(), "churny/n64/budget=4/t1");
+        assert_eq!(cells[5].key_without_threads(), "churny/n64/budget=4");
         assert_eq!(s.gates.len(), 3);
         assert_eq!(s.gates[0].cell_filter.as_deref(), Some("churny"));
         assert_eq!(s.gates[1].abs_slack, 0.5);
@@ -645,12 +625,17 @@ gate wall.events_per_sec min_abs 1000
             err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
             "grid 'g' is missing an `ops` line"
         );
+        // There is one maintenance behaviour, so no axis selects it.
+        assert_eq!(
+            err("name x\nseeds 1\ngrid g\npreset churn-scale\nnodes 64\nops 10\nmaintenance incremental"),
+            "line 7: unknown key 'maintenance'"
+        );
     }
 
     /// Spec keys and values for the never-panic property: every key, an
     /// unknown one, valid and invalid values, and comment noise.
     const KEYS: &str = "name seeds workers grid preset ops nodes threads space base fanout \
-                        window budget maintenance batched gate bogus #";
+                        window budget batched gate bogus #";
     const VALUES: &str = "x 0 1 2 16 -1 1.5 inf NaN 18446744073709551615 default steady-zipf \
                           churn-scale torus incremental on max_ratio min_abs abs_slack cell \
                           wall.events_per_sec # é";

@@ -7,7 +7,7 @@
 //!
 //! * [`grid`] — a plain-text sweep spec: seed set × node counts ×
 //!   substrates × config knobs (radix, multicast fan-out, coalescing
-//!   window, repair budget, maintenance mode, threads), expanded into
+//!   window, repair budget, join batching, threads), expanded into
 //!   independent cells, plus the regression gates `--compare` enforces;
 //! * [`pool`] — scoped-thread fan-out of whole runs across cores. Each
 //!   run is the existing deterministic single-run path

@@ -7,7 +7,6 @@
 use crate::grid::{CellSpec, SweepSpec};
 use crate::pool::run_parallel;
 use std::collections::BTreeMap;
-use tapestry_core::MaintenanceMode;
 use tapestry_membership::mean_messages_per_join;
 use tapestry_trace::metrics;
 use tapestry_workload::{runner, ChurnSpec, ScenarioReport, ScenarioSpec};
@@ -107,15 +106,13 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
             mean_messages_per_join(report.counter_total(metrics::JOIN_MESSAGES), joins),
         );
     }
-    // Repair metrics exist exactly under the fact-driven scheduler.
-    if spec.cfg.maintenance == MaintenanceMode::Incremental {
-        let rounds = probe_rounds(&spec).max(1) as f64;
+    // Repair metrics exist exactly when the spec scripts a probe round,
+    // the per-round divisor.
+    let rounds = spec.probe_rounds();
+    if rounds > 0 {
         det.insert("repair_events".into(), report.counter_total(metrics::REPAIR_EVENTS) as f64);
         det.insert("repair_facts".into(), report.counter_total(metrics::REPAIR_FACTS) as f64);
-        det.insert(
-            "repairs_per_node_round".into(),
-            report.counter_total(metrics::REPAIR_EVENTS) as f64 / cell.nodes as f64 / rounds,
-        );
+        det.insert("repairs_per_node_round".into(), report.repairs_per_node_round(rounds));
     }
     verify_det_metrics(cell, seed, &report, &det)?;
 
@@ -142,16 +139,6 @@ fn spec_has_joins(spec: &ScenarioSpec) -> bool {
         }
     }
     false
-}
-
-/// Scripted probe rounds across the whole scenario — the divisor of
-/// `repairs_per_node_round` (each `ProbeAt` fires one failure-detection
-/// round that feeds the fact ledger).
-fn probe_rounds(spec: &ScenarioSpec) -> usize {
-    spec.phases
-        .iter()
-        .map(|p| p.churn.iter().filter(|c| matches!(c, ChurnSpec::ProbeAt { .. })).count())
-        .sum()
 }
 
 /// Cross-check that no deterministic metric was contaminated by a
@@ -227,25 +214,21 @@ mod tests {
         assert!(det.contains_key("events"));
         assert!(det.contains_key("hops_p50"));
         assert!(!det.contains_key("join_msgs_mean"), "no joins scripted");
-        assert!(!det.contains_key("repairs_per_node_round"), "global maintenance");
+        assert!(!det.contains_key("repairs_per_node_round"), "no probe round scripted");
         let wall = &r.cells[0].runs[0].wall;
         assert!(wall.contains_key("events_per_sec"));
     }
 
     #[test]
-    fn churn_cells_carry_join_metrics_and_incremental_cells_repair_metrics() {
-        let spec = SweepSpec::parse(
-            "name c\nseeds 5\n\ngrid c\npreset churn-scale\nnodes 64\nops 100\n\
-             maintenance default incremental\n",
-        )
-        .unwrap();
-        let r = run_sweep(&spec, 2).unwrap();
-        let global = &r.cells[0].runs[0].det;
-        let incr = &r.cells[1].runs[0].det;
-        assert!(global.contains_key("join_msgs_mean"));
-        assert!(global["joins_ok"] > 0.0);
-        assert!(!global.contains_key("repairs_per_node_round"));
-        assert!(incr.contains_key("repairs_per_node_round"));
-        assert!(incr.contains_key("repair_events"));
+    fn churn_cells_carry_join_and_repair_metrics() {
+        let spec =
+            SweepSpec::parse("name c\nseeds 5\n\ngrid c\npreset churn-scale\nnodes 64\nops 100\n")
+                .unwrap();
+        let r = run_sweep(&spec, 1).unwrap();
+        let det = &r.cells[0].runs[0].det;
+        assert!(det.contains_key("join_msgs_mean"));
+        assert!(det["joins_ok"] > 0.0);
+        assert!(det.contains_key("repairs_per_node_round"));
+        assert!(det.contains_key("repair_events"));
     }
 }

@@ -16,7 +16,7 @@
 //! | `publish.*`      | publish path                                          |
 //! | `availability.*` | §4.3 keep-objects-available machinery                 |
 //! | `membership.*`   | insert/join protocol and acknowledged multicast       |
-//! | `maintenance.*`  | global probe/optimize/leave rounds                    |
+//! | `maintenance.*`  | optimize rounds and voluntary leaves                  |
 //! | `repair.*`       | fact ledger, detection and targeted repairs           |
 
 use tapestry_sim::{Ctx, Histogram, SimStats, Slot};
@@ -271,7 +271,7 @@ pub mod metrics {
         Counter MULTICAST_DEADLINE_FORCED: "membership.multicast.deadline_forced",
             "Wave sessions force-completed by their ack deadline";
 
-        // -- maintenance: global rounds --------------------------------
+        // -- maintenance: optimize rounds and leaves ------------------
         Counter OPTIMIZE_REPUBLISHED: "maintenance.optimize.republished",
             "Objects republished by optimize rounds";
         Counter OPTIMIZE_DELETED: "maintenance.optimize.deleted",

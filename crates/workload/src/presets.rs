@@ -6,7 +6,7 @@
 use crate::churn::ChurnSpec;
 use crate::spec::{PhaseSpec, ScenarioSpec};
 use crate::traffic::{Arrival, Popularity};
-use tapestry_core::{MaintenanceMode, TapestryConfig};
+use tapestry_core::TapestryConfig;
 use tapestry_membership::{churn_join_budget, BatchPolicy};
 use tapestry_sim::SimTime;
 
@@ -22,10 +22,7 @@ pub const PRESET_NAMES: &[&str] =
 /// Default node counts of the `scale` benchmark family.
 pub const SCALE_SIZES: &[usize] = &[1_000, 4_000, 10_000, 25_000];
 
-/// Default node counts of the `churn-scale` family. The 100k point runs
-/// in incremental maintenance mode only: a global repair round there
-/// costs O(n) per detected failure, which is exactly the regime the
-/// fact-driven scheduler exists to avoid.
+/// Default node counts of the `churn-scale` family.
 pub const CHURN_SCALE_SIZES: &[usize] = &[1_000, 25_000, 100_000];
 
 /// Protocol messages a `churn-scale` churn phase may spend on joins; the
@@ -166,18 +163,16 @@ fn churn_config() -> TapestryConfig {
 /// it the same schedule runs through the classic solo-join path — the
 /// side-by-side baseline the committed churn trajectory points report.
 ///
-/// Under [`MaintenanceMode::Incremental`] the settle phase drops its
-/// global `OptimizeAt` round: healing is the repair scheduler's job, and
-/// keeping the O(n) sweep would mask whether the targeted repairs
-/// actually converge. Probe rounds stay — detection is beacon-based in
-/// both modes.
+/// The settle phase has no global `OptimizeAt` round: healing is the
+/// repair scheduler's job, and an O(n) sweep would mask whether the
+/// targeted repairs actually converge. Probe rounds stay — detection is
+/// beacon-based.
 pub fn churn_scale_preset(
     nodes: usize,
     ops: u64,
     seed: u64,
     threads: usize,
     batched: bool,
-    maintenance: MaintenanceMode,
 ) -> ScenarioSpec {
     let side = scale_side(nodes);
     let stretch = side / 1000.0;
@@ -188,16 +183,9 @@ pub fn churn_scale_preset(
     // diameters at every size.
     let cfg = TapestryConfig {
         insert_level_timeout: SimTime::from_distance(5_000.0 * stretch),
-        maintenance,
         ..Default::default()
     };
-    let incremental = maintenance == MaintenanceMode::Incremental;
-    let name = match (batched, incremental) {
-        (true, false) => "churn-scale",
-        (false, false) => "churn-scale-seq",
-        (true, true) => "churn-scale-incr",
-        (false, true) => "churn-scale-seq-incr",
-    };
+    let name = if batched { "churn-scale" } else { "churn-scale-seq" };
     let spec = ScenarioSpec::new(name)
         .config(cfg)
         .capacity(nodes + joins as usize)
@@ -224,18 +212,14 @@ pub fn churn_scale_preset(
                 })
                 .churn(ChurnSpec::ProbeAt { at: 0.55 }),
         )
-        .phase({
-            let settle = PhaseSpec::new("settle", d(25_000.0 * stretch))
+        .phase(
+            PhaseSpec::new("settle", d(25_000.0 * stretch))
                 .arrival(Arrival::Poisson { ops: ops / 5 })
                 .popularity(Popularity::Zipf { exponent: 1.1 })
                 .writes(0.2)
-                .churn(ChurnSpec::ProbeAt { at: 0.05 });
-            if incremental {
-                settle.checked()
-            } else {
-                settle.churn(ChurnSpec::OptimizeAt { at: 0.4 }).checked()
-            }
-        });
+                .churn(ChurnSpec::ProbeAt { at: 0.05 })
+                .checked(),
+        );
     let spec = if batched {
         spec.join_batch(BatchPolicy {
             // A window a few diameters wide: at the preset's Poisson join
@@ -269,12 +253,8 @@ pub struct SweepKnobs {
     /// Join-coalescing window in metric-distance units. Only valid for
     /// presets that batch joins (`churn-scale` with `batched`).
     pub coalesce_window: Option<f64>,
-    /// Incremental-repair budget (`repairs_per_sec_per_node`).
+    /// Repair budget (`repairs_per_sec_per_node`).
     pub repair_budget: Option<u32>,
-    /// Maintenance mode override. For `churn-scale` this selects the
-    /// preset variant (phase schedule included); for every other preset
-    /// it overrides the overlay config only.
-    pub maintenance: Option<MaintenanceMode>,
     /// Join batching on/off. Only valid for `churn-scale`.
     pub batched: Option<bool>,
 }
@@ -282,7 +262,7 @@ pub struct SweepKnobs {
 /// The sweep entry point: build any preset family member from one flat
 /// parameter set — the named scenario presets, the `scale` family
 /// (`space` selects the substrate) and the `churn-scale` family
-/// (`knobs.maintenance` / `knobs.batched` select the variant) — then
+/// (`knobs.batched` selects the variant) — then
 /// apply the grid's config-knob overrides. This is the single
 /// constructor `tapestry-sweep` expands grid cells through, so every
 /// knob combination is validated in one place.
@@ -301,8 +281,7 @@ pub fn sweep_preset(
             if space.is_some_and(|s| s != ScaleSpace::Torus) {
                 return Err("churn-scale: only the torus substrate is supported".into());
             }
-            let mode = knobs.maintenance.unwrap_or(MaintenanceMode::GlobalRounds);
-            churn_scale_preset(nodes, ops, seed, threads, knobs.batched.unwrap_or(true), mode)
+            churn_scale_preset(nodes, ops, seed, threads, knobs.batched.unwrap_or(true))
         }
         _ => {
             if space.is_some() {
@@ -311,13 +290,9 @@ pub fn sweep_preset(
             if knobs.batched.is_some() {
                 return Err(format!("preset '{name}': `batched` applies to `churn-scale` only"));
             }
-            let mut s = preset(name, nodes, ops, seed)
+            preset(name, nodes, ops, seed)
                 .ok_or_else(|| format!("unknown preset '{name}'"))?
-                .threads(threads);
-            if let Some(mode) = knobs.maintenance {
-                s = s.maintenance(mode);
-            }
-            s
+                .threads(threads)
         }
     };
     if let Some(b) = knobs.base {
@@ -555,22 +530,17 @@ mod tests {
             assert_eq!(via_sweep.phases.len(), direct.phases.len());
         }
         // The scale/churn-scale families route through their dedicated
-        // constructors (space and maintenance/batched selection).
+        // constructors (space and batched selection).
         let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), 1, &knobs).unwrap();
         assert_eq!(s.name, "scale");
         assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));
-        let c = sweep_preset(
-            "churn-scale",
-            1000,
-            500,
-            42,
-            None,
-            1,
-            &SweepKnobs { maintenance: Some(MaintenanceMode::Incremental), ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(c.name, "churn-scale-incr");
+        let c = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &knobs).unwrap();
+        assert_eq!(c.name, "churn-scale");
         assert!(c.join_batch.is_some());
+        let seq = SweepKnobs { batched: Some(false), ..Default::default() };
+        let c = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &seq).unwrap();
+        assert_eq!(c.name, "churn-scale-seq");
+        assert!(c.join_batch.is_none());
     }
 
     #[test]
@@ -580,7 +550,6 @@ mod tests {
             multicast_fanout: Some(8),
             coalesce_window: Some(1234.0),
             repair_budget: Some(3),
-            maintenance: Some(MaintenanceMode::Incremental),
             batched: Some(true),
         };
         let spec = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &knobs).unwrap();
@@ -588,7 +557,6 @@ mod tests {
         assert_eq!(spec.cfg.multicast_fanout, Some(8));
         assert_eq!(spec.join_batch.unwrap().window, SimTime::from_distance(1234.0));
         assert_eq!(spec.cfg.repairs_per_sec_per_node, 3);
-        assert_eq!(spec.cfg.maintenance, MaintenanceMode::Incremental);
         // Fan-out 0 means unbounded (config None).
         let unbounded = SweepKnobs { multicast_fanout: Some(0), ..Default::default() };
         let spec = sweep_preset("steady-zipf", 64, 500, 42, None, 1, &unbounded).unwrap();

@@ -213,6 +213,15 @@ impl ScenarioReport {
         self.phases.iter().map(|p| p.churn.joins_ok).sum()
     }
 
+    /// Targeted repairs released per initial node per probe round, with
+    /// `probe_rounds` from [`crate::ScenarioSpec::probe_rounds`] (≥ 1):
+    /// the figure that stays flat as n grows when maintenance cost
+    /// follows the churn rate instead of the population.
+    pub fn repairs_per_node_round(&self, probe_rounds: usize) -> f64 {
+        let events = self.counter_total(tapestry_trace::metrics::REPAIR_EVENTS) as f64;
+        events / self.initial_nodes as f64 / probe_rounds as f64
+    }
+
     /// Recompute the whole-run aggregates from the phases plus the merged
     /// latency/hop histograms the runner kept.
     pub fn finalize(&mut self, latency: &Histogram, hops: &Histogram, latency_scale: f64) {

@@ -5,7 +5,7 @@
 
 use crate::churn::ChurnSpec;
 use crate::traffic::{Arrival, Popularity};
-use tapestry_core::{MaintenanceMode, TapestryConfig, MAX_NODES};
+use tapestry_core::{TapestryConfig, MAX_NODES};
 use tapestry_membership::BatchPolicy;
 use tapestry_metric::{GridSpace, MetricSpace, TorusSpace, TransitStubSpace};
 use tapestry_sim::SimTime;
@@ -251,21 +251,22 @@ impl ScenarioSpec {
         self
     }
 
-    /// Select the maintenance mode (shorthand for setting it on the
-    /// overlay config): `GlobalRounds` keeps the classic driver-paced
-    /// repair rounds; `Incremental` turns on the fact-driven per-node
-    /// repair scheduler.
-    pub fn maintenance(mut self, mode: MaintenanceMode) -> Self {
-        self.cfg.maintenance = mode;
-        self
-    }
-
-    /// Cap the incremental repair scheduler at `per_sec` released tasks
-    /// per node per maintenance second (ignored under `GlobalRounds`;
-    /// zero freezes the scheduler without losing facts).
+    /// Cap the repair scheduler at `per_sec` released tasks per node per
+    /// maintenance second (zero freezes the scheduler without losing
+    /// facts).
     pub fn repair_budget(mut self, per_sec: u32) -> Self {
         self.cfg.repairs_per_sec_per_node = per_sec;
         self
+    }
+
+    /// Scripted probe rounds across the whole scenario: each `ProbeAt`
+    /// fires one failure-detection round that feeds the repair ledger.
+    /// The divisor of every "repairs per node per round" figure.
+    pub fn probe_rounds(&self) -> usize {
+        let probes = |p: &PhaseSpec| {
+            p.churn.iter().filter(|c| matches!(c, ChurnSpec::ProbeAt { .. })).count()
+        };
+        self.phases.iter().map(probes).sum()
     }
 
     /// Restore the exhaustive (every-member) Theorem 2 spot-check.

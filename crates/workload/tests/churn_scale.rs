@@ -4,14 +4,13 @@
 //! run the same churn schedule (the unbatched one as solo joins, each a
 //! wave of one).
 
-use tapestry_core::MaintenanceMode;
 use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner};
 
 /// Scaled-down churn-scale run (the preset family itself starts at 1k;
 /// tests shrink it through the same constructor).
 fn spec(nodes: usize, batched: bool, threads: usize) -> tapestry_workload::ScenarioSpec {
-    presets::churn_scale_preset(nodes, 400, 11, threads, batched, MaintenanceMode::GlobalRounds)
+    presets::churn_scale_preset(nodes, 400, 11, threads, batched)
 }
 
 #[test]
@@ -64,15 +63,12 @@ fn churn_scale_is_deterministic_across_repeats_and_threads() {
 fn churn_scale_presets_validate_at_every_committed_size() {
     for &n in presets::CHURN_SCALE_SIZES {
         for batched in [true, false] {
-            for mode in [MaintenanceMode::GlobalRounds, MaintenanceMode::Incremental] {
-                let spec = presets::churn_scale_preset(n, 2000, 42, 4, batched, mode);
-                spec.validate()
-                    .unwrap_or_else(|e| panic!("churn-scale({n}, {batched}, {mode:?}): {e}"));
-                assert_eq!(spec.initial_nodes, n);
-                assert!(spec.capacity > n, "room for the joins");
-                assert_eq!(spec.join_batch.is_some(), batched);
-                assert_eq!(spec.cfg.maintenance, mode);
-            }
+            let spec = presets::churn_scale_preset(n, 2000, 42, 4, batched);
+            spec.validate().unwrap_or_else(|e| panic!("churn-scale({n}, {batched}): {e}"));
+            assert_eq!(spec.initial_nodes, n);
+            assert!(spec.capacity > n, "room for the joins");
+            assert_eq!(spec.join_batch.is_some(), batched);
+            assert_eq!(spec.probe_rounds(), 2, "one probe in the churn phase, one in settle");
         }
     }
     // The derived join budget (satellite: no more hard-coded toy cap)

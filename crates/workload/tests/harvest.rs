@@ -46,13 +46,18 @@ fn kill_heavy() -> ScenarioSpec {
 /// includes two locates whose results were queued at an origin that the
 /// very next scheduled event killed: harvesting *before* that event
 /// instead of after it would read `completed` 1143, `lost` 352.
-/// The later phases were re-pinned when solo joins (this spec sets no
-/// `join_batch`) became waves of one: a wave's ack deadline now rescues
-/// joins a mid-wave kill used to strand (storm `joins_ok` 17 → 30,
-/// aftershock 17 → 26), and the storm's drain runs those deadlines out,
-/// so the aftershock and calm schedules start later in simulated time.
+/// Re-pinned when fact-driven repair became the only maintenance: every
+/// send to a dead node now bounces back to its sender as a
+/// `failed_contact` fact (1 979 in the storm), so a router excises a
+/// corpse at its first failed send instead of at a probe deadline that
+/// lands past mid-phase. Probing detects 593 dead neighbors in the storm
+/// where it detected 1 450, replacement queries fall 8 991 → 982, and
+/// fewer locates die on a dead hop: `lost` 354 → 126, 444 → 148 and
+/// 31 → 5 per phase. Locates that now complete instead of vanishing
+/// include ones whose pointer names a killed server (`found_dead`) or
+/// whose root lost the pointer (`not_found`).
 const KILL_HEAVY_COUNTS: [(u64, u64, u64, u64, u64, u64); 3] =
-    [(1495, 1141, 354, 918, 223, 0), (1519, 1075, 444, 536, 502, 37), (200, 169, 31, 55, 92, 22)];
+    [(1495, 1369, 126, 1061, 292, 16), (1519, 1371, 148, 572, 701, 98), (200, 195, 5, 49, 125, 21)];
 
 #[test]
 fn kill_heavy_phases_balance_and_match_the_pinned_counts() {

@@ -1,16 +1,14 @@
-//! Incremental maintenance (`MaintenanceMode::Incremental`): the
-//! fact-driven repair scheduler must *converge* — after a churn storm,
-//! the settle phase's spot-checks (Property 1/2, Theorem 2 root
-//! uniqueness) hold again under every finite budget — and a zero budget
-//! must freeze repairs without wedging or panicking the run.
+//! Incremental maintenance: the fact-driven repair scheduler must
+//! *converge* — after a churn storm, the settle phase's spot-checks
+//! (Property 1/2, Theorem 2 root uniqueness) hold again under every
+//! finite budget — and a zero budget must freeze repairs without wedging
+//! or panicking the run.
 
-use tapestry_core::MaintenanceMode;
 use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner};
 
 fn incr_spec(budget: u32, threads: usize) -> tapestry_workload::ScenarioSpec {
-    presets::churn_scale_preset(96, 400, 11, threads, true, MaintenanceMode::Incremental)
-        .repair_budget(budget)
+    presets::churn_scale_preset(96, 400, 11, threads, true).repair_budget(budget)
 }
 
 #[test]
@@ -69,25 +67,4 @@ fn incremental_reports_are_byte_identical_across_thread_counts() {
     let (json4, totals4) = run(4);
     assert_eq!(json1, json4, "threads 1 vs 4");
     assert_eq!(totals1, totals4);
-}
-
-#[test]
-fn global_rounds_reports_carry_no_new_repair_counters() {
-    // The byte-identity gate in code: under GlobalRounds every repair
-    // hook is a no-op, so none of the scheduler's counters may appear in
-    // the report (counters only surface when they move). The three
-    // pre-existing probe-round counters are the global path's own.
-    let legacy = [metrics::REPAIR_PINGS, metrics::REPAIR_DETECTED_DEAD, metrics::REPAIR_QUERIES]
-        .map(|c| c.name());
-    let spec = presets::churn_scale_preset(96, 400, 11, 1, true, MaintenanceMode::GlobalRounds);
-    let report = runner::run(&spec).expect("runs");
-    for p in &report.phases {
-        for key in p.counters.keys() {
-            assert!(
-                !key.starts_with("repair.") || legacy.contains(&key.as_str()),
-                "GlobalRounds leaked counter {key} in phase {}",
-                p.name
-            );
-        }
-    }
 }

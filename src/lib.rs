@@ -40,8 +40,7 @@ pub use tapestry_workload as workload;
 /// Everything most applications need, in one import.
 pub mod prelude {
     pub use tapestry_core::{
-        LocateResult, MaintenanceMode, NetworkSnapshot, RoutingScheme, TapestryConfig,
-        TapestryNetwork,
+        LocateResult, NetworkSnapshot, RoutingScheme, TapestryConfig, TapestryNetwork,
     };
     pub use tapestry_id::{Guid, Id, IdSpace, Prefix};
     pub use tapestry_membership::{BatchPolicy, JoinCoalescer};
