@@ -77,7 +77,6 @@ fn main() {
             Box::new(space),
             SEED,
             nodes,
-            1,
             &mut |stage| {
                 let secs = last.elapsed().as_secs_f64();
                 last = Instant::now();

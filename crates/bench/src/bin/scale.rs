@@ -2,13 +2,14 @@
 //!
 //! Runs the `scale` preset family (steady-zipf traffic on proportionally
 //! larger spaces, constant node density) and emits one point per network
-//! size and substrate: wall-clock and bootstrap seconds *per thread
-//! count*, engine events and events/sec, peak routing-table size, and
-//! p50/p99 locate latency and hops.
+//! size and substrate: wall-clock and bootstrap seconds, engine events
+//! and events/sec, peak routing-table size, and p50/p99 locate latency
+//! and hops. Each point is one run on one worker; `tapestry-sweep
+//! --workers` is where runs go in parallel.
 //!
 //! ```sh
-//! scale                                      # 1k/4k/10k/25k, torus, one bootstrap worker
-//! scale --nodes 256 --threads 1,4            # one point, run at 1 and at 4 workers
+//! scale                                      # 1k/4k/10k/25k, torus
+//! scale --nodes 256                          # one point
 //! scale --nodes 1000,10000 --space torus,transit-stub
 //! scale --churn 1000,25000,100000            # churn-scale points
 //! scale --exhaustive-checks                  # every-member Theorem 2 walks
@@ -26,26 +27,16 @@
 //! with solo joins (`churn-scale-seq`) adds the solo join cost beside the
 //! batched one.
 //!
-//! `--threads` sets the workers of the static bootstrap and the
-//! Property 1/2 sweeps (events are dispatched sequentially; default one
-//! worker). Given several values, every point is run once per value and
-//! the driver *fails* unless all thread counts produce byte-identical
-//! reports — the determinism contract of that fan-out.
-//!
 //! The `--json` output contains wall-clock figures and is therefore a
 //! *benchmark* artifact (machine-dependent); `--sim-json` writes the full
 //! deterministic scenario reports, which CI diffs across same-seed runs
 //! as a non-determinism gate.
 
-use tapestry_bench::{f2, header, row};
-use tapestry_trace::json::{f3, JsonWriter};
+use tapestry_bench::{f2, header, row, TelemetryFlags, DEFAULT_METRICS_WINDOW};
+use tapestry_trace::json::JsonWriter;
 use tapestry_trace::metrics;
 use tapestry_workload::presets::{churn_scale_preset, scale_preset, ScaleSpace, SCALE_SIZES};
-use tapestry_workload::{runner, RunTiming, RunTotals, ScenarioReport, Telemetry};
-
-/// Default `--metrics-window` when `--metrics-json` is given without one:
-/// 1024 distance units of simulated time per sample.
-const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
+use tapestry_workload::{runner, RunTiming, RunTotals, ScenarioReport, ScenarioSpec};
 
 /// Largest churn point that also runs the solo-join baseline, a second
 /// full churn run. Beyond it the point reports the batched run alone.
@@ -56,69 +47,39 @@ struct Args {
     ops: u64,
     seed: u64,
     spaces: Vec<ScaleSpace>,
-    threads: Vec<usize>,
     churn: Vec<usize>,
     exhaustive_checks: bool,
     json: Option<String>,
     sim_json: Option<String>,
-    trace_json: Option<String>,
-    trace_sample: u64,
-    trace_cap: usize,
-    metrics_json: Option<String>,
-    metrics_window: u64,
+    tel: TelemetryFlags,
     quiet: bool,
+}
+
+impl Args {
+    /// Apply `--exhaustive-checks` to a preset spec.
+    fn finish(&self, spec: ScenarioSpec) -> ScenarioSpec {
+        if self.exhaustive_checks {
+            spec.exhaustive_checks()
+        } else {
+            spec
+        }
+    }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: scale [--nodes N[,N,...]] [--ops N] [--seed S]\n\
-         \x20            [--space torus|grid|transit-stub[,...]] [--threads T[,T,...]]\n\
+         \x20            [--space torus|grid|transit-stub[,...]]\n\
          \x20            [--churn N[,N,...]] [--exhaustive-checks]\n\
          \x20            [--json PATH] [--sim-json PATH]\n\
          \x20            [--trace-json PATH] [--trace-sample N] [--trace-cap N]\n\
          \x20            [--metrics-json PATH] [--metrics-window UNITS] [--quiet]\n\
-         defaults: --nodes {} --ops 2000 --seed 42 --space torus --threads 1 --churn (none)\n\
+         defaults: --nodes {} --ops 2000 --seed 42 --space torus --churn (none)\n\
          --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
-         --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW});\n\
-         telemetry rides the same byte-identity gate across --threads as the reports",
+         --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW})",
         SCALE_SIZES.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(",")
     );
     std::process::exit(2)
-}
-
-/// The telemetry flags, in the shape `run_across_threads` needs to apply
-/// them to every spec it builds.
-#[derive(Clone, Copy, Default)]
-struct TelOpts {
-    trace_sample: u64,
-    trace_cap: usize,
-    metrics_window: u64,
-}
-
-impl TelOpts {
-    fn from_args(args: &Args) -> Self {
-        TelOpts {
-            trace_sample: args.trace_sample,
-            trace_cap: args.trace_cap,
-            metrics_window: args.metrics_window,
-        }
-    }
-
-    fn apply(&self, spec: tapestry_workload::ScenarioSpec) -> tapestry_workload::ScenarioSpec {
-        let mut spec = spec;
-        if self.trace_sample > 0 {
-            spec = spec.trace_sample(self.trace_sample).trace_cap(self.trace_cap);
-        }
-        if self.metrics_window > 0 {
-            spec = spec.metrics_window(self.metrics_window);
-        }
-        spec
-    }
-}
-
-/// The telemetry JSON strings of one run (None when the flag is off).
-fn telemetry_strings(tel: &Telemetry) -> (Option<String>, Option<String>) {
-    (tel.trace_json(), tel.metrics_json())
 }
 
 fn parse_args() -> Args {
@@ -127,16 +88,11 @@ fn parse_args() -> Args {
         ops: 2000,
         seed: 42,
         spaces: vec![ScaleSpace::Torus],
-        threads: vec![1],
         churn: Vec::new(),
         exhaustive_checks: false,
         json: None,
         sim_json: None,
-        trace_json: None,
-        trace_sample: 0,
-        trace_cap: 4096,
-        metrics_json: None,
-        metrics_window: 0,
+        tel: TelemetryFlags::default(),
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -151,7 +107,7 @@ fn parse_args() -> Args {
             "--nodes" => {
                 let v = val("--nodes");
                 if v == "none" {
-                    // Churn-only runs (e.g. the CI churn determinism job).
+                    // Churn-only runs (e.g. CI's churn determinism step).
                     args.nodes = Vec::new();
                     continue;
                 }
@@ -172,15 +128,6 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--threads" => {
-                args.threads = val("--threads")
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if args.threads.is_empty() || args.threads.contains(&0) {
-                    usage()
-                }
-            }
             "--churn" => {
                 args.churn = val("--churn")
                     .split(',')
@@ -190,53 +137,28 @@ fn parse_args() -> Args {
             "--exhaustive-checks" => args.exhaustive_checks = true,
             "--json" => args.json = Some(val("--json")),
             "--sim-json" => args.sim_json = Some(val("--sim-json")),
-            "--trace-json" => args.trace_json = Some(val("--trace-json")),
-            "--trace-sample" => {
-                args.trace_sample = val("--trace-sample").parse().unwrap_or_else(|_| usage());
-                if args.trace_sample == 0 {
-                    usage()
-                }
-            }
-            "--trace-cap" => {
-                args.trace_cap = val("--trace-cap").parse().unwrap_or_else(|_| usage());
-                if args.trace_cap == 0 {
-                    usage()
-                }
-            }
-            "--metrics-json" => args.metrics_json = Some(val("--metrics-json")),
-            "--metrics-window" => {
-                args.metrics_window = val("--metrics-window").parse().unwrap_or_else(|_| usage());
-                if args.metrics_window == 0 {
-                    usage()
-                }
-            }
             "--quiet" => args.quiet = true,
-            _ => usage(),
+            flag => {
+                if let Err(e) = args.tel.parse(flag, val) {
+                    eprintln!("{e}");
+                    usage()
+                }
+            }
         }
-    }
-    // Asking for a telemetry file implies collecting it.
-    if args.trace_json.is_some() && args.trace_sample == 0 {
-        args.trace_sample = 1;
-    }
-    if args.metrics_json.is_some() && args.metrics_window == 0 {
-        args.metrics_window = DEFAULT_METRICS_WINDOW;
     }
     args
 }
 
-/// One trajectory point: the deterministic report and engine totals
-/// (identical across thread counts — verified), plus per-thread-count
-/// wall-clock measurements.
+/// One trajectory point: the deterministic report and engine totals,
+/// plus the run's wall-clock timing.
 struct Point {
     report: ScenarioReport,
     totals: RunTotals,
-    threads: Vec<usize>,
-    timings: Vec<RunTiming>,
+    timing: RunTiming,
     /// Churn points carry what their `churn` columns need beyond the
     /// report itself.
     churn: Option<Churn>,
-    /// Telemetry artifacts when the flags are on — verified byte-identical
-    /// across thread counts like the report itself.
+    /// Telemetry artifacts when the flags are on.
     trace: Option<String>,
     metrics: Option<String>,
 }
@@ -290,16 +212,6 @@ fn join_msgs_mean(r: &ScenarioReport) -> f64 {
     )
 }
 
-/// `"key":[v,…]` over already-formatted numbers.
-fn num_array(w: &mut JsonWriter, key: &str, vals: impl Iterator<Item = String>) {
-    w.key(key);
-    w.open_arr();
-    for v in vals {
-        w.raw(&v);
-    }
-    w.close_arr();
-}
-
 /// `[a,b,…]` over serialized JSON documents, each with its trailing
 /// newline trimmed.
 fn json_array<S: AsRef<str>>(docs: impl IntoIterator<Item = S>) -> String {
@@ -314,12 +226,11 @@ fn json_array<S: AsRef<str>>(docs: impl IntoIterator<Item = S>) -> String {
 
 /// One point of the benchmark artifact, in the workspace's JSON
 /// conventions minus the machine-independence guarantee — wall clock is
-/// the point here. Per-thread-count measurements are parallel arrays
-/// under `threads` / `wall_secs` / `bootstrap_secs` / `events_per_sec`
-/// (whole events per second: CI reads `[0]["events_per_sec"][0]`); churn
-/// points append a deterministic, flat `churn` object with the join-cost
-/// (batched, and solo up to [`SOLO_BASELINE_CHURN_MAX`]) and repair
-/// columns.
+/// the point here. The run's `wall_secs`, `bootstrap_secs` and
+/// `events_per_sec` (whole events per second: CI reads
+/// `[0]["events_per_sec"]`) are scalars; churn points append a
+/// deterministic, flat `churn` object with the join-cost (batched, and
+/// solo up to [`SOLO_BASELINE_CHURN_MAX`]) and repair columns.
 fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     let r = &p.report;
     let mut w = JsonWriter::new();
@@ -328,11 +239,10 @@ fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     w.str_field("space", &r.space);
     w.u64_field("seed", seed);
     w.u64_field("ops", ops);
-    num_array(&mut w, "threads", p.threads.iter().map(|t| t.to_string()));
-    num_array(&mut w, "wall_secs", p.timings.iter().map(|t| f3(t.bootstrap_secs + t.drive_secs)));
-    num_array(&mut w, "bootstrap_secs", p.timings.iter().map(|t| f3(t.bootstrap_secs)));
-    let per_sec = p.timings.iter().map(|t| format!("{:.0}", t.events_per_sec(p.totals.events)));
-    num_array(&mut w, "events_per_sec", per_sec);
+    let t = &p.timing;
+    w.f64_field("wall_secs", t.bootstrap_secs + t.drive_secs);
+    w.f64_field("bootstrap_secs", t.bootstrap_secs);
+    w.u64_field("events_per_sec", t.events_per_sec(p.totals.events).round() as u64);
     w.u64_field("events", p.totals.events);
     w.u64_field("messages", p.totals.messages);
     w.u64_field("timers", p.totals.timers);
@@ -366,127 +276,48 @@ fn point_json(p: &Point, ops: u64, seed: u64) -> String {
     w.out
 }
 
-/// Run one spec per `--threads` value and enforce the determinism gate:
-/// byte-identical reports and identical engine totals at every thread
-/// count (the contract CI's `determinism-matrix` job enforces on the
-/// scenario presets, enforced here on every scale point, every run).
-fn run_across_threads(
-    label: &str,
-    threads: &[usize],
-    tel: TelOpts,
-    build: impl Fn(usize) -> tapestry_workload::ScenarioSpec,
-) -> Point {
-    let mut point: Option<Point> = None;
-    for &t in threads {
-        let (report, totals, timing, telemetry) =
-            match runner::run_instrumented(&tel.apply(build(t))) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("{label}: {e}");
-                    std::process::exit(1)
-                }
-            };
-        let (trace, metrics) = telemetry_strings(&telemetry);
-        match &mut point {
-            None => {
-                point = Some(Point {
-                    report,
-                    totals,
-                    threads: vec![t],
-                    timings: vec![timing],
-                    churn: None,
-                    trace,
-                    metrics,
-                })
-            }
-            Some(p) => {
-                let (a, b) = (p.report.to_json(), report.to_json());
-                if a != b || p.totals != totals {
-                    eprintln!(
-                        "{label}: report diverged between --threads {} and {t}",
-                        p.threads[0]
-                    );
-                    if let Some(d) = tapestry_bench::diff_summary(&a, &b) {
-                        eprintln!("{d}");
-                    } else {
-                        eprintln!(
-                            "reports match; engine totals differ: {:?} vs {totals:?}",
-                            p.totals
-                        );
-                    }
-                    std::process::exit(1)
-                }
-                for (what, x, y) in [("trace", &p.trace, &trace), ("metrics", &p.metrics, &metrics)]
-                {
-                    if x != y {
-                        eprintln!(
-                            "{label}: {what} JSON diverged between --threads {} and {t}",
-                            p.threads[0]
-                        );
-                        if let (Some(x), Some(y)) = (x.as_deref(), y.as_deref()) {
-                            if let Some(d) = tapestry_bench::diff_summary(x, y) {
-                                eprintln!("{d}");
-                            }
-                        }
-                        std::process::exit(1)
-                    }
-                }
-                p.threads.push(t);
-                p.timings.push(timing);
-            }
-        }
+/// Run one point's spec with the telemetry flags applied.
+fn run_point(args: &Args, label: &str, spec: ScenarioSpec) -> Point {
+    let (report, totals, timing, telemetry) = runner::run_instrumented(&args.tel.apply(spec))
+        .unwrap_or_else(|e| {
+            eprintln!("{label}: {e}");
+            std::process::exit(1)
+        });
+    Point {
+        report,
+        totals,
+        timing,
+        churn: None,
+        trace: telemetry.trace_json(),
+        metrics: telemetry.metrics_json(),
     }
-    point.expect("at least one thread count")
 }
 
-/// One churn trajectory point: the `churn-scale` run goes through the
-/// thread-count determinism gate at every `--threads` value. Up to
-/// [`SOLO_BASELINE_CHURN_MAX`] the **solo-join baseline** rides along —
-/// a single run by construction (its only job is the batched-vs-solo
-/// join-cost column), hoisted here so it is never re-run per thread
-/// count.
+/// One churn trajectory point: the `churn-scale` run and, up to
+/// [`SOLO_BASELINE_CHURN_MAX`], the **solo-join baseline** beside it —
+/// the same schedule with solo joins, run only for its join-cost column.
 fn churn_point(args: &Args, n: usize) -> Point {
-    let finish = |spec: tapestry_workload::ScenarioSpec| {
-        if args.exhaustive_checks {
-            spec.exhaustive_checks()
-        } else {
-            spec
-        }
-    };
-    let tel = TelOpts::from_args(args);
-    let build =
-        |t: usize, batched: bool| finish(churn_scale_preset(n, args.ops, args.seed, t, batched));
-    let mut point =
-        run_across_threads(&format!("churn-scale({n})"), &args.threads, tel, |t| build(t, true));
+    let build = |batched: bool| args.finish(churn_scale_preset(n, args.ops, args.seed, batched));
+    let spec = build(true);
+    let probe_rounds = spec.probe_rounds();
+    let mut point = run_point(args, &format!("churn-scale({n})"), spec);
     let solo = (n <= SOLO_BASELINE_CHURN_MAX).then(|| {
-        runner::run(&build(args.threads[0], false)).unwrap_or_else(|e| {
+        runner::run(&build(false)).unwrap_or_else(|e| {
             eprintln!("churn-scale-seq({n}): {e}");
             std::process::exit(1)
         })
     });
-    point.churn = Some(Churn { probe_rounds: build(1, true).probe_rounds(), solo });
+    point.churn = Some(Churn { probe_rounds, solo });
     point
 }
 
 fn main() {
     let args = parse_args();
     let mut points = Vec::new();
-    let finish = |spec: tapestry_workload::ScenarioSpec| {
-        if args.exhaustive_checks {
-            spec.exhaustive_checks()
-        } else {
-            spec
-        }
-    };
-    let tel = TelOpts::from_args(&args);
     for &space in &args.spaces {
         for &n in &args.nodes {
-            points.push(run_across_threads(
-                &format!("scale({n}, {space:?})"),
-                &args.threads,
-                tel,
-                |t| finish(scale_preset(n, args.ops, args.seed, space, t)),
-            ));
+            let spec = args.finish(scale_preset(n, args.ops, args.seed, space));
+            points.push(run_point(&args, &format!("scale({n}, {space:?})"), spec));
         }
     }
     for &n in &args.churn {
@@ -495,26 +326,23 @@ fn main() {
 
     if !args.quiet {
         header(&[
-            "nodes", "space", "thr", "wall_s", "boot_s", "events/s", "peak_tbl", "issued", "ok",
+            "nodes", "space", "wall_s", "boot_s", "events/s", "peak_tbl", "issued", "ok",
             "lat_p99", "hops_p99",
         ]);
         for p in &points {
-            for (i, &t) in p.threads.iter().enumerate() {
-                let tm = &p.timings[i];
-                row(&[
-                    p.report.initial_nodes.to_string(),
-                    p.report.space.clone(),
-                    t.to_string(),
-                    f2(tm.bootstrap_secs + tm.drive_secs),
-                    f2(tm.bootstrap_secs),
-                    format!("{:.0}", tm.events_per_sec(p.totals.events)),
-                    p.totals.peak_table_entries.to_string(),
-                    p.report.total_ops.issued.to_string(),
-                    p.report.total_ops.found_live.to_string(),
-                    f2(p.report.total_latency.p99),
-                    f2(p.report.total_hops.p99),
-                ]);
-            }
+            let tm = &p.timing;
+            row(&[
+                p.report.initial_nodes.to_string(),
+                p.report.space.clone(),
+                f2(tm.bootstrap_secs + tm.drive_secs),
+                f2(tm.bootstrap_secs),
+                format!("{:.0}", tm.events_per_sec(p.totals.events)),
+                p.totals.peak_table_entries.to_string(),
+                p.report.total_ops.issued.to_string(),
+                p.report.total_ops.found_live.to_string(),
+                f2(p.report.total_latency.p99),
+                f2(p.report.total_hops.p99),
+            ]);
         }
         for p in &points {
             let Some(c) = &p.churn else { continue };
@@ -558,13 +386,12 @@ fn main() {
         }
         std::fs::write(path, json_array(&reports)).expect("write deterministic sim json");
     }
-    // Telemetry artifacts: one array entry per trajectory point (each
-    // entry already verified byte-identical across thread counts).
-    if let Some(path) = &args.trace_json {
+    // Telemetry artifacts: one array entry per trajectory point.
+    if let Some(path) = &args.tel.trace_json {
         let trace = json_array(points.iter().filter_map(|p| p.trace.as_deref())) + "\n";
         std::fs::write(path, trace).expect("write trace json");
     }
-    if let Some(path) = &args.metrics_json {
+    if let Some(path) = &args.tel.metrics_json {
         let metrics = json_array(points.iter().filter_map(|p| p.metrics.as_deref())) + "\n";
         std::fs::write(path, metrics).expect("write metrics json");
     }
@@ -614,11 +441,7 @@ mod tests {
                 peak_table_entries: 41,
                 final_nodes: 64,
             },
-            threads: vec![1, 4],
-            timings: vec![
-                RunTiming { bootstrap_secs: 0.5, drive_secs: 1.25 },
-                RunTiming { bootstrap_secs: 0.1234, drive_secs: 0.3 },
-            ],
+            timing: RunTiming { bootstrap_secs: 0.5, drive_secs: 1.25 },
             churn,
             trace: None,
             metrics: None,
@@ -628,9 +451,9 @@ mod tests {
     #[test]
     fn point_json_bytes_are_pinned() {
         let head = concat!(
-            r#"{"nodes":64,"space":"torus(1000)","seed":42,"ops":500,"threads":[1,4],"#,
-            r#""wall_secs":[1.750,0.423],"bootstrap_secs":[0.500,0.123],"#,
-            r#""events_per_sec":[800,3333],"events":1000,"messages":700,"timers":30,"#,
+            r#"{"nodes":64,"space":"torus(1000)","seed":42,"ops":500,"#,
+            r#""wall_secs":1.750,"bootstrap_secs":0.500,"#,
+            r#""events_per_sec":800,"events":1000,"messages":700,"timers":30,"#,
             r#""peak_table_entries":41,"issued":50,"found_live":48,"lost":2,"#,
             r#""latency_p50":1.500,"latency_p99":2.062,"hops_p50":2.000,"hops_p99":4.000"#,
         );

@@ -13,57 +13,34 @@
 //! reports — `BENCH_scenarios.json` is regenerated with `--preset all`
 //! and diffed across PRs.
 
-use tapestry_bench::{f2, header, row};
+use tapestry_bench::{f2, header, row, TelemetryFlags, DEFAULT_METRICS_WINDOW};
 use tapestry_trace::json::JsonWriter;
-use tapestry_workload::{presets, runner, ScenarioReport, ScenarioSpec};
-
-/// Default `--metrics-window` when `--metrics-json` is given without one:
-/// 1024 distance units of simulated time per sample.
-const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
+use tapestry_workload::{presets, runner, ScenarioReport};
 
 struct Args {
     preset: String,
     nodes: usize,
     ops: u64,
     seed: u64,
-    threads: usize,
     json: Option<String>,
     csv: Option<String>,
-    trace_json: Option<String>,
-    trace_sample: u64,
-    trace_cap: usize,
-    metrics_json: Option<String>,
-    metrics_window: u64,
+    tel: TelemetryFlags,
     quiet: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios --preset <name|all> [--nodes N] [--ops N] [--seed S] [--threads T]\n\
+        "usage: scenarios --preset <name|all> [--nodes N] [--ops N] [--seed S]\n\
          \x20                [--json PATH] [--csv PATH]\n\
          \x20                [--trace-json PATH] [--trace-sample N] [--trace-cap N]\n\
          \x20                [--metrics-json PATH] [--metrics-window UNITS] [--quiet]\n\
          \x20      scenarios --list\n\
          presets: {}\n\
-         --threads sets bootstrap and invariant-sweep workers; it only changes wall-clock time:\n\
-         \x20  reports are byte-identical at every value\n\
          --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
          --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW})",
         presets::PRESET_NAMES.join(", ")
     );
     std::process::exit(2)
-}
-
-/// Apply the telemetry flags to a preset spec.
-fn instrument(spec: ScenarioSpec, args: &Args) -> ScenarioSpec {
-    let mut spec = spec;
-    if args.trace_sample > 0 {
-        spec = spec.trace_sample(args.trace_sample).trace_cap(args.trace_cap);
-    }
-    if args.metrics_window > 0 {
-        spec = spec.metrics_window(args.metrics_window);
-    }
-    spec
 }
 
 /// One JSON artifact per run: the single document, or an array of them
@@ -91,14 +68,9 @@ fn parse_args() -> Args {
         nodes: 64,
         ops: 500,
         seed: 42,
-        threads: 1,
         json: None,
         csv: None,
-        trace_json: None,
-        trace_sample: 0,
-        trace_cap: 4096,
-        metrics_json: None,
-        metrics_window: 0,
+        tel: TelemetryFlags::default(),
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
@@ -114,34 +86,8 @@ fn parse_args() -> Args {
             "--nodes" => args.nodes = val("--nodes").parse().unwrap_or_else(|_| usage()),
             "--ops" => args.ops = val("--ops").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--threads" => {
-                args.threads = val("--threads").parse().unwrap_or_else(|_| usage());
-                if args.threads == 0 {
-                    usage()
-                }
-            }
             "--json" => args.json = Some(val("--json")),
             "--csv" => args.csv = Some(val("--csv")),
-            "--trace-json" => args.trace_json = Some(val("--trace-json")),
-            "--trace-sample" => {
-                args.trace_sample = val("--trace-sample").parse().unwrap_or_else(|_| usage());
-                if args.trace_sample == 0 {
-                    usage()
-                }
-            }
-            "--trace-cap" => {
-                args.trace_cap = val("--trace-cap").parse().unwrap_or_else(|_| usage());
-                if args.trace_cap == 0 {
-                    usage()
-                }
-            }
-            "--metrics-json" => args.metrics_json = Some(val("--metrics-json")),
-            "--metrics-window" => {
-                args.metrics_window = val("--metrics-window").parse().unwrap_or_else(|_| usage());
-                if args.metrics_window == 0 {
-                    usage()
-                }
-            }
             "--quiet" => args.quiet = true,
             "--list" => {
                 for name in presets::PRESET_NAMES {
@@ -149,18 +95,16 @@ fn parse_args() -> Args {
                 }
                 std::process::exit(0)
             }
-            _ => usage(),
+            flag => {
+                if let Err(e) = args.tel.parse(flag, val) {
+                    eprintln!("{e}");
+                    usage()
+                }
+            }
         }
     }
     if args.preset.is_empty() {
         usage()
-    }
-    // Asking for a telemetry file implies collecting it.
-    if args.trace_json.is_some() && args.trace_sample == 0 {
-        args.trace_sample = 1;
-    }
-    if args.metrics_json.is_some() && args.metrics_window == 0 {
-        args.metrics_window = DEFAULT_METRICS_WINDOW;
     }
     args
 }
@@ -206,11 +150,9 @@ fn main() {
     let mut traces: Vec<String> = Vec::new();
     let mut metrics: Vec<String> = Vec::new();
     for name in names {
-        let spec = instrument(
-            presets::preset(name, args.nodes, args.ops, args.seed).expect("known preset"),
-            &args,
-        )
-        .threads(args.threads);
+        let spec = args
+            .tel
+            .apply(presets::preset(name, args.nodes, args.ops, args.seed).expect("known preset"));
         match runner::run_instrumented(&spec) {
             Ok((r, _, _, tel)) => {
                 if !args.quiet {
@@ -243,10 +185,10 @@ fn main() {
         }
         std::fs::write(path, csv).expect("write csv report");
     }
-    if let Some(path) = &args.trace_json {
+    if let Some(path) = &args.tel.trace_json {
         std::fs::write(path, join_artifacts(&traces)).expect("write trace json");
     }
-    if let Some(path) = &args.metrics_json {
+    if let Some(path) = &args.tel.metrics_json {
         std::fs::write(path, join_artifacts(&metrics)).expect("write metrics json");
     }
 }

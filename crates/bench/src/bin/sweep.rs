@@ -16,8 +16,7 @@
 //! ```
 //!
 //! Exit codes: `0` pass, `1` gate regression, `2` usage/IO/spec error,
-//! `3` baseline/spec mismatch (missing cell or metric), `4`
-//! threads-determinism violation inside the fresh sweep.
+//! `3` baseline/spec mismatch (missing cell or metric).
 
 use tapestry_sweep::{agg, compare, grid::SweepSpec, run};
 use tapestry_trace::json::Json;
@@ -39,7 +38,7 @@ fn usage() -> ! {
         "usage: tapestry-sweep --spec PATH [--workers N] [--seeds S,S,...]\n\
          \x20                    [--json PATH] [--csv PATH] [--timing-json PATH]\n\
          \x20                    [--compare BASELINE.json] [--md-summary PATH] [--quiet]\n\
-         exit codes: 0 pass, 1 regression, 2 usage/io/spec, 3 missing cell, 4 determinism"
+         exit codes: 0 pass, 1 regression, 2 usage/io/spec, 3 missing cell"
     );
     std::process::exit(2)
 }
@@ -127,11 +126,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let result = run::run_sweep(&spec, workers).unwrap_or_else(|e| fail(&e));
     let total_wall = t0.elapsed().as_secs_f64();
-
-    if let Err(e) = agg::audit_threads_determinism(&result) {
-        eprintln!("tapestry-sweep: {e}");
-        std::process::exit(4);
-    }
 
     let aggregate = agg::aggregate(&result);
     if let Some(path) = &args.json {

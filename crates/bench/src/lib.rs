@@ -10,12 +10,89 @@
 
 #![forbid(unsafe_code)]
 
+use tapestry_workload::ScenarioSpec;
+
+/// Default `--metrics-window` when `--metrics-json` is given without one:
+/// 1024 distance units of simulated time per sample.
+pub const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
+
+/// The telemetry flags the `scale` and `scenarios` drivers share:
+/// `--trace-json PATH`, `--trace-sample N`, `--trace-cap N`,
+/// `--metrics-json PATH` and `--metrics-window UNITS`. Asking for a file
+/// implies collecting it: `--trace-json` alone traces every locate, and
+/// `--metrics-json` alone samples every [`DEFAULT_METRICS_WINDOW`] units.
+#[derive(Debug, Clone)]
+pub struct TelemetryFlags {
+    /// Where to write the hop-trace artifact.
+    pub trace_json: Option<String>,
+    /// Where to write the time-series artifact.
+    pub metrics_json: Option<String>,
+    trace_sample: u64,
+    trace_cap: usize,
+    metrics_window: u64,
+}
+
+impl Default for TelemetryFlags {
+    fn default() -> Self {
+        TelemetryFlags {
+            trace_json: None,
+            metrics_json: None,
+            trace_sample: 0,
+            trace_cap: 4096,
+            metrics_window: 0,
+        }
+    }
+}
+
+impl TelemetryFlags {
+    /// Take `flag` if it is one of the five, reading its value through
+    /// `val`; `Err` names an unknown flag or a malformed or zero count.
+    pub fn parse(&mut self, flag: &str, val: impl FnOnce(&str) -> String) -> Result<(), String> {
+        match flag {
+            "--trace-json" => self.trace_json = Some(val(flag)),
+            "--trace-sample" => self.trace_sample = count(flag, val(flag))?,
+            "--trace-cap" => self.trace_cap = count(flag, val(flag))?,
+            "--metrics-json" => self.metrics_json = Some(val(flag)),
+            "--metrics-window" => self.metrics_window = count(flag, val(flag))?,
+            _ => return Err(format!("unknown flag '{flag}'")),
+        }
+        Ok(())
+    }
+
+    /// Turn on the collection the flags ask for in `spec`.
+    pub fn apply(&self, spec: ScenarioSpec) -> ScenarioSpec {
+        let mut spec = spec;
+        let sample = match self.trace_sample {
+            0 if self.trace_json.is_some() => 1,
+            n => n,
+        };
+        if sample > 0 {
+            spec = spec.trace_sample(sample).trace_cap(self.trace_cap);
+        }
+        let window = match self.metrics_window {
+            0 if self.metrics_json.is_some() => DEFAULT_METRICS_WINDOW,
+            n => n,
+        };
+        if window > 0 {
+            spec = spec.metrics_window(window);
+        }
+        spec
+    }
+}
+
+/// A flag value that must be a count ≥ 1.
+fn count<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: String) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n != T::default() => Ok(n),
+        _ => Err(format!("{flag}: '{v}' is not a count ≥ 1")),
+    }
+}
+
 /// Locate the first divergence between two texts that should have been
-/// byte-identical (thread-count determinism gates): returns a summary
-/// naming the byte offset, the 1-based line, and both lines' contents —
-/// `None` when the texts match. The scale/scenarios binaries print this
-/// on their internal byte-compare failures so CI divergence points at a
-/// field, not just at two differing files.
+/// byte-identical (a determinism gate): returns a summary naming the
+/// byte offset, the 1-based line, and both lines' contents — `None` when
+/// the texts match, so a divergence points at a field, not just at two
+/// differing files.
 pub fn diff_summary(a: &str, b: &str) -> Option<String> {
     if a == b {
         return None;
@@ -122,6 +199,24 @@ mod tests {
         // One text a strict prefix of the other: divergence at the end.
         let d = diff_summary("ab", "abc").expect("lengths differ");
         assert!(d.contains("byte 2"), "{d}");
+    }
+
+    #[test]
+    fn telemetry_flags_parse_and_a_file_implies_collecting_it() {
+        let mut tel = TelemetryFlags::default();
+        assert!(tel.parse("--nodes", |_| unreachable!("not a telemetry flag")).is_err());
+        assert!(tel.parse("--trace-sample", |_| "0".into()).is_err());
+        assert!(tel.parse("--trace-cap", |_| "many".into()).is_err());
+        let off = tel.apply(ScenarioSpec::new("x"));
+        assert_eq!((off.trace_sample, off.metrics_window), (0, 0));
+        assert_eq!(tel.parse("--trace-json", |_| "t.json".into()), Ok(()));
+        assert_eq!(tel.parse("--metrics-json", |_| "m.json".into()), Ok(()));
+        let on = tel.apply(ScenarioSpec::new("x"));
+        assert_eq!((on.trace_sample, on.metrics_window), (1, DEFAULT_METRICS_WINDOW));
+        assert_eq!(tel.parse("--trace-sample", |_| "8".into()), Ok(()));
+        assert_eq!(tel.parse("--trace-cap", |_| "16".into()), Ok(()));
+        let set = tel.apply(ScenarioSpec::new("x"));
+        assert_eq!((set.trace_sample, set.trace_cap), (8, 16));
     }
 
     #[test]

@@ -389,8 +389,6 @@ pub enum Msg {
 pub enum Timer {
     /// Periodic soft-state republish of one locally stored object (§2.2).
     Republish(Guid),
-    /// Sweep expired object pointers.
-    ExpirySweep,
     /// Periodic heartbeat probe round (§5.2).
     Heartbeat,
     /// Deadline for one level of the neighbor-table build; on firing, the

@@ -75,12 +75,6 @@ pub struct TapestryNetwork {
     /// Live members, kept sorted ascending (set semantics; a sorted `Vec`
     /// so hot paths can sample and iterate without allocating).
     members: Vec<NodeIdx>,
-    /// Worker threads for the bootstrap / invariant-sweep fan-out (events
-    /// are always dispatched one at a time). Any value yields
-    /// bit-identical behaviour (the fan-outs collect into
-    /// deterministically ordered buffers applied sequentially); it only
-    /// trades wall-clock time.
-    threads: usize,
     rng: StdRng,
     seed: u64,
     /// Per-op completion callback, invoked once for every locate result
@@ -122,39 +116,13 @@ pub enum BootstrapStage {
     Backpointers,
 }
 
-/// Fan a read-only per-item computation out over `threads` contiguous
-/// chunks of `items` on scoped workers, concatenating chunk results in
-/// chunk order — the output is identical to `f(items)` run sequentially.
-/// Every parallel sweep in this module (bootstrap slot queries, Property
-/// 1/2 scans) routes through this one helper so the deterministic
-/// collection-order rule lives in exactly one place. Runs inline below 2
-/// threads or 2 items.
-fn fan_out_chunks<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    if threads <= 1 || items.len() < 2 {
-        return f(items);
-    }
-    let chunk = items.len().div_ceil(threads).max(1);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items.chunks(chunk).map(|ch| s.spawn(|| f(ch))).collect();
-        handles.into_iter().flat_map(|h| h.join().expect("chunk fan-out worker")).collect()
-    })
-}
-
 /// One coordinate index per group of `level`, in group order.
 fn group_indexes<'m>(
     metric: &'m dyn MetricSpace,
     runs: &PrefixRuns<'_>,
     level: &Level,
-    threads: usize,
 ) -> Vec<Box<dyn NearestIndex + 'm>> {
-    fan_out_chunks(threads, &level.groups, |ch| {
-        ch.iter().map(|g| metric.build_index(runs.members(g).to_vec())).collect()
-    })
+    level.groups.iter().map(|g| metric.build_index(runs.members(g).to_vec())).collect()
 }
 
 impl TapestryNetwork {
@@ -163,20 +131,8 @@ impl TapestryNetwork {
     /// from global knowledge (the PRR preprocessing step the paper's
     /// dynamic algorithms replace).
     pub fn build(cfg: TapestryConfig, space: Box<dyn MetricSpace>, seed: u64) -> Self {
-        Self::build_threaded(cfg, space, seed, 1)
-    }
-
-    /// [`TapestryNetwork::build`] with `threads` bootstrap workers. The
-    /// resulting tables are bit-identical for every thread count.
-    pub fn build_threaded(
-        cfg: TapestryConfig,
-        space: Box<dyn MetricSpace>,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
         let n = space.len();
         let mut net = Self::empty(cfg, space, seed);
-        net.set_threads(threads);
         let all: Vec<NodeIdx> = (0..n).collect();
         net.static_populate(&all, &mut |_| {});
         net
@@ -190,52 +146,41 @@ impl TapestryNetwork {
         seed: u64,
         n0: usize,
     ) -> Self {
-        Self::bootstrap_threaded(cfg, space, seed, n0, 1)
+        Self::bootstrap_observed(cfg, space, seed, n0, &mut |_| {})
     }
 
-    /// [`TapestryNetwork::bootstrap`] with `threads` bootstrap workers.
-    /// The resulting tables are bit-identical for every thread count.
+    /// [`TapestryNetwork::bootstrap`]; `_threads` is unread, as a run
+    /// has one worker. It stays only because the standalone `benchmark/`
+    /// package names it (`benchmark/src/api.rs`,
+    /// `benchmark/src/traced.rs`); nothing in the workspace calls it, and
+    /// the benchmark-only PR that re-points `benchmark/` deletes it, as it
+    /// does `MaintenanceMode`.
     pub fn bootstrap_threaded(
         cfg: TapestryConfig,
         space: Box<dyn MetricSpace>,
         seed: u64,
         n0: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Self {
-        Self::bootstrap_observed(cfg, space, seed, n0, threads, &mut |_| {})
+        Self::bootstrap(cfg, space, seed, n0)
     }
 
-    /// [`TapestryNetwork::bootstrap_threaded`], calling `stage` as each
-    /// stage of the construction ends. The library reads no clock; this
-    /// is the hook the `bootstrap_stages` bench binary times the stages
-    /// of README's table through.
+    /// [`TapestryNetwork::bootstrap`], calling `stage` as each stage of
+    /// the construction ends. The library reads no clock; this is the
+    /// hook the `bootstrap_stages` bench binary times the stages of
+    /// README's table through.
     pub fn bootstrap_observed(
         cfg: TapestryConfig,
         space: Box<dyn MetricSpace>,
         seed: u64,
         n0: usize,
-        threads: usize,
         stage: &mut dyn FnMut(BootstrapStage),
     ) -> Self {
         assert!(n0 >= 1, "need at least one bootstrap node");
         let mut net = Self::empty(cfg, space, seed);
-        net.set_threads(threads);
         let initial: Vec<NodeIdx> = (0..n0.min(net.ids.len())).collect();
         net.static_populate(&initial, stage);
         net
-    }
-
-    /// Set the worker-thread count for the bootstrap fan-out and the
-    /// Property 1/2 invariant sweeps (clamped to ≥ 1). The event drain
-    /// is sequential whatever this says. Behaviour stays bit-identical
-    /// at every setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Worker threads in force.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     fn empty(cfg: TapestryConfig, space: Box<dyn MetricSpace>, seed: u64) -> Self {
@@ -259,7 +204,6 @@ impl TapestryNetwork {
             cfg,
             ids,
             members: Vec::new(),
-            threads: 1,
             rng,
             seed,
             locate_hook: None,
@@ -315,19 +259,8 @@ impl TapestryNetwork {
     /// still shared at that level, times the groups of their family (at
     /// most `base`); past the first `log_b n` levels that is a handful
     /// of members, and the loop ends at the first level nobody shares.
-    ///
-    /// The per-(prefix, digit) group queries within one level have no
-    /// data dependency on each other (the paper's level-by-level
-    /// construction), so index builds and slot queries fan out across
-    /// `threads` scoped workers. Determinism is pinned by construction:
-    /// each worker owns a contiguous chunk of the visits (ascending node
-    /// index), chunk results are concatenated in chunk order (= the
-    /// sequential query order), and the collected fills are applied to
-    /// the tables sequentially — so the fill order, and therefore every
-    /// slot's contents, is byte-identical at any thread count.
     fn populate_tables(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         let cap = self.cfg.redundancy;
-        let threads = self.threads;
         let runs = PrefixRuns::new(&self.ids, members);
         let levels: Vec<Level> =
             (0..self.cfg.levels()).map(|l| runs.level(l)).take_while(|lv| !lv.is_empty()).collect();
@@ -352,25 +285,22 @@ impl TapestryNetwork {
         }
         drop(room);
         for (l, level) in levels.iter().enumerate() {
-            let indexes = group_indexes(self.engine.metric(), &runs, level, threads);
+            let indexes = group_indexes(self.engine.metric(), &runs, level);
             let ids = &self.ids;
-            let fills: Vec<Fill> = fan_out_chunks(threads, &level.visits, |ch| {
-                let mut out = Vec::new();
-                let mut closest = Vec::new();
-                for visit in ch {
-                    let (node, own) = (idx32(visit.node), ids[visit.node].digit(l));
-                    for (g, digit) in level.family(visit) {
-                        let want = cap - usize::from(digit == own);
-                        indexes[g].closest_k_into(visit.node, want, &mut closest);
-                        out.extend(closest.iter().map(|&(member, dist)| Fill {
-                            dist,
-                            node,
-                            member: idx32(member),
-                        }));
-                    }
+            let mut fills: Vec<Fill> = Vec::new();
+            let mut closest = Vec::new();
+            for visit in &level.visits {
+                let (node, own) = (idx32(visit.node), ids[visit.node].digit(l));
+                for (g, digit) in level.family(visit) {
+                    let want = cap - usize::from(digit == own);
+                    indexes[g].closest_k_into(visit.node, want, &mut closest);
+                    fills.extend(closest.iter().map(|&(member, dist)| Fill {
+                        dist,
+                        node,
+                        member: idx32(member),
+                    }));
                 }
-                out
-            });
+            }
             drop(indexes);
             stage(BootstrapStage::LevelQueried(l));
             // A node's fills arrive slot by slot, digits ascending, so each
@@ -948,24 +878,16 @@ impl TapestryNetwork {
             if level.is_empty() {
                 break;
             }
-            // The per-member slot scan is read-only and independent per
-            // member: fan out over contiguous chunks, concatenate in
-            // chunk order (the final sort+dedup canonicalizes anyway).
-            let (engine, ids, level) = (&self.engine, &self.ids, &level);
-            bad.extend(fan_out_chunks(self.threads, &level.visits, move |ch| {
-                let mut out = Vec::new();
-                for visit in ch {
-                    let a = visit.node;
-                    let Some(node) = engine.node(a) else { continue };
-                    let own = ids[a].digit(l);
-                    for (_, j) in level.family(visit) {
-                        if j != own && node.table().slot(l, j).is_empty() {
-                            out.push((a, l, j));
-                        }
+            for visit in &level.visits {
+                let a = visit.node;
+                let Some(node) = self.engine.node(a) else { continue };
+                let own = self.ids[a].digit(l);
+                for (_, j) in level.family(visit) {
+                    if j != own && node.table().slot(l, j).is_empty() {
+                        bad.push((a, l, j));
                     }
                 }
-                out
-            }));
+            }
         }
         bad.sort_unstable();
         bad.dedup();
@@ -995,36 +917,26 @@ impl TapestryNetwork {
             if level.is_empty() {
                 break;
             }
-            let indexes = group_indexes(metric, &runs, &level, self.threads);
-            // Independent read-only per-member queries: fan out, then sum
-            // the per-chunk tallies (integer sums are order-free).
-            let (engine, ids, level, indexes) = (&self.engine, &self.ids, &level, &indexes);
-            for (o, t) in fan_out_chunks(self.threads, &level.visits, move |ch| {
-                let (mut opt, mut tot) = (0usize, 0usize);
-                for visit in ch {
-                    let a = visit.node;
-                    let Some(node) = engine.node(a) else { continue };
-                    let own = ids[a].digit(l);
-                    for (g, j) in level.family(visit) {
-                        if j == own {
-                            continue; // the owner's slot; never counted
-                        }
-                        let Some(primary) = node.table().slot(l, j).primary(None) else { continue };
-                        if primary.idx == a {
-                            continue; // self entry
-                        }
-                        let Some((_, db)) = indexes[g].nearest(a) else { continue };
-                        tot += 1;
-                        let dp = metric.distance(a, primary.idx);
-                        if dp <= db + 1e-9 {
-                            opt += 1;
-                        }
+            let indexes = group_indexes(metric, &runs, &level);
+            for visit in &level.visits {
+                let a = visit.node;
+                let Some(node) = self.engine.node(a) else { continue };
+                let own = self.ids[a].digit(l);
+                for (g, j) in level.family(visit) {
+                    if j == own {
+                        continue; // the owner's slot; never counted
+                    }
+                    let Some(primary) = node.table().slot(l, j).primary(None) else { continue };
+                    if primary.idx == a {
+                        continue; // self entry
+                    }
+                    let Some((_, db)) = indexes[g].nearest(a) else { continue };
+                    total += 1;
+                    let dp = metric.distance(a, primary.idx);
+                    if dp <= db + 1e-9 {
+                        optimal += 1;
                     }
                 }
-                vec![(opt, tot)]
-            }) {
-                optimal += o;
-                total += t;
             }
         }
         #[cfg(debug_assertions)]

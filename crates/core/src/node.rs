@@ -388,16 +388,6 @@ impl Actor for TapestryNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, timer: Timer) {
         match timer {
             Timer::Republish(guid) => self.on_republish_timer(ctx, guid),
-            Timer::ExpirySweep => {
-                // Expired pointers for objects stored *here* are
-                // soft-state losses we can heal: queue a republish.
-                for guid in self.store.sweep_expired(ctx.now) {
-                    if self.store.has_local(guid) {
-                        let task = RepairTask::Republish { guid };
-                        self.record_fact(ctx, FactKind::ExpiredPointer, task);
-                    }
-                }
-            }
             Timer::Heartbeat => self.on_heartbeat_timer(ctx),
             Timer::InsertLevelTimeout { op, level } => self.on_insert_timeout(ctx, op, level),
             Timer::ProbeDeadline { nonce } => self.on_probe_deadline(ctx, nonce),

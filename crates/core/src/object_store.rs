@@ -118,22 +118,6 @@ impl ObjectStore {
         before - self.ptrs.len()
     }
 
-    /// Like [`ObjectStore::sweep`], but returns the GUIDs that lost at
-    /// least one pointer, in GUID order. The incremental-repair path
-    /// turns expired pointers for locally stored replicas into republish
-    /// facts instead of waiting for a round.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Vec<Guid> {
-        let mut out = Vec::new();
-        self.ptrs.retain(|&(g, e)| {
-            let live = e.expires > now;
-            if !live && out.last() != Some(&g) {
-                out.push(g);
-            }
-            live
-        });
-        out
-    }
-
     /// GUIDs for which this node currently believes it is the root, in
     /// GUID order.
     pub fn rooted_guids(&self, now: SimTime) -> Vec<Guid> {
@@ -227,17 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_expired_names_the_guids() {
-        let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
-        st.deposit(g(2), entry(11, 500, true));
-        st.deposit(g(2), entry(12, 150, false));
-        assert_eq!(st.sweep_expired(SimTime(200)), vec![g(1), g(2)], "both lost a pointer");
-        assert_eq!(st.ptr_count(), 1, "g(2)'s live pointer survives");
-        assert!(st.sweep_expired(SimTime(200)).is_empty(), "nothing left to lapse");
-    }
-
-    #[test]
     fn remove_clears_empty_guid_rows() {
         let mut st = ObjectStore::new();
         st.deposit(g(1), entry(10, 100, false));
@@ -314,19 +287,6 @@ mod tests {
             dropped
         }
 
-        fn sweep_expired(&mut self, now: SimTime) -> Vec<Guid> {
-            let mut out = Vec::new();
-            self.ptrs.retain(|&g, v| {
-                let before = v.len();
-                v.retain(|e| e.expires > now);
-                if v.len() < before {
-                    out.push(g);
-                }
-                !v.is_empty()
-            });
-            out
-        }
-
         fn rooted_guids(&self, now: SimTime) -> Vec<Guid> {
             self.ptrs
                 .iter()
@@ -363,14 +323,9 @@ mod tests {
                         want.deposit(guid, e);
                     }
                     5 => assert_eq!(got.remove(guid, server), want.remove(guid, server), "{at}"),
-                    6 => {
+                    6..=7 => {
                         now += rng.gen_range(0..25u64);
                         assert_eq!(got.sweep(SimTime(now)), want.sweep(SimTime(now)), "{at}");
-                    }
-                    7 => {
-                        now += rng.gen_range(0..25u64);
-                        let lost = got.sweep_expired(SimTime(now));
-                        assert_eq!(lost, want.sweep_expired(SimTime(now)), "{at}");
                     }
                     8 => {
                         // `on_transfer_ack`'s demotion, through both.

@@ -20,7 +20,6 @@ use crate::messages::{Msg, Timer};
 use crate::node::TapestryNode;
 use crate::refs::NodeRef;
 use std::collections::{BTreeSet, VecDeque};
-use tapestry_id::Guid;
 use tapestry_sim::{Ctx, NodeIdx, SimTime, TraceRecord};
 use tapestry_trace::{metrics, TraceId};
 
@@ -64,9 +63,6 @@ pub(crate) enum FactKind {
     /// Repairs by re-introducing the insertee to the deferred subtree's
     /// representative directly.
     DeferredBranch,
-    /// A soft-state object pointer lapsed (§2.2). Repairs by
-    /// republishing the local replica along the current mesh.
-    ExpiredPointer,
 }
 
 /// One "maintenance second" of simulated time: 1000 distance units at
@@ -177,8 +173,6 @@ pub(crate) enum RepairTask {
     /// from the table (it is alive, but no longer on our paths — §4.2
     /// redistribution, deferred to the budget).
     ReRoute { peer: NodeIdx },
-    /// Republish a locally stored replica whose soft-state pointer lapsed.
-    Republish { guid: Guid },
     /// Heal a fan-out-deferred multicast branch: introduce the insertee
     /// and the deferred subtree's representative to each other.
     Reintroduce { rep: NodeRef, insertee: NodeRef, level: usize },
@@ -201,7 +195,6 @@ impl TapestryNode {
             FactKind::LateProbeAck => metrics::REPAIR_FACT_LATE_ACK,
             FactKind::Eviction => metrics::REPAIR_FACT_EVICTION,
             FactKind::DeferredBranch => metrics::REPAIR_FACT_DEFERRED_BRANCH,
-            FactKind::ExpiredPointer => metrics::REPAIR_FACT_EXPIRED_POINTER,
         };
         by_kind.inc(ctx);
         self.schedule_task(ctx, task);
@@ -251,7 +244,6 @@ impl TapestryNode {
             let to = match &task {
                 RepairTask::RemoveDead { peer } | RepairTask::ReRoute { peer } => *peer,
                 RepairTask::SlotRequery { dead, .. } => *dead,
-                RepairTask::Republish { .. } => self.me.idx,
                 RepairTask::Reintroduce { rep, .. } => rep.idx,
                 RepairTask::Readmit { peer } => peer.idx,
             };
@@ -277,12 +269,6 @@ impl TapestryNode {
                 if !self.table.contains(peer) {
                     metrics::REPAIR_REROUTED.inc(ctx);
                     self.optimize_pointers_after_change(ctx, peer);
-                }
-            }
-            RepairTask::Republish { guid } => {
-                if self.store.has_local(guid) {
-                    metrics::REPAIR_REPUBLISHED.inc(ctx);
-                    self.publish_now(ctx, guid);
                 }
             }
             RepairTask::Reintroduce { rep, insertee, level } => {

@@ -127,7 +127,7 @@ impl TapestryNode {
                     .lookup(guid, ctx.now)
                     // store.lookup yields entries in deterministic store
                     // order and min_by keeps the first of equals, so ties
-                    // resolve identically on every run/thread count.
+                    // resolve identically on every run.
                     // tapestry-lint: allow(float-tiebreak)
                     .min_by(|a, b| {
                         ctx.distance_to(a.server.idx)

@@ -178,51 +178,6 @@ fn snapshot_space_is_logarithmic_per_node() {
     );
 }
 
-/// The parallel bootstrap must produce tables bit-identical to the
-/// sequential one: every slot of every node, including entry order and
-/// exact distances, plus the invariant sweeps (which themselves fan out
-/// when threads > 1). This pins the deterministic-fill-order contract of
-/// the `std::thread::scope` fan-out in `populate_tables`.
-#[test]
-fn parallel_bootstrap_is_bit_identical_to_sequential() {
-    let n = 300;
-    let seed = 77;
-    let seq = net(n, seed);
-    for threads in [2, 4, 7] {
-        let space = TorusSpace::random(n, 1000.0, seed);
-        let par = TapestryNetwork::build_threaded(
-            TapestryConfig::default(),
-            Box::new(space),
-            seed,
-            threads,
-        );
-        assert_eq!(par.threads(), threads);
-        for i in 0..n {
-            let a = seq.node(i).expect("seq node");
-            let b = par.node(i).expect("par node");
-            for l in 0..seq.config().levels() {
-                for j in 0..seq.config().base() as u8 {
-                    let sa: Vec<(usize, u64)> = a
-                        .table()
-                        .slot(l, j)
-                        .iter_with_dist()
-                        .map(|(r, d)| (r.idx, d.to_bits()))
-                        .collect();
-                    let sb: Vec<(usize, u64)> = b
-                        .table()
-                        .slot(l, j)
-                        .iter_with_dist()
-                        .map(|(r, d)| (r.idx, d.to_bits()))
-                        .collect();
-                    assert_eq!(sa, sb, "threads={threads} node {i} slot ({l},{j}) diverged");
-                }
-            }
-        }
-        assert_eq!(seq.check_property1(), par.check_property1(), "threads={threads}");
-        assert_eq!(seq.check_property2(), par.check_property2(), "threads={threads}");
-    }
-}
-
 /// §2.1 pairs every forward pointer with a backpointer: node `b`'s
 /// backpointers must be exactly the nodes whose tables reference `b`.
 fn assert_backpointers_invert_tables(net: &TapestryNetwork, when: &str) {
@@ -238,38 +193,28 @@ fn assert_backpointers_invert_tables(net: &TapestryNetwork, when: &str) {
     }
 }
 
-/// The bulk-built backpointers are the inverse of the tables at any
-/// bootstrap worker count, in whatever profile this runs in — and the
-/// dynamic protocol, which keeps the same relation one message at a time,
-/// picks the bulk-built state up without a seam: one join and one
-/// voluntary departure later it still holds.
+/// The bulk-built backpointers are the inverse of the tables, in
+/// whatever profile this runs in — and the dynamic protocol, which keeps
+/// the same relation one message at a time, picks the bulk-built state up
+/// without a seam: one join and one voluntary departure later it still
+/// holds.
 #[test]
 fn backpointers_invert_forward_pointers_through_join_and_leave() {
     for name in ["torus", "ring"] {
         // One point more than the bootstrap takes, for the join.
-        let space = || -> Box<dyn MetricSpace> {
-            match name {
-                "torus" => Box::new(TorusSpace::random(301, 1000.0, 41)),
-                _ => Box::new(RingSpace::random(257, 5000.0, 42)),
-            }
+        let space: Box<dyn MetricSpace> = match name {
+            "torus" => Box::new(TorusSpace::random(301, 1000.0, 41)),
+            _ => Box::new(RingSpace::random(257, 5000.0, 42)),
         };
-        for threads in [1, 2, 4] {
-            let n0 = space().len() - 1;
-            let mut net = TapestryNetwork::bootstrap_threaded(
-                TapestryConfig::default(),
-                space(),
-                7,
-                n0,
-                threads,
-            );
-            let when = |what: &str| format!("{name}, {threads} workers, {what}");
-            assert_eq!(net.len(), n0);
-            assert_backpointers_invert_tables(&net, &when("after bootstrap"));
-            assert!(net.insert_node(n0), "dynamic join completes");
-            assert_backpointers_invert_tables(&net, &when("after a join"));
-            assert!(net.leave(n0 / 2), "voluntary departure completes");
-            assert_backpointers_invert_tables(&net, &when("after a leave"));
-        }
+        let n0 = space.len() - 1;
+        let mut net = TapestryNetwork::bootstrap(TapestryConfig::default(), space, 7, n0);
+        let when = |what: &str| format!("{name}, {what}");
+        assert_eq!(net.len(), n0);
+        assert_backpointers_invert_tables(&net, &when("after bootstrap"));
+        assert!(net.insert_node(n0), "dynamic join completes");
+        assert_backpointers_invert_tables(&net, &when("after a join"));
+        assert!(net.leave(n0 / 2), "voluntary departure completes");
+        assert_backpointers_invert_tables(&net, &when("after a leave"));
     }
 }
 

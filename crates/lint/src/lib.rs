@@ -1,7 +1,7 @@
 //! # tapestry-lint — determinism-hazard scanner for the workspace
 //!
 //! Every scaling PR since the sharded engine is gated on byte-identical
-//! reports across thread counts, but that gate is post-hoc: CI
+//! reports across runs, but that gate is post-hoc: CI
 //! byte-compares whole report files and, on divergence, says nothing
 //! about *which* code path introduced ordering nondeterminism. This
 //! crate localizes the hazards at the source level, the way the paper's

@@ -181,42 +181,6 @@ fn write_agg(w: &mut JsonWriter, a: &Agg) {
     w.close_obj();
 }
 
-/// Audit the threads axis: cells identical except for their thread count
-/// must report byte-identical deterministic metrics for every seed —
-/// the sweep-shaped restatement of the workspace's determinism gate
-/// (`spec.threads` may change wall-clock, never results).
-pub fn audit_threads_determinism(result: &SweepResult) -> Result<(), String> {
-    let mut by_identity: BTreeMap<String, (&crate::run::CellResult, String)> = BTreeMap::new();
-    for c in &result.cells {
-        let identity = c.cell.key_without_threads();
-        match by_identity.get(&identity) {
-            None => {
-                by_identity.insert(identity, (c, c.cell.key()));
-            }
-            Some((first, first_key)) => {
-                for (a, b) in first.runs.iter().zip(&c.runs) {
-                    if a.seed != b.seed || a.det != b.det {
-                        let metric = a
-                            .det
-                            .iter()
-                            .find(|(k, v)| b.det.get(*k) != Some(v))
-                            .map(|(k, _)| k.as_str())
-                            .unwrap_or("<metric set>");
-                        return Err(format!(
-                            "threads-determinism violation: cells '{}' and '{}' disagree on \
-                             deterministic metric '{metric}' at seed {}",
-                            first_key,
-                            c.cell.key(),
-                            a.seed,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,14 +188,13 @@ mod tests {
     use crate::run::{CellResult, RunMetrics, SweepResult};
     use tapestry_workload::SweepKnobs;
 
-    fn cell(threads: usize) -> CellSpec {
+    fn cell() -> CellSpec {
         CellSpec {
             grid: "g".into(),
             preset: "steady-zipf".into(),
             nodes: 16,
             ops: 40,
             space: None,
-            threads,
             knobs: SweepKnobs::default(),
         }
     }
@@ -253,7 +216,7 @@ mod tests {
                 s
             },
             cells: vec![CellResult {
-                cell: cell(1),
+                cell: cell(),
                 runs: run_order.iter().map(|&(s, v)| metrics(s, v)).collect(),
             }],
         }
@@ -298,38 +261,16 @@ mod tests {
         let agg = aggregate(&fixture(&[(1, 2.0), (2, 4.0)]));
         let csv = agg.to_csv(false);
         assert!(csv.starts_with("cell,metric,n,mean,sd,ci95,min,max\n"));
-        assert!(csv.contains("g/n16/t1,events,2,3.000,"));
+        assert!(csv.contains("g/n16,events,2,3.000,"));
     }
 
     #[test]
     fn markdown_renders_mean_plus_minus_ci() {
         let agg = aggregate(&fixture(&[(1, 2.0), (2, 4.0)]));
         let md = agg.to_markdown();
-        assert!(md.contains("| `g/n16/t1` |"));
+        assert!(md.contains("| `g/n16` |"));
         assert!(md.contains("3.000 ± "), "events column renders mean ± ci95: {md}");
         assert!(md.contains(" — |"), "absent metrics render as a dash");
-    }
-
-    #[test]
-    fn threads_audit_passes_identical_and_catches_divergence() {
-        let mk = |t: usize, v: f64| CellResult {
-            cell: cell(t),
-            runs: vec![metrics(1, v), metrics(2, v + 1.0)],
-        };
-        let ok = SweepResult {
-            name: "a".into(),
-            seeds: vec![1, 2],
-            cells: vec![mk(1, 10.0), mk(4, 10.0)],
-        };
-        assert!(audit_threads_determinism(&ok).is_ok());
-        let bad = SweepResult {
-            name: "a".into(),
-            seeds: vec![1, 2],
-            cells: vec![mk(1, 10.0), mk(4, 11.0)],
-        };
-        let err = audit_threads_determinism(&bad).unwrap_err();
-        assert!(err.contains("threads-determinism violation"), "{err}");
-        assert!(err.contains("'events'"), "names the diverging metric: {err}");
     }
 
     #[test]

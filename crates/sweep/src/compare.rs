@@ -55,8 +55,8 @@ pub struct CompareReport {
 
 impl CompareReport {
     /// The process exit code contract: 0 pass, 1 regression, 3 missing
-    /// cell/metric (2 is reserved for usage/IO errors, 4 for
-    /// threads-determinism violations — both decided by the driver).
+    /// cell/metric (2 is reserved for usage/IO errors, decided by the
+    /// driver).
     pub fn exit_code(&self) -> i32 {
         match self.status {
             CompareStatus::Pass => 0,

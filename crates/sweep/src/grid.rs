@@ -13,13 +13,11 @@
 //! preset steady-zipf
 //! nodes 256
 //! ops 500
-//! threads 1 4
 //!
 //! grid churn-scale-1k
 //! preset churn-scale
 //! nodes 1000
 //! ops 2000
-//! threads 1 4
 //! budget default 4
 //!
 //! gate join_msgs_mean max_ratio 1.5
@@ -64,9 +62,6 @@ pub struct GridSpec {
     pub nodes: Vec<usize>,
     /// Substrate axis (`None` = preset default).
     pub spaces: Vec<Option<ScaleSpace>>,
-    /// Worker-thread axis (the determinism axis: cells differing only
-    /// here must report identical deterministic metrics).
-    pub threads: Vec<usize>,
     /// Identifier-radix axis.
     pub bases: Vec<Option<u8>>,
     /// Acknowledged-multicast fan-out axis (`0` = unbounded).
@@ -87,7 +82,6 @@ impl GridSpec {
             ops: 0,
             nodes: Vec::new(),
             spaces: vec![None],
-            threads: vec![1],
             bases: vec![None],
             fanouts: vec![None],
             windows: vec![None],
@@ -97,7 +91,7 @@ impl GridSpec {
     }
 
     /// Expand the cross-product of every axis into cells, in a fixed
-    /// nesting order (nodes outermost, threads innermost) so cell order —
+    /// nesting order (nodes outermost, batching innermost) so cell order —
     /// and therefore every emitted artifact — is independent of how the
     /// runs are later scheduled.
     pub fn expand(&self) -> Vec<CellSpec> {
@@ -109,23 +103,20 @@ impl GridSpec {
                         for &window in &self.windows {
                             for &budget in &self.budgets {
                                 for &batch in &self.batched {
-                                    for &threads in &self.threads {
-                                        cells.push(CellSpec {
-                                            grid: self.name.clone(),
-                                            preset: self.preset.clone(),
-                                            nodes,
-                                            ops: self.ops,
-                                            space,
-                                            threads,
-                                            knobs: SweepKnobs {
-                                                base,
-                                                multicast_fanout: fanout,
-                                                coalesce_window: window,
-                                                repair_budget: budget,
-                                                batched: batch,
-                                            },
-                                        });
-                                    }
+                                    cells.push(CellSpec {
+                                        grid: self.name.clone(),
+                                        preset: self.preset.clone(),
+                                        nodes,
+                                        ops: self.ops,
+                                        space,
+                                        knobs: SweepKnobs {
+                                            base,
+                                            multicast_fanout: fanout,
+                                            coalesce_window: window,
+                                            repair_budget: budget,
+                                            batched: batch,
+                                        },
+                                    });
                                 }
                             }
                         }
@@ -151,24 +142,15 @@ pub struct CellSpec {
     pub ops: u64,
     /// Substrate override.
     pub space: Option<ScaleSpace>,
-    /// Worker threads inside the run (never affects deterministic
-    /// metrics).
-    pub threads: usize,
     /// Config knobs.
     pub knobs: SweepKnobs,
 }
 
 impl CellSpec {
-    /// The canonical cell key: grid, node count, non-default knobs, and
-    /// the thread count last. Aggregate artifacts are keyed by this
-    /// string, so it encodes every axis that can distinguish two cells.
+    /// The canonical cell key: grid, node count and non-default knobs.
+    /// Aggregate artifacts are keyed by this string, so it encodes every
+    /// axis that can distinguish two cells.
     pub fn key(&self) -> String {
-        format!("{}/t{}", self.key_without_threads(), self.threads)
-    }
-
-    /// [`CellSpec::key`] minus the thread component — the identity under
-    /// which deterministic metrics must agree across the threads axis.
-    pub fn key_without_threads(&self) -> String {
         let mut k = format!("{}/n{}", self.grid, self.nodes);
         if let Some(s) = self.space {
             k.push_str(match s {
@@ -197,16 +179,8 @@ impl CellSpec {
 
     /// Instantiate the cell for one seed.
     pub fn build(&self, seed: u64) -> Result<ScenarioSpec, String> {
-        sweep_preset(
-            &self.preset,
-            self.nodes,
-            self.ops,
-            seed,
-            self.space,
-            self.threads,
-            &self.knobs,
-        )
-        .map_err(|e| format!("cell {}: {e}", self.key()))
+        sweep_preset(&self.preset, self.nodes, self.ops, seed, self.space, &self.knobs)
+            .map_err(|e| format!("cell {}: {e}", self.key()))
     }
 }
 
@@ -407,12 +381,6 @@ fn apply_grid_key(g: &mut GridSpec, key: &str, vals: &[&str]) -> Result<(), Stri
                 s.parse::<usize>().map_err(|_| format!("'{s}' is not a node count"))
             })?;
         }
-        "threads" => {
-            g.threads = parse_list(vals, "thread count", |s| match s.parse::<usize>() {
-                Ok(t) if t >= 1 => Ok(t),
-                _ => Err(format!("'{s}' is not a thread count ≥ 1")),
-            })?;
-        }
         "space" => {
             g.spaces = parse_axis(vals, "space", |s| {
                 ScaleSpace::parse(s).ok_or_else(|| format!("unknown space '{s}'"))
@@ -512,13 +480,12 @@ grid tiny
 preset steady-zipf
 nodes 16 32
 ops 40
-threads 1 2
+fanout default 2
 
 grid churny
 preset churn-scale
 nodes 64
 ops 100
-threads 1
 budget default 4
 
 gate join_msgs_mean max_ratio 1.5 cell churny
@@ -534,13 +501,12 @@ gate wall.events_per_sec min_abs 1000
         assert_eq!(s.default_workers, Some(2));
         assert_eq!(s.grids.len(), 2);
         let cells = s.cells();
-        // tiny: 2 nodes × 2 threads; churny: 1 × 2 budgets.
+        // tiny: 2 nodes × 2 fan-outs; churny: 1 × 2 budgets.
         assert_eq!(cells.len(), 6);
-        assert_eq!(cells[0].key(), "tiny/n16/t1");
-        assert_eq!(cells[3].key(), "tiny/n32/t2");
-        assert_eq!(cells[4].key(), "churny/n64/t1");
-        assert_eq!(cells[5].key(), "churny/n64/budget=4/t1");
-        assert_eq!(cells[5].key_without_threads(), "churny/n64/budget=4");
+        assert_eq!(cells[0].key(), "tiny/n16");
+        assert_eq!(cells[3].key(), "tiny/n32/fanout=2");
+        assert_eq!(cells[4].key(), "churny/n64");
+        assert_eq!(cells[5].key(), "churny/n64/budget=4");
         assert_eq!(s.gates.len(), 3);
         assert_eq!(s.gates[0].cell_filter.as_deref(), Some("churny"));
         assert_eq!(s.gates[1].abs_slack, 0.5);
@@ -625,16 +591,21 @@ gate wall.events_per_sec min_abs 1000
             err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
             "grid 'g' is missing an `ops` line"
         );
-        // There is one maintenance behaviour, so no axis selects it.
+        // There is one maintenance behaviour and one worker per run, so
+        // no axis selects either.
         assert_eq!(
             err("name x\nseeds 1\ngrid g\npreset churn-scale\nnodes 64\nops 10\nmaintenance incremental"),
             "line 7: unknown key 'maintenance'"
+        );
+        assert_eq!(
+            err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8\nops 10\nthreads 1"),
+            "line 7: unknown key 'threads'"
         );
     }
 
     /// Spec keys and values for the never-panic property: every key, an
     /// unknown one, valid and invalid values, and comment noise.
-    const KEYS: &str = "name seeds workers grid preset ops nodes threads space base fanout \
+    const KEYS: &str = "name seeds workers grid preset ops nodes space base fanout \
                         window budget batched gate bogus #";
     const VALUES: &str = "x 0 1 2 16 -1 1.5 inf NaN 18446744073709551615 default steady-zipf \
                           churn-scale torus incremental on max_ratio min_abs abs_slack cell \

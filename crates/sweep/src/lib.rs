@@ -7,7 +7,7 @@
 //!
 //! * [`grid`] — a plain-text sweep spec: seed set × node counts ×
 //!   substrates × config knobs (radix, multicast fan-out, coalescing
-//!   window, repair budget, join batching, threads), expanded into
+//!   window, repair budget, join batching), expanded into
 //!   independent cells, plus the regression gates `--compare` enforces;
 //! * [`pool`] — scoped-thread fan-out of whole runs across cores. Each
 //!   run is the existing deterministic single-run path
@@ -18,8 +18,7 @@
 //!   (artifact-only);
 //! * [`stats`] / [`agg`] — mean / stddev / 95% CI (Student-t) per cell
 //!   over seeds, with deterministic JSON/CSV/markdown emitters written
-//!   through `tapestry_trace::json` (the workspace's one JSON writer),
-//!   and the threads-axis determinism audit;
+//!   through `tapestry_trace::json` (the workspace's one JSON writer);
 //! * [`compare`] — the gate engine that reads a committed baseline back
 //!   with `tapestry_trace::json::Json` and folds every check into one CI
 //!   exit status (0 pass, 1 regression, 3 missing cell).
@@ -54,7 +53,7 @@ pub mod pool;
 pub mod run;
 pub mod stats;
 
-pub use agg::{aggregate, audit_threads_determinism, CellAgg, SweepAgg};
+pub use agg::{aggregate, CellAgg, SweepAgg};
 pub use compare::{compare, CompareReport, CompareStatus};
 pub use grid::{CellSpec, Gate, GateKind, GridSpec, SweepSpec};
 pub use pool::run_parallel;

@@ -17,7 +17,7 @@ pub struct RunMetrics {
     /// The run's seed.
     pub seed: u64,
     /// Deterministic metrics: a function of the spec alone, byte-stable
-    /// across reruns, worker counts and thread counts.
+    /// across reruns and worker counts.
     pub det: BTreeMap<String, f64>,
     /// Machine-dependent wall-clock metrics.
     pub wall: BTreeMap<String, f64>,
@@ -169,7 +169,7 @@ mod tests {
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::parse(
-            "name tiny\nseeds 7 11\n\ngrid t\npreset steady-zipf\nnodes 16\nops 40\nthreads 1 2\n",
+            "name tiny\nseeds 7 11\n\ngrid t\npreset steady-zipf\nnodes 16\nops 40\nfanout default 2\n",
         )
         .unwrap()
     }
@@ -192,18 +192,6 @@ mod tests {
         assert_eq!(one.cells[0].runs.len(), 2);
         assert_eq!(one.cells[0].runs[0].seed, 7);
         assert_eq!(one.cells[0].runs[1].seed, 11);
-    }
-
-    #[test]
-    fn threads_axis_does_not_change_deterministic_metrics() {
-        let spec = tiny_spec();
-        let r = run_sweep(&spec, 2).unwrap();
-        let t1 = &r.cells[0];
-        let t2 = &r.cells[1];
-        assert_eq!(t1.cell.key_without_threads(), t2.cell.key_without_threads());
-        for (a, b) in t1.runs.iter().zip(&t2.runs) {
-            assert_eq!(a.det, b.det, "threads={} vs {}", t1.cell.threads, t2.cell.threads);
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!    message path so sampled locate/join/repair operations emit one
 //!    [`tapestry_sim::TraceRecord`] per forward into the engine's bounded
 //!    collector. Everything is keyed by **sim time**, so traces are
-//!    byte-identical at every thread count.
+//!    byte-identical across runs of the same spec.
 //! 2. **Typed metrics registry** — every counter and histogram the system
 //!    emits is declared once in [`metrics`], with its one namespaced
 //!    name, its kind and a help string. Handlers bump through the typed

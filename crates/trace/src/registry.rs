@@ -298,8 +298,6 @@ pub mod metrics {
             "Repair tasks deferred by the per-node budget";
         Counter REPAIR_REROUTED: "repair.rerouted",
             "Pointers re-routed around dead servers";
-        Counter REPAIR_REPUBLISHED: "repair.republished",
-            "Objects republished by targeted repair";
         Counter REPAIR_REINTRODUCED: "repair.reintroduced",
             "Insertees reintroduced after a deferred multicast branch";
         Counter REPAIR_READMITTED: "repair.readmitted",
@@ -318,8 +316,6 @@ pub mod metrics {
             "Facts from table evictions";
         Counter REPAIR_FACT_DEFERRED_BRANCH: "repair.fact.deferred_branch",
             "Facts from deferred multicast branches";
-        Counter REPAIR_FACT_EXPIRED_POINTER: "repair.fact.expired_pointer",
-            "Facts from expired object pointers";
     }
 }
 
@@ -379,7 +375,7 @@ mod tests {
         assert_eq!(metrics::LOCATE_HOPS.read(&stats).map(|h| h.count()), Some(1));
         // Below and above the touched slots alike.
         assert_eq!(metrics::ROUTE_HOPS.read(&stats), 0);
-        assert_eq!(metrics::REPAIR_FACT_EXPIRED_POINTER.read(&stats), 0);
+        assert_eq!(metrics::REPAIR_FACT_DEFERRED_BRANCH.read(&stats), 0);
         assert!(metrics::LOCATE_LATENCY_UNITS.read(&stats).is_none());
         for c in metrics::counters().filter(|c| c.name() != metrics::JOIN_MESSAGES.name()) {
             assert_eq!(c.read(&stats), 0, "{} moved with another counter", c.name());

@@ -6,8 +6,8 @@
 //! [`SeriesSample`] carrying the **deltas** of the cumulative counters
 //! over the elapsed window and the **instantaneous** levels (live nodes,
 //! queue depths, repair backlog). Every input is a deterministic function
-//! of sim time, so the series is byte-identical at every thread count —
-//! the same contract as the deterministic reports.
+//! of sim time, so the series is byte-identical across runs of the same
+//! spec — the same contract as the deterministic reports.
 
 use tapestry_sim::SimTime;
 

@@ -97,16 +97,8 @@ pub fn scale_stub_shape(nodes: usize) -> (usize, usize, usize) {
 /// The `scale` preset: the steady-zipf workload on a proportionally
 /// larger space, sized for 1k/4k/10k+ node throughput runs. Phase
 /// durations also stretch with the side so simulated latencies occupy
-/// the same fraction of a phase at every size. `threads` sets the
-/// worker-thread count for the bootstrap and invariant-sweep fan-out —
-/// the report is byte-identical at every value.
-pub fn scale_preset(
-    nodes: usize,
-    ops: u64,
-    seed: u64,
-    space: ScaleSpace,
-    threads: usize,
-) -> ScenarioSpec {
+/// the same fraction of a phase at every size.
+pub fn scale_preset(nodes: usize, ops: u64, seed: u64, space: ScaleSpace) -> ScenarioSpec {
     let side = scale_side(nodes);
     // Stretch phases so simulated latencies occupy the same fraction of
     // a phase at every size: with √n sides for the planar spaces, or the
@@ -124,7 +116,6 @@ pub fn scale_preset(
         .capacity(nodes)
         .initial_nodes(nodes)
         .objects(objects)
-        .threads(threads)
         .phase(
             PhaseSpec::new("warmup", d(15_000.0 * stretch))
                 .arrival(Arrival::Even { ops: ops / 5 })
@@ -160,20 +151,14 @@ fn churn_config() -> TapestryConfig {
 /// on the constant-density torus of the scale family, sized by the
 /// measured join cost (see [`churn_scale_joins`]). With `batched`, joins
 /// coalesce into shared multicast waves (`tapestry-membership`); without
-/// it the same schedule runs through the classic solo-join path — the
+/// it the same schedule runs as solo joins, each a wave of one — the
 /// side-by-side baseline the committed churn trajectory points report.
 ///
 /// The settle phase has no global `OptimizeAt` round: healing is the
 /// repair scheduler's job, and an O(n) sweep would mask whether the
 /// targeted repairs actually converge. Probe rounds stay — detection is
 /// beacon-based.
-pub fn churn_scale_preset(
-    nodes: usize,
-    ops: u64,
-    seed: u64,
-    threads: usize,
-    batched: bool,
-) -> ScenarioSpec {
+pub fn churn_scale_preset(nodes: usize, ops: u64, seed: u64, batched: bool) -> ScenarioSpec {
     let side = scale_side(nodes);
     let stretch = side / 1000.0;
     let joins = churn_scale_joins(nodes);
@@ -191,7 +176,6 @@ pub fn churn_scale_preset(
         .capacity(nodes + joins as usize)
         .initial_nodes(nodes)
         .objects((nodes / 2).max(8))
-        .threads(threads)
         .torus(side)
         .phase(
             PhaseSpec::new("warmup", d(15_000.0 * stretch))
@@ -272,16 +256,15 @@ pub fn sweep_preset(
     ops: u64,
     seed: u64,
     space: Option<ScaleSpace>,
-    threads: usize,
     knobs: &SweepKnobs,
 ) -> Result<ScenarioSpec, String> {
     let mut spec = match name {
-        "scale" => scale_preset(nodes, ops, seed, space.unwrap_or(ScaleSpace::Torus), threads),
+        "scale" => scale_preset(nodes, ops, seed, space.unwrap_or(ScaleSpace::Torus)),
         "churn-scale" => {
             if space.is_some_and(|s| s != ScaleSpace::Torus) {
                 return Err("churn-scale: only the torus substrate is supported".into());
             }
-            churn_scale_preset(nodes, ops, seed, threads, knobs.batched.unwrap_or(true))
+            churn_scale_preset(nodes, ops, seed, knobs.batched.unwrap_or(true))
         }
         _ => {
             if space.is_some() {
@@ -290,9 +273,7 @@ pub fn sweep_preset(
             if knobs.batched.is_some() {
                 return Err(format!("preset '{name}': `batched` applies to `churn-scale` only"));
             }
-            preset(name, nodes, ops, seed)
-                .ok_or_else(|| format!("unknown preset '{name}'"))?
-                .threads(threads)
+            preset(name, nodes, ops, seed).ok_or_else(|| format!("unknown preset '{name}'"))?
         }
     };
     if let Some(b) = knobs.base {
@@ -478,9 +459,8 @@ mod tests {
     fn scale_presets_validate_at_every_size() {
         for &n in SCALE_SIZES {
             for space in [ScaleSpace::Torus, ScaleSpace::Grid, ScaleSpace::TransitStub] {
-                let spec = scale_preset(n, 2000, 42, space, 4);
+                let spec = scale_preset(n, 2000, 42, space);
                 spec.validate().unwrap_or_else(|e| panic!("scale({n}, {space:?}): {e}"));
-                assert_eq!(spec.threads, 4);
                 if space == ScaleSpace::TransitStub {
                     // Realized size: the largest stub-shape multiple ≤ n.
                     assert!(spec.initial_nodes <= n && spec.initial_nodes > n - 32);
@@ -522,8 +502,8 @@ mod tests {
     fn sweep_preset_with_default_knobs_matches_the_named_preset() {
         let knobs = SweepKnobs::default();
         for &name in PRESET_NAMES {
-            let via_sweep = sweep_preset(name, 64, 500, 42, None, 2, &knobs).expect(name);
-            let direct = preset(name, 64, 500, 42).unwrap().threads(2);
+            let via_sweep = sweep_preset(name, 64, 500, 42, None, &knobs).expect(name);
+            let direct = preset(name, 64, 500, 42).unwrap();
             assert_eq!(via_sweep.name, direct.name);
             assert_eq!(via_sweep.cfg, direct.cfg);
             assert_eq!(via_sweep.seed, direct.seed);
@@ -531,14 +511,14 @@ mod tests {
         }
         // The scale/churn-scale families route through their dedicated
         // constructors (space and batched selection).
-        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), 1, &knobs).unwrap();
+        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), &knobs).unwrap();
         assert_eq!(s.name, "scale");
         assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));
-        let c = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &knobs).unwrap();
+        let c = sweep_preset("churn-scale", 1000, 500, 42, None, &knobs).unwrap();
         assert_eq!(c.name, "churn-scale");
         assert!(c.join_batch.is_some());
         let seq = SweepKnobs { batched: Some(false), ..Default::default() };
-        let c = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &seq).unwrap();
+        let c = sweep_preset("churn-scale", 1000, 500, 42, None, &seq).unwrap();
         assert_eq!(c.name, "churn-scale-seq");
         assert!(c.join_batch.is_none());
     }
@@ -552,45 +532,45 @@ mod tests {
             repair_budget: Some(3),
             batched: Some(true),
         };
-        let spec = sweep_preset("churn-scale", 1000, 500, 42, None, 1, &knobs).unwrap();
+        let spec = sweep_preset("churn-scale", 1000, 500, 42, None, &knobs).unwrap();
         assert_eq!(spec.cfg.space.base, 4);
         assert_eq!(spec.cfg.multicast_fanout, Some(8));
         assert_eq!(spec.join_batch.unwrap().window, SimTime::from_distance(1234.0));
         assert_eq!(spec.cfg.repairs_per_sec_per_node, 3);
         // Fan-out 0 means unbounded (config None).
         let unbounded = SweepKnobs { multicast_fanout: Some(0), ..Default::default() };
-        let spec = sweep_preset("steady-zipf", 64, 500, 42, None, 1, &unbounded).unwrap();
+        let spec = sweep_preset("steady-zipf", 64, 500, 42, None, &unbounded).unwrap();
         assert_eq!(spec.cfg.multicast_fanout, None);
     }
 
     #[test]
     fn sweep_preset_rejects_invalid_knob_combinations() {
         let k = SweepKnobs::default();
-        assert!(sweep_preset("nope", 64, 500, 42, None, 1, &k).is_err(), "unknown preset");
+        assert!(sweep_preset("nope", 64, 500, 42, None, &k).is_err(), "unknown preset");
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::Grid), 1, &k).is_err(),
+            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::Grid), &k).is_err(),
             "space axis is scale-only"
         );
         let b = SweepKnobs { batched: Some(true), ..Default::default() };
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, None, 1, &b).is_err(),
+            sweep_preset("steady-zipf", 64, 500, 42, None, &b).is_err(),
             "batched is churn-scale-only"
         );
         let w = SweepKnobs { coalesce_window: Some(500.0), ..Default::default() };
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, None, 1, &w).is_err(),
+            sweep_preset("steady-zipf", 64, 500, 42, None, &w).is_err(),
             "coalesce_window needs a batching preset"
         );
         let solo_w =
             SweepKnobs { batched: Some(false), coalesce_window: Some(500.0), ..Default::default() };
         assert!(
-            sweep_preset("churn-scale", 1000, 500, 42, None, 1, &solo_w).is_err(),
+            sweep_preset("churn-scale", 1000, 500, 42, None, &solo_w).is_err(),
             "coalesce_window needs batched joins"
         );
         let bad_base = SweepKnobs { base: Some(1), ..Default::default() };
-        let err = sweep_preset("steady-zipf", 64, 500, 42, None, 1, &bad_base).unwrap_err();
+        let err = sweep_preset("steady-zipf", 64, 500, 42, None, &bad_base).unwrap_err();
         assert!(err.starts_with("base: ") && err.contains("at least 2"), "radix 1: {err}");
         let widest = SweepKnobs { base: Some(255), ..Default::default() };
-        assert!(sweep_preset("steady-zipf", 64, 500, 42, None, 1, &widest).is_ok());
+        assert!(sweep_preset("steady-zipf", 64, 500, 42, None, &widest).is_ok());
     }
 }

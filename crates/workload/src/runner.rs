@@ -70,8 +70,7 @@ pub struct RunTotals {
 /// itself a regression assertion).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunTiming {
-    /// Seconds spent in the static bootstrap (`static_populate`) — the
-    /// phase the parallel table construction accelerates.
+    /// Seconds spent in the static bootstrap (`static_populate`).
     pub bootstrap_secs: f64,
     /// Seconds spent driving the scenario after bootstrap (catalog
     /// publication, phases, drains, invariant checks).
@@ -81,8 +80,8 @@ pub struct RunTiming {
 /// Deterministic observability output of one instrumented run: the trace
 /// collector (when `ScenarioSpec::trace_sample` > 0) and the time-series
 /// samples (when `ScenarioSpec::metrics_window` > 0). Everything here is
-/// keyed by sim time and byte-identical at every thread count, like the
-/// report itself.
+/// keyed by sim time and byte-identical across runs of the same spec,
+/// like the report itself.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// The bounded hop-trace collector, if tracing was on.
@@ -100,7 +99,7 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// The deterministic hop-trace artifact, when tracing was on — the
-    /// string CI byte-compares across thread counts.
+    /// string CI byte-compares across repeat runs.
     pub fn trace_json(&self) -> Option<String> {
         self.trace.as_ref().map(|buf| tapestry_trace::json::trace_json(buf, self.trace_sample))
     }
@@ -132,7 +131,7 @@ impl RunTiming {
 /// Run `spec` to completion and return its report.
 ///
 /// Deterministic: the same spec (including seed) produces a bit-identical
-/// report on the same platform — regardless of `spec.threads`.
+/// report on the same platform.
 pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
     run_instrumented(spec).map(|(report, ..)| report)
 }
@@ -151,13 +150,7 @@ pub fn run_instrumented(
     // Wall-clock here is observation only (RunTiming's bootstrap/drive
     // split); nothing simulated reads it.
     let t0 = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
-    let mut net = TapestryNetwork::bootstrap_threaded(
-        spec.cfg,
-        space,
-        spec.seed,
-        spec.initial_nodes,
-        spec.threads,
-    );
+    let mut net = TapestryNetwork::bootstrap(spec.cfg, space, spec.seed, spec.initial_nodes);
     let bootstrap_secs = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
     if spec.trace_sample > 0 {

@@ -147,16 +147,17 @@ pub struct ScenarioSpec {
     pub initial_nodes: usize,
     /// Catalog size: objects published before the first phase.
     pub objects: usize,
-    /// Worker threads for the static bootstrap fan-out and the
-    /// Property 1/2 invariant sweeps; events are always dispatched
-    /// sequentially. **Never** affects the report: every value produces
-    /// byte-identical output (CI's `determinism-matrix` job enforces
-    /// this), so it is deliberately omitted from the report JSON.
+    /// Unread: a run has one worker. The field stays, initialised to 1,
+    /// only because the standalone `benchmark/` package names it
+    /// (`benchmark/src/api.rs`, `benchmark/src/traced.rs`); nothing in
+    /// the workspace reads it, and the benchmark-only PR that re-points
+    /// `benchmark/` deletes it, as it does `MaintenanceMode`.
     pub threads: usize,
-    /// Join coalescing: route scripted joins through a
-    /// `tapestry_membership::JoinCoalescer` so joins sharing the window
-    /// ride one shared multicast wave. `None` (the default) keeps the
-    /// classic solo-join path, untouched.
+    /// Join coalescing policy for the `tapestry_membership::JoinCoalescer`
+    /// every scripted join goes through: joins sharing the window ride
+    /// one shared multicast wave. `None` (the default) runs the
+    /// coalescer under a disabled policy, so each join is a solo join —
+    /// a wave of one.
     pub join_batch: Option<BatchPolicy>,
     /// Run the Theorem 2 spot-check over *every* member instead of the
     /// deterministic ≤256-member sample the runner uses past that size
@@ -172,7 +173,7 @@ pub struct ScenarioSpec {
     pub trace_cap: usize,
     /// Time-series sampling window in sim-time units (0 = sampler off,
     /// the default). Samples are keyed by sim time, so the series is
-    /// byte-identical at every thread count.
+    /// byte-identical across runs of the same spec.
     pub metrics_window: u64,
     /// The phases, run in order.
     pub phases: Vec<PhaseSpec>,
@@ -234,13 +235,6 @@ impl ScenarioSpec {
     ) -> Self {
         self.space = SpaceKind::TransitStub { transits, stubs_per_transit, nodes_per_stub };
         self.capacity = transits * stubs_per_transit * nodes_per_stub;
-        self
-    }
-
-    /// Set the worker-thread count (clamped to ≥ 1; reports are
-    /// byte-identical at every value).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 

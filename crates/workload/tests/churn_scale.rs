@@ -1,6 +1,6 @@
 //! The `churn-scale` preset family: batched joins must complete through
 //! shared multicast waves, reports must stay deterministic across
-//! repeats and thread counts, and the batched/unbatched siblings must
+//! repeats, and the batched/unbatched siblings must
 //! run the same churn schedule (the unbatched one as solo joins, each a
 //! wave of one).
 
@@ -9,13 +9,13 @@ use tapestry_workload::{presets, runner};
 
 /// Scaled-down churn-scale run (the preset family itself starts at 1k;
 /// tests shrink it through the same constructor).
-fn spec(nodes: usize, batched: bool, threads: usize) -> tapestry_workload::ScenarioSpec {
-    presets::churn_scale_preset(nodes, 400, 11, threads, batched)
+fn spec(nodes: usize, batched: bool) -> tapestry_workload::ScenarioSpec {
+    presets::churn_scale_preset(nodes, 400, 11, batched)
 }
 
 #[test]
 fn batched_joins_complete_through_shared_waves() {
-    let report = runner::run(&spec(96, true, 1)).expect("churn-scale runs");
+    let report = runner::run(&spec(96, true)).expect("churn-scale runs");
     let churn_phase = &report.phases[1];
     assert!(churn_phase.churn.joins_ok > 0, "batched joins completed: {churn_phase:?}");
     // The waves actually ran: wave + per-wave insertee counters moved.
@@ -32,7 +32,7 @@ fn batched_joins_complete_through_shared_waves() {
 
 #[test]
 fn unbatched_sibling_runs_same_schedule_solo() {
-    let report = runner::run(&spec(96, false, 1)).expect("churn-scale-seq runs");
+    let report = runner::run(&spec(96, false)).expect("churn-scale-seq runs");
     let churn_phase = &report.phases[1];
     assert!(churn_phase.churn.joins_ok > 0, "solo joins completed");
     // Nothing coalesces: every join started runs its own wave of one.
@@ -44,26 +44,22 @@ fn unbatched_sibling_runs_same_schedule_solo() {
 }
 
 #[test]
-fn churn_scale_is_deterministic_across_repeats_and_threads() {
-    let run = |threads: usize| {
-        let (report, totals, ..) =
-            runner::run_instrumented(&spec(128, true, threads)).expect("runs");
+fn churn_scale_is_deterministic_across_repeats() {
+    let run = || {
+        let (report, totals, ..) = runner::run_instrumented(&spec(128, true)).expect("runs");
         (report.to_json(), totals)
     };
-    let (json1, totals1) = run(1);
-    let (json1b, totals1b) = run(1);
-    assert_eq!(json1, json1b, "repeat determinism");
-    assert_eq!(totals1, totals1b);
-    let (json4, totals4) = run(4);
-    assert_eq!(json1, json4, "thread-count determinism (the CI matrix contract)");
-    assert_eq!(totals1, totals4);
+    let (json1, totals1) = run();
+    let (json2, totals2) = run();
+    assert_eq!(json1, json2, "repeat determinism");
+    assert_eq!(totals1, totals2);
 }
 
 #[test]
 fn churn_scale_presets_validate_at_every_committed_size() {
     for &n in presets::CHURN_SCALE_SIZES {
         for batched in [true, false] {
-            let spec = presets::churn_scale_preset(n, 2000, 42, 4, batched);
+            let spec = presets::churn_scale_preset(n, 2000, 42, batched);
             spec.validate().unwrap_or_else(|e| panic!("churn-scale({n}, {batched}): {e}"));
             assert_eq!(spec.initial_nodes, n);
             assert!(spec.capacity > n, "room for the joins");

@@ -7,15 +7,15 @@
 use tapestry_trace::metrics;
 use tapestry_workload::{presets, runner};
 
-fn incr_spec(budget: u32, threads: usize) -> tapestry_workload::ScenarioSpec {
-    presets::churn_scale_preset(96, 400, 11, threads, true).repair_budget(budget)
+fn incr_spec(budget: u32) -> tapestry_workload::ScenarioSpec {
+    presets::churn_scale_preset(96, 400, 11, true).repair_budget(budget)
 }
 
 #[test]
 fn incremental_repair_converges_under_every_finite_budget() {
     for budget in [1, 4, 16] {
         let report =
-            runner::run(&incr_spec(budget, 1)).unwrap_or_else(|e| panic!("budget {budget}: {e}"));
+            runner::run(&incr_spec(budget)).unwrap_or_else(|e| panic!("budget {budget}: {e}"));
         let churn_phase = &report.phases[1];
         assert!(churn_phase.churn.joins_ok > 0, "budget {budget}: churn happened");
         // The scheduler actually ran: facts were recorded and repairs
@@ -38,7 +38,7 @@ fn incremental_repair_converges_under_every_finite_budget() {
 #[test]
 fn tighter_budgets_defer_more_work() {
     let deferred_at = |budget: u32| -> u64 {
-        let report = runner::run(&incr_spec(budget, 1)).expect("runs");
+        let report = runner::run(&incr_spec(budget)).expect("runs");
         report.counter_total(metrics::REPAIR_DEFERRED_BUDGET)
     };
     // Not a strict monotonicity claim (backlogs drain between ticks),
@@ -48,23 +48,11 @@ fn tighter_budgets_defer_more_work() {
 
 #[test]
 fn zero_budget_never_panics_and_still_drains_to_idle() {
-    let report = runner::run(&incr_spec(0, 1)).expect("zero-budget run completes");
+    let report = runner::run(&incr_spec(0)).expect("zero-budget run completes");
     // Facts accumulate (bounded by the ledger cap) but no repair tick
     // ever fires, so no repair events are released.
     let events: u64 = report.counter_total(metrics::REPAIR_EVENTS);
     assert_eq!(events, 0, "a frozen scheduler releases nothing");
     let facts: u64 = report.counter_total(metrics::REPAIR_FACTS);
     assert!(facts > 0, "evidence still recorded while frozen");
-}
-
-#[test]
-fn incremental_reports_are_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        let (report, totals, ..) = runner::run_instrumented(&incr_spec(16, threads)).expect("runs");
-        (report.to_json(), totals)
-    };
-    let (json1, totals1) = run(1);
-    let (json4, totals4) = run(4);
-    assert_eq!(json1, json4, "threads 1 vs 4");
-    assert_eq!(totals1, totals4);
 }

@@ -1,8 +1,7 @@
 //! Large-scale determinism and throughput-reporting tests for the
-//! `scale` preset family: the indexed bootstrap and invariant checks
-//! must leave simulated behaviour bit-identical (the refactor only buys
-//! real time), and the engine totals the scale driver reports must be
-//! deterministic too.
+//! `scale` preset family: repeat runs of the indexed bootstrap and
+//! invariant checks must leave simulated behaviour bit-identical, and the
+//! engine totals the scale driver reports must be deterministic too.
 
 use tapestry_workload::{presets, runner};
 
@@ -14,7 +13,7 @@ use tapestry_workload::{presets, runner};
 #[test]
 fn thousand_node_snapshot_determinism() {
     let run = || {
-        let spec = presets::scale_preset(1000, 300, 42, presets::ScaleSpace::Torus, 1);
+        let spec = presets::scale_preset(1000, 300, 42, presets::ScaleSpace::Torus);
         let (report, totals, ..) = runner::run_instrumented(&spec).expect("scale scenario runs");
         (report, totals)
     };
@@ -38,7 +37,7 @@ fn thousand_node_snapshot_determinism() {
 /// deterministic report deliberately omits.
 #[test]
 fn run_totals_report_engine_work() {
-    let spec = presets::scale_preset(1000, 300, 7, presets::ScaleSpace::Torus, 1);
+    let spec = presets::scale_preset(1000, 300, 7, presets::ScaleSpace::Torus);
     let (report, totals, ..) = runner::run_instrumented(&spec).expect("runs");
     assert!(totals.events > 0);
     assert!(
@@ -64,40 +63,22 @@ fn run_totals_report_engine_work() {
 #[test]
 fn scale_grid_variant_is_deterministic() {
     let run = || {
-        let spec = presets::scale_preset(256, 150, 13, presets::ScaleSpace::Grid, 1);
+        let spec = presets::scale_preset(256, 150, 13, presets::ScaleSpace::Grid);
         runner::run(&spec).expect("grid scale runs").to_json()
     };
     assert_eq!(run(), run());
 }
 
-/// The merge-order contract end to end: the same scale scenario with the
-/// bootstrap and invariant sweeps fanned out over 1 and 4 workers must
-/// produce byte-identical reports *and* identical engine totals — the
-/// in-process mirror of CI's `determinism-matrix` job.
-#[test]
-fn thread_counts_produce_byte_identical_reports() {
-    let run = |threads: usize| {
-        let spec = presets::scale_preset(512, 250, 42, presets::ScaleSpace::Torus, threads);
-        let (report, totals, ..) = runner::run_instrumented(&spec).expect("scale scenario runs");
-        (report.to_json(), totals)
-    };
-    let (json1, totals1) = run(1);
-    let (json4, totals4) = run(4);
-    assert_eq!(json1, json4, "report bytes diverged at --threads 4");
-    assert_eq!(totals1, totals4, "engine totals diverged at --threads 4");
-}
-
 /// The transit-stub scale point: runs, checks out, and stays
-/// deterministic across repeats and thread counts (the §6.3 substrate's
-/// first large-n trajectory coverage).
+/// deterministic across repeats (the §6.3 substrate's first large-n
+/// trajectory coverage).
 #[test]
 fn transit_stub_scale_point_is_deterministic() {
-    let run = |threads: usize| {
-        let spec = presets::scale_preset(256, 150, 21, presets::ScaleSpace::TransitStub, threads);
+    let run = || {
+        let spec = presets::scale_preset(256, 150, 21, presets::ScaleSpace::TransitStub);
         runner::run(&spec).expect("transit-stub scale runs").to_json()
     };
-    let a = run(1);
-    assert_eq!(a, run(1), "repeat determinism");
-    assert_eq!(a, run(3), "thread-count determinism");
+    let a = run();
+    assert_eq!(a, run(), "repeat determinism");
     assert!(a.contains("transit-stub(8x4x8)"), "space label records the shape: {a}");
 }

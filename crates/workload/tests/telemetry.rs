@@ -1,7 +1,7 @@
 //! Telemetry determinism and registry coverage: the trace and metrics
-//! JSON artifacts must be byte-identical across thread counts (the same
-//! contract as the reports), and every counter a report prints must
-//! carry a registry name.
+//! JSON artifacts must be byte-identical across runs of the same spec
+//! (the same contract as the reports), and every counter a report prints
+//! must carry a registry name.
 
 use std::collections::BTreeSet;
 use tapestry_trace::metrics;
@@ -12,25 +12,22 @@ use tapestry_workload::{presets, runner};
 const WINDOW: u64 = 1 << 20;
 
 #[test]
-fn trace_and_metrics_json_are_byte_identical_across_threads() {
-    let spec = |threads: usize| {
-        presets::preset("churn-storm", 24, 150, 9)
-            .unwrap()
-            .threads(threads)
-            .trace_sample(4)
-            .trace_cap(512)
-            .metrics_window(WINDOW)
-    };
-    let (report1, _, _, tel1) = runner::run_instrumented(&spec(1)).unwrap();
+fn trace_and_metrics_json_are_byte_identical_across_runs() {
+    let spec = presets::preset("churn-storm", 24, 150, 9)
+        .unwrap()
+        .trace_sample(4)
+        .trace_cap(512)
+        .metrics_window(WINDOW);
+    let (report1, _, _, tel1) = runner::run_instrumented(&spec).unwrap();
     let trace1 = tel1.trace_json().expect("tracing on");
     let metrics1 = tel1.metrics_json().expect("sampler on");
     assert!(trace1.contains("\"kind\":\"locate\""), "sampled locates traced: {trace1}");
     assert!(trace1.contains("\"kind\":\"join\""), "joins traced under churn");
     assert!(metrics1.contains("\"samples\":[{"), "series non-empty");
-    let (report4, _, _, tel4) = runner::run_instrumented(&spec(4)).unwrap();
-    assert_eq!(report1.to_json(), report4.to_json(), "report @ 4 threads");
-    assert_eq!(trace1, tel4.trace_json().unwrap(), "trace JSON @ 4 threads");
-    assert_eq!(metrics1, tel4.metrics_json().unwrap(), "metrics JSON @ 4 threads");
+    let (report2, _, _, tel2) = runner::run_instrumented(&spec).unwrap();
+    assert_eq!(report1.to_json(), report2.to_json(), "report on a repeat run");
+    assert_eq!(trace1, tel2.trace_json().unwrap(), "trace JSON on a repeat run");
+    assert_eq!(metrics1, tel2.metrics_json().unwrap(), "metrics JSON on a repeat run");
 }
 
 #[test]
