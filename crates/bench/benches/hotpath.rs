@@ -8,7 +8,8 @@
 //! event queue at the two depths the benchmark workloads show, and the
 //! driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
-//! scale driver measures them end to end, this file isolates them.
+//! scale sweep (`sweeps/scale.spec`) measures them end to end, this file
+//! isolates them.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;

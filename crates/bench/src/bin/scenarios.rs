@@ -1,21 +1,26 @@
-//! **Scenario driver** — runs the named `tapestry-workload` presets and
-//! emits deterministic JSON/CSV reports with p50/p90/p99/p999 locate
-//! latency, hop counts, drop rates and invariant spot-checks.
+//! **Scenario driver** — runs one named `tapestry-workload` preset (any
+//! name `sweep_preset` knows, with its default knobs) or the whole
+//! `PRESET_NAMES` series, and emits deterministic JSON/CSV reports with
+//! p50/p90/p99/p999 locate latency, hop counts, drop rates and invariant
+//! spot-checks.
 //!
 //! ```sh
 //! scenarios --list
 //! scenarios --preset steady-zipf --nodes 64 --ops 500
 //! scenarios --preset churn-storm --nodes 64 --ops 500 --json churn.json --csv churn.csv
+//! scenarios --nodes 10000 --preset scale --ops 2000        # one torus scale point
+//! scenarios --nodes 1000 --preset churn-scale --ops 1000   # one batched churn point
 //! scenarios --preset all --json BENCH_scenarios.json   # the committed series
 //! ```
 //!
 //! Identical arguments (including `--seed`) produce bit-identical
 //! reports — `BENCH_scenarios.json` is regenerated with `--preset all`
-//! and diffed across PRs.
+//! and diffed across PRs. The scale trajectory over many sizes is a
+//! sweep: `tapestry-sweep --spec sweeps/scale.spec`.
 
 use tapestry_bench::{f2, header, row, TelemetryFlags, DEFAULT_METRICS_WINDOW};
 use tapestry_trace::json::JsonWriter;
-use tapestry_workload::{presets, runner, ScenarioReport};
+use tapestry_workload::{presets, runner, sweep_preset, ScenarioReport, SweepKnobs};
 
 struct Args {
     preset: String,
@@ -28,6 +33,12 @@ struct Args {
     quiet: bool,
 }
 
+/// Every name `--preset` takes besides `all`: the series, then the
+/// size-parameterised families.
+fn preset_names() -> impl Iterator<Item = &'static str> {
+    presets::PRESET_NAMES.iter().chain(presets::FAMILY_NAMES).copied()
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: scenarios --preset <name|all> [--nodes N] [--ops N] [--seed S]\n\
@@ -38,7 +49,7 @@ fn usage() -> ! {
          presets: {}\n\
          --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
          --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW})",
-        presets::PRESET_NAMES.join(", ")
+        preset_names().collect::<Vec<_>>().join(", ")
     );
     std::process::exit(2)
 }
@@ -90,7 +101,7 @@ fn parse_args() -> Args {
             "--csv" => args.csv = Some(val("--csv")),
             "--quiet" => args.quiet = true,
             "--list" => {
-                for name in presets::PRESET_NAMES {
+                for name in preset_names() {
                     println!("{name}");
                 }
                 std::process::exit(0)
@@ -134,26 +145,20 @@ fn summarize(report: &ScenarioReport) {
 
 fn main() {
     let args = parse_args();
-    let names: Vec<&str> = if args.preset == "all" {
-        presets::PRESET_NAMES.to_vec()
-    } else {
-        match presets::PRESET_NAMES.iter().find(|&&n| n == args.preset) {
-            Some(&n) => vec![n],
-            None => {
-                eprintln!("unknown preset '{}'", args.preset);
-                usage()
-            }
-        }
-    };
+    let names: Vec<&str> =
+        if args.preset == "all" { presets::PRESET_NAMES.to_vec() } else { vec![&args.preset] };
 
     let mut reports = Vec::new();
     let mut traces: Vec<String> = Vec::new();
     let mut metrics: Vec<String> = Vec::new();
     for name in names {
-        let spec = args
-            .tel
-            .apply(presets::preset(name, args.nodes, args.ops, args.seed).expect("known preset"));
-        match runner::run_instrumented(&spec) {
+        let spec =
+            sweep_preset(name, args.nodes, args.ops, args.seed, None, &SweepKnobs::default())
+                .unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                });
+        match runner::run_instrumented(&args.tel.apply(spec)) {
             Ok((r, _, _, tel)) => {
                 if !args.quiet {
                     summarize(&r);

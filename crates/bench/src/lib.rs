@@ -16,7 +16,7 @@ use tapestry_workload::ScenarioSpec;
 /// 1024 distance units of simulated time per sample.
 pub const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
 
-/// The telemetry flags the `scale` and `scenarios` drivers share:
+/// The telemetry flags of the `scenarios` driver:
 /// `--trace-json PATH`, `--trace-sample N`, `--trace-cap N`,
 /// `--metrics-json PATH` and `--metrics-window UNITS`. Asking for a file
 /// implies collecting it: `--trace-json` alone traces every locate, and
@@ -88,34 +88,8 @@ fn count<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: String) -> R
     }
 }
 
-/// Locate the first divergence between two texts that should have been
-/// byte-identical (a determinism gate): returns a summary naming the
-/// byte offset, the 1-based line, and both lines' contents — `None` when
-/// the texts match, so a divergence points at a field, not just at two
-/// differing files.
-pub fn diff_summary(a: &str, b: &str) -> Option<String> {
-    if a == b {
-        return None;
-    }
-    let offset =
-        a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or_else(|| a.len().min(b.len()));
-    let line_no = a[..offset.min(a.len())].bytes().filter(|&c| c == b'\n').count() + 1;
-    let nth_line = |s: &str| s.lines().nth(line_no - 1).unwrap_or("<missing line>").to_string();
-    Some(format!(
-        "first divergence at byte {offset}, line {line_no}:\n  a: {}\n  b: {}",
-        nth_line(a),
-        nth_line(b)
-    ))
-}
-
 /// Mean of a sample (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
+pub use tapestry_sweep::stats::mean;
 
 /// The `p`-th percentile (0 ≤ p ≤ 100) by nearest-rank on a sorted copy.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -128,15 +102,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // tapestry-lint: allow(float-tiebreak)
     let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
     v[rank.min(v.len() - 1)]
-}
-
-/// Sample standard deviation (0 for fewer than two points).
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
 /// Run `jobs(i)` for `i ∈ 0..n` across one worker per available core,
@@ -172,33 +137,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((stddev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
     fn percentile_nearest_rank() {
         let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 50.0), 3.0);
         assert_eq!(percentile(&xs, 100.0), 5.0);
-    }
-
-    #[test]
-    fn diff_summary_names_offset_line_and_contents() {
-        assert_eq!(diff_summary("same", "same"), None);
-        let a = "line one\nline two\nline three\n";
-        let b = "line one\nline twX\nline three\n";
-        let d = diff_summary(a, b).expect("texts differ");
-        assert!(d.contains("byte 16"), "{d}");
-        assert!(d.contains("line 2"), "{d}");
-        assert!(d.contains("a: line two"), "{d}");
-        assert!(d.contains("b: line twX"), "{d}");
-        // One text a strict prefix of the other: divergence at the end.
-        let d = diff_summary("ab", "abc").expect("lengths differ");
-        assert!(d.contains("byte 2"), "{d}");
     }
 
     #[test]

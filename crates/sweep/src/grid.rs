@@ -638,6 +638,50 @@ gate wall.events_per_sec min_abs 1000
         }
     }
 
+    /// Every committed `sweeps/*.spec`, by file name.
+    const COMMITTED: &[(&str, &str)] = &[
+        ("ci.spec", include_str!("../../../sweeps/ci.spec")),
+        ("scale.spec", include_str!("../../../sweeps/scale.spec")),
+        ("wide.spec", include_str!("../../../sweeps/wide.spec")),
+    ];
+
+    #[test]
+    fn committed_specs_parse() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../sweeps");
+        let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+            .expect("sweeps/ directory")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".spec"))
+            .collect();
+        on_disk.sort();
+        let listed: Vec<&str> = COMMITTED.iter().map(|&(n, _)| n).collect();
+        assert_eq!(on_disk, listed, "a new spec file must be added to COMMITTED");
+        for (name, text) in COMMITTED {
+            SweepSpec::parse(text).unwrap_or_else(|e| panic!("sweeps/{name}: {e}"));
+        }
+    }
+
+    #[test]
+    fn scale_spec_expands_to_the_trajectory() {
+        let s = SweepSpec::parse(COMMITTED[1].1).unwrap();
+        assert_eq!((s.seeds.as_slice(), s.default_workers), (&[42][..], Some(1)));
+        let keys: Vec<String> = s.cells().iter().map(|c| c.key()).collect();
+        let mut want = Vec::new();
+        for n in [1_000, 4_000, 10_000, 25_000] {
+            for space in ["torus", "transit-stub"] {
+                want.push(format!("scale/n{n}/space={space}"));
+            }
+        }
+        for n in [1_000, 25_000, 100_000] {
+            want.push(format!("churn-scale/n{n}"));
+        }
+        for n in [1_000, 25_000] {
+            want.push(format!("churn-scale-solo/n{n}/batch=off"));
+        }
+        assert_eq!(keys, want);
+        assert!(s.cells().iter().all(|c| c.ops == 2000));
+    }
+
     #[test]
     fn comments_and_blank_lines_are_ignored() {
         let s = SweepSpec::parse(

@@ -86,8 +86,11 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
     let mut det = BTreeMap::new();
     det.insert("events".into(), totals.events as f64);
     det.insert("messages".into(), totals.messages as f64);
+    det.insert("timers".into(), totals.timers as f64);
+    det.insert("ops_issued".into(), report.total_ops.issued as f64);
     det.insert("ops_completed".into(), report.total_ops.completed as f64);
     det.insert("ops_found_live".into(), report.total_ops.found_live as f64);
+    det.insert("ops_lost".into(), report.total_ops.lost as f64);
     det.insert("hops_p50".into(), report.total_hops.p50);
     det.insert("hops_p99".into(), report.total_hops.p99);
     det.insert("latency_p50".into(), report.total_latency.p50);
@@ -105,6 +108,13 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
             "join_msgs_mean".into(),
             mean_messages_per_join(report.counter_total(metrics::JOIN_MESSAGES), joins),
         );
+        let waves = report.counter_total(metrics::MULTICAST_BATCH_WAVES);
+        let batched = report.counter_total(metrics::MULTICAST_BATCH_JOINS);
+        det.insert("waves".into(), waves as f64);
+        det.insert(
+            "mean_batch".into(),
+            if waves == 0 { 0.0 } else { batched as f64 / waves as f64 },
+        );
     }
     // Repair metrics exist exactly when the spec scripts a probe round,
     // the per-round divisor.
@@ -112,6 +122,10 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
     if rounds > 0 {
         det.insert("repair_events".into(), report.counter_total(metrics::REPAIR_EVENTS) as f64);
         det.insert("repair_facts".into(), report.counter_total(metrics::REPAIR_FACTS) as f64);
+        det.insert(
+            "repair_promotions".into(),
+            report.counter_total(metrics::REPAIR_PROMOTIONS) as f64,
+        );
         det.insert("repairs_per_node_round".into(), report.repairs_per_node_round(rounds));
     }
     verify_det_metrics(cell, seed, &report, &det)?;
@@ -199,24 +213,47 @@ mod tests {
         let spec = tiny_spec();
         let r = run_sweep(&spec, 2).unwrap();
         let det = &r.cells[0].runs[0].det;
-        assert!(det.contains_key("events"));
-        assert!(det.contains_key("hops_p50"));
-        assert!(!det.contains_key("join_msgs_mean"), "no joins scripted");
-        assert!(!det.contains_key("repairs_per_node_round"), "no probe round scripted");
+        for key in ["events", "timers", "hops_p50", "ops_issued", "ops_lost"] {
+            assert!(det.contains_key(key), "every cell reports {key}");
+        }
+        assert_eq!(det["ops_lost"], 0.0, "a static mesh loses nothing");
+        for key in ["joins_ok", "join_msgs_mean", "waves", "mean_batch"] {
+            assert!(!det.contains_key(key), "no joins scripted, yet {key} present");
+        }
+        for key in ["repair_events", "repair_promotions", "repairs_per_node_round"] {
+            assert!(!det.contains_key(key), "no probe round scripted, yet {key} present");
+        }
         let wall = &r.cells[0].runs[0].wall;
         assert!(wall.contains_key("events_per_sec"));
     }
 
     #[test]
     fn churn_cells_carry_join_and_repair_metrics() {
-        let spec =
-            SweepSpec::parse("name c\nseeds 5\n\ngrid c\npreset churn-scale\nnodes 64\nops 100\n")
-                .unwrap();
+        let spec = SweepSpec::parse(
+            "name c\nseeds 5\n\ngrid c\npreset churn-scale\nnodes 64\nops 100\nbatched on off\n",
+        )
+        .unwrap();
         let r = run_sweep(&spec, 1).unwrap();
-        let det = &r.cells[0].runs[0].det;
-        assert!(det.contains_key("join_msgs_mean"));
-        assert!(det["joins_ok"] > 0.0);
-        assert!(det.contains_key("repairs_per_node_round"));
-        assert!(det.contains_key("repair_events"));
+        for cell in &r.cells {
+            let det = &cell.runs[0].det;
+            for key in [
+                "join_msgs_mean",
+                "repair_events",
+                "repair_facts",
+                "repair_promotions",
+                "repairs_per_node_round",
+                "timers",
+                "ops_issued",
+                "ops_lost",
+            ] {
+                assert!(det.contains_key(key), "{}: {key}", cell.cell.key());
+            }
+            assert!(det["joins_ok"] > 0.0);
+            assert!(det["waves"] > 0.0);
+            assert!(det["timers"] > 0.0, "probe rounds arm deadline timers");
+        }
+        let (on, off) = (&r.cells[0].runs[0].det, &r.cells[1].runs[0].det);
+        assert!(on["mean_batch"] >= 1.0, "a wave carries at least one join");
+        assert_eq!(off["mean_batch"], 1.0, "a solo join is a wave of one");
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! The emitters on [`JsonWriter`]: the hop trace ([`trace_json`]) and the
 //! metrics series ([`metrics_json`]) here, the scenario report in
-//! `tapestry-workload`, the sweep aggregate in `tapestry-sweep` and the
-//! `scale` trajectory points in `tapestry-bench`. [`Json::parse`] reads
+//! `tapestry-workload` and the sweep aggregate in `tapestry-sweep`
+//! (`BENCH_sweep.json`, `BENCH_scale.json`). [`Json::parse`] reads
 //! any of them back (`tapestry-sweep --compare` loads its baseline with
 //! it). Wall-clock material never goes into these files.
 

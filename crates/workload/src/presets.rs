@@ -12,18 +12,17 @@ use tapestry_sim::SimTime;
 
 /// Every preset name, in report order.
 ///
-/// The `scale` family (see [`scale_preset`]) is intentionally *not*
-/// listed here: `--preset all` regenerates the committed
+/// The size-parameterised families ([`FAMILY_NAMES`]) are intentionally
+/// *not* listed here: `--preset all` regenerates the committed
 /// `BENCH_scenarios.json` series, whose byte stability across PRs is a
-/// regression gate — scale points live in their own `BENCH_scale.json`.
+/// regression gate — the families' trajectory is `sweeps/scale.spec`,
+/// committed as `BENCH_scale.json`.
 pub const PRESET_NAMES: &[&str] =
     &["steady-zipf", "flash-crowd", "churn-storm", "partition-heal", "mass-failure"];
 
-/// Default node counts of the `scale` benchmark family.
-pub const SCALE_SIZES: &[usize] = &[1_000, 4_000, 10_000, 25_000];
-
-/// Default node counts of the `churn-scale` family.
-pub const CHURN_SCALE_SIZES: &[usize] = &[1_000, 25_000, 100_000];
+/// The preset families [`sweep_preset`] builds beside [`PRESET_NAMES`]:
+/// `scale` ([`scale_preset`]) and `churn-scale` ([`churn_scale_preset`]).
+pub const FAMILY_NAMES: &[&str] = &["scale", "churn-scale"];
 
 /// Protocol messages a `churn-scale` churn phase may spend on joins; the
 /// join count is derived from this and the *measured* mean join cost
@@ -32,10 +31,10 @@ pub const CHURN_SCALE_SIZES: &[usize] = &[1_000, 25_000, 100_000];
 const CHURN_JOIN_MSG_BUDGET: u64 = 4_000_000;
 
 /// Join-cost anchor for the budget derivation, in messages per join.
-/// The committed `churn` entries of `BENCH_scale.json` measure
-/// ~250 `membership.join.messages` per join at the 50k torus point (protocol
-/// messages only — the counter excludes opportunistic table
-/// maintenance); a solo join's *total* traffic including that
+/// The `churn-scale` cells of `BENCH_scale.json` (`sweeps/scale.spec`)
+/// measure ~220 `membership.join.messages` per join at 25k and ~290 at
+/// 100k (protocol messages only — the counter excludes opportunistic
+/// table maintenance); a solo join's *total* traffic including that
 /// maintenance fan-out measures ~750 messages at 25k. The anchor uses
 /// the larger, all-in figure so the derived budget stays conservative,
 /// and the §4.5 O(log² n) curve makes it conservative for every
@@ -152,7 +151,7 @@ fn churn_config() -> TapestryConfig {
 /// measured join cost (see [`churn_scale_joins`]). With `batched`, joins
 /// coalesce into shared multicast waves (`tapestry-membership`); without
 /// it the same schedule runs as solo joins, each a wave of one — the
-/// side-by-side baseline the committed churn trajectory points report.
+/// baseline of the `churn-scale-solo` cells in `sweeps/scale.spec`.
 ///
 /// The settle phase has no global `OptimizeAt` round: healing is the
 /// repair scheduler's job, and an O(n) sweep would mask whether the
@@ -248,8 +247,9 @@ pub struct SweepKnobs {
 /// (`space` selects the substrate) and the `churn-scale` family
 /// (`knobs.batched` selects the variant) — then
 /// apply the grid's config-knob overrides. This is the single
-/// constructor `tapestry-sweep` expands grid cells through, so every
-/// knob combination is validated in one place.
+/// constructor `tapestry-sweep` expands grid cells through and
+/// `scenarios --preset` resolves names through (default knobs), so every
+/// name and knob combination is validated in one place.
 pub fn sweep_preset(
     name: &str,
     nodes: usize,
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn scale_presets_validate_at_every_size() {
-        for &n in SCALE_SIZES {
+        for n in [1_000, 4_000, 10_000, 25_000] {
             for space in [ScaleSpace::Torus, ScaleSpace::Grid, ScaleSpace::TransitStub] {
                 let spec = scale_preset(n, 2000, 42, space);
                 spec.validate().unwrap_or_else(|e| panic!("scale({n}, {space:?}): {e}"));
@@ -485,7 +485,7 @@ mod tests {
         // 64 nodes on side 1000 ⇒ density 64/1000²; the scale family must
         // preserve it so per-hop latencies are comparable across sizes.
         let d64 = 64.0 / (1000.0f64 * 1000.0);
-        for &n in SCALE_SIZES {
+        for n in [1_000, 4_000, 10_000, 25_000] {
             let side = scale_side(n);
             let d = n as f64 / (side * side);
             assert!((d - d64).abs() / d64 < 1e-9, "density drifted at n={n}");
@@ -511,6 +511,9 @@ mod tests {
         }
         // The scale/churn-scale families route through their dedicated
         // constructors (space and batched selection).
+        for &name in FAMILY_NAMES {
+            assert_eq!(sweep_preset(name, 64, 500, 42, None, &knobs).expect(name).name, name);
+        }
         let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), &knobs).unwrap();
         assert_eq!(s.name, "scale");
         assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));

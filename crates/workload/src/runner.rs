@@ -27,7 +27,6 @@ const LATENCY_SCALE: f64 = 1.0 / SimTime::UNITS_PER_DISTANCE;
 /// deterministic member stride instead of walking from *every* member —
 /// each walk is O(hops), so the exhaustive form is O(n · hops) per
 /// sampled GUID and dominated checked phases at 25k+ nodes.
-/// `ScenarioSpec::exhaustive_checks` restores the full walk.
 const ROOT_CHECK_MEMBER_SAMPLE: usize = 256;
 
 /// One catalog object: its name and the server currently holding the
@@ -48,8 +47,8 @@ enum Action {
 ///
 /// Kept *outside* [`ScenarioReport`] on purpose: the report's JSON is a
 /// committed, byte-stable regression artifact, while these totals feed
-/// wall-clock-relative figures (events/sec) that only the scale driver
-/// emits.
+/// wall-clock-relative figures (events/sec) that only `tapestry-sweep`'s
+/// timing file carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunTotals {
     /// Engine events processed (deliveries, timer fires, drops).
@@ -581,10 +580,10 @@ fn spot_checks(
     let (prop2_optimal, prop2_total) = net.check_property2();
     let sample: Vec<Guid> =
         objects.iter().step_by((objects.len() / 6).max(1)).map(|o| o.guid).collect();
-    let member_cap = if spec.exhaustive_checks { usize::MAX } else { ROOT_CHECK_MEMBER_SAMPLE };
     let mut unique = 0u64;
     for &g in &sample {
-        let roots = net.distinct_roots_sampled(&root_id(spec.cfg.space, g, 0), member_cap);
+        let roots =
+            net.distinct_roots_sampled(&root_id(spec.cfg.space, g, 0), ROOT_CHECK_MEMBER_SAMPLE);
         if roots.len() == 1 {
             unique += 1;
         }

@@ -159,10 +159,12 @@ pub struct ScenarioSpec {
     /// coalescer under a disabled policy, so each join is a solo join —
     /// a wave of one.
     pub join_batch: Option<BatchPolicy>,
-    /// Run the Theorem 2 spot-check over *every* member instead of the
-    /// deterministic ≤256-member sample the runner uses past that size
-    /// (the O(n · hops) exhaustive walk that dominated checked phases at
-    /// 25k+ nodes). Small networks are exhaustive either way.
+    /// Unread: the Theorem 2 spot-check always walks from a deterministic
+    /// ≤256-member sample (every member of a smaller network). The field
+    /// stays, always `false`, only because the standalone `benchmark/`
+    /// package reads it (`benchmark/src/traced.rs`); nothing in the
+    /// workspace sets or reads it, and the benchmark-only PR that
+    /// re-points `benchmark/` deletes it with `threads`.
     pub exhaustive_checks: bool,
     /// Hop-trace sampling: every `trace_sample`-th issued read carries a
     /// trace identity and its routing hops are recorded (0 = tracing off,
@@ -261,12 +263,6 @@ impl ScenarioSpec {
             p.churn.iter().filter(|c| matches!(c, ChurnSpec::ProbeAt { .. })).count()
         };
         self.phases.iter().map(probes).sum()
-    }
-
-    /// Restore the exhaustive (every-member) Theorem 2 spot-check.
-    pub fn exhaustive_checks(mut self) -> Self {
-        self.exhaustive_checks = true;
-        self
     }
 
     /// Trace every `n`-th issued read's routing hops (0 turns tracing

@@ -57,7 +57,7 @@ fn churn_scale_is_deterministic_across_repeats() {
 
 #[test]
 fn churn_scale_presets_validate_at_every_committed_size() {
-    for &n in presets::CHURN_SCALE_SIZES {
+    for n in [1_000, 25_000, 100_000] {
         for batched in [true, false] {
             let spec = presets::churn_scale_preset(n, 2000, 42, batched);
             spec.validate().unwrap_or_else(|e| panic!("churn-scale({n}, {batched}): {e}"));

@@ -1,7 +1,7 @@
 //! Large-scale determinism and throughput-reporting tests for the
 //! `scale` preset family: repeat runs of the indexed bootstrap and
 //! invariant checks must leave simulated behaviour bit-identical, and the
-//! engine totals the scale driver reports must be deterministic too.
+//! engine totals the scale sweep reports must be deterministic too.
 
 use tapestry_workload::{presets, runner};
 
