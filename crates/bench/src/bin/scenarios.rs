@@ -1,5 +1,5 @@
 //! **Scenario driver** — runs one named `tapestry-workload` preset (any
-//! name `sweep_preset` knows, with its default knobs) or the whole
+//! name `sweep_preset` knows, with its default axes) or the whole
 //! `PRESET_NAMES` series, and emits deterministic JSON/CSV reports with
 //! p50/p90/p99/p999 locate latency, hop counts, drop rates and invariant
 //! spot-checks.
@@ -20,7 +20,7 @@
 
 use tapestry_bench::{f2, header, row, TelemetryFlags, DEFAULT_METRICS_WINDOW};
 use tapestry_trace::json::JsonWriter;
-use tapestry_workload::{presets, runner, sweep_preset, ScenarioReport, SweepKnobs};
+use tapestry_workload::{presets, runner, sweep_preset, ScenarioReport};
 
 struct Args {
     preset: String,
@@ -153,11 +153,10 @@ fn main() {
     let mut metrics: Vec<String> = Vec::new();
     for name in names {
         let spec =
-            sweep_preset(name, args.nodes, args.ops, args.seed, None, &SweepKnobs::default())
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
+            sweep_preset(name, args.nodes, args.ops, args.seed, None, None).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                usage()
+            });
         match runner::run_instrumented(&args.tel.apply(spec)) {
             Ok((r, _, _, tel)) => {
                 if !args.quiet {

@@ -1,7 +1,7 @@
 //! **`tapestry-sweep`** — the run-level parallel experiment driver.
 //!
 //! Expands a declarative grid spec (`sweeps/*.spec`: seeds × node counts
-//! × substrates × config knobs) into independent scenario runs, fans
+//! × substrates × join batching) into independent scenario runs, fans
 //! them across worker threads (each run is the deterministic single-run
 //! path, so results never depend on scheduling), aggregates per-cell
 //! mean / stddev / 95% CI over seeds, and optionally diffs the fresh

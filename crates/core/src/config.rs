@@ -47,12 +47,6 @@ pub struct TapestryConfig {
     pub list_size_k: Option<usize>,
     /// Number of roots per object, `|R_Φ|` (Observation 2 multi-root).
     pub roots_per_object: usize,
-    /// Acknowledged-multicast fan-out bound: at most this many *unpinned*
-    /// child branches are forwarded per level (lowest digits first), the
-    /// remainder deferred to soft-state repair (probe/optimize rounds).
-    /// `None` (the default) forwards every branch — the paper's exact
-    /// §4.1 behaviour. Pinned branches are always forwarded (§4.4).
-    pub multicast_fanout: Option<usize>,
     /// Lifetime of a published object pointer before it must be
     /// republished (soft state, §2.2).
     pub pointer_ttl: SimTime,
@@ -60,9 +54,6 @@ pub struct TapestryConfig {
     /// `SimTime::ZERO` disables the republish timer (tests drive it
     /// manually).
     pub republish_interval: SimTime,
-    /// Interval between heartbeat probe rounds for failure detection
-    /// (§5.2); `SimTime::ZERO` disables automatic probing.
-    pub heartbeat_interval: SimTime,
     /// How long the neighbor-table builder waits for `GetPointers`
     /// responses at one level before proceeding with whatever arrived
     /// (makes insertion robust to nodes dying mid-insert).
@@ -117,7 +108,6 @@ impl Default for TapestryConfig {
             redundancy: 3,
             list_size_k: None,
             roots_per_object: 1,
-            multicast_fanout: None,
             // Effectively "until republished": deployments that enable the
             // republish timer should lower this to ~2× the interval so
             // stale pointers actually lapse (§2.2 soft state). The default
@@ -126,7 +116,6 @@ impl Default for TapestryConfig {
             // would ever refresh them.
             pointer_ttl: SimTime::from_distance(1e12),
             republish_interval: SimTime::ZERO,
-            heartbeat_interval: SimTime::ZERO,
             insert_level_timeout: SimTime::from_distance(50_000.0),
             maintenance: MaintenanceMode::Incremental,
             repairs_per_sec_per_node: 16,

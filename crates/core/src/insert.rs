@@ -323,9 +323,6 @@ impl TapestryNode {
     fn finish_insert(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
         self.status = NodeStatus::Active;
         metrics::INSERT_COMPLETED.inc(ctx);
-        if self.cfg.heartbeat_interval > tapestry_sim::SimTime::ZERO {
-            ctx.set_timer(self.cfg.heartbeat_interval, Timer::Heartbeat);
-        }
         // Keep the surrogate reference for late-arriving queries; the
         // insert state itself is finished.
         if let Some(ins) = self.insert.as_mut() {

@@ -21,7 +21,7 @@
 //! * **object-pointer redistribution** (§4.2, Fig. 9) and availability
 //!   during insertion (§4.3, Fig. 10);
 //! * **voluntary and involuntary deletion** (§5, Fig. 12) with lazy
-//!   repair and heartbeat failure detection;
+//!   repair and probe-round failure detection;
 //! * the **§6.3 locality enhancement** for transit-stub networks.
 //!
 //! The driver type is [`TapestryNetwork`]; see `examples/quickstart.rs` in
@@ -49,7 +49,7 @@ mod routing_table;
 pub use config::{RoutingScheme, TapestryConfig};
 pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
 pub use neighbor_set::{AddOutcome, Slot};
-pub use network::{BootstrapStage, LocateHook, LocateResult, NetworkSnapshot, TapestryNetwork};
+pub use network::{BootstrapStage, LocateResult, NetworkSnapshot, TapestryNetwork};
 pub use node::{NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
 pub use refs::{NodeRef, MAX_NODES};

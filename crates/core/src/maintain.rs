@@ -8,7 +8,7 @@ use crate::object_store::PtrEntry;
 use crate::refs::{idx32, NodeRef};
 use crate::repair::{FactKind, RepairTask};
 use tapestry_id::Prefix;
-use tapestry_sim::{Ctx, NodeIdx, SimTime};
+use tapestry_sim::{Ctx, NodeIdx};
 use tapestry_trace::metrics;
 
 impl TapestryNode {
@@ -296,14 +296,9 @@ impl TapestryNode {
 
     // --------------------- involuntary delete (§5.2) -----------------------
 
-    /// Periodic heartbeat round (soft-state beacons).
-    pub(crate) fn on_heartbeat_timer(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
-        self.start_probe_round(ctx);
-        ctx.set_timer(self.cfg.heartbeat_interval, Timer::Heartbeat);
-    }
-
     /// Probe every distinct neighbor; missing `Pong`s by the deadline are
-    /// treated as failures (§5.2: detection by beacons or timeouts).
+    /// treated as failures (§5.2: detection by beacons or timeouts). The
+    /// driver's `AppProbe` is the only trigger.
     pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
         self.probe.nonce += 1;
         let nonce = self.probe.nonce;
@@ -384,14 +379,6 @@ impl TapestryNode {
         };
         if !refs.is_empty() {
             ctx.send(reply_to.idx, Msg::ReplacementCandidates { op, refs });
-        }
-    }
-
-    /// Arm the recurring maintenance timers (called by the driver right
-    /// after node creation when the config enables them).
-    pub fn arm_timers(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
-        if self.cfg.heartbeat_interval > SimTime::ZERO {
-            ctx.set_timer(self.cfg.heartbeat_interval, Timer::Heartbeat);
         }
     }
 

@@ -368,7 +368,7 @@ pub enum Msg {
     },
     /// Application request: leave the network voluntarily (Fig. 12).
     AppLeave,
-    /// Driver request: run one heartbeat probe round now (§5.2).
+    /// Driver request: run one probe round now (§5.2).
     AppProbe,
     /// Driver request: run one §6.4 continual-optimization round — share
     /// each routing-table level with the neighbors at that level.
@@ -389,8 +389,6 @@ pub enum Msg {
 pub enum Timer {
     /// Periodic soft-state republish of one locally stored object (§2.2).
     Republish(Guid),
-    /// Periodic heartbeat probe round (§5.2).
-    Heartbeat,
     /// Deadline for one level of the neighbor-table build; on firing, the
     /// build proceeds with whatever `Pointers` replies have arrived.
     InsertLevelTimeout {

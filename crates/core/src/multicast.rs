@@ -23,16 +23,12 @@
 //! through the Fig. 11 watch lists. A child killed mid-wave cannot strand
 //! the wave's joins: every session with children arms `McastDeadline`.
 //!
-//! The **fan-out bound** (`TapestryConfig::multicast_fanout`), when set,
-//! caps each recipient at that many unpinned child branches per level and
-//! defers the rest (counted in `membership.multicast.fanout_deferred`) to
-//! soft-state repair: the deferred subtrees learn the insertee through
-//! later probe/optimize rounds and ordinary traffic instead of the wave.
+//! Every recipient forwards every branch, so a wave of `k` recipients is
+//! a spanning tree of `k − 1` edges (`membership.multicast.edges`).
 
 use crate::messages::{BatchInsertee, Msg, OpId, Timer, WirePtr};
 use crate::node::{McastSession, TapestryNode};
 use crate::refs::NodeRef;
-use crate::repair::{FactKind, RepairTask};
 use tapestry_id::Prefix;
 use tapestry_sim::{Ctx, NodeIdx};
 use tapestry_trace::metrics;
@@ -136,28 +132,7 @@ impl TapestryNode {
         }
 
         let mut children: Vec<(Prefix, NodeRef)> = Vec::new();
-        let mut deferred: Vec<(Prefix, NodeRef)> = Vec::new();
-        self.gather_children(prefix, &mut children, &mut deferred);
-        if !deferred.is_empty() {
-            metrics::MULTICAST_FANOUT_DEFERRED.add(ctx, deferred.len() as u64);
-            // Deferred subtrees heal via targeted repair: reintroduce
-            // each prefix-compatible insertee (the branch would only have
-            // carried those) to the branch's representative instead of
-            // waiting for an optimize round.
-            for &(p, rep) in &deferred {
-                for ins in &insertees {
-                    if (ins.prefix.contains(&p) || p.contains(&ins.prefix))
-                        && rep.idx != ins.new_node.idx
-                    {
-                        self.record_fact(
-                            ctx,
-                            FactKind::DeferredBranch,
-                            RepairTask::Reintroduce { rep, insertee: ins.new_node, level: p.len() },
-                        );
-                    }
-                }
-            }
-        }
+        self.gather_children(prefix, &mut children);
         children
             .retain(|(_, r)| r.idx != self.me.idx && !fwd.iter().any(|i| i.new_node.idx == r.idx));
         children.sort_by_key(|(_, r)| r.idx);
@@ -213,27 +188,13 @@ impl TapestryNode {
     /// Walk the routing table gathering one recipient per one-digit
     /// extension, recursing through extensions where this node is itself
     /// the chosen representative (the paper's self-sends, collapsed).
-    ///
-    /// With `TapestryConfig::multicast_fanout` set, at most that many
-    /// *unpinned* child branches are forwarded per level (lowest digits
-    /// first — deterministic); branches deferred to soft-state repair are
-    /// collected into `deferred` (their count is the
-    /// `membership.multicast.fanout_deferred` figure, and incremental maintenance
-    /// turns each into a targeted reintroduction). Pinned entries are
-    /// always forwarded: §4.4 requires every multicast through a pinned
-    /// slot to reach the in-flight insertee, bound or no bound.
-    fn gather_children(
-        &self,
-        prefix: Prefix,
-        out: &mut Vec<(Prefix, NodeRef)>,
-        deferred: &mut Vec<(Prefix, NodeRef)>,
-    ) {
+    /// Pinned entries are forwarded too: §4.4 requires every multicast
+    /// through a pinned slot to reach the in-flight insertee.
+    fn gather_children(&self, prefix: Prefix, out: &mut Vec<(Prefix, NodeRef)>) {
         let l = prefix.len();
         if l >= self.table.levels() {
             return;
         }
-        let bound = self.cfg.multicast_fanout.unwrap_or(usize::MAX);
-        let mut width = 0usize;
         for j in 0..self.table.base() as u8 {
             let slot = self.table.slot(l, j);
             if slot.is_empty() {
@@ -241,15 +202,8 @@ impl TapestryNode {
             }
             let ext = prefix.extend(j);
             match slot.first_unpinned() {
-                Some(u) if u.idx == self.me.idx => self.gather_children(ext, out, deferred),
-                Some(u) => {
-                    if width < bound {
-                        out.push((ext, u));
-                        width += 1;
-                    } else {
-                        deferred.push((ext, u));
-                    }
-                }
+                Some(u) if u.idx == self.me.idx => self.gather_children(ext, out),
+                Some(u) => out.push((ext, u)),
                 None => {}
             }
             for p in slot.pinned() {

@@ -77,20 +77,9 @@ pub struct TapestryNetwork {
     members: Vec<NodeIdx>,
     rng: StdRng,
     seed: u64,
-    /// Per-op completion callback, invoked once for every locate result
-    /// the driver collects, whichever call collects it
-    /// ([`TapestryNetwork::take_results`],
-    /// [`TapestryNetwork::take_completed`] or a synchronous
-    /// [`TapestryNetwork::locate`]).
-    locate_hook: Option<LocateHook>,
     /// Event budget for each `run_to_idle` call.
     pub max_events_per_op: u64,
 }
-
-/// Callback observing every completed locate as the driver collects it:
-/// once per result, in collection order. A result that is never
-/// collected (its origin died first) is never observed.
-pub type LocateHook = Box<dyn FnMut(&LocateResult) + Send>;
 
 /// One table entry the indexed bootstrap installs: `member`, at distance
 /// `dist`, into `node`'s table. The level is implicit — fills are produced
@@ -206,7 +195,6 @@ impl TapestryNetwork {
             members: Vec::new(),
             rng,
             seed,
-            locate_hook: None,
             max_events_per_op: 20_000_000,
         }
     }
@@ -514,9 +502,7 @@ impl TapestryNetwork {
     pub fn locate(&mut self, origin: NodeIdx, guid: Guid) -> Option<LocateResult> {
         self.locate_async(origin, guid);
         self.run_to_idle();
-        let result = self.engine.node_mut(origin)?.take_locate_result_for(guid)?;
-        self.fire_locate_hook(std::slice::from_ref(&result));
-        Some(result)
+        self.engine.node_mut(origin)?.take_locate_result_for(guid)
     }
 
     /// Issue a locate without draining.
@@ -551,16 +537,12 @@ impl TapestryNetwork {
     }
 
     /// Collect finished locate results queued at `origin` (nothing if it
-    /// is dead — its results died with it). Each result passes through
-    /// the completion hook (if set) exactly once. This is the collection
-    /// call for a driver that knows its one origin; a driver with locates
-    /// in flight from many origins uses
-    /// [`TapestryNetwork::take_completed`] instead of polling each.
+    /// is dead — its results died with it). This is the collection call
+    /// for a driver that knows its one origin; a driver with locates in
+    /// flight from many origins uses [`TapestryNetwork::drain_results`]
+    /// instead of polling each.
     pub fn take_results(&mut self, origin: NodeIdx) -> Vec<LocateResult> {
-        let results =
-            self.engine.node_mut(origin).map(|n| n.take_locate_results()).unwrap_or_default();
-        self.fire_locate_hook(&results);
-        results
+        self.engine.node_mut(origin).map(|n| n.take_locate_results()).unwrap_or_default()
     }
 
     /// Collect every finished locate result in the network, from exactly
@@ -568,10 +550,8 @@ impl TapestryNetwork {
     /// O(1) without allocating or touching any node when nothing finished
     /// since the last call. Origins are visited in node order, each
     /// origin's results in completion order; an origin that died since
-    /// completing yields nothing. Funnels through
-    /// [`TapestryNetwork::take_results`], so the hook fires once per
-    /// result.
-    pub fn take_completed(&mut self) -> Vec<LocateResult> {
+    /// completing yields nothing. Each result is returned exactly once.
+    pub fn drain_results(&mut self) -> Vec<LocateResult> {
         let mut ready = self.engine.take_notified();
         ready.sort_unstable();
         let mut all = Vec::new();
@@ -579,30 +559,6 @@ impl TapestryNetwork {
             all.extend(self.take_results(origin));
         }
         all
-    }
-
-    /// Collect every finished locate result in the network: the name
-    /// existing drivers call [`TapestryNetwork::take_completed`] by.
-    pub fn drain_results(&mut self) -> Vec<LocateResult> {
-        self.take_completed()
-    }
-
-    /// Show `results` to the completion hook, as they leave the network.
-    fn fire_locate_hook(&mut self, results: &[LocateResult]) {
-        if let Some(hook) = self.locate_hook.as_mut() {
-            results.iter().for_each(hook);
-        }
-    }
-
-    /// Install a per-op completion callback observing every collected
-    /// locate result (replaces any previous hook).
-    pub fn set_locate_hook(&mut self, hook: LocateHook) {
-        self.locate_hook = Some(hook);
-    }
-
-    /// Remove the completion callback.
-    pub fn clear_locate_hook(&mut self) {
-        self.locate_hook = None;
     }
 
     // ------------------------------ partitions -----------------------------
@@ -761,7 +717,7 @@ impl TapestryNetwork {
     }
 
     /// Trigger one failure-detection probe round on every live node and
-    /// drain (the experiments' stand-in for periodic heartbeats).
+    /// drain (§5.2 beacons).
     pub fn probe_all(&mut self) {
         self.probe_all_async();
         self.run_to_idle();

@@ -1,7 +1,7 @@
 //! Incremental, fact-driven maintenance: §5.2's lazy, local repair.
 //!
 //! The node that notices a failure fixes its own state, and nothing
-//! else. Hooks across `maintain`/`insert`/`multicast` and the engine's
+//! else. Hooks across `maintain`/`insert`/`node` and the engine's
 //! contact-failure notices record staleness **facts** into a per-node
 //! [`RepairLedger`]; a reactive `RepairTick` timer (armed only while the
 //! ledger is non-empty) releases at most `repairs_per_sec_per_node`
@@ -58,11 +58,6 @@ pub(crate) enum FactKind {
     /// evictee may still be the best entry somewhere else. Repairs by
     /// re-routing pointers that traveled through it.
     Eviction,
-    /// An acknowledged-multicast branch was deferred past the
-    /// `multicast_fanout` bound (`membership.multicast.fanout_deferred`).
-    /// Repairs by re-introducing the insertee to the deferred subtree's
-    /// representative directly.
-    DeferredBranch,
 }
 
 /// One "maintenance second" of simulated time: 1000 distance units at
@@ -173,9 +168,6 @@ pub(crate) enum RepairTask {
     /// from the table (it is alive, but no longer on our paths — §4.2
     /// redistribution, deferred to the budget).
     ReRoute { peer: NodeIdx },
-    /// Heal a fan-out-deferred multicast branch: introduce the insertee
-    /// and the deferred subtree's representative to each other.
-    Reintroduce { rep: NodeRef, insertee: NodeRef, level: usize },
     /// Re-admit a flapping neighbor that answered a probe late.
     Readmit { peer: NodeRef },
 }
@@ -194,7 +186,6 @@ impl TapestryNode {
             FactKind::MissedProbeAck => metrics::REPAIR_FACT_MISSED_ACK,
             FactKind::LateProbeAck => metrics::REPAIR_FACT_LATE_ACK,
             FactKind::Eviction => metrics::REPAIR_FACT_EVICTION,
-            FactKind::DeferredBranch => metrics::REPAIR_FACT_DEFERRED_BRANCH,
         };
         by_kind.inc(ctx);
         self.schedule_task(ctx, task);
@@ -244,7 +235,6 @@ impl TapestryNode {
             let to = match &task {
                 RepairTask::RemoveDead { peer } | RepairTask::ReRoute { peer } => *peer,
                 RepairTask::SlotRequery { dead, .. } => *dead,
-                RepairTask::Reintroduce { rep, .. } => rep.idx,
                 RepairTask::Readmit { peer } => peer.idx,
             };
             ctx.trace(TraceRecord {
@@ -270,14 +260,6 @@ impl TapestryNode {
                     metrics::REPAIR_REROUTED.inc(ctx);
                     self.optimize_pointers_after_change(ctx, peer);
                 }
-            }
-            RepairTask::Reintroduce { rep, insertee, level } => {
-                // Both sides run the ordinary `AddToTableIfCloser` path on
-                // receipt, so the deferred subtree learns the insertee (and
-                // vice versa) without replaying the wave.
-                metrics::REPAIR_REINTRODUCED.inc(ctx);
-                ctx.send(rep.idx, Msg::ShareTable { level, refs: vec![insertee] });
-                ctx.send(insertee.idx, Msg::ShareTable { level, refs: vec![rep] });
             }
             RepairTask::Readmit { peer } => {
                 // A late probe ack proves the peer is alive after all:

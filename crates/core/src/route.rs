@@ -252,7 +252,7 @@ impl TapestryNode {
     /// Origin-side completion: record the result for the driver, and put
     /// this node on the engine's completion feed when the queue goes
     /// empty → non-empty (a node with a non-empty queue is already
-    /// listed: `take_completed` empties every queue it unlists).
+    /// listed: `drain_results` empties every queue it unlists).
     pub(crate) fn on_locate_done(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,

@@ -11,8 +11,8 @@
 //! That measurement replaces guesswork in churn sizing: churn presets
 //! used to be exercised only at toy sizes (a de-facto hard cap, because
 //! the worst-case Θ(n)-per-join multicast made anything larger look
-//! unaffordable on paper). [`max_churn_nodes`] derives the admissible
-//! scale from the measured cost and a message budget instead.
+//! unaffordable on paper). [`churn_join_budget`] derives the joins a
+//! phase affords from the measured cost and a message budget instead.
 
 /// Measured mean protocol messages per join: `membership.join.messages / joins`.
 /// 0 when no join ran.
@@ -34,24 +34,6 @@ pub fn churn_join_budget(mean_join_msgs: f64, msg_budget: u64) -> u64 {
     ((msg_budget as f64 / mean_join_msgs) as u64).max(1)
 }
 
-/// The largest network a churn phase can run at, when the phase joins
-/// `join_fraction` of the population and may spend `msg_budget` protocol
-/// messages on joins: `n · join_fraction · mean ≤ budget`.
-///
-/// This is the *derived* cap that replaces the old hard-coded
-/// conservative limit on churn preset sizes — with the measured
-/// ~O(log² n) cost (≈250 protocol messages per join at 50k nodes on the
-/// torus; ≈750 counting a join's total traffic with table-maintenance
-/// fan-out), a 4M-message budget admits churn well past 50k nodes,
-/// which is exactly what the committed `churn-scale` trajectory points
-/// exercise.
-pub fn max_churn_nodes(mean_join_msgs: f64, msg_budget: u64, join_fraction: f64) -> usize {
-    if mean_join_msgs <= 0.0 || join_fraction <= 0.0 {
-        return usize::MAX;
-    }
-    (msg_budget as f64 / (mean_join_msgs * join_fraction)) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,15 +49,5 @@ mod tests {
         assert_eq!(churn_join_budget(750.0, 4_000_000), 5333);
         assert_eq!(churn_join_budget(750.0, 100), 1, "floor of one join");
         assert_eq!(churn_join_budget(0.0, 10), 1, "no measurement yet: minimal");
-    }
-
-    #[test]
-    fn derived_cap_admits_50k_churn() {
-        // The satellite contract: with the measured join cost accounted,
-        // the derived cap clears the 25k/50k churn trajectory points the
-        // old conservative limit forbade.
-        let cap = max_churn_nodes(750.0, 4_000_000, 1.0 / 16.0);
-        assert!(cap >= 50_000, "derived cap {cap} must admit the 50k churn point");
-        assert_eq!(max_churn_nodes(0.0, 1, 0.5), usize::MAX, "unmeasured: uncapped");
     }
 }

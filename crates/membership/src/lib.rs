@@ -25,13 +25,12 @@
 //! * [`cost`] — join-cost accounting over the `membership.join.messages` counter
 //!   that `tapestry-core` threads through the Figs. 4/7/8/11 protocol
 //!   messages, plus the churn sizing rule that replaces the old
-//!   hard-coded "churn only at toy sizes" ceiling with a cap derived
-//!   from *measured* mean messages/join.
+//!   hard-coded "churn only at toy sizes" ceiling with a join budget
+//!   derived from *measured* mean messages/join.
 //!
-//! The related fan-out bound (`TapestryConfig::multicast_fanout`) lives
-//! in `tapestry-core`: it caps a wave's branch width per level and
-//! defers the remainder to soft-state repair (probe/optimize rounds),
-//! bounding worst-case wave cost even when `α = ε`.
+//! A wave is the paper's exact §4.1 multicast: every recipient forwards
+//! every branch, so a wave reaching `k` nodes is a spanning tree of
+//! `k − 1` edges (Theorem 5); coalescing is the one lever on wave cost.
 
 #![forbid(unsafe_code)]
 
@@ -39,4 +38,4 @@ pub mod coalescer;
 pub mod cost;
 
 pub use coalescer::{BatchPolicy, CoalescerOutcome, JoinCoalescer};
-pub use cost::{churn_join_budget, max_churn_nodes, mean_messages_per_join};
+pub use cost::{churn_join_budget, mean_messages_per_join};

@@ -186,7 +186,6 @@ mod tests {
     use super::*;
     use crate::grid::{CellSpec, SweepSpec};
     use crate::run::{CellResult, RunMetrics, SweepResult};
-    use tapestry_workload::SweepKnobs;
 
     fn cell() -> CellSpec {
         CellSpec {
@@ -195,7 +194,7 @@ mod tests {
             nodes: 16,
             ops: 40,
             space: None,
-            knobs: SweepKnobs::default(),
+            batched: None,
         }
     }
 

@@ -1,6 +1,6 @@
 //! The declarative sweep grammar: a plain-text spec names the seed set,
 //! one or more config grids (each a cross-product of axes over the
-//! `tapestry_workload::sweep_preset` knobs), and the regression gates a
+//! `tapestry_workload::sweep_preset` axes), and the regression gates a
 //! `--compare` run enforces — so CI thresholds live in one committed
 //! file instead of inline script steps.
 //!
@@ -18,20 +18,20 @@
 //! preset churn-scale
 //! nodes 1000
 //! ops 2000
-//! budget default 4
 //!
 //! gate join_msgs_mean max_ratio 1.5
 //! gate repairs_per_node_round max_ratio 1.5 abs_slack 1.0
 //! gate wall.events_per_sec min_abs 30000 cell churn-scale
 //! ```
 //!
-//! Axis lines accept several whitespace-separated values; the grid is the
-//! cross-product of every axis. The literal `default` leaves a knob at
-//! the preset's own value, so `budget default 4` sweeps the preset's
-//! repair budget against a budget of 4 repairs per node per second.
+//! A grid has three axes, `nodes`, `space` and `batched`; each line
+//! accepts several whitespace-separated values, and the grid is their
+//! cross-product. The literal `default` leaves an axis at the preset's
+//! own value, so `batched default off` in a `churn-scale` grid runs the
+//! preset's batched joins against solo joins.
 
 use tapestry_workload::presets::ScaleSpace;
-use tapestry_workload::{sweep_preset, ScenarioSpec, SweepKnobs};
+use tapestry_workload::{sweep_preset, ScenarioSpec};
 
 /// One parsed sweep specification.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,14 +62,6 @@ pub struct GridSpec {
     pub nodes: Vec<usize>,
     /// Substrate axis (`None` = preset default).
     pub spaces: Vec<Option<ScaleSpace>>,
-    /// Identifier-radix axis.
-    pub bases: Vec<Option<u8>>,
-    /// Acknowledged-multicast fan-out axis (`0` = unbounded).
-    pub fanouts: Vec<Option<usize>>,
-    /// Join-coalescing window axis, in distance units.
-    pub windows: Vec<Option<f64>>,
-    /// Repair budget axis (repairs/sec/node).
-    pub budgets: Vec<Option<u32>>,
     /// Join-batching axis (`churn-scale` only).
     pub batched: Vec<Option<bool>>,
 }
@@ -82,10 +74,6 @@ impl GridSpec {
             ops: 0,
             nodes: Vec::new(),
             spaces: vec![None],
-            bases: vec![None],
-            fanouts: vec![None],
-            windows: vec![None],
-            budgets: vec![None],
             batched: vec![None],
         }
     }
@@ -98,29 +86,15 @@ impl GridSpec {
         let mut cells = Vec::new();
         for &nodes in &self.nodes {
             for &space in &self.spaces {
-                for &base in &self.bases {
-                    for &fanout in &self.fanouts {
-                        for &window in &self.windows {
-                            for &budget in &self.budgets {
-                                for &batch in &self.batched {
-                                    cells.push(CellSpec {
-                                        grid: self.name.clone(),
-                                        preset: self.preset.clone(),
-                                        nodes,
-                                        ops: self.ops,
-                                        space,
-                                        knobs: SweepKnobs {
-                                            base,
-                                            multicast_fanout: fanout,
-                                            coalesce_window: window,
-                                            repair_budget: budget,
-                                            batched: batch,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
+                for &batched in &self.batched {
+                    cells.push(CellSpec {
+                        grid: self.name.clone(),
+                        preset: self.preset.clone(),
+                        nodes,
+                        ops: self.ops,
+                        space,
+                        batched,
+                    });
                 }
             }
         }
@@ -142,12 +116,12 @@ pub struct CellSpec {
     pub ops: u64,
     /// Substrate override.
     pub space: Option<ScaleSpace>,
-    /// Config knobs.
-    pub knobs: SweepKnobs,
+    /// Join-batching override.
+    pub batched: Option<bool>,
 }
 
 impl CellSpec {
-    /// The canonical cell key: grid, node count and non-default knobs.
+    /// The canonical cell key: grid, node count and non-default axes.
     /// Aggregate artifacts are keyed by this string, so it encodes every
     /// axis that can distinguish two cells.
     pub fn key(&self) -> String {
@@ -159,19 +133,7 @@ impl CellSpec {
                 ScaleSpace::TransitStub => "/space=transit-stub",
             });
         }
-        if let Some(b) = self.knobs.base {
-            k.push_str(&format!("/base={b}"));
-        }
-        if let Some(f) = self.knobs.multicast_fanout {
-            k.push_str(&format!("/fanout={f}"));
-        }
-        if let Some(w) = self.knobs.coalesce_window {
-            k.push_str(&format!("/win={w}"));
-        }
-        if let Some(r) = self.knobs.repair_budget {
-            k.push_str(&format!("/budget={r}"));
-        }
-        if let Some(b) = self.knobs.batched {
+        if let Some(b) = self.batched {
             k.push_str(if b { "/batch=on" } else { "/batch=off" });
         }
         k
@@ -179,7 +141,7 @@ impl CellSpec {
 
     /// Instantiate the cell for one seed.
     pub fn build(&self, seed: u64) -> Result<ScenarioSpec, String> {
-        sweep_preset(&self.preset, self.nodes, self.ops, seed, self.space, &self.knobs)
+        sweep_preset(&self.preset, self.nodes, self.ops, seed, self.space, self.batched)
             .map_err(|e| format!("cell {}: {e}", self.key()))
     }
 }
@@ -386,26 +348,6 @@ fn apply_grid_key(g: &mut GridSpec, key: &str, vals: &[&str]) -> Result<(), Stri
                 ScaleSpace::parse(s).ok_or_else(|| format!("unknown space '{s}'"))
             })?;
         }
-        "base" => {
-            g.bases = parse_axis(vals, "radix", |s| {
-                s.parse::<u8>().map_err(|_| format!("'{s}' is not a radix"))
-            })?;
-        }
-        "fanout" => {
-            g.fanouts = parse_axis(vals, "fanout", |s| {
-                s.parse::<usize>().map_err(|_| format!("'{s}' is not a fanout"))
-            })?;
-        }
-        "window" => {
-            g.windows = parse_axis(vals, "window", |s| {
-                s.parse::<f64>().map_err(|_| format!("'{s}' is not a window"))
-            })?;
-        }
-        "budget" => {
-            g.budgets = parse_axis(vals, "budget", |s| {
-                s.parse::<u32>().map_err(|_| format!("'{s}' is not a budget"))
-            })?;
-        }
         "batched" => {
             g.batched = parse_axis(vals, "batched flag", |s| match s {
                 "on" => Ok(true),
@@ -477,16 +419,16 @@ seeds 43 42 42
 workers 2
 
 grid tiny
-preset steady-zipf
-nodes 16 32
+preset scale
+nodes 16 64
 ops 40
-fanout default 2
+space default grid
 
 grid churny
 preset churn-scale
 nodes 64
 ops 100
-budget default 4
+batched default off
 
 gate join_msgs_mean max_ratio 1.5 cell churny
 gate hops_p50 max_ratio 1.2 abs_slack 0.5
@@ -501,12 +443,12 @@ gate wall.events_per_sec min_abs 1000
         assert_eq!(s.default_workers, Some(2));
         assert_eq!(s.grids.len(), 2);
         let cells = s.cells();
-        // tiny: 2 nodes × 2 fan-outs; churny: 1 × 2 budgets.
+        // tiny: 2 nodes × 2 spaces; churny: 1 × 2 batching modes.
         assert_eq!(cells.len(), 6);
         assert_eq!(cells[0].key(), "tiny/n16");
-        assert_eq!(cells[3].key(), "tiny/n32/fanout=2");
+        assert_eq!(cells[3].key(), "tiny/n64/space=grid");
         assert_eq!(cells[4].key(), "churny/n64");
-        assert_eq!(cells[5].key(), "churny/n64/budget=4");
+        assert_eq!(cells[5].key(), "churny/n64/batch=off");
         assert_eq!(s.gates.len(), 3);
         assert_eq!(s.gates[0].cell_filter.as_deref(), Some("churny"));
         assert_eq!(s.gates[1].abs_slack, 0.5);
@@ -591,22 +533,27 @@ gate wall.events_per_sec min_abs 1000
             err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
             "grid 'g' is missing an `ops` line"
         );
-        // There is one maintenance behaviour and one worker per run, so
-        // no axis selects either.
+        // There is one maintenance behaviour, one worker per run and one
+        // multicast, and no committed spec varied the radix, the join
+        // window or the repair budget, so no axis selects any of them.
         assert_eq!(
             err("name x\nseeds 1\ngrid g\npreset churn-scale\nnodes 64\nops 10\nmaintenance incremental"),
             "line 7: unknown key 'maintenance'"
         );
-        assert_eq!(
-            err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8\nops 10\nthreads 1"),
-            "line 7: unknown key 'threads'"
-        );
+        for key in ["threads 1", "fanout 2", "base 4", "window 500", "budget 4"] {
+            let name = key.split(' ').next().unwrap();
+            assert_eq!(
+                err(&format!(
+                    "name x\nseeds 1\ngrid g\npreset churn-scale\nnodes 64\nops 10\n{key}"
+                )),
+                format!("line 7: unknown key '{name}'")
+            );
+        }
     }
 
     /// Spec keys and values for the never-panic property: every key, an
     /// unknown one, valid and invalid values, and comment noise.
-    const KEYS: &str = "name seeds workers grid preset ops nodes space base fanout \
-                        window budget batched gate bogus #";
+    const KEYS: &str = "name seeds workers grid preset ops nodes space batched gate bogus #";
     const VALUES: &str = "x 0 1 2 16 -1 1.5 inf NaN 18446744073709551615 default steady-zipf \
                           churn-scale torus incremental on max_ratio min_abs abs_slack cell \
                           wall.events_per_sec # é";

@@ -6,9 +6,8 @@
 //! declarative object:
 //!
 //! * [`grid`] — a plain-text sweep spec: seed set × node counts ×
-//!   substrates × config knobs (radix, multicast fan-out, coalescing
-//!   window, repair budget, join batching), expanded into
-//!   independent cells, plus the regression gates `--compare` enforces;
+//!   substrates × join batching, expanded into independent cells, plus
+//!   the regression gates `--compare` enforces;
 //! * [`pool`] — scoped-thread fan-out of whole runs across cores. Each
 //!   run is the existing deterministic single-run path
 //!   (`tapestry_workload::runner`), so per-run results are byte-identical

@@ -183,7 +183,7 @@ mod tests {
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::parse(
-            "name tiny\nseeds 7 11\n\ngrid t\npreset steady-zipf\nnodes 16\nops 40\nfanout default 2\n",
+            "name tiny\nseeds 7 11\n\ngrid t\npreset steady-zipf\nnodes 16 24\nops 40\n",
         )
         .unwrap()
     }

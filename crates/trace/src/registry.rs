@@ -258,8 +258,6 @@ pub mod metrics {
             "Messages attributed to the join protocol";
         Counter MULTICAST_RECIPIENTS: "membership.multicast.recipients",
             "Nodes reached by acknowledged multicasts";
-        Counter MULTICAST_FANOUT_DEFERRED: "membership.multicast.fanout_deferred",
-            "Multicast branches deferred by the fanout bound";
         Counter MULTICAST_EDGES: "membership.multicast.edges",
             "Multicast tree edges traversed";
         Counter MULTICAST_BATCH_WAVES: "membership.multicast.batch_waves",
@@ -298,8 +296,6 @@ pub mod metrics {
             "Repair tasks deferred by the per-node budget";
         Counter REPAIR_REROUTED: "repair.rerouted",
             "Pointers re-routed around dead servers";
-        Counter REPAIR_REINTRODUCED: "repair.reintroduced",
-            "Insertees reintroduced after a deferred multicast branch";
         Counter REPAIR_READMITTED: "repair.readmitted",
             "Flapping nodes re-admitted after a death certificate lapsed";
         Counter REPAIR_PROMOTIONS: "repair.promotions",
@@ -314,8 +310,6 @@ pub mod metrics {
             "Facts from late probe acknowledgments";
         Counter REPAIR_FACT_EVICTION: "repair.fact.eviction",
             "Facts from table evictions";
-        Counter REPAIR_FACT_DEFERRED_BRANCH: "repair.fact.deferred_branch",
-            "Facts from deferred multicast branches";
     }
 }
 
@@ -375,7 +369,7 @@ mod tests {
         assert_eq!(metrics::LOCATE_HOPS.read(&stats).map(|h| h.count()), Some(1));
         // Below and above the touched slots alike.
         assert_eq!(metrics::ROUTE_HOPS.read(&stats), 0);
-        assert_eq!(metrics::REPAIR_FACT_DEFERRED_BRANCH.read(&stats), 0);
+        assert_eq!(metrics::REPAIR_FACT_EVICTION.read(&stats), 0);
         assert!(metrics::LOCATE_LATENCY_UNITS.read(&stats).is_none());
         for c in metrics::counters().filter(|c| c.name() != metrics::JOIN_MESSAGES.name()) {
             assert_eq!(c.read(&stats), 0, "{} moved with another counter", c.name());

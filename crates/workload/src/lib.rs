@@ -42,7 +42,7 @@ pub mod spec;
 pub mod traffic;
 
 pub use churn::{ChurnEvent, ChurnSpec};
-pub use presets::{sweep_preset, SweepKnobs};
+pub use presets::sweep_preset;
 pub use report::{HistSummary, InvariantReport, OpStats, PhaseReport, ScenarioReport};
 pub use runner::{run, run_instrumented, RunTiming, RunTotals, Telemetry};
 pub use spec::{PhaseSpec, ScenarioSpec, SpaceKind, TrafficSpec};

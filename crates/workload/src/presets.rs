@@ -222,82 +222,40 @@ fn d(units: f64) -> SimTime {
     SimTime::from_distance(units)
 }
 
-/// Config knobs a sweep grid can vary on top of a named preset. Every
-/// field defaults to "leave the preset alone", so a `SweepKnobs::default()`
-/// reproduces the preset exactly — the anchor the sweep determinism tests
-/// rely on.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SweepKnobs {
-    /// Identifier radix `b` (the paper uses 16). Digit count is kept.
-    pub base: Option<u8>,
-    /// Acknowledged-multicast fan-out bound; `Some(0)` means unbounded
-    /// (the paper's exact §4.1 behaviour, `TapestryConfig` `None`).
-    pub multicast_fanout: Option<usize>,
-    /// Join-coalescing window in metric-distance units. Only valid for
-    /// presets that batch joins (`churn-scale` with `batched`).
-    pub coalesce_window: Option<f64>,
-    /// Repair budget (`repairs_per_sec_per_node`).
-    pub repair_budget: Option<u32>,
-    /// Join batching on/off. Only valid for `churn-scale`.
-    pub batched: Option<bool>,
-}
-
 /// The sweep entry point: build any preset family member from one flat
 /// parameter set — the named scenario presets, the `scale` family
 /// (`space` selects the substrate) and the `churn-scale` family
-/// (`knobs.batched` selects the variant) — then
-/// apply the grid's config-knob overrides. This is the single
+/// (`batched` selects the variant). `None` leaves the preset alone, so
+/// `(None, None)` reproduces a named preset exactly. This is the single
 /// constructor `tapestry-sweep` expands grid cells through and
-/// `scenarios --preset` resolves names through (default knobs), so every
-/// name and knob combination is validated in one place.
+/// `scenarios --preset` resolves names through, so every name and axis
+/// combination is validated in one place.
 pub fn sweep_preset(
     name: &str,
     nodes: usize,
     ops: u64,
     seed: u64,
     space: Option<ScaleSpace>,
-    knobs: &SweepKnobs,
+    batched: Option<bool>,
 ) -> Result<ScenarioSpec, String> {
-    let mut spec = match name {
+    Ok(match name {
         "scale" => scale_preset(nodes, ops, seed, space.unwrap_or(ScaleSpace::Torus)),
         "churn-scale" => {
             if space.is_some_and(|s| s != ScaleSpace::Torus) {
                 return Err("churn-scale: only the torus substrate is supported".into());
             }
-            churn_scale_preset(nodes, ops, seed, knobs.batched.unwrap_or(true))
+            churn_scale_preset(nodes, ops, seed, batched.unwrap_or(true))
         }
         _ => {
             if space.is_some() {
                 return Err(format!("preset '{name}': the space axis applies to `scale` only"));
             }
-            if knobs.batched.is_some() {
+            if batched.is_some() {
                 return Err(format!("preset '{name}': `batched` applies to `churn-scale` only"));
             }
             preset(name, nodes, ops, seed).ok_or_else(|| format!("unknown preset '{name}'"))?
         }
-    };
-    if let Some(b) = knobs.base {
-        let space = tapestry_id::IdSpace::try_new(b, spec.cfg.space.digits);
-        spec.cfg.space = space.map_err(|why| format!("base: {why}"))?;
-    }
-    if let Some(f) = knobs.multicast_fanout {
-        spec.cfg.multicast_fanout = if f == 0 { None } else { Some(f) };
-    }
-    if let Some(w) = knobs.coalesce_window {
-        match spec.join_batch.as_mut() {
-            Some(policy) if w > 0.0 => policy.window = SimTime::from_distance(w),
-            _ => {
-                return Err(format!(
-                    "preset '{name}': coalesce_window needs a join-batching preset \
-                     and a positive window (got {w})"
-                ))
-            }
-        }
-    }
-    if let Some(budget) = knobs.repair_budget {
-        spec = spec.repair_budget(budget);
-    }
-    Ok(spec)
+    })
 }
 
 /// Build the named preset for a network of `nodes` nodes and roughly
@@ -500,9 +458,8 @@ mod tests {
 
     #[test]
     fn sweep_preset_with_default_knobs_matches_the_named_preset() {
-        let knobs = SweepKnobs::default();
         for &name in PRESET_NAMES {
-            let via_sweep = sweep_preset(name, 64, 500, 42, None, &knobs).expect(name);
+            let via_sweep = sweep_preset(name, 64, 500, 42, None, None).expect(name);
             let direct = preset(name, 64, 500, 42).unwrap();
             assert_eq!(via_sweep.name, direct.name);
             assert_eq!(via_sweep.cfg, direct.cfg);
@@ -512,68 +469,38 @@ mod tests {
         // The scale/churn-scale families route through their dedicated
         // constructors (space and batched selection).
         for &name in FAMILY_NAMES {
-            assert_eq!(sweep_preset(name, 64, 500, 42, None, &knobs).expect(name).name, name);
+            assert_eq!(sweep_preset(name, 64, 500, 42, None, None).expect(name).name, name);
         }
-        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), &knobs).unwrap();
-        assert_eq!(s.name, "scale");
-        assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));
-        let c = sweep_preset("churn-scale", 1000, 500, 42, None, &knobs).unwrap();
+        let c = sweep_preset("churn-scale", 1000, 500, 42, None, None).unwrap();
         assert_eq!(c.name, "churn-scale");
         assert!(c.join_batch.is_some());
-        let seq = SweepKnobs { batched: Some(false), ..Default::default() };
-        let c = sweep_preset("churn-scale", 1000, 500, 42, None, &seq).unwrap();
+    }
+
+    #[test]
+    fn sweep_preset_applies_every_knob() {
+        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), None).unwrap();
+        assert_eq!(s.name, "scale");
+        assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));
+        let c = sweep_preset("churn-scale", 1000, 500, 42, Some(ScaleSpace::Torus), Some(false))
+            .unwrap();
         assert_eq!(c.name, "churn-scale-seq");
         assert!(c.join_batch.is_none());
     }
 
     #[test]
-    fn sweep_preset_applies_every_knob() {
-        let knobs = SweepKnobs {
-            base: Some(4),
-            multicast_fanout: Some(8),
-            coalesce_window: Some(1234.0),
-            repair_budget: Some(3),
-            batched: Some(true),
-        };
-        let spec = sweep_preset("churn-scale", 1000, 500, 42, None, &knobs).unwrap();
-        assert_eq!(spec.cfg.space.base, 4);
-        assert_eq!(spec.cfg.multicast_fanout, Some(8));
-        assert_eq!(spec.join_batch.unwrap().window, SimTime::from_distance(1234.0));
-        assert_eq!(spec.cfg.repairs_per_sec_per_node, 3);
-        // Fan-out 0 means unbounded (config None).
-        let unbounded = SweepKnobs { multicast_fanout: Some(0), ..Default::default() };
-        let spec = sweep_preset("steady-zipf", 64, 500, 42, None, &unbounded).unwrap();
-        assert_eq!(spec.cfg.multicast_fanout, None);
-    }
-
-    #[test]
     fn sweep_preset_rejects_invalid_knob_combinations() {
-        let k = SweepKnobs::default();
-        assert!(sweep_preset("nope", 64, 500, 42, None, &k).is_err(), "unknown preset");
+        assert!(sweep_preset("nope", 64, 500, 42, None, None).is_err(), "unknown preset");
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::Grid), &k).is_err(),
+            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::Grid), None).is_err(),
             "space axis is scale-only"
         );
-        let b = SweepKnobs { batched: Some(true), ..Default::default() };
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, None, &b).is_err(),
+            sweep_preset("churn-scale", 1000, 500, 42, Some(ScaleSpace::Grid), None).is_err(),
+            "churn-scale runs on the torus only"
+        );
+        assert!(
+            sweep_preset("steady-zipf", 64, 500, 42, None, Some(true)).is_err(),
             "batched is churn-scale-only"
         );
-        let w = SweepKnobs { coalesce_window: Some(500.0), ..Default::default() };
-        assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, None, &w).is_err(),
-            "coalesce_window needs a batching preset"
-        );
-        let solo_w =
-            SweepKnobs { batched: Some(false), coalesce_window: Some(500.0), ..Default::default() };
-        assert!(
-            sweep_preset("churn-scale", 1000, 500, 42, None, &solo_w).is_err(),
-            "coalesce_window needs batched joins"
-        );
-        let bad_base = SweepKnobs { base: Some(1), ..Default::default() };
-        let err = sweep_preset("steady-zipf", 64, 500, 42, None, &bad_base).unwrap_err();
-        assert!(err.starts_with("base: ") && err.contains("at least 2"), "radix 1: {err}");
-        let widest = SweepKnobs { base: Some(255), ..Default::default() };
-        assert!(sweep_preset("steady-zipf", 64, 500, 42, None, &widest).is_ok());
     }
 }

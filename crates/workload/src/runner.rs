@@ -526,7 +526,7 @@ fn harvest(
     hops: &mut Histogram,
     path_dist: &mut Histogram,
 ) {
-    let results = net.take_completed();
+    let results = net.drain_results();
     if results.is_empty() {
         return;
     }

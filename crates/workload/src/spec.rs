@@ -135,8 +135,8 @@ pub struct ScenarioSpec {
     /// Master seed: identical seeds reproduce identical reports.
     pub seed: u64,
     /// Overlay configuration. The runner requires `republish_interval`
-    /// and `heartbeat_interval` to stay `ZERO` (it drives repair rounds
-    /// explicitly so phases have crisp boundaries).
+    /// to stay `ZERO` (it drives republish and probe rounds explicitly so
+    /// phases have crisp boundaries).
     pub cfg: TapestryConfig,
     /// Metric substrate.
     pub space: SpaceKind,
@@ -415,13 +415,8 @@ impl ScenarioSpec {
         if self.join_batch.is_some_and(|p| p.max_batch == 0) {
             return Err("join_batch.max_batch must be at least 1".into());
         }
-        if self.cfg.republish_interval != SimTime::ZERO
-            || self.cfg.heartbeat_interval != SimTime::ZERO
-        {
-            return Err(
-                "runner drives repair explicitly: republish/heartbeat intervals must be ZERO"
-                    .into(),
-            );
+        if self.cfg.republish_interval != SimTime::ZERO {
+            return Err("runner drives repair explicitly: republish_interval must be ZERO".into());
         }
         Ok(())
     }

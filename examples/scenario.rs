@@ -7,9 +7,9 @@
 //!
 //! The scenario below is a miniature "weekday": a warmup, a diurnal
 //! churn wave under Zipf traffic, then a flash crowd on one hot object —
-//! all deterministic from the single seed. It also demonstrates the
-//! per-op completion hook `TapestryNetwork::set_locate_hook` for drivers
-//! that want raw results instead of a report.
+//! all deterministic from the single seed. It also shows
+//! `TapestryNetwork::drain_results`, which hands drivers that want raw
+//! per-op results instead of a report each finished locate once.
 
 use tapestry::prelude::*;
 use tapestry::workload::runner;
@@ -78,21 +78,12 @@ fn main() {
         report.total_dropped,
     );
 
-    // ---- the raw per-op hook, for custom drivers --------------------------
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    let hits = Arc::new(AtomicU64::new(0));
-    let hits2 = Arc::clone(&hits);
+    // ---- raw per-op results, for custom drivers ---------------------------
     let mut net = TapestryNetwork::build(
         TapestryConfig::default(),
         Box::new(TorusSpace::random(32, 1000.0, 1)),
         1,
     );
-    net.set_locate_hook(Box::new(move |r| {
-        if r.server.is_some() {
-            hits2.fetch_add(1, Ordering::Relaxed);
-        }
-    }));
     let server = net.node_ids()[0];
     let guid = net.random_guid();
     net.publish(server, guid);
@@ -100,6 +91,6 @@ fn main() {
         net.locate_async(origin, guid);
     }
     net.run_to_idle();
-    net.take_completed();
-    println!("hook observed {} successful locates", hits.load(Ordering::Relaxed));
+    let hits = net.drain_results().iter().filter(|r| r.server.is_some()).count();
+    println!("drain_results collected {hits} successful locates");
 }

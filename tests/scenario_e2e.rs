@@ -1,10 +1,8 @@
 //! Cross-crate integration: the workload subsystem driving the full
 //! facade stack (`tapestry::workload` → `tapestry::core` →
-//! `tapestry::sim`), plus the facade-level hooks the runner depends on
-//! (partition-aware delivery, per-op completion callbacks).
+//! `tapestry::sim`), plus the facade-level hook the runner depends on
+//! (partition-aware delivery).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use tapestry::prelude::*;
 use tapestry::workload::{presets, runner};
 
@@ -58,33 +56,6 @@ fn partition_facade_cuts_and_heals_delivery() {
         let r = net.locate(origin, guid).expect("completes after heal");
         assert_eq!(r.server.expect("found").idx, server);
     }
-}
-
-#[test]
-fn locate_hook_sees_every_completed_op_once() {
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen2 = Arc::clone(&seen);
-    let mut net = TapestryNetwork::build(
-        TapestryConfig::default(),
-        Box::new(TorusSpace::random(24, 1000.0, 9)),
-        9,
-    );
-    net.set_locate_hook(Box::new(move |_| {
-        seen2.fetch_add(1, Ordering::Relaxed);
-    }));
-    let server = net.node_ids()[2];
-    let guid = net.random_guid();
-    net.publish(server, guid);
-    for &origin in net.node_ids().iter().take(10) {
-        net.locate_async(origin, guid);
-    }
-    net.run_to_idle();
-    let collected = net.drain_results().len() as u64;
-    assert_eq!(collected, 10);
-    assert_eq!(seen.load(Ordering::Relaxed), 10, "hook fires once per result");
-    // A second drain finds nothing and fires nothing.
-    assert!(net.drain_results().is_empty());
-    assert_eq!(seen.load(Ordering::Relaxed), 10);
 }
 
 #[test]
