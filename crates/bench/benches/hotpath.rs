@@ -110,7 +110,6 @@ fn bench_store(c: &mut Criterion, mut net: TapestryNetwork) {
         let (server, guid) = (net.random_member(), net.random_guid());
         net.publish(server, guid);
     }
-    let now = net.engine().now();
     let stores: Vec<&ObjectStore> =
         net.members().iter().map(|&m| net.node(m).expect("member").store()).collect();
     let held: Vec<(usize, Guid, PtrEntry)> = stores
@@ -123,7 +122,7 @@ fn bench_store(c: &mut Criterion, mut net: TapestryNetwork) {
         b.iter(|| {
             i = (i + 61) % held.len();
             let (at, guid, _) = held[i];
-            black_box(stores[at].lookup(black_box(guid), now).count())
+            black_box(stores[at].lookup(black_box(guid)).count())
         })
     });
     c.bench_function("store/deposit_4096", |b| {

@@ -16,8 +16,8 @@ impl TapestryNode {
     ///   we did not know about ourselves". The surrogate either has the
     ///   pointer (transfers keep the old root serving until acknowledged)
     ///   or the object does not exist.
-    /// * Otherwise the object is genuinely unpublished (or its soft state
-    ///   lapsed): report failure to the origin.
+    /// * Otherwise the object is genuinely unpublished (or its path lost
+    ///   a pointer to churn): report failure to the origin.
     ///
     /// Loops are prevented by the visited list in the message header,
     /// exactly as §4.3 prescribes.

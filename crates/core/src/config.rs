@@ -28,8 +28,8 @@ pub enum RoutingScheme {
 ///
 /// Defaults follow the paper: base-16 digits, redundancy `R = 3`
 /// (a primary plus two backups per slot, §2.4), a single root per object
-/// (`|R_Φ| = 1`, §2.2), and soft-state pointers that expire unless
-/// republished (§2.2, §6.5).
+/// (`|R_Φ| = 1`, §2.2). Object pointers carry no expiry: one lives until
+/// Fig. 9's backward deletion removes it, and every republish is explicit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TapestryConfig {
     /// Identifier namespace (radix and digit count).
@@ -47,13 +47,6 @@ pub struct TapestryConfig {
     pub list_size_k: Option<usize>,
     /// Number of roots per object, `|R_Φ|` (Observation 2 multi-root).
     pub roots_per_object: usize,
-    /// Lifetime of a published object pointer before it must be
-    /// republished (soft state, §2.2).
-    pub pointer_ttl: SimTime,
-    /// Interval between automatic republishes by storage servers;
-    /// `SimTime::ZERO` disables the republish timer (tests drive it
-    /// manually).
-    pub republish_interval: SimTime,
     /// How long the neighbor-table builder waits for `GetPointers`
     /// responses at one level before proceeding with whatever arrived
     /// (makes insertion robust to nodes dying mid-insert).
@@ -108,14 +101,6 @@ impl Default for TapestryConfig {
             redundancy: 3,
             list_size_k: None,
             roots_per_object: 1,
-            // Effectively "until republished": deployments that enable the
-            // republish timer should lower this to ~2× the interval so
-            // stale pointers actually lapse (§2.2 soft state). The default
-            // keeps pointers alive however long a driver lets simulated
-            // time run, since with `republish_interval = ZERO` nothing
-            // would ever refresh them.
-            pointer_ttl: SimTime::from_distance(1e12),
-            republish_interval: SimTime::ZERO,
             insert_level_timeout: SimTime::from_distance(50_000.0),
             maintenance: MaintenanceMode::Incremental,
             repairs_per_sec_per_node: 16,

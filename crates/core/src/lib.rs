@@ -11,7 +11,7 @@
 //!   routing with deterministic unique roots;
 //! * **object publication and location** (§2.2): object pointers deposited
 //!   along publish paths, queries that divert at the first pointer,
-//!   multi-root support (Observation 2), soft-state republish;
+//!   multi-root support (Observation 2), explicit republish;
 //! * **acknowledged multicast** (§4.1, Fig. 8; watch lists and pinned
 //!   pointers from §4.4, Fig. 11);
 //! * **dynamic node insertion** (§3–4, Figs. 4 & 7): surrogate discovery,

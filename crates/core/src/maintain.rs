@@ -26,7 +26,6 @@ impl TapestryNode {
         ptrs: Vec<WirePtr>,
         from: NodeRef,
     ) {
-        let expires = ctx.now + self.cfg.pointer_ttl;
         let mut guids = Vec::new();
         let mut forward: std::collections::BTreeMap<tapestry_sim::NodeIdx, Vec<WirePtr>> =
             std::collections::BTreeMap::new();
@@ -36,11 +35,9 @@ impl TapestryNode {
                 crate::routing_table::Hop::Root => (true, None),
                 crate::routing_table::Hop::Forward(nx, _) => (false, Some(nx)),
             };
-            let already = self.store.lookup(p.guid, ctx.now).any(|e| e.server.idx == p.server.idx);
-            self.store.deposit(
-                p.guid,
-                PtrEntry { server: p.server, last_hop: Some(from.idx), expires, is_root },
-            );
+            let already = self.store.lookup(p.guid).any(|e| e.server.idx == p.server.idx);
+            self.store
+                .deposit(p.guid, PtrEntry { server: p.server, last_hop: Some(from.idx), is_root });
             if let Some(nx) = next {
                 if nx.idx != from.idx && !already {
                     forward.entry(nx.idx).or_default().push(p);
@@ -109,18 +106,15 @@ impl TapestryNode {
     ) {
         let old_sender = self
             .store
-            .lookup(ptr.guid, ctx.now)
+            .lookup(ptr.guid)
             .find(|e| e.server.idx == ptr.server.idx)
             .and_then(|e| e.last_hop);
-        let expires = ctx.now + self.cfg.pointer_ttl;
         let is_root = matches!(
             self.route_next(&ptr.guid.id(), level.min(self.cfg.levels()), Some(changed), false).0,
             crate::routing_table::Hop::Root
         );
-        self.store.deposit(
-            ptr.guid,
-            PtrEntry { server: ptr.server, last_hop: Some(sender), expires, is_root },
-        );
+        self.store
+            .deposit(ptr.guid, PtrEntry { server: ptr.server, last_hop: Some(sender), is_root });
         match old_sender {
             Some(old) if old != sender => {
                 // Paths diverged below us: continue up the new path and
@@ -175,13 +169,13 @@ impl TapestryNode {
         // the mesh as if we did not exist (§5.1: "examines local object
         // pointers for which it is the root, and forwards them on to their
         // respective surrogate nodes").
-        let rooted = self.store.rooted_guids(ctx.now);
+        let rooted = self.store.rooted_guids();
         let exit = self.closest_other_neighbor();
         if let Some(first_hop) = exit {
             for g in &rooted {
                 let servers: Vec<NodeRef> = self
                     .store
-                    .lookup(*g, ctx.now)
+                    .lookup(*g)
                     .map(|e| e.server)
                     .filter(|s| s.idx != self.me.idx)
                     .collect();

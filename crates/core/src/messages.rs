@@ -315,7 +315,7 @@ pub enum Msg {
     },
 
     // ------------------------------- repair -------------------------------
-    /// Liveness probe (§5.2 soft-state beacons).
+    /// Liveness probe (§5.2 beacons).
     Ping {
         /// Probe nonce.
         nonce: u64,
@@ -387,8 +387,6 @@ pub enum Msg {
 /// Timer payloads used by Tapestry nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Timer {
-    /// Periodic soft-state republish of one locally stored object (§2.2).
-    Republish(Guid),
     /// Deadline for one level of the neighbor-table build; on firing, the
     /// build proceeds with whatever `Pointers` replies have arrived.
     InsertLevelTimeout {
@@ -408,9 +406,8 @@ pub enum Timer {
     RepairTick,
     /// Deadline for a wave's child acknowledgments: a child killed
     /// mid-wave would otherwise strand every join the wave carries, so
-    /// the session force-completes and the unreached subtree is deferred
-    /// to soft-state repair — the same degradation the fan-out bound
-    /// deliberately accepts.
+    /// the session force-completes and the unreached subtree is left to
+    /// the repair scheduler.
     McastDeadline {
         /// Wave session op.
         op: OpId,

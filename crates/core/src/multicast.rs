@@ -176,8 +176,8 @@ impl TapestryNode {
 
     /// A wave's ack deadline fired: if the session is still open,
     /// some child subtree is gone — complete anyway (acking upward /
-    /// reporting `MulticastDone`) so the wave's joins proceed, and let
-    /// soft-state repair reintroduce whatever the lost subtree missed.
+    /// reporting `MulticastDone`) so the wave's joins proceed, and leave
+    /// whatever the lost subtree missed to the repair scheduler.
     pub(crate) fn on_mcast_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
         if self.mcast.contains_key(&op) {
             metrics::MULTICAST_DEADLINE_FORCED.inc(ctx);

@@ -989,7 +989,6 @@ impl TapestryNetwork {
     /// Every node on the path from a publisher to the object's root must
     /// hold a pointer.
     pub fn check_property4(&self) -> Vec<(NodeIdx, Guid, NodeIdx)> {
-        let now = self.engine.now();
         let mut bad = Vec::new();
         for &s in &self.members {
             let Some(server) = self.engine.node(s) else { continue };
@@ -998,9 +997,10 @@ impl TapestryNetwork {
                 for i in 0..self.cfg.roots_per_object {
                     let target = root_id(self.cfg.space, guid, i);
                     for &hop in &self.surrogate_path(s, &target) {
-                        let has = self.engine.node(hop).is_some_and(|n| {
-                            n.store().lookup(guid, now).any(|e| e.server.idx == s)
-                        });
+                        let has = self
+                            .engine
+                            .node(hop)
+                            .is_some_and(|n| n.store().lookup(guid).any(|e| e.server.idx == s));
                         if !has {
                             bad.push((s, guid, hop));
                         }

@@ -387,7 +387,6 @@ impl Actor for TapestryNode {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, timer: Timer) {
         match timer {
-            Timer::Republish(guid) => self.on_republish_timer(ctx, guid),
             Timer::InsertLevelTimeout { op, level } => self.on_insert_timeout(ctx, op, level),
             Timer::ProbeDeadline { nonce } => self.on_probe_deadline(ctx, nonce),
             Timer::McastDeadline { op } => self.on_mcast_deadline(ctx, op),
@@ -418,12 +417,12 @@ mod tests {
 
     /// 816 bytes before the join state moved out of line and the `Id`
     /// shrank: what every node pays before its tables. Every node holds
-    /// its own copy of the 12-field config.
+    /// its own copy of the 10-field config.
     #[test]
     fn a_node_is_at_most_600_bytes_before_its_tables() {
         let size = std::mem::size_of::<TapestryNode>();
         assert!(size <= 600, "size_of::<TapestryNode>() = {size}");
-        assert_eq!(std::mem::size_of::<TapestryConfig>(), 72);
+        assert_eq!(std::mem::size_of::<TapestryConfig>(), 56);
         assert!(std::mem::size_of::<Msg>() <= 144, "Msg = {}", std::mem::size_of::<Msg>());
     }
 }

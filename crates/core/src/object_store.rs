@@ -2,23 +2,21 @@ use crate::refs::{insert_growing_by, NodeRef};
 use std::mem::size_of;
 use std::ops::Range;
 use tapestry_id::Guid;
-use tapestry_sim::{NodeIdx, SimTime};
+use tapestry_sim::NodeIdx;
 
 /// One object pointer: "`guid` is stored at `server`" (§2.2).
 ///
 /// Unlike PRR, Tapestry keeps **all** pointers for objects with duplicate
 /// names (§2.4), so the store maps a GUID to a *list* of entries. Each
 /// entry remembers the previous hop of the publish path (`last_hop`) —
-/// the state `DeletePointersBackward` (Fig. 9) walks — and an expiry time
-/// (pointers are soft state and vanish unless republished).
+/// the state `DeletePointersBackward` (Fig. 9) walks. Pointers carry no
+/// expiry: that walk is the only thing that removes one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtrEntry {
     /// Server storing the replica.
     pub server: NodeRef,
     /// Previous hop of the publish path (`None` at the server itself).
     pub last_hop: Option<NodeIdx>,
-    /// When the pointer lapses (soft state, §2.2).
-    pub expires: SimTime,
     /// Did the publish path terminate here (is this node the root)?
     pub is_root: bool,
 }
@@ -83,15 +81,14 @@ impl ObjectStore {
         start..start + len
     }
 
-    /// Deposit or refresh a pointer. Refreshing updates expiry, last hop
-    /// and root flag in place (a republish may arrive along a new path).
+    /// Deposit or refresh a pointer. Refreshing updates last hop and root
+    /// flag in place (a republish may arrive along a new path).
     pub fn deposit(&mut self, guid: Guid, entry: PtrEntry) {
         let run = self.run(guid);
         let end = run.end;
         if let Some((_, e)) =
             self.ptrs[run].iter_mut().find(|(_, e)| e.server.idx == entry.server.idx)
         {
-            e.expires = e.expires.max(entry.expires);
             e.last_hop = entry.last_hop;
             e.is_root |= entry.is_root;
         } else {
@@ -99,9 +96,9 @@ impl ObjectStore {
         }
     }
 
-    /// Unexpired pointers for `guid` at time `now`, in deposit order.
-    pub fn lookup(&self, guid: Guid, now: SimTime) -> impl Iterator<Item = &PtrEntry> + '_ {
-        self.ptrs[self.run(guid)].iter().map(|(_, e)| e).filter(move |e| e.expires > now)
+    /// Pointers for `guid`, in deposit order.
+    pub fn lookup(&self, guid: Guid) -> impl Iterator<Item = &PtrEntry> + '_ {
+        self.ptrs[self.run(guid)].iter().map(|(_, e)| e)
     }
 
     /// Remove the pointer for one (guid, server) pair.
@@ -111,17 +108,10 @@ impl ObjectStore {
         Some(self.ptrs.remove(run.start + pos).1)
     }
 
-    /// Delete every expired pointer; returns how many were dropped.
-    pub fn sweep(&mut self, now: SimTime) -> usize {
-        let before = self.ptrs.len();
-        self.ptrs.retain(|(_, e)| e.expires > now);
-        before - self.ptrs.len()
-    }
-
     /// GUIDs for which this node currently believes it is the root, in
     /// GUID order.
-    pub fn rooted_guids(&self, now: SimTime) -> Vec<Guid> {
-        let rooted = self.ptrs.iter().filter(|(_, e)| e.is_root && e.expires > now);
+    pub fn rooted_guids(&self) -> Vec<Guid> {
+        let rooted = self.ptrs.iter().filter(|(_, e)| e.is_root);
         let mut out: Vec<Guid> = rooted.map(|&(g, _)| g).collect();
         out.dedup();
         out
@@ -168,52 +158,49 @@ mod tests {
         NodeRef::new(i, Id::from_u64(S, i as u64))
     }
 
-    fn entry(i: usize, exp: u64, root: bool) -> PtrEntry {
-        PtrEntry { server: srv(i), last_hop: None, expires: SimTime(exp), is_root: root }
-    }
-
-    #[test]
-    fn deposit_and_lookup_respect_expiry() {
-        let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
-        assert_eq!(st.lookup(g(1), SimTime(50)).count(), 1);
-        assert_eq!(st.lookup(g(1), SimTime(100)).count(), 0, "expired at its deadline");
+    fn entry(i: usize, root: bool) -> PtrEntry {
+        PtrEntry { server: srv(i), last_hop: None, is_root: root }
     }
 
     #[test]
     fn duplicate_names_keep_all_pointers() {
         // §2.4: Tapestry keeps pointers to all copies.
         let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
-        st.deposit(g(1), entry(11, 100, false));
-        assert_eq!(st.lookup(g(1), SimTime(0)).count(), 2);
+        st.deposit(g(1), entry(10, false));
+        st.deposit(g(1), entry(11, false));
+        assert_eq!(st.lookup(g(1)).count(), 2);
         assert_eq!(st.ptr_count(), 2);
     }
 
     #[test]
-    fn refresh_extends_expiry_and_promotes_root() {
+    fn refresh_updates_in_place_and_promotes_root() {
         let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
-        st.deposit(g(1), entry(10, 300, true));
-        let e: Vec<_> = st.lookup(g(1), SimTime(200)).collect();
-        assert_eq!(e.len(), 1);
+        st.deposit(g(1), entry(10, false));
+        st.deposit(g(1), PtrEntry { last_hop: Some(7), ..entry(10, true) });
+        let e: Vec<_> = st.lookup(g(1)).collect();
+        assert_eq!(e.len(), 1, "a refresh does not duplicate the pointer");
         assert!(e[0].is_root);
+        assert_eq!(e[0].last_hop, Some(7), "a republish may arrive along a new path");
+        st.deposit(g(1), entry(10, false));
+        assert!(st.lookup(g(1)).all(|e| e.is_root), "a refresh never demotes the root");
     }
 
     #[test]
-    fn sweep_drops_expired() {
+    fn rooted_guids_lists_each_rooted_name_once() {
         let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
-        st.deposit(g(2), entry(11, 500, true));
-        assert_eq!(st.sweep(SimTime(200)), 1);
-        assert_eq!(st.ptr_count(), 1);
-        assert_eq!(st.rooted_guids(SimTime(200)), vec![g(2)]);
+        st.deposit(g(3), entry(10, true));
+        st.deposit(g(3), entry(11, true));
+        st.deposit(g(1), entry(10, false));
+        st.deposit(g(2), entry(12, true));
+        assert_eq!(st.rooted_guids(), vec![g(2), g(3)], "GUID order, no duplicates");
+        st.entries_mut(g(2)).for_each(|e| e.is_root = false);
+        assert_eq!(st.rooted_guids(), vec![g(3)]);
     }
 
     #[test]
     fn remove_clears_empty_guid_rows() {
         let mut st = ObjectStore::new();
-        st.deposit(g(1), entry(10, 100, false));
+        st.deposit(g(1), entry(10, false));
         assert!(st.remove(g(1), 10).is_some());
         assert!(st.remove(g(1), 10).is_none());
         assert_eq!(st.ptr_count(), 0);
@@ -235,9 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn a_pointer_is_56_bytes_and_a_row_72() {
-        assert_eq!(size_of::<PtrEntry>(), 56);
-        assert_eq!(size_of::<(Guid, PtrEntry)>(), 72);
+    fn a_pointer_is_48_bytes_and_a_row_64() {
+        assert_eq!(size_of::<PtrEntry>(), 48);
+        assert_eq!(size_of::<(Guid, PtrEntry)>(), 64);
     }
 
     /// The store this one replaced — a B-tree of per-GUID vectors and a
@@ -253,7 +240,6 @@ mod tests {
         fn deposit(&mut self, guid: Guid, entry: PtrEntry) {
             let v = self.ptrs.entry(guid).or_default();
             if let Some(e) = v.iter_mut().find(|e| e.server.idx == entry.server.idx) {
-                e.expires = e.expires.max(entry.expires);
                 e.last_hop = entry.last_hop;
                 e.is_root |= entry.is_root;
             } else {
@@ -261,9 +247,8 @@ mod tests {
             }
         }
 
-        fn lookup(&self, guid: Guid, now: SimTime) -> Vec<PtrEntry> {
-            let live = self.ptrs.get(&guid).into_iter().flatten().filter(|e| e.expires > now);
-            live.copied().collect()
+        fn lookup(&self, guid: Guid) -> Vec<PtrEntry> {
+            self.ptrs.get(&guid).into_iter().flatten().copied().collect()
         }
 
         fn remove(&mut self, guid: Guid, server: NodeIdx) -> Option<PtrEntry> {
@@ -276,23 +261,8 @@ mod tests {
             Some(e)
         }
 
-        fn sweep(&mut self, now: SimTime) -> usize {
-            let mut dropped = 0;
-            self.ptrs.retain(|_, v| {
-                let before = v.len();
-                v.retain(|e| e.expires > now);
-                dropped += before - v.len();
-                !v.is_empty()
-            });
-            dropped
-        }
-
-        fn rooted_guids(&self, now: SimTime) -> Vec<Guid> {
-            self.ptrs
-                .iter()
-                .filter(|(_, v)| v.iter().any(|e| e.is_root && e.expires > now))
-                .map(|(&g, _)| g)
-                .collect()
+        fn rooted_guids(&self) -> Vec<Guid> {
+            self.ptrs.iter().filter(|(_, v)| v.iter().any(|e| e.is_root)).map(|(&g, _)| g).collect()
         }
 
         fn iter(&self) -> Vec<(Guid, PtrEntry)> {
@@ -310,24 +280,22 @@ mod tests {
             // Few names and few servers, so refreshes, duplicate names and
             // removals of present pairs are all common.
             let names = rng.gen_range(1..12u64);
-            let (mut now, mut peak) = (0u64, (0, 0));
+            let mut peak = (0, 0);
             for step in 0..rng.gen_range(40..400) {
                 let guid = g(rng.gen_range(0..names) * 0x0101_0101);
                 let server = rng.gen_range(0..6usize);
                 let at = format!("seed {seed} step {step}");
-                match rng.gen_range(0..12) {
+                match rng.gen_range(0..10) {
                     0..=4 => {
-                        let mut e = entry(server, now + rng.gen_range(1..60u64), rng.gen_bool(0.3));
+                        let mut e = entry(server, rng.gen_bool(0.3));
                         e.last_hop = rng.gen_bool(0.5).then(|| rng.gen_range(0..9));
                         got.deposit(guid, e);
                         want.deposit(guid, e);
                     }
-                    5 => assert_eq!(got.remove(guid, server), want.remove(guid, server), "{at}"),
-                    6..=7 => {
-                        now += rng.gen_range(0..25u64);
-                        assert_eq!(got.sweep(SimTime(now)), want.sweep(SimTime(now)), "{at}");
+                    5..=6 => {
+                        assert_eq!(got.remove(guid, server), want.remove(guid, server), "{at}")
                     }
-                    8 => {
+                    7 => {
                         // `on_transfer_ack`'s demotion, through both.
                         got.entries_mut(guid).for_each(|e| e.is_root = false);
                         want.ptrs
@@ -336,27 +304,25 @@ mod tests {
                             .flatten()
                             .for_each(|e| e.is_root = false);
                     }
-                    9 => assert_eq!(got.store_local(guid), want.local.insert(guid), "{at}"),
-                    10 => assert_eq!(got.remove_local(guid), want.local.remove(&guid), "{at}"),
-                    _ => now += rng.gen_range(0..10u64),
+                    8 => assert_eq!(got.store_local(guid), want.local.insert(guid), "{at}"),
+                    _ => assert_eq!(got.remove_local(guid), want.local.remove(&guid), "{at}"),
                 }
-                let t = SimTime(now);
                 for name in 0..names {
                     let guid = g(name * 0x0101_0101);
-                    let live: Vec<PtrEntry> = got.lookup(guid, t).copied().collect();
-                    assert_eq!(live, want.lookup(guid, t), "{at}: lookup order");
+                    let ptrs: Vec<PtrEntry> = got.lookup(guid).copied().collect();
+                    assert_eq!(ptrs, want.lookup(guid), "{at}: lookup order");
                     assert_eq!(got.has_local(guid), want.local.contains(&guid), "{at}");
                 }
                 let all: Vec<(Guid, PtrEntry)> = got.iter().map(|(g, e)| (g, *e)).collect();
                 assert_eq!(all, want.iter(), "{at}: iteration order");
-                assert_eq!(got.rooted_guids(t), want.rooted_guids(t), "{at}");
+                assert_eq!(got.rooted_guids(), want.rooted_guids(), "{at}");
                 assert_eq!(got.ptr_count(), want.ptrs.values().map(Vec::len).sum::<usize>());
                 let locals: Vec<Guid> = got.local_objects().collect();
                 assert_eq!(locals, want.local.iter().copied().collect::<Vec<_>>(), "{at}");
                 assert_eq!(got.local_count(), want.local.len());
                 // Growth is by GROW_STEP rows over the most ever held.
                 peak = (peak.0.max(got.ptr_count()), peak.1.max(got.local_count()));
-                assert!(got.heap_bytes() <= 72 * (peak.0 + 3) + 10 * (peak.1 + 3), "{at}");
+                assert!(got.heap_bytes() <= 64 * (peak.0 + 3) + 10 * (peak.1 + 3), "{at}");
             }
         }
     }

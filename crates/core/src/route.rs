@@ -20,18 +20,13 @@ impl TapestryNode {
     /// our own pointer, and route a publish toward every root.
     pub(crate) fn app_publish(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, guid: Guid) {
         self.store.store_local(guid);
-        if self.cfg.republish_interval > tapestry_sim::SimTime::ZERO {
-            ctx.set_timer(self.cfg.republish_interval, Timer::Republish(guid));
-        }
         self.publish_now(ctx, guid);
     }
 
     /// Send the publish messages for a locally stored object (initial
-    /// publication and every soft-state republish).
+    /// publication and every explicit republish: `Leaving`, repair).
     pub(crate) fn publish_now(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, guid: Guid) {
-        let expires = ctx.now + self.cfg.pointer_ttl;
-        self.store
-            .deposit(guid, PtrEntry { server: self.me, last_hop: None, expires, is_root: false });
+        self.store.deposit(guid, PtrEntry { server: self.me, last_hop: None, is_root: false });
         for i in 0..self.cfg.roots_per_object {
             let m = RoutedMsg {
                 kind: RoutedKind::Publish { guid, server: self.me },
@@ -63,17 +58,6 @@ impl TapestryNode {
             };
             self.handle_routed(ctx, None, m);
         }
-    }
-
-    /// Soft-state republish timer (§2.2: "pointers expire and objects must
-    /// be republished at regular intervals").
-    pub(crate) fn on_republish_timer(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, guid: Guid) {
-        if !self.store.has_local(guid) {
-            return;
-        }
-        self.store.sweep(ctx.now);
-        self.publish_now(ctx, guid);
-        ctx.set_timer(self.cfg.republish_interval, Timer::Republish(guid));
     }
 
     /// Application locate (Fig. 3): route toward a randomly chosen root,
@@ -124,7 +108,7 @@ impl TapestryNode {
                 // replica closest to the *current* node (§2.2).
                 let best = self
                     .store
-                    .lookup(guid, ctx.now)
+                    .lookup(guid)
                     // store.lookup yields entries in deterministic store
                     // order and min_by keeps the first of equals, so ties
                     // resolve identically on every run.
@@ -158,9 +142,8 @@ impl TapestryNode {
                 }
             }
             RoutedKind::Publish { guid, server } => {
-                let expires = ctx.now + self.cfg.pointer_ttl;
                 let is_root = matches!(step, Step::Terminal);
-                self.store.deposit(guid, PtrEntry { server, last_hop: prev, expires, is_root });
+                self.store.deposit(guid, PtrEntry { server, last_hop: prev, is_root });
                 match step {
                     Step::Forward(p, lvl, ph) => self.forward(ctx, m, p, lvl, ph),
                     Step::LocalRoot | Step::Terminal => {

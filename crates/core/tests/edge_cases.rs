@@ -116,9 +116,8 @@ fn republishing_the_same_object_is_idempotent() {
         net.publish(9, guid);
     }
     let root = net.root_of(guid, 0);
-    let now = net.engine().now();
     let entries =
-        net.node(root).unwrap().store().lookup(guid, now).filter(|e| e.server.idx == 9).count();
+        net.node(root).unwrap().store().lookup(guid).filter(|e| e.server.idx == 9).count();
     assert_eq!(entries, 1, "refresh, not duplicate");
     assert!(net.check_property4().is_empty());
 }
@@ -134,9 +133,8 @@ fn same_object_from_many_servers_keeps_all_pointers() {
         net.publish(s, guid);
     }
     let root = net.root_of(guid, 0);
-    let now = net.engine().now();
     let held: std::collections::BTreeSet<usize> =
-        net.node(root).unwrap().store().lookup(guid, now).map(|e| e.server.idx).collect();
+        net.node(root).unwrap().store().lookup(guid).map(|e| e.server.idx).collect();
     for &s in &servers {
         assert!(held.contains(&s), "root missing replica pointer for {s}");
     }
@@ -162,8 +160,8 @@ fn leave_of_last_publisher_keeps_nothing_dangling() {
     net.publish(5, guid);
     assert!(net.leave(5), "publisher leaves voluntarily");
     // The replica is gone with its server; queries must terminate (either
-    // clean not-found or a stale pointer to the departed server, which the
-    // soft-state TTL would eventually clear — but they must not hang).
+    // clean not-found or a stale pointer to the departed server — but
+    // they must not hang).
     let r = net.locate(20, guid);
     if let Some(res) = r {
         if let Some(s) = res.server {

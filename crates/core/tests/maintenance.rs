@@ -1,6 +1,6 @@
 //! Tests of the maintenance machinery: §6.4 continual optimization,
-//! Observation 1 multi-root fault tolerance, soft-state republish timers,
-//! pointer hygiene (Fig. 9) and §5.2 probe acks that miss their deadline.
+//! Observation 1 multi-root fault tolerance, pointer hygiene (Fig. 9) and
+//! §5.2 probe acks that miss their deadline.
 
 use tapestry_core::{Msg, TapestryConfig, TapestryNetwork, WirePtr};
 use tapestry_metric::TorusSpace;
@@ -99,138 +99,12 @@ fn single_root_queries_can_lose_the_root() {
 }
 
 #[test]
-fn republish_timer_refreshes_soft_state() {
-    // With a short TTL and an automatic republish interval, pointers stay
-    // alive across many TTL windows without any driver action.
-    let cfg = TapestryConfig {
-        pointer_ttl: SimTime::from_distance(40_000.0),
-        republish_interval: SimTime::from_distance(15_000.0),
-        ..Default::default()
-    };
-    let space = TorusSpace::random(48, 1000.0, 54);
-    let mut net = TapestryNetwork::build(cfg, Box::new(space), 54);
-    let members = net.node_ids();
-    let server = members[7];
-    let guid = net.random_guid();
-    net.publish_async(server, guid);
-    // Advance well past several TTL windows, letting timers fire.
-    let deadline = net.engine().now() + SimTime::from_distance(200_000.0);
-    net.run_until(deadline);
-    let r = net.locate(members[20], guid).expect("completes");
-    assert!(r.server.is_some(), "republish must keep soft state alive");
-}
-
-#[test]
-fn expired_pointers_vanish_without_republish() {
-    let cfg = TapestryConfig {
-        pointer_ttl: SimTime::from_distance(40_000.0),
-        republish_interval: SimTime::ZERO, // republish disabled
-        ..Default::default()
-    };
-    let space = TorusSpace::random(48, 1000.0, 55);
-    let mut net = TapestryNetwork::build(cfg, Box::new(space), 55);
-    let members = net.node_ids();
-    let server = members[7];
-    let guid = net.random_guid();
-    net.publish(server, guid);
-    let deadline = net.engine().now() + SimTime::from_distance(80_000.0);
-    net.run_until(deadline);
-    let r = net.locate(members[20], guid).expect("completes");
-    assert!(r.server.is_none(), "pointers must lapse after their TTL (§2.2)");
-}
-
-#[test]
-fn expiry_without_republish_physically_removes_pointers() {
-    // §2.2 soft state, storage side: once the TTL passes, the pointers
-    // are not just invisible to lookups — the sweep reclaims the space.
-    let cfg = TapestryConfig {
-        pointer_ttl: SimTime::from_distance(40_000.0),
-        republish_interval: SimTime::ZERO,
-        ..Default::default()
-    };
-    let space = TorusSpace::random(48, 1000.0, 57);
-    let mut net = TapestryNetwork::build(cfg, Box::new(space), 57);
-    let server = net.node_ids()[3];
-    let guid = net.random_guid();
-    net.publish(server, guid);
-    let root = net.root_of(guid, 0);
-    assert!(net.node(root).unwrap().store().lookup(guid, net.engine().now()).count() > 0);
-
-    let deadline = net.engine().now() + SimTime::from_distance(80_000.0);
-    net.run_until(deadline);
-    let now = net.engine().now();
-    // Logically gone everywhere...
-    for m in net.node_ids() {
-        assert_eq!(
-            net.node(m).unwrap().store().lookup(guid, now).count(),
-            0,
-            "expired pointer still visible at node {m}"
-        );
-    }
-    // ...and physically reclaimed by the sweep.
-    let before = net.node(root).unwrap().store().ptr_count();
-    assert!(before > 0, "expired entries linger until swept");
-    let swept = net.node_mut(root).unwrap().store_mut().sweep(now);
-    assert!(swept > 0);
-    assert!(net.node(root).unwrap().store().ptr_count() < before);
-}
-
-#[test]
-fn republish_refreshes_pointer_expiry_in_place() {
-    // A republish arriving along the same path must extend `expires` on
-    // the existing entries rather than duplicating them.
-    let cfg = TapestryConfig {
-        pointer_ttl: SimTime::from_distance(40_000.0),
-        republish_interval: SimTime::ZERO, // manual republish below
-        ..Default::default()
-    };
-    let space = TorusSpace::random(48, 1000.0, 58);
-    let mut net = TapestryNetwork::build(cfg, Box::new(space), 58);
-    let server = net.node_ids()[5];
-    let guid = net.random_guid();
-    net.publish(server, guid);
-    let root = net.root_of(guid, 0);
-    let read_entry = |net: &TapestryNetwork| {
-        let node = net.node(root).unwrap();
-        let entries: Vec<_> =
-            node.store().iter().filter(|&(g, _)| g == guid).map(|(_, e)| *e).collect();
-        assert_eq!(entries.len(), 1, "one server, one entry");
-        entries[0]
-    };
-    let first = read_entry(&net);
-
-    // Let half the TTL elapse, then republish.
-    let halfway = net.engine().now() + SimTime::from_distance(20_000.0);
-    net.run_until(halfway);
-    net.publish(server, guid);
-    let refreshed = read_entry(&net);
-    assert!(
-        refreshed.expires > first.expires,
-        "republish must push the deadline out: {:?} → {:?}",
-        first.expires,
-        refreshed.expires
-    );
-    // And the object stays reachable past the original deadline.
-    let past_first_ttl = first.expires + SimTime(1);
-    net.run_until(past_first_ttl);
-    let origin = net.node_ids()[20];
-    let r = net.locate(origin, guid).expect("completes");
-    assert!(r.server.is_some(), "refreshed soft state must outlive the first TTL");
-}
-
-#[test]
-fn delete_pointers_backward_cleans_expired_path_state() {
+fn delete_pointers_backward_cleans_the_recorded_path() {
     // Fig. 9's DeletePointersBackward walks the recorded previous hops.
-    // Drive the walk from the root after the pointers have expired: the
-    // stale entries must be physically removed along the entire publish
-    // path, and a fresh publish restores service.
-    let cfg = TapestryConfig {
-        pointer_ttl: SimTime::from_distance(40_000.0),
-        republish_interval: SimTime::ZERO,
-        ..Default::default()
-    };
+    // Drive the walk from the root: the entries must be removed along the
+    // entire publish path, and a fresh publish restores service.
     let space = TorusSpace::random(48, 1000.0, 59);
-    let mut net = TapestryNetwork::build(cfg, Box::new(space), 59);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 59);
     let server = net.node_ids()[7];
     let guid = net.random_guid();
     net.publish(server, guid);
@@ -244,9 +118,7 @@ fn delete_pointers_backward_cleans_expired_path_state() {
     let path_holders = holders(&net);
     assert!(path_holders.len() >= 2, "publish leaves a path: {path_holders:?}");
 
-    // Expire the soft state, then start the backward walk at the root.
-    let deadline = net.engine().now() + SimTime::from_distance(80_000.0);
-    net.run_until(deadline);
+    // Start the backward walk at the root.
     let server_ref = net.ref_of(server);
     let deleted_before = metrics::OPTIMIZE_DELETED.read(net.engine().stats());
     net.engine_mut().inject(
@@ -256,7 +128,7 @@ fn delete_pointers_backward_cleans_expired_path_state() {
     net.run_to_idle();
     assert!(
         holders(&net).is_empty(),
-        "expired entries must be removed along the whole path: {:?}",
+        "entries must be removed along the whole path: {:?}",
         holders(&net)
     );
     let deleted = metrics::OPTIMIZE_DELETED.read(net.engine().stats()) - deleted_before;

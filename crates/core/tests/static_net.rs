@@ -154,13 +154,7 @@ fn multi_root_configuration_still_locates() {
     // Each of the three roots has a pointer.
     for i in 0..3 {
         let root = net.root_of(guid, i);
-        let now = net.engine().now();
-        assert!(net
-            .node(root)
-            .unwrap()
-            .store()
-            .lookup(guid, now)
-            .any(|e| e.server.idx == members[5]));
+        assert!(net.node(root).unwrap().store().lookup(guid).any(|e| e.server.idx == members[5]));
     }
 }
 

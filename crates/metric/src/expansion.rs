@@ -22,7 +22,7 @@ pub struct ExpansionEstimate {
 /// the paper's caveat "(unless all points are within 2r of A)".
 ///
 /// Ball counting goes through the space's [`MetricSpace::build_index`]
-/// (grid buckets / sorted positions), so the sweep is near-linear in the
+/// (grid buckets on the planar spaces), so the sweep is near-linear in the
 /// member count instead of requiring a full per-centre distance sort; the
 /// indexed counts are cross-checked against the brute-force
 /// [`MetricSpace::ball_size`] definition in debug builds.

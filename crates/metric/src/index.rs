@@ -7,7 +7,8 @@
 //! of such queries. A [`NearestIndex`] is a one-time O(members) structure
 //! answering those queries in (near) output-sensitive time by exploiting
 //! the space's coordinates: grid buckets for the planar spaces (torus,
-//! grid, transit-stub) and a sorted position array for the 1-D ring.
+//! grid, transit-stub). Every other space, the 1-D ring included, takes
+//! the [`BruteForceIndex`] default.
 //!
 //! **Contract**: an index query returns *exactly* what the brute-force
 //! path returns, including tie-breaking — ties in distance resolve to the
@@ -16,7 +17,7 @@
 //! in tests; release builds pay only for the indexed path.
 
 use crate::space::{closest_k as brute_closest_k, MetricSpace, PointIdx};
-use crate::{GridSpace, RingSpace, TorusSpace, TransitStubSpace};
+use crate::{GridSpace, TorusSpace, TransitStubSpace};
 use std::ops::Range;
 
 /// A snapshot index over a fixed member set of one [`MetricSpace`].
@@ -576,124 +577,6 @@ impl<S: Planar + ?Sized> NearestIndex for PlanarIndex<'_, S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// 1-D ring index
-// ---------------------------------------------------------------------------
-
-/// Sorted-position index over the members of a [`RingSpace`]: nearest and
-/// closest-`k` by two-pointer arc walks, ball sizes by binary search.
-pub(crate) struct RingIndex<'a> {
-    space: &'a RingSpace,
-    /// Members sorted by (position, index).
-    members_by_pos: Vec<PointIdx>,
-    pos: Vec<f64>,
-    /// Members in canonical ascending-index order (trait accessor).
-    members: Vec<PointIdx>,
-    circumference: f64,
-}
-
-impl<'a> RingIndex<'a> {
-    pub(crate) fn new(space: &'a RingSpace, members: Vec<PointIdx>) -> Self {
-        let members = canonical_members(members);
-        let mut members_by_pos = members.clone();
-        members_by_pos.sort_by(|&a, &b| {
-            space
-                .position(a)
-                .partial_cmp(&space.position(b))
-                .expect("positions are finite")
-                .then(a.cmp(&b))
-        });
-        let pos = members_by_pos.iter().map(|&p| space.position(p)).collect();
-        RingIndex { space, members_by_pos, pos, members, circumference: space.circumference() }
-    }
-}
-
-impl NearestIndex for RingIndex<'_> {
-    fn members(&self) -> &[PointIdx] {
-        &self.members
-    }
-
-    fn nearest(&self, from: PointIdx) -> Option<(PointIdx, f64)> {
-        self.closest_k(from, 1).into_iter().next()
-    }
-
-    fn closest_k(&self, from: PointIdx, k: usize) -> Vec<(PointIdx, f64)> {
-        let m = self.pos.len();
-        if k == 0 || m == 0 {
-            return Vec::new();
-        }
-        let c = self.circumference;
-        let p = self.space.position(from);
-        // Walk outward from the insertion point, clockwise and counter-
-        // clockwise at once, always consuming the closer frontier.
-        let start = self.pos.partition_point(|&x| x < p);
-        let mut right = start % m; // ccw frontier (position ≥ p)
-        let mut left = (start + m - 1) % m; // cw frontier
-        let mut taken = 0usize;
-        let mut got = Vec::new();
-        let mut top = TopK::new(k, &mut got);
-        while taken < m {
-            let dr = (self.pos[right] - p).rem_euclid(c);
-            let dl = (p - self.pos[left]).rem_euclid(c);
-            if let Some(kth) = top.bound() {
-                // Unconsumed members are at directional distance ≥ both
-                // frontiers, hence at arc distance ≥ min(dl, dr).
-                if dl.min(dr) > kth + 1e-9 * (1.0 + kth) {
-                    break;
-                }
-            }
-            let next = if dr <= dl {
-                let i = right;
-                right = (right + 1) % m;
-                i
-            } else {
-                let i = left;
-                left = (left + m - 1) % m;
-                i
-            };
-            taken += 1;
-            let cand = self.members_by_pos[next];
-            if cand != from {
-                top.offer(self.space.distance(from, cand), cand);
-            }
-        }
-        debug_cross_check(self.space, &self.members, from, k, &got);
-        got
-    }
-
-    fn ball_size(&self, from: PointIdx, r: f64) -> usize {
-        let m = self.pos.len();
-        if r < 0.0 || m == 0 {
-            return 0;
-        }
-        let c = self.circumference;
-        let p = self.space.position(from);
-        let n = if 2.0 * r >= c {
-            m
-        } else {
-            // Conservative position window, then exact distance tests on
-            // the candidates (the window only prunes, never decides).
-            let slack = 1e-9 * (1.0 + r);
-            let count_range = |lo: f64, hi: f64| {
-                let a = self.pos.partition_point(|&x| x < lo);
-                let b = self.pos.partition_point(|&x| x <= hi);
-                (a..b).filter(|&i| self.space.distance(from, self.members_by_pos[i]) <= r).count()
-            };
-            let (lo, hi) = (p - r - slack, p + r + slack);
-            let mut n = count_range(lo.max(0.0), hi.min(c));
-            if lo < 0.0 {
-                n += count_range(lo + c, c);
-            }
-            if hi > c {
-                n += count_range(0.0, hi - c);
-            }
-            n
-        };
-        debug_assert_eq!(n, self.space.ball_size(from, r, &self.members));
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,12 +673,6 @@ mod tests {
         // rule (lower index wins) gets a real workout here.
         check_space(&GridSpace::new(20, 15, 2.0), 3);
         check_space(&GridSpace::new(5, 40, 1.0), 4);
-    }
-
-    #[test]
-    fn ring_index_agrees_with_brute_force() {
-        check_space(&RingSpace::random(300, 5000.0, 13), 5);
-        check_space(&RingSpace::even(64, 360.0), 6);
     }
 
     #[test]
@@ -912,7 +789,7 @@ mod tests {
 
     #[test]
     fn duplicate_members_are_deduplicated() {
-        let s = RingSpace::even(8, 80.0);
+        let s = crate::RingSpace::even(8, 80.0);
         let idx = s.build_index(vec![3, 1, 3, 1, 5]);
         assert_eq!(idx.members(), &[1, 3, 5]);
         assert_eq!(idx.closest_k(1, 10).len(), 2);

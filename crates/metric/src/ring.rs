@@ -28,16 +28,6 @@ impl RingSpace {
         let pos = (0..n).map(|i| i as f64 * circumference / n as f64).collect();
         RingSpace { pos, circumference }
     }
-
-    /// Position of point `i` along the circle.
-    pub fn position(&self, i: PointIdx) -> f64 {
-        self.pos[i]
-    }
-
-    /// Total length of the circle.
-    pub fn circumference(&self) -> f64 {
-        self.circumference
-    }
 }
 
 impl MetricSpace for RingSpace {
@@ -52,10 +42,6 @@ impl MetricSpace for RingSpace {
 
     fn name(&self) -> &'static str {
         "ring1d"
-    }
-
-    fn build_index<'a>(&'a self, members: Vec<PointIdx>) -> Box<dyn crate::NearestIndex + 'a> {
-        Box::new(crate::index::RingIndex::new(self, members))
     }
 }
 

@@ -134,9 +134,7 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Master seed: identical seeds reproduce identical reports.
     pub seed: u64,
-    /// Overlay configuration. The runner requires `republish_interval`
-    /// to stay `ZERO` (it drives republish and probe rounds explicitly so
-    /// phases have crisp boundaries).
+    /// Overlay configuration.
     pub cfg: TapestryConfig,
     /// Metric substrate.
     pub space: SpaceKind,
@@ -415,9 +413,6 @@ impl ScenarioSpec {
         if self.join_batch.is_some_and(|p| p.max_batch == 0) {
             return Err("join_batch.max_batch must be at least 1".into());
         }
-        if self.cfg.republish_interval != SimTime::ZERO {
-            return Err("runner drives repair explicitly: republish_interval must be ZERO".into());
-        }
         Ok(())
     }
 }
@@ -457,9 +452,6 @@ mod tests {
         let mut bad_mix = base();
         bad_mix.phases[0].traffic.write_fraction = 1.5;
         assert!(bad_mix.validate().is_err(), "write fraction out of range");
-        let mut timers = base();
-        timers.cfg.republish_interval = SimTime(10);
-        assert!(timers.validate().is_err(), "recurring timers are the runner's job");
         let mut cut = base();
         cut.phases[0].churn.push(ChurnSpec::Partition { at: 0.7, heal_at: 0.2 });
         assert!(cut.validate().is_err(), "partition must heal after it starts");

@@ -108,7 +108,7 @@ fn main() {
             .expect("non-publisher exists");
         net.kill(victim);
     }
-    net.probe_all(); // heartbeat round: detect, patch tables, republish
+    net.probe_all(); // probe round: detect, patch tables, republish
     let ok = availability(&mut net, &objects, "after 4 failures  ");
     assert_eq!(ok, objects.len(), "lazy repair restored full availability");
     let violations = net.check_property1().len();

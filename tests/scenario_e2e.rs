@@ -49,7 +49,7 @@ fn partition_facade_cuts_and_heals_delivery() {
         }
     }
 
-    // Heal, republish (soft state), and everyone finds it again.
+    // Heal, republish, and everyone finds it again.
     net.heal_partition();
     net.publish(server, guid);
     for &origin in &side0 {
