@@ -14,8 +14,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::mem::size_of;
 use tapestry_core::{
-    NodeRef, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
+    Msg, NodeRef, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
 };
 use tapestry_id::Guid;
 use tapestry_id::{Id, IdSpace};
@@ -265,12 +266,15 @@ fn bench_engine_dispatch(c: &mut Criterion) {
     });
 }
 
-/// A payload the size of the protocol's `Msg` (144 bytes), forwarded on
-/// every receipt.
+/// Words of a payload the size of the protocol's `Msg`.
+const MSG_WORDS: usize = size_of::<Msg>() / 8;
+
+/// A payload the size of the protocol's `Msg`, forwarded on every
+/// receipt.
 struct Relay;
 
 impl Actor for Relay {
-    type Msg = [u64; 18];
+    type Msg = [u64; MSG_WORDS];
     type Timer = ();
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg, ()>, _from: NodeIdx, msg: Self::Msg) {
@@ -294,7 +298,7 @@ fn bench_send_deliver(c: &mut Criterion) {
     let mut e = Engine::new(Box::new(space), SimTime(1));
     for i in 0..RELAYS {
         e.add_node(i, Relay);
-        e.inject(i, [i as u64; 18]);
+        e.inject(i, [i as u64; MSG_WORDS]);
     }
     c.bench_function("engine/send_deliver", |b| {
         b.iter(|| black_box(e.run_until_idle(RELAY_EVENTS)))
@@ -334,15 +338,16 @@ fn bench_counter_bump(c: &mut Criterion) {
 /// push one due a delivery latency later. `engine/dispatch_256_events`
 /// keeps one event pending, so it sees neither regime the benchmark
 /// workloads run in — ~1.2 k pending on `locate-steady`, 556 k after a
-/// probe round on `churn-repair`. The payload is 192 bytes, the size of
-/// an engine event plus its node key; due times scatter over 8 192
-/// distance units like in-flight deliveries on the scenario spaces. One
-/// iteration is `QUEUE_PAIRS` pop + push pairs — a single pair is below
-/// the timer's resolution — so divide the row by that.
+/// probe round on `churn-repair`. The payload is the size of a delivery
+/// event, a `Msg` and its sender; due times scatter over 8 192 distance
+/// units like in-flight deliveries on the scenario spaces. One iteration
+/// is `QUEUE_PAIRS` pop + push pairs — a single pair is below the timer's
+/// resolution — so divide the row by that.
 fn bench_queue(c: &mut Criterion) {
     const QUEUE_PAIRS: usize = 100_000;
     const POINTS: usize = 5_000;
-    type Payload = [u64; 24];
+    const EVENT_WORDS: usize = MSG_WORDS + 1;
+    type Payload = [u64; EVENT_WORDS];
     for (name, depth) in
         [("queue/push_pop_deep_500k", 500_000u64), ("queue/push_pop_shallow_1k", 1_000)]
     {
@@ -356,7 +361,7 @@ fn bench_queue(c: &mut Criterion) {
             x ^= x << 17;
             seq += 1;
             let latency = SimTime(1 + (x >> 16) % (8192 * 1024));
-            q.push(now + latency, seq, (x % POINTS as u64) as usize, [seq; 24]);
+            q.push(now + latency, seq, (x % POINTS as u64) as usize, [seq; EVENT_WORDS]);
         };
         for _ in 0..depth {
             push(&mut q, SimTime::ZERO);

@@ -21,6 +21,7 @@ use tapestry_core::{
 };
 use tapestry_id::Id;
 use tapestry_metric::TorusSpace;
+use tapestry_sim::Engine;
 
 const SEED: u64 = 42;
 const REPS: usize = 3;
@@ -127,13 +128,14 @@ fn main() {
                 resident_row("after the sweeps", after_sweeps, nodes),
                 resident_row("after the publish", after_publish, nodes),
                 format!(
-                    "  size_of: Id {} B, table entry {} B, NodeRef {} B, PtrEntry {} B, Msg {} B, \
-                     TapestryNode {} B",
+                    "  size_of: Id {} B, table entry {} B, NodeRef {} B, PtrEntry {} B, Msg {} B \
+                     ({} B a pending engine event), TapestryNode {} B",
                     size_of::<Id>(),
                     RoutingTable::ENTRY_BYTES,
                     size_of::<NodeRef>(),
                     size_of::<PtrEntry>(),
                     size_of::<Msg>(),
+                    Engine::<TapestryNode>::BYTES_PER_PENDING,
                     size_of::<TapestryNode>()
                 ),
                 format!(

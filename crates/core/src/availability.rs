@@ -24,14 +24,14 @@ impl TapestryNode {
     pub(crate) fn locate_not_found(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
-        mut m: RoutedMsg,
+        mut m: Box<RoutedMsg>,
         _guid: Guid,
         origin: NodeRef,
         op: OpId,
     ) {
         if self.status == NodeStatus::Inserting {
             if let Some(s) = self.insert.as_ref().and_then(|i| i.surrogate) {
-                if s.idx != self.me.idx && !m.visited.contains(&s.idx) {
+                if s.idx != self.me.idx && !m.visited.contains(s.idx) {
                     metrics::AVAILABILITY_BOUNCE_TO_SURROGATE.inc(ctx);
                     m.level = 0;
                     m.exclude = Some(self.me.idx);

@@ -13,7 +13,7 @@
 //! sends when *pinning* the insertee (§4.4) is counted, because that
 //! pin is a mandatory step of the wave protocol itself.
 
-use crate::messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer};
+use crate::messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, Visited};
 use crate::node::{InsertState, NodeStatus, TapestryNode};
 use crate::refs::NodeRef;
 use crate::repair::{FactKind, RepairTask};
@@ -46,7 +46,7 @@ impl TapestryNode {
             deferred,
             ready: None,
         }));
-        let m = RoutedMsg {
+        let m = Box::new(RoutedMsg {
             kind: RoutedKind::FindSurrogate { reply_to: self.me, op },
             target: self.me.id,
             level: 0,
@@ -54,12 +54,12 @@ impl TapestryNode {
             exclude: None,
             hops: 0,
             dist: 0.0,
-            visited: Vec::new(),
+            visited: Visited::default(),
             local_branch: false,
             // Joins are always traced when the collector is on: they are
             // rare relative to locates, so no sampling is needed.
             trace: ctx.trace_enabled().then_some(TraceId::join(op.0)),
-        };
+        });
         metrics::INSERT_STARTED.inc(ctx);
         metrics::JOIN_MESSAGES.inc(ctx);
         ctx.send(gateway.idx, Msg::Routed(m));

@@ -47,7 +47,9 @@ mod route;
 mod routing_table;
 
 pub use config::{RoutingScheme, TapestryConfig};
-pub use messages::{BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
+pub use messages::{
+    BatchInsertee, Msg, OpId, RoutedKind, RoutedMsg, Timer, Visited, WirePtr, VISITED_CAP,
+};
 pub use neighbor_set::{AddOutcome, Slot};
 pub use network::{BootstrapStage, LocateResult, NetworkSnapshot, TapestryNetwork};
 pub use node::{NodeStatus, TapestryNode};

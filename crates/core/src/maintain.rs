@@ -2,7 +2,7 @@
 //! redistribution (§4.2, Fig. 9), voluntary deletion (§5.1, Fig. 12) and
 //! involuntary deletion with lazy repair (§5.2).
 
-use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, WirePtr};
+use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, Visited, WirePtr};
 use crate::node::{LeaveState, NodeStatus, TapestryNode};
 use crate::object_store::PtrEntry;
 use crate::refs::{idx32, NodeRef};
@@ -180,7 +180,7 @@ impl TapestryNode {
                     .filter(|s| s.idx != self.me.idx)
                     .collect();
                 for server in servers {
-                    let m = RoutedMsg {
+                    let mut m = Box::new(RoutedMsg {
                         kind: RoutedKind::Publish { guid: *g, server },
                         target: tapestry_id::root_id(self.cfg.space, *g, 0),
                         level: 0,
@@ -188,10 +188,11 @@ impl TapestryNode {
                         exclude: Some(self.me.idx),
                         hops: 0,
                         dist: 0.0,
-                        visited: vec![self.me.idx],
+                        visited: Visited::default(),
                         local_branch: false,
                         trace: None,
-                    };
+                    });
+                    m.visited.push(self.me.idx);
                     metrics::LEAVE_REROOTED.inc(ctx);
                     ctx.send(first_hop.idx, Msg::Routed(m));
                 }

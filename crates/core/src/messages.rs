@@ -1,7 +1,8 @@
 //! Every message and timer a Tapestry node handles. Insertion has one
 //! multicast: the wave (`StartBatchMulticast` / `BatchMulticast`).
 
-use crate::refs::NodeRef;
+use crate::refs::{idx32, NodeRef};
+use std::fmt;
 use tapestry_id::{Guid, Id, Prefix};
 use tapestry_sim::NodeIdx;
 use tapestry_trace::TraceId;
@@ -19,11 +20,63 @@ impl OpId {
     }
 }
 
+/// Entries the loop-prevention header keeps (§4.3 notes the hop count is
+/// small, so carrying the path is cheap; the cap bounds pathological
+/// churn).
+pub const VISITED_CAP: usize = 64;
+
+/// The nodes a routed message has visited, inline in its header: the
+/// first [`VISITED_CAP`] pushes are kept and later ones are dropped, so
+/// the header is one fixed-size block whatever the path, and its box is
+/// the operation's only allocation.
+#[derive(Clone)]
+pub struct Visited {
+    len: u32,
+    nodes: [u32; VISITED_CAP],
+}
+
+impl Visited {
+    /// The kept entries, in push order.
+    fn as_slice(&self) -> &[u32] {
+        &self.nodes[..self.len as usize]
+    }
+
+    /// Has `idx` been kept?
+    pub fn contains(&self, idx: NodeIdx) -> bool {
+        u32::try_from(idx).is_ok_and(|idx| self.as_slice().contains(&idx))
+    }
+
+    /// Record `idx` unless the list is full.
+    pub fn push(&mut self, idx: NodeIdx) {
+        if (self.len as usize) < VISITED_CAP {
+            self.nodes[self.len as usize] = idx32(idx);
+            self.len += 1;
+        }
+    }
+}
+
+/// No node visited yet.
+impl Default for Visited {
+    fn default() -> Self {
+        Visited { len: 0, nodes: [0; VISITED_CAP] }
+    }
+}
+
+impl fmt::Debug for Visited {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// Payload of a message routed hop-by-hop toward an identifier via
 /// surrogate routing (§2.3). `level` counts the digits resolved so far;
 /// the invariant is that the carrying node's ID matches the target in its
 /// first `level` digits *or* the message has taken surrogate steps whose
 /// digits then define the resolved prefix.
+///
+/// It travels boxed (`Msg::Routed(Box<RoutedMsg>)`): one allocation when
+/// the operation starts, handed on from hop to hop, so a queued `Msg` is
+/// the size of its small variants rather than of this header.
 #[derive(Debug, Clone)]
 pub struct RoutedMsg {
     /// What to do when the message terminates (and at intermediate hops).
@@ -46,7 +99,7 @@ pub struct RoutedMsg {
     /// Nodes visited, for loop prevention during churn (§4.3: "including
     /// information in the message header about where the request has
     /// been").
-    pub visited: Vec<NodeIdx>,
+    pub visited: Visited,
     /// §6.3 local-branch flag: when set, the message must never leave the
     /// originating stub (hops longer than the stub threshold are refused
     /// and the branch terminates at the local root).
@@ -123,7 +176,7 @@ pub struct WirePtr {
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// Hop-by-hop surrogate-routed message.
-    Routed(RoutedMsg),
+    Routed(Box<RoutedMsg>),
     /// Reply to `FindSurrogate`.
     SurrogateIs {
         /// The asker's operation id.
@@ -439,12 +492,37 @@ mod tests {
             exclude: None,
             hops: 0,
             dist: 0.0,
-            visited: vec![],
+            visited: Visited::default(),
             local_branch: false,
             trace: None,
         };
         let m2 = m.clone();
         assert_eq!(m2.level, 0);
         assert_eq!(m2.target, m.target);
+    }
+
+    /// The bound holds at every push site: pushes past the cap keep the
+    /// first `VISITED_CAP`, and `contains` agrees with a `Vec` model of
+    /// that rule after every step.
+    #[test]
+    fn visited_keeps_the_first_64_and_matches_a_vec_model() {
+        let mut got = Visited::default();
+        let mut model: Vec<NodeIdx> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let idx = (x >> 33) as usize % 300;
+            got.push(idx);
+            if model.len() < VISITED_CAP {
+                model.push(idx);
+            }
+            let kept: Vec<NodeIdx> = got.as_slice().iter().map(|&i| i as NodeIdx).collect();
+            assert_eq!(kept, model, "step {step}");
+            for probe in 0..300 {
+                assert_eq!(got.contains(probe), model.contains(&probe), "step {step}, {probe}");
+            }
+        }
+        assert_eq!(got.as_slice().len(), VISITED_CAP);
+        assert!(!got.contains(usize::MAX), "a lookup never narrows");
     }
 }

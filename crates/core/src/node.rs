@@ -417,12 +417,13 @@ mod tests {
 
     /// 816 bytes before the join state moved out of line and the `Id`
     /// shrank: what every node pays before its tables. Every node holds
-    /// its own copy of the 10-field config.
+    /// its own copy of the 10-field config. A `Msg` is paid per queued
+    /// event, which is why the routed header travels boxed.
     #[test]
     fn a_node_is_at_most_600_bytes_before_its_tables() {
         let size = std::mem::size_of::<TapestryNode>();
         assert!(size <= 600, "size_of::<TapestryNode>() = {size}");
         assert_eq!(std::mem::size_of::<TapestryConfig>(), 56);
-        assert!(std::mem::size_of::<Msg>() <= 144, "Msg = {}", std::mem::size_of::<Msg>());
+        assert!(std::mem::size_of::<Msg>() <= 72, "Msg = {}", std::mem::size_of::<Msg>());
     }
 }

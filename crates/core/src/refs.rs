@@ -32,9 +32,10 @@ impl fmt::Display for NodeRef {
     }
 }
 
-/// Most nodes one network can hold. Routing tables and backpointer sets
-/// store a node index in 32 bits ([`idx32`]); `NodeRef` and every message
-/// keep the full [`NodeIdx`].
+/// Most nodes one network can hold. Routing tables, backpointer sets and
+/// a routed message's visited list store a node index in 32 bits
+/// ([`idx32`]); `NodeRef` and every other message field keep the full
+/// [`NodeIdx`].
 pub const MAX_NODES: usize = u32::MAX as usize;
 
 /// The one narrowing of a node index into table storage. The network is

@@ -1,6 +1,6 @@
 //! Surrogate routing, publication and location (§2.2–§2.3, Figs. 2–3).
 
-use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer};
+use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, Visited};
 use crate::network::LocateResult;
 use crate::node::TapestryNode;
 use crate::object_store::PtrEntry;
@@ -10,10 +10,6 @@ use rand::Rng;
 use tapestry_id::{root_id, Guid};
 use tapestry_sim::{Ctx, NodeIdx, TraceRecord};
 use tapestry_trace::{metrics, TraceId};
-
-/// Cap on the loop-prevention header (§4.3 notes the hop count is small,
-/// so carrying the path is cheap; the cap bounds pathological churn).
-const VISITED_CAP: usize = 64;
 
 impl TapestryNode {
     /// Application publish (Fig. 2): store the replica locally, deposit
@@ -28,7 +24,7 @@ impl TapestryNode {
     pub(crate) fn publish_now(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, guid: Guid) {
         self.store.deposit(guid, PtrEntry { server: self.me, last_hop: None, is_root: false });
         for i in 0..self.cfg.roots_per_object {
-            let m = RoutedMsg {
+            let m = Box::new(RoutedMsg {
                 kind: RoutedKind::Publish { guid, server: self.me },
                 target: root_id(self.cfg.space, guid, i),
                 level: 0,
@@ -36,15 +32,15 @@ impl TapestryNode {
                 exclude: None,
                 hops: 0,
                 dist: 0.0,
-                visited: Vec::new(),
+                visited: Visited::default(),
                 local_branch: false,
                 trace: None,
-            };
+            });
             self.handle_routed(ctx, None, m);
         }
         if self.cfg.local_stub_optimization {
             // §6.3: spawn a local-branch publish that roots inside the stub.
-            let m = RoutedMsg {
+            let m = Box::new(RoutedMsg {
                 kind: RoutedKind::Publish { guid, server: self.me },
                 target: root_id(self.cfg.space, guid, 0),
                 level: 0,
@@ -52,10 +48,10 @@ impl TapestryNode {
                 exclude: None,
                 hops: 0,
                 dist: 0.0,
-                visited: Vec::new(),
+                visited: Visited::default(),
                 local_branch: true,
                 trace: None,
-            };
+            });
             self.handle_routed(ctx, None, m);
         }
     }
@@ -76,7 +72,7 @@ impl TapestryNode {
             0
         };
         self.pending_locates.insert(op, (guid, ctx.now));
-        let m = RoutedMsg {
+        let m = Box::new(RoutedMsg {
             kind: RoutedKind::Locate { guid, origin: self.me, op, root_index },
             target: root_id(self.cfg.space, guid, root_index),
             level: 0,
@@ -84,11 +80,11 @@ impl TapestryNode {
             exclude: None,
             hops: 0,
             dist: 0.0,
-            visited: Vec::new(),
+            visited: Visited::default(),
             // §6.3: try to resolve within the stub first.
             local_branch: self.cfg.local_stub_optimization,
             trace,
-        };
+        });
         self.handle_routed(ctx, None, m);
     }
 
@@ -99,7 +95,7 @@ impl TapestryNode {
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
         prev: Option<NodeIdx>,
-        m: RoutedMsg,
+        m: Box<RoutedMsg>,
     ) {
         let step = self.route_step(&m);
         match m.kind {
@@ -169,12 +165,12 @@ impl TapestryNode {
     fn route_step(&self, m: &RoutedMsg) -> Step {
         if m.local_branch {
             return match self.next_hop_local(&m.target, m.level) {
-                Some((p, lvl)) if !m.visited.contains(&p.idx) => Step::Forward(p, lvl, m.past_hole),
+                Some((p, lvl)) if !m.visited.contains(p.idx) => Step::Forward(p, lvl, m.past_hole),
                 _ => Step::LocalRoot,
             };
         }
         match self.route_next(&m.target, m.level, m.exclude, m.past_hole) {
-            (Hop::Forward(p, lvl), ph) if !m.visited.contains(&p.idx) => Step::Forward(p, lvl, ph),
+            (Hop::Forward(p, lvl), ph) if !m.visited.contains(p.idx) => Step::Forward(p, lvl, ph),
             (Hop::Forward(..), _) => Step::Terminal, // loop guard (§4.3 header check)
             (Hop::Root, _) => Step::Terminal,
         }
@@ -188,7 +184,7 @@ impl TapestryNode {
     fn forward(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
-        mut m: RoutedMsg,
+        mut m: Box<RoutedMsg>,
         p: NodeRef,
         lvl: usize,
         past_hole: bool,
@@ -216,16 +212,14 @@ impl TapestryNode {
             });
         }
         m.hops += 1;
-        if m.visited.len() < VISITED_CAP {
-            m.visited.push(self.me.idx);
-        }
+        m.visited.push(self.me.idx);
         metrics::ROUTE_HOPS.inc(ctx);
         ctx.send(p.idx, Msg::Routed(m));
     }
 
     /// §6.3: a local branch reached the stub-local root without resolving;
     /// resume wide-area routing from here ("resumes at that hop").
-    fn resume_global(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, mut m: RoutedMsg) {
+    fn resume_global(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, mut m: Box<RoutedMsg>) {
         metrics::LOCALITY_RESUME_GLOBAL.inc(ctx);
         m.local_branch = false;
         m.level = 0;

@@ -207,6 +207,11 @@ pub struct Engine<A: Actor> {
 }
 
 impl<A: Actor> Engine<A> {
+    /// Bytes the queue holds per pending event — slab entry (node key and
+    /// event, message inline) plus ordering key — so the queue of a burst
+    /// of `n` pending events costs `n · BYTES_PER_PENDING`.
+    pub const BYTES_PER_PENDING: usize = ShardedQueue::<Event<A::Msg, A::Timer>>::BYTES_PER_PENDING;
+
     /// Create an engine over `metric`; every point starts empty (no node).
     ///
     /// `proc_delay` is the fixed per-message processing latency added on

@@ -4,14 +4,17 @@
 //! **Keys and slab.** What the queue orders is `(at, seq)`; what it
 //! carries is a `(node, event)` payload that no comparison ever looks
 //! at. Measured on the `churn-repair` benchmark workload, one probe
-//! round leaves 556 453 events pending at once, and an engine event with
-//! its key is 208 bytes (the routed-message header is inline in `Msg`),
-//! so a heap of whole entries drags ~116 MB through ~17 cache-missing
-//! levels on every sift. Here the ordered structures hold only a [`Key`] — `at`,
+//! round leaves 556 453 events pending at once, and a heap of whole
+//! entries — 208 bytes each while the routed-message header was inline in
+//! `Msg` — dragged ~116 MB through ~17 cache-missing levels on every
+//! sift. Here the ordered structures hold only a [`Key`] — `at`,
 //! `seq` and a `u32` slot, 24 bytes — and the payload sits in a slab
 //! (`Vec<Option<_>>` with a LIFO free list): written once on push, read
 //! once on pop, never moved. Freed slots are reused before the slab
-//! grows, so its length never exceeds the peak number pending.
+//! grows, so its length never exceeds the peak number pending. A
+//! pending event costs its slab entry plus its key
+//! (`Engine::BYTES_PER_PENDING`): 88 + 24 = 112 bytes with the protocol's
+//! 72-byte `Msg`, whose routed header travels boxed.
 //!
 //! **Near heap, far buckets.** Time is cut into buckets of
 //! `2^BUCKET_SHIFT` units (`at >> BUCKET_SHIFT`). Invariant: every key
@@ -105,6 +108,10 @@ pub struct ShardedQueue<E> {
 }
 
 impl<E> ShardedQueue<E> {
+    /// What one pending event holds: its slab entry and its key.
+    pub(crate) const BYTES_PER_PENDING: usize =
+        std::mem::size_of::<Option<(usize, E)>>() + std::mem::size_of::<Reverse<Key>>();
+
     /// A queue for node keys `0..points`, counting pending events over
     /// roughly one range per `nodes_per_shard` keys (at least one, at
     /// most `max_shards`). Out-of-range keys (e.g. an external-injection
