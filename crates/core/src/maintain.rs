@@ -3,7 +3,7 @@
 //! involuntary deletion with lazy repair (§5.2).
 
 use crate::messages::{Msg, OpId, RoutedKind, RoutedMsg, Timer, Visited, WirePtr};
-use crate::node::{LeaveState, NodeStatus, TapestryNode};
+use crate::node::{Heard, LeaveState, NodeStatus, TapestryNode};
 use crate::object_store::PtrEntry;
 use crate::refs::{idx32, NodeRef};
 use crate::repair::{FactKind, RepairTask};
@@ -291,41 +291,83 @@ impl TapestryNode {
 
     // --------------------- involuntary delete (§5.2) -----------------------
 
-    /// Probe every distinct neighbor; missing `Pong`s by the deadline are
-    /// treated as failures (§5.2: detection by beacons or timeouts). The
-    /// driver's `AppProbe` is the only trigger.
-    pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
-        self.probe.nonce += 1;
-        let nonce = self.probe.nonce;
-        let awaiting = &mut self.probe.awaiting;
-        awaiting.clear();
-        awaiting.extend(self.table.refs().map(|r| (idx32(r.idx), false)));
-        awaiting.sort_unstable();
-        awaiting.dedup();
-        if awaiting.is_empty() {
-            return;
+    /// Probe every distinct neighbor; neighbors not heard from by the
+    /// deadline are treated as failures (§5.2: detection by beacons or
+    /// timeouts). The driver's `AppProbe` is the only trigger, and it
+    /// numbers the round network-wide. Peers whose ping of this round
+    /// arrived before it started are answered already and are not pinged.
+    pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, round: u64) {
+        let probe = &mut self.probe;
+        probe.round = round;
+        probe.awaiting.clear();
+        probe.awaiting.extend(self.table.refs().map(|r| (idx32(r.idx), Heard::Pending)));
+        probe.awaiting.sort_unstable_by_key(|&(idx, _)| idx);
+        probe.awaiting.dedup_by_key(|&mut (idx, _)| idx);
+        if probe.early_round == round {
+            for idx in &probe.early {
+                if let Ok(at) = probe.awaiting.binary_search_by_key(idx, |&(i, _)| i) {
+                    probe.awaiting[at].1 = Heard::Answered;
+                }
+            }
         }
-        for &(idx, _) in awaiting.iter() {
-            metrics::REPAIR_PINGS.inc(ctx);
-            ctx.send(idx as NodeIdx, Msg::Ping { nonce });
+        probe.early.clear();
+        let mut pinged = false;
+        for &(idx, heard) in &self.probe.awaiting {
+            if heard == Heard::Pending {
+                metrics::REPAIR_PINGS.inc(ctx);
+                ctx.send(idx as NodeIdx, Msg::Ping { round, me: self.me });
+                pinged = true;
+            }
         }
-        ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { nonce });
+        if pinged {
+            ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { round });
+        }
+    }
+
+    /// A neighbor's probe. If we probe it in the same round, its ping is
+    /// its answer, and our own ping reaches it just as its ping reached
+    /// us, so it gets no pong; a ping that finds it already declared dead
+    /// is a late answer. Any other ping is ponged. One for a round we
+    /// have not started yet is also remembered, so that round neither
+    /// pings the peer nor, by missing the evidence of our pong, declares
+    /// it dead. A ping from a peer we hold a death certificate for is
+    /// late evidence, like a late pong.
+    pub(crate) fn on_ping(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
+        let probe = &mut self.probe;
+        if round == probe.round {
+            match probe.answer(who.idx) {
+                Some(false) => return,
+                Some(true) => return self.record_late_ack(ctx, who),
+                None => {}
+            }
+        } else if round > probe.round {
+            if probe.early_round != round {
+                probe.early_round = round;
+                probe.early.clear();
+            }
+            probe.early.push(idx32(who.idx));
+        }
+        if self.dead_list.contains(&who.idx) {
+            self.record_late_ack(ctx, who);
+        }
+        metrics::REPAIR_PONGS.inc(ctx);
+        ctx.send(who.idx, Msg::Pong { round, me: self.me });
     }
 
     /// A neighbor answered a probe. An answer that matches no entry still
-    /// awaited in the current round — its nonce is stale, or it arrived
-    /// after this round's deadline — is late: the sender is slow or
-    /// flapping, not dead. The deadline handler has excised it (or is
-    /// about to), so the late ack becomes a re-admission fact instead of
-    /// being discarded, which would leave the node excised for good.
-    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, nonce: u64) {
-        if nonce == self.probe.nonce {
-            let awaiting = &mut self.probe.awaiting;
-            if let Ok(at) = awaiting.binary_search_by_key(&who.idx, |&(idx, _)| idx as NodeIdx) {
-                awaiting[at].1 = true;
-                return;
-            }
+    /// awaited in the current round — its round is stale, or it arrived
+    /// after this round's deadline — is late.
+    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
+        if round != self.probe.round || self.probe.answer(who.idx) != Some(false) {
+            self.record_late_ack(ctx, who);
         }
+    }
+
+    /// A late answer: the sender is slow or flapping, not dead. The
+    /// deadline handler has excised it (or is about to), so the answer
+    /// becomes a re-admission fact instead of being discarded, which
+    /// would leave the node excised for good.
+    fn record_late_ack(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef) {
         self.record_fact(ctx, FactKind::LateProbeAck, RepairTask::Readmit { peer: who });
     }
 
@@ -333,13 +375,17 @@ impl TapestryNode {
     /// state only (the paper's lazy stance): the evidence earns a death
     /// certificate and a fact, and the budgeted scheduler runs the
     /// targeted removal.
-    pub(crate) fn on_probe_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, nonce: u64) {
-        if nonce != self.probe.nonce {
+    pub(crate) fn on_probe_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, round: u64) {
+        if round != self.probe.round {
             return;
         }
-        let silent = self.probe.awaiting.iter().filter(|&&(_, answered)| !answered);
-        let dead: Vec<NodeIdx> = silent.map(|&(idx, _)| idx as NodeIdx).collect();
-        self.probe.awaiting.clear();
+        let mut dead: Vec<NodeIdx> = Vec::new();
+        for (idx, heard) in &mut self.probe.awaiting {
+            if *heard == Heard::Pending {
+                *heard = Heard::Missed;
+                dead.push(*idx as NodeIdx);
+            }
+        }
         for d in dead {
             metrics::REPAIR_DETECTED_DEAD.inc(ctx);
             self.dead_list.insert(d);

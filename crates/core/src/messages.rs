@@ -368,16 +368,21 @@ pub enum Msg {
     },
 
     // ------------------------------- repair -------------------------------
-    /// Liveness probe (§5.2 beacons).
+    /// Liveness probe (§5.2 beacons). A ping from a neighbor we probe in
+    /// the same round is also its answer to our probe.
     Ping {
-        /// Probe nonce.
-        nonce: u64,
+        /// The network-wide probe round.
+        round: u64,
+        /// The probing node (a ping from a peer we declared dead is late
+        /// evidence that it lives, and re-admission needs its name).
+        me: NodeRef,
     },
-    /// Probe response.
+    /// Probe response, sent only when the pinger will not hear our own
+    /// ping of the same round.
     Pong {
-        /// Echoed nonce.
-        nonce: u64,
-        /// The responding node (a stale-nonce response still identifies a
+        /// Echoed round.
+        round: u64,
+        /// The responding node (a stale-round response still identifies a
         /// *live* neighbor — incremental repair re-admits it instead of
         /// re-declaring it dead every round).
         me: NodeRef,
@@ -422,7 +427,10 @@ pub enum Msg {
     /// Application request: leave the network voluntarily (Fig. 12).
     AppLeave,
     /// Driver request: run one probe round now (§5.2).
-    AppProbe,
+    AppProbe {
+        /// The round's network-wide number, the same on every node.
+        round: u64,
+    },
     /// Driver request: run one §6.4 continual-optimization round — share
     /// each routing-table level with the neighbors at that level.
     AppOptimize,
@@ -450,8 +458,8 @@ pub enum Timer {
     },
     /// Deadline for ping responses from the most recent probe round.
     ProbeDeadline {
-        /// Nonce of the probe round.
-        nonce: u64,
+        /// The probe round.
+        round: u64,
     },
     /// Incremental maintenance: release one budget's worth of queued
     /// repair tasks. Armed only while the node's staleness ledger is

@@ -77,6 +77,10 @@ pub struct TapestryNetwork {
     members: Vec<NodeIdx>,
     rng: StdRng,
     seed: u64,
+    /// Number of the last probe round started. Every node of a round gets
+    /// the same number, so a node can tell whether a peer's ping belongs
+    /// to its own round.
+    probe_round: u64,
     /// Event budget for each `run_to_idle` call.
     pub max_events_per_op: u64,
 }
@@ -195,6 +199,7 @@ impl TapestryNetwork {
             members: Vec::new(),
             rng,
             seed,
+            probe_round: 0,
             max_events_per_op: 20_000_000,
         }
     }
@@ -724,10 +729,13 @@ impl TapestryNetwork {
     }
 
     /// Start a probe round on every live node without draining (workload
-    /// runners let detection deadlines fire amid ongoing traffic).
+    /// runners let detection deadlines fire amid ongoing traffic). Rounds
+    /// are numbered network-wide.
     pub fn probe_all_async(&mut self) {
+        self.probe_round += 1;
+        let round = self.probe_round;
         for &idx in &self.members {
-            self.engine.inject(idx, Msg::AppProbe);
+            self.engine.inject(idx, Msg::AppProbe { round });
         }
     }
 

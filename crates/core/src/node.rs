@@ -79,16 +79,46 @@ pub(crate) struct LeaveState {
     pub finished: bool,
 }
 
+/// What a node has heard from one neighbor it probes in its current
+/// round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Heard {
+    /// Nothing yet, and the deadline has not passed.
+    Pending,
+    /// A pong, or the neighbor's own ping of the same round.
+    Answered,
+    /// Nothing by the deadline: declared dead.
+    Missed,
+}
+
 /// Failure-detection state (§5.2).
 #[derive(Debug, Default)]
 pub(crate) struct ProbeState {
-    /// Nonce of the outstanding round.
-    pub nonce: u64,
-    /// The neighbors pinged in the outstanding round, ascending by index,
-    /// each with whether it has answered. An answer marks its entry and
-    /// moves nothing, so the vector stays searchable; the buffer is
-    /// reused from round to round.
-    pub awaiting: Vec<(u32, bool)>,
+    /// Network-wide number of the latest round this node started (0:
+    /// none yet).
+    pub round: u64,
+    /// The neighbors probed in that round, ascending by index, each with
+    /// what has been heard from it. An answer marks its entry and moves
+    /// nothing, so the vector stays searchable; it outlives the deadline
+    /// (a late answer finds its `Missed` entry), and the buffer is reused
+    /// from round to round.
+    pub awaiting: Vec<(u32, Heard)>,
+    /// The round `early` belongs to.
+    pub early_round: u64,
+    /// Peers whose ping for `early_round` arrived before this node
+    /// started that round. They were ponged then; the round counts them
+    /// answered and does not ping them.
+    pub early: Vec<u32>,
+}
+
+impl ProbeState {
+    /// Mark `peer` answered in the current round. `None` when it was not
+    /// probed in this round; otherwise whether the answer is late, i.e.
+    /// the deadline had already declared it dead.
+    pub fn answer(&mut self, peer: NodeIdx) -> Option<bool> {
+        let at = self.awaiting.binary_search_by_key(&peer, |&(idx, _)| idx as NodeIdx).ok()?;
+        Some(std::mem::replace(&mut self.awaiting[at].1, Heard::Answered) == Heard::Missed)
+    }
 }
 
 /// A Tapestry overlay node: routing mesh, object pointers and all
@@ -362,8 +392,8 @@ impl Actor for TapestryNode {
             Msg::Leaving { me, replacements } => self.on_leaving(ctx, me, replacements),
             Msg::LeaveFinal { me } => self.on_leave_final(ctx, me),
             Msg::LeaveAck { me } => self.on_leave_ack(ctx, me),
-            Msg::Ping { nonce } => ctx.send(from, Msg::Pong { nonce, me: self.me }),
-            Msg::Pong { nonce, me } => self.on_pong(ctx, me, nonce),
+            Msg::Ping { round, me } => self.on_ping(ctx, me, round),
+            Msg::Pong { round, me } => self.on_pong(ctx, me, round),
             Msg::FindReplacement { op, prefix, digit, dead, reply_to } => {
                 self.on_find_replacement(ctx, op, prefix, digit, dead, reply_to)
             }
@@ -375,7 +405,7 @@ impl Actor for TapestryNode {
             Msg::AppPublish { guid } => self.app_publish(ctx, guid),
             Msg::AppLocate { guid, trace } => self.app_locate(ctx, guid, trace),
             Msg::AppLeave => self.app_leave(ctx),
-            Msg::AppProbe => self.start_probe_round(ctx),
+            Msg::AppProbe { round } => self.start_probe_round(ctx, round),
             Msg::AppOptimize => self.share_tables_round(ctx),
             Msg::ShareTable { level: _, refs } => {
                 for r in refs {
@@ -388,7 +418,7 @@ impl Actor for TapestryNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, timer: Timer) {
         match timer {
             Timer::InsertLevelTimeout { op, level } => self.on_insert_timeout(ctx, op, level),
-            Timer::ProbeDeadline { nonce } => self.on_probe_deadline(ctx, nonce),
+            Timer::ProbeDeadline { round } => self.on_probe_deadline(ctx, round),
             Timer::McastDeadline { op } => self.on_mcast_deadline(ctx, op),
             Timer::RepairTick => self.on_repair_tick(ctx),
         }

@@ -1,11 +1,34 @@
 //! Tests of the maintenance machinery: §6.4 continual optimization,
-//! Observation 1 multi-root fault tolerance, pointer hygiene (Fig. 9) and
-//! §5.2 probe acks that miss their deadline.
+//! Observation 1 multi-root fault tolerance, pointer hygiene (Fig. 9),
+//! §5.2 probe acks that miss their deadline, and the probe round in which
+//! a neighbor's own ping is its answer.
 
+use std::collections::BTreeSet;
 use tapestry_core::{Msg, TapestryConfig, TapestryNetwork, WirePtr};
 use tapestry_metric::TorusSpace;
-use tapestry_sim::SimTime;
+use tapestry_sim::{NodeIdx, SimTime};
 use tapestry_trace::metrics;
+
+/// Every directed table edge `(node, neighbor)` of the live mesh.
+fn table_edges(net: &TapestryNetwork) -> BTreeSet<(NodeIdx, NodeIdx)> {
+    let mut edges = BTreeSet::new();
+    for m in net.node_ids() {
+        for r in net.node(m).unwrap().table().all_refs() {
+            edges.insert((m, r.idx));
+        }
+    }
+    edges
+}
+
+/// `(pings, pongs, declared dead)` counted so far.
+fn probe_counts(net: &TapestryNetwork) -> (u64, u64, u64) {
+    let stats = net.engine().stats();
+    (
+        metrics::REPAIR_PINGS.read(stats),
+        metrics::REPAIR_PONGS.read(stats),
+        metrics::REPAIR_DETECTED_DEAD.read(stats),
+    )
+}
 
 #[test]
 fn table_sharing_restores_locality_after_churn() {
@@ -148,9 +171,9 @@ fn delete_pointers_backward_cleans_the_recorded_path() {
 fn a_probe_ack_after_its_own_rounds_deadline_readmits_the_neighbor() {
     // A deadline far shorter than any round trip: every neighbor is
     // declared dead, and every ack then arrives late, carrying the
-    // *current* round's nonce. Each must be read as a late ack that
-    // lifts the death certificate, not dropped for missing the (already
-    // cleared) awaited set — which would leave the live mesh excised.
+    // *current* round's number. Each must be read as a late ack that
+    // lifts the death certificate, not dropped because its round's
+    // deadline has passed — which would leave the live mesh excised.
     let cfg =
         TapestryConfig { insert_level_timeout: SimTime::from_distance(1.0), ..Default::default() };
     let space = TorusSpace::random(16, 1000.0, 7);
@@ -181,4 +204,70 @@ fn optimize_round_is_idempotent_on_fresh_networks() {
     assert_eq!(before.0, before.1);
     assert_eq!(after.0, after.1, "still perfect after sharing");
     assert!(net.check_property1().is_empty());
+}
+
+#[test]
+fn a_fully_mutual_mesh_probes_with_pings_alone() {
+    let space = TorusSpace::random(16, 1000.0, 7);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 7);
+    let edges = table_edges(&net);
+    assert_eq!(edges.len(), 16 * 15, "a 16-node base-16 mesh: everyone knows everyone");
+    net.probe_all();
+    assert_eq!(probe_counts(&net), (edges.len() as u64, 0, 0), "each ping answers its peer's");
+}
+
+#[test]
+fn a_one_way_edge_still_gets_its_pong() {
+    let space = TorusSpace::random(64, 1000.0, 11);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 11);
+    let edges = table_edges(&net);
+    let one_way = edges.iter().filter(|&&(a, b)| !edges.contains(&(b, a))).count() as u64;
+    assert!(one_way > 0, "a 64-node mesh has one-way edges");
+    assert!(one_way < edges.len() as u64 / 2, "most edges run both ways");
+    net.probe_all();
+    assert_eq!(probe_counts(&net), (edges.len() as u64, one_way, 0));
+    assert_eq!(table_edges(&net), edges, "nobody was excised");
+}
+
+#[test]
+fn a_ping_that_arrives_before_the_round_starts_counts_as_its_answer() {
+    // Every node but `late` starts round 1 at once; `late` starts it only
+    // after all their pings have reached it. It pongs each (it has no
+    // round 1 yet), remembers them, and its own round then has nobody
+    // left to ping — without being declared dead by anyone.
+    let space = TorusSpace::random(16, 1000.0, 7);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 7);
+    let edges = table_edges(&net).len() as u64;
+    let members = net.node_ids();
+    let late = members[5];
+    for &m in &members {
+        if m != late {
+            net.engine_mut().inject(m, Msg::AppProbe { round: 1 });
+        }
+    }
+    let later = net.engine().now() + SimTime::from_distance(2000.0);
+    net.engine_mut().run_until(later);
+    let (pings, pongs, _) = probe_counts(&net);
+    assert_eq!((pings, pongs), (edges - 15, 15), "only `late` pongs, once per peer");
+    net.engine_mut().inject(late, Msg::AppProbe { round: 1 });
+    net.run_to_idle();
+    assert_eq!(probe_counts(&net), (edges - 15, 15, 0), "`late` pings nobody it heard from");
+}
+
+#[test]
+fn a_killed_node_is_excised_by_every_neighbor() {
+    let space = TorusSpace::random(64, 1000.0, 13);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 13);
+    let victim = net.node_ids()[9];
+    let knows = |net: &TapestryNetwork, m: NodeIdx| {
+        net.node(m).unwrap().table().all_refs().iter().any(|r| r.idx == victim)
+    };
+    let holders = net.node_ids().into_iter().filter(|&m| knows(&net, m)).count();
+    assert!(holders > 0);
+    net.kill(victim);
+    net.probe_all();
+    let (_, _, dead) = probe_counts(&net);
+    assert!(dead > 0, "the victim's silence is detected");
+    let left: Vec<NodeIdx> = net.node_ids().into_iter().filter(|&m| knows(&net, m)).collect();
+    assert!(left.is_empty(), "still linked to the dead node: {left:?}");
 }

@@ -127,6 +127,9 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
             report.counter_total(metrics::REPAIR_PROMOTIONS) as f64,
         );
         det.insert("repairs_per_node_round".into(), report.repairs_per_node_round(rounds));
+        let probes = report.counter_total(metrics::REPAIR_PINGS)
+            + report.counter_total(metrics::REPAIR_PONGS);
+        det.insert("probe_msgs".into(), probes as f64);
     }
     verify_det_metrics(cell, seed, &report, &det)?;
 
@@ -220,7 +223,7 @@ mod tests {
         for key in ["joins_ok", "join_msgs_mean", "waves", "mean_batch"] {
             assert!(!det.contains_key(key), "no joins scripted, yet {key} present");
         }
-        for key in ["repair_events", "repair_promotions", "repairs_per_node_round"] {
+        for key in ["repair_events", "repair_promotions", "repairs_per_node_round", "probe_msgs"] {
             assert!(!det.contains_key(key), "no probe round scripted, yet {key} present");
         }
         let wall = &r.cells[0].runs[0].wall;
@@ -242,6 +245,7 @@ mod tests {
                 "repair_facts",
                 "repair_promotions",
                 "repairs_per_node_round",
+                "probe_msgs",
                 "timers",
                 "ops_issued",
                 "ops_lost",
@@ -251,6 +255,7 @@ mod tests {
             assert!(det["joins_ok"] > 0.0);
             assert!(det["waves"] > 0.0);
             assert!(det["timers"] > 0.0, "probe rounds arm deadline timers");
+            assert!(det["probe_msgs"] > 0.0, "probe rounds send pings");
         }
         let (on, off) = (&r.cells[0].runs[0].det, &r.cells[1].runs[0].det);
         assert!(on["mean_batch"] >= 1.0, "a wave carries at least one join");

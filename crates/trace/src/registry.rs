@@ -282,6 +282,8 @@ pub mod metrics {
         // -- repair: detection, ledger, targeted repairs ---------------
         Counter REPAIR_PINGS: "repair.pings",
             "Liveness probes sent";
+        Counter REPAIR_PONGS: "repair.pongs",
+            "Probe answers sent (a ping from a peer probed in the same round needs none)";
         Counter REPAIR_DETECTED_DEAD: "repair.detected_dead",
             "Dead neighbors detected by probing";
         Counter REPAIR_QUERIES: "repair.queries",
