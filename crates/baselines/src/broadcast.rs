@@ -14,20 +14,13 @@ pub struct Broadcast {
     members: Vec<PointIdx>,
     directory: HashMap<u64, Vec<PointIdx>>,
     join_msgs: u64,
-    publish_msgs: u64,
 }
 
 impl Broadcast {
     /// A broadcast system over `space` (needed to pick nearest replicas —
     /// with full knowledge, clients route optimally).
     pub fn new(space: Box<dyn MetricSpace>) -> Self {
-        Broadcast {
-            space,
-            members: Vec::new(),
-            directory: HashMap::new(),
-            join_msgs: 0,
-            publish_msgs: 0,
-        }
+        Broadcast { space, members: Vec::new(), directory: HashMap::new(), join_msgs: 0 }
     }
 
     /// Join: announce to every existing member (maintaining the global
@@ -38,11 +31,6 @@ impl Broadcast {
         self.members.push(point);
         self.join_msgs += cost;
         cost
-    }
-
-    /// Total messages spent broadcasting publishes.
-    pub fn publish_messages(&self) -> u64 {
-        self.publish_msgs
     }
 }
 
@@ -61,9 +49,7 @@ impl LocatorSystem for Broadcast {
 
     fn publish(&mut self, server: PointIdx, key: u64) -> u64 {
         self.directory.entry(key).or_default().push(server);
-        let cost = self.members.len() as u64 - 1;
-        self.publish_msgs += cost;
-        cost
+        self.members.len() as u64 - 1
     }
 
     fn locate(&self, origin: PointIdx, key: u64) -> Option<LookupPath> {

@@ -99,19 +99,9 @@ impl<'a> Slot<'a> {
         self.entries.iter().map(|e| (e.nref(), e.dist))
     }
 
-    /// Secondary neighbors (everything but the primary).
-    pub fn secondaries(self) -> impl Iterator<Item = NodeRef> + 'a {
-        self.iter().skip(1)
-    }
-
     /// Does the slot contain `idx`?
     pub fn contains(self, idx: NodeIdx) -> bool {
         self.entries.iter().any(|e| e.is(idx))
-    }
-
-    /// Distance recorded for `idx`, if present.
-    pub fn distance_of(self, idx: NodeIdx) -> Option<f64> {
-        self.entries.iter().find(|e| e.is(idx)).map(|e| e.dist)
     }
 
     /// Currently pinned neighbors.
@@ -177,7 +167,8 @@ mod tests {
         t.offer(0, nref(2), 4.0, 3);
         assert_eq!(t.offer(0, nref(1), 1.0, 3), AddOutcome::AlreadyPresent);
         assert_eq!(t.slot(0, 0).primary(None).unwrap().idx, 1, "refresh re-sorts");
-        assert_eq!(t.slot(0, 0).distance_of(1), Some(1.0));
+        let refreshed = t.slot(0, 0).iter_with_dist().find(|(r, _)| r.idx == 1);
+        assert_eq!(refreshed.map(|(_, d)| d), Some(1.0));
     }
 
     #[test]
@@ -211,15 +202,5 @@ mod tests {
         assert_eq!(t.remove_node(1), vec![(0, 0)]);
         assert!(t.remove_node(1).is_empty());
         assert!(t.slot(0, 0).is_empty());
-    }
-
-    #[test]
-    fn secondaries_skip_primary() {
-        let mut t = one_slot();
-        t.offer(0, nref(1), 1.0, 3);
-        t.offer(0, nref(2), 2.0, 3);
-        t.offer(0, nref(3), 3.0, 3);
-        let sec: Vec<_> = t.slot(0, 0).secondaries().map(|r| r.idx).collect();
-        assert_eq!(sec, vec![2, 3]);
     }
 }

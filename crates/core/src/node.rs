@@ -222,11 +222,6 @@ impl TapestryNode {
         &self.store
     }
 
-    /// Mutable store access for the static builder / test setup.
-    pub fn store_mut(&mut self) -> &mut ObjectStore {
-        &mut self.store
-    }
-
     /// Backpointer set (who references us).
     pub fn backpointers(&self) -> impl Iterator<Item = NodeRef> + '_ {
         self.backptrs.iter()

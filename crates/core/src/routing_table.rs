@@ -2,7 +2,7 @@ use crate::neighbor_set::{AddOutcome, Entry, Slot};
 use crate::refs::{NodeRef, GROW_STEP};
 use std::mem::size_of;
 use std::ops::Range;
-use tapestry_id::{Id, Prefix};
+use tapestry_id::Id;
 use tapestry_sim::NodeIdx;
 
 /// Where surrogate routing goes next from a given node.
@@ -380,21 +380,6 @@ impl RoutingTable {
         }
         (Hop::Root, past_hole)
     }
-
-    /// Check that this table and `peer`'s table agree on the
-    /// empty/non-empty pattern at the level of their common prefix — the
-    /// exact condition Theorem 2's proof requires of Property 1.
-    pub fn consistent_with(&self, peer: &RoutingTable) -> bool {
-        let p = self.owner.id.shared_prefix_len(&peer.owner.id);
-        p >= self.levels()
-            || (0..self.base() as u8)
-                .all(|j| self.slot(p, j).is_empty() == peer.slot(p, j).is_empty())
-    }
-
-    /// The prefix naming slot `(level, digit)`: `owner[0..level] · digit`.
-    pub fn slot_prefix(&self, level: usize, digit: u8) -> Prefix {
-        self.owner.id.prefix(level).extend(digit)
-    }
 }
 
 /// Most entries one table can hold: slot boundaries are `u16` offsets.
@@ -534,23 +519,6 @@ mod tests {
         let occupied = t.occupancy(1);
         let holes = t.remove_node(1).len();
         assert_eq!(occupied - holes, 1, "the N_{{ε,4}} slot kept its owner entry");
-    }
-
-    #[test]
-    fn consistency_check_compares_hole_patterns() {
-        let mut a = RoutingTable::new(nref(0, 0x4227_0000), 16, 8);
-        let mut b = RoutingTable::new(nref(1, 0x42A2_0000), 16, 8);
-        // Both know a (42, 5) node → same pattern at level 2 once mutual
-        // entries are added.
-        let c = nref(2, 0x4250_0000);
-        a.add_if_closer(c, 1.0, 3);
-        b.add_if_closer(c, 1.0, 3);
-        a.add_if_closer(b.owner(), 1.0, 3);
-        b.add_if_closer(a.owner(), 1.0, 3);
-        assert!(a.consistent_with(&b));
-        // Now a learns of a (42, 6) node that b does not know: inconsistent.
-        a.add_if_closer(nref(3, 0x4260_0000), 1.0, 3);
-        assert!(!a.consistent_with(&b));
     }
 
     #[test]

@@ -30,7 +30,15 @@
 //!
 //! A wave is the paper's exact §4.1 multicast: every recipient forwards
 //! every branch, so a wave reaching `k` nodes is a spanning tree of
-//! `k − 1` edges (Theorem 5); coalescing is the one lever on wave cost.
+//! `k − 1` edges (Theorem 5). Coalescing is the one lever on the number
+//! of waves, and it does not lower join traffic. At seed 42 the committed
+//! `BENCH_scale.json` reads, batched vs solo:
+//!
+//! | metric           | 1k nodes           | 25k nodes            |
+//! |------------------|--------------------|----------------------|
+//! | `join_msgs_mean` | 90.517 vs 89.902   | 218.843 vs 218.594   |
+//! | `waves`          | 14 vs 61           | 25 vs 1 523          |
+//! | `ops_lost`       | 9 vs 26            | 33 vs 39             |
 
 #![forbid(unsafe_code)]
 

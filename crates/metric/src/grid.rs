@@ -30,11 +30,6 @@ impl GridSpace {
         self.w
     }
 
-    /// Height in points.
-    pub fn height(&self) -> usize {
-        self.h
-    }
-
     /// Distance between adjacent lattice points.
     pub fn spacing(&self) -> f64 {
         self.spacing

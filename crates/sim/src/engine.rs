@@ -162,11 +162,6 @@ impl<M, T> Event<M, T> {
 /// notices.
 pub const EVENT_KINDS: [&str; 3] = ["deliver", "timer", "contact_failed"];
 
-/// Nodes per range of the queue-depth telemetry series
-/// ([`Engine::shard_depths`]).
-const NODES_PER_SHARD: usize = 1024;
-/// Upper bound on the number of those ranges regardless of population.
-const MAX_SHARDS: usize = 16;
 /// The discrete-event engine: an event queue over a population of actors
 /// placed at the points of a metric space.
 pub struct Engine<A: Actor> {
@@ -224,7 +219,7 @@ impl<A: Actor> Engine<A> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            queue: ShardedQueue::new(n, NODES_PER_SHARD, MAX_SHARDS),
+            queue: ShardedQueue::new(0, 0, 0),
             actors,
             metric,
             stats: SimStats::default(),
@@ -279,23 +274,6 @@ impl<A: Actor> Engine<A> {
     /// Is a node alive at `idx`?
     pub fn alive(&self, idx: NodeIdx) -> bool {
         idx < self.actors.len() && self.actors[idx].is_some()
-    }
-
-    /// Indices of all live nodes, without allocating — prefer this over
-    /// [`Engine::alive_nodes`] anywhere the list is only walked once.
-    pub fn alive_iter(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.actors.iter().enumerate().filter(|(_, a)| a.is_some()).map(|(i, _)| i)
-    }
-
-    /// Indices of all live nodes (an owned copy of
-    /// [`Engine::alive_iter`], for callers that mutate while walking).
-    pub fn alive_nodes(&self) -> Vec<NodeIdx> {
-        self.alive_iter().collect()
-    }
-
-    /// Number of live nodes.
-    pub fn alive_count(&self) -> usize {
-        self.alive_iter().count()
     }
 
     /// Shared view of a node's state.
@@ -361,11 +339,6 @@ impl<A: Actor> Engine<A> {
         self.queue.len()
     }
 
-    /// Number of node ranges the queue-depth series is split into.
-    pub fn queue_shards(&self) -> usize {
-        self.queue.shard_count()
-    }
-
     /// Schedule `ev` to happen at `node` at time `at`.
     fn push(&mut self, at: SimTime, node: NodeIdx, ev: Event<A::Msg, A::Timer>) {
         self.seq += 1;
@@ -380,12 +353,6 @@ impl<A: Actor> Engine<A> {
     /// Events processed split by kind, indexed like [`EVENT_KINDS`].
     pub fn events_by_kind(&self) -> [u64; 3] {
         self.events_by_kind
-    }
-
-    /// Pending events per node range (the telemetry sampler's
-    /// queue-depth series).
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.queue.shard_lens()
     }
 
     /// Enable (or disable) per-event-kind handler wall-time profiling.
@@ -640,7 +607,7 @@ mod tests {
         assert!(e.remove_node(usize::MAX).is_none());
         assert!(e.remove_node(1).is_some());
         assert!(e.remove_node(1).is_none(), "already gone");
-        assert_eq!(e.alive_nodes(), vec![0]);
+        assert!(e.alive(0) && !e.alive(1));
     }
 
     #[test]
@@ -730,19 +697,6 @@ mod tests {
     fn double_occupancy_rejected() {
         let mut e = engine2();
         e.add_node(0, Pinger { peer: 1, received: 0 });
-    }
-
-    #[test]
-    fn alive_iter_matches_alive_nodes() {
-        let space = RingSpace::even(5, 100.0);
-        let mut e: Engine<Pinger> = Engine::new(Box::new(space), SimTime(1));
-        for i in [0usize, 2, 4] {
-            e.add_node(i, Pinger { peer: 0, received: 0 });
-        }
-        e.remove_node(2);
-        assert_eq!(e.alive_iter().collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(e.alive_nodes(), vec![0, 4]);
-        assert_eq!(e.alive_count(), 2);
     }
 
     #[test]

@@ -41,10 +41,9 @@
 //! proptests below check against that reference heap, and the
 //! byte-compares of committed reports in CI enforce end to end.
 //!
-//! The node key does not affect order. It is kept to count pending
-//! events per node range for the telemetry sampler
-//! ([`ShardedQueue::shard_lens`]), which is where the type's name comes
-//! from.
+//! The node key does not affect order; it rides in the slab and comes
+//! back out of `pop`. The type's name is older than this structure:
+//! the queue has no shards.
 
 use crate::SimTime;
 use std::cmp::Reverse;
@@ -101,9 +100,6 @@ pub struct ShardedQueue<E> {
     slab: Vec<Option<(usize, E)>>,
     /// Vacant slab slots, reused last-freed-first.
     free: Vec<u32>,
-    /// Pending events per node range (`node / per_range`).
-    range_lens: Vec<usize>,
-    per_range: usize,
     len: usize,
 }
 
@@ -112,12 +108,11 @@ impl<E> ShardedQueue<E> {
     pub(crate) const BYTES_PER_PENDING: usize =
         std::mem::size_of::<Option<(usize, E)>>() + std::mem::size_of::<Reverse<Key>>();
 
-    /// A queue for node keys `0..points`, counting pending events over
-    /// roughly one range per `nodes_per_shard` keys (at least one, at
-    /// most `max_shards`). Out-of-range keys (e.g. an external-injection
-    /// sentinel) count toward the last range.
-    pub fn new(points: usize, nodes_per_shard: usize, max_shards: usize) -> Self {
-        let k = (points / nodes_per_shard.max(1)).clamp(1, max_shards.max(1));
+    /// An empty queue. The three parameters are unread. They stay only
+    /// because the standalone `benchmark/` package passes them
+    /// (`benchmark/src/probes.rs`); the change that re-points
+    /// `benchmark/` deletes them.
+    pub fn new(_points: usize, _nodes_per_shard: usize, _max_shards: usize) -> Self {
         ShardedQueue {
             near: BinaryHeap::new(),
             far: BTreeMap::new(),
@@ -125,23 +120,8 @@ impl<E> ShardedQueue<E> {
             pool: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            range_lens: vec![0; k],
-            per_range: points.div_ceil(k).max(1),
             len: 0,
         }
-    }
-
-    /// Number of node ranges pending events are counted over.
-    pub fn shard_count(&self) -> usize {
-        self.range_lens.len()
-    }
-
-    /// Pending events per node range, in range order — the queue-depth
-    /// series the telemetry sampler reports. Range membership is a pure
-    /// function of the node key, so the depths at a simulated instant
-    /// are the same on every run.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.range_lens.clone()
     }
 
     /// Total pending events.
@@ -152,10 +132,6 @@ impl<E> ShardedQueue<E> {
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    fn range_of(&self, node: usize) -> usize {
-        (node / self.per_range).min(self.range_lens.len() - 1)
     }
 
     /// Queue `item` for `node` at time `at`. `seq` must be unique and
@@ -190,8 +166,6 @@ impl<E> ShardedQueue<E> {
                 .or_insert_with(|| pool.pop().unwrap_or_default())
                 .push(Reverse(key));
         }
-        let range = self.range_of(node);
-        self.range_lens[range] += 1;
         self.len += 1;
     }
 
@@ -228,8 +202,6 @@ impl<E> ShardedQueue<E> {
         }
         let (node, item) = self.slab[key.slot as usize].take().expect("queued key has a payload");
         self.free.push(key.slot);
-        let range = self.range_of(node);
-        self.range_lens[range] -= 1;
         self.len -= 1;
         Some((key.at, key.seq, node, item))
     }
@@ -253,11 +225,8 @@ mod tests {
     }
 
     impl Checked {
-        fn new(points: usize, nodes_per_shard: usize, max_shards: usize) -> Self {
-            Checked {
-                q: ShardedQueue::new(points, nodes_per_shard, max_shards),
-                reference: BinaryHeap::new(),
-            }
+        fn new() -> Self {
+            Checked { q: ShardedQueue::new(0, 0, 0), reference: BinaryHeap::new() }
         }
 
         fn push(&mut self, at: u64, seq: u64, node: usize) {
@@ -281,7 +250,6 @@ mod tests {
         fn drain(&mut self) {
             while self.pop().is_some() {}
             assert!(self.q.is_empty());
-            assert!(self.q.shard_lens().iter().all(|&n| n == 0), "range counters drained");
         }
     }
 
@@ -298,39 +266,33 @@ mod tests {
 
     #[test]
     fn empty_queue_behaves() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::new(100, 10, 8);
+        let mut q: ShardedQueue<u32> = ShardedQueue::new(0, 0, 0);
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-        assert!(q.shard_count() > 1);
     }
 
+    /// The node key is carried, not interpreted: a key past the node
+    /// space (the engine's external-injection sentinel) comes back out of
+    /// `pop` unchanged.
     #[test]
-    fn single_shard_degenerates_to_a_heap() {
-        let q: ShardedQueue<u32> = ShardedQueue::new(4, 1024, 16);
-        assert_eq!(q.shard_count(), 1);
-    }
-
-    #[test]
-    fn out_of_range_keys_land_in_the_last_shard() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::new(64, 8, 8);
+    fn out_of_range_node_keys_are_carried_through_pop() {
+        let mut q: ShardedQueue<u32> = ShardedQueue::new(0, 0, 0);
         q.push(SimTime(5), 1, usize::MAX, 7);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.shard_lens(), [0, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(q.pop().map(|(_, _, n, v)| (n, v)), Some((usize::MAX, 7)));
-        assert_eq!(q.shard_lens(), [0; 8]);
+        assert!(q.is_empty());
     }
 
-    /// Same-instant FIFO stress across shard boundaries: a burst of
-    /// events all due at one instant, spread over every node range, must
-    /// pop in exactly push (seq) order — the scheduling-order contract
+    /// Same-instant FIFO stress: a burst of events all due at one
+    /// instant, spread over every node key, must pop in exactly push
+    /// (seq) order — the scheduling-order contract
     /// the engine's same-instant tie-break relies on.
     #[test]
     fn same_instant_fifo_across_shard_boundaries() {
         let points = 96;
-        let mut q: ShardedQueue<usize> = ShardedQueue::new(points, 8, 8);
-        assert!(q.shard_count() >= 4, "stress must actually cross shards");
-        // Interleave: walk the node space so consecutive seqs land in
-        // different shards, twice over, all at t=7.
+        let mut q: ShardedQueue<usize> = ShardedQueue::new(0, 0, 0);
+        // Interleave: walk the node space so consecutive seqs carry
+        // different node keys, twice over, all at t=7.
         let mut expect = Vec::new();
         for (seq, k) in (0..2 * points).enumerate() {
             let node = (k * 31) % points; // coprime stride: hits every node
@@ -360,7 +322,7 @@ mod tests {
     /// must not overflow (this suite runs with overflow checks on).
     #[test]
     fn end_of_time_pushes_pop_in_order() {
-        let mut c = Checked::new(16, 4, 4);
+        let mut c = Checked::new();
         c.push(u64::MAX, 0, 1);
         c.push(u64::MAX - 1, 1, 2);
         c.push(3, 2, 3);
@@ -378,7 +340,7 @@ mod tests {
     /// events pending keeps the slab at the peak, not at the total.
     #[test]
     fn slab_never_outgrows_peak_pending() {
-        let mut q: ShardedQueue<u64> = ShardedQueue::new(64, 8, 8);
+        let mut q: ShardedQueue<u64> = ShardedQueue::new(0, 0, 0);
         let mut next = xorshift(11);
         let (mut now, mut peak) = (0u64, 0usize);
         for seq in 0..1_000_000u64 {
@@ -399,7 +361,7 @@ mod tests {
     /// self-timer pattern — keep single-heap order across refills.
     #[test]
     fn pushes_around_the_horizon_while_draining_keep_heap_order() {
-        let mut c = Checked::new(256, 32, 8);
+        let mut c = Checked::new();
         let mut next = xorshift(5);
         let mut seq = 0u64;
         let mut push = |c: &mut Checked, at: u64| {
@@ -431,7 +393,7 @@ mod tests {
     /// while later buckets are still filling.
     #[test]
     fn burst_over_many_buckets_matches_reference_heap() {
-        let mut c = Checked::new(5_000, 1024, 16);
+        let mut c = Checked::new();
         let mut next = xorshift(42);
         // An early first event pins the horizon at bucket 1, so the whole
         // burst is far.
@@ -448,18 +410,17 @@ mod tests {
 
     proptest! {
         /// Any interleaving of pushes pops in exactly the single-heap
-        /// `(at, seq)` order, for every range geometry.
+        /// `(at, seq)` order.
         #[test]
         fn prop_pop_order_matches_single_heap(
             n in 0usize..120,
             points in 1usize..300,
-            shards in 1usize..12,
             at_salt in 0u64..u64::MAX,
         ) {
             // Times cluster heavily (small range) to force same-instant
             // ties.
             let mut next = xorshift(at_salt);
-            let mut c = Checked::new(points, points.div_ceil(shards), shards);
+            let mut c = Checked::new();
             for seq in 0..n {
                 c.push(next() % 8, seq as u64, (next() as usize) % points);
             }
@@ -476,7 +437,7 @@ mod tests {
             spread in 0u32..20,
             salt in 0u64..u64::MAX,
         ) {
-            let mut c = Checked::new(points, 16, 8);
+            let mut c = Checked::new();
             let mut next = xorshift(salt);
             let mut seq = 0u64;
             let mut last_popped: Option<u64> = None;

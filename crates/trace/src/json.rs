@@ -438,11 +438,11 @@ pub fn trace_json(buf: &TraceBuf, sample: u64) -> String {
 /// Serialize the time-series samples plus a final counter/histogram dump
 /// under registry names — the engine builtins, then every counter that
 /// moved and every histogram that was recorded into, sorted by name:
-/// `{"schema":"tapestry-metrics/v2","window":…,"samples":[…],"counters":[…],"histograms":[…]}`.
+/// `{"schema":"tapestry-metrics/v3","window":…,"samples":[…],"counters":[…],"histograms":[…]}`.
 pub fn metrics_json(window: u64, samples: &[SeriesSample], stats: &SimStats) -> String {
     let mut w = JsonWriter::new();
     w.open_obj();
-    w.str_field("schema", "tapestry-metrics/v2");
+    w.str_field("schema", "tapestry-metrics/v3");
     w.u64_field("window", window);
     w.key("samples");
     w.open_arr();
@@ -459,12 +459,7 @@ pub fn metrics_json(window: u64, samples: &[SeriesSample], stats: &SimStats) -> 
         w.u64_field("dropped", s.dropped);
         w.u64_field("live_nodes", s.live_nodes);
         w.u64_field("repair_backlog", s.repair_backlog);
-        w.key("queue_depths");
-        w.open_arr();
-        for d in &s.queue_depths {
-            w.raw(&d.to_string());
-        }
-        w.close_arr();
+        w.u64_field("queue_depth", s.queue_depth);
         w.close_obj();
     }
     w.close_arr();
@@ -556,7 +551,7 @@ mod tests {
             dropped: 0,
             live_nodes: 64,
             repair_backlog: backlog,
-            queue_depths: vec![1, 2],
+            queue_depth: 3,
         };
         (vec![sample(100, 3), sample(150, 0)], stats)
     }
@@ -584,11 +579,11 @@ mod tests {
         let j = metrics_json(50, &samples, &stats);
         // `locate.found` was touched but is still zero, so it is omitted.
         let pinned = concat!(
-            r#"{"schema":"tapestry-metrics/v2","window":50,"samples":["#,
+            r#"{"schema":"tapestry-metrics/v3","window":50,"samples":["#,
             r#"{"at":100,"events":{"deliver":5,"timer":2,"contact_failed":0},"messages":7,"#,
-            r#""dropped":0,"live_nodes":64,"repair_backlog":3,"queue_depths":[1,2]},"#,
+            r#""dropped":0,"live_nodes":64,"repair_backlog":3,"queue_depth":3},"#,
             r#"{"at":150,"events":{"deliver":5,"timer":2,"contact_failed":0},"messages":7,"#,
-            r#""dropped":0,"live_nodes":64,"repair_backlog":0,"queue_depths":[1,2]}],"#,
+            r#""dropped":0,"live_nodes":64,"repair_backlog":0,"queue_depth":3}],"#,
             r#""counters":[{"name":"engine.messages","value":7},"#,
             r#"{"name":"engine.dropped","value":0},"#,
             r#"{"name":"engine.partition_dropped","value":0},"#,

@@ -11,7 +11,7 @@
 //!    handles ([`Counter`], [`Hist`]), which index a dense slot in
 //!    `SimStats`; a name is looked at only where a report is written.
 //! 3. **Time-series telemetry** — a per-sim-window [`SeriesSampler`]
-//!    (events by kind, queue depths, repair backlog, live nodes) plus
+//!    (events by kind, queue depth, repair backlog, live nodes) plus
 //!    deterministic JSON emitters in [`json`]. Wall-clock observations
 //!    never enter these files.
 //!

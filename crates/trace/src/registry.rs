@@ -10,7 +10,7 @@
 //!
 //! | namespace        | contents                                              |
 //! |------------------|-------------------------------------------------------|
-//! | `engine.*`       | event-loop builtins: events, messages, queue depths   |
+//! | `engine.*`       | event-loop builtins: events, messages, queue depth    |
 //! | `routing.*`      | per-hop forwarding costs and locality fallbacks       |
 //! | `locate.*`       | object location operations and their distributions    |
 //! | `publish.*`      | publish path                                          |
@@ -213,7 +213,7 @@ pub mod metrics {
         Gauge ENGINE_LIVE_NODES: "engine.live_nodes",
             "Nodes alive at the sample instant";
         Gauge ENGINE_QUEUE_DEPTH: "engine.queue_depth",
-            "Pending events per queue shard at the sample instant";
+            "Pending events at the sample instant";
         Hist ENGINE_HANDLER_NS: "engine.handler_ns",
             "Handler wall time per event kind, ns (observational; timing JSON only)";
 

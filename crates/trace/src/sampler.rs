@@ -5,7 +5,7 @@
 //! passed since the last emitted sample, the sampler records a
 //! [`SeriesSample`] carrying the **deltas** of the cumulative counters
 //! over the elapsed window and the **instantaneous** levels (live nodes,
-//! queue depths, repair backlog). Every input is a deterministic function
+//! queue depth, repair backlog). Every input is a deterministic function
 //! of sim time, so the series is byte-identical across runs of the same
 //! spec — the same contract as the deterministic reports.
 
@@ -27,8 +27,8 @@ pub struct EngineObservation {
     pub live_nodes: u64,
     /// Repair-ledger facts pending across live nodes at the instant.
     pub repair_backlog: u64,
-    /// Pending events per queue shard at the instant.
-    pub queue_depths: Vec<usize>,
+    /// Pending events at the instant.
+    pub queue_depth: u64,
 }
 
 /// One emitted time-series point: counter deltas over the window ending
@@ -47,8 +47,8 @@ pub struct SeriesSample {
     pub live_nodes: u64,
     /// Repair backlog at `at`.
     pub repair_backlog: u64,
-    /// Per-shard queue depths at `at`.
-    pub queue_depths: Vec<usize>,
+    /// Pending events at `at`.
+    pub queue_depth: u64,
 }
 
 /// Windowed sampler over [`EngineObservation`]s (see the module docs).
@@ -78,7 +78,7 @@ impl SeriesSampler {
     }
 
     /// Would a poll at `now` emit? Drivers use this to skip assembling an
-    /// [`EngineObservation`] (the backlog/queue-depth scans are O(nodes))
+    /// [`EngineObservation`] (the backlog scan is O(nodes))
     /// on the event-loop iterations inside a window.
     pub fn due(&self, now: SimTime) -> bool {
         now.0 >= self.next_at
@@ -116,7 +116,7 @@ impl SeriesSampler {
             dropped: obs.dropped - drop0,
             live_nodes: obs.live_nodes,
             repair_backlog: obs.repair_backlog,
-            queue_depths: obs.queue_depths.clone(),
+            queue_depth: obs.queue_depth,
         });
         self.last_counters = (obs.events_by_kind, obs.messages, obs.dropped);
         self.next_at = obs.now.0 + self.window;
@@ -140,7 +140,7 @@ mod tests {
             dropped: 0,
             live_nodes: live,
             repair_backlog: 0,
-            queue_depths: vec![3, 4],
+            queue_depth: 7,
         }
     }
 
@@ -156,7 +156,7 @@ mod tests {
         assert_eq!(last.events[0], 9, "delta vs the last *emitted* sample");
         assert_eq!(last.messages, 4);
         assert_eq!(last.live_nodes, 11);
-        assert_eq!(last.queue_depths, vec![3, 4]);
+        assert_eq!(last.queue_depth, 7);
     }
 
     #[test]

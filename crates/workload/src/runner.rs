@@ -366,12 +366,12 @@ fn observe(net: &TapestryNetwork) -> EngineObservation {
         dropped: stats.dropped,
         live_nodes: net.len() as u64,
         repair_backlog: net.repair_backlog_total(),
-        queue_depths: net.engine().shard_depths(),
+        queue_depth: net.engine().pending() as u64,
     }
 }
 
 /// Offer the sampler a snapshot, assembling it only when a window has
-/// elapsed (the snapshot's backlog/queue scans are O(nodes)).
+/// elapsed (the snapshot's backlog scan is O(nodes)).
 fn poll_series(net: &TapestryNetwork, series: &mut Option<SeriesSampler>) {
     if let Some(s) = series.as_mut() {
         if s.due(net.engine().now()) {

@@ -94,6 +94,10 @@ impl Arrival {
     }
 
     /// Expected number of operations (exact for [`Arrival::Even`]).
+    /// Nothing in the workspace calls it. It stays only because the
+    /// standalone `benchmark/` package names it
+    /// (`benchmark/tests/schema.rs`); the change that re-points
+    /// `benchmark/` deletes it.
     pub fn expected_ops(&self) -> u64 {
         match *self {
             Arrival::None => 0,

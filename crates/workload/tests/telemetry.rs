@@ -24,6 +24,10 @@ fn trace_and_metrics_json_are_byte_identical_across_runs() {
     assert!(trace1.contains("\"kind\":\"locate\""), "sampled locates traced: {trace1}");
     assert!(trace1.contains("\"kind\":\"join\""), "joins traced under churn");
     assert!(metrics1.contains("\"samples\":[{"), "series non-empty");
+    assert!(metrics1.starts_with(r#"{"schema":"tapestry-metrics/v3","#), "{metrics1}");
+    let depths: Vec<u64> = tel1.samples.iter().map(|s| s.queue_depth).collect();
+    assert!(depths.iter().any(|&d| d > 0), "events pending mid-run: {depths:?}");
+    assert_eq!(depths.last(), Some(&0), "the run drains to idle: {depths:?}");
     let (report2, _, _, tel2) = runner::run_instrumented(&spec).unwrap();
     assert_eq!(report1.to_json(), report2.to_json(), "report on a repeat run");
     assert_eq!(trace1, tel2.trace_json().unwrap(), "trace JSON on a repeat run");
