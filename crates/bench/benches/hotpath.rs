@@ -4,7 +4,8 @@
 //! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
 //! routing table's whole-table passes, name comparison and the object
 //! store at the size a node's is, raw engine
-//! event dispatch, a send from inside a handler, a counter bump, the
+//! event dispatch, a send from inside a handler, a fan-out of one message
+//! to 100 targets against a loop of sends, a counter bump, the
 //! event queue at the two depths the benchmark workloads show, and the
 //! driver's per-event result collection. These
 //! are the inner loops a 10k-node scenario run spends its time in; the
@@ -21,7 +22,7 @@ use tapestry_core::{
 use tapestry_id::Guid;
 use tapestry_id::{Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
-use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimStats, SimTime};
+use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimStats, SimTime, EXTERNAL};
 use tapestry_trace::metrics;
 
 const N: usize = 4096;
@@ -305,6 +306,66 @@ fn bench_send_deliver(c: &mut Criterion) {
     });
 }
 
+/// Targets per fan-out in the `engine/send_*_100_targets` rows.
+const FAN_TARGETS: usize = 100;
+
+/// A sender that answers an external message by sending a `Msg`-sized
+/// payload to `FAN_TARGETS` distinct nodes — with one `send_each` when
+/// `fan` is set, with a loop of `send` otherwise — like a probe round's
+/// pings. Node-to-node messages end there.
+struct Caster {
+    fan: bool,
+}
+
+impl Actor for Caster {
+    type Msg = [u64; MSG_WORDS];
+    type Timer = ();
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg, ()>, from: NodeIdx, msg: Self::Msg) {
+        if from != EXTERNAL {
+            return;
+        }
+        let me = ctx.me;
+        let targets = (1..=FAN_TARGETS).map(move |j| (me + j * 7) % RELAYS);
+        if self.fan {
+            ctx.send_each(targets, msg);
+        } else {
+            for to in targets {
+                ctx.send(to, msg);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self::Msg, ()>, _timer: ()) {}
+}
+
+/// What a delivery costs when it is one of a fan-out: 1 000 nodes each
+/// send one message to 100 targets at the same instant — a probe round in
+/// miniature, 100 000 deliveries pending at the peak — and the engine
+/// drains them, once through `send_each` records and once through a loop
+/// of `send`. One iteration is `FANOUTS * FAN_TARGETS` = 100 000
+/// deliveries (plus the 1 000 injections), so divide the row by that.
+fn bench_send_each(c: &mut Criterion) {
+    const FANOUTS: usize = 1000;
+    for (name, fan) in
+        [("engine/send_each_100_targets", true), ("engine/send_loop_100_targets", false)]
+    {
+        let space = RingSpace::even(RELAYS, 8192.0);
+        let mut e = Engine::new(Box::new(space), SimTime(1));
+        for i in 0..RELAYS {
+            e.add_node(i, Caster { fan });
+        }
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for i in 0..FANOUTS {
+                    e.inject(i, [i as u64; MSG_WORDS]);
+                }
+                black_box(e.run_until_idle(u64::MAX))
+            })
+        });
+    }
+}
+
 /// A counter bump as handlers issue it: eight hot handles in turn over a
 /// store every registered counter has touched. One iteration is `BUMPS`
 /// bumps, so divide the row by that.
@@ -338,7 +399,9 @@ fn bench_counter_bump(c: &mut Criterion) {
 /// push one due a delivery latency later. `engine/dispatch_256_events`
 /// keeps one event pending, so it sees neither regime the benchmark
 /// workloads run in — ~1.2 k pending on `locate-steady`, 556 k after a
-/// probe round on `churn-repair`. The payload is the size of a delivery
+/// probe round on `churn-repair` while each ping was its own entry (one
+/// `send_each` record per node now holds a round's pings; see
+/// `bench_send_each`). The payload is the size of a delivery
 /// event, a `Msg` and its sender; due times scatter over 8 192 distance
 /// units like in-flight deliveries on the scenario spaces. One iteration
 /// is `QUEUE_PAIRS` pop + push pairs — a single pair is below the timer's
@@ -418,6 +481,7 @@ criterion_group!(
     bench_id,
     bench_next_hop,
     bench_engine_dispatch,
+    bench_send_each,
     bench_send_deliver,
     bench_counter_bump,
     bench_queue,

@@ -129,13 +129,14 @@ fn main() {
                 resident_row("after the publish", after_publish, nodes),
                 format!(
                     "  size_of: Id {} B, table entry {} B, NodeRef {} B, PtrEntry {} B, Msg {} B \
-                     ({} B a pending engine event), TapestryNode {} B",
+                     ({} B a pending engine event, {} B a fanned delivery), TapestryNode {} B",
                     size_of::<Id>(),
                     RoutingTable::ENTRY_BYTES,
                     size_of::<NodeRef>(),
                     size_of::<PtrEntry>(),
                     size_of::<Msg>(),
                     Engine::<TapestryNode>::BYTES_PER_PENDING,
+                    Engine::<TapestryNode>::BYTES_PER_FANNED,
                     size_of::<TapestryNode>()
                 ),
                 format!(

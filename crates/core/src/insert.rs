@@ -218,11 +218,10 @@ impl TapestryNode {
             self.finalize_level(ctx, level);
             return;
         }
-        for &t in &ins.pending {
-            metrics::INSERT_GETPTR.inc(ctx);
-            metrics::JOIN_MESSAGES.inc(ctx);
-            ctx.send(t, Msg::GetPointers { op, level, new_node: me });
-        }
+        let fetches = ins.pending.len() as u64;
+        metrics::INSERT_GETPTR.add(ctx, fetches);
+        metrics::JOIN_MESSAGES.add(ctx, fetches);
+        ctx.send_each(ins.pending.iter().copied(), Msg::GetPointers { op, level, new_node: me });
         ctx.set_timer(timeout, Timer::InsertLevelTimeout { op, level });
     }
 

@@ -261,11 +261,8 @@ impl TapestryNode {
             all.extend(self.table.all_refs().iter().map(|r| r.idx));
             all.sort_unstable();
             all.dedup();
-            for idx in all {
-                if idx != self.me.idx {
-                    ctx.send(idx, Msg::LeaveFinal { me: self.me });
-                }
-            }
+            all.retain(|&idx| idx != self.me.idx);
+            ctx.send_each(all, Msg::LeaveFinal { me: self.me });
         }
     }
 
@@ -311,15 +308,14 @@ impl TapestryNode {
             }
         }
         probe.early.clear();
-        let mut pinged = false;
-        for &(idx, heard) in &self.probe.awaiting {
-            if heard == Heard::Pending {
-                metrics::REPAIR_PINGS.inc(ctx);
-                ctx.send(idx as NodeIdx, Msg::Ping { round, me: self.me });
-                pinged = true;
-            }
-        }
-        if pinged {
+        let pending = probe.awaiting.iter().filter(|&&(_, heard)| heard == Heard::Pending);
+        let pings = pending.clone().count();
+        if pings > 0 {
+            metrics::REPAIR_PINGS.add(ctx, pings as u64);
+            ctx.send_each(
+                pending.map(|&(idx, _)| idx as NodeIdx),
+                Msg::Ping { round, me: self.me },
+            );
             ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { round });
         }
     }
@@ -433,13 +429,9 @@ impl TapestryNode {
     pub(crate) fn share_tables_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>) {
         for level in 0..self.table.levels() {
             let refs = self.table.level_refs(level);
-            if refs.is_empty() {
-                continue;
-            }
-            for peer in &refs {
-                metrics::OPTIMIZE_TABLE_SHARES.inc(ctx);
-                ctx.send(peer.idx, Msg::ShareTable { level, refs: refs.clone() });
-            }
+            metrics::OPTIMIZE_TABLE_SHARES.add(ctx, refs.len() as u64);
+            let peers: Vec<NodeIdx> = refs.iter().map(|r| r.idx).collect();
+            ctx.send_each(peers, Msg::ShareTable { level, refs });
         }
     }
 }

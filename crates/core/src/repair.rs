@@ -334,9 +334,10 @@ impl TapestryNode {
         }
         let prefix = self.me.id.prefix(level);
         let op = self.next_op();
-        for p in peers {
-            metrics::REPAIR_QUERIES.inc(ctx);
-            ctx.send(p.idx, Msg::FindReplacement { op, prefix, digit, dead, reply_to: self.me });
-        }
+        metrics::REPAIR_QUERIES.add(ctx, peers.len() as u64);
+        ctx.send_each(
+            peers.iter().map(|p| p.idx),
+            Msg::FindReplacement { op, prefix, digit, dead, reply_to: self.me },
+        );
     }
 }

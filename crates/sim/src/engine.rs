@@ -14,8 +14,10 @@ pub const EXTERNAL: NodeIdx = usize::MAX;
 /// timers. All outbound effects go through the [`Ctx`] so the engine can
 /// account for every send.
 pub trait Actor {
-    /// Message type exchanged between nodes.
-    type Msg;
+    /// Message type exchanged between nodes. `Clone`, because a message
+    /// sent with [`Ctx::send_each`] is stored once and copied out per
+    /// delivery.
+    type Msg: Clone;
     /// Timer payload type.
     type Timer;
 
@@ -53,6 +55,7 @@ pub struct Ctx<'a, M, T> {
     stats: &'a mut SimStats,
     queue: &'a mut ShardedQueue<Event<M, T>>,
     seq: &'a mut u64,
+    fanned: &'a mut usize,
     proc_delay: SimTime,
     notified: &'a mut Vec<NodeIdx>,
     listed: &'a mut [bool],
@@ -62,11 +65,52 @@ impl<M, T> Ctx<'_, M, T> {
     /// Send `msg` to `to`; it arrives after the metric latency plus the
     /// engine's fixed processing delay.
     pub fn send(&mut self, to: NodeIdx, msg: M) {
+        let at = self.account(to);
+        self.push(at, to, Event::Deliver { from: self.me, msg });
+    }
+
+    /// Send `msg` to every node in `targets`. Each target is accounted,
+    /// numbered and timed exactly as one [`Ctx::send`] in a loop over
+    /// `targets` would be, so deliveries pop in the same order and
+    /// [`SimStats`] sums the same distances in the same order. Two or more
+    /// targets are queued as one fan-out record — one queue entry, one
+    /// stored `msg` and [`Engine::BYTES_PER_FANNED`] per target — that
+    /// hands out an ordinary delivery per target as each falls due.
+    pub fn send_each(&mut self, targets: impl IntoIterator<Item = NodeIdx>, msg: M) {
+        let targets = targets.into_iter();
+        let base = *self.seq + 1;
+        let mut members = Vec::with_capacity(targets.size_hint().0);
+        for to in targets {
+            let at = self.account(to);
+            *self.seq += 1;
+            members.push(Fanned {
+                at,
+                seq: u32::try_from(*self.seq - base).expect("fan-out under 2^32 targets"),
+                to: u32::try_from(to).expect("node index fits in u32"),
+            });
+        }
+        // Latest first, so the next delivery is the last member.
+        members.sort_unstable_by_key(|m| std::cmp::Reverse((m.at, m.seq)));
+        let mut fan = Fanout { from: self.me, base, msg, members };
+        let Some((at, seq, to)) = fan.next() else { return };
+        let ev = if fan.members.len() == 1 {
+            Event::Deliver { from: fan.from, msg: fan.msg }
+        } else {
+            // A filtered target list grew the Vec by doubling; the record
+            // holds it until its last delivery.
+            fan.members.shrink_to_fit();
+            *self.fanned += fan.members.len() - 1;
+            Event::Fan(Box::new(fan))
+        };
+        self.queue.push(at, seq, to, ev);
+    }
+
+    /// Count one message to `to` and its distance; returns when it is due.
+    fn account(&mut self, to: NodeIdx) -> SimTime {
         let d = if to == self.me { 0.0 } else { self.metric.distance(self.me, to) };
         self.stats.messages += 1;
         self.stats.distance += d;
-        let at = self.now + self.proc_delay + SimTime::from_distance(d);
-        self.push(at, to, Event::Deliver { from: self.me, msg });
+        self.now + self.proc_delay + SimTime::from_distance(d)
     }
 
     /// Arm a timer that fires on this node after `delay`.
@@ -128,6 +172,32 @@ impl<M, T> Ctx<'_, M, T> {
     }
 }
 
+/// One delivery of a fan-out record: when it is due, its sequence number
+/// as an offset from the record's `base`, and its target.
+#[derive(Clone, Copy)]
+struct Fanned {
+    at: SimTime,
+    seq: u32,
+    to: u32,
+}
+
+/// The deliveries of one [`Ctx::send_each`] still to come, queued as one
+/// entry under the `(at, seq)` of the earliest. `members` is sorted
+/// latest-first, so that one is the last.
+struct Fanout<M> {
+    from: NodeIdx,
+    base: u64,
+    msg: M,
+    members: Vec<Fanned>,
+}
+
+impl<M> Fanout<M> {
+    /// The queue key of the next delivery: due time, seq and target.
+    fn next(&self) -> Option<(SimTime, u64, NodeIdx)> {
+        self.members.last().map(|m| (m.at, self.base + u64::from(m.seq), m.to as NodeIdx))
+    }
+}
+
 /// What happens at a node. The node itself is not stored here: it is the
 /// queue's node key, handed back by every pop.
 enum Event<M, T> {
@@ -135,6 +205,9 @@ enum Event<M, T> {
         from: NodeIdx,
         msg: M,
     },
+    /// A fan-out record: popping it delivers its earliest member (see
+    /// [`Engine::unfan`]).
+    Fan(Box<Fanout<M>>),
     Fire {
         timer: T,
     },
@@ -150,7 +223,7 @@ impl<M, T> Event<M, T> {
     /// Index into the per-kind event counters (see [`EVENT_KINDS`]).
     fn kind_idx(&self) -> usize {
         match *self {
-            Event::Deliver { .. } => 0,
+            Event::Deliver { .. } | Event::Fan(_) => 0,
             Event::Fire { .. } => 1,
             Event::ContactFailed { .. } => 2,
         }
@@ -170,6 +243,9 @@ pub struct Engine<A: Actor> {
     /// Pending events; pops follow the exact `(at, seq)` total order of
     /// a single heap (see [`ShardedQueue`]).
     queue: ShardedQueue<Event<A::Msg, A::Timer>>,
+    /// Deliveries waiting in fan-out records behind each record's head,
+    /// which the queue counts as one entry.
+    fanned: usize,
     actors: Vec<Option<A>>,
     metric: Box<dyn MetricSpace>,
     stats: SimStats,
@@ -202,10 +278,17 @@ pub struct Engine<A: Actor> {
 }
 
 impl<A: Actor> Engine<A> {
-    /// Bytes the queue holds per pending event — slab entry (node key and
-    /// event, message inline) plus ordering key — so the queue of a burst
-    /// of `n` pending events costs `n · BYTES_PER_PENDING`.
+    /// Bytes the queue holds per queue entry — slab entry (node key and
+    /// event, message inline) plus ordering key. A message sent with
+    /// [`Ctx::send`], a timer and a failure notice are one entry each; a
+    /// [`Ctx::send_each`] to `k` targets is one entry for all `k`, plus a
+    /// boxed record holding the message once and
+    /// [`BYTES_PER_FANNED`](Engine::BYTES_PER_FANNED) per target.
     pub const BYTES_PER_PENDING: usize = ShardedQueue::<Event<A::Msg, A::Timer>>::BYTES_PER_PENDING;
+
+    /// Bytes one delivery waiting in a fan-out record holds: its due
+    /// time, sequence offset and target.
+    pub const BYTES_PER_FANNED: usize = std::mem::size_of::<Fanned>();
 
     /// Create an engine over `metric`; every point starts empty (no node).
     ///
@@ -220,6 +303,7 @@ impl<A: Actor> Engine<A> {
             now: SimTime::ZERO,
             seq: 0,
             queue: ShardedQueue::new(0, 0, 0),
+            fanned: 0,
             actors,
             metric,
             stats: SimStats::default(),
@@ -334,9 +418,10 @@ impl<A: Actor> Engine<A> {
         self.queue.is_empty()
     }
 
-    /// Number of pending events.
+    /// Number of pending events, counting every delivery a fan-out record
+    /// still holds.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.fanned
     }
 
     /// Schedule `ev` to happen at `node` at time `at`.
@@ -378,8 +463,12 @@ impl<A: Actor> Engine<A> {
     /// Returns `false` when it is not, or the queue is empty. Every event
     /// the engine ever dispatches goes through here.
     fn step_due(&mut self, deadline: SimTime) -> bool {
-        let Some((at, _, node, ev)) = self.queue.pop_due(deadline) else {
+        let Some((at, seq, node, ev)) = self.queue.pop_due(deadline) else {
             return false;
+        };
+        let ev = match ev {
+            Event::Fan(fan) => self.unfan(fan, (at, seq, node)),
+            ev => ev,
         };
         self.events_processed += 1;
         let kind = ev.kind_idx();
@@ -423,6 +512,7 @@ impl<A: Actor> Engine<A> {
             stats: &mut self.stats,
             queue: &mut self.queue,
             seq: &mut self.seq,
+            fanned: &mut self.fanned,
             proc_delay: self.proc_delay,
             notified: &mut self.notified,
             listed: &mut self.listed,
@@ -434,11 +524,34 @@ impl<A: Actor> Engine<A> {
                 actor.on_timer(&mut ctx, timer);
             }
             Event::ContactFailed { peer } => actor.on_contact_failed(&mut ctx, peer),
+            Event::Fan(_) => unreachable!("a popped fan-out is unfanned into a delivery"),
         }
         if let Some(t0) = started {
             self.handler_ns[kind].record(t0.elapsed().as_nanos() as u64);
         }
         true
+    }
+
+    /// Turn a fan-out record popped under `key` into the delivery of its
+    /// earliest member, and queue the record again under the next
+    /// member's key. From here on the delivery is an ordinary one:
+    /// partition drops, bounces, counters and profiling treat it as if
+    /// [`Ctx::send`] had queued it.
+    fn unfan(
+        &mut self,
+        mut fan: Box<Fanout<A::Msg>>,
+        key: (SimTime, u64, NodeIdx),
+    ) -> Event<A::Msg, A::Timer> {
+        debug_assert_eq!(fan.next(), Some(key), "a record is queued under its next delivery");
+        fan.members.pop();
+        let from = fan.from;
+        let Some((at, seq, to)) = fan.next() else {
+            return Event::Deliver { from, msg: fan.msg };
+        };
+        self.fanned -= 1;
+        let msg = fan.msg.clone();
+        self.queue.push(at, seq, to, Event::Fan(fan));
+        Event::Deliver { from, msg }
     }
 
     /// Run until the queue drains or `max_events` have been processed.
@@ -714,6 +827,194 @@ mod tests {
         assert_eq!(e.events_processed(), 7);
         assert_eq!(e.events_by_kind(), [6, 0, 1]);
         assert_eq!(e.stats().dropped, 1);
+    }
+
+    /// What a [`Caster`] saw: `(at, node, from, msg)`. A bounce logs the
+    /// dead peer as `from` and [`BOUNCED`] as `msg`; a timer logs its own
+    /// node as `from` and the timer with [`TIMER_BIT`] set.
+    type Seen = (u64, NodeIdx, NodeIdx, u64);
+    type SeenLog = std::rc::Rc<std::cell::RefCell<Vec<Seen>>>;
+    const BOUNCED: u64 = u64::MAX;
+    const TIMER_BIT: u64 = 1 << 63;
+    /// Points of the [`Caster`] space; the last one never holds a node.
+    const CAST_POINTS: usize = 8;
+
+    /// Fan-out equivalence actor. A message is `salt << 8 | hops`; each
+    /// receipt with hops left draws a target list of 0–6 points from the
+    /// salt and its node (self, duplicates and the empty point included)
+    /// and sends the next hop to all of them — with one
+    /// [`Ctx::send_each`] when `fan` is set, with a loop of [`Ctx::send`]
+    /// otherwise — sometimes arming a timer between the draws, so
+    /// same-instant ties mix sends, fan-outs and timers.
+    struct Caster {
+        fan: bool,
+        log: SeenLog,
+    }
+
+    impl Actor for Caster {
+        type Msg = u64;
+        type Timer = u64;
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64, u64>, from: NodeIdx, msg: u64) {
+            self.log.borrow_mut().push((ctx.now.0, ctx.me, from, msg));
+            let hops = msg & 0xFF;
+            if hops == 0 {
+                return;
+            }
+            let mut next = xorshift(msg ^ (ctx.me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let targets: Vec<NodeIdx> =
+                (0..next() % 7).map(|_| next() as usize % CAST_POINTS).collect();
+            let on = (next() & !0xFF) | (hops - 1);
+            if next().is_multiple_of(4) {
+                ctx.set_timer(SimTime(next() % 3), next() >> 1);
+            }
+            if self.fan {
+                ctx.send_each(targets, on);
+            } else {
+                for to in targets {
+                    ctx.send(to, on);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64, u64>, timer: u64) {
+            self.log.borrow_mut().push((ctx.now.0, ctx.me, ctx.me, timer | TIMER_BIT));
+        }
+
+        fn on_contact_failed(&mut self, ctx: &mut Ctx<'_, u64, u64>, peer: NodeIdx) {
+            self.log.borrow_mut().push((ctx.now.0, ctx.me, peer, BOUNCED));
+        }
+    }
+
+    /// Deterministic pseudo-random stream (xorshift64) from a salt.
+    fn xorshift(salt: u64) -> impl FnMut() -> u64 {
+        let mut x = salt | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Everything two [`Caster`] runs must agree on: the pops, `pending()`
+    /// after every step, the stats (distance as bits), the per-kind event
+    /// counts and the final clock.
+    type CastRun = (Vec<Seen>, Vec<usize>, [u64; 5], [u64; 3], u64);
+
+    /// One [`Caster`] run: `injections` messages of up to four hops from
+    /// `salt`, over an evenly spaced ring or a random torus, optionally
+    /// partitioned, with node `CAST_POINTS - 2` removed after `kill_at`
+    /// steps so deliveries already queued to it bounce.
+    fn cast_run(
+        fan: bool,
+        salt: u64,
+        injections: u64,
+        torus: bool,
+        cut: bool,
+        kill_at: usize,
+    ) -> CastRun {
+        let log = SeenLog::default();
+        let space: Box<dyn MetricSpace> = if torus {
+            Box::new(tapestry_metric::TorusSpace::random(CAST_POINTS, 100.0, salt))
+        } else {
+            Box::new(RingSpace::even(CAST_POINTS, 64.0))
+        };
+        let mut e = Engine::new(space, SimTime(1));
+        for i in 0..CAST_POINTS - 1 {
+            e.add_node(i, Caster { fan, log: log.clone() });
+        }
+        if cut {
+            e.set_partition((0..CAST_POINTS as u32).map(|i| u32::from(i % 3 == 0)).collect());
+        }
+        let mut next = xorshift(salt);
+        for _ in 0..injections {
+            e.inject(next() as usize % CAST_POINTS, (next() & !0xFF) | (next() % 5));
+        }
+        let mut pending = vec![e.pending()];
+        while e.step() {
+            if pending.len() == kill_at {
+                e.remove_node(CAST_POINTS - 2);
+            }
+            pending.push(e.pending());
+            assert_eq!(e.is_idle(), e.pending() == 0);
+        }
+        let st = e.stats();
+        let stats =
+            [st.messages, st.distance.to_bits(), st.dropped, st.partition_dropped, st.timers];
+        let seen = log.borrow().clone();
+        (seen, pending, stats, e.events_by_kind(), e.now().0)
+    }
+
+    proptest::proptest! {
+        /// A fan-out is invisible: `send_each` and a loop of `send` over
+        /// the same targets give the same pops, pending counts and stats,
+        /// through bounces off the empty point and the killed node,
+        /// partition drops, self-sends, duplicates and empty or
+        /// single-target lists.
+        #[test]
+        fn prop_send_each_matches_a_loop_of_sends(
+            salt in 0u64..u64::MAX,
+            injections in 1u64..5,
+            torus in 0u32..2,
+            cut in 0u32..2,
+            kill_at in 0usize..60,
+        ) {
+            let run = |fan| cast_run(fan, salt, injections, torus == 1, cut == 1, kill_at);
+            let (looped, fanned) = (run(false), run(true));
+            proptest::prop_assert!(looped == fanned, "fan-out diverged from the send loop");
+        }
+    }
+
+    /// The cases the property relies on do occur: over a fixed set of
+    /// salts, fan-outs bounce, cross the cut, hit their sender and repeat
+    /// a target.
+    #[test]
+    fn caster_runs_cover_the_edge_cases() {
+        let (mut bounced, mut cut, mut to_self) = (0, 0, 0);
+        for salt in 1..40u64 {
+            let (seen, _, stats, ..) = cast_run(true, salt, 4, salt % 2 == 0, true, 30);
+            bounced += seen.iter().filter(|s| s.3 == BOUNCED).count();
+            cut += stats[3];
+            to_self += seen.iter().filter(|s| s.1 == s.2 && s.3 & TIMER_BIT == 0).count();
+        }
+        assert!(
+            bounced > 0 && cut > 0 && to_self > 0,
+            "{bounced} bounces, {cut} cut, {to_self} self"
+        );
+    }
+
+    /// A `k`-target fan-out is one queue entry holding `k` pending
+    /// deliveries, and it drains one delivery per step.
+    #[test]
+    fn a_fan_out_is_one_queue_entry() {
+        struct Fan;
+        impl Actor for Fan {
+            type Msg = u32;
+            type Timer = ();
+            fn on_message(&mut self, ctx: &mut Ctx<'_, u32, ()>, from: NodeIdx, msg: u32) {
+                if from == EXTERNAL {
+                    ctx.send_each((0..msg as usize).map(|i| i % 4), 0);
+                }
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, ()>, _timer: ()) {}
+        }
+        let mut e = Engine::new(Box::new(RingSpace::even(4, 64.0)), SimTime(1));
+        for i in 0..4 {
+            e.add_node(i, Fan);
+        }
+        let k = 9;
+        e.inject(0, k as u32);
+        assert!(e.step());
+        assert_eq!((e.queue.len(), e.pending()), (1, k));
+        for left in (0..k).rev() {
+            assert!(e.step());
+            assert_eq!(e.pending(), left);
+            assert_eq!(e.queue.len(), usize::from(left > 0));
+        }
+        assert!(e.is_idle());
+        assert_eq!(e.stats().messages, k as u64);
+        assert_eq!(e.events_by_kind(), [1 + k as u64, 0, 0]);
     }
 
     /// An actor that logs every receipt into a shared trace, for ordering

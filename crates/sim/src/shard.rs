@@ -4,17 +4,29 @@
 //! **Keys and slab.** What the queue orders is `(at, seq)`; what it
 //! carries is a `(node, event)` payload that no comparison ever looks
 //! at. Measured on the `churn-repair` benchmark workload, one probe
-//! round leaves 556 453 events pending at once, and a heap of whole
+//! round left 556 453 events pending at once, and a heap of whole
 //! entries — 208 bytes each while the routed-message header was inline in
 //! `Msg` — dragged ~116 MB through ~17 cache-missing levels on every
 //! sift. Here the ordered structures hold only a [`Key`] — `at`,
 //! `seq` and a `u32` slot, 24 bytes — and the payload sits in a slab
 //! (`Vec<Option<_>>` with a LIFO free list): written once on push, read
 //! once on pop, never moved. Freed slots are reused before the slab
-//! grows, so its length never exceeds the peak number pending. A
-//! pending event costs its slab entry plus its key
+//! grows, so its length never exceeds the peak number of entries. A
+//! queue entry costs its slab entry plus its key
 //! (`Engine::BYTES_PER_PENDING`): 88 + 24 = 112 bytes with the protocol's
 //! 72-byte `Msg`, whose routed header travels boxed.
+//!
+//! **Fan-out records.** An entry is not always one event. A message a
+//! node sends to many targets at once (`Ctx::send_each`: a probe
+//! round's pings, a departure's `LeaveFinal`s) is one entry whose payload
+//! is a boxed record: the message once and a 16-byte member per target
+//! (`Engine::BYTES_PER_FANNED`). The entry is keyed by the earliest
+//! member's `(at, seq)`; the engine pops it, delivers that member and
+//! pushes the record again under the next member's key. So `n` pending
+//! events cost `n · 112` bytes only when each was sent on its own: a
+//! probe round of `k` pings per node costs one entry, one record and
+//! `16 k` bytes per node, and `len` counts the entries, not the events
+//! (`Engine::pending` adds the members still waiting).
 //!
 //! **Near heap, far buckets.** Time is cut into buckets of
 //! `2^BUCKET_SHIFT` units (`at >> BUCKET_SHIFT`). Invariant: every key
@@ -124,7 +136,7 @@ impl<E> ShardedQueue<E> {
         }
     }
 
-    /// Total pending events.
+    /// Total queue entries.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -134,10 +146,11 @@ impl<E> ShardedQueue<E> {
         self.len == 0
     }
 
-    /// Queue `item` for `node` at time `at`. `seq` must be unique and
-    /// issued in increasing order by the caller (the engine's global
-    /// event counter) — it is the deterministic tie-break within an
-    /// instant.
+    /// Queue `item` for `node` at time `at`. `seq` must be unique (the
+    /// engine's global event counter) — it is the deterministic
+    /// tie-break within an instant. It need not be the largest issued so
+    /// far: the engine re-queues a fan-out record under a `seq` it
+    /// reserved when the fan-out was sent.
     pub fn push(&mut self, at: SimTime, seq: u64, node: usize, item: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
