@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::mem::size_of;
 use tapestry_core::{
-    Msg, NodeRef, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
+    Msg, Names, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
 };
 use tapestry_id::Guid;
 use tapestry_id::{Id, IdSpace};
@@ -169,28 +169,30 @@ fn bench_id(c: &mut Criterion) {
     });
 }
 
-/// A table that has been offered `N - 1` random nodes, three to a slot.
-fn offered_table(candidates: &[NodeRef]) -> RoutingTable {
-    let mut table = RoutingTable::new(candidates[0], 16, 8);
-    for (i, &r) in candidates.iter().enumerate().skip(1) {
-        table.add_if_closer(r, (i % 997) as f64, 3);
+/// Point 0's table, offered the `N - 1` other points of `names`, three
+/// to a slot.
+fn offered_table(names: &Names) -> RoutingTable {
+    let mut table = RoutingTable::new(names.clone(), 0, 16, 8);
+    for i in 1..names.len() {
+        table.add_if_closer(names.nref(i), (i % 997) as f64, 3);
     }
     table
 }
 
-fn random_refs(rng: &mut StdRng) -> Vec<NodeRef> {
-    (0..N).map(|i| NodeRef::new(i, Id::random(IdSpace::base16(), rng))).collect()
+/// `N` random names.
+fn random_names(rng: &mut StdRng) -> Names {
+    Names::new((0..N).map(|_| Id::random(IdSpace::base16(), rng)).collect())
 }
 
 /// The routing table's whole-table passes: the dynamic
 /// `AddToTableIfCloser` stream that fills it, the membership test behind
 /// every eviction and failed contact, and a departed node's removal.
 fn bench_table(c: &mut Criterion) {
-    let candidates = random_refs(&mut StdRng::seed_from_u64(2));
+    let names = random_names(&mut StdRng::seed_from_u64(2));
     c.bench_function("core/add_if_closer_dynamic_4096", |b| {
-        b.iter(|| black_box(offered_table(&candidates)))
+        b.iter(|| black_box(offered_table(&names)))
     });
-    let table = offered_table(&candidates);
+    let table = offered_table(&names);
     let held: Vec<NodeIdx> = table.all_refs().iter().map(|r| r.idx).collect();
     c.bench_function("core/table_contains_4096", |b| {
         // Half the probes are held, half are not (a full scan).
@@ -218,7 +220,7 @@ fn bench_table(c: &mut Criterion) {
 fn bench_next_hop(c: &mut Criterion) {
     let s = IdSpace::base16();
     let mut rng = StdRng::seed_from_u64(2);
-    let table = offered_table(&random_refs(&mut rng));
+    let table = offered_table(&random_names(&mut rng));
     let targets: Vec<Id> = (0..256).map(|_| Id::random(s, &mut rng)).collect();
     c.bench_function("route/next_hop_filled_table", |b| {
         let mut i = 0usize;

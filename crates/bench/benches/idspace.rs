@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tapestry_core::{NodeRef, RoutingTable};
+use tapestry_core::{Names, RoutingTable};
 use tapestry_id::{map_roots, Guid, Id, IdSpace};
 
 fn bench_ids(c: &mut Criterion) {
@@ -35,11 +35,16 @@ fn bench_ids(c: &mut Criterion) {
 fn bench_table(c: &mut Criterion) {
     let s = IdSpace::base16();
     let mut rng = StdRng::seed_from_u64(2);
-    let owner = NodeRef::new(0, Id::random(s, &mut rng));
-    let mut table = RoutingTable::new(owner, 16, 8);
+    // Points 0..512 are random and fill point 0's table; the next 4096
+    // are the newcomers `table/add_if_closer` offers, one per iteration.
+    let mut ids: Vec<Id> = (0..512).map(|_| Id::random(s, &mut rng)).collect();
+    ids.extend(
+        (512..512 + 4096u64).map(|i| Id::from_u64(s, i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)),
+    );
+    let names = Names::new(ids);
+    let mut table = RoutingTable::new(names.clone(), 0, 16, 8);
     for i in 1..512usize {
-        let r = NodeRef::new(i, Id::random(s, &mut rng));
-        table.add_if_closer(r, (i % 97) as f64, 3);
+        table.add_if_closer(names.nref(i), (i % 97) as f64, 3);
     }
     let targets: Vec<Id> = (0..256).map(|_| Id::random(s, &mut rng)).collect();
     c.bench_function("table/next_hop", |b| {
@@ -50,14 +55,10 @@ fn bench_table(c: &mut Criterion) {
         })
     });
     c.bench_function("table/add_if_closer", |b| {
-        let mut i = 512usize;
+        let mut i = 0usize;
         b.iter(|| {
-            i += 1;
-            let r = NodeRef::new(
-                i,
-                Id::from_u64(s, (i as u64).wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF),
-            );
-            black_box(table.clone().add_if_closer(r, 5.0, 3))
+            i = (i + 1) % 4096;
+            black_box(table.clone().add_if_closer(names.nref(512 + i), 5.0, 3))
         })
     });
 }

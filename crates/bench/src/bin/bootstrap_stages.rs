@@ -128,10 +128,13 @@ fn main() {
                 resident_row("after the sweeps", after_sweeps, nodes),
                 resident_row("after the publish", after_publish, nodes),
                 format!(
-                    "  size_of: Id {} B, table entry {} B, NodeRef {} B, PtrEntry {} B, Msg {} B \
+                    "  size_of: Id {} B, table entry {} B, backpointer {} B, name directory {} B \
+                     once, NodeRef {} B, PtrEntry {} B, Msg {} B \
                      ({} B a pending engine event, {} B a fanned delivery), TapestryNode {} B",
                     size_of::<Id>(),
                     RoutingTable::ENTRY_BYTES,
+                    TapestryNode::BACKPOINTER_BYTES,
+                    net.names().heap_bytes(),
                     size_of::<NodeRef>(),
                     size_of::<PtrEntry>(),
                     size_of::<Msg>(),

@@ -237,7 +237,7 @@ impl TapestryNode {
     ) {
         self.consider_neighbor(ctx, new_node);
         let mut refs = self.table.level_refs(level);
-        refs.extend(self.backptrs.iter().filter(|r| self.me.id.shared_prefix_len(&r.id) == level));
+        refs.extend(self.backpointers().filter(|r| self.me.id.shared_prefix_len(&r.id) == level));
         refs.sort();
         refs.dedup();
         metrics::JOIN_MESSAGES.inc(ctx);

@@ -54,7 +54,7 @@ pub use neighbor_set::{AddOutcome, Slot};
 pub use network::{BootstrapStage, LocateResult, NetworkSnapshot, TapestryNetwork};
 pub use node::{NodeStatus, TapestryNode};
 pub use object_store::{ObjectStore, PtrEntry};
-pub use refs::{NodeRef, MAX_NODES};
+pub use refs::{Names, NodeRef, MAX_NODES};
 pub use repair::MaintenanceMode;
 pub use routing_table::{Hop, RoutingTable, TableAddOutcome};
 

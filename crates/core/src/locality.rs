@@ -49,13 +49,19 @@ impl TapestryNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NodeRef, TapestryConfig, TapestryNode};
+    use crate::{Names, TapestryConfig, TapestryNode};
     use tapestry_id::IdSpace;
 
     const S: IdSpace = IdSpace::base16();
 
-    fn node(cfg: TapestryConfig, idx: usize, v: u64) -> TapestryNode {
-        TapestryNode::new_active(cfg, NodeRef::new(idx, Id::from_u64(S, v)), 7)
+    /// Point 0 (4227…, the node under test), a digit-5 point 5111… and a
+    /// digit-9 point 9ABC….
+    fn names() -> Names {
+        Names::new([0x4227_0000, 0x5111_1111, 0x9ABC_0000].map(|v| Id::from_u64(S, v)).to_vec())
+    }
+
+    fn node(cfg: TapestryConfig) -> TapestryNode {
+        TapestryNode::new_active(cfg, names(), 0, 7)
     }
 
     #[test]
@@ -65,11 +71,10 @@ mod tests {
             stub_latency_threshold: 10.0,
             ..Default::default()
         };
-        let mut n = node(cfg, 0, 0x4227_0000);
+        let mut n = node(cfg);
         // A far (distance 100) digit-5 neighbor and a near (distance 2)
         // digit-9 neighbor.
-        let far = NodeRef::new(1, Id::from_u64(S, 0x5111_1111));
-        let near = NodeRef::new(2, Id::from_u64(S, 0x9ABC_0000));
+        let (far, near) = (names().nref(1), names().nref(2));
         n.table_mut().add_if_closer(far, 100.0, 3);
         n.table_mut().add_if_closer(near, 2.0, 3);
         let target = Id::from_u64(S, 0x5000_0000);
@@ -87,8 +92,8 @@ mod tests {
             stub_latency_threshold: 10.0,
             ..Default::default()
         };
-        let mut n = node(cfg, 0, 0x4227_0000);
-        n.table_mut().add_if_closer(NodeRef::new(1, Id::from_u64(S, 0x5111_1111)), 100.0, 3);
+        let mut n = node(cfg);
+        n.table_mut().add_if_closer(names().nref(1), 100.0, 3);
         // Only far neighbors: every level resolves through self entries and
         // the walk ends at the local root (None).
         let target = Id::from_u64(S, 0x5000_0000);

@@ -200,7 +200,7 @@ impl TapestryNode {
         }
 
         // Phase 1: Leaving + replacement candidates to backpointer holders.
-        let holders: Vec<NodeRef> = self.backptrs.iter().collect();
+        let holders: Vec<NodeRef> = self.backpointers().collect();
         if holders.is_empty() {
             leave.finished = true;
             self.leave = Some(leave);
@@ -257,7 +257,7 @@ impl TapestryNode {
         leave.pending_acks.remove(&who.idx);
         if leave.pending_acks.is_empty() && !leave.finished {
             leave.finished = true;
-            let mut all: Vec<NodeIdx> = self.backptrs.iter().map(|r| r.idx).collect();
+            let mut all: Vec<NodeIdx> = self.backpointers().map(|r| r.idx).collect();
             all.extend(self.table.all_refs().iter().map(|r| r.idx));
             all.sort_unstable();
             all.dedup();

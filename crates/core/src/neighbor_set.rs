@@ -1,6 +1,5 @@
-use crate::refs::{idx32, NodeRef};
+use crate::refs::{Names, NodeRef};
 use std::cmp::Ordering;
-use tapestry_id::Id;
 use tapestry_sim::NodeIdx;
 
 /// Result of offering a node to one slot of a [`crate::RoutingTable`].
@@ -22,30 +21,35 @@ pub enum AddOutcome {
     Rejected,
 }
 
-/// One table entry, packed to 24 bytes: the node's index is narrowed to
-/// `u32` on the way in ([`idx32`]); what leaves the table is a full
-/// [`NodeRef`].
+/// One table entry, packed to 16 bytes: the node's address, narrowed to
+/// `u32` on the way in ([`Names::check`]), and no name — what leaves the
+/// table is a full [`NodeRef`], its name read from the table's [`Names`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry {
     pub dist: f64,
     idx: u32,
-    id: Id,
     pub pinned: bool,
 }
 
 impl Entry {
-    pub fn new(nref: NodeRef, dist: f64, pinned: bool) -> Self {
-        Entry { dist, idx: idx32(nref.idx), id: nref.id, pinned }
+    /// An entry for `nref`, whose name must be the directory's.
+    pub fn new(nref: NodeRef, dist: f64, pinned: bool, names: &Names) -> Self {
+        Entry { dist, idx: names.check(nref), pinned }
     }
 
     #[inline]
-    pub fn nref(&self) -> NodeRef {
-        NodeRef::new(self.idx as NodeIdx, self.id)
+    pub fn idx(&self) -> NodeIdx {
+        self.idx as NodeIdx
+    }
+
+    #[inline]
+    pub fn nref(&self, names: &Names) -> NodeRef {
+        names.nref(self.idx())
     }
 
     #[inline]
     pub fn is(&self, idx: NodeIdx) -> bool {
-        self.idx as NodeIdx == idx
+        self.idx() == idx
     }
 
     /// The order every slot is kept in: `(dist, idx)`.
@@ -67,6 +71,7 @@ impl Entry {
 #[derive(Debug, Clone, Copy)]
 pub struct Slot<'a> {
     pub(crate) entries: &'a [Entry],
+    pub(crate) names: &'a Names,
 }
 
 impl<'a> Slot<'a> {
@@ -81,22 +86,28 @@ impl<'a> Slot<'a> {
         self.entries.is_empty()
     }
 
+    /// The closest neighbor's address, skipping `exclude`. Inlined:
+    /// `next_hop` calls this per candidate digit on every routing hop.
+    #[inline]
+    pub(crate) fn primary_idx(self, exclude: Option<NodeIdx>) -> Option<NodeIdx> {
+        self.entries.iter().map(Entry::idx).find(|&idx| Some(idx) != exclude)
+    }
+
     /// The closest neighbor, skipping `exclude` (a node being routed
-    /// around, §5.1). Inlined: `next_hop` calls this per candidate digit
-    /// on every routing hop.
+    /// around, §5.1).
     #[inline]
     pub fn primary(self, exclude: Option<NodeIdx>) -> Option<NodeRef> {
-        self.entries.iter().find(|e| Some(e.idx as NodeIdx) != exclude).map(Entry::nref)
+        self.primary_idx(exclude).map(|idx| self.names.nref(idx))
     }
 
     /// All neighbors, closest first.
     pub fn iter(self) -> impl Iterator<Item = NodeRef> + 'a {
-        self.entries.iter().map(Entry::nref)
+        self.entries.iter().map(|e| e.nref(self.names))
     }
 
     /// Neighbors with their recorded distances, closest first.
     pub fn iter_with_dist(self) -> impl Iterator<Item = (NodeRef, f64)> + 'a {
-        self.entries.iter().map(|e| (e.nref(), e.dist))
+        self.entries.iter().map(|e| (e.nref(self.names), e.dist))
     }
 
     /// Does the slot contain `idx`?
@@ -106,14 +117,14 @@ impl<'a> Slot<'a> {
 
     /// Currently pinned neighbors.
     pub fn pinned(self) -> impl Iterator<Item = NodeRef> + 'a {
-        self.entries.iter().filter(|e| e.pinned).map(Entry::nref)
+        self.entries.iter().filter(|e| e.pinned).map(|e| e.nref(self.names))
     }
 
     /// The closest unpinned neighbor — the multicast forwards through one
     /// unpinned pointer plus every pinned pointer (§4.4: "X must keep at
     /// least one unpinned pointer and all pinned pointers").
     pub fn first_unpinned(self) -> Option<NodeRef> {
-        self.entries.iter().find(|e| !e.pinned).map(Entry::nref)
+        self.entries.iter().find(|e| !e.pinned).map(|e| e.nref(self.names))
     }
 }
 
@@ -121,38 +132,50 @@ impl<'a> Slot<'a> {
 mod tests {
     use super::*;
     use crate::RoutingTable;
-    use tapestry_id::IdSpace;
+    use tapestry_id::{Id, IdSpace};
 
-    fn nref(i: usize) -> NodeRef {
-        NodeRef::new(i, Id::from_u64(IdSpace::base16(), i as u64))
+    /// Point 0 is named F000…, point `i > 0` is named `i` (first digit 0).
+    fn names() -> Names {
+        let name = |i: u64| if i == 0 { 0xF000_0000 } else { i };
+        Names::new((0..16).map(|i| Id::from_u64(IdSpace::base16(), name(i))).collect())
     }
 
-    /// A one-level table whose owner's first digit is F: every `nref(i)`
-    /// (first digit 0) belongs to slot (0, 0), which starts as a hole.
+    fn nref(i: usize) -> NodeRef {
+        names().nref(i)
+    }
+
+    /// A one-level table owned by point 0: every `nref(i)` belongs to
+    /// slot (0, 0), which starts as a hole.
     fn one_slot() -> RoutingTable {
-        RoutingTable::new(NodeRef::new(999, Id::from_u64(IdSpace::base16(), 0xF000_0000)), 16, 1)
+        RoutingTable::new(names(), 0, 16, 1)
+    }
+
+    /// Offer point `i` to slot (0, 0) of `t`.
+    fn offer(t: &mut RoutingTable, i: usize, dist: f64, cap: usize) -> AddOutcome {
+        let new = Entry::new(nref(i), dist, false, t.names());
+        t.offer(0, new, cap)
     }
 
     #[test]
-    fn entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    fn entry_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
     }
 
     #[test]
     fn keeps_closest_r_sorted() {
         let mut t = one_slot();
         assert!(matches!(
-            t.offer(0, nref(1), 10.0, 2),
+            offer(&mut t, 1, 10.0, 2),
             AddOutcome::Added { evicted: None, filled_hole: true }
         ));
         assert!(matches!(
-            t.offer(0, nref(2), 5.0, 2),
+            offer(&mut t, 2, 5.0, 2),
             AddOutcome::Added { evicted: None, filled_hole: false }
         ));
         // Full; farther node rejected.
-        assert_eq!(t.offer(0, nref(3), 20.0, 2), AddOutcome::Rejected);
+        assert_eq!(offer(&mut t, 3, 20.0, 2), AddOutcome::Rejected);
         // Closer node evicts the farthest.
-        match t.offer(0, nref(4), 1.0, 2) {
+        match offer(&mut t, 4, 1.0, 2) {
             AddOutcome::Added { evicted: Some(e), .. } => assert_eq!(e.idx, 1),
             o => panic!("unexpected {o:?}"),
         }
@@ -163,9 +186,9 @@ mod tests {
     #[test]
     fn duplicate_refreshes_distance() {
         let mut t = one_slot();
-        t.offer(0, nref(1), 10.0, 3);
-        t.offer(0, nref(2), 4.0, 3);
-        assert_eq!(t.offer(0, nref(1), 1.0, 3), AddOutcome::AlreadyPresent);
+        offer(&mut t, 1, 10.0, 3);
+        offer(&mut t, 2, 4.0, 3);
+        assert_eq!(offer(&mut t, 1, 1.0, 3), AddOutcome::AlreadyPresent);
         assert_eq!(t.slot(0, 0).primary(None).unwrap().idx, 1, "refresh re-sorts");
         let refreshed = t.slot(0, 0).iter_with_dist().find(|(r, _)| r.idx == 1);
         assert_eq!(refreshed.map(|(_, d)| d), Some(1.0));
@@ -174,8 +197,8 @@ mod tests {
     #[test]
     fn primary_respects_exclusion() {
         let mut t = one_slot();
-        t.offer(0, nref(1), 1.0, 3);
-        t.offer(0, nref(2), 2.0, 3);
+        offer(&mut t, 1, 1.0, 3);
+        offer(&mut t, 2, 2.0, 3);
         assert_eq!(t.slot(0, 0).primary(Some(1)).unwrap().idx, 2);
         assert_eq!(t.slot(0, 0).primary(None).unwrap().idx, 1);
     }
@@ -184,8 +207,8 @@ mod tests {
     fn pinned_entries_survive_eviction_pressure() {
         let mut t = one_slot();
         t.add_pinned(nref(9), 100.0);
-        t.offer(0, nref(1), 1.0, 1);
-        t.offer(0, nref(2), 0.5, 1);
+        offer(&mut t, 1, 1.0, 1);
+        offer(&mut t, 2, 0.5, 1);
         assert!(t.slot(0, 0).contains(9), "pinned entry never evicted");
         assert_eq!(t.slot(0, 0).pinned().count(), 1);
         assert_eq!(t.slot(0, 0).first_unpinned().unwrap().idx, 2);
@@ -198,7 +221,7 @@ mod tests {
     #[test]
     fn remove_reports_presence() {
         let mut t = one_slot();
-        t.offer(0, nref(1), 1.0, 2);
+        offer(&mut t, 1, 1.0, 2);
         assert_eq!(t.remove_node(1), vec![(0, 0)]);
         assert!(t.remove_node(1).is_empty());
         assert!(t.slot(0, 0).is_empty());

@@ -8,7 +8,7 @@ use crate::config::TapestryConfig;
 use crate::messages::{BatchInsertee, Msg, OpId};
 use crate::node::{NodeStatus, TapestryNode};
 use crate::prefix_runs::{Level, PrefixRuns};
-use crate::refs::{idx32, Backpointers, NodeRef, MAX_NODES};
+use crate::refs::{idx32, Backpointers, Names, NodeRef, MAX_NODES};
 use crate::routing_table::Hop;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,7 +71,11 @@ pub struct NetworkSnapshot {
 pub struct TapestryNetwork {
     engine: Engine<TapestryNode>,
     cfg: TapestryConfig,
-    ids: Vec<Id>,
+    /// Every point's name, drawn once in [`TapestryNetwork::empty`] and
+    /// shared with every routing table. A point keeps its name for the
+    /// whole run: a point handed out again after a failed join rejoins
+    /// under the same name.
+    ids: Names,
     /// Live members, kept sorted ascending (set semantics; a sorted `Vec`
     /// so hot paths can sample and iterate without allocating).
     members: Vec<NodeIdx>,
@@ -195,7 +199,7 @@ impl TapestryNetwork {
         TapestryNetwork {
             engine: Engine::new(space, SimTime(1)),
             cfg,
-            ids,
+            ids: Names::new(ids),
             members: Vec::new(),
             rng,
             seed,
@@ -228,7 +232,7 @@ impl TapestryNetwork {
     /// it on networks small enough to afford the O(n²) cross-check).
     fn static_populate(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         for &idx in members {
-            let node = TapestryNode::new_active(self.cfg, self.ref_of(idx), self.seed);
+            let node = TapestryNode::new_active(self.cfg, self.ids.clone(), idx, self.seed);
             self.engine.add_node(idx, node);
             self.insert_member(idx);
         }
@@ -303,9 +307,7 @@ impl TapestryNetwork {
             for of_slot in fills.chunk_by(|x, y| slot_of(x) == slot_of(y)) {
                 let (node, digit) = slot_of(&of_slot[0]);
                 let table = self.engine.node_mut(node as NodeIdx).expect("just added").table_mut();
-                let refs = of_slot
-                    .iter()
-                    .map(|f| (NodeRef::new(f.member as NodeIdx, ids[f.member as NodeIdx]), f.dist));
+                let refs = of_slot.iter().map(|f| (ids.nref(f.member as NodeIdx), f.dist));
                 table.extend_unbounded(l, digit, refs);
             }
             stage(BootstrapStage::LevelApplied(l));
@@ -324,7 +326,7 @@ impl TapestryNetwork {
     pub fn rebuild_backpointers(&mut self) {
         let mut owners = vec![0usize; self.ids.len()];
         self.each_forward_pointer(|peer, _| owners[peer] += 1);
-        let mut inverse: Vec<Vec<(u32, Id)>> = owners.into_iter().map(Vec::with_capacity).collect();
+        let mut inverse: Vec<Vec<u32>> = owners.into_iter().map(Vec::with_capacity).collect();
         self.each_forward_pointer(|peer, owner| inverse[peer].push(owner));
         for &m in &self.members {
             if let Some(node) = self.engine.node_mut(m) {
@@ -342,13 +344,13 @@ impl TapestryNetwork {
     /// table references `peer`, owners ascending. A table names a peer in
     /// several slots; `last[peer]` is the owner that named it last, and an
     /// owner's entries are one uninterrupted stretch of the walk.
-    fn each_forward_pointer(&self, mut f: impl FnMut(NodeIdx, (u32, Id))) {
+    fn each_forward_pointer(&self, mut f: impl FnMut(NodeIdx, u32)) {
         let mut last = vec![u32::MAX; self.ids.len()]; // no owner: indices end below MAX_NODES
         for &owner in &self.members {
             let Some(node) = self.engine.node(owner) else { continue };
-            let owner = (idx32(owner), self.ids[owner]);
+            let owner = idx32(owner);
             for peer in node.table().refs() {
-                if std::mem::replace(&mut last[peer.idx], owner.0) != owner.0 {
+                if std::mem::replace(&mut last[peer.idx], owner) != owner {
                     f(peer.idx, owner);
                 }
             }
@@ -366,7 +368,8 @@ impl TapestryNetwork {
         }
         let refs: Vec<NodeRef> = members.iter().map(|&i| self.ref_of(i)).collect();
         for &a in members {
-            let mut want = RoutingTable::new(self.ref_of(a), self.cfg.base(), self.cfg.levels());
+            let mut want =
+                RoutingTable::new(self.ids.clone(), a, self.cfg.base(), self.cfg.levels());
             for &b_ref in &refs {
                 if b_ref.idx == a {
                     continue;
@@ -443,7 +446,12 @@ impl TapestryNetwork {
 
     /// Name + address pair for point `idx`.
     pub fn ref_of(&self, idx: NodeIdx) -> NodeRef {
-        NodeRef::new(idx, self.ids[idx])
+        self.ids.nref(idx)
+    }
+
+    /// Every point's name: the directory the routing tables share.
+    pub fn names(&self) -> &Names {
+        &self.ids
     }
 
     /// Read a node's state.
@@ -639,7 +647,7 @@ impl TapestryNetwork {
         if cfg.list_size_k.is_none() {
             cfg.list_size_k = Some(self.cfg.k_for(self.members.len() + 1));
         }
-        let node = TapestryNode::new_inserting(cfg, self.ref_of(idx), self.seed);
+        let node = TapestryNode::new_inserting(cfg, self.ids.clone(), idx, self.seed);
         self.engine.add_node(idx, node);
         self.engine.inject(idx, Msg::StartInsert { gateway: self.ref_of(gateway), deferred });
     }
@@ -1110,7 +1118,7 @@ mod tests {
             let node = net.node(m).unwrap();
             let entries = node.table().entry_count() + cfg.levels();
             let want =
-                24 * entries + 2 * cfg.base() * cfg.levels() + 16 * node.backpointers().count();
+                16 * entries + 2 * cfg.base() * cfg.levels() + 4 * node.backpointers().count();
             assert_eq!(node.heap_bytes(), want, "node {m}");
         }
     }

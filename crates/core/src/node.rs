@@ -2,7 +2,7 @@ use crate::config::TapestryConfig;
 use crate::messages::{BatchInsertee, Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
-use crate::refs::{Backpointers, NodeRef};
+use crate::refs::{Backpointers, Names, NodeRef};
 use crate::repair::{FactKind, RepairLedger, RepairTask};
 use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
@@ -156,30 +156,43 @@ pub struct TapestryNode {
     /// excised; without this set each mention re-adds the corpse, the
     /// next contact bounces, and the remove/re-query cycle repeats —
     /// amplifying repair traffic super-linearly with n. Entries are
-    /// retired by a late probe ack (`Readmit`, the flapping path); node
-    /// indices are never reused, so there is no expiry.
+    /// retired by a late probe ack (`Readmit`, the flapping path) or a
+    /// ping from the certified peer, and by nothing else: there is no
+    /// expiry. Node indices *are* reused — a failed insertee's point
+    /// returns to the runner's free list and a later join takes it, under
+    /// the same name — so every node that excised a point's predecessor
+    /// still certifies the re-joined point dead until it retires that
+    /// certificate.
     pub(crate) dead_list: BTreeSet<NodeIdx>,
     pub(crate) rng: StdRng,
 }
 
 impl TapestryNode {
-    /// Create a node in `Active` state with only self entries (used for
-    /// bootstrap and by the static builder, which then fills the table).
-    pub fn new_active(cfg: TapestryConfig, me: NodeRef, seed: u64) -> Self {
-        Self::with_status(cfg, me, seed, NodeStatus::Active)
+    /// Create the node at point `idx`, named by `names`, in `Active` state
+    /// with only self entries (used for bootstrap and by the static
+    /// builder, which then fills the table).
+    pub fn new_active(cfg: TapestryConfig, names: Names, idx: NodeIdx, seed: u64) -> Self {
+        Self::with_status(cfg, names, idx, seed, NodeStatus::Active)
     }
 
     /// Create a node that will join dynamically (`StartInsert` expected).
-    pub fn new_inserting(cfg: TapestryConfig, me: NodeRef, seed: u64) -> Self {
-        Self::with_status(cfg, me, seed, NodeStatus::Inserting)
+    pub fn new_inserting(cfg: TapestryConfig, names: Names, idx: NodeIdx, seed: u64) -> Self {
+        Self::with_status(cfg, names, idx, seed, NodeStatus::Inserting)
     }
 
-    fn with_status(cfg: TapestryConfig, me: NodeRef, seed: u64, status: NodeStatus) -> Self {
+    fn with_status(
+        cfg: TapestryConfig,
+        names: Names,
+        idx: NodeIdx,
+        seed: u64,
+        status: NodeStatus,
+    ) -> Self {
+        let me = names.nref(idx);
         TapestryNode {
             cfg,
             me,
             status,
-            table: RoutingTable::new(me, cfg.base(), cfg.levels()),
+            table: RoutingTable::new(names, idx, cfg.base(), cfg.levels()),
             backptrs: Backpointers::default(),
             store: ObjectStore::new(),
             op_counter: 0,
@@ -224,13 +237,17 @@ impl TapestryNode {
 
     /// Backpointer set (who references us).
     pub fn backpointers(&self) -> impl Iterator<Item = NodeRef> + '_ {
-        self.backptrs.iter()
+        self.backptrs.iter(self.table.names())
     }
+
+    /// Bytes one backpointer occupies (its holder's address).
+    pub const BACKPOINTER_BYTES: usize = Backpointers::BYTES;
 
     /// Bytes of heap behind the routing mesh: the table's entry and
     /// offset arrays and the backpointer vector, by capacity. Computed
     /// from the containers alone, so it repeats exactly from run to run.
-    /// (The object pointers are [`ObjectStore::heap_bytes`].)
+    /// (The object pointers are [`ObjectStore::heap_bytes`]; the shared
+    /// name directory is [`Names::heap_bytes`], once per network.)
     pub fn heap_bytes(&self) -> usize {
         self.table.heap_bytes() + self.backptrs.heap_bytes()
     }
@@ -372,7 +389,7 @@ impl Actor for TapestryNode {
             }
             Msg::Pointers { op, level, refs } => self.on_pointers(ctx, from, op, level, refs),
             Msg::AddedYou { me } => {
-                self.backptrs.insert(me);
+                self.backptrs.insert(me, self.table.names());
                 self.consider_neighbor(ctx, me);
             }
             Msg::RemovedYou { me } => {

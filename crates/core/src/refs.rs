@@ -1,4 +1,6 @@
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use tapestry_id::Id;
 use tapestry_sim::NodeIdx;
 
@@ -46,9 +48,65 @@ pub(crate) fn idx32(idx: NodeIdx) -> u32 {
         .unwrap_or_else(|_| panic!("node index {idx} exceeds MAX_NODES = {MAX_NODES}"))
 }
 
+/// The name of every point, shared read-only by the network and every
+/// routing table: entry `i` is point `i`'s overlay identifier. A point
+/// keeps its name for the whole run — a point handed out again after a
+/// failed join rejoins under the same name — so a table or backpointer
+/// set stores only the address and looks the name up here. Cloning is a
+/// reference-count bump.
+#[derive(Clone)]
+pub struct Names(Arc<[Id]>);
+
+impl Names {
+    /// Adopt `ids` as the directory: point `i` is named `ids[i]`.
+    pub fn new(ids: Vec<Id>) -> Self {
+        Names(ids.into())
+    }
+
+    /// Point `idx` with its name.
+    #[inline]
+    pub fn nref(&self, idx: NodeIdx) -> NodeRef {
+        NodeRef::new(idx, self.0[idx])
+    }
+
+    /// `r`'s address narrowed for table storage, once its name is checked
+    /// against the directory. Every write into a table or backpointer set
+    /// passes here: a reference whose name disagrees is a bug upstream,
+    /// not input, so it panics in release builds too.
+    pub(crate) fn check(&self, r: NodeRef) -> u32 {
+        let idx = idx32(r.idx);
+        match self.0.get(r.idx) {
+            Some(id) if *id == r.id => idx,
+            Some(id) => panic!("{r} disagrees with the directory, which names it {id}"),
+            None => panic!("{r} disagrees with the directory, which has {} points", self.0.len()),
+        }
+    }
+
+    /// Bytes of heap the directory holds (shared, so once per network).
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0)
+    }
+}
+
+impl Deref for Names {
+    type Target = [Id];
+
+    fn deref(&self) -> &[Id] {
+        &self.0
+    }
+}
+
+/// Terse: a table printed with `{:?}` names its directory's size, not
+/// every identifier in it.
+impl fmt::Debug for Names {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Names({} ids)", self.0.len())
+    }
+}
+
 /// Entries a full table or backpointer vector grows by. Doubling would
 /// leave a bootstrapped node that learns one more neighbor holding twice
-/// its table; a fixed step bounds the slack at half a kilobyte.
+/// its table; a fixed step bounds the slack at 256 bytes.
 pub(crate) const GROW_STEP: usize = 16;
 
 /// `v.insert(at, row)`, a full `v` growing by `step` rows, not by doubling.
@@ -60,25 +118,30 @@ pub(crate) fn insert_growing_by<T>(step: usize, v: &mut Vec<T>, at: usize, row: 
 }
 
 /// The nodes that keep us in their routing table (§2.1 backpointers):
-/// one vector sorted by node index.
+/// their addresses in one vector, ascending. Names come from the
+/// [`Names`] directory on the way out.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Backpointers(Vec<(u32, Id)>);
+pub(crate) struct Backpointers(Vec<u32>);
 
 impl Backpointers {
-    /// Adopt `sorted`: ascending by index, no index twice.
-    pub fn from_sorted(sorted: Vec<(u32, Id)>) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+    /// Bytes one backpointer occupies.
+    pub const BYTES: usize = std::mem::size_of::<u32>();
+
+    /// Adopt `sorted`: ascending, no index twice.
+    pub fn from_sorted(sorted: Vec<u32>) -> Self {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
         Backpointers(sorted)
     }
 
     fn find(&self, idx: NodeIdx) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&idx, |&(i, _)| i as NodeIdx)
+        self.0.binary_search_by_key(&idx, |&i| i as NodeIdx)
     }
 
-    pub fn insert(&mut self, r: NodeRef) {
-        match self.find(r.idx) {
-            Ok(at) => self.0[at].1 = r.id,
-            Err(at) => insert_growing_by(GROW_STEP, &mut self.0, at, (idx32(r.idx), r.id)),
+    /// Add `r`, whose name must be the directory's.
+    pub fn insert(&mut self, r: NodeRef, names: &Names) {
+        let idx = names.check(r);
+        if let Err(at) = self.find(r.idx) {
+            insert_growing_by(GROW_STEP, &mut self.0, at, idx);
         }
     }
 
@@ -92,13 +155,13 @@ impl Backpointers {
     }
 
     /// Ascending by index.
-    pub fn iter(&self) -> impl Iterator<Item = NodeRef> + '_ {
-        self.0.iter().map(|&(idx, id)| NodeRef::new(idx as NodeIdx, id))
+    pub fn iter<'a>(&'a self, names: &'a Names) -> impl Iterator<Item = NodeRef> + 'a {
+        self.0.iter().map(|&idx| names.nref(idx as NodeIdx))
     }
 
     /// Bytes of heap the vector holds (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
-        self.0.capacity() * std::mem::size_of::<(u32, Id)>()
+        self.0.capacity() * Self::BYTES
     }
 }
 
@@ -123,35 +186,59 @@ mod tests {
     }
 
     #[test]
-    fn a_ref_is_24_bytes_and_a_backpointer_16() {
+    fn a_ref_is_24_bytes_and_a_backpointer_4() {
         assert_eq!(std::mem::size_of::<NodeRef>(), 24);
-        assert_eq!(std::mem::size_of::<(u32, Id)>(), 16);
+        let b = Backpointers::from_sorted(vec![1, 2, 3]);
+        assert_eq!(b.heap_bytes(), 3 * 4, "a backpointer is its address alone");
+    }
+
+    /// Point `i` named `i · 31`: every index below 97 has a name.
+    fn directory() -> Names {
+        Names::new((0..97u64).map(|i| Id::from_u64(IdSpace::base16(), i * 31)).collect())
     }
 
     #[test]
     fn backpointers_match_a_btreemap() {
         use std::collections::BTreeMap;
-        let s = IdSpace::base16();
+        // The id-carrying layout this set replaced: one `(index, name)`
+        // pair per backpointer.
+        let names = directory();
         let mut model: BTreeMap<NodeIdx, Id> = BTreeMap::new();
         let mut got = Backpointers::default();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for step in 0..4000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let idx = (x >> 33) as usize % 97;
-            let r = NodeRef::new(idx, Id::from_u64(s, idx as u64 * 31));
+            let r = names.nref(idx);
             if (x >> 20).is_multiple_of(3) {
                 assert_eq!(got.remove(idx), model.remove(&idx).is_some(), "step {step}");
             } else {
-                got.insert(r);
+                got.insert(r, &names);
                 model.insert(idx, r.id);
             }
             let probe = (x >> 12) as usize % 97;
             assert_eq!(got.contains(probe), model.contains_key(&probe), "step {step}");
+            let want: Vec<NodeRef> = model.iter().map(|(&i, &id)| NodeRef::new(i, id)).collect();
+            assert_eq!(got.iter(&names).collect::<Vec<_>>(), want, "step {step}: ascends by index");
         }
-        let want: Vec<NodeRef> = model.iter().map(|(&i, &id)| NodeRef::new(i, id)).collect();
-        assert!(!want.is_empty());
-        assert_eq!(got.iter().collect::<Vec<_>>(), want, "iteration ascends by index");
+        assert!(!model.is_empty());
         assert!(!got.contains(usize::MAX) && !got.remove(usize::MAX), "a lookup never narrows");
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with the directory")]
+    fn a_name_that_disagrees_with_the_directory_is_refused() {
+        let names = directory();
+        let mut b = Backpointers::default();
+        b.insert(names.nref(5), &names);
+        b.insert(NodeRef::new(6, names[7]), &names);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with the directory")]
+    fn an_address_outside_the_directory_is_refused() {
+        let names = directory();
+        Backpointers::default().insert(NodeRef::new(97, names[0]), &names);
     }
 
     #[test]

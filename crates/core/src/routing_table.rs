@@ -1,5 +1,5 @@
 use crate::neighbor_set::{AddOutcome, Entry, Slot};
-use crate::refs::{NodeRef, GROW_STEP};
+use crate::refs::{idx32, Names, NodeRef, GROW_STEP};
 use std::mem::size_of;
 use std::ops::Range;
 use tapestry_id::Id;
@@ -38,35 +38,51 @@ pub struct TableAddOutcome {
 /// All slots share one allocation: `entries` holds them back to back,
 /// slot `s = level · base + digit` being `entries[ends[s-1]..ends[s]]`
 /// (from 0 for `s = 0`), each sorted by `(dist, idx)`. A hole costs its
-/// two bytes of `ends` and nothing else.
+/// two bytes of `ends` and nothing else. An entry holds an address; the
+/// names live once, in the shared [`Names`] directory.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    owner: NodeRef,
-    base: u8,
-    levels: u8,
+    names: Names,
     entries: Vec<Entry>,
     ends: Box<[u16]>,
+    owner: u32,
+    base: u8,
+    levels: u8,
 }
 
 impl RoutingTable {
-    /// A fresh table containing only the owner's self entries.
-    pub fn new(owner: NodeRef, base: usize, levels: usize) -> Self {
+    /// A fresh table for point `owner`, named by `names`, containing only
+    /// the owner's self entries.
+    pub fn new(names: Names, owner: NodeIdx, base: usize, levels: usize) -> Self {
+        let me = names.nref(owner);
         let mut table = RoutingTable {
-            owner,
+            owner: idx32(owner),
             base: u8::try_from(base).expect("a digit is a u8, so base <= 255"),
             levels: u8::try_from(levels).expect("an Id has at most 16 digits"),
             entries: Vec::with_capacity(levels),
             ends: vec![0; base * levels].into(),
+            names,
         };
         for l in 0..levels {
-            table.insert_sorted(table.index(l, owner.id.digit(l)), Entry::new(owner, 0.0, false));
+            let own = Entry::new(me, 0.0, false, &table.names);
+            table.insert_sorted(table.index(l, me.id.digit(l)), own);
         }
         table
     }
 
     /// The owner of this table.
     pub fn owner(&self) -> NodeRef {
-        self.owner
+        self.names.nref(self.owner_idx())
+    }
+
+    #[inline]
+    fn owner_idx(&self) -> NodeIdx {
+        self.owner as NodeIdx
+    }
+
+    /// The directory the table reads its neighbors' names from.
+    pub(crate) fn names(&self) -> &Names {
+        &self.names
     }
 
     /// Digit radix.
@@ -104,7 +120,7 @@ impl RoutingTable {
     #[inline]
     pub fn slot(&self, level: usize, digit: u8) -> Slot<'_> {
         let s = self.index(level, digit);
-        Slot { entries: &self.entries[self.span(s, s + 1)] }
+        Slot { entries: &self.entries[self.span(s, s + 1)], names: &self.names }
     }
 
     fn slot_entries(&mut self, s: usize) -> &mut [Entry] {
@@ -137,7 +153,7 @@ impl RoutingTable {
     /// level = length of the shared prefix, digit = `other`'s digit there.
     /// `None` for the owner itself or an ID identical to the owner's.
     pub fn slot_for(&self, other: &Id) -> Option<(usize, u8)> {
-        let p = self.owner.id.shared_prefix_len(other);
+        let p = self.names[self.owner_idx()].shared_prefix_len(other);
         (p < self.levels()).then(|| (p, other.digit(p)))
     }
 
@@ -153,14 +169,17 @@ impl RoutingTable {
     /// not just the owner's self entry). Only own-digit slots gain
     /// entries, and the owner (distance 0) stays their primary, so
     /// routing decisions and hole patterns are unaffected.
+    ///
+    /// `other`'s name must be the directory's; a disagreeing name panics.
     pub fn add_if_closer(&mut self, other: NodeRef, dist: f64, capacity: usize) -> TableAddOutcome {
+        let new = Entry::new(other, dist, false, &self.names);
         let mut outcome = TableAddOutcome::default();
         let Some((p, _)) = self.slot_for(&other.id) else {
             return outcome;
         };
         for l in 0..=p {
             let s = self.index(l, other.id.digit(l));
-            if let AddOutcome::Added { evicted, .. } = self.offer(s, other, dist, capacity) {
+            if let AddOutcome::Added { evicted, .. } = self.offer(s, new, capacity) {
                 outcome.newly_added = true;
                 outcome.evicted.extend(evicted);
             }
@@ -168,17 +187,17 @@ impl RoutingTable {
         outcome
     }
 
-    /// Offer `nref` to slot `s` alone; keep the closest `cap` entries
+    /// Offer `new` to slot `s` alone; keep the closest `cap` entries
     /// (`AddToTableIfCloser`). Pinned entries never count against
     /// eviction and are never evicted.
-    pub(crate) fn offer(&mut self, s: usize, nref: NodeRef, dist: f64, cap: usize) -> AddOutcome {
-        let slot = self.slot_entries(s);
-        if let Some(e) = slot.iter_mut().find(|e| e.is(nref.idx)) {
+    pub(crate) fn offer(&mut self, s: usize, new: Entry, cap: usize) -> AddOutcome {
+        let (dist, span) = (new.dist, self.span(s, s + 1));
+        let slot = &mut self.entries[span];
+        if let Some(e) = slot.iter_mut().find(|e| e.is(new.idx())) {
             e.dist = dist;
             slot.sort_by(Entry::order);
             return AddOutcome::AlreadyPresent;
         }
-        let new = Entry::new(nref, dist, false);
         if slot.iter().filter(|e| !e.pinned).count() >= cap {
             // Full: admit only if closer than the farthest unpinned
             // entry — the last one, the slot being sorted by (dist, idx).
@@ -186,7 +205,7 @@ impl RoutingTable {
             if slot[far].dist <= dist {
                 return AddOutcome::Rejected;
             }
-            let evicted = std::mem::replace(&mut slot[far], new).nref();
+            let evicted = std::mem::replace(&mut slot[far], new).nref(&self.names);
             slot.sort_by(Entry::order);
             return AddOutcome::Added { evicted: Some(evicted), filled_hole: false };
         }
@@ -209,18 +228,20 @@ impl RoutingTable {
         self.make_room(closest.len());
         for (nref, dist) in closest {
             debug_assert!(!self.slot(level, digit).contains(nref.idx), "new nodes only");
-            self.insert_sorted(s, Entry::new(nref, dist, false));
+            let new = Entry::new(nref, dist, false, &self.names);
+            self.insert_sorted(s, new);
         }
     }
 
     /// Insert `other` pinned (multicast in progress, §4.4). If already
     /// present it becomes pinned in place.
     pub fn add_pinned(&mut self, other: NodeRef, dist: f64) {
+        let new = Entry::new(other, dist, true, &self.names);
         let Some((l, j)) = self.slot_for(&other.id) else { return };
         let s = self.index(l, j);
         match self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
             Some(e) => e.pinned = true,
-            None => self.insert_sorted(s, Entry::new(other, dist, true)),
+            None => self.insert_sorted(s, new),
         }
     }
 
@@ -228,6 +249,7 @@ impl RoutingTable {
     /// entry remains as a regular neighbor; a later `add_if_closer` may
     /// evict it normally.
     pub fn unpin(&mut self, other: &NodeRef) {
+        self.names.check(*other);
         let Some((l, j)) = self.slot_for(&other.id) else { return };
         let s = self.index(l, j);
         if let Some(e) = self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
@@ -269,7 +291,8 @@ impl RoutingTable {
 
     /// The entries of `span` other than the owner's self entries.
     fn others(&self, span: Range<usize>) -> impl Iterator<Item = NodeRef> + '_ {
-        self.entries[span].iter().filter(|e| !e.is(self.owner.idx)).map(Entry::nref)
+        let owner = self.owner_idx();
+        self.entries[span].iter().filter(move |e| !e.is(owner)).map(|e| e.nref(&self.names))
     }
 
     /// Every slot entry other than the owner's self entries, slot by slot
@@ -310,14 +333,15 @@ impl RoutingTable {
     /// scan then continues one level deeper. Returns `Root` when every
     /// remaining digit resolves to the owner.
     ///
-    /// `exclude` routes around a departing node (§5.1).
+    /// `exclude` routes around a departing node (§5.1). Slots are scanned
+    /// by address; the one name read is the returned neighbor's.
     pub fn next_hop(&self, target: &Id, mut level: usize, exclude: Option<NodeIdx>) -> Hop {
         while level < self.levels() {
             let want = target.digit(level) as usize;
             let mut chosen = None;
             for off in 0..self.base() {
                 let j = ((want + off) % self.base()) as u8;
-                if let Some(p) = self.slot(level, j).primary(exclude) {
+                if let Some(p) = self.slot(level, j).primary_idx(exclude) {
                     chosen = Some(p);
                     break;
                 }
@@ -329,11 +353,11 @@ impl RoutingTable {
                 // scanning as if it were absent, so `None` means the owner
                 // itself is the only remaining candidate: treat as root.
                 None => return Hop::Root,
-                Some(p) if p.idx == self.owner.idx => {
+                Some(p) if p == self.owner_idx() => {
                     // Self step: the owner is the closest (α, j) node.
                     level += 1;
                 }
-                Some(p) => return Hop::Forward(p, level + 1),
+                Some(p) => return Hop::Forward(self.names.nref(p), level + 1),
             }
         }
         Hop::Root
@@ -357,25 +381,27 @@ impl RoutingTable {
                 // Numerically highest filled digit.
                 (0..self.base() as u8)
                     .rev()
-                    .find_map(|j| self.slot(level, j).primary(exclude).map(|p| (j, p)))
+                    .find_map(|j| self.slot(level, j).primary_idx(exclude).map(|p| (j, p)))
             } else {
                 let want = target.digit(level);
-                match self.slot(level, want).primary(exclude) {
+                match self.slot(level, want).primary_idx(exclude) {
                     Some(p) => Some((want, p)),
                     None => {
                         // First hole: most significant matching bits, ties
                         // to the numerically higher digit.
                         past_hole = true;
                         (0..self.base() as u8)
-                            .filter_map(|j| self.slot(level, j).primary(exclude).map(|p| (j, p)))
+                            .filter_map(|j| {
+                                self.slot(level, j).primary_idx(exclude).map(|p| (j, p))
+                            })
                             .max_by_key(|&(j, _)| (digit_match_bits(want, j, self.base()), j))
                     }
                 }
             };
             match choice {
                 None => return (Hop::Root, past_hole),
-                Some((_, p)) if p.idx == self.owner.idx => level += 1,
-                Some((_, p)) => return (Hop::Forward(p, level + 1), past_hole),
+                Some((_, p)) if p == self.owner_idx() => level += 1,
+                Some((_, p)) => return (Hop::Forward(self.names.nref(p), level + 1), past_hole),
             }
         }
         (Hop::Root, past_hole)
@@ -414,12 +440,21 @@ mod tests {
 
     const S: IdSpace = IdSpace::base16();
 
-    fn nref(idx: usize, v: u64) -> NodeRef {
-        NodeRef::new(idx, Id::from_u64(S, v))
+    /// A directory naming point `i` `vals[i]`.
+    fn names(vals: &[u64]) -> Names {
+        Names::new(vals.iter().map(|&v| Id::from_u64(S, v)).collect())
+    }
+
+    /// A 16 × 8 table owned by point 0 of `names(vals)`, and every point
+    /// of that directory.
+    fn mesh(vals: &[u64]) -> (RoutingTable, Vec<NodeRef>) {
+        let names = names(vals);
+        let refs = (0..vals.len()).map(|i| names.nref(i)).collect();
+        (RoutingTable::new(names, 0, 16, 8), refs)
     }
 
     fn table(v: u64) -> RoutingTable {
-        RoutingTable::new(nref(0, v), 16, 8)
+        mesh(&[v]).0
     }
 
     #[test]
@@ -450,9 +485,8 @@ mod tests {
 
     #[test]
     fn next_hop_prefers_exact_digit() {
-        let mut t = table(0x4227_0000);
-        let a = nref(1, 0x1111_1111);
-        let b = nref(2, 0x2222_2222);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x1111_1111, 0x2222_2222]);
+        let (a, b) = (r[1], r[2]);
         t.add_if_closer(a, 5.0, 3);
         t.add_if_closer(b, 5.0, 3);
         match t.next_hop(&Id::from_u64(S, 0x1ABC_0000), 0, None) {
@@ -475,21 +509,19 @@ mod tests {
 
     #[test]
     fn next_hop_surrogate_step_wraps_through_other_node() {
-        let mut t = table(0x4227_0000);
-        let n9 = nref(3, 0x9ABC_0000);
-        t.add_if_closer(n9, 1.0, 3);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x9ABC_0000]);
+        t.add_if_closer(r[1], 1.0, 3);
         // Target digit 5: slots 5..8 empty, slot 9 filled → surrogate hop to 9ABC.
         match t.next_hop(&Id::from_u64(S, 0x5000_0000), 0, None) {
-            Hop::Forward(r, 1) => assert_eq!(r.idx, 3),
+            Hop::Forward(hop, 1) => assert_eq!(hop, r[1]),
             h => panic!("unexpected {h:?}"),
         }
     }
 
     #[test]
     fn next_hop_excludes_departing_node() {
-        let mut t = table(0x4227_0000);
-        let a = nref(1, 0x5111_1111);
-        t.add_if_closer(a, 5.0, 3);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111]);
+        t.add_if_closer(r[1], 5.0, 3);
         match t.next_hop(&Id::from_u64(S, 0x5000_0000), 0, Some(1)) {
             // With node 1 excluded, scan wraps around; the next filled slot
             // holds only the owner's own digit 4 → Root.
@@ -500,20 +532,18 @@ mod tests {
 
     #[test]
     fn remove_node_reports_new_holes() {
-        let mut t = table(0x4227_0000);
-        let a = nref(1, 0x5111_1111);
-        let b = nref(2, 0x5222_2222);
-        t.add_if_closer(a, 5.0, 3);
-        t.add_if_closer(b, 6.0, 3);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111, 0x5222_2222]);
+        t.add_if_closer(r[1], 5.0, 3);
+        t.add_if_closer(r[2], 6.0, 3);
         assert!(t.remove_node(1).is_empty(), "slot still has node 2");
         assert_eq!(t.remove_node(2), vec![(0, 5)], "slot (0,5) became a hole");
     }
 
     #[test]
     fn occupancy_counts_slots_for_promotion_accounting() {
-        let mut t = table(0x4227_0000);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x4111_0000]);
         // 4111… sits in its divergence slot (1,1) and nested N_{ε,4}.
-        t.add_if_closer(nref(1, 0x4111_0000), 2.0, 3);
+        t.add_if_closer(r[1], 2.0, 3);
         assert_eq!(t.occupancy(1), 2);
         assert_eq!(t.occupancy(9), 0);
         let occupied = t.occupancy(1);
@@ -523,11 +553,11 @@ mod tests {
 
     #[test]
     fn level_refs_and_all_refs_exclude_owner() {
-        let mut t = table(0x4227_0000);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x4111_0000, 0x9999_0000]);
         // 4111… shares digit "4": divergence slot (1, 1) plus the nested
         // own-digit membership N_{ε,4} at level 0 (§2.1).
-        t.add_if_closer(nref(1, 0x4111_0000), 2.0, 3);
-        t.add_if_closer(nref(2, 0x9999_0000), 3.0, 3);
+        t.add_if_closer(r[1], 2.0, 3);
+        t.add_if_closer(r[2], 3.0, 3);
         assert_eq!(t.level_refs(0).len(), 2, "9999… at (0,9) and 4111… in N_{{ε,4}}");
         assert_eq!(t.level_refs(1).len(), 1);
         assert_eq!(t.all_refs().len(), 2, "all_refs dedups across slots");
@@ -538,14 +568,17 @@ mod tests {
     fn refs_sorted_by_index_match_refs_sorted_whole() {
         // Ordering whole `NodeRef`s (index, then id) and ordering by the
         // index alone give the same list: an index names one node.
-        let mut t = table(0x4227_0000);
+        let mut vals = vec![0x4227_0000];
         let mut v = 0x9E37_79B9u64;
         for idx in 1..400 {
             v = v.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             // Half the ids share the owner's first digit, so nested
             // own-digit slots repeat nodes across levels.
-            let id = if idx % 2 == 0 { 0x4000_0000 | (v >> 36) } else { v >> 32 };
-            t.add_if_closer(nref(idx, id), (v % 1000) as f64, 3);
+            vals.push(if idx % 2 == 0 { 0x4000_0000 | (v >> 36) } else { v >> 32 });
+        }
+        let (mut t, r) = mesh(&vals);
+        for (other, &v) in r[1..].iter().zip(&vals[1..]) {
+            t.add_if_closer(*other, (v % 1000) as f64, 3);
         }
         let whole = |mut refs: Vec<NodeRef>| {
             refs.sort();
@@ -567,9 +600,9 @@ mod tests {
     fn nested_sets_expose_nearest_same_digit_node_at_level0() {
         // §2.1: the closest entry of ∪_j N_{ε,j} must be the true nearest
         // neighbor even when it shares a prefix with the owner.
-        let mut t = table(0x4227_0000);
-        let near = nref(1, 0x4229_0000); // shares "422", very close
-        let far = nref(2, 0x9999_0000);
+        // 4229… shares "422" and is very close; 9999… is far.
+        let (mut t, r) = mesh(&[0x4227_0000, 0x4229_0000, 0x9999_0000]);
+        let (near, far) = (r[1], r[2]);
         t.add_if_closer(near, 1.0, 3);
         t.add_if_closer(far, 50.0, 3);
         let level0: Vec<_> = (0..16u8).flat_map(|j| t.slot(0, j).iter()).collect();
@@ -597,8 +630,8 @@ mod tests {
 
     #[test]
     fn prr_hop_exact_digit_before_hole() {
-        let mut t = table(0x4227_0000);
-        let a = nref(1, 0x5111_1111);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111]);
+        let a = r[1];
         t.add_if_closer(a, 5.0, 3);
         let (hop, past) = t.next_hop_prr(&Id::from_u64(S, 0x5000_0000), 0, None, false);
         assert_eq!(hop, Hop::Forward(a, 1));
@@ -607,11 +640,10 @@ mod tests {
 
     #[test]
     fn prr_hop_first_hole_picks_most_matching_bits() {
-        let mut t = table(0x4227_0000);
         // Desired digit 0b1000 (8) is a hole; candidates: digit 9 (0b1001,
         // 3 matching bits) and digit 1 (0b0001, 0 matching bits).
-        let d9 = nref(1, 0x9111_1111);
-        let d1 = nref(2, 0x1222_2222);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x9111_1111, 0x1222_2222]);
+        let (d9, d1) = (r[1], r[2]);
         t.add_if_closer(d9, 5.0, 3);
         t.add_if_closer(d1, 5.0, 3);
         let (hop, past) = t.next_hop_prr(&Id::from_u64(S, 0x8000_0000), 0, None, false);
@@ -621,9 +653,8 @@ mod tests {
 
     #[test]
     fn prr_hop_after_hole_takes_highest_digit() {
-        let mut t = table(0x4227_0000);
-        let d9 = nref(1, 0x9111_1111);
-        let dc = nref(2, 0xC222_2222);
+        let (mut t, r) = mesh(&[0x4227_0000, 0x9111_1111, 0xC222_2222]);
+        let (d9, dc) = (r[1], r[2]);
         t.add_if_closer(d9, 5.0, 3);
         t.add_if_closer(dc, 5.0, 3);
         // Already past a hole: ignore the target digit entirely, go to the
@@ -646,12 +677,31 @@ mod tests {
     fn a_table_past_its_offset_width_fails_loudly() {
         // One self entry + 65 535 offered = one more than `ends` can
         // address; refused before anything is stored.
-        let mut t = RoutingTable::new(nref(0, 0x4227_0000), 16, 1);
-        let many = (1..1 + u16::MAX as usize).map(|i| (nref(i, 0x5000_0000 + i as u64), 1.0));
+        let vals: Vec<u64> = (0..1 + u16::MAX as u64)
+            .map(|i| if i == 0 { 0x4227_0000 } else { 0x5000_0000 + i })
+            .collect();
+        let names = names(&vals);
+        let many = (1..vals.len()).map(|i| (names.nref(i), 1.0));
+        let mut t = RoutingTable::new(names.clone(), 0, 16, 1);
         t.extend_unbounded(0, 5, many);
     }
 
-    // ---------------- model test: the layout this table replaced ----------------
+    #[test]
+    #[should_panic(expected = "disagrees with the directory")]
+    fn a_name_that_disagrees_with_the_directory_is_refused() {
+        let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111, 0x9ABC_0000]);
+        t.add_if_closer(r[1], 1.0, 3);
+        // Point 2's address under point 1's name.
+        t.add_if_closer(NodeRef::new(r[2].idx, r[1].id), 1.0, 3);
+    }
+
+    #[test]
+    fn a_table_prints_its_directory_tersely() {
+        let (t, _) = mesh(&[0x4227_0000, 0x5111_1111]);
+        assert!(format!("{t:?}").contains("names: Names(2 ids)"));
+    }
+
+    // ---------------- model test: the layouts this table replaced ----------------
 
     #[derive(Debug, Clone, Copy)]
     struct ModelEntry {
@@ -660,8 +710,9 @@ mod tests {
         pinned: bool,
     }
 
-    /// One owned, sorted `Vec` per slot — the previous representation,
-    /// with its mutation logic kept verbatim as the reference.
+    /// One owned, sorted `Vec` per slot, each entry carrying its node's
+    /// name — the previous representations, with their mutation logic
+    /// kept verbatim as the reference.
     struct Model {
         owner: NodeRef,
         base: usize,
@@ -813,18 +864,18 @@ mod tests {
         );
         for l in 0..t.levels() {
             for j in 0..t.base() as u8 {
-                let slot = t.slot(l, j).entries;
+                let (slot, names) = (t.slot(l, j).entries, t.names());
                 assert!(
                     slot.windows(2).all(|w| Entry::order(&w[0], &w[1]).is_lt()),
                     "slot ({l},{j}) is sorted by (dist, idx)"
                 );
                 for (i, e) in slot.iter().enumerate() {
-                    let r = e.nref();
+                    let r = e.nref(names);
                     assert!(!slot[..i].iter().any(|o| o.is(r.idx)), "{r} twice in slot ({l},{j})");
                     assert!(
-                        r.id.shared_prefix_len(&t.owner.id) >= l && r.id.digit(l) == j,
+                        r.id.shared_prefix_len(&t.owner().id) >= l && r.id.digit(l) == j,
                         "{r} does not belong in slot ({l},{j}) of {}",
-                        t.owner
+                        t.owner()
                     );
                 }
             }
@@ -837,23 +888,36 @@ mod tests {
         refs
     }
 
-    /// Everything observable about the table equals the model's.
+    /// Everything observable about the table equals the model's, every
+    /// node as a full `NodeRef`: a name read from the directory must be
+    /// the one the model's entry carries.
     fn assert_same(t: &RoutingTable, m: &Model, rng: &mut impl rand::Rng, ids: &[NodeRef]) {
         debug_validate(t);
+        assert_eq!(t.owner(), m.owner);
         let (base, levels) = (m.base, m.levels);
         for l in 0..levels {
             for j in 0..base {
-                let got: Vec<_> = t
-                    .slot(l, j as u8)
-                    .entries
-                    .iter()
-                    .map(|e| (e.nref(), e.dist.to_bits(), e.pinned))
+                let (slot, want) = (t.slot(l, j as u8), &m.slots[l * base + j]);
+                let got: Vec<_> = slot
+                    .iter_with_dist()
+                    .zip(slot.entries)
+                    .map(|((r, dist), e)| (r, dist.to_bits(), e.pinned))
                     .collect();
-                let want: Vec<_> = m.slots[l * base + j]
-                    .iter()
-                    .map(|e| (e.nref, e.dist.to_bits(), e.pinned))
-                    .collect();
-                assert_eq!(got, want, "slot ({l},{j})");
+                let refs = |keep: fn(&ModelEntry) -> bool| {
+                    want.iter().filter(move |e| keep(e)).map(|e| e.nref)
+                };
+                assert_eq!(
+                    got,
+                    want.iter().map(|e| (e.nref, e.dist.to_bits(), e.pinned)).collect::<Vec<_>>(),
+                    "slot ({l},{j})"
+                );
+                assert_eq!(slot.iter().collect::<Vec<_>>(), refs(|_| true).collect::<Vec<_>>());
+                assert_eq!(slot.primary(None), refs(|_| true).next());
+                assert_eq!(slot.first_unpinned(), refs(|e| !e.pinned).next());
+                assert_eq!(
+                    slot.pinned().collect::<Vec<_>>(),
+                    refs(|e| e.pinned).collect::<Vec<_>>()
+                );
             }
             assert_eq!(t.level_refs(l), by_idx(m.others(l * base..(l + 1) * base)), "level {l}");
         }
@@ -889,8 +953,9 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let ids: Vec<NodeRef> =
                 (0..256usize).map(|v| NodeRef::new(v, Id::from_u64(space, v as u64))).collect();
+            let names = Names::new(ids.iter().map(|r| r.id).collect());
             let owner = ids[rng.gen_range(0..ids.len())];
-            let mut t = RoutingTable::new(owner, 4, 4);
+            let mut t = RoutingTable::new(names, owner.idx, 4, 4);
             let mut m = Model::new(owner, 4, 4);
             assert_same(&t, &m, &mut rng, &ids);
             for _ in 0..steps {

@@ -258,5 +258,4 @@ fn the_name_types_keep_their_size() {
     assert_eq!((std::mem::size_of::<Id>(), std::mem::align_of::<Id>()), (10, 1));
     assert_eq!(std::mem::size_of::<Prefix>(), 10);
     assert_eq!(std::mem::size_of::<crate::Guid>(), 10);
-    assert_eq!(std::mem::size_of::<(u32, Id)>(), 16);
 }
