@@ -16,6 +16,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::mem::size_of;
+use std::sync::Arc;
 use tapestry_core::{
     Msg, Names, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
 };
@@ -170,11 +171,13 @@ fn bench_id(c: &mut Criterion) {
 }
 
 /// Point 0's table, offered the `N - 1` other points of `names`, three
-/// to a slot.
+/// to a slot; point `i` lies `i mod 997` from point 0, on a line.
 fn offered_table(names: &Names) -> RoutingTable {
-    let mut table = RoutingTable::new(names.clone(), 0, 16, 8);
+    let line = (0..names.len()).map(|i| ((i % 997) as f64, 0.0)).collect();
+    let metric = Arc::new(TorusSpace::from_points(line, 1e9));
+    let mut table = RoutingTable::new(names.clone(), metric, 0, 16, 8);
     for i in 1..names.len() {
-        table.add_if_closer(names.nref(i), (i % 997) as f64, 3);
+        table.add_if_closer(names.nref(i), 3);
     }
     table
 }

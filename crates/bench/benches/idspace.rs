@@ -5,8 +5,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use tapestry_core::{Names, RoutingTable};
 use tapestry_id::{map_roots, Guid, Id, IdSpace};
+use tapestry_metric::TorusSpace;
 
 fn bench_ids(c: &mut Criterion) {
     let s = IdSpace::base16();
@@ -42,9 +44,12 @@ fn bench_table(c: &mut Criterion) {
         (512..512 + 4096u64).map(|i| Id::from_u64(s, i.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF)),
     );
     let names = Names::new(ids);
-    let mut table = RoutingTable::new(names.clone(), 0, 16, 8);
+    // On a line: point `i < 512` lies `i mod 97` from point 0, a newcomer 5.
+    let place = |i: usize| (if i < 512 { (i % 97) as f64 } else { 5.0 }, 0.0);
+    let metric = Arc::new(TorusSpace::from_points((0..names.len()).map(place).collect(), 1e9));
+    let mut table = RoutingTable::new(names.clone(), metric, 0, 16, 8);
     for i in 1..512usize {
-        table.add_if_closer(names.nref(i), (i % 97) as f64, 3);
+        table.add_if_closer(names.nref(i), 3);
     }
     let targets: Vec<Id> = (0..256).map(|_| Id::random(s, &mut rng)).collect();
     c.bench_function("table/next_hop", |b| {
@@ -58,7 +63,7 @@ fn bench_table(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % 4096;
-            black_box(table.clone().add_if_closer(names.nref(512 + i), 5.0, 3))
+            black_box(table.clone().add_if_closer(names.nref(512 + i), 3))
         })
     });
 }

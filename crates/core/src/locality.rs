@@ -49,19 +49,20 @@ impl TapestryNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing_table::line;
     use crate::{Names, TapestryConfig, TapestryNode};
     use tapestry_id::IdSpace;
 
     const S: IdSpace = IdSpace::base16();
 
-    /// Point 0 (4227…, the node under test), a digit-5 point 5111… and a
-    /// digit-9 point 9ABC….
+    /// Point 0 (4227…, the node under test), a digit-5 point 5111… 100
+    /// away and a digit-9 point 9ABC… 2 away.
     fn names() -> Names {
         Names::new([0x4227_0000, 0x5111_1111, 0x9ABC_0000].map(|v| Id::from_u64(S, v)).to_vec())
     }
 
     fn node(cfg: TapestryConfig) -> TapestryNode {
-        TapestryNode::new_active(cfg, names(), 0, 7)
+        TapestryNode::new_active(cfg, names(), line(&[0.0, 100.0, 2.0]), 0, 7)
     }
 
     #[test]
@@ -75,8 +76,8 @@ mod tests {
         // A far (distance 100) digit-5 neighbor and a near (distance 2)
         // digit-9 neighbor.
         let (far, near) = (names().nref(1), names().nref(2));
-        n.table_mut().add_if_closer(far, 100.0, 3);
-        n.table_mut().add_if_closer(near, 2.0, 3);
+        n.table_mut().add_if_closer(far, 3);
+        n.table_mut().add_if_closer(near, 3);
         let target = Id::from_u64(S, 0x5000_0000);
         // Global routing would pick the far digit-5 node; local routing
         // skips it and surrogate-routes to the near digit-9 node.
@@ -93,7 +94,7 @@ mod tests {
             ..Default::default()
         };
         let mut n = node(cfg);
-        n.table_mut().add_if_closer(names().nref(1), 100.0, 3);
+        n.table_mut().add_if_closer(names().nref(1), 3);
         // Only far neighbors: every level resolves through self entries and
         // the walk ends at the local root (None).
         let target = Id::from_u64(S, 0x5000_0000);

@@ -43,8 +43,7 @@ impl TapestryNode {
     fn apply_wave_function(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId, new_node: NodeRef) {
         metrics::JOIN_MESSAGES.add(ctx, 2);
         ctx.send(new_node.idx, Msg::Hello { op, me: self.me });
-        let dist = ctx.distance_to(new_node.idx);
-        self.table.add_pinned(new_node, dist);
+        self.table.add_pinned(new_node);
         ctx.send(new_node.idx, Msg::AddedYou { me: self.me });
         self.link_and_xfer_root(ctx, new_node);
         self.notify_watchers(ctx, new_node);

@@ -89,12 +89,11 @@ pub struct TapestryNetwork {
     pub max_events_per_op: u64,
 }
 
-/// One table entry the indexed bootstrap installs: `member`, at distance
-/// `dist`, into `node`'s table. The level is implicit — fills are produced
-/// and applied one level at a time — and the slot's digit is `member`'s
-/// digit at that level, so a fill is 16 bytes.
+/// One table entry the indexed bootstrap installs: `member` into `node`'s
+/// table. The level is implicit — fills are produced and applied one level
+/// at a time — the slot's digit is `member`'s digit at that level, and the
+/// distance is the metric's, so a fill is 8 bytes.
 struct Fill {
-    dist: f64,
     node: u32,
     member: u32,
 }
@@ -232,7 +231,8 @@ impl TapestryNetwork {
     /// it on networks small enough to afford the O(n²) cross-check).
     fn static_populate(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         for &idx in members {
-            let node = TapestryNode::new_active(self.cfg, self.ids.clone(), idx, self.seed);
+            let metric = self.engine.shared_metric();
+            let node = TapestryNode::new_active(self.cfg, self.ids.clone(), metric, idx, self.seed);
             self.engine.add_node(idx, node);
             self.insert_member(idx);
         }
@@ -291,11 +291,9 @@ impl TapestryNetwork {
                 for (g, digit) in level.family(visit) {
                     let want = cap - usize::from(digit == own);
                     indexes[g].closest_k_into(visit.node, want, &mut closest);
-                    fills.extend(closest.iter().map(|&(member, dist)| Fill {
-                        dist,
-                        node,
-                        member: idx32(member),
-                    }));
+                    fills.extend(
+                        closest.iter().map(|&(member, _)| Fill { node, member: idx32(member) }),
+                    );
                 }
             }
             drop(indexes);
@@ -307,8 +305,8 @@ impl TapestryNetwork {
             for of_slot in fills.chunk_by(|x, y| slot_of(x) == slot_of(y)) {
                 let (node, digit) = slot_of(&of_slot[0]);
                 let table = self.engine.node_mut(node as NodeIdx).expect("just added").table_mut();
-                let refs = of_slot.iter().map(|f| (ids.nref(f.member as NodeIdx), f.dist));
-                table.extend_unbounded(l, digit, refs);
+                let members = of_slot.iter().map(|f| ids.nref(f.member as NodeIdx));
+                table.extend_unbounded(l, digit, members);
             }
             stage(BootstrapStage::LevelApplied(l));
         }
@@ -368,14 +366,13 @@ impl TapestryNetwork {
         }
         let refs: Vec<NodeRef> = members.iter().map(|&i| self.ref_of(i)).collect();
         for &a in members {
-            let mut want =
-                RoutingTable::new(self.ids.clone(), a, self.cfg.base(), self.cfg.levels());
+            let (names, metric) = (self.ids.clone(), self.engine.shared_metric());
+            let mut want = RoutingTable::new(names, metric, a, self.cfg.base(), self.cfg.levels());
             for &b_ref in &refs {
                 if b_ref.idx == a {
                     continue;
                 }
-                let d = self.engine.metric().distance(a, b_ref.idx);
-                want.add_if_closer(b_ref, d, self.cfg.redundancy);
+                want.add_if_closer(b_ref, self.cfg.redundancy);
             }
             let got = self.engine.node(a).expect("added").table();
             for l in 0..self.cfg.levels() {
@@ -647,7 +644,8 @@ impl TapestryNetwork {
         if cfg.list_size_k.is_none() {
             cfg.list_size_k = Some(self.cfg.k_for(self.members.len() + 1));
         }
-        let node = TapestryNode::new_inserting(cfg, self.ids.clone(), idx, self.seed);
+        let metric = self.engine.shared_metric();
+        let node = TapestryNode::new_inserting(cfg, self.ids.clone(), metric, idx, self.seed);
         self.engine.add_node(idx, node);
         self.engine.inject(idx, Msg::StartInsert { gateway: self.ref_of(gateway), deferred });
     }
@@ -1098,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "limited to MAX_NODES = 4294967295")]
+    #[should_panic(expected = "limited to MAX_NODES = 2147483647")]
     fn a_space_past_the_index_width_is_refused() {
         TapestryNetwork::bootstrap(
             TapestryConfig::default(),
@@ -1118,7 +1116,7 @@ mod tests {
             let node = net.node(m).unwrap();
             let entries = node.table().entry_count() + cfg.levels();
             let want =
-                16 * entries + 2 * cfg.base() * cfg.levels() + 4 * node.backpointers().count();
+                4 * entries + 2 * cfg.base() * cfg.levels() + 4 * node.backpointers().count();
             assert_eq!(node.heap_bytes(), want, "node {m}");
         }
     }

@@ -8,7 +8,9 @@ use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tapestry_id::Guid;
+use tapestry_metric::MetricSpace;
 use tapestry_sim::{Actor, Ctx, NodeIdx};
 use tapestry_trace::metrics;
 
@@ -170,19 +172,35 @@ pub struct TapestryNode {
 impl TapestryNode {
     /// Create the node at point `idx`, named by `names`, in `Active` state
     /// with only self entries (used for bootstrap and by the static
-    /// builder, which then fills the table).
-    pub fn new_active(cfg: TapestryConfig, names: Names, idx: NodeIdx, seed: u64) -> Self {
-        Self::with_status(cfg, names, idx, seed, NodeStatus::Active)
+    /// builder, which then fills the table). Its table reads distances
+    /// from `metric`, the engine's ([`Engine::shared_metric`]).
+    ///
+    /// [`Engine::shared_metric`]: tapestry_sim::Engine::shared_metric
+    pub fn new_active(
+        cfg: TapestryConfig,
+        names: Names,
+        metric: Arc<dyn MetricSpace>,
+        idx: NodeIdx,
+        seed: u64,
+    ) -> Self {
+        Self::with_status(cfg, names, metric, idx, seed, NodeStatus::Active)
     }
 
     /// Create a node that will join dynamically (`StartInsert` expected).
-    pub fn new_inserting(cfg: TapestryConfig, names: Names, idx: NodeIdx, seed: u64) -> Self {
-        Self::with_status(cfg, names, idx, seed, NodeStatus::Inserting)
+    pub fn new_inserting(
+        cfg: TapestryConfig,
+        names: Names,
+        metric: Arc<dyn MetricSpace>,
+        idx: NodeIdx,
+        seed: u64,
+    ) -> Self {
+        Self::with_status(cfg, names, metric, idx, seed, NodeStatus::Inserting)
     }
 
     fn with_status(
         cfg: TapestryConfig,
         names: Names,
+        metric: Arc<dyn MetricSpace>,
         idx: NodeIdx,
         seed: u64,
         status: NodeStatus,
@@ -192,7 +210,7 @@ impl TapestryNode {
             cfg,
             me,
             status,
-            table: RoutingTable::new(names, idx, cfg.base(), cfg.levels()),
+            table: RoutingTable::new(names, metric, idx, cfg.base(), cfg.levels()),
             backptrs: Backpointers::default(),
             store: ObjectStore::new(),
             op_counter: 0,
@@ -318,8 +336,7 @@ impl TapestryNode {
         if r.idx == self.me.idx || self.dead_list.contains(&r.idx) {
             return;
         }
-        let dist = ctx.distance_to(r.idx);
-        let outcome = self.table.add_if_closer(r, dist, self.cfg.redundancy);
+        let outcome = self.table.add_if_closer(r, self.cfg.redundancy);
         if outcome.newly_added {
             ctx.send(r.idx, Msg::AddedYou { me: self.me });
             self.notify_watchers(ctx, r);

@@ -36,16 +36,19 @@ impl fmt::Display for NodeRef {
 
 /// Most nodes one network can hold. Routing tables, backpointer sets and
 /// a routed message's visited list store a node index in 32 bits
-/// ([`idx32`]); `NodeRef` and every other message field keep the full
-/// [`NodeIdx`].
-pub const MAX_NODES: usize = u32::MAX as usize;
+/// ([`idx32`]), and a table entry keeps the top bit for its pin flag, so
+/// an index fits in 31; `NodeRef` and every other message field keep the
+/// full [`NodeIdx`].
+pub const MAX_NODES: usize = (1 << 31) - 1;
 
 /// The one narrowing of a node index into table storage. The network is
 /// sized under [`MAX_NODES`] before any node exists, so a failure here is
 /// a reference to a point outside the metric space.
 pub(crate) fn idx32(idx: NodeIdx) -> u32 {
-    u32::try_from(idx)
-        .unwrap_or_else(|_| panic!("node index {idx} exceeds MAX_NODES = {MAX_NODES}"))
+    match u32::try_from(idx) {
+        Ok(narrow) if idx <= MAX_NODES => narrow,
+        _ => panic!("node index {idx} exceeds MAX_NODES = {MAX_NODES}"),
+    }
 }
 
 /// The name of every point, shared read-only by the network and every

@@ -1,8 +1,11 @@
-use crate::neighbor_set::{AddOutcome, Entry, Slot};
+use crate::neighbor_set::{AddOutcome, Entry, Ruler, Slot};
 use crate::refs::{idx32, Names, NodeRef, GROW_STEP};
+use std::fmt;
 use std::mem::size_of;
 use std::ops::Range;
+use std::sync::Arc;
 use tapestry_id::Id;
+use tapestry_metric::MetricSpace;
 use tapestry_sim::NodeIdx;
 
 /// Where surrogate routing goes next from a given node.
@@ -37,12 +40,15 @@ pub struct TableAddOutcome {
 ///
 /// All slots share one allocation: `entries` holds them back to back,
 /// slot `s = level · base + digit` being `entries[ends[s-1]..ends[s]]`
-/// (from 0 for `s = 0`), each sorted by `(dist, idx)`. A hole costs its
-/// two bytes of `ends` and nothing else. An entry holds an address; the
-/// names live once, in the shared [`Names`] directory.
-#[derive(Debug, Clone)]
+/// (from 0 for `s = 0`), each sorted by the owner's distance to the
+/// entry, ties by address. A hole costs its two bytes of `ends` and
+/// nothing else. An entry holds an address and a pin flag; the names
+/// live once, in the shared [`Names`] directory, and a distance is read
+/// from the shared metric when an offer or a caller needs one.
+#[derive(Clone)]
 pub struct RoutingTable {
     names: Names,
+    metric: Arc<dyn MetricSpace>,
     entries: Vec<Entry>,
     ends: Box<[u16]>,
     owner: u32,
@@ -50,10 +56,29 @@ pub struct RoutingTable {
     levels: u8,
 }
 
+/// Terse: the directory's size and the metric's name, then the layout.
+impl fmt::Debug for RoutingTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RoutingTable")
+            .field("names", &self.names)
+            .field("metric", &self.metric.name())
+            .field("entries", &self.entries)
+            .field("ends", &self.ends)
+            .field("owner", &self.owner)
+            .finish()
+    }
+}
+
 impl RoutingTable {
-    /// A fresh table for point `owner`, named by `names`, containing only
-    /// the owner's self entries.
-    pub fn new(names: Names, owner: NodeIdx, base: usize, levels: usize) -> Self {
+    /// A fresh table for point `owner`, named by `names`, measuring
+    /// distances in `metric`, containing only the owner's self entries.
+    pub fn new(
+        names: Names,
+        metric: Arc<dyn MetricSpace>,
+        owner: NodeIdx,
+        base: usize,
+        levels: usize,
+    ) -> Self {
         let me = names.nref(owner);
         let mut table = RoutingTable {
             owner: idx32(owner),
@@ -62,10 +87,11 @@ impl RoutingTable {
             entries: Vec::with_capacity(levels),
             ends: vec![0; base * levels].into(),
             names,
+            metric,
         };
         for l in 0..levels {
-            let own = Entry::new(me, 0.0, false, &table.names);
-            table.insert_sorted(table.index(l, me.id.digit(l)), own);
+            let own = Entry::new(me, false, &table.names);
+            table.insert_sorted(table.index(l, me.id.digit(l)), own, 0.0);
         }
         table
     }
@@ -95,6 +121,12 @@ impl RoutingTable {
         self.levels as usize
     }
 
+    /// Distances from the owner.
+    #[inline]
+    pub(crate) fn ruler(&self) -> Ruler<'_> {
+        Ruler { metric: &*self.metric, owner: self.owner_idx() }
+    }
+
     /// Bytes one entry of a slot occupies.
     pub const ENTRY_BYTES: usize = size_of::<Entry>();
 
@@ -120,7 +152,11 @@ impl RoutingTable {
     #[inline]
     pub fn slot(&self, level: usize, digit: u8) -> Slot<'_> {
         let s = self.index(level, digit);
-        Slot { entries: &self.entries[self.span(s, s + 1)], names: &self.names }
+        Slot {
+            entries: &self.entries[self.span(s, s + 1)],
+            names: &self.names,
+            ruler: self.ruler(),
+        }
     }
 
     fn slot_entries(&mut self, s: usize) -> &mut [Entry] {
@@ -140,11 +176,12 @@ impl RoutingTable {
         }
     }
 
-    /// Put `new` into slot `s` at its `(dist, idx)` place.
-    fn insert_sorted(&mut self, s: usize, new: Entry) {
+    /// Put `new`, at distance `dist` from the owner, into slot `s` at its
+    /// `(dist, idx)` place.
+    fn insert_sorted(&mut self, s: usize, new: Entry, dist: f64) {
         self.make_room(1);
-        let span = self.span(s, s + 1);
-        let at = self.entries[span.clone()].partition_point(|e| Entry::order(e, &new).is_lt());
+        let (span, ruler, key) = (self.span(s, s + 1), self.ruler(), (dist, new.idx()));
+        let at = self.entries[span.clone()].partition_point(|&e| ruler.key(e) < key);
         self.entries.insert(span.start + at, new);
         self.ends[s..].iter_mut().for_each(|end| *end += 1);
     }
@@ -171,15 +208,18 @@ impl RoutingTable {
     /// routing decisions and hole patterns are unaffected.
     ///
     /// `other`'s name must be the directory's; a disagreeing name panics.
-    pub fn add_if_closer(&mut self, other: NodeRef, dist: f64, capacity: usize) -> TableAddOutcome {
-        let new = Entry::new(other, dist, false, &self.names);
+    /// Its distance is the metric's, read only where a full slot must
+    /// compare it.
+    pub fn add_if_closer(&mut self, other: NodeRef, capacity: usize) -> TableAddOutcome {
+        let new = Entry::new(other, false, &self.names);
         let mut outcome = TableAddOutcome::default();
         let Some((p, _)) = self.slot_for(&other.id) else {
             return outcome;
         };
+        let dist = self.ruler().dist(new);
         for l in 0..=p {
             let s = self.index(l, other.id.digit(l));
-            if let AddOutcome::Added { evicted, .. } = self.offer(s, new, capacity) {
+            if let AddOutcome::Added { evicted, .. } = self.offer(s, new, dist, capacity) {
                 outcome.newly_added = true;
                 outcome.evicted.extend(evicted);
             }
@@ -187,61 +227,74 @@ impl RoutingTable {
         outcome
     }
 
-    /// Offer `new` to slot `s` alone; keep the closest `cap` entries
-    /// (`AddToTableIfCloser`). Pinned entries never count against
-    /// eviction and are never evicted.
-    pub(crate) fn offer(&mut self, s: usize, new: Entry, cap: usize) -> AddOutcome {
-        let (dist, span) = (new.dist, self.span(s, s + 1));
+    /// Offer `new`, at distance `dist` from the owner, to slot `s` alone;
+    /// keep the closest `cap` entries (`AddToTableIfCloser`). Pinned
+    /// entries never count against eviction and are never evicted.
+    pub(crate) fn offer(&mut self, s: usize, new: Entry, dist: f64, cap: usize) -> AddOutcome {
+        let span = self.span(s, s + 1);
+        let ruler = Ruler { metric: &*self.metric, owner: self.owner_idx() };
         let slot = &mut self.entries[span];
-        if let Some(e) = slot.iter_mut().find(|e| e.is(new.idx())) {
-            e.dist = dist;
-            slot.sort_by(Entry::order);
+        if slot.iter().any(|e| e.is(new.idx())) {
             return AddOutcome::AlreadyPresent;
         }
-        if slot.iter().filter(|e| !e.pinned).count() >= cap {
+        if slot.iter().filter(|e| !e.pinned()).count() >= cap {
             // Full: admit only if closer than the farthest unpinned
             // entry — the last one, the slot being sorted by (dist, idx).
-            let far = slot.iter().rposition(|e| !e.pinned).expect("unpinned >= capacity >= 1");
-            if slot[far].dist <= dist {
+            let far = slot.iter().rposition(|e| !e.pinned()).expect("unpinned >= capacity >= 1");
+            if ruler.dist(slot[far]) <= dist {
                 return AddOutcome::Rejected;
             }
+            // `new` is closer than the evictee, so its place lies at or
+            // before the evictee's: shift the entries in between back.
             let evicted = std::mem::replace(&mut slot[far], new).nref(&self.names);
-            slot.sort_by(Entry::order);
+            let at = slot[..far].partition_point(|&e| ruler.key(e) < (dist, new.idx()));
+            slot[at..=far].rotate_right(1);
             return AddOutcome::Added { evicted: Some(evicted), filled_hole: false };
         }
         let filled_hole = slot.is_empty();
-        self.insert_sorted(s, new);
+        self.insert_sorted(s, new, dist);
         AddOutcome::Added { evicted: None, filled_hole }
     }
 
-    /// Add `closest` — nodes not yet in slot `(level, digit)` — with no
-    /// capacity bound: what offering each in turn with unbounded capacity
-    /// leaves. The static builder fills slots in ascending order, so this
-    /// is an append but for the owner's deeper self entries.
+    /// Append `closest` — nodes not yet in slot `(level, digit)`, each
+    /// ordered after what the slot already holds and after the one before
+    /// it — with no capacity bound: what offering each in turn with
+    /// unbounded capacity leaves. The static builder's fills arrive that
+    /// way (slot by slot, digits ascending, each slot's answer in
+    /// `(distance, index)` order behind the owner's self entry), so no
+    /// distance is read; debug builds check the order.
     pub(crate) fn extend_unbounded(
         &mut self,
         level: usize,
         digit: u8,
-        closest: impl ExactSizeIterator<Item = (NodeRef, f64)>,
+        closest: impl ExactSizeIterator<Item = NodeRef>,
     ) {
         let s = self.index(level, digit);
-        self.make_room(closest.len());
-        for (nref, dist) in closest {
-            debug_assert!(!self.slot(level, digit).contains(nref.idx), "new nodes only");
-            let new = Entry::new(nref, dist, false, &self.names);
-            self.insert_sorted(s, new);
+        let n = closest.len();
+        self.make_room(n);
+        let (end, names) = (self.span(s, s + 1).end, &self.names);
+        self.entries.splice(end..end, closest.map(|nref| Entry::new(nref, false, names)));
+        let added = u16::try_from(n).expect("make_room bounds the table");
+        self.ends[s..].iter_mut().for_each(|end| *end += added);
+        #[cfg(debug_assertions)]
+        {
+            let (slot, ruler) = (self.slot(level, digit).entries, self.ruler());
+            assert!(
+                slot.windows(2).all(|w| ruler.key(w[0]) < ruler.key(w[1])),
+                "slot ({level},{digit}) extended out of (distance, index) order"
+            );
         }
     }
 
     /// Insert `other` pinned (multicast in progress, §4.4). If already
     /// present it becomes pinned in place.
-    pub fn add_pinned(&mut self, other: NodeRef, dist: f64) {
-        let new = Entry::new(other, dist, true, &self.names);
+    pub fn add_pinned(&mut self, other: NodeRef) {
+        let new = Entry::new(other, true, &self.names);
         let Some((l, j)) = self.slot_for(&other.id) else { return };
         let s = self.index(l, j);
         match self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
-            Some(e) => e.pinned = true,
-            None => self.insert_sorted(s, new),
+            Some(e) => e.set_pinned(true),
+            None => self.insert_sorted(s, new, self.ruler().dist(new)),
         }
     }
 
@@ -253,7 +306,7 @@ impl RoutingTable {
         let Some((l, j)) = self.slot_for(&other.id) else { return };
         let s = self.index(l, j);
         if let Some(e) = self.slot_entries(s).iter_mut().find(|e| e.is(other.idx)) {
-            e.pinned = false;
+            e.set_pinned(false);
         }
     }
 
@@ -408,6 +461,14 @@ impl RoutingTable {
     }
 }
 
+/// `at[i]` as point `i`'s place on a line: a real metric whose
+/// distances a test reads off.
+#[cfg(test)]
+pub(crate) fn line(at: &[f64]) -> Arc<dyn MetricSpace> {
+    let on_axis = at.iter().map(|&x| (x, 0.0)).collect();
+    Arc::new(tapestry_metric::TorusSpace::from_points(on_axis, 1e9))
+}
+
 /// Most entries one table can hold: slot boundaries are `u16` offsets.
 const MAX_ENTRIES: usize = u16::MAX as usize;
 
@@ -445,12 +506,17 @@ mod tests {
         Names::new(vals.iter().map(|&v| Id::from_u64(S, v)).collect())
     }
 
-    /// A 16 × 8 table owned by point 0 of `names(vals)`, and every point
-    /// of that directory.
+    /// Point `i` at distance `i` from point 0, on a line.
+    fn spaced(n: usize) -> Arc<dyn MetricSpace> {
+        line(&(0..n).map(|i| i as f64).collect::<Vec<_>>())
+    }
+
+    /// A 16 × 8 table owned by point 0 of `names(vals)`, point `i` at
+    /// distance `i` from it, and every point of that directory.
     fn mesh(vals: &[u64]) -> (RoutingTable, Vec<NodeRef>) {
         let names = names(vals);
         let refs = (0..vals.len()).map(|i| names.nref(i)).collect();
-        (RoutingTable::new(names, 0, 16, 8), refs)
+        (RoutingTable::new(names, spaced(vals.len()), 0, 16, 8), refs)
     }
 
     fn table(v: u64) -> RoutingTable {
@@ -487,8 +553,8 @@ mod tests {
     fn next_hop_prefers_exact_digit() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x1111_1111, 0x2222_2222]);
         let (a, b) = (r[1], r[2]);
-        t.add_if_closer(a, 5.0, 3);
-        t.add_if_closer(b, 5.0, 3);
+        t.add_if_closer(a, 3);
+        t.add_if_closer(b, 3);
         match t.next_hop(&Id::from_u64(S, 0x1ABC_0000), 0, None) {
             Hop::Forward(r, lvl) => {
                 assert_eq!(r.idx, 1);
@@ -510,7 +576,7 @@ mod tests {
     #[test]
     fn next_hop_surrogate_step_wraps_through_other_node() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x9ABC_0000]);
-        t.add_if_closer(r[1], 1.0, 3);
+        t.add_if_closer(r[1], 3);
         // Target digit 5: slots 5..8 empty, slot 9 filled → surrogate hop to 9ABC.
         match t.next_hop(&Id::from_u64(S, 0x5000_0000), 0, None) {
             Hop::Forward(hop, 1) => assert_eq!(hop, r[1]),
@@ -521,7 +587,7 @@ mod tests {
     #[test]
     fn next_hop_excludes_departing_node() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111]);
-        t.add_if_closer(r[1], 5.0, 3);
+        t.add_if_closer(r[1], 3);
         match t.next_hop(&Id::from_u64(S, 0x5000_0000), 0, Some(1)) {
             // With node 1 excluded, scan wraps around; the next filled slot
             // holds only the owner's own digit 4 → Root.
@@ -533,8 +599,8 @@ mod tests {
     #[test]
     fn remove_node_reports_new_holes() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111, 0x5222_2222]);
-        t.add_if_closer(r[1], 5.0, 3);
-        t.add_if_closer(r[2], 6.0, 3);
+        t.add_if_closer(r[1], 3);
+        t.add_if_closer(r[2], 3);
         assert!(t.remove_node(1).is_empty(), "slot still has node 2");
         assert_eq!(t.remove_node(2), vec![(0, 5)], "slot (0,5) became a hole");
     }
@@ -543,7 +609,7 @@ mod tests {
     fn occupancy_counts_slots_for_promotion_accounting() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x4111_0000]);
         // 4111… sits in its divergence slot (1,1) and nested N_{ε,4}.
-        t.add_if_closer(r[1], 2.0, 3);
+        t.add_if_closer(r[1], 3);
         assert_eq!(t.occupancy(1), 2);
         assert_eq!(t.occupancy(9), 0);
         let occupied = t.occupancy(1);
@@ -556,8 +622,8 @@ mod tests {
         let (mut t, r) = mesh(&[0x4227_0000, 0x4111_0000, 0x9999_0000]);
         // 4111… shares digit "4": divergence slot (1, 1) plus the nested
         // own-digit membership N_{ε,4} at level 0 (§2.1).
-        t.add_if_closer(r[1], 2.0, 3);
-        t.add_if_closer(r[2], 3.0, 3);
+        t.add_if_closer(r[1], 3);
+        t.add_if_closer(r[2], 3);
         assert_eq!(t.level_refs(0).len(), 2, "9999… at (0,9) and 4111… in N_{{ε,4}}");
         assert_eq!(t.level_refs(1).len(), 1);
         assert_eq!(t.all_refs().len(), 2, "all_refs dedups across slots");
@@ -577,8 +643,8 @@ mod tests {
             vals.push(if idx % 2 == 0 { 0x4000_0000 | (v >> 36) } else { v >> 32 });
         }
         let (mut t, r) = mesh(&vals);
-        for (other, &v) in r[1..].iter().zip(&vals[1..]) {
-            t.add_if_closer(*other, (v % 1000) as f64, 3);
+        for other in &r[1..] {
+            t.add_if_closer(*other, 3);
         }
         let whole = |mut refs: Vec<NodeRef>| {
             refs.sort();
@@ -603,8 +669,8 @@ mod tests {
         // 4229… shares "422" and is very close; 9999… is far.
         let (mut t, r) = mesh(&[0x4227_0000, 0x4229_0000, 0x9999_0000]);
         let (near, far) = (r[1], r[2]);
-        t.add_if_closer(near, 1.0, 3);
-        t.add_if_closer(far, 50.0, 3);
+        t.add_if_closer(near, 3);
+        t.add_if_closer(far, 3);
         let level0: Vec<_> = (0..16u8).flat_map(|j| t.slot(0, j).iter()).collect();
         assert!(level0.contains(&near), "prefix-sharing NN visible at level 0");
         // The owner remains the primary of its own-digit slot, so routing
@@ -632,7 +698,7 @@ mod tests {
     fn prr_hop_exact_digit_before_hole() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111]);
         let a = r[1];
-        t.add_if_closer(a, 5.0, 3);
+        t.add_if_closer(a, 3);
         let (hop, past) = t.next_hop_prr(&Id::from_u64(S, 0x5000_0000), 0, None, false);
         assert_eq!(hop, Hop::Forward(a, 1));
         assert!(!past, "exact match does not cross a hole");
@@ -644,8 +710,8 @@ mod tests {
         // 3 matching bits) and digit 1 (0b0001, 0 matching bits).
         let (mut t, r) = mesh(&[0x4227_0000, 0x9111_1111, 0x1222_2222]);
         let (d9, d1) = (r[1], r[2]);
-        t.add_if_closer(d9, 5.0, 3);
-        t.add_if_closer(d1, 5.0, 3);
+        t.add_if_closer(d9, 3);
+        t.add_if_closer(d1, 3);
         let (hop, past) = t.next_hop_prr(&Id::from_u64(S, 0x8000_0000), 0, None, false);
         assert_eq!(hop, Hop::Forward(d9, 1), "0b1001 shares 3 leading bits with 0b1000");
         assert!(past, "the hole was crossed");
@@ -655,8 +721,8 @@ mod tests {
     fn prr_hop_after_hole_takes_highest_digit() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x9111_1111, 0xC222_2222]);
         let (d9, dc) = (r[1], r[2]);
-        t.add_if_closer(d9, 5.0, 3);
-        t.add_if_closer(dc, 5.0, 3);
+        t.add_if_closer(d9, 3);
+        t.add_if_closer(dc, 3);
         // Already past a hole: ignore the target digit entirely, go to the
         // numerically highest filled digit (C > 9 > owner's 4).
         let (hop, past) = t.next_hop_prr(&Id::from_u64(S, 0x0000_0000), 0, None, true);
@@ -681,8 +747,8 @@ mod tests {
             .map(|i| if i == 0 { 0x4227_0000 } else { 0x5000_0000 + i })
             .collect();
         let names = names(&vals);
-        let many = (1..vals.len()).map(|i| (names.nref(i), 1.0));
-        let mut t = RoutingTable::new(names.clone(), 0, 16, 1);
+        let many = (1..vals.len()).map(|i| names.nref(i));
+        let mut t = RoutingTable::new(names.clone(), spaced(vals.len()), 0, 16, 1);
         t.extend_unbounded(0, 5, many);
     }
 
@@ -690,9 +756,9 @@ mod tests {
     #[should_panic(expected = "disagrees with the directory")]
     fn a_name_that_disagrees_with_the_directory_is_refused() {
         let (mut t, r) = mesh(&[0x4227_0000, 0x5111_1111, 0x9ABC_0000]);
-        t.add_if_closer(r[1], 1.0, 3);
+        t.add_if_closer(r[1], 3);
         // Point 2's address under point 1's name.
-        t.add_if_closer(NodeRef::new(r[2].idx, r[1].id), 1.0, 3);
+        t.add_if_closer(NodeRef::new(r[2].idx, r[1].id), 3);
     }
 
     #[test]
@@ -866,7 +932,7 @@ mod tests {
             for j in 0..t.base() as u8 {
                 let (slot, names) = (t.slot(l, j).entries, t.names());
                 assert!(
-                    slot.windows(2).all(|w| Entry::order(&w[0], &w[1]).is_lt()),
+                    slot.windows(2).all(|w| t.ruler().key(w[0]) < t.ruler().key(w[1])),
                     "slot ({l},{j}) is sorted by (dist, idx)"
                 );
                 for (i, e) in slot.iter().enumerate() {
@@ -901,7 +967,7 @@ mod tests {
                 let got: Vec<_> = slot
                     .iter_with_dist()
                     .zip(slot.entries)
-                    .map(|((r, dist), e)| (r, dist.to_bits(), e.pinned))
+                    .map(|((r, dist), e)| (r, dist.to_bits(), e.pinned()))
                     .collect();
                 let refs = |keep: fn(&ModelEntry) -> bool| {
                     want.iter().filter(move |e| keep(e)).map(|e| e.nref)
@@ -954,23 +1020,27 @@ mod tests {
             let ids: Vec<NodeRef> =
                 (0..256usize).map(|v| NodeRef::new(v, Id::from_u64(space, v as u64))).collect();
             let names = Names::new(ids.iter().map(|r| r.id).collect());
+            // Few distinct places on a line: equal distances from the
+            // owner, 0 included, are the common case.
+            let at: Vec<f64> =
+                (0..ids.len()).map(|_| [0.0, 1.0, 1.0, 2.0, 2.5, 4.0][rng.gen_range(0..6usize)]).collect();
+            let metric = line(&at);
             let owner = ids[rng.gen_range(0..ids.len())];
-            let mut t = RoutingTable::new(names, owner.idx, 4, 4);
+            let dist = |r: NodeRef| metric.distance(owner.idx, r.idx);
+            let mut t = RoutingTable::new(names, metric.clone(), owner.idx, 4, 4);
             let mut m = Model::new(owner, 4, 4);
             assert_same(&t, &m, &mut rng, &ids);
             for _ in 0..steps {
                 let r = ids[rng.gen_range(0..ids.len())];
-                // Few distinct values: equal distances are the common case.
-                let dist = [0.0, 1.0, 1.0, 2.0, 2.5, 4.0][rng.gen_range(0..6usize)];
                 match rng.gen_range(0..10) {
                     0..=4 => {
                         let cap = rng.gen_range(1..=4);
-                        let got = t.add_if_closer(r, dist, cap);
-                        assert_eq!((got.newly_added, got.evicted), m.add_if_closer(r, dist, cap));
+                        let got = t.add_if_closer(r, cap);
+                        assert_eq!((got.newly_added, got.evicted), m.add_if_closer(r, dist(r), cap));
                     }
                     5 => {
-                        t.add_pinned(r, dist);
-                        m.add_pinned(r, dist);
+                        t.add_pinned(r);
+                        m.add_pinned(r, dist(r));
                     }
                     6 => {
                         t.unpin(&r);
@@ -978,20 +1048,26 @@ mod tests {
                     }
                     7 | 8 => assert_eq!(t.remove_node(r.idx), m.remove_node(r.idx)),
                     _ => {
-                        // Up to three nodes of one slot that are not in it yet.
+                        // Up to three nodes of one slot that are not in it
+                        // yet and order after what it holds — the static
+                        // builder's fills.
                         let (l, j) = (rng.gen_range(0..4usize), rng.gen_range(0..4u8));
-                        let mut fresh: Vec<(NodeRef, f64)> = Vec::new();
-                        for _ in 0..3 {
-                            let c = ids[rng.gen_range(0..ids.len())];
-                            let fits = c.idx != owner.idx
-                                && c.id.shared_prefix_len(&owner.id) >= l
-                                && c.id.digit(l) == j;
-                            let held = t.slot(l, j).contains(c.idx) || fresh.iter().any(|f| f.0 == c);
-                            if fits && !held {
-                                fresh.push((c, dist + fresh.len() as f64 * 0.5));
-                            }
-                        }
-                        t.extend_unbounded(l, j, fresh.iter().copied());
+                        let key = |r: NodeRef| (dist(r), r.idx);
+                        let last = t.slot(l, j).iter().last().map(key);
+                        let mut fresh: Vec<(NodeRef, f64)> = ids
+                            .iter()
+                            .copied()
+                            .filter(|c| {
+                                c.idx != owner.idx
+                                    && c.id.shared_prefix_len(&owner.id) >= l
+                                    && c.id.digit(l) == j
+                                    && last.is_none_or(|last| key(*c) > last)
+                            })
+                            .map(|c| (c, dist(c)))
+                            .collect();
+                        fresh.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.idx.cmp(&b.0.idx)));
+                        fresh.truncate(rng.gen_range(0..=3));
+                        t.extend_unbounded(l, j, fresh.iter().map(|f| f.0));
                         m.extend_unbounded(l, j, &fresh);
                     }
                 }

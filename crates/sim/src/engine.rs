@@ -1,5 +1,6 @@
 use crate::shard::ShardedQueue;
 use crate::{Histogram, SimStats, SimTime, Slot, TraceRecord};
+use std::sync::Arc;
 use tapestry_metric::MetricSpace;
 
 /// Index of a node. Node indices coincide with point indices of the
@@ -247,7 +248,7 @@ pub struct Engine<A: Actor> {
     /// which the queue counts as one entry.
     fanned: usize,
     actors: Vec<Option<A>>,
-    metric: Box<dyn MetricSpace>,
+    metric: Arc<dyn MetricSpace>,
     stats: SimStats,
     proc_delay: SimTime,
     /// Total events popped over the engine's lifetime (deliveries, timer
@@ -305,7 +306,7 @@ impl<A: Actor> Engine<A> {
             queue: ShardedQueue::new(0, 0, 0),
             fanned: 0,
             actors,
-            metric,
+            metric: metric.into(),
             stats: SimStats::default(),
             proc_delay,
             events_processed: 0,
@@ -336,6 +337,13 @@ impl<A: Actor> Engine<A> {
     /// The underlying metric space.
     pub fn metric(&self) -> &dyn MetricSpace {
         &*self.metric
+    }
+
+    /// A handle on the metric space for state that outlives a borrow of
+    /// the engine (a node's routing table reads its neighbors' distances
+    /// through one). Cloning is a reference-count bump.
+    pub fn shared_metric(&self) -> Arc<dyn MetricSpace> {
+        Arc::clone(&self.metric)
     }
 
     /// Place an actor at point `idx`.

@@ -131,6 +131,17 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
             + report.counter_total(metrics::REPAIR_PONGS);
         det.insert("probe_msgs".into(), probes as f64);
     }
+    // Correctness metrics exist exactly when the spec checks a phase; they
+    // are the last checked phase's (a churn cell's settle phase).
+    if let Some(phase) = report.phases.iter().rev().find(|p| p.invariants.is_some()) {
+        let inv = phase.invariants.as_ref().expect("found by its invariants");
+        let share = |of: u64, total: u64| if total == 0 { 1.0 } else { of as f64 / total as f64 };
+        det.insert("prop1_violations".into(), inv.prop1_violations as f64);
+        det.insert("roots_unique_share".into(), share(inv.roots_unique, inv.roots_sampled));
+        det.insert("prop2_share".into(), share(inv.prop2_optimal, inv.prop2_total));
+        det.insert("found_dead".into(), phase.ops.found_dead as f64);
+        det.insert("not_found".into(), phase.ops.not_found as f64);
+    }
     verify_det_metrics(cell, seed, &report, &det)?;
 
     let mut wall = BTreeMap::new();
@@ -249,8 +260,16 @@ mod tests {
                 "timers",
                 "ops_issued",
                 "ops_lost",
+                "prop1_violations",
+                "roots_unique_share",
+                "prop2_share",
+                "found_dead",
+                "not_found",
             ] {
                 assert!(det.contains_key(key), "{}: {key}", cell.cell.key());
+            }
+            for share in ["roots_unique_share", "prop2_share"] {
+                assert!((0.0..=1.0).contains(&det[share]), "{}: {share}", cell.cell.key());
             }
             assert!(det["joins_ok"] > 0.0);
             assert!(det["waves"] > 0.0);

@@ -143,6 +143,15 @@ pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
 pub fn run_instrumented(
     spec: &ScenarioSpec,
 ) -> Result<(ScenarioReport, RunTotals, RunTiming, Telemetry), String> {
+    drive(spec).map(|(artifacts, _)| artifacts)
+}
+
+/// [`run_instrumented`], also handing back the network as the run left
+/// it (the tests below inspect its tables).
+#[allow(clippy::type_complexity)]
+fn drive(
+    spec: &ScenarioSpec,
+) -> Result<((ScenarioReport, RunTotals, RunTiming, Telemetry), TapestryNetwork), String> {
     spec.validate()?;
     let space = spec.build_space();
     let total_points = space.len();
@@ -353,7 +362,7 @@ pub fn run_instrumented(
         metrics_window: spec.metrics_window,
         stats: net.engine().stats().clone(),
     };
-    Ok((report, totals, timing, telemetry))
+    Ok(((report, totals, timing, telemetry), net))
 }
 
 /// Snapshot the engine-level state the time-series sampler records.
@@ -594,5 +603,52 @@ fn spot_checks(
         prop2_total: prop2_total as u64,
         roots_sampled: sample.len() as u64,
         roots_unique: unique,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::presets;
+
+    /// Slots of live tables not sorted by `(distance from the owner,
+    /// address)`, as `(owner, level, digit)`. A table keeps no distances;
+    /// this reads every one from the metric the run used.
+    fn slots_out_of_order(net: &TapestryNetwork) -> Vec<(NodeIdx, usize, u8)> {
+        let metric = net.engine().metric();
+        let mut bad = Vec::new();
+        for &owner in net.members() {
+            let Some(node) = net.node(owner) else { continue };
+            let t = node.table();
+            for l in 0..t.levels() {
+                for j in 0..t.base() as u8 {
+                    let keys: Vec<(f64, NodeIdx)> = t
+                        .slot(l, j)
+                        .iter()
+                        .map(|r| (metric.distance(owner, r.idx), r.idx))
+                        .collect();
+                    if !keys.windows(2).all(|w| w[0] < w[1]) {
+                        bad.push((owner, l, j));
+                    }
+                }
+            }
+        }
+        bad
+    }
+
+    /// Joins, leaves, kills and repair all offer to and evict from the
+    /// tables; after each run every slot is still in distance order.
+    #[test]
+    fn churned_tables_stay_in_distance_order() {
+        let runs = [
+            presets::preset("churn-storm", 64, 500, 42).expect("a preset"),
+            presets::churn_scale_preset(1000, 1000, 42, true),
+        ];
+        for spec in runs {
+            let ((report, ..), net) = drive(&spec).expect("runs");
+            let churn: u64 = report.phases.iter().map(|p| p.churn.joins_ok + p.churn.kills).sum();
+            assert!(churn > 0, "{}: the run churned", spec.name);
+            assert_eq!(slots_out_of_order(&net), [], "{}", spec.name);
+        }
     }
 }

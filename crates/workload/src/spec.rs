@@ -469,7 +469,7 @@ mod tests {
         let base = || ScenarioSpec::new("x").phase(PhaseSpec::new("p", SimTime(100)));
         assert!(base().capacity(MAX_NODES).validate().is_ok());
         let err = base().capacity(MAX_NODES + 1).validate().unwrap_err();
-        assert!(err.contains("4294967295"), "names the limit: {err}");
+        assert!(err.contains("2147483647"), "names the limit: {err}");
     }
 
     #[test]
