@@ -5,14 +5,14 @@
 //! blow-up the paper cites as the reason this approach does not scale.
 
 use crate::common::{LocatorSystem, LookupPath, SpaceStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tapestry_metric::{MetricSpace, PointIdx};
 
 /// Full-knowledge broadcast location.
 pub struct Broadcast {
     space: Box<dyn MetricSpace>,
     members: Vec<PointIdx>,
-    directory: HashMap<u64, Vec<PointIdx>>,
+    directory: BTreeMap<u64, Vec<PointIdx>>,
     join_msgs: u64,
 }
 
@@ -20,7 +20,7 @@ impl Broadcast {
     /// A broadcast system over `space` (needed to pick nearest replicas —
     /// with full knowledge, clients route optimally).
     pub fn new(space: Box<dyn MetricSpace>) -> Self {
-        Broadcast { space, members: Vec::new(), directory: HashMap::new(), join_msgs: 0 }
+        Broadcast { space, members: Vec::new(), directory: BTreeMap::new(), join_msgs: 0 }
     }
 
     /// Join: announce to every existing member (maintaining the global
@@ -63,9 +63,8 @@ impl LocatorSystem for Broadcast {
         // `(distance, index)` order matches `NearestIndex` exactly, and
         // an origin that is itself a replica wins at distance 0.
         let server = servers.iter().copied().min_by(|&a, &b| {
-            (self.space.distance(origin, a), a)
-                .partial_cmp(&(self.space.distance(origin, b), b))
-                .expect("distances are finite")
+            let (da, db) = (self.space.distance(origin, a), self.space.distance(origin, b));
+            da.partial_cmp(&db).expect("distances are finite").then(a.cmp(&b))
         })?;
         let nodes = if server == origin { vec![origin] } else { vec![origin, server] };
         Some(LookupPath { nodes })

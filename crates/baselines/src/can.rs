@@ -10,7 +10,7 @@
 use crate::common::{LocatorSystem, LookupPath, SpaceStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tapestry_id::splitmix64;
 use tapestry_metric::PointIdx;
 
@@ -57,9 +57,9 @@ impl Zone {
 /// One CAN deployment over the unit square.
 pub struct Can {
     zones: Vec<Zone>,
-    zone_of: HashMap<PointIdx, usize>,
+    zone_of: BTreeMap<PointIdx, usize>,
     neighbors: Vec<Vec<usize>>,
-    directory: HashMap<u64, Vec<PointIdx>>,
+    directory: BTreeMap<u64, Vec<PointIdx>>,
     seed: u64,
     join_msgs: u64,
     rng: StdRng,
@@ -70,9 +70,9 @@ impl Can {
     pub fn new(seed: u64) -> Self {
         Can {
             zones: Vec::new(),
-            zone_of: HashMap::new(),
+            zone_of: BTreeMap::new(),
             neighbors: Vec::new(),
-            directory: HashMap::new(),
+            directory: BTreeMap::new(),
             seed,
             join_msgs: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -210,7 +210,7 @@ impl LocatorSystem for Can {
             tot += nb.len();
             max = max.max(nb.len());
         }
-        let mut dir: HashMap<PointIdx, usize> = HashMap::new();
+        let mut dir: BTreeMap<PointIdx, usize> = BTreeMap::new();
         for (&key, servers) in &self.directory {
             *dir.entry(self.key_owner(key)).or_insert(0) += servers.len();
         }

@@ -6,14 +6,14 @@
 //! failure risk concentrated on one node.
 
 use crate::common::{LocatorSystem, LookupPath, SpaceStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tapestry_metric::PointIdx;
 
 /// A centralized object directory.
 pub struct CentralizedDirectory {
     directory_node: PointIdx,
     members: Vec<PointIdx>,
-    directory: HashMap<u64, Vec<PointIdx>>,
+    directory: BTreeMap<u64, Vec<PointIdx>>,
     join_msgs: u64,
 }
 
@@ -23,7 +23,7 @@ impl CentralizedDirectory {
         CentralizedDirectory {
             directory_node,
             members: Vec::new(),
-            directory: HashMap::new(),
+            directory: BTreeMap::new(),
             join_msgs: 0,
         }
     }

@@ -16,7 +16,7 @@
 use crate::common::{LocatorSystem, LookupPath, SpaceStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use tapestry_id::splitmix64;
 use tapestry_metric::PointIdx;
 
@@ -25,11 +25,11 @@ pub struct Chord {
     /// ring id → point, sorted (the ground-truth ring).
     ring: BTreeMap<u64, PointIdx>,
     /// point → ring id.
-    ids: HashMap<PointIdx, u64>,
+    ids: BTreeMap<PointIdx, u64>,
     /// point → finger targets (distinct successor points, largest strides).
-    fingers: HashMap<PointIdx, Vec<PointIdx>>,
+    fingers: BTreeMap<PointIdx, Vec<PointIdx>>,
     /// key → servers (directory entries live at `successor(hash(key))`).
-    directory: HashMap<u64, Vec<PointIdx>>,
+    directory: BTreeMap<u64, Vec<PointIdx>>,
     m: u32,
     seed: u64,
     join_msgs: u64,
@@ -43,9 +43,9 @@ impl Chord {
         assert!((1..=63).contains(&m));
         Chord {
             ring: BTreeMap::new(),
-            ids: HashMap::new(),
-            fingers: HashMap::new(),
-            directory: HashMap::new(),
+            ids: BTreeMap::new(),
+            fingers: BTreeMap::new(),
+            directory: BTreeMap::new(),
             m,
             seed,
             join_msgs: 0,
@@ -213,7 +213,7 @@ impl LocatorSystem for Chord {
             tot += f.len();
             max = max.max(f.len());
         }
-        let mut dir: HashMap<PointIdx, usize> = HashMap::new();
+        let mut dir: BTreeMap<PointIdx, usize> = BTreeMap::new();
         for (&key, servers) in &self.directory {
             *dir.entry(self.key_owner(key)).or_insert(0) += servers.len();
         }
@@ -288,6 +288,20 @@ mod tests {
             per_large / per_small.max(1.0) < 8.0,
             "per-join cost should grow ~log²: {per_small} → {per_large}"
         );
+    }
+
+    #[test]
+    fn joins_at_one_seed_cost_the_same_in_every_ring() {
+        // Table 1's insert column: the seeded gateway draw must not lean
+        // on a map's per-process iteration order.
+        let join_costs = || {
+            let mut c = Chord::for_size(128, 7);
+            (0..128).map(|p| c.join(p)).collect::<Vec<u64>>()
+        };
+        let first = join_costs();
+        for _ in 0..3 {
+            assert_eq!(join_costs(), first);
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! quantities (hops, messages, entries) are path/structure properties and
 //! need no clock. Viceroy, Awerbuch–Peleg and RRVV appear in the paper
 //! only as asymptotic citations with no evaluated system, so the harness
-//! reports their cited bounds rather than measurements (see DESIGN.md).
+//! reports their cited bounds rather than measurements (see `table1` in
+//! the README's *Reproducing the paper's figures and tables*).
 
 #![forbid(unsafe_code)]
 

@@ -10,7 +10,7 @@
 //! unbounded.
 
 use crate::common::{LocatorSystem, LookupPath, SpaceStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tapestry_id::{splitmix64, Id, IdSpace};
 use tapestry_metric::PointIdx;
 
@@ -28,10 +28,10 @@ struct PNode {
 /// One Pastry deployment.
 pub struct Pastry {
     space_cfg: IdSpace,
-    nodes: HashMap<PointIdx, PNode>,
+    nodes: BTreeMap<PointIdx, PNode>,
     /// Sorted (id value, point) — ground truth for leaf sets.
     order: Vec<(u64, PointIdx)>,
-    directory: HashMap<u64, Vec<PointIdx>>,
+    directory: BTreeMap<u64, Vec<PointIdx>>,
     seed: u64,
     join_msgs: u64,
 }
@@ -41,9 +41,9 @@ impl Pastry {
     pub fn new(seed: u64) -> Self {
         Pastry {
             space_cfg: IdSpace::base16(),
-            nodes: HashMap::new(),
+            nodes: BTreeMap::new(),
             order: Vec::new(),
-            directory: HashMap::new(),
+            directory: BTreeMap::new(),
             seed,
             join_msgs: 0,
         }
@@ -224,7 +224,7 @@ impl LocatorSystem for Pastry {
             tot += e;
             max = max.max(e);
         }
-        let mut dir: HashMap<PointIdx, usize> = HashMap::new();
+        let mut dir: BTreeMap<PointIdx, usize> = BTreeMap::new();
         for (&key, servers) in &self.directory {
             *dir.entry(self.key_owner(key)).or_insert(0) += servers.len();
         }

@@ -18,8 +18,8 @@
 //! Exit codes: `0` pass, `1` gate regression, `2` usage/IO/spec error,
 //! `3` baseline/spec mismatch (missing cell or metric).
 
-use tapestry_sweep::{agg, compare, grid::SweepSpec, run};
 use tapestry_trace::json::Json;
+use tapestry_workload::sweep::{agg, compare, grid::SweepSpec, run};
 
 struct Args {
     spec: String,

@@ -29,7 +29,7 @@ const QUERIES: usize = 256;
 struct Row {
     system: &'static str,
     n: usize,
-    insert_msgs: f64,
+    insert_msgs: Option<f64>,
     routing_entries: f64,
     hops: f64,
     stretch_med: Option<f64>,
@@ -40,7 +40,7 @@ fn print_row(r: &Row) {
     row(&[
         r.system.to_string(),
         r.n.to_string(),
-        f2(r.insert_msgs),
+        r.insert_msgs.map(f2).unwrap_or_else(|| "-".into()),
         f2(r.routing_entries),
         f2(r.hops),
         r.stretch_med.map(f2).unwrap_or_else(|| "-".into()),
@@ -84,7 +84,7 @@ fn tapestry_row(n: usize, seed: u64) -> Row {
     Row {
         system: "tapestry (this paper)",
         n,
-        insert_msgs: mean(&join_msgs),
+        insert_msgs: Some(mean(&join_msgs)),
         routing_entries: snap.avg_table_entries,
         hops: mean(&hops),
         stretch_med: Some(percentile(&stretch, 50.0)),
@@ -130,7 +130,7 @@ fn baseline_row<S: LocatorSystem>(
     Row {
         system: name,
         n,
-        insert_msgs: sys.join_messages() as f64 / n as f64,
+        insert_msgs: Some(sys.join_messages() as f64 / n as f64),
         routing_entries: sp.avg_routing_entries,
         hops: mean(&hops),
         stretch_med: Some(percentile(&stretch, 50.0)),
@@ -170,7 +170,7 @@ fn prrv0_row(n: usize, seed: u64) -> Row {
     Row {
         system: "prr-v0 + this paper",
         n,
-        insert_msgs: f64::NAN, // static scheme: the paper's Table 1 marks "-"
+        insert_msgs: None, // static scheme: the paper's Table 1 marks "-"
         routing_entries: avg_space,
         hops: mean(&msgs), // messages per query (probes count, per §7 accounting)
         stretch_med: Some(percentile(&stretch, 50.0)),

@@ -1,10 +1,10 @@
 //! Experiment harness shared by the per-figure binaries in `src/bin/`.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! DESIGN.md's per-experiment index and EXPERIMENTS.md for recorded
-//! results). This library provides the common machinery: summary
-//! statistics, tab-separated row printing, and a thread-pool sweep runner
-//! that fans independent simulation instances out across cores
+//! Each binary regenerates one table or figure of the paper (see the
+//! README's *Reproducing the paper's figures and tables*). This library
+//! provides the common machinery: summary statistics, tab-separated row
+//! printing, and a thread-pool sweep runner that fans independent
+//! simulation instances out across cores
 //! (simulations themselves stay single-threaded — event order is the
 //! semantics — so parallelism lives at the sweep level).
 
@@ -89,7 +89,7 @@ fn count<T: std::str::FromStr + Default + PartialEq>(flag: &str, v: String) -> R
 }
 
 /// Mean of a sample (0 for empty input).
-pub use tapestry_sweep::stats::mean;
+pub use tapestry_workload::sweep::stats::mean;
 
 /// The `p`-th percentile (0 ≤ p ≤ 100) by nearest-rank on a sorted copy.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -114,7 +114,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    tapestry_sweep::run_parallel(n, workers, jobs)
+    tapestry_workload::sweep::run_parallel(n, workers, jobs)
 }
 
 /// Print a tab-separated header row.

@@ -83,18 +83,13 @@ pub const RULES: &[(&str, &str)] = &[
 /// How strictly a crate is held to the determinism rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateClass {
-    /// Byte-identical-report surface: every rule applies (core, id,
-    /// membership, metric, prrv0, sim, sweep, trace, workload, lint
+    /// Byte-identical-report surface: every rule applies (baselines,
+    /// core, id, membership, metric, prrv0, sim, trace, workload, lint
     /// itself, the facade and the examples).
     Deterministic,
     /// Measures wall-clock on purpose (bench): every rule except
     /// `wall-clock`.
     Observational,
-    /// Not on the gated report path (baselines): bulk-allowed for
-    /// ordering rules; only entropy-seeded RNG remains flagged, because
-    /// a non-reproducible baseline invalidates every comparison made
-    /// against it.
-    NonGated,
 }
 
 impl GateClass {
@@ -103,7 +98,6 @@ impl GateClass {
         match self {
             GateClass::Deterministic => true,
             GateClass::Observational => rule != RULE_WALL_CLOCK,
-            GateClass::NonGated => rule == RULE_UNSEEDED_RNG,
         }
     }
 }
@@ -113,6 +107,7 @@ impl GateClass {
 /// gated; a self-test holds its `crates/*/src` roots equal to the crates
 /// on disk.
 pub const WORKSPACE_TARGETS: &[(&str, GateClass)] = &[
+    ("crates/baselines/src", GateClass::Deterministic),
     ("crates/core/src", GateClass::Deterministic),
     ("crates/id/src", GateClass::Deterministic),
     ("crates/lint/src", GateClass::Deterministic),
@@ -120,11 +115,9 @@ pub const WORKSPACE_TARGETS: &[(&str, GateClass)] = &[
     ("crates/metric/src", GateClass::Deterministic),
     ("crates/prrv0/src", GateClass::Deterministic),
     ("crates/sim/src", GateClass::Deterministic),
-    ("crates/sweep/src", GateClass::Deterministic),
     ("crates/trace/src", GateClass::Deterministic),
     ("crates/workload/src", GateClass::Deterministic),
     ("crates/bench/src", GateClass::Observational),
-    ("crates/baselines/src", GateClass::NonGated),
     ("src", GateClass::Deterministic),
     ("examples", GateClass::Deterministic),
 ];

@@ -128,13 +128,6 @@ fn observational_crates_skip_wall_clock_only() {
     assert_eq!(rules, vec![RULE_HASH_ITER], "bench may time, may not hash-iterate");
 }
 
-#[test]
-fn non_gated_crates_keep_only_unseeded_rng() {
-    let src = "let t = Instant::now();\nlet m = HashMap::new();\nlet r = thread_rng();\n";
-    let rules = rules_of(src, GateClass::NonGated);
-    assert_eq!(rules, vec![RULE_UNSEEDED_RNG], "baselines must still be reproducible");
-}
-
 // ---- diagnostics shape --------------------------------------------------
 
 #[test]

@@ -5,8 +5,8 @@
 //! copy, the multicast wave with its Hellos/Candidates/acks, `GetNextList`
 //! pointer fetches, root transfers). Dividing its delta by the number of
 //! insertions gives a *measured* mean messages/join — the figure
-//! `tapestry-sweep` reports per churn cell (`join_msgs_mean`) and CI gates
-//! against.
+//! `tapestry_workload::sweep` reports per churn cell (`join_msgs_mean`)
+//! and CI gates against.
 //!
 //! That measurement replaces guesswork in churn sizing: churn presets
 //! used to be exercised only at toy sizes (a de-facto hard cap, because

@@ -13,9 +13,9 @@
 //! * maps are emitted sorted by name.
 //!
 //! The emitters on [`JsonWriter`]: the hop trace ([`trace_json`]) and the
-//! metrics series ([`metrics_json`]) here, the scenario report in
-//! `tapestry-workload` and the sweep aggregate in `tapestry-sweep`
-//! (`BENCH_sweep.json`, `BENCH_scale.json`). [`Json::parse`] reads
+//! metrics series ([`metrics_json`]) here, and the scenario report and
+//! the sweep aggregate in `tapestry-workload` (`tapestry_workload::sweep`:
+//! `BENCH_sweep.json`, `BENCH_scale.json`). [`Json::parse`] reads
 //! any of them back (`tapestry-sweep --compare` loads its baseline with
 //! it). Wall-clock material never goes into these files.
 

@@ -20,9 +20,8 @@
 //! written, and the `Json` reader that loads one back.
 //!
 //! The dependency direction is deliberate: this crate sits on
-//! `tapestry-sim` only, and `tapestry-core`/`tapestry-workload`/
-//! `tapestry-sweep`/bench bins sit on it — the registry is below the
-//! protocol, not beside it.
+//! `tapestry-sim` only, and `tapestry-core`/`tapestry-workload`/bench
+//! bins sit on it — the registry is below the protocol, not beside it.
 
 #![forbid(unsafe_code)]
 

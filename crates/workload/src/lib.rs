@@ -21,7 +21,10 @@
 //!   through `tapestry_trace::json::JsonWriter`), so
 //!   `BENCH_scenarios.json` can be committed and diffed across PRs;
 //! * [`presets`] — the named workloads (`steady-zipf`, `flash-crowd`,
-//!   `churn-storm`, `partition-heal`, `mass-failure`).
+//!   `churn-storm`, `partition-heal`, `mass-failure`);
+//! * [`sweep`] — the run-level experiment harness: seed × config grids
+//!   of these presets, run in parallel, aggregated and gated against a
+//!   committed baseline.
 //!
 //! ```
 //! use tapestry_workload::{presets, runner};
@@ -39,6 +42,7 @@ pub mod presets;
 pub mod report;
 pub mod runner;
 pub mod spec;
+pub mod sweep;
 pub mod traffic;
 
 pub use churn::{ChurnEvent, ChurnSpec};

@@ -227,7 +227,7 @@ fn d(units: f64) -> SimTime {
 /// (`space` selects the substrate) and the `churn-scale` family
 /// (`batched` selects the variant). `None` leaves the preset alone, so
 /// `(None, None)` reproduces a named preset exactly. This is the single
-/// constructor `tapestry-sweep` expands grid cells through and
+/// constructor [`crate::sweep`] expands grid cells through and
 /// `scenarios --preset` resolves names through, so every name and axis
 /// combination is validated in one place.
 pub fn sweep_preset(

@@ -1,8 +1,9 @@
-//! # tapestry-sweep — run-level parallel experiment harness
+//! Run-level parallel experiment harness: seed × config grids, CI-grade
+//! aggregate statistics, A/B baseline compare.
 //!
 //! The paper's curves (Figs. 2–4, the §4.5 join-cost bound, the §5
 //! repair behaviour) are statements about *distributions over runs*, not
-//! single trajectories. This crate turns "run the grid" into one
+//! single trajectories. This module turns "run the grid" into one
 //! declarative object:
 //!
 //! * [`grid`] — a plain-text sweep spec: seed set × node counts ×
@@ -10,7 +11,7 @@
 //!   the regression gates `--compare` enforces;
 //! * [`pool`] — scoped-thread fan-out of whole runs across cores. Each
 //!   run is the existing deterministic single-run path
-//!   (`tapestry_workload::runner`), so per-run results are byte-identical
+//!   ([`crate::runner`]), so per-run results are byte-identical
 //!   regardless of scheduling — parallelism lives *between* runs;
 //! * [`run`] — sweep execution and metric extraction, split into
 //!   deterministic metrics (committed) and wall-clock metrics
@@ -23,12 +24,12 @@
 //!   exit status (0 pass, 1 regression, 3 missing cell).
 //!
 //! The driver binary lives in `tapestry-bench` (`tapestry-sweep`); this
-//! crate is engine-only and never reads the wall clock outside
-//! `tapestry_workload`'s own timing observations.
+//! module is engine-only and never reads the wall clock outside the
+//! runner's own timing observations.
 //!
 //! ```
-//! use tapestry_sweep::{agg, compare, grid::SweepSpec, run};
 //! use tapestry_trace::json::Json;
+//! use tapestry_workload::sweep::{agg, compare, grid::SweepSpec, run};
 //!
 //! let spec = SweepSpec::parse(
 //!     "name demo\nseeds 1 2\n\ngrid g\npreset steady-zipf\nnodes 16\nops 30\n\
@@ -42,8 +43,6 @@
 //! let verdict = compare::compare(&fresh, &baseline, &spec.gates).unwrap();
 //! assert_eq!(verdict.exit_code(), 0);
 //! ```
-
-#![forbid(unsafe_code)]
 
 pub mod agg;
 pub mod compare;

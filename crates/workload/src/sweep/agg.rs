@@ -5,8 +5,8 @@
 //! key order, three-decimal floats) so a regenerated artifact is
 //! byte-identical to the committed one.
 
-use crate::run::SweepResult;
-use crate::stats::Agg;
+use crate::sweep::run::SweepResult;
+use crate::sweep::stats::Agg;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tapestry_trace::json::{f3, JsonWriter};
@@ -184,8 +184,8 @@ fn write_agg(w: &mut JsonWriter, a: &Agg) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{CellSpec, SweepSpec};
-    use crate::run::{CellResult, RunMetrics, SweepResult};
+    use crate::sweep::grid::{CellSpec, SweepSpec};
+    use crate::sweep::run::{CellResult, RunMetrics, SweepResult};
 
     fn cell() -> CellSpec {
         CellSpec {
@@ -279,8 +279,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.seeds, vec![1, 2, 3]);
-        let a = aggregate(&crate::run::run_sweep(&spec, 1).unwrap());
-        let b = aggregate(&crate::run::run_sweep(&spec, 3).unwrap());
+        let a = aggregate(&crate::sweep::run::run_sweep(&spec, 1).unwrap());
+        let b = aggregate(&crate::sweep::run::run_sweep(&spec, 3).unwrap());
         assert_eq!(a.to_json(false), b.to_json(false), "worker count never reaches the bytes");
     }
 }

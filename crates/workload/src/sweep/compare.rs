@@ -4,8 +4,8 @@
 //! the single CI verdict that replaced the per-metric python3 gate
 //! steps.
 
-use crate::agg::SweepAgg;
-use crate::grid::{Gate, GateKind};
+use crate::sweep::agg::SweepAgg;
+use crate::sweep::grid::{Gate, GateKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tapestry_trace::json::{f3, Json};
@@ -236,9 +236,9 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{CellAgg, SweepAgg};
-    use crate::grid::{Gate, GateKind};
-    use crate::stats::Agg;
+    use crate::sweep::agg::{CellAgg, SweepAgg};
+    use crate::sweep::grid::{Gate, GateKind};
+    use crate::sweep::stats::Agg;
     use std::collections::BTreeMap;
 
     fn agg_with(key: &str, det: &[(&str, f64)], wall: &[(&str, f64)]) -> CellAgg {

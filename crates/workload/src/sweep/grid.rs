@@ -30,8 +30,8 @@
 //! own value, so `batched default off` in a `churn-scale` grid runs the
 //! preset's batched joins against solo joins.
 
-use tapestry_workload::presets::ScaleSpace;
-use tapestry_workload::{sweep_preset, ScenarioSpec};
+use crate::presets::ScaleSpace;
+use crate::{sweep_preset, ScenarioSpec};
 
 /// One parsed sweep specification.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -587,9 +587,9 @@ gate wall.events_per_sec min_abs 1000
 
     /// Every committed `sweeps/*.spec`, by file name.
     const COMMITTED: &[(&str, &str)] = &[
-        ("ci.spec", include_str!("../../../sweeps/ci.spec")),
-        ("scale.spec", include_str!("../../../sweeps/scale.spec")),
-        ("wide.spec", include_str!("../../../sweeps/wide.spec")),
+        ("ci.spec", include_str!("../../../../sweeps/ci.spec")),
+        ("scale.spec", include_str!("../../../../sweeps/scale.spec")),
+        ("wide.spec", include_str!("../../../../sweeps/wide.spec")),
     ];
 
     #[test]

@@ -4,12 +4,12 @@
 //! committed in `BENCH_sweep.json`) and the wall-clock set (machine
 //! observations, emitted separately and never committed).
 
-use crate::grid::{CellSpec, SweepSpec};
-use crate::pool::run_parallel;
+use crate::sweep::grid::{CellSpec, SweepSpec};
+use crate::sweep::pool::run_parallel;
+use crate::{runner, ChurnSpec, ScenarioReport, ScenarioSpec};
 use std::collections::BTreeMap;
 use tapestry_membership::mean_messages_per_join;
 use tapestry_trace::metrics;
-use tapestry_workload::{runner, ChurnSpec, ScenarioReport, ScenarioSpec};
 
 /// Metrics of one (cell, seed) run.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +193,7 @@ fn verify_det_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::SweepSpec;
+    use crate::sweep::grid::SweepSpec;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::parse(

@@ -34,8 +34,8 @@ pub use tapestry_membership as membership;
 pub use tapestry_metric as metric;
 pub use tapestry_prrv0 as prrv0;
 pub use tapestry_sim as sim;
-pub use tapestry_sweep as sweep;
 pub use tapestry_workload as workload;
+pub use tapestry_workload::sweep;
 
 /// Everything most applications need, in one import.
 pub mod prelude {

@@ -1,6 +1,6 @@
 //! Determinism and reproducibility: identical seeds must reproduce entire
-//! protocol histories bit-for-bit — the property every experiment in
-//! EXPERIMENTS.md relies on.
+//! protocol histories bit-for-bit — the property every experiment in the
+//! README's *Reproducing the paper's figures and tables* relies on.
 
 use tapestry::prelude::*;
 
