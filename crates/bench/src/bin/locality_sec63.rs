@@ -13,15 +13,11 @@ use tapestry_metric::{MetricSpace, TransitStubSpace};
 
 fn run(local_opt: bool, seed: u64) -> (f64, f64, f64) {
     let space = TransitStubSpace::new(4, 4, 8, seed); // 128 nodes, 16 stubs
-    let threshold = space.local_threshold();
+    let threshold = if local_opt { space.local_threshold() } else { 0.0 };
     let stub_of: Vec<usize> = (0..space.len()).map(|i| space.stub_of(i)).collect();
     let n = space.len();
     let query_space = space.clone();
-    let cfg = TapestryConfig {
-        local_stub_optimization: local_opt,
-        stub_latency_threshold: threshold,
-        ..Default::default()
-    };
+    let cfg = TapestryConfig { stub_latency_threshold: threshold, ..Default::default() };
     let mut net = TapestryNetwork::build(cfg, Box::new(space), seed);
 
     // Each of 8 objects is replicated in exactly one stub.

@@ -69,6 +69,7 @@ fn main() {
     }
     println!("\n# recipients == ground_truth on every row (Theorem 5);");
     println!("# edges ≈ k-1 (spanning tree; extra edges only under concurrent pins);");
-    println!("# dist_cost stays below k·diam (the O(dk) bound); note dist_cost");
-    println!("# includes the whole insertion, so it overstates multicast alone.");
+    println!("# dist_cost is the distance of the whole insertion, not of the");
+    println!("# multicast alone, so it exceeds k·diam (the multicast's O(dk) bound)");
+    println!("# on every row; k_times_diam is that bound, for scale.");
 }

@@ -132,7 +132,10 @@ fn main() {
             f2(msgs as f64 / trials.len() as f64),
         ]);
     }
-    println!("\n# expected: all rates rise with k and saturate near k = 3·log2 n = 24");
-    println!("# (Lemma 1 needs k = O(log n)); messages grow ~linearly in k (the");
-    println!("# O(k log n) = O(log^2 n) insertion cost of section 4.5).");
+    println!("\n# expected: the nearest neighbor is found at every k; slot_optimal");
+    println!("# rises with k overall (not strictly: k = 2 may dip below k = 1) and");
+    println!("# nears 1 past k = 3·log2 n = 24 (Lemma 1 needs k = O(log n));");
+    println!("# thm4_missing falls with k but does not reach 0 even at k = 32, a");
+    println!("# Theorem 4 gap; messages grow with k, sub-linearly (the O(k log n)");
+    println!("# insertion cost of section 4.5).");
 }

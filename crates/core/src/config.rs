@@ -61,12 +61,11 @@ pub struct TapestryConfig {
     /// `repair::REPAIR_TICK` of 1000 distance units). Zero freezes the
     /// scheduler — facts accumulate (bounded) but nothing is repaired.
     pub repairs_per_sec_per_node: u32,
-    /// Enable the §6.3 transit-stub locality enhancement: publishes and
-    /// queries spawn a local branch that never leaves the stub. Requires
-    /// the driver to supply stub assignments.
-    pub local_stub_optimization: bool,
-    /// Latency threshold used to decide "same stub" when the locality
-    /// optimization is on (§6.3 suggests a threshold heuristic).
+    /// The §6.3 transit-stub locality enhancement: a positive value turns
+    /// it on, and publishes and queries spawn a local branch that never
+    /// leaves the stub, where a neighbor is in the stub when it lies
+    /// within this latency (§6.3 suggests a threshold heuristic). Zero,
+    /// the default, turns it off.
     pub stub_latency_threshold: f64,
 }
 
@@ -104,7 +103,6 @@ impl Default for TapestryConfig {
             insert_level_timeout: SimTime::from_distance(50_000.0),
             maintenance: MaintenanceMode::Incremental,
             repairs_per_sec_per_node: 16,
-            local_stub_optimization: false,
             stub_latency_threshold: 0.0,
         }
     }

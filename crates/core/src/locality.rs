@@ -67,11 +67,7 @@ mod tests {
 
     #[test]
     fn local_routing_ignores_far_neighbors() {
-        let cfg = TapestryConfig {
-            local_stub_optimization: true,
-            stub_latency_threshold: 10.0,
-            ..Default::default()
-        };
+        let cfg = TapestryConfig { stub_latency_threshold: 10.0, ..Default::default() };
         let mut n = node(cfg);
         // A far (distance 100) digit-5 neighbor and a near (distance 2)
         // digit-9 neighbor.
@@ -88,11 +84,7 @@ mod tests {
 
     #[test]
     fn local_root_when_alone_in_stub() {
-        let cfg = TapestryConfig {
-            local_stub_optimization: true,
-            stub_latency_threshold: 10.0,
-            ..Default::default()
-        };
+        let cfg = TapestryConfig { stub_latency_threshold: 10.0, ..Default::default() };
         let mut n = node(cfg);
         n.table_mut().add_if_closer(names().nref(1), 3);
         // Only far neighbors: every level resolves through self entries and

@@ -290,15 +290,18 @@ impl TapestryNode {
 
     /// Probe every distinct neighbor; neighbors not heard from by the
     /// deadline are treated as failures (§5.2: detection by beacons or
-    /// timeouts). The driver's `AppProbe` is the only trigger, and it
-    /// numbers the round network-wide. Peers whose ping of this round
-    /// arrived before it started are answered already and are not pinged.
+    /// timeouts). Every certified peer outside the table is pinged too,
+    /// as a re-check of its certificate. The driver's `AppProbe` is the
+    /// only trigger, and it numbers the round network-wide. Peers whose
+    /// ping of this round arrived before it started are answered already
+    /// and are not pinged.
     pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, round: u64) {
         let probe = &mut self.probe;
         probe.round = round;
         probe.awaiting.clear();
         probe.awaiting.extend(self.table.refs().map(|r| (idx32(r.idx), Heard::Pending)));
-        probe.awaiting.sort_unstable_by_key(|&(idx, _)| idx);
+        probe.awaiting.extend(probe.certificates.iter().map(|&idx| (idx, Heard::Recheck)));
+        probe.awaiting.sort_unstable();
         probe.awaiting.dedup_by_key(|&mut (idx, _)| idx);
         if probe.early_round == round {
             for idx in &probe.early {
@@ -308,7 +311,10 @@ impl TapestryNode {
             }
         }
         probe.early.clear();
-        let pending = probe.awaiting.iter().filter(|&&(_, heard)| heard == Heard::Pending);
+        let pending = probe
+            .awaiting
+            .iter()
+            .filter(|&&(_, heard)| matches!(heard, Heard::Pending | Heard::Recheck));
         let pings = pending.clone().count();
         if pings > 0 {
             metrics::REPAIR_PINGS.add(ctx, pings as u64);
@@ -327,14 +333,16 @@ impl TapestryNode {
     /// have not started yet is also remembered, so that round neither
     /// pings the peer nor, by missing the evidence of our pong, declares
     /// it dead. A ping from a peer we hold a death certificate for is
-    /// late evidence, like a late pong.
+    /// late evidence too, in-round or not: across a healed partition both
+    /// sides certified each other, and their crossing pings readmit them.
     pub(crate) fn on_ping(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
         let probe = &mut self.probe;
+        let mut late = probe.certified(who.idx);
+        let mut answers = false;
         if round == probe.round {
-            match probe.answer(who.idx) {
-                Some(false) => return,
-                Some(true) => return self.record_late_ack(ctx, who),
-                None => {}
+            if let Some(missed) = probe.answer(who.idx) {
+                late |= missed;
+                answers = true;
             }
         } else if round > probe.round {
             if probe.early_round != round {
@@ -343,18 +351,22 @@ impl TapestryNode {
             }
             probe.early.push(idx32(who.idx));
         }
-        if self.dead_list.contains(&who.idx) {
+        if late {
             self.record_late_ack(ctx, who);
         }
-        metrics::REPAIR_PONGS.inc(ctx);
-        ctx.send(who.idx, Msg::Pong { round, me: self.me });
+        if !answers {
+            metrics::REPAIR_PONGS.inc(ctx);
+            ctx.send(who.idx, Msg::Pong { round, me: self.me });
+        }
     }
 
-    /// A neighbor answered a probe. An answer that matches no entry still
-    /// awaited in the current round — its round is stale, or it arrived
-    /// after this round's deadline — is late.
+    /// A neighbor answered a probe. An answer from a certified peer, or
+    /// one that matches no entry still awaited in the current round — its
+    /// round is stale, or it arrived after this round's deadline — is
+    /// late.
     pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
-        if round != self.probe.round || self.probe.answer(who.idx) != Some(false) {
+        let in_time = round == self.probe.round && self.probe.answer(who.idx) == Some(false);
+        if !in_time || self.probe.certified(who.idx) {
             self.record_late_ack(ctx, who);
         }
     }
@@ -367,24 +379,17 @@ impl TapestryNode {
         self.record_fact(ctx, FactKind::LateProbeAck, RepairTask::Readmit { peer: who });
     }
 
-    /// Probe deadline: every silent neighbor is declared dead. Fix local
-    /// state only (the paper's lazy stance): the evidence earns a death
+    /// Probe deadline: every silent neighbor is declared dead, and every
+    /// silent re-check forgotten (`ProbeState::deadline`). Fix local state
+    /// only (the paper's lazy stance): the evidence earns a death
     /// certificate and a fact, and the budgeted scheduler runs the
     /// targeted removal.
     pub(crate) fn on_probe_deadline(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, round: u64) {
         if round != self.probe.round {
             return;
         }
-        let mut dead: Vec<NodeIdx> = Vec::new();
-        for (idx, heard) in &mut self.probe.awaiting {
-            if *heard == Heard::Pending {
-                *heard = Heard::Missed;
-                dead.push(*idx as NodeIdx);
-            }
-        }
-        for d in dead {
+        for d in self.probe.deadline() {
             metrics::REPAIR_DETECTED_DEAD.inc(ctx);
-            self.dead_list.insert(d);
             self.record_fact(ctx, FactKind::MissedProbeAck, RepairTask::RemoveDead { peer: d });
         }
     }
@@ -407,9 +412,7 @@ impl TapestryNode {
             self.table
                 .slot(lvl, digit)
                 .iter()
-                .filter(|r| {
-                    r.idx != dead && r.idx != reply_to.idx && !self.dead_list.contains(&r.idx)
-                })
+                .filter(|r| r.idx != dead && r.idx != reply_to.idx && !self.probe.certified(r.idx))
                 .collect()
         } else {
             Vec::new()

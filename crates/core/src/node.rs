@@ -2,7 +2,7 @@ use crate::config::TapestryConfig;
 use crate::messages::{BatchInsertee, Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
-use crate::refs::{Backpointers, Names, NodeRef};
+use crate::refs::{idx32, Backpointers, Names, NodeRef};
 use crate::repair::{FactKind, RepairLedger, RepairTask};
 use crate::routing_table::RoutingTable;
 use rand::rngs::StdRng;
@@ -81,25 +81,32 @@ pub(crate) struct LeaveState {
     pub finished: bool,
 }
 
-/// What a node has heard from one neighbor it probes in its current
-/// round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a node has heard from one peer it probes in its current round.
+/// The order matters only to `start_probe_round`, which keeps the first
+/// entry per peer: a table neighbor is probed as such even when it also
+/// holds a death certificate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Heard {
-    /// Nothing yet, and the deadline has not passed.
+    /// A table neighbor: nothing yet, and the deadline has not passed.
     Pending,
-    /// A pong, or the neighbor's own ping of the same round.
+    /// A certified peer outside the table, pinged to re-check its
+    /// certificate: nothing yet, and the deadline has not passed.
+    Recheck,
+    /// A pong, or the peer's own ping of the same round.
     Answered,
-    /// Nothing by the deadline: declared dead.
+    /// Nothing by the deadline: a table neighbor is declared dead, a
+    /// re-checked peer is forgotten.
     Missed,
 }
 
-/// Failure-detection state (§5.2).
+/// Failure-detection state (§5.2), and the one owner of death
+/// certificates.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeState {
     /// Network-wide number of the latest round this node started (0:
     /// none yet).
     pub round: u64,
-    /// The neighbors probed in that round, ascending by index, each with
+    /// The peers probed in that round, ascending by index, each with
     /// what has been heard from it. An answer marks its entry and moves
     /// nothing, so the vector stays searchable; it outlives the deadline
     /// (a late answer finds its `Missed` entry), and the buffer is reused
@@ -111,15 +118,74 @@ pub(crate) struct ProbeState {
     /// started that round. They were ponged then; the round counts them
     /// answered and does not ping them.
     pub early: Vec<u32>,
+    /// Death certificates, ascending: peers declared dead on strong
+    /// evidence (a bounced message or a missed probe ack). Stale
+    /// `Candidates` / `ShareTable` gossip keeps naming dead nodes after
+    /// they are excised; without a certificate each mention re-adds the
+    /// corpse, the next contact bounces, and the remove/re-query cycle
+    /// repeats. A certificate lasts until the next round re-checks it:
+    /// that round pings every certified peer outside the table, an
+    /// answer (any ping or pong from it) readmits the peer, and silence
+    /// at the deadline forgets it — its entries were excised when it was
+    /// certified. So the set holds at most the certificates issued since
+    /// the previous round started. Node indices *are* reused (a failed
+    /// insertee's point returns to the runner's free list and a later
+    /// join takes it, under the same name), and a partition makes both
+    /// sides certify each other; the re-check is what lets either come
+    /// back.
+    pub certificates: Vec<u32>,
 }
 
 impl ProbeState {
     /// Mark `peer` answered in the current round. `None` when it was not
     /// probed in this round; otherwise whether the answer is late, i.e.
-    /// the deadline had already declared it dead.
+    /// the deadline had already passed it.
     pub fn answer(&mut self, peer: NodeIdx) -> Option<bool> {
         let at = self.awaiting.binary_search_by_key(&peer, |&(idx, _)| idx as NodeIdx).ok()?;
         Some(std::mem::replace(&mut self.awaiting[at].1, Heard::Answered) == Heard::Missed)
+    }
+
+    /// Does `peer` hold a death certificate?
+    pub fn certified(&self, peer: NodeIdx) -> bool {
+        self.certificates.binary_search(&idx32(peer)).is_ok()
+    }
+
+    /// Issue `peer` a death certificate (a no-op if it holds one).
+    pub fn certify(&mut self, peer: NodeIdx) {
+        if let Err(at) = self.certificates.binary_search(&idx32(peer)) {
+            self.certificates.insert(at, idx32(peer));
+        }
+    }
+
+    /// Tear up `peer`'s certificate: it answered, so it is alive.
+    pub fn tear_up(&mut self, peer: NodeIdx) {
+        if let Ok(at) = self.certificates.binary_search(&idx32(peer)) {
+            self.certificates.remove(at);
+        }
+    }
+
+    /// The round's deadline: every entry still silent becomes `Missed`.
+    /// Silent re-checks are forgotten, and silent table neighbors are
+    /// certified and returned for the caller to declare dead.
+    pub fn deadline(&mut self) -> Vec<NodeIdx> {
+        let mut dead = Vec::new();
+        let mut silent = Vec::new();
+        for (idx, heard) in &mut self.awaiting {
+            match *heard {
+                Heard::Pending => dead.push(*idx as NodeIdx),
+                Heard::Recheck => silent.push(*idx),
+                Heard::Answered | Heard::Missed => continue,
+            }
+            *heard = Heard::Missed;
+        }
+        // `silent` ascends by index, as `awaiting` does.
+        if !silent.is_empty() {
+            self.certificates.retain(|peer| silent.binary_search(peer).is_err());
+        }
+        for &peer in &dead {
+            self.certify(peer);
+        }
+        dead
     }
 }
 
@@ -145,6 +211,7 @@ pub struct TapestryNode {
     /// multicast time. When a node filling one appears here later (e.g. a
     /// concurrent insertee), the watcher is sent a `Candidates` report.
     pub(crate) watches: Vec<(NodeRef, usize, u8, OpId)>,
+    /// Probe rounds and the death certificates they re-check (§5.2).
     pub(crate) probe: ProbeState,
     /// Completed locate operations awaiting collection by the driver.
     pub(crate) locate_results: Vec<LocateResult>,
@@ -152,20 +219,6 @@ pub struct TapestryNode {
     pub(crate) pending_locates: BTreeMap<OpId, (tapestry_id::Guid, tapestry_sim::SimTime)>,
     /// Staleness-fact ledger and budgeted repair scheduler.
     pub(crate) repair: RepairLedger<RepairTask>,
-    /// Death certificates: peers declared dead by strong evidence (a
-    /// bounced message or a missed probe ack). Stale `Candidates` /
-    /// `ShareTable` gossip keeps naming dead nodes long after they are
-    /// excised; without this set each mention re-adds the corpse, the
-    /// next contact bounces, and the remove/re-query cycle repeats —
-    /// amplifying repair traffic super-linearly with n. Entries are
-    /// retired by a late probe ack (`Readmit`, the flapping path) or a
-    /// ping from the certified peer, and by nothing else: there is no
-    /// expiry. Node indices *are* reused — a failed insertee's point
-    /// returns to the runner's free list and a later join takes it, under
-    /// the same name — so every node that excised a point's predecessor
-    /// still certifies the re-joined point dead until it retires that
-    /// certificate.
-    pub(crate) dead_list: BTreeSet<NodeIdx>,
     pub(crate) rng: StdRng,
 }
 
@@ -223,7 +276,6 @@ impl TapestryNode {
             locate_results: Vec::new(),
             pending_locates: BTreeMap::new(),
             repair: RepairLedger::new(),
-            dead_list: BTreeSet::new(),
             rng: StdRng::seed_from_u64(seed ^ (me.idx as u64).wrapping_mul(0x9E37_79B9)),
         }
     }
@@ -333,7 +385,7 @@ impl TapestryNode {
     /// Measure, insert into the routing table, and maintain backpointers
     /// (`AddToTableIfCloser` with the §2.1 backpointer discipline).
     pub(crate) fn consider_neighbor(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, r: NodeRef) {
-        if r.idx == self.me.idx || self.dead_list.contains(&r.idx) {
+        if r.idx == self.me.idx || self.probe.certified(r.idx) {
             return;
         }
         let outcome = self.table.add_if_closer(r, self.cfg.redundancy);
@@ -459,13 +511,13 @@ impl Actor for TapestryNode {
     /// fully excised, further bounces carry no new evidence and are not
     /// recorded.
     fn on_contact_failed(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
-        let excised = self.dead_list.contains(&peer)
+        let excised = self.probe.certified(peer)
             && !self.table.contains(peer)
             && !self.backptrs.contains(peer);
         if excised {
             return;
         }
-        self.dead_list.insert(peer);
+        self.probe.certify(peer);
         self.record_fact(ctx, FactKind::FailedContact, RepairTask::RemoveDead { peer });
     }
 }
@@ -473,6 +525,58 @@ impl Actor for TapestryNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TapestryNetwork;
+    use tapestry_metric::TorusSpace;
+
+    fn torus_mesh(seed: u64) -> TapestryNetwork {
+        let space = TorusSpace::random(64, 1000.0, seed);
+        TapestryNetwork::build(TapestryConfig::default(), Box::new(space), seed)
+    }
+
+    /// Death certificates held across the live mesh.
+    fn certificates(net: &TapestryNetwork) -> usize {
+        net.node_ids().iter().map(|&m| net.node(m).unwrap().probe.certificates.len()).sum()
+    }
+
+    /// A point that dies and re-joins under its name is certified by
+    /// every node that held it. The next round re-checks those
+    /// certificates, the new node answers, and each holder takes it
+    /// back; one round later no certificate is left.
+    #[test]
+    fn a_rejoined_point_is_readmitted_and_certificates_drain() {
+        for seed in 1..=5 {
+            let mut net = torus_mesh(seed);
+            let point = net.node_ids()[5];
+            let holds =
+                |net: &TapestryNetwork, m: NodeIdx| net.node(m).unwrap().table.contains(point);
+            let holders: Vec<NodeIdx> =
+                net.node_ids().into_iter().filter(|&m| m != point && holds(&net, m)).collect();
+            net.kill(point);
+            net.probe_all();
+            assert!(net.insert_node(point), "seed {seed}: the point re-joins");
+            net.probe_all();
+            let back = holders.iter().filter(|&&m| holds(&net, m)).count();
+            assert_eq!(back, holders.len(), "seed {seed}: holders readmit the point");
+            net.probe_all();
+            assert_eq!(certificates(&net), 0, "seed {seed}");
+        }
+    }
+
+    /// Silence at a re-check forgets the certificate: after a mass
+    /// failure, one round certifies the dead and the next forgets them.
+    #[test]
+    fn certificates_of_the_dead_are_forgotten_by_the_next_round() {
+        for seed in 1..=5 {
+            let mut net = torus_mesh(seed);
+            for victim in net.node_ids().into_iter().step_by(2) {
+                net.kill(victim);
+            }
+            net.probe_all();
+            assert!(certificates(&net) > 0, "seed {seed}: the first round certifies");
+            net.probe_all();
+            assert_eq!(certificates(&net), 0, "seed {seed}");
+        }
+    }
 
     /// 816 bytes before the join state moved out of line and the `Id`
     /// shrank: what every node pays before its tables. Every node holds

@@ -265,7 +265,7 @@ impl TapestryNode {
                 // A late probe ack proves the peer is alive after all:
                 // tear up its death certificate before re-admitting it.
                 metrics::REPAIR_READMITTED.inc(ctx);
-                self.dead_list.remove(&peer.idx);
+                self.probe.tear_up(peer.idx);
                 self.consider_neighbor(ctx, peer);
             }
         }
@@ -312,7 +312,7 @@ impl TapestryNode {
         let mut peers: Vec<NodeRef> = Vec::new();
         for l in (level..self.table.levels()).rev() {
             for r in self.table.level_refs(l) {
-                if r.idx != dead && !self.dead_list.contains(&r.idx) && !peers.contains(&r) {
+                if r.idx != dead && !self.probe.certified(r.idx) && !peers.contains(&r) {
                     peers.push(r);
                     if peers.len() >= REQUERY_PEERS {
                         break;
@@ -328,7 +328,7 @@ impl TapestryNode {
                 .table
                 .all_refs()
                 .into_iter()
-                .filter(|r| r.idx != dead && !self.dead_list.contains(&r.idx))
+                .filter(|r| r.idx != dead && !self.probe.certified(r.idx))
                 .take(REQUERY_PEERS)
                 .collect();
         }

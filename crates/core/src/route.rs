@@ -38,7 +38,7 @@ impl TapestryNode {
             });
             self.handle_routed(ctx, None, m);
         }
-        if self.cfg.local_stub_optimization {
+        if self.cfg.stub_latency_threshold > 0.0 {
             // §6.3: spawn a local-branch publish that roots inside the stub.
             let m = Box::new(RoutedMsg {
                 kind: RoutedKind::Publish { guid, server: self.me },
@@ -82,7 +82,7 @@ impl TapestryNode {
             dist: 0.0,
             visited: Visited::default(),
             // §6.3: try to resolve within the stub first.
-            local_branch: self.cfg.local_stub_optimization,
+            local_branch: self.cfg.stub_latency_threshold > 0.0,
             trace,
         });
         self.handle_routed(ctx, None, m);

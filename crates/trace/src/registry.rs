@@ -299,7 +299,7 @@ pub mod metrics {
         Counter REPAIR_REROUTED: "repair.rerouted",
             "Pointers re-routed around dead servers";
         Counter REPAIR_READMITTED: "repair.readmitted",
-            "Flapping nodes re-admitted after a death certificate lapsed";
+            "Certified peers re-admitted after answering (a late ack, or a ping or pong)";
         Counter REPAIR_PROMOTIONS: "repair.promotions",
             "Backup neighbors promoted into dead primary slots";
         Gauge REPAIR_BACKLOG: "repair.backlog",
@@ -309,7 +309,7 @@ pub mod metrics {
         Counter REPAIR_FACT_MISSED_ACK: "repair.fact.missed_ack",
             "Facts from missed probe acknowledgments";
         Counter REPAIR_FACT_LATE_ACK: "repair.fact.late_ack",
-            "Facts from late probe acknowledgments";
+            "Facts from probe answers after the deadline or from certified peers";
         Counter REPAIR_FACT_EVICTION: "repair.fact.eviction",
             "Facts from table evictions";
     }

@@ -82,6 +82,37 @@ fn partition_loses_ops_and_heal_recovers() {
     assert_eq!(inv.roots_unique, inv.roots_sampled, "Theorem 2 holds after heal");
 }
 
+/// A probe round inside the cut makes each side certify the other as
+/// dead and excise it. The first round after the heal re-checks those
+/// certificates, the crossing pings readmit both sides, and the mesh
+/// returns to the table it had before the cut.
+#[test]
+fn partition_heal_reconverges_after_a_probe_in_the_cut() {
+    let warmup_entries = [43.969, 45.344, 45.344, 48.656, 44.375];
+    for (seed, want) in (42..=46).zip(warmup_entries) {
+        let mut spec = presets::preset("partition-heal", 64, 500, seed).unwrap();
+        let cut = &mut spec.phases[1];
+        assert_eq!(cut.name, "partitioned");
+        for c in &mut cut.churn {
+            if let ChurnSpec::ProbeAt { at } = c {
+                *at = 0.3;
+            }
+        }
+        let report = runner::run(&spec).unwrap();
+        let warmup = &report.phases[0];
+        let recovery = report.phases.last().unwrap();
+        let f3 = |x: f64| (x * 1000.0).round() / 1000.0;
+        assert_eq!(f3(warmup.avg_table_entries), want, "seed {seed}: warmup");
+        assert_eq!(
+            recovery.avg_table_entries, warmup.avg_table_entries,
+            "seed {seed}: the healed mesh has its warmup table back"
+        );
+        let inv = recovery.invariants.expect("checked recovery");
+        assert_eq!(inv.prop1_violations, 0, "seed {seed}: {inv:?}");
+        assert_eq!((inv.roots_unique, inv.roots_sampled), (7, 7), "seed {seed}: Theorem 2");
+    }
+}
+
 #[test]
 fn mass_failure_surfaces_drops_and_unreachability() {
     let report = runner::run(&presets::preset("mass-failure", 32, 200, 3).unwrap()).unwrap();

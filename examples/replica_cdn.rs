@@ -14,13 +14,9 @@ use tapestry::prelude::*;
 
 fn run(local_opt: bool) -> (f64, f64) {
     let space = TransitStubSpace::new(4, 4, 8, 99); // 128 nodes, 16 stubs
-    let threshold = space.local_threshold();
+    let threshold = if local_opt { space.local_threshold() } else { 0.0 };
     let stub_of: Vec<usize> = (0..space.len()).map(|i| space.stub_of(i)).collect();
-    let config = TapestryConfig {
-        local_stub_optimization: local_opt,
-        stub_latency_threshold: threshold,
-        ..Default::default()
-    };
+    let config = TapestryConfig { stub_latency_threshold: threshold, ..Default::default() };
     let mut net = TapestryNetwork::build(config, Box::new(space), 99);
 
     // Replicate one object into stubs 0, 5 and 10 (one server each).
