@@ -37,11 +37,10 @@ impl TapestryNode {
             op,
             surrogate: None,
             shared_len: 0,
-            hellos: Vec::new(),
+            hellos: ClosestK::default(),
             level: 0,
-            list: Vec::new(),
+            list: ClosestK::default(),
             pending: BTreeSet::new(),
-            acc: Vec::new(),
             k: self.cfg.k_for(8), // refined when the surrogate answers
             deferred,
             ready: None,
@@ -145,13 +144,18 @@ impl TapestryNode {
         }
     }
 
-    /// A multicast recipient announced itself (`SendID`): it belongs to
-    /// the level-`|α|` candidate list.
+    /// A multicast recipient announced itself (`SendID`): it is a
+    /// candidate for the level-`|α|` list. Once the join finished it is
+    /// only a neighbor offer.
     pub(crate) fn on_hello(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId, who: NodeRef) {
         self.consider_neighbor(ctx, who);
+        if self.status != NodeStatus::Inserting {
+            return;
+        }
+        let me = self.me.idx;
         if let Some(ins) = self.insert.as_mut() {
             if ins.op == op {
-                ins.hellos.push(who);
+                ins.hellos.offer(ins.k, me, [who], |r| ctx.distance(me, r));
             }
         }
     }
@@ -172,28 +176,13 @@ impl TapestryNode {
     /// level-by-level neighbor-table build (Fig. 4) from the multicast's
     /// `SendID` list.
     pub(crate) fn on_mcast_done(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, op: OpId) {
-        let me = self.me;
+        let me = self.me.idx;
         let Some(ins) = self.insert.as_mut() else { return };
         if ins.op != op {
             return;
         }
-        let k = ins.k;
-        let mut list = std::mem::take(&mut ins.hellos);
-        if let Some(s) = ins.surrogate {
-            list.push(s);
-        }
-        list.sort();
-        list.dedup();
-        list.retain(|r| r.idx != me.idx);
-        // KeepClosestK over the level-|α| candidates. The list was just
-        // sorted by NodeRef (ascending idx), and sort_by is stable, so
-        // equal distances keep ascending-idx order: (distance, index).
-        // tapestry-lint: allow(float-tiebreak)
-        list.sort_by(|a, b| {
-            ctx.distance(me.idx, a.idx).partial_cmp(&ctx.distance(me.idx, b.idx)).unwrap()
-        });
-        list.truncate(k);
-        ins.list = list;
+        ins.hellos.offer(ins.k, me, ins.surrogate, |r| ctx.distance(me, r));
+        ins.list = std::mem::take(&mut ins.hellos);
         if ins.shared_len == 0 {
             // The multicast covered the whole network: the level-0 list is
             // already in hand and the table is fully built.
@@ -212,8 +201,7 @@ impl TapestryNode {
         let timeout = self.cfg.insert_level_timeout;
         let ins = self.insert.as_mut().expect("inserting");
         let op = ins.op;
-        ins.acc.clear();
-        ins.pending = ins.list.iter().map(|r| r.idx).collect();
+        ins.pending = ins.list.refs().map(|r| r.idx).collect();
         if ins.pending.is_empty() {
             self.finalize_level(ctx, level);
             return;
@@ -244,7 +232,8 @@ impl TapestryNode {
         ctx.send(new_node.idx, Msg::Pointers { op, level, refs });
     }
 
-    /// A list member's pointers arrived.
+    /// A list member's pointers arrived: merge them into the list
+    /// (`KeepClosestK(temp ∪ nextList)`, one reply at a time).
     pub(crate) fn on_pointers(
         &mut self,
         ctx: &mut Ctx<'_, Msg, Timer>,
@@ -253,11 +242,12 @@ impl TapestryNode {
         level: usize,
         refs: Vec<NodeRef>,
     ) {
+        let me = self.me.idx;
         let Some(ins) = self.insert.as_mut() else { return };
-        if ins.op != op || ins.level != level {
-            return; // stale reply from a timed-out level
+        if ins.op != op || ins.level != level || ins.pending.is_empty() {
+            return; // stale reply from a timed-out level or a finished join
         }
-        ins.acc.extend(refs);
+        ins.list.offer(ins.k, me, refs, |r| ctx.distance(me, r));
         let done = ins.pending.remove(&from) && ins.pending.is_empty();
         if done {
             self.finalize_level(ctx, level);
@@ -286,30 +276,17 @@ impl TapestryNode {
         self.finalize_level(ctx, level);
     }
 
-    /// `KeepClosestK(temp ∪ nextList)` then `BuildTableFromList`
-    /// (Fig. 4): trim the merged candidates to the closest `k`, absorb
-    /// them into the table, and descend a level (or finish at level 0).
+    /// `BuildTableFromList` (Fig. 4): absorb the level's closest `k`
+    /// into the table, and descend a level (or finish at level 0).
     fn finalize_level(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, level: usize) {
-        let me = self.me;
         let ins = self.insert.as_mut().expect("inserting");
-        let k = ins.k;
-        let mut merged: Vec<NodeRef> = std::mem::take(&mut ins.acc);
-        merged.extend(ins.list.iter().copied());
-        merged.sort();
-        merged.dedup();
-        merged.retain(|r| r.idx != me.idx);
-        // Stable sort over the just-sorted (ascending idx) merge: ties
-        // resolve to the lowest idx — the (distance, index) contract.
-        // tapestry-lint: allow(float-tiebreak)
-        merged.sort_by(|a, b| {
-            ctx.distance(me.idx, a.idx).partial_cmp(&ctx.distance(me.idx, b.idx)).unwrap()
-        });
-        merged.truncate(k);
+        debug_assert!(ins.list.len() <= ins.k, "KeepClosestK keeps k");
         ins.pending.clear();
-        for &r in &merged {
+        let list = std::mem::take(&mut ins.list);
+        for r in list.refs() {
             self.consider_neighbor(ctx, r);
         }
-        self.insert.as_mut().expect("inserting").list = merged;
+        self.insert.as_mut().expect("inserting").list = list;
         if level == 0 {
             self.finish_insert(ctx);
         } else {
@@ -323,11 +300,139 @@ impl TapestryNode {
         self.status = NodeStatus::Active;
         metrics::INSERT_COMPLETED.inc(ctx);
         // Keep the surrogate reference for late-arriving queries; the
-        // insert state itself is finished.
+        // candidate lists are done with, so free them.
         if let Some(ins) = self.insert.as_mut() {
             ins.pending.clear();
-            ins.acc.clear();
-            ins.hellos.clear();
+            ins.list = ClosestK::default();
+            ins.hellos = ClosestK::default();
+        }
+    }
+}
+
+/// Fig. 4's `KeepClosestK`, applied as candidates arrive: at most `k`
+/// refs, ascending by `(distance from the owner, address)`, no address
+/// twice and never the owner's. A candidate's distance is read once, when
+/// it is offered, and kept beside it; the list never grows past `k`.
+#[derive(Debug, Default)]
+pub(crate) struct ClosestK(Vec<(f64, NodeRef)>);
+
+impl ClosestK {
+    /// Merge `candidates` into a list of at most `k` that belongs to
+    /// `owner`; `dist` reads a candidate's distance from the owner.
+    pub(crate) fn offer(
+        &mut self,
+        k: usize,
+        owner: NodeIdx,
+        candidates: impl IntoIterator<Item = NodeRef>,
+        dist: impl Fn(NodeIdx) -> f64,
+    ) {
+        for r in candidates {
+            if r.idx == owner {
+                continue;
+            }
+            let d = dist(r.idx);
+            let key = |e: &(f64, NodeRef)| {
+                e.0.partial_cmp(&d).expect("distances are numbers").then(e.1.idx.cmp(&r.idx))
+            };
+            // `Ok`: held already. `Err(at)` past `k`: not among the closest.
+            if let Err(at) = self.0.binary_search_by(key) {
+                if at < k {
+                    if self.0.len() == k {
+                        self.0.pop();
+                    }
+                    self.0.reserve_exact(k - self.0.len());
+                    self.0.insert(at, (d, r));
+                }
+            }
+        }
+    }
+
+    /// The list, closest first.
+    pub(crate) fn refs(&self) -> impl Iterator<Item = NodeRef> + '_ {
+        self.0.iter().map(|&(_, r)| r)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Refs of room held.
+    pub(crate) fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ClosestK;
+    use crate::refs::NodeRef;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use tapestry_id::{Id, IdSpace};
+    use tapestry_metric::{GridSpace, MetricSpace, TorusSpace};
+
+    /// `KeepClosestK` as it was computed over the whole union of a
+    /// level's replies: sort, dedup, drop the owner, stable sort by
+    /// distance, truncate. (`total_cmp` orders distances, which are never
+    /// NaN or −0, exactly as `partial_cmp` did.)
+    fn keep_closest_k(
+        metric: &dyn MetricSpace,
+        me: NodeRef,
+        k: usize,
+        mut merged: Vec<NodeRef>,
+    ) -> Vec<NodeRef> {
+        merged.sort();
+        merged.dedup();
+        merged.retain(|r| r.idx != me.idx);
+        merged.sort_by(|a, b| {
+            metric.distance(me.idx, a.idx).total_cmp(&metric.distance(me.idx, b.idx))
+        });
+        merged.truncate(k);
+        merged
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Candidates offered in any order, split across any replies,
+        /// leave the bounded list equal to `KeepClosestK` of their union,
+        /// order and ties included, and never with room for more than k.
+        #[test]
+        fn bounded_merge_equals_keep_closest_k(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // On a lattice many candidates sit at equal distances from
+            // the owner, so the address tie-break decides the order.
+            let metric: Box<dyn MetricSpace> = if rng.gen_bool(0.5) {
+                Box::new(GridSpace::new(9, 9, 1.0))
+            } else {
+                Box::new(TorusSpace::random(81, 100.0, seed))
+            };
+            let n = metric.len();
+            let space = IdSpace::new(4, 4);
+            let refs: Vec<NodeRef> =
+                (0..n).map(|i| NodeRef::new(i, Id::from_u64(space, i as u64 * 37))).collect();
+            let me = refs[rng.gen_range(0..n)];
+            for k in [1, 3, 39] {
+                // Up to 120 draws from 81 points: duplicates, often fewer
+                // than k distinct candidates, sometimes the owner itself.
+                let draws = rng.gen_range(0..120usize);
+                let mut cands: Vec<NodeRef> = (0..draws).map(|_| refs[rng.gen_range(0..n)]).collect();
+                if rng.gen_bool(0.5) {
+                    cands.push(me);
+                }
+                let want = keep_closest_k(&*metric, me, k, cands.clone());
+                cands.shuffle(&mut rng);
+                let mut got = ClosestK::default();
+                let mut rest = &cands[..];
+                while !rest.is_empty() {
+                    let (reply, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                    got.offer(k, me.idx, reply.iter().copied(), |r| metric.distance(me.idx, r));
+                    proptest::prop_assert!(got.capacity() <= k);
+                    rest = tail;
+                }
+                proptest::prop_assert_eq!(got.refs().collect::<Vec<_>>(), want);
+            }
         }
     }
 }

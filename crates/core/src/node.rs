@@ -1,4 +1,5 @@
 use crate::config::TapestryConfig;
+use crate::insert::ClosestK;
 use crate::messages::{BatchInsertee, Msg, OpId, Timer};
 use crate::network::LocateResult;
 use crate::object_store::ObjectStore;
@@ -33,17 +34,17 @@ pub(crate) struct InsertState {
     pub op: OpId,
     pub surrogate: Option<NodeRef>,
     pub shared_len: usize,
-    /// `SendID` announcements collected from the multicast.
-    pub hellos: Vec<NodeRef>,
+    /// The closest `k` of the `SendID` announcements the multicast
+    /// brought: the level-`|α|` list in the making.
+    pub hellos: ClosestK,
     /// Level currently being fetched by `GetNextList`.
     pub level: usize,
-    /// Current closest-k list.
-    pub list: Vec<NodeRef>,
+    /// Fig. 4's list: the closest `k` so far. A level starts from the
+    /// previous level's list and merges each `Pointers` reply into it.
+    pub list: ClosestK,
     /// Nodes whose `Pointers` reply is still outstanding.
     pub pending: BTreeSet<NodeIdx>,
-    /// Refs accumulated for the level being fetched.
-    pub acc: Vec<NodeRef>,
-    /// List size `k` (fixed at insertion start).
+    /// List size `k` (refined once, when the table copy arrives).
     pub k: usize,
     /// Deferred mode (`StartInsert { deferred: true }`): stop after
     /// Fig. 7 step 3 and wait for the driver to launch a shared wave.
@@ -320,6 +321,14 @@ impl TapestryNode {
     /// name directory is [`Names::heap_bytes`], once per network.)
     pub fn heap_bytes(&self) -> usize {
         self.table.heap_bytes() + self.backptrs.heap_bytes()
+    }
+
+    /// Room for candidate refs that the insertion state holds (the
+    /// `SendID` list and Fig. 4's list, by capacity), with the join's
+    /// list size `k`. `None` for a node that never joined.
+    pub fn insertion_candidates(&self) -> Option<(usize, usize)> {
+        let ins = self.insert.as_ref()?;
+        Some((ins.hellos.capacity() + ins.list.capacity(), ins.k))
     }
 
     /// Voluntary departure finished — safe to remove from the engine.

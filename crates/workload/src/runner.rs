@@ -610,6 +610,7 @@ fn spot_checks(
 mod tests {
     use super::*;
     use crate::presets;
+    use tapestry_core::NodeStatus;
 
     /// Slots of live tables not sorted by `(distance from the owner,
     /// address)`, as `(owner, level, digit)`. A table keeps no distances;
@@ -636,8 +637,27 @@ mod tests {
         bad
     }
 
+    /// Live nodes that joined whose insertion state holds room for more
+    /// candidate refs than it may: more than `k` while the join runs, any
+    /// once it finished. Also returns how many live nodes joined.
+    fn oversized_insertion_state(net: &TapestryNetwork) -> (Vec<(NodeIdx, usize)>, usize) {
+        let mut bad = Vec::new();
+        let mut joined = 0;
+        for &m in net.members() {
+            let Some(node) = net.node(m) else { continue };
+            let Some((held, k)) = node.insertion_candidates() else { continue };
+            joined += 1;
+            let allowed = if node.status() == NodeStatus::Inserting { k } else { 0 };
+            if held > allowed {
+                bad.push((m, held));
+            }
+        }
+        (bad, joined)
+    }
+
     /// Joins, leaves, kills and repair all offer to and evict from the
-    /// tables; after each run every slot is still in distance order.
+    /// tables; after each run every slot is still in distance order, and
+    /// no joined node keeps more insertion state than Fig. 4's k.
     #[test]
     fn churned_tables_stay_in_distance_order() {
         let runs = [
@@ -649,6 +669,9 @@ mod tests {
             let churn: u64 = report.phases.iter().map(|p| p.churn.joins_ok + p.churn.kills).sum();
             assert!(churn > 0, "{}: the run churned", spec.name);
             assert_eq!(slots_out_of_order(&net), [], "{}", spec.name);
+            let (oversized, joined) = oversized_insertion_state(&net);
+            assert!(joined > 0, "{}: live nodes joined", spec.name);
+            assert_eq!(oversized, [], "{}", spec.name);
         }
     }
 }
