@@ -1,4 +1,4 @@
-//! Baseline object-location systems for the paper's Table 1.
+//! The comparison schemes of the paper's Table 1.
 //!
 //! The paper compares Tapestry against Chord, CAN, Pastry, Viceroy and the
 //! PRR family on four axes: insertion cost, per-node space, query hops and
@@ -8,7 +8,9 @@
 //! same metric spaces as the Tapestry simulation, with joins performed
 //! through the overlay (so join message counts are honest) and lookups
 //! returning explicit node paths whose metric length gives latency and
-//! stretch.
+//! stretch. [`PrrV0`] is the "PRR v.0 + this paper" row: §7's static
+//! random-sampling scheme for general metric spaces (Theorem 7), built
+//! once over a fixed member set, with no join protocol.
 //!
 //! Unlike `tapestry-core`, these models are not event-driven: Table 1's
 //! quantities (hops, messages, entries) are path/structure properties and
@@ -25,6 +27,7 @@ mod centralized;
 mod chord;
 mod common;
 mod pastry;
+mod prrv0;
 
 pub use broadcast::Broadcast;
 pub use can::Can;
@@ -32,3 +35,4 @@ pub use centralized::CentralizedDirectory;
 pub use chord::Chord;
 pub use common::{path_distance, LocatorSystem, LookupPath, SpaceStats};
 pub use pastry::Pastry;
+pub use prrv0::{sample_sets, PrrV0, PrrV0Lookup, SamplingParams};

@@ -1,9 +1,25 @@
-// Every HashMap in this module (member_pos, lists, list_sizes) is built
-// once from deterministic input and then only read by key lookup — no
-// iteration ever escapes, so hash order cannot reach a report.
-// tapestry-lint: allow-file(hash-iter)
-use crate::sampling::{sample_sets, SamplingParams};
-use std::collections::HashMap;
+//! PRR v.0: the paper's §7 scheme for **general metric spaces**.
+//!
+//! A static random-sampling structure: for `i ∈ [1, log n]` and
+//! `j ∈ [0, c·log n]`, the set `S_{i,j}` samples each node with
+//! probability `2^i / n` (nested in `i`, as the end of the proof of
+//! Theorem 7 requires), plus a single global node `S_{0,0}`. Every node
+//! stores its closest member of each `S_{i,j}`; every sampled node stores
+//! the objects of the nodes that point to it. A query descends from the
+//! densest level: at level `i` it asks its `c·log n` representatives in
+//! parallel, stopping at the first level where some representative is
+//! shared with the object's server.
+//!
+//! Theorem 7: the first shared level satisfies
+//! `d(S_{i*,j}, X) ≤ d(X, Y)·log n` w.h.p., giving polylogarithmic
+//! stretch with `O(log² n)` average space — on *any* metric, no
+//! growth-restriction needed. This module reproduces the scheme and its
+//! measured columns in Table 1 (the `PRR v.0 + This Paper` row).
+
+mod sampling;
+
+pub use sampling::{sample_sets, SamplingParams};
+use std::collections::{BTreeMap, BTreeSet};
 use tapestry_metric::{MetricSpace, PointIdx};
 
 /// Result of one PRR v.0 lookup.
@@ -28,11 +44,11 @@ pub struct PrrV0 {
     /// `rep[m_idx][i][j]`: the member of `S_{i,j}` closest to member
     /// `members[m_idx]` (`None` when the sparse sample came up empty).
     rep: Vec<Vec<Vec<Option<PointIdx>>>>,
-    member_pos: HashMap<PointIdx, usize>,
+    member_pos: BTreeMap<PointIdx, usize>,
     /// Directory lists at sampled nodes: `(sample node, key) → servers`.
-    lists: HashMap<(PointIdx, u64), Vec<PointIdx>>,
+    lists: BTreeMap<(PointIdx, u64), Vec<PointIdx>>,
     /// Per-node directory entry counts (space accounting).
-    list_sizes: HashMap<PointIdx, usize>,
+    list_sizes: BTreeMap<PointIdx, usize>,
 }
 
 impl PrrV0 {
@@ -65,8 +81,8 @@ impl PrrV0 {
             params,
             rep,
             member_pos,
-            lists: HashMap::new(),
-            list_sizes: HashMap::new(),
+            lists: BTreeMap::new(),
+            list_sizes: BTreeMap::new(),
         }
     }
 
@@ -91,7 +107,7 @@ impl PrrV0 {
     /// spent (one per distinct representative).
     pub fn publish(&mut self, server: PointIdx, key: u64) -> u64 {
         let pos = self.member_pos[&server];
-        let mut informed = std::collections::BTreeSet::new();
+        let mut informed = BTreeSet::new();
         for per_col in &self.rep[pos] {
             for &s in per_col.iter().flatten() {
                 if informed.insert(s) {

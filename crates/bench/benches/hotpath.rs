@@ -1,9 +1,10 @@
-//! Microbenchmarks of the scale-pass hot paths: surrogate-routing
+//! The workspace's layer rows, one Criterion target. Microbenchmarks of
+//! the scale-pass hot paths: surrogate-routing
 //! `next_hop` on a realistically filled table, nearest-neighbor queries
 //! through the coordinate index vs the brute-force scan, the static
 //! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
-//! routing table's whole-table passes, name comparison and the object
-//! store at the size a node's is, raw engine
+//! routing table's whole-table passes, name comparison, conversion and
+//! root mapping, and the object store at the size a node's is, raw engine
 //! event dispatch, a send from inside a handler, a fan-out of one message
 //! to 100 targets against a loop of sends, a counter bump, the
 //! event queue at the two depths the benchmark workloads show, and the
@@ -11,17 +12,25 @@
 //! are the inner loops a 10k-node scenario run spends its time in; the
 //! scale sweep (`sweeps/scale.spec`) measures them end to end, this file
 //! isolates them.
+//!
+//! Then whole operations on small networks: static construction,
+//! publication and location on a prebuilt mesh (`overlay/*`, the Figs. 2–3
+//! operations), a join (Fig. 7, with the acknowledged multicast and the
+//! Fig. 4 table build), a voluntary departure (Fig. 12) and a probe round
+//! after a kill (`dynamics/*`), and the Table 1 comparison schemes: Chord,
+//! CAN and Pastry lookups and Pastry joins (`baselines/*`), and §7's
+//! PRR v.0 build, publish and level-descending lookup (`prrv0/*`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::mem::size_of;
 use std::sync::Arc;
+use tapestry_baselines::{Can, Chord, LocatorSystem, Pastry, PrrV0};
 use tapestry_core::{
     Msg, Names, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
 };
-use tapestry_id::Guid;
-use tapestry_id::{Id, IdSpace};
+use tapestry_id::{map_roots, Guid, Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
 use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimStats, SimTime, EXTERNAL};
 use tapestry_trace::metrics;
@@ -140,7 +149,8 @@ fn bench_store(c: &mut Criterion, mut net: TapestryNetwork) {
 }
 
 /// Names as the routing and bootstrap loops use them: where two names
-/// diverge, and which sorts first. Half the pairs share a few digits.
+/// diverge, and which sorts first (half the pairs share a few digits);
+/// the `u64` round trip, and an object's four root names.
 fn bench_id(c: &mut Criterion) {
     let s = IdSpace::base16();
     let mut rng = StdRng::seed_from_u64(3);
@@ -167,6 +177,17 @@ fn bench_id(c: &mut Criterion) {
             i = (i + 1) % pairs.len();
             black_box(black_box(&pairs[i].0).cmp(black_box(&pairs[i].1)))
         })
+    });
+    c.bench_function("id/from_u64_roundtrip", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v = v.wrapping_add(0x9E37_79B9);
+            black_box(Id::from_u64(s, v & 0xFFFF_FFFF).to_u64())
+        })
+    });
+    c.bench_function("id/map_roots_4", |b| {
+        let g = Guid::from_u64(s, 0xDEAD_BEEF);
+        b.iter(|| black_box(map_roots(s, g, 4)))
     });
 }
 
@@ -478,6 +499,158 @@ fn bench_collect_idle(c: &mut Criterion) {
     });
 }
 
+/// A static mesh of `n` random points on a 1 000-unit torus.
+fn build_net(n: usize, seed: u64) -> TapestryNetwork {
+    let space = TorusSpace::random(n, 1000.0, seed);
+    TapestryNetwork::build(TapestryConfig::default(), Box::new(space), seed)
+}
+
+/// Whole overlay operations: a static build, one publication (on a fresh
+/// network per iteration) and one location, each including its simulated
+/// message exchange.
+fn bench_overlay(c: &mut Criterion) {
+    c.bench_function("overlay/static_build_128", |b| b.iter(|| black_box(build_net(128, 3))));
+    c.bench_function("overlay/publish_256", |b| {
+        b.iter_batched(
+            || build_net(256, 4),
+            |mut net| {
+                let g = net.random_guid();
+                net.publish(net.node_ids()[7], g);
+                black_box(net)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    let mut net = build_net(256, 5);
+    let mut guids = Vec::new();
+    for i in 0..32 {
+        let g = net.random_guid();
+        net.publish(net.node_ids()[i * 7], g);
+        guids.push(g);
+    }
+    c.bench_function("overlay/locate_256", |b| {
+        let mut q = 0usize;
+        b.iter(|| {
+            q += 1;
+            let origin = net.node_ids()[(q * 13) % 256];
+            black_box(net.locate(origin, guids[q % guids.len()]))
+        })
+    });
+}
+
+/// A network of the first `n0` of `n_total` torus points, the rest free
+/// to join.
+fn boot(n_total: usize, n0: usize, seed: u64) -> TapestryNetwork {
+    let space = TorusSpace::random(n_total, 1000.0, seed);
+    TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), seed, n0)
+}
+
+/// Membership changes, each on a fresh network: one join into 128 nodes,
+/// one voluntary departure, and the probe round that finds a killed node.
+fn bench_dynamics(c: &mut Criterion) {
+    c.bench_function("dynamics/insert_into_128", |b| {
+        b.iter_batched(
+            || boot(129, 128, 7),
+            |mut net| {
+                assert!(net.insert_node(128));
+                black_box(net)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("dynamics/voluntary_leave_128", |b| {
+        b.iter_batched(
+            || boot(128, 128, 8),
+            |mut net| {
+                let m = net.node_ids()[64];
+                assert!(net.leave(m));
+                black_box(net)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function("dynamics/probe_round_after_kill_64", |b| {
+        b.iter_batched(
+            || {
+                let mut net = boot(64, 64, 9);
+                net.kill(net.node_ids()[10]);
+                net
+            },
+            |mut net| {
+                net.probe_all();
+                black_box(net)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+/// One lookup row of a Table 1 system: 32 keys published over its 256
+/// members, then lookups from every 13th member in turn.
+fn bench_lookup(c: &mut Criterion, name: &str, sys: &mut dyn LocatorSystem) {
+    for k in 0..32u64 {
+        sys.publish((k as usize * 7) % 256, k);
+    }
+    c.bench_function(name, |b| {
+        let mut q = 0u64;
+        b.iter(|| {
+            q += 1;
+            black_box(sys.locate((q as usize * 13) % 256, q % 32))
+        })
+    });
+}
+
+/// The Table 1 comparison schemes: Chord, CAN and Pastry lookups on 256
+/// joined nodes, 64 Pastry joins, and PRR v.0's build, publication and
+/// lookup.
+fn bench_baselines(c: &mut Criterion) {
+    let mut chord = Chord::for_size(256, 1);
+    let mut can = Can::new(2);
+    let mut pastry = Pastry::new(3);
+    for p in 0..256 {
+        chord.join(p);
+        can.join(p);
+        pastry.join(p);
+    }
+    bench_lookup(c, "baselines/chord_lookup_256", &mut chord);
+    bench_lookup(c, "baselines/can_lookup_256", &mut can);
+    bench_lookup(c, "baselines/pastry_lookup_256", &mut pastry);
+    c.bench_function("baselines/pastry_join_64", |b| {
+        b.iter(|| {
+            let mut sys = Pastry::new(4);
+            for p in 0..64 {
+                sys.join(p);
+            }
+            black_box(sys.join_messages())
+        })
+    });
+    c.bench_function("prrv0/build_256", |b| {
+        b.iter(|| {
+            let space = TorusSpace::random(256, 1000.0, 11);
+            black_box(PrrV0::build(Box::new(space), (0..256).collect(), 2, 11))
+        })
+    });
+    let space = TorusSpace::random(512, 1000.0, 12);
+    let mut sys = PrrV0::build(Box::new(space), (0..512).collect(), 2, 12);
+    for k in 0..64u64 {
+        sys.publish((k as usize * 7) % 512, k);
+    }
+    c.bench_function("prrv0/publish_512", |b| {
+        let mut k = 1000u64;
+        b.iter(|| {
+            k += 1;
+            black_box(sys.publish((k as usize * 11) % 512, k))
+        })
+    });
+    c.bench_function("prrv0/locate_512", |b| {
+        let mut q = 0u64;
+        b.iter(|| {
+            q += 1;
+            black_box(sys.locate((q as usize * 13) % 512, q % 64))
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_nearest,
@@ -490,6 +663,9 @@ criterion_group!(
     bench_send_deliver,
     bench_counter_bump,
     bench_queue,
-    bench_collect_idle
+    bench_collect_idle,
+    bench_overlay,
+    bench_dynamics,
+    bench_baselines
 );
 criterion_main!(benches);

@@ -7,9 +7,9 @@
 //! prints both metrics across n alongside the log² / log³ reference
 //! columns.
 
+use tapestry_baselines::PrrV0;
 use tapestry_bench::{f2, header, parallel_sweep, percentile, row};
 use tapestry_metric::{MetricSpace, TorusSpace, TransitStubSpace};
-use tapestry_prrv0::PrrV0;
 
 const OBJECTS: usize = 32;
 

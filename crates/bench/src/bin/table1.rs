@@ -15,12 +15,11 @@
 //! concentrates all load on one node.
 
 use tapestry_baselines::{
-    path_distance, Broadcast, Can, CentralizedDirectory, Chord, LocatorSystem, Pastry,
+    path_distance, Broadcast, Can, CentralizedDirectory, Chord, LocatorSystem, Pastry, PrrV0,
 };
 use tapestry_bench::{f2, header, mean, parallel_sweep, percentile, row};
 use tapestry_core::{TapestryConfig, TapestryNetwork};
 use tapestry_metric::{MetricSpace, TorusSpace};
-use tapestry_prrv0::PrrV0;
 
 const SIDE: f64 = 1000.0;
 const OBJECTS: usize = 64;

@@ -97,9 +97,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    // Plain f64 values: equal elements are interchangeable, so tie order
-    // cannot change the nearest-rank read below.
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // tapestry-lint: allow(float-tiebreak)
+    v.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
     v[rank.min(v.len() - 1)]
 }

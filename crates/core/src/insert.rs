@@ -41,7 +41,9 @@ impl TapestryNode {
             level: 0,
             list: ClosestK::default(),
             pending: BTreeSet::new(),
-            k: self.cfg.k_for(8), // refined when the surrogate answers
+            // Admission fixed `list_size_k` for the population this node
+            // joins, so `k_for` returns it whatever `n` it is given.
+            k: self.cfg.k_for(0),
             deferred,
             ready: None,
         }));
@@ -110,19 +112,11 @@ impl TapestryNode {
         if ins.op != op {
             return;
         }
-        // Refine k now that we have a population estimate: the surrogate's
-        // table references Θ(b·log n) distinct nodes.
-        let est_n = (refs.len().max(2)) * self.cfg.base().max(2);
         for r in refs {
             self.consider_neighbor(ctx, r);
         }
         let ins = self.insert.as_mut().expect("still inserting");
         ins.shared_len = shared_len;
-        if self.cfg.list_size_k.is_none() {
-            ins.k = self.cfg.k_for(est_n);
-        } else {
-            ins.k = self.cfg.k_for(0);
-        }
         // Watch list: every hole at levels up to the shared prefix.
         let mut watch = Vec::new();
         for lvl in 0..=shared_len.min(self.cfg.levels() - 1) {

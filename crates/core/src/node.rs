@@ -44,7 +44,8 @@ pub(crate) struct InsertState {
     pub list: ClosestK,
     /// Nodes whose `Pointers` reply is still outstanding.
     pub pending: BTreeSet<NodeIdx>,
-    /// List size `k` (refined once, when the table copy arrives).
+    /// List size `k`: `list_size_k`, which admission fixes for the
+    /// population the node joins when the configuration leaves it open.
     pub k: usize,
     /// Deferred mode (`StartInsert { deferred: true }`): stop after
     /// Fig. 7 step 3 and wait for the driver to launch a shared wave.
@@ -241,6 +242,8 @@ impl TapestryNode {
     }
 
     /// Create a node that will join dynamically (`StartInsert` expected).
+    /// Its join keeps `cfg.list_size_k` candidates per level; network
+    /// admission sets it for the population the node joins.
     pub fn new_inserting(
         cfg: TapestryConfig,
         names: Names,

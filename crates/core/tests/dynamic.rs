@@ -21,6 +21,21 @@ fn single_insert_completes_and_joins_mesh() {
 }
 
 #[test]
+fn join_list_size_is_fixed_at_admission() {
+    // Left open, a join's `k` is the one for the population it joins
+    // (the members plus itself); an explicit `list_size_k` is kept.
+    let mut net = boot(65, 64, 23);
+    assert!(net.insert_node(64));
+    let k = net.node(64).unwrap().insertion_candidates().expect("joined").1;
+    assert_eq!(k, TapestryConfig::default().k_for(65));
+    let cfg = TapestryConfig { list_size_k: Some(5), ..Default::default() };
+    let space = TorusSpace::random(65, 1000.0, 23);
+    let mut net = TapestryNetwork::bootstrap(cfg, Box::new(space), 23, 64);
+    assert!(net.insert_node(64));
+    assert_eq!(net.node(64).unwrap().insertion_candidates().expect("joined").1, 5);
+}
+
+#[test]
 fn inserted_node_is_routable_and_can_route() {
     let mut net = boot(41, 40, 22);
     net.insert_node(40);

@@ -84,8 +84,8 @@ pub const RULES: &[(&str, &str)] = &[
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateClass {
     /// Byte-identical-report surface: every rule applies (baselines,
-    /// core, id, membership, metric, prrv0, sim, trace, workload, lint
-    /// itself, the facade and the examples).
+    /// with §7's PRR v.0, core, id, membership, metric, sim, trace,
+    /// workload, lint itself, the facade and the examples).
     Deterministic,
     /// Measures wall-clock on purpose (bench): every rule except
     /// `wall-clock`.
@@ -113,7 +113,6 @@ pub const WORKSPACE_TARGETS: &[(&str, GateClass)] = &[
     ("crates/lint/src", GateClass::Deterministic),
     ("crates/membership/src", GateClass::Deterministic),
     ("crates/metric/src", GateClass::Deterministic),
-    ("crates/prrv0/src", GateClass::Deterministic),
     ("crates/sim/src", GateClass::Deterministic),
     ("crates/trace/src", GateClass::Deterministic),
     ("crates/workload/src", GateClass::Deterministic),

@@ -32,7 +32,6 @@ pub use tapestry_core as core;
 pub use tapestry_id as id;
 pub use tapestry_membership as membership;
 pub use tapestry_metric as metric;
-pub use tapestry_prrv0 as prrv0;
 pub use tapestry_sim as sim;
 pub use tapestry_workload as workload;
 pub use tapestry_workload::sweep;

@@ -1,9 +1,8 @@
 //! Workspace-level integration tests spanning crates: Tapestry, the
 //! Table 1 baselines and PRR v.0 side by side on identical metric spaces.
 
-use tapestry::baselines::{path_distance, Chord, LocatorSystem, Pastry};
+use tapestry::baselines::{path_distance, Chord, LocatorSystem, Pastry, PrrV0};
 use tapestry::prelude::*;
-use tapestry::prrv0::PrrV0;
 
 const N: usize = 128;
 const SEED: u64 = 61;
