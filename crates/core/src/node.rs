@@ -217,8 +217,10 @@ pub struct TapestryNode {
     pub(crate) probe: ProbeState,
     /// Completed locate operations awaiting collection by the driver.
     pub(crate) locate_results: Vec<LocateResult>,
-    /// Locates issued here and still in flight: op → (guid, issue time).
-    pub(crate) pending_locates: BTreeMap<OpId, (tapestry_id::Guid, tapestry_sim::SimTime)>,
+    /// Locates issued here and still in flight: `(op, guid, issue time)`,
+    /// in `op` order (a node's op ids rise). Freed when the last answer
+    /// arrives, so a node with nothing in flight holds no buffer.
+    pub(crate) pending_locates: Vec<(OpId, Guid, tapestry_sim::SimTime)>,
     /// Staleness-fact ledger and budgeted repair scheduler.
     pub(crate) repair: RepairLedger<RepairTask>,
     pub(crate) rng: StdRng,
@@ -278,7 +280,7 @@ impl TapestryNode {
             watches: Vec::new(),
             probe: ProbeState::default(),
             locate_results: Vec::new(),
-            pending_locates: BTreeMap::new(),
+            pending_locates: Vec::new(),
             repair: RepairLedger::new(),
             rng: StdRng::seed_from_u64(seed ^ (me.idx as u64).wrapping_mul(0x9E37_79B9)),
         }
@@ -543,6 +545,60 @@ mod tests {
     fn torus_mesh(seed: u64) -> TapestryNetwork {
         let space = TorusSpace::random(64, 1000.0, seed);
         TapestryNetwork::build(TapestryConfig::default(), Box::new(space), seed)
+    }
+
+    /// A forged completion for `op` at `origin`, from outside the mesh.
+    fn forge_done(net: &mut TapestryNetwork, origin: NodeIdx, op: OpId) {
+        let msg = Msg::LocateDone { op, server: None, hops: 1, dist: 1.0, reached_root: true };
+        net.engine_mut().inject(origin, msg);
+    }
+
+    /// A locate completes once. A duplicate `LocateDone` and ones with
+    /// forged op ids are ignored, also while other locates of the same
+    /// origin are in flight; and a drained run leaves no node holding a
+    /// pending locate or the buffer that held one.
+    #[test]
+    fn a_locate_completes_once_and_leaves_nothing_pending() {
+        let mut net = torus_mesh(3);
+        let members = net.node_ids();
+        let (server, origin) = (members[1], members[40]);
+        let guids: Vec<Guid> = (0..3).map(|_| net.random_guid()).collect();
+        for &g in &guids {
+            net.publish(server, g);
+        }
+        net.locate_async(origin, guids[0]);
+        net.run_to_idle();
+        let first = net.drain_results();
+        assert_eq!(first.len(), 1);
+        let op = first[0].op;
+        forge_done(&mut net, origin, op);
+        forge_done(&mut net, origin, OpId(op.0 + 1));
+        net.run_to_idle();
+        assert!(net.drain_results().is_empty(), "no result from a duplicate or forged op");
+
+        for &g in &guids[1..] {
+            net.locate_async(origin, g);
+        }
+        forge_done(&mut net, origin, op);
+        forge_done(&mut net, origin, OpId::new(origin, 0));
+        net.run_to_idle();
+        let results = net.drain_results();
+        assert!(results.iter().all(|r| r.op != op && r.server.map(|s| s.idx) == Some(server)));
+        let mut found: Vec<Guid> = results.iter().map(|r| r.guid).collect();
+        found.sort_unstable();
+        let mut want = guids[1..].to_vec();
+        want.sort_unstable();
+        assert_eq!(found, want, "each in-flight locate completes exactly once");
+
+        for &m in &members {
+            net.locate_async(m, guids[0]);
+        }
+        net.run_to_idle();
+        assert_eq!(net.drain_results().len(), members.len());
+        for &m in &members {
+            let pending = &net.node(m).unwrap().pending_locates;
+            assert!(pending.is_empty() && pending.capacity() == 0, "node {m}");
+        }
     }
 
     /// Death certificates held across the live mesh.

@@ -71,7 +71,8 @@ impl TapestryNode {
         } else {
             0
         };
-        self.pending_locates.insert(op, (guid, ctx.now));
+        debug_assert!(self.pending_locates.last().is_none_or(|&(last, ..)| last < op));
+        self.pending_locates.push((op, guid, ctx.now));
         let m = Box::new(RoutedMsg {
             kind: RoutedKind::Locate { guid, origin: self.me, op, root_index },
             target: root_id(self.cfg.space, guid, root_index),
@@ -239,9 +240,13 @@ impl TapestryNode {
         dist: f64,
         reached_root: bool,
     ) {
-        let Some((guid, issued_at)) = self.pending_locates.remove(&op) else {
+        let Ok(at) = self.pending_locates.binary_search_by_key(&op, |&(op, ..)| op) else {
             return; // duplicate or forged completion
         };
+        let (_, guid, issued_at) = self.pending_locates.remove(at);
+        if self.pending_locates.is_empty() {
+            self.pending_locates = Vec::new();
+        }
         if self.locate_results.is_empty() {
             ctx.notify_driver();
         }

@@ -8,11 +8,12 @@ use crate::churn::ChurnEvent;
 use crate::report::{
     ChurnOutcome, HistSummary, InvariantReport, OpStats, PhaseReport, ScenarioReport,
 };
-use crate::spec::{ScenarioSpec, SpaceKind};
-use crate::traffic::PopularitySampler;
+use crate::spec::{PhaseSpec, ScenarioSpec, SpaceKind};
+use crate::traffic::{ArrivalStream, PopularitySampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use tapestry_core::TapestryNetwork;
 use tapestry_id::{root_id, Guid};
 use tapestry_membership::{BatchPolicy, JoinCoalescer};
@@ -37,10 +38,88 @@ struct ObjectRec {
 }
 
 /// Everything the runner needs per event.
+#[derive(Debug, PartialEq)]
 enum Action {
     /// One application operation (read or write, decided at issue time).
     Op,
     Churn(ChurnEvent),
+}
+
+/// One phase's timed events in issue order. Operations are drawn from
+/// the arrival stream as they are taken, so only the phase's few
+/// scripted membership events are held. At equal instants operations
+/// come first, then membership events in generation order.
+struct Schedule<'r> {
+    ops: Peekable<ArrivalStream<'r>>,
+    churn: Peekable<std::vec::IntoIter<(SimTime, ChurnEvent)>>,
+}
+
+impl<'r> Schedule<'r> {
+    /// The schedule of `phase` over `[start, end)` at `members` live
+    /// nodes. `arrival_rng` must be a clone of `rng` taken before this
+    /// call: the operations are drawn from it, while `rng` is advanced
+    /// past the same arrival draws and then draws the membership events,
+    /// as if the whole schedule were drawn from `rng` up front.
+    fn new(
+        phase: &PhaseSpec,
+        start: SimTime,
+        end: SimTime,
+        members: usize,
+        rng: &mut StdRng,
+        arrival_rng: &'r mut StdRng,
+    ) -> Self {
+        phase.traffic.arrival.stream(start, end, rng).for_each(drop);
+        let mut churn = churn_events(phase, start, end, members, rng);
+        churn.sort_by_key(|&(t, _)| t); // stable: ties keep generation order
+        Schedule {
+            ops: phase.traffic.arrival.stream(start, end, arrival_rng).peekable(),
+            churn: churn.into_iter().peekable(),
+        }
+    }
+}
+
+impl Iterator for Schedule<'_> {
+    type Item = (SimTime, Action);
+
+    fn next(&mut self) -> Option<(SimTime, Action)> {
+        let op_first = match (self.ops.peek(), self.churn.peek()) {
+            (Some(op), Some((ev, _))) => op <= ev,
+            (op, _) => op.is_some(),
+        };
+        if op_first {
+            self.ops.next().map(|t| (t, Action::Op))
+        } else {
+            self.churn.next().map(|(t, ev)| (t, Action::Churn(ev)))
+        }
+    }
+}
+
+/// The scripted membership events of `phase` over `[start, end)`, in
+/// generation order: each churn spec's expansion, then the node-count
+/// schedule (evenly spaced joins or graceful leaves from `members`
+/// toward `target_nodes`).
+fn churn_events(
+    phase: &PhaseSpec,
+    start: SimTime,
+    end: SimTime,
+    members: usize,
+    rng: &mut StdRng,
+) -> Vec<(SimTime, ChurnEvent)> {
+    let mut out: Vec<(SimTime, ChurnEvent)> =
+        phase.churn.iter().flat_map(|c| c.events(start, end, rng)).collect();
+    if let Some(target) = phase.target_nodes {
+        let (n, ev) = if target >= members {
+            (target - members, ChurnEvent::Join)
+        } else {
+            (members - target, ChurnEvent::Leave { graceful: true, min_nodes: 2 })
+        };
+        let span = phase.duration.0 as f64;
+        for i in 0..n {
+            let t = SimTime(start.0 + (span * (i as f64 + 0.5) / n as f64) as u64);
+            out.push((t, ev));
+        }
+    }
+    out
 }
 
 /// Engine-level totals of one scenario run, for throughput reporting.
@@ -216,31 +295,9 @@ fn drive(
         let stats0 = net.engine().stats().clone();
         let nodes_start = net.len() as u64;
 
-        // ----- expand this phase's event stream --------------------------
-        let mut events: Vec<(SimTime, Action)> = Vec::new();
-        for t in phase.traffic.arrival.times(start, end, &mut rng) {
-            events.push((t, Action::Op));
-        }
-        for c in &phase.churn {
-            for (t, ev) in c.events(start, end, &mut rng) {
-                events.push((t, Action::Churn(ev)));
-            }
-        }
-        if let Some(target) = phase.target_nodes {
-            // Node-count schedule: evenly spaced joins or graceful leaves.
-            let current = net.len();
-            let (n, ev) = if target >= current {
-                (target - current, ChurnEvent::Join)
-            } else {
-                (current - target, ChurnEvent::Leave { graceful: true, min_nodes: 2 })
-            };
-            let span = phase.duration.0 as f64;
-            for i in 0..n {
-                let t = SimTime(start.0 + (span * (i as f64 + 0.5) / n as f64) as u64);
-                events.push((t, Action::Churn(ev)));
-            }
-        }
-        events.sort_by_key(|&(t, _)| t); // stable: ties keep generation order
+        // ----- this phase's event stream, drawn as it is issued --------
+        let mut arrival_rng = rng.clone();
+        let events = Schedule::new(phase, start, end, net.len(), &mut rng, &mut arrival_rng);
 
         let sampler = PopularitySampler::new(phase.traffic.popularity, spec.objects);
         let mut ops = OpStats::default();
@@ -609,6 +666,7 @@ fn spot_checks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnSpec;
     use crate::presets;
     use tapestry_core::NodeStatus;
 
@@ -653,6 +711,92 @@ mod tests {
             }
         }
         (bad, joined)
+    }
+
+    /// The schedule as it was drawn before it was streamed: every
+    /// arrival, then every membership event, stable-sorted by time.
+    fn materialised_schedule(
+        phase: &PhaseSpec,
+        start: SimTime,
+        end: SimTime,
+        members: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(SimTime, Action)> {
+        let mut events: Vec<(SimTime, Action)> = Vec::new();
+        for t in phase.traffic.arrival.times(start, end, rng) {
+            events.push((t, Action::Op));
+        }
+        for (t, ev) in churn_events(phase, start, end, members, rng) {
+            events.push((t, Action::Churn(ev)));
+        }
+        events.sort_by_key(|&(t, _)| t);
+        events
+    }
+
+    /// Stream and materialise each phase of `spec` from `start` on with
+    /// the same rng, and require the same events in the same order and
+    /// the same rng state after each phase. Returns the streamed events.
+    fn assert_streamed_as_materialised(
+        spec: &ScenarioSpec,
+        mut start: SimTime,
+    ) -> Vec<(SimTime, Action)> {
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let mut reference = rng.clone();
+        let mut members = spec.initial_nodes;
+        let mut all = Vec::new();
+        for phase in &spec.phases {
+            let end = start + phase.duration;
+            let want = materialised_schedule(phase, start, end, members, &mut reference);
+            let mut arrival_rng = rng.clone();
+            let got: Vec<(SimTime, Action)> =
+                Schedule::new(phase, start, end, members, &mut rng, &mut arrival_rng).collect();
+            assert_eq!(got, want, "{} seed {} phase {}", spec.name, spec.seed, phase.name);
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "{} rng", spec.name);
+            all.extend(got);
+            start = end;
+            members = phase.target_nodes.unwrap_or(members);
+        }
+        all
+    }
+
+    /// The streamed schedule is the materialised one, event for event,
+    /// on every preset and on `churn-scale`, over several seeds.
+    #[test]
+    fn streamed_schedule_is_the_materialised_one() {
+        for seed in [1, 7, 42, 1234] {
+            let mut specs: Vec<ScenarioSpec> = presets::PRESET_NAMES
+                .iter()
+                .map(|name| presets::preset(name, 64, 2000, seed).expect("a preset"))
+                .collect();
+            specs.push(presets::churn_scale_preset(1000, 1000, seed, true));
+            for spec in &specs {
+                let events = assert_streamed_as_materialised(spec, SimTime(0));
+                assert!(events.iter().any(|(_, a)| *a == Action::Op), "{}", spec.name);
+            }
+        }
+    }
+
+    /// Exact ties: ten evenly spaced ops, a ramp of ten joins on the
+    /// same instants and a probe on one of them. Each instant issues
+    /// its op first, then the membership events in generation order.
+    #[test]
+    fn ties_issue_the_op_first() {
+        let mut spec = ScenarioSpec::new("ties");
+        spec.initial_nodes = 32;
+        spec.phases = vec![PhaseSpec::new("tied", SimTime(1000))
+            .arrival(crate::traffic::Arrival::Even { ops: 10 })
+            .churn(ChurnSpec::ProbeAt { at: 0.25 })
+            .target_nodes(42)];
+        let events = assert_streamed_as_materialised(&spec, SimTime(12_000));
+        assert_eq!(events.len(), 21);
+        let at = |t: u64| -> Vec<&Action> {
+            events.iter().filter(|(e, _)| e.0 == 12_000 + t).map(|(_, a)| a).collect()
+        };
+        let join = Action::Churn(ChurnEvent::Join);
+        assert_eq!(at(250), [&Action::Op, &Action::Churn(ChurnEvent::Probe), &join]);
+        for t in (50..1000).step_by(100).filter(|&t| t != 250) {
+            assert_eq!(at(t), [&Action::Op, &join], "instant {t}");
+        }
     }
 
     /// Joins, leaves, kills and repair all offer to and evict from the

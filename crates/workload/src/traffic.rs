@@ -38,59 +38,42 @@ pub enum Arrival {
 }
 
 impl Arrival {
-    /// Issue times in `[start, end)`, sorted ascending.
+    /// Issue times in `[start, end)`, sorted ascending: the
+    /// [`Arrival::stream`] collected.
     pub fn times(&self, start: SimTime, end: SimTime, rng: &mut StdRng) -> Vec<SimTime> {
+        self.stream(start, end, rng).collect()
+    }
+
+    /// Issue times in `[start, end)`, ascending, drawn from `rng` one at
+    /// a time as they are taken. This holds the arithmetic: the stream
+    /// run to its end leaves `rng` exactly where [`Arrival::times`] does,
+    /// so a driver can issue each operation as it is drawn instead of
+    /// holding the whole schedule.
+    pub fn stream<'r>(
+        &self,
+        start: SimTime,
+        end: SimTime,
+        rng: &'r mut StdRng,
+    ) -> ArrivalStream<'r> {
         let span = (end.0.saturating_sub(start.0)) as f64;
-        if span <= 0.0 {
-            return Vec::new();
-        }
-        match *self {
-            Arrival::None => Vec::new(),
-            Arrival::Even { ops } => (0..ops)
-                .map(|i| SimTime(start.0 + (span * (i as f64 + 0.5) / ops as f64) as u64))
-                .collect(),
-            Arrival::Poisson { ops } => {
-                if ops == 0 {
-                    return Vec::new();
-                }
-                let rate = ops as f64 / span;
-                let mut out = Vec::new();
-                let mut t = start.0 as f64;
-                loop {
-                    t += exp_gap(rng, rate);
-                    if t >= end.0 as f64 {
-                        break;
-                    }
-                    out.push(SimTime(t as u64));
-                }
-                out
+        let t = start.0 as f64;
+        let state = match *self {
+            _ if span <= 0.0 => Process::Done,
+            Arrival::None | Arrival::Poisson { ops: 0 } | Arrival::FlashCrowd { ops: 0, .. } => {
+                Process::Done
             }
+            Arrival::Even { ops } => Process::Even { i: 0, ops },
+            Arrival::Poisson { ops } => Process::Poisson { t, rate: ops as f64 / span },
             Arrival::FlashCrowd { ops, peak_ratio } => {
-                if ops == 0 {
-                    return Vec::new();
-                }
                 let peak_ratio = peak_ratio.max(1.0);
                 // λ(x) = λ0·(1 + (peak-1)·x) for phase fraction x, with
                 // ∫λ = ops ⇒ λ0 = 2·ops / (span·(1+peak)). Sample by
                 // thinning a homogeneous process at λmax = λ0·peak.
                 let lam0 = 2.0 * ops as f64 / (span * (1.0 + peak_ratio));
-                let lam_max = lam0 * peak_ratio;
-                let mut out = Vec::new();
-                let mut t = start.0 as f64;
-                loop {
-                    t += exp_gap(rng, lam_max);
-                    if t >= end.0 as f64 {
-                        break;
-                    }
-                    let x = (t - start.0 as f64) / span;
-                    let accept = (1.0 + (peak_ratio - 1.0) * x) / peak_ratio;
-                    if rng.gen_range(0.0..1.0) < accept {
-                        out.push(SimTime(t as u64));
-                    }
-                }
-                out
+                Process::FlashCrowd { t, lam_max: lam0 * peak_ratio, peak_ratio }
             }
-        }
+        };
+        ArrivalStream { rng, start: start.0, end: end.0, span, state }
     }
 
     /// Expected number of operations (exact for [`Arrival::Even`]).
@@ -104,6 +87,88 @@ impl Arrival {
             Arrival::Even { ops } | Arrival::Poisson { ops } | Arrival::FlashCrowd { ops, .. } => {
                 ops
             }
+        }
+    }
+}
+
+/// The issue times of one [`Arrival`] over a window, drawn lazily
+/// ([`Arrival::stream`]). Fused: once it has returned `None` it draws
+/// nothing more.
+pub struct ArrivalStream<'r> {
+    rng: &'r mut StdRng,
+    start: u64,
+    end: u64,
+    span: f64,
+    state: Process,
+}
+
+/// Where an [`ArrivalStream`] stands in its process.
+enum Process {
+    Done,
+    /// The `i`-th of `ops` evenly spaced times is next.
+    Even {
+        i: u64,
+        ops: u64,
+    },
+    /// Homogeneous Poisson process, last arrival at `t`.
+    Poisson {
+        t: f64,
+        rate: f64,
+    },
+    /// Thinned Poisson process at `lam_max`, last candidate at `t`.
+    FlashCrowd {
+        t: f64,
+        lam_max: f64,
+        peak_ratio: f64,
+    },
+}
+
+impl Iterator for ArrivalStream<'_> {
+    type Item = SimTime;
+
+    fn next(&mut self) -> Option<SimTime> {
+        let end = self.end as f64;
+        let next = match &mut self.state {
+            Process::Done => None,
+            Process::Even { i, ops } => (*i < *ops).then(|| {
+                let t = SimTime(self.start + (self.span * (*i as f64 + 0.5) / *ops as f64) as u64);
+                *i += 1;
+                t
+            }),
+            Process::Poisson { t, rate } => {
+                *t += exp_gap(self.rng, *rate);
+                if *t >= end {
+                    None
+                } else {
+                    Some(SimTime(*t as u64))
+                }
+            }
+            Process::FlashCrowd { t, lam_max, peak_ratio } => loop {
+                *t += exp_gap(self.rng, *lam_max);
+                if *t >= end {
+                    break None;
+                }
+                let x = (*t - self.start as f64) / self.span;
+                let accept = (1.0 + (*peak_ratio - 1.0) * x) / *peak_ratio;
+                if self.rng.gen_range(0.0..1.0) < accept {
+                    break Some(SimTime(*t as u64));
+                }
+            },
+        };
+        if next.is_none() {
+            self.state = Process::Done;
+        }
+        next
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self.state {
+            Process::Done => (0, Some(0)),
+            Process::Even { i, ops } => {
+                let left = (ops - i) as usize;
+                (left, Some(left))
+            }
+            Process::Poisson { .. } | Process::FlashCrowd { .. } => (0, None),
         }
     }
 }
@@ -185,10 +250,104 @@ impl PopularitySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The issue times as whole-window loops drew them before
+    /// [`Arrival::stream`] existed: the reference the stream must match
+    /// draw for draw.
+    fn looped_times(a: Arrival, start: SimTime, end: SimTime, rng: &mut StdRng) -> Vec<SimTime> {
+        let span = (end.0.saturating_sub(start.0)) as f64;
+        if span <= 0.0 {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        match a {
+            Arrival::None => {}
+            Arrival::Even { ops } => {
+                for i in 0..ops {
+                    out.push(SimTime(start.0 + (span * (i as f64 + 0.5) / ops as f64) as u64));
+                }
+            }
+            Arrival::Poisson { ops: 0 } | Arrival::FlashCrowd { ops: 0, .. } => {}
+            Arrival::Poisson { ops } => {
+                let rate = ops as f64 / span;
+                let mut t = start.0 as f64;
+                loop {
+                    t += exp_gap(rng, rate);
+                    if t >= end.0 as f64 {
+                        break;
+                    }
+                    out.push(SimTime(t as u64));
+                }
+            }
+            Arrival::FlashCrowd { ops, peak_ratio } => {
+                let peak_ratio = peak_ratio.max(1.0);
+                let lam0 = 2.0 * ops as f64 / (span * (1.0 + peak_ratio));
+                let lam_max = lam0 * peak_ratio;
+                let mut t = start.0 as f64;
+                loop {
+                    t += exp_gap(rng, lam_max);
+                    if t >= end.0 as f64 {
+                        break;
+                    }
+                    let x = (t - start.0 as f64) / span;
+                    let accept = (1.0 + (peak_ratio - 1.0) * x) / peak_ratio;
+                    if rng.gen_range(0.0..1.0) < accept {
+                        out.push(SimTime(t as u64));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every variant streams the times the loops drew and leaves the
+        /// rng where they left it, also when polled past its end: over
+        /// empty and inverted windows, windows away from 0, and (about
+        /// one case in eight) no operations at all.
+        #[test]
+        fn stream_draws_what_the_loops_drew(
+            kind in 0u8..4,
+            ops in 0u64..400,
+            peak in 0.5f64..12.0,
+            start in 0u64..50_000,
+            len in 1u64..200_000,
+            window in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let ops = ops.saturating_sub(50);
+            let arrival = match kind {
+                0 => Arrival::None,
+                1 => Arrival::Even { ops },
+                2 => Arrival::Poisson { ops },
+                _ => Arrival::FlashCrowd { ops, peak_ratio: peak },
+            };
+            let (start, end) = match window {
+                0 => (SimTime(start), SimTime(start)),
+                1 => (SimTime(start + len), SimTime(start)),
+                _ => (SimTime(start), SimTime(start + len)),
+            };
+            let mut looped = StdRng::seed_from_u64(seed);
+            let mut streamed = looped.clone();
+            let mut collected = looped.clone();
+            let want = looped_times(arrival, start, end, &mut looped);
+            let mut stream = arrival.stream(start, end, &mut streamed);
+            let got: Vec<SimTime> = stream.by_ref().collect();
+            prop_assert_eq!(stream.next(), None);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(arrival.times(start, end, &mut collected), want);
+            let next = looped.gen::<u64>();
+            prop_assert_eq!(streamed.gen::<u64>(), next);
+            prop_assert_eq!(collected.gen::<u64>(), next);
+        }
     }
 
     #[test]
