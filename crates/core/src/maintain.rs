@@ -288,16 +288,19 @@ impl TapestryNode {
 
     // --------------------- involuntary delete (§5.2) -----------------------
 
-    /// Probe every distinct neighbor; neighbors not heard from by the
-    /// deadline are treated as failures (§5.2: detection by beacons or
-    /// timeouts). Every certified peer outside the table is pinged too,
-    /// as a re-check of its certificate. The driver's `AppProbe` is the
-    /// only trigger, and it numbers the round network-wide. Peers whose
-    /// ping of this round arrived before it started are answered already
-    /// and are not pinged.
+    /// One beacon round (§5.2: detection by beacons or timeouts). Ping
+    /// every backpointer holder — each keeps us in its table and awaits
+    /// exactly this ping — and await a ping from every distinct table
+    /// neighbor; one silent at the deadline is treated as failed. Every
+    /// certified peer outside the table is pinged with `reply` set, as a
+    /// re-check of its certificate, and awaited too. The driver's
+    /// `AppProbe` is the only trigger, and it numbers the round
+    /// network-wide. Peers whose ping of this round arrived before it
+    /// started are answered already.
     pub(crate) fn start_probe_round(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, round: u64) {
         let probe = &mut self.probe;
         probe.round = round;
+        probe.closes = ctx.now + self.cfg.insert_level_timeout;
         probe.awaiting.clear();
         probe.awaiting.extend(self.table.refs().map(|r| (idx32(r.idx), Heard::Pending)));
         probe.awaiting.extend(probe.certificates.iter().map(|&idx| (idx, Heard::Recheck)));
@@ -311,39 +314,56 @@ impl TapestryNode {
             }
         }
         probe.early.clear();
-        let pending = probe
+        let rechecks: Vec<NodeIdx> = probe
             .awaiting
             .iter()
-            .filter(|&&(_, heard)| matches!(heard, Heard::Pending | Heard::Recheck));
-        let pings = pending.clone().count();
-        if pings > 0 {
-            metrics::REPAIR_PINGS.add(ctx, pings as u64);
-            ctx.send_each(
-                pending.map(|&(idx, _)| idx as NodeIdx),
-                Msg::Ping { round, me: self.me },
-            );
+            .filter(|&&(_, heard)| heard == Heard::Recheck)
+            .map(|&(idx, _)| idx as NodeIdx)
+            .collect();
+        let awaits = probe.awaiting.iter().any(|&(_, heard)| heard == Heard::Pending);
+        // A holder that is re-checked gets the re-check alone.
+        let beacons = self.backptrs.indices().filter(|&h| rechecks.binary_search(&h).is_err());
+        metrics::REPAIR_PINGS.add(ctx, (beacons.clone().count() + rechecks.len()) as u64);
+        ctx.send_each(beacons, Msg::Ping { round, me: self.me, reply: false });
+        let rechecking = !rechecks.is_empty();
+        if rechecking {
+            ctx.send_each(rechecks, Msg::Ping { round, me: self.me, reply: true });
+        }
+        if awaits || rechecking {
             ctx.set_timer(self.cfg.insert_level_timeout, Timer::ProbeDeadline { round });
         }
     }
 
-    /// A neighbor's probe. If we probe it in the same round, its ping is
-    /// its answer, and our own ping reaches it just as its ping reached
-    /// us, so it gets no pong; a ping that finds it already declared dead
-    /// is a late answer. Any other ping is ponged. One for a round we
-    /// have not started yet is also remembered, so that round neither
-    /// pings the peer nor, by missing the evidence of our pong, declares
-    /// it dead. A ping from a peer we hold a death certificate for is
-    /// late evidence too, in-round or not: across a healed partition both
-    /// sides certified each other, and their crossing pings readmit them.
-    pub(crate) fn on_ping(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
+    /// A node now keeps us in its table. If it did so before starting
+    /// the current round, it awaits our beacon, which went out without
+    /// it; so while the round is open it is beaconed at once.
+    pub(crate) fn on_added_you(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef) {
+        if self.backptrs.insert(who, self.table.names()) && ctx.now < self.probe.closes {
+            metrics::REPAIR_PINGS.inc(ctx);
+            ctx.send(who.idx, Msg::Ping { round: self.probe.round, me: self.me, reply: false });
+        }
+        self.consider_neighbor(ctx, who);
+    }
+
+    /// A peer's ping. If we await it in the same round, the ping is its
+    /// answer; a ping that finds it already declared dead is a late
+    /// answer. One for a round we have not started yet is remembered, so
+    /// that round counts the peer answered. A ping from a peer we hold a
+    /// death certificate for is late evidence too, in-round or not:
+    /// across a healed partition both sides certified each other, and
+    /// their crossing re-checks readmit them. Only a re-check (`reply`)
+    /// is ponged.
+    pub(crate) fn on_ping(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg, Timer>,
+        who: NodeRef,
+        round: u64,
+        reply: bool,
+    ) {
         let probe = &mut self.probe;
         let mut late = probe.certified(who.idx);
-        let mut answers = false;
         if round == probe.round {
-            if let Some(missed) = probe.answer(who.idx) {
-                late |= missed;
-                answers = true;
-            }
+            late |= probe.answer(who.idx) == Some(true);
         } else if round > probe.round {
             if probe.early_round != round {
                 probe.early_round = round;
@@ -354,13 +374,13 @@ impl TapestryNode {
         if late {
             self.record_late_ack(ctx, who);
         }
-        if !answers {
+        if reply {
             metrics::REPAIR_PONGS.inc(ctx);
             ctx.send(who.idx, Msg::Pong { round, me: self.me });
         }
     }
 
-    /// A neighbor answered a probe. An answer from a certified peer, or
+    /// A re-checked peer answered. An answer from a certified peer, or
     /// one that matches no entry still awaited in the current round — its
     /// round is stale, or it arrived after this round's deadline — is
     /// late.

@@ -368,17 +368,21 @@ pub enum Msg {
     },
 
     // ------------------------------- repair -------------------------------
-    /// Liveness probe (§5.2 beacons). A ping from a neighbor we probe in
-    /// the same round is also its answer to our probe.
+    /// Liveness beacon (§5.2). Each round a node pings every backpointer
+    /// holder, i.e. every node that keeps it in a table, so each table
+    /// edge costs one message: the holder awaits exactly this ping. A
+    /// re-check of a death certificate is a ping with `reply` set.
     Ping {
         /// The network-wide probe round.
         round: u64,
         /// The probing node (a ping from a peer we declared dead is late
         /// evidence that it lives, and re-admission needs its name).
         me: NodeRef,
+        /// The sender re-checks a certificate it holds for us and awaits
+        /// a `Pong`; a beacon sets no flag and gets no answer.
+        reply: bool,
     },
-    /// Probe response, sent only when the pinger will not hear our own
-    /// ping of the same round.
+    /// Answer to a re-check ping, the only ping that demands one.
     Pong {
         /// Echoed round.
         round: u64,

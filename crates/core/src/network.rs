@@ -571,6 +571,19 @@ impl TapestryNetwork {
         all
     }
 
+    /// Forget every locate still in flight at its origin, and return how
+    /// many there were. Call it on an idle network: nothing is queued, so
+    /// no answer can still arrive, and each forgotten locate is lost.
+    pub fn abandon_pending_locates(&mut self) -> usize {
+        let mut abandoned = 0;
+        for idx in 0..self.engine.metric().len() {
+            if let Some(node) = self.engine.node_mut(idx) {
+                abandoned += std::mem::take(&mut node.pending_locates).len();
+            }
+        }
+        abandoned
+    }
+
     // ------------------------------ partitions -----------------------------
 
     /// Impose a network partition: point `i` joins group `groups[i]` and
@@ -736,12 +749,16 @@ impl TapestryNetwork {
 
     /// Start a probe round on every live node without draining (workload
     /// runners let detection deadlines fire amid ongoing traffic). Rounds
-    /// are numbered network-wide.
+    /// are numbered network-wide. A node still joining takes part too:
+    /// members that already hold it await its beacon, and it awaits
+    /// theirs.
     pub fn probe_all_async(&mut self) {
         self.probe_round += 1;
         let round = self.probe_round;
-        for &idx in &self.members {
-            self.engine.inject(idx, Msg::AppProbe { round });
+        for idx in 0..self.engine.metric().len() {
+            if self.engine.alive(idx) {
+                self.engine.inject(idx, Msg::AppProbe { round });
+            }
         }
     }
 

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tapestry_id::Guid;
 use tapestry_metric::MetricSpace;
-use tapestry_sim::{Actor, Ctx, NodeIdx};
+use tapestry_sim::{Actor, Ctx, NodeIdx, SimTime};
 use tapestry_trace::metrics;
 
 /// Lifecycle of a Tapestry node.
@@ -83,18 +83,22 @@ pub(crate) struct LeaveState {
     pub finished: bool,
 }
 
-/// What a node has heard from one peer it probes in its current round.
+/// What a node has heard in its current round from one peer it awaits.
 /// The order matters only to `start_probe_round`, which keeps the first
-/// entry per peer: a table neighbor is probed as such even when it also
+/// entry per peer: a table neighbor is awaited as such even when it also
 /// holds a death certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Heard {
-    /// A table neighbor: nothing yet, and the deadline has not passed.
+    /// A table neighbor, awaiting its beacon (we are its backpointer
+    /// holder, so it pings us unasked): nothing yet, and the deadline
+    /// has not passed.
     Pending,
-    /// A certified peer outside the table, pinged to re-check its
-    /// certificate: nothing yet, and the deadline has not passed.
+    /// A certified peer outside the table, pinged with `reply` set to
+    /// re-check its certificate: nothing yet, and the deadline has not
+    /// passed.
     Recheck,
-    /// A pong, or the peer's own ping of the same round.
+    /// The peer's ping of this round (also one that arrived before the
+    /// round started), or its pong to a re-check.
     Answered,
     /// Nothing by the deadline: a table neighbor is declared dead, a
     /// re-checked peer is forgotten.
@@ -103,12 +107,21 @@ pub(crate) enum Heard {
 
 /// Failure-detection state (§5.2), and the one owner of death
 /// certificates.
+///
+/// A round is beacons, not ping and pong: a node pings every backpointer
+/// holder and awaits a ping from every table neighbor, so each table
+/// edge costs one message, from the held node to its holder. Only a
+/// re-check of a certificate asks for a pong.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeState {
     /// Network-wide number of the latest round this node started (0:
     /// none yet).
     pub round: u64,
-    /// The peers probed in that round, ascending by index, each with
+    /// When that round's deadline falls. Until then a node that newly
+    /// holds us (its `AddedYou` arrives mid-round) is beaconed at once:
+    /// it may have started its round holding us already.
+    pub closes: SimTime,
+    /// The peers awaited in that round, ascending by index, each with
     /// what has been heard from it. An answer marks its entry and moves
     /// nothing, so the vector stays searchable; it outlives the deadline
     /// (a late answer finds its `Missed` entry), and the buffer is reused
@@ -117,8 +130,7 @@ pub(crate) struct ProbeState {
     /// The round `early` belongs to.
     pub early_round: u64,
     /// Peers whose ping for `early_round` arrived before this node
-    /// started that round. They were ponged then; the round counts them
-    /// answered and does not ping them.
+    /// started that round: the round counts them answered.
     pub early: Vec<u32>,
     /// Death certificates, ascending: peers declared dead on strong
     /// evidence (a bounced message or a missed probe ack). Stale
@@ -220,7 +232,7 @@ pub struct TapestryNode {
     /// Locates issued here and still in flight: `(op, guid, issue time)`,
     /// in `op` order (a node's op ids rise). Freed when the last answer
     /// arrives, so a node with nothing in flight holds no buffer.
-    pub(crate) pending_locates: Vec<(OpId, Guid, tapestry_sim::SimTime)>,
+    pub(crate) pending_locates: Vec<(OpId, Guid, SimTime)>,
     /// Staleness-fact ledger and budgeted repair scheduler.
     pub(crate) repair: RepairLedger<RepairTask>,
     pub(crate) rng: StdRng,
@@ -471,10 +483,7 @@ impl Actor for TapestryNode {
                 self.on_get_pointers(ctx, op, level, new_node)
             }
             Msg::Pointers { op, level, refs } => self.on_pointers(ctx, from, op, level, refs),
-            Msg::AddedYou { me } => {
-                self.backptrs.insert(me, self.table.names());
-                self.consider_neighbor(ctx, me);
-            }
+            Msg::AddedYou { me } => self.on_added_you(ctx, me),
             Msg::RemovedYou { me } => {
                 self.backptrs.remove(me.idx);
             }
@@ -487,7 +496,7 @@ impl Actor for TapestryNode {
             Msg::Leaving { me, replacements } => self.on_leaving(ctx, me, replacements),
             Msg::LeaveFinal { me } => self.on_leave_final(ctx, me),
             Msg::LeaveAck { me } => self.on_leave_ack(ctx, me),
-            Msg::Ping { round, me } => self.on_ping(ctx, me, round),
+            Msg::Ping { round, me, reply } => self.on_ping(ctx, me, round, reply),
             Msg::Pong { round, me } => self.on_pong(ctx, me, round),
             Msg::FindReplacement { op, prefix, digit, dead, reply_to } => {
                 self.on_find_replacement(ctx, op, prefix, digit, dead, reply_to)

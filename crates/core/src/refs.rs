@@ -140,12 +140,13 @@ impl Backpointers {
         self.0.binary_search_by_key(&idx, |&i| i as NodeIdx)
     }
 
-    /// Add `r`, whose name must be the directory's.
-    pub fn insert(&mut self, r: NodeRef, names: &Names) {
+    /// Add `r`, whose name must be the directory's. Returns true when
+    /// `r` was not present.
+    pub fn insert(&mut self, r: NodeRef, names: &Names) -> bool {
         let idx = names.check(r);
-        if let Err(at) = self.find(r.idx) {
-            insert_growing_by(GROW_STEP, &mut self.0, at, idx);
-        }
+        let Err(at) = self.find(r.idx) else { return false };
+        insert_growing_by(GROW_STEP, &mut self.0, at, idx);
+        true
     }
 
     /// Returns true when `idx` was present.
@@ -155,6 +156,11 @@ impl Backpointers {
 
     pub fn contains(&self, idx: NodeIdx) -> bool {
         self.find(idx).is_ok()
+    }
+
+    /// The holders' addresses, ascending.
+    pub fn indices(&self) -> impl Iterator<Item = NodeIdx> + Clone + '_ {
+        self.0.iter().map(|&idx| idx as NodeIdx)
     }
 
     /// Ascending by index.

@@ -273,11 +273,13 @@ impl TapestryNode {
 
     /// The localized §5.2 removal: promote backups, re-route pointers,
     /// republish local replicas, and turn each hole into a targeted
-    /// re-query.
+    /// re-query. A peer that held us but sat in no slot of ours changed
+    /// none of our routes, so it costs only its backpointer.
     fn repair_remove_dead(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, peer: NodeIdx) {
         let occupied = self.table.occupancy(peer);
-        if occupied == 0 && !self.backptrs.contains(peer) {
-            return; // stale evidence — already removed
+        if occupied == 0 {
+            self.backptrs.remove(peer);
+            return;
         }
         let holes = self.table.remove_node(peer);
         // Every occupied slot that did not become a hole had a §3 backup

@@ -1,7 +1,7 @@
 //! Tests of the maintenance machinery: §6.4 continual optimization,
 //! Observation 1 multi-root fault tolerance, pointer hygiene (Fig. 9),
-//! §5.2 probe acks that miss their deadline, and the probe round in which
-//! a neighbor's own ping is its answer.
+//! §5.2 probe acks that miss their deadline, and the beacon round, in
+//! which every table edge costs one ping and only a re-check is ponged.
 
 use std::collections::BTreeSet;
 use tapestry_core::{Msg, TapestryConfig, TapestryNetwork, WirePtr};
@@ -217,7 +217,10 @@ fn a_fully_mutual_mesh_probes_with_pings_alone() {
 }
 
 #[test]
-fn a_one_way_edge_still_gets_its_pong() {
+fn a_one_way_edge_costs_one_beacon_and_no_pong() {
+    // A holds B, B does not hold A: B beacons A, its backpointer holder,
+    // and A's own ping would be redundant. Every directed table edge is
+    // one message, whichever way its reverse runs.
     let space = TorusSpace::random(64, 1000.0, 11);
     let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 11);
     let edges = table_edges(&net);
@@ -225,16 +228,17 @@ fn a_one_way_edge_still_gets_its_pong() {
     assert!(one_way > 0, "a 64-node mesh has one-way edges");
     assert!(one_way < edges.len() as u64 / 2, "most edges run both ways");
     net.probe_all();
-    assert_eq!(probe_counts(&net), (edges.len() as u64, one_way, 0));
+    assert_eq!(probe_counts(&net), (edges.len() as u64, 0, 0));
     assert_eq!(table_edges(&net), edges, "nobody was excised");
 }
 
 #[test]
 fn a_ping_that_arrives_before_the_round_starts_counts_as_its_answer() {
     // Every node but `late` starts round 1 at once; `late` starts it only
-    // after all their pings have reached it. It pongs each (it has no
-    // round 1 yet), remembers them, and its own round then has nobody
-    // left to ping — without being declared dead by anyone.
+    // after all their beacons have reached it, but before their deadline.
+    // It remembers them (it has no round 1 yet, and a beacon asks for no
+    // pong), so its own round awaits nobody, and its beacons still
+    // answer every holder in time.
     let space = TorusSpace::random(16, 1000.0, 7);
     let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 7);
     let edges = table_edges(&net).len() as u64;
@@ -247,11 +251,120 @@ fn a_ping_that_arrives_before_the_round_starts_counts_as_its_answer() {
     }
     let later = net.engine().now() + SimTime::from_distance(2000.0);
     net.engine_mut().run_until(later);
-    let (pings, pongs, _) = probe_counts(&net);
-    assert_eq!((pings, pongs), (edges - 15, 15), "only `late` pongs, once per peer");
+    assert_eq!(probe_counts(&net), (edges - 15, 0, 0), "`late` was beaconed, not ponged");
     net.engine_mut().inject(late, Msg::AppProbe { round: 1 });
     net.run_to_idle();
-    assert_eq!(probe_counts(&net), (edges - 15, 15, 0), "`late` pings nobody it heard from");
+    assert_eq!(probe_counts(&net), (edges, 0, 0), "nobody declared dead");
+}
+
+#[test]
+fn a_node_still_joining_is_beaconed_and_beacons() {
+    // A joiner that members hold already, but that is not a member yet,
+    // takes part in the round: the members await its beacon, and it
+    // awaits theirs. Nobody is declared dead, and the join completes.
+    for seed in 1..=4 {
+        let space = TorusSpace::random(64, 1000.0, seed);
+        let mut net =
+            TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), seed, 48);
+        let joiner = 48;
+        net.insert_node_via(joiner, net.node_ids()[0]);
+        let held = |net: &TapestryNetwork| {
+            net.node_ids().iter().any(|&m| net.node(m).unwrap().table().contains(joiner))
+        };
+        while !held(&net) {
+            assert!(net.engine_mut().step(), "seed {seed}: the join stalled");
+        }
+        assert!(!net.node_ids().contains(&joiner), "seed {seed}: still joining");
+        net.probe_all();
+        let stats = net.engine().stats();
+        assert_eq!(metrics::REPAIR_DETECTED_DEAD.read(stats), 0, "seed {seed}");
+        assert_eq!(metrics::REPAIR_READMITTED.read(stats), 0, "seed {seed}");
+        assert!(net.finish_insert_bookkeeping(joiner), "seed {seed}: the join completes");
+        assert!(held(&net), "seed {seed}");
+    }
+}
+
+#[test]
+fn a_holder_added_mid_round_is_beaconed_at_once() {
+    // `holder` takes `held` back into its table just before the round
+    // starts everywhere, so it awaits `held`; its `AddedYou` reaches
+    // `held` only after `held` beaconed its holders. `held` beacons it
+    // on arrival, in time for the deadline.
+    let space = TorusSpace::random(16, 1000.0, 7);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 7);
+    let members = net.node_ids();
+    let (holder, held) = (members[2], members[9]);
+    let (held_ref, holder_ref) = (net.ref_of(held), net.ref_of(holder));
+    net.engine_mut().node_mut(holder).unwrap().table_mut().remove_node(held);
+    net.engine_mut().inject(held, Msg::RemovedYou { me: holder_ref });
+    net.run_to_idle();
+    let edges = table_edges(&net).len() as u64;
+    net.engine_mut().inject(holder, Msg::ShareTable { level: 0, refs: vec![held_ref] });
+    net.probe_all();
+    assert_eq!(probe_counts(&net), (edges + 1, 0, 0), "one beacon for the new edge");
+    assert!(net.node(holder).unwrap().table().contains(held));
+}
+
+#[test]
+fn a_recheck_is_the_only_ping_that_gets_a_pong() {
+    // A partition makes each side certify the other. After the heal,
+    // the next round re-checks every certificate with a ping that asks
+    // for a pong; every beacon of that round goes unanswered.
+    let space = TorusSpace::random(32, 1000.0, 5);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 5);
+    let side = net.partition_around(net.node_ids()[0]);
+    let certified = table_edges(&net).iter().filter(|&&(m, p)| side[m] != side[p]).count() as u64;
+    net.probe_all();
+    net.heal_partition();
+    // A holder cut off across a one-way edge forgot its neighbor, but the
+    // neighbor still holds its backpointer and beacons it.
+    let beacons: u64 =
+        net.node_ids().iter().map(|&m| net.node(m).unwrap().backpointers().count() as u64).sum();
+    let (pings, pongs, _) = probe_counts(&net);
+    assert!(pongs == 0 && certified > 0, "the cut certified {certified}, ponged {pongs}");
+    // Every ping of the round and every pong is out before the first
+    // readmission: a torus of side 1000 is at most 708 across, and a
+    // pong's fact waits a repair tick of 1000.
+    net.probe_all_async();
+    let sent = net.engine().now() + SimTime::from_distance(900.0);
+    net.engine_mut().run_until(sent);
+    let (pings2, pongs2, _) = probe_counts(&net);
+    assert_eq!(pongs2, certified, "each re-check is answered, nothing else");
+    assert_eq!(pings2 - pings, beacons + certified, "a beacon per holder, a ping per re-check");
+    net.run_to_idle();
+    assert_eq!(metrics::REPAIR_READMITTED.read(net.engine().stats()), certified);
+}
+
+#[test]
+fn a_dead_holder_outside_the_table_costs_only_its_backpointer() {
+    // `gone` holds its neighbors but sits in no table: it is only their
+    // backpointer. Their beacons bounce off it, and the bounce drops the
+    // backpointer without re-routing a pointer or republishing an object.
+    let space = TorusSpace::random(64, 1000.0, 17);
+    let mut net = TapestryNetwork::build(TapestryConfig::default(), Box::new(space), 17);
+    let members = net.node_ids();
+    for &server in members.iter().step_by(3) {
+        let guid = net.random_guid();
+        net.publish(server, guid);
+    }
+    let gone = members[20];
+    for &m in &members {
+        net.engine_mut().node_mut(m).unwrap().table_mut().remove_node(gone);
+    }
+    let held: Vec<NodeIdx> =
+        net.node(gone).unwrap().table().all_refs().iter().map(|r| r.idx).collect();
+    assert!(!held.is_empty());
+    net.kill(gone);
+    let edges = table_edges(&net).len() as u64;
+    let before = net.engine().stats().messages;
+    net.probe_all();
+    let stats = net.engine().stats();
+    assert_eq!(stats.messages - before, edges + held.len() as u64, "the beacons and nothing else");
+    assert_eq!(metrics::REPAIR_FACT_FAILED_CONTACT.read(stats), held.len() as u64);
+    assert_eq!(metrics::REPAIR_DETECTED_DEAD.read(stats), 0);
+    for m in held {
+        assert!(net.node(m).unwrap().backpointers().all(|r| r.idx != gone), "{m} forgot it");
+    }
 }
 
 #[test]

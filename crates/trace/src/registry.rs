@@ -281,9 +281,9 @@ pub mod metrics {
 
         // -- repair: detection, ledger, targeted repairs ---------------
         Counter REPAIR_PINGS: "repair.pings",
-            "Liveness probes sent";
+            "Liveness pings sent: beacons to backpointer holders and certificate re-checks";
         Counter REPAIR_PONGS: "repair.pongs",
-            "Probe answers sent (a ping from a peer probed in the same round needs none)";
+            "Answers to certificate re-checks (a beacon gets none)";
         Counter REPAIR_DETECTED_DEAD: "repair.detected_dead",
             "Dead neighbors detected by probing";
         Counter REPAIR_QUERIES: "repair.queries",
