@@ -96,7 +96,10 @@ fn bench_nearest(c: &mut Criterion) {
 
 /// The global-knowledge layer on a 4 096-node mesh: the whole static
 /// build (a fresh network per iteration, its drop included), its last
-/// stage alone, and the two between-phase sweeps.
+/// stage alone, and the two between-phase sweeps. Property 2 is timed
+/// twice: on the bootstrap's membership, where it reads the nearest
+/// members the build recorded, and after one kill, where it pays the
+/// full indexed sweep.
 fn bench_global_knowledge(c: &mut Criterion) {
     let space = TorusSpace::random(N, 8000.0, 7);
     c.bench_function("core/static_populate_4096", |b| {
@@ -110,6 +113,11 @@ fn bench_global_knowledge(c: &mut Criterion) {
     c.bench_function("core/backpointers_4096", |b| b.iter(|| net.rebuild_backpointers()));
     c.bench_function("core/check_property1_4096", |b| b.iter(|| black_box(net.check_property1())));
     c.bench_function("core/check_property2_4096", |b| b.iter(|| black_box(net.check_property2())));
+    let mut killed = TapestryNetwork::build(TapestryConfig::default(), Box::new(space.clone()), 7);
+    killed.kill(killed.members()[N / 2]);
+    c.bench_function("core/check_property2_indexed_4096", |b| {
+        b.iter(|| black_box(killed.check_property2()))
+    });
     bench_store(c, net);
 }
 

@@ -1,5 +1,8 @@
 //! Host seconds of each stage of the static bootstrap, of the two
 //! Property sweeps and of publishing a catalog of `nodes / 2` objects,
+//! and of the Property 2 sweep once more after one member is killed (on
+//! the bootstrap's membership the sweep reads the nearest members the
+//! bootstrap recorded; on any other it queries one index per group),
 //! then what the mesh and the pointers cost in memory — the stage table
 //! and the bytes-per-node tables in README *Performance*.
 //!
@@ -157,6 +160,10 @@ fn main() {
                 ),
             ];
         }
+        net.kill(net.members()[nodes / 2]);
+        let t = Instant::now();
+        let (optimal_indexed, total_indexed) = net.check_property2();
+        let p2_indexed_secs = t.elapsed().as_secs_f64();
         rows = vec![
             ("add nodes".into(), add),
             (format!("populate_tables queries, levels 0-{}", DEEP - 1), query),
@@ -164,9 +171,16 @@ fn main() {
             (format!("apply fills ({entries} table entries)"), apply),
             (format!("backpointers ({backpointers})"), backptrs),
             ("bootstrap".into(), bootstrap),
-            (format!("check_property2 ({optimal}/{total} slots optimal)"), p2_secs),
+            (format!("check_property2, recorded ({optimal}/{total} slots optimal)"), p2_secs),
             (format!("check_property1 ({violations} violations)"), p1_secs),
             (format!("publish {} objects ({pointers} pointers)", nodes / 2), publish_secs),
+            (
+                format!(
+                    "check_property2 after one kill, indexed ({optimal_indexed}/{total_indexed} \
+                     slots optimal)"
+                ),
+                p2_indexed_secs,
+            ),
         ];
     }
     println!("{nodes}-node torus, seed {SEED}, 1 thread, repetition {REPS} of {REPS}");

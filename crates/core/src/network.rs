@@ -79,6 +79,14 @@ pub struct TapestryNetwork {
     /// Live members, kept sorted ascending (set semantics; a sorted `Vec`
     /// so hot paths can sample and iterate without allocating).
     members: Vec<NodeIdx>,
+    /// The static bootstrap's answer to Property 2's question: for every
+    /// slot [`TapestryNetwork::check_property2`] judges, in its visit
+    /// order, the nearest member carrying the slot's prefix (the first
+    /// member the slot's `closest_k` query returned). That truth depends
+    /// on the membership alone, so the record lives until the membership
+    /// first changes: [`TapestryNetwork::insert_member`] and
+    /// [`TapestryNetwork::remove_member`] drop it. 4 bytes per judged slot.
+    bootstrap_nearest: Option<Vec<u32>>,
     rng: StdRng,
     seed: u64,
     /// Number of the last probe round started. Every node of a round gets
@@ -200,6 +208,7 @@ impl TapestryNetwork {
             cfg,
             ids: Names::new(ids),
             members: Vec::new(),
+            bootstrap_nearest: None,
             rng,
             seed,
             probe_round: 0,
@@ -207,17 +216,21 @@ impl TapestryNetwork {
         }
     }
 
-    /// Add `idx` to the sorted member list (no-op when present).
+    /// Add `idx` to the sorted member list (no-op when present). A new
+    /// member makes the bootstrap's Property 2 record stale.
     fn insert_member(&mut self, idx: NodeIdx) {
         if let Err(at) = self.members.binary_search(&idx) {
             self.members.insert(at, idx);
+            self.bootstrap_nearest = None;
         }
     }
 
-    /// Drop `idx` from the sorted member list (no-op when absent).
+    /// Drop `idx` from the sorted member list (no-op when absent), and
+    /// with it the bootstrap's Property 2 record.
     fn remove_member(&mut self, idx: NodeIdx) {
         if let Ok(at) = self.members.binary_search(&idx) {
             self.members.remove(at);
+            self.bootstrap_nearest = None;
         }
     }
 
@@ -256,6 +269,9 @@ impl TapestryNetwork {
     /// still shared at that level, times the groups of their family (at
     /// most `base`); past the first `log_b n` levels that is a handful
     /// of members, and the loop ends at the first level nobody shares.
+    /// Each query's first answer outside the owner's own digit is the
+    /// nearest member Property 2 asks about; it is kept as the network's
+    /// `bootstrap_nearest` record.
     fn populate_tables(&mut self, members: &[NodeIdx], stage: &mut dyn FnMut(BootstrapStage)) {
         let cap = self.cfg.redundancy;
         let runs = PrefixRuns::new(&self.ids, members);
@@ -265,18 +281,18 @@ impl TapestryNetwork {
         // the group sizes alone, so every table is sized once, to exactly
         // what it will hold, instead of growing level by level.
         let mut room = vec![0usize; self.ids.len()];
+        let mut judged = 0;
         for (l, level) in levels.iter().enumerate() {
             for visit in &level.visits {
                 let own = self.ids[visit.node].digit(l);
-                room[visit.node] += level
-                    .family(visit)
-                    .map(|(g, digit)| {
-                        let own = usize::from(digit == own);
-                        (cap - own).min(level.groups[g].len() - own)
-                    })
-                    .sum::<usize>();
+                for (g, digit) in level.family(visit) {
+                    let own = usize::from(digit == own);
+                    room[visit.node] += (cap - own).min(level.groups[g].len() - own);
+                    judged += 1 - own;
+                }
             }
         }
+        let mut nearest = Vec::with_capacity(judged);
         for &m in members {
             self.engine.node_mut(m).expect("just added").table_mut().make_room(room[m]);
         }
@@ -291,6 +307,9 @@ impl TapestryNetwork {
                 for (g, digit) in level.family(visit) {
                     let want = cap - usize::from(digit == own);
                     indexes[g].closest_k_into(visit.node, want, &mut closest);
+                    if digit != own {
+                        nearest.push(idx32(closest[0].0));
+                    }
                     fills.extend(
                         closest.iter().map(|&(member, _)| Fill { node, member: idx32(member) }),
                     );
@@ -310,6 +329,8 @@ impl TapestryNetwork {
             }
             stage(BootstrapStage::LevelApplied(l));
         }
+        debug_assert_eq!(nearest.len(), judged);
+        self.bootstrap_nearest = Some(nearest);
     }
 
     /// Make every node's backpointer set the exact inverse of the
@@ -890,13 +911,18 @@ impl TapestryNetwork {
     /// so tests assert a high fraction rather than perfection.
     ///
     /// The "true closest matching member" is a nearest-in-prefix-group
-    /// query, answered through per-group coordinate indexes over the
-    /// members' [`PrefixRuns`] — the same machinery as the fast
-    /// bootstrap, in place of O(n² · slots): one query per visited member
-    /// and group of its family, at the levels where prefixes are shared.
+    /// query over the members' [`PrefixRuns`], one per visited member and
+    /// group of its family, at the levels where prefixes are shared. On
+    /// the bootstrap's membership the bootstrap already answered every
+    /// one of them, and its record is read; on any other membership one
+    /// coordinate index per group answers them — the same machinery as
+    /// the fast bootstrap, in place of O(n² · slots). Either way each
+    /// slot's *current* primary is judged, so an entry changed since the
+    /// bootstrap is still counted.
     pub fn check_property2(&self) -> (usize, usize) {
         let metric = self.engine.metric();
         let runs = PrefixRuns::new(&self.ids, &self.members);
+        let mut recorded = self.bootstrap_nearest.as_ref().map(|r| r.iter());
         let mut optimal = 0;
         let mut total = 0;
         for l in 0..self.cfg.levels() {
@@ -904,20 +930,31 @@ impl TapestryNetwork {
             if level.is_empty() {
                 break;
             }
-            let indexes = group_indexes(metric, &runs, &level);
+            let indexes = match recorded {
+                Some(_) => Vec::new(),
+                None => group_indexes(metric, &runs, &level),
+            };
             for visit in &level.visits {
                 let a = visit.node;
-                let Some(node) = self.engine.node(a) else { continue };
+                let node = self.engine.node(a);
                 let own = self.ids[a].digit(l);
                 for (g, j) in level.family(visit) {
                     if j == own {
                         continue; // the owner's slot; never counted
                     }
+                    let best = recorded.as_mut().map(|r| *r.next().expect("a judged slot"));
+                    let Some(node) = node else { continue };
                     let Some(primary) = node.table().slot(l, j).primary(None) else { continue };
                     if primary.idx == a {
                         continue; // self entry
                     }
-                    let Some((_, db)) = indexes[g].nearest(a) else { continue };
+                    let db = match best {
+                        Some(b) => metric.distance(a, b as NodeIdx),
+                        None => match indexes[g].nearest(a) {
+                            Some((_, db)) => db,
+                            None => continue,
+                        },
+                    };
                     total += 1;
                     let dp = metric.distance(a, primary.idx);
                     if dp <= db + 1e-9 {
@@ -926,6 +963,7 @@ impl TapestryNetwork {
                 }
             }
         }
+        debug_assert!(recorded.is_none_or(|mut r| r.next().is_none()), "a record per judged slot");
         #[cfg(debug_assertions)]
         if self.members.len() <= 600 {
             assert_eq!(
@@ -1136,5 +1174,99 @@ mod tests {
                 4 * entries + 2 * cfg.base() * cfg.levels() + 4 * node.backpointers().count();
             assert_eq!(node.heap_bytes(), want, "node {m}");
         }
+    }
+
+    /// Property 2 by its definition, in one pass over member pairs: each
+    /// slot's nearest member is the closest `b` whose shared prefix with
+    /// the owner ends at the slot. Above the 600-node limit of the
+    /// debug-build cross-check, and independent of any index or record.
+    fn property2_by_pairs(net: &TapestryNetwork) -> (usize, usize) {
+        let (metric, levels, base) = (net.engine.metric(), net.cfg.levels(), net.cfg.base());
+        let (mut optimal, mut total) = (0, 0);
+        for &a in &net.members {
+            let Some(node) = net.engine.node(a) else { continue };
+            let mut best = vec![f64::INFINITY; levels * base];
+            for &b in net.members.iter().filter(|&&b| b != a) {
+                let p = net.ids[a].shared_prefix_len(&net.ids[b]);
+                if p < levels {
+                    let s = &mut best[p * base + usize::from(net.ids[b].digit(p))];
+                    *s = s.min(metric.distance(a, b));
+                }
+            }
+            for (s, &db) in best.iter().enumerate().filter(|(_, db)| db.is_finite()) {
+                let slot = node.table().slot(s / base, (s % base) as u8);
+                let Some(primary) = slot.primary(None).filter(|p| p.idx != a) else { continue };
+                total += 1;
+                optimal += usize::from(metric.distance(a, primary.idx) <= db + 1e-9);
+            }
+        }
+        (optimal, total)
+    }
+
+    /// `check_property2` once more with the bootstrap's record set aside:
+    /// the indexed sweep the record stands in for.
+    fn indexed_sweep(net: &mut TapestryNetwork) -> (usize, usize) {
+        let record = net.bootstrap_nearest.take();
+        let swept = net.check_property2();
+        net.bootstrap_nearest = record;
+        swept
+    }
+
+    fn mesh(n: usize, n0: usize, seed: u64) -> TapestryNetwork {
+        let space = TorusSpace::random(n, 1000.0 * (n as f64 / 64.0).sqrt(), seed);
+        TapestryNetwork::bootstrap(TapestryConfig::default(), Box::new(space), seed, n0)
+    }
+
+    #[test]
+    fn the_bootstrap_record_answers_as_the_indexed_sweep() {
+        let mut net = mesh(2000, 2000, 11);
+        let record = net.bootstrap_nearest.as_ref().expect("the bootstrap records");
+        let hit = net.check_property2();
+        assert_eq!(record.len(), hit.1, "one record per judged slot, every slot filled");
+        assert_eq!(hit, (hit.1, hit.1), "the static build is optimal");
+        assert_eq!(hit, indexed_sweep(&mut net));
+        assert_eq!(hit, property2_by_pairs(&net));
+    }
+
+    #[test]
+    fn a_membership_change_drops_the_record() {
+        let mut net = mesh(2001, 2000, 12);
+        let victim = net.members[1000];
+        net.kill(victim);
+        assert!(net.bootstrap_nearest.is_none(), "a kill drops the record");
+        assert_eq!(net.check_property2(), property2_by_pairs(&net));
+
+        let mut net = mesh(2001, 2000, 12);
+        assert!(net.insert_node(2000), "the join completes");
+        assert!(net.bootstrap_nearest.is_none(), "a completed join drops the record");
+        assert_eq!(net.check_property2(), property2_by_pairs(&net));
+    }
+
+    /// The record holds truth, not verdicts: a primary changed after the
+    /// bootstrap is judged as it is now.
+    #[test]
+    fn a_demoted_primary_costs_exactly_its_slot() {
+        let mut net = mesh(2000, 2000, 13);
+        let (optimal, total) = net.check_property2();
+        // A slot whose runner-up is strictly farther than its primary.
+        let (a, primary) = net
+            .members
+            .iter()
+            .find_map(|&a| {
+                let table = net.node(a)?.table();
+                let slots = (0..table.levels())
+                    .flat_map(|l| (0..table.base() as u8).map(move |j| table.slot(l, j)));
+                slots.map(|slot| slot.iter_with_dist().take(2).collect::<Vec<_>>()).find_map(
+                    |front| match front[..] {
+                        [(p, dp), (_, dr)] if p.idx != a && dr > dp + 1e-6 => Some((a, p.idx)),
+                        _ => None,
+                    },
+                )
+            })
+            .expect("some slot has a farther runner-up");
+        net.engine.node_mut(a).unwrap().table_mut().remove_node(primary);
+        assert!(net.bootstrap_nearest.is_some(), "the tables changed, the membership did not");
+        assert_eq!(net.check_property2(), (optimal - 1, total));
+        assert_eq!(net.check_property2(), indexed_sweep(&mut net));
     }
 }
