@@ -334,11 +334,14 @@ impl TapestryNode {
         }
     }
 
-    /// A node now keeps us in its table. If it did so before starting
-    /// the current round, it awaits our beacon, which went out without
-    /// it; so while the round is open it is beaconed at once.
-    pub(crate) fn on_added_you(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef) {
-        if self.backptrs.insert(who, self.table.names()) && ctx.now < self.probe.closes {
+    /// A node now keeps us in its table, added during its probe round
+    /// `round`. If that is older than our open round, it will start ours
+    /// holding us and await our beacon, which went out without it; so it
+    /// is beaconed at once. A holder that added us within our round had
+    /// fixed its awaited peers already, and is not.
+    pub(crate) fn on_added_you(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
+        let awaits_us = round < self.probe.round && ctx.now < self.probe.closes;
+        if self.backptrs.insert(who, self.table.names()) && awaits_us {
             metrics::REPAIR_PINGS.inc(ctx);
             ctx.send(who.idx, Msg::Ping { round: self.probe.round, me: self.me, reply: false });
         }

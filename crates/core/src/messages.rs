@@ -303,6 +303,8 @@ pub enum Msg {
     AddedYou {
         /// The node whose table changed.
         me: NodeRef,
+        /// The latest probe round it had started when it did (0: none).
+        round: u64,
     },
     /// "You were evicted from my routing table" — removes the backpointer.
     RemovedYou {

@@ -44,7 +44,7 @@ impl TapestryNode {
         metrics::JOIN_MESSAGES.add(ctx, 2);
         ctx.send(new_node.idx, Msg::Hello { op, me: self.me });
         self.table.add_pinned(new_node);
-        ctx.send(new_node.idx, Msg::AddedYou { me: self.me });
+        ctx.send(new_node.idx, Msg::AddedYou { me: self.me, round: self.probe.round });
         self.link_and_xfer_root(ctx, new_node);
         self.notify_watchers(ctx, new_node);
     }

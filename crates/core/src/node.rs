@@ -118,8 +118,8 @@ pub(crate) struct ProbeState {
     /// none yet).
     pub round: u64,
     /// When that round's deadline falls. Until then a node that newly
-    /// holds us (its `AddedYou` arrives mid-round) is beaconed at once:
-    /// it may have started its round holding us already.
+    /// holds us (its `AddedYou` arrives mid-round) is beaconed at once
+    /// if it added us before it started this round: it awaits us.
     pub closes: SimTime,
     /// The peers awaited in that round, ascending by index, each with
     /// what has been heard from it. An answer marks its entry and moves
@@ -416,7 +416,7 @@ impl TapestryNode {
         }
         let outcome = self.table.add_if_closer(r, self.cfg.redundancy);
         if outcome.newly_added {
-            ctx.send(r.idx, Msg::AddedYou { me: self.me });
+            ctx.send(r.idx, Msg::AddedYou { me: self.me, round: self.probe.round });
             self.notify_watchers(ctx, r);
         }
         for e in outcome.evicted {
@@ -483,7 +483,7 @@ impl Actor for TapestryNode {
                 self.on_get_pointers(ctx, op, level, new_node)
             }
             Msg::Pointers { op, level, refs } => self.on_pointers(ctx, from, op, level, refs),
-            Msg::AddedYou { me } => self.on_added_you(ctx, me),
+            Msg::AddedYou { me, round } => self.on_added_you(ctx, me, round),
             Msg::RemovedYou { me } => {
                 self.backptrs.remove(me.idx);
             }
