@@ -334,11 +334,12 @@ impl TapestryNode {
         }
     }
 
-    /// A node now keeps us in its table, added during its probe round
-    /// `round`. If that is older than our open round, it will start ours
-    /// holding us and await our beacon, which went out without it; so it
-    /// is beaconed at once. A holder that added us within our round had
-    /// fixed its awaited peers already, and is not.
+    /// A node now keeps us in its table; `round` is the latest probe
+    /// round it had started when it added us. If that is older than our
+    /// open round, it enters ours holding us and awaits our beacon, which
+    /// went out without it, so it is beaconed at once. A holder that
+    /// added us within our round had fixed its awaited peers before, and
+    /// is not.
     pub(crate) fn on_added_you(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, who: NodeRef, round: u64) {
         let awaits_us = round < self.probe.round && ctx.now < self.probe.closes;
         if self.backptrs.insert(who, self.table.names()) && awaits_us {
