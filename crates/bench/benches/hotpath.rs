@@ -291,7 +291,7 @@ impl Actor for Bouncer {
 fn bench_engine_dispatch(c: &mut Criterion) {
     c.bench_function("engine/dispatch_256_events", |b| {
         let space = RingSpace::even(2, 100.0);
-        let mut e = Engine::new(Box::new(space), SimTime(1));
+        let mut e = Engine::new(Box::new(space));
         e.add_node(0, Bouncer { peer: 1 });
         e.add_node(1, Bouncer { peer: 0 });
         b.iter(|| {
@@ -330,7 +330,7 @@ const RELAYS: usize = 1024;
 fn bench_send_deliver(c: &mut Criterion) {
     const RELAY_EVENTS: u64 = 100_000;
     let space = RingSpace::even(RELAYS, 8192.0);
-    let mut e = Engine::new(Box::new(space), SimTime(1));
+    let mut e = Engine::new(Box::new(space));
     for i in 0..RELAYS {
         e.add_node(i, Relay);
         e.inject(i, [i as u64; MSG_WORDS]);
@@ -385,7 +385,7 @@ fn bench_send_each(c: &mut Criterion) {
         [("engine/send_each_100_targets", true), ("engine/send_loop_100_targets", false)]
     {
         let space = RingSpace::even(RELAYS, 8192.0);
-        let mut e = Engine::new(Box::new(space), SimTime(1));
+        let mut e = Engine::new(Box::new(space));
         for i in 0..RELAYS {
             e.add_node(i, Caster { fan });
         }

@@ -1,13 +1,13 @@
 //! **Scenario driver** — runs one named `tapestry-workload` preset (any
 //! name `sweep_preset` knows, with its default axes) or the whole
-//! `PRESET_NAMES` series, and emits deterministic JSON/CSV reports with
+//! `PRESET_NAMES` series, and emits deterministic JSON reports with
 //! p50/p90/p99/p999 locate latency, hop counts, drop rates and invariant
-//! spot-checks.
+//! spot-checks, plus the hop-trace and metrics artifacts on request.
 //!
 //! ```sh
 //! scenarios --list
 //! scenarios --preset steady-zipf --nodes 64 --ops 500
-//! scenarios --preset churn-storm --nodes 64 --ops 500 --json churn.json --csv churn.csv
+//! scenarios --preset churn-storm --nodes 64 --ops 500 --json churn.json
 //! scenarios --nodes 10000 --preset scale --ops 2000        # one torus scale point
 //! scenarios --nodes 1000 --preset churn-scale --ops 1000   # one batched churn point
 //! scenarios --preset all --json BENCH_scenarios.json   # the committed series
@@ -18,9 +18,65 @@
 //! and diffed across PRs. The scale trajectory over many sizes is a
 //! sweep: `tapestry-sweep --spec sweeps/scale.spec`.
 
-use tapestry_bench::{f2, header, row, TelemetryFlags, DEFAULT_METRICS_WINDOW};
+use tapestry_bench::{f2, header, row};
 use tapestry_trace::json::JsonWriter;
-use tapestry_workload::{presets, runner, sweep_preset, ScenarioReport};
+use tapestry_workload::{presets, runner, sweep_preset, ScenarioReport, ScenarioSpec};
+
+/// Simulated time units per sample of `--metrics-json`: 1024 distance
+/// units.
+const DEFAULT_METRICS_WINDOW: u64 = 1 << 20;
+
+/// The telemetry flags: `--trace-json PATH`, `--trace-sample N` and
+/// `--metrics-json PATH`. Asking for a file implies collecting it:
+/// `--trace-json` alone traces every locate, and `--metrics-json` samples
+/// every [`DEFAULT_METRICS_WINDOW`] units. A trace sampled with no file
+/// to write it to is refused.
+#[derive(Debug, Clone, Default)]
+struct TelemetryFlags {
+    trace_json: Option<String>,
+    metrics_json: Option<String>,
+    trace_sample: u64,
+}
+
+impl TelemetryFlags {
+    /// Take `flag` if it is one of the three, reading its value through
+    /// `val`; `Err` names an unknown flag or a malformed or zero count.
+    fn parse(&mut self, flag: &str, val: impl FnOnce(&str) -> String) -> Result<(), String> {
+        match flag {
+            "--trace-json" => self.trace_json = Some(val(flag)),
+            "--trace-sample" => {
+                let v = val(flag);
+                self.trace_sample = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err(format!("{flag}: '{v}' is not a count ≥ 1")),
+                };
+            }
+            "--metrics-json" => self.metrics_json = Some(val(flag)),
+            _ => return Err(format!("unknown flag '{flag}'")),
+        }
+        Ok(())
+    }
+
+    /// `Err` when the flags collect something no file receives.
+    fn check(&self) -> Result<(), String> {
+        if self.trace_sample > 0 && self.trace_json.is_none() {
+            return Err("--trace-sample needs --trace-json".into());
+        }
+        Ok(())
+    }
+
+    /// Turn on the collection the flags ask for in `spec`.
+    fn apply(&self, spec: ScenarioSpec) -> ScenarioSpec {
+        let mut spec = spec;
+        if self.trace_json.is_some() {
+            spec = spec.trace_sample(self.trace_sample.max(1));
+        }
+        if self.metrics_json.is_some() {
+            spec = spec.metrics_window(DEFAULT_METRICS_WINDOW);
+        }
+        spec
+    }
+}
 
 struct Args {
     preset: String,
@@ -28,7 +84,6 @@ struct Args {
     ops: u64,
     seed: u64,
     json: Option<String>,
-    csv: Option<String>,
     tel: TelemetryFlags,
     quiet: bool,
 }
@@ -42,13 +97,12 @@ fn preset_names() -> impl Iterator<Item = &'static str> {
 fn usage() -> ! {
     eprintln!(
         "usage: scenarios --preset <name|all> [--nodes N] [--ops N] [--seed S]\n\
-         \x20                [--json PATH] [--csv PATH]\n\
-         \x20                [--trace-json PATH] [--trace-sample N] [--trace-cap N]\n\
-         \x20                [--metrics-json PATH] [--metrics-window UNITS] [--quiet]\n\
+         \x20                [--json PATH] [--trace-json PATH] [--trace-sample N]\n\
+         \x20                [--metrics-json PATH] [--quiet]\n\
          \x20      scenarios --list\n\
          presets: {}\n\
-         --trace-sample N traces every Nth locate (default 1 when --trace-json is given);\n\
-         --metrics-window is simulated time units per sample (default {DEFAULT_METRICS_WINDOW})",
+         --trace-sample N traces every Nth locate into --trace-json (default 1);\n\
+         --metrics-json samples every {DEFAULT_METRICS_WINDOW} simulated time units",
         preset_names().collect::<Vec<_>>().join(", ")
     );
     std::process::exit(2)
@@ -80,7 +134,6 @@ fn parse_args() -> Args {
         ops: 500,
         seed: 42,
         json: None,
-        csv: None,
         tel: TelemetryFlags::default(),
         quiet: false,
     };
@@ -98,7 +151,6 @@ fn parse_args() -> Args {
             "--ops" => args.ops = val("--ops").parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--json" => args.json = Some(val("--json")),
-            "--csv" => args.csv = Some(val("--csv")),
             "--quiet" => args.quiet = true,
             "--list" => {
                 for name in preset_names() {
@@ -113,6 +165,10 @@ fn parse_args() -> Args {
                 }
             }
         }
+    }
+    if let Err(e) = args.tel.check() {
+        eprintln!("{e}");
+        usage()
     }
     if args.preset.is_empty() {
         usage()
@@ -180,19 +236,46 @@ fn main() {
         None if args.quiet => println!("{json}"),
         None => {}
     }
-    if let Some(path) = &args.csv {
-        let mut csv = String::new();
-        for (i, r) in reports.iter().enumerate() {
-            let full = r.to_csv();
-            // One shared header row for the whole file.
-            csv.push_str(if i == 0 { &full } else { full.split_once('\n').unwrap().1 });
-        }
-        std::fs::write(path, csv).expect("write csv report");
-    }
     if let Some(path) = &args.tel.trace_json {
         std::fs::write(path, join_artifacts(&traces)).expect("write trace json");
     }
     if let Some(path) = &args.tel.metrics_json {
         std::fs::write(path, join_artifacts(&metrics)).expect("write metrics json");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn telemetry_flags_parse_and_a_file_implies_collecting_it() {
+        let mut tel = TelemetryFlags::default();
+        for flag in ["--nodes", "--trace-cap", "--metrics-window", "--csv"] {
+            let err = tel.parse(flag, |_| unreachable!("not a telemetry flag")).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{flag}'"));
+        }
+        assert!(tel.parse("--trace-sample", |_| "0".into()).is_err());
+        assert!(tel.parse("--trace-sample", |_| "many".into()).is_err());
+        let off = tel.apply(ScenarioSpec::new("x"));
+        assert_eq!((off.trace_sample, off.metrics_window), (0, 0));
+
+        // A sampled trace that no file receives is refused.
+        assert_eq!(tel.parse("--trace-sample", |_| "8".into()), Ok(()));
+        assert!(tel.check().is_err(), "--trace-sample without --trace-json");
+        assert_eq!(tel.parse("--trace-json", |_| "t.json".into()), Ok(()));
+        assert_eq!(tel.check(), Ok(()));
+        assert_eq!(tel.apply(ScenarioSpec::new("x")).trace_sample, 8);
+
+        // Each file alone turns on its own collection.
+        let mut trace = TelemetryFlags::default();
+        assert_eq!(trace.parse("--trace-json", |_| "t.json".into()), Ok(()));
+        let on = trace.apply(ScenarioSpec::new("x"));
+        assert_eq!((on.trace_sample, on.metrics_window), (1, 0));
+        let mut metrics = TelemetryFlags::default();
+        assert_eq!(metrics.parse("--metrics-json", |_| "m.json".into()), Ok(()));
+        assert_eq!(metrics.check(), Ok(()));
+        let on = metrics.apply(ScenarioSpec::new("x"));
+        assert_eq!((on.trace_sample, on.metrics_window), (0, DEFAULT_METRICS_WINDOW));
     }
 }

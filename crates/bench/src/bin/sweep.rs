@@ -12,7 +12,7 @@
 //! tapestry-sweep --spec sweeps/ci.spec --json BENCH_sweep.json
 //! # the CI gate:
 //! tapestry-sweep --spec sweeps/ci.spec --compare BENCH_sweep.json \
-//!     --timing-json sweep_timing.json --csv sweep.csv
+//!     --timing-json sweep_timing.json
 //! ```
 //!
 //! Exit codes: `0` pass, `1` gate regression, `2` usage/IO/spec error,
@@ -26,7 +26,6 @@ struct Args {
     workers: Option<usize>,
     seeds: Option<Vec<u64>>,
     json: Option<String>,
-    csv: Option<String>,
     timing_json: Option<String>,
     compare: Option<String>,
     md_summary: Option<String>,
@@ -36,7 +35,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: tapestry-sweep --spec PATH [--workers N] [--seeds S,S,...]\n\
-         \x20                    [--json PATH] [--csv PATH] [--timing-json PATH]\n\
+         \x20                    [--json PATH] [--timing-json PATH]\n\
          \x20                    [--compare BASELINE.json] [--md-summary PATH] [--quiet]\n\
          exit codes: 0 pass, 1 regression, 2 usage/io/spec, 3 missing cell"
     );
@@ -49,7 +48,6 @@ fn parse_args() -> Args {
         workers: None,
         seeds: None,
         json: None,
-        csv: None,
         timing_json: None,
         compare: None,
         md_summary: None,
@@ -78,7 +76,6 @@ fn parse_args() -> Args {
                 }
             }
             "--json" => args.json = Some(val("--json")),
-            "--csv" => args.csv = Some(val("--csv")),
             "--timing-json" => args.timing_json = Some(val("--timing-json")),
             "--compare" => args.compare = Some(val("--compare")),
             "--md-summary" => args.md_summary = Some(val("--md-summary")),
@@ -134,13 +131,10 @@ fn main() {
     if let Some(path) = &args.timing_json {
         write_file(path, &aggregate.to_json(true), "timing json");
     }
-    if let Some(path) = &args.csv {
-        write_file(path, &aggregate.to_csv(false), "aggregate csv");
-    }
 
     let runs = result.cells.len() * spec.seeds.len();
     if !args.quiet {
-        print!("{}", aggregate.to_csv(false));
+        print!("{}", aggregate.to_csv());
         eprintln!(
             "sweep '{}': {} cells × {} seeds = {runs} runs, {workers} workers, {total_wall:.2}s wall",
             spec.name,

@@ -57,10 +57,6 @@ pub struct TapestryConfig {
     /// the benchmark-only PR that re-points `benchmark/src/workloads.rs`
     /// deletes it with [`MaintenanceMode`].
     pub maintenance: MaintenanceMode,
-    /// Repair budget: repair events per node per maintenance second (one
-    /// `repair::REPAIR_TICK` of 1000 distance units). Zero freezes the
-    /// scheduler — facts accumulate (bounded) but nothing is repaired.
-    pub repairs_per_sec_per_node: u32,
     /// The §6.3 transit-stub locality enhancement: a positive value turns
     /// it on, and publishes and queries spawn a local branch that never
     /// leaves the stub, where a neighbor is in the stub when it lies
@@ -102,7 +98,6 @@ impl Default for TapestryConfig {
             roots_per_object: 1,
             insert_level_timeout: SimTime::from_distance(50_000.0),
             maintenance: MaintenanceMode::Incremental,
-            repairs_per_sec_per_node: 16,
             stub_latency_threshold: 0.0,
         }
     }

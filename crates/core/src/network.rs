@@ -93,9 +93,10 @@ pub struct TapestryNetwork {
     /// the same number, so a node can tell whether a peer's ping belongs
     /// to its own round.
     probe_round: u64,
-    /// Event budget for each `run_to_idle` call.
-    pub max_events_per_op: u64,
 }
+
+/// Event budget for each [`TapestryNetwork::run_to_idle`] call.
+const MAX_EVENTS_PER_OP: u64 = 20_000_000;
 
 /// One table entry the indexed bootstrap installs: `member` into `node`'s
 /// table. The level is implicit — fills are produced and applied one level
@@ -204,7 +205,7 @@ impl TapestryNetwork {
             }
         }
         TapestryNetwork {
-            engine: Engine::new(space, SimTime(1)),
+            engine: Engine::new(space),
             cfg,
             ids: Names::new(ids),
             members: Vec::new(),
@@ -212,7 +213,6 @@ impl TapestryNetwork {
             rng,
             seed,
             probe_round: 0,
-            max_events_per_op: 20_000_000,
         }
     }
 
@@ -503,9 +503,9 @@ impl TapestryNetwork {
     }
 
     /// Drain all scheduled events, one at a time in `(time, sequence)`
-    /// order (bounded by `max_events_per_op`).
+    /// order (bounded by `MAX_EVENTS_PER_OP`).
     pub fn run_to_idle(&mut self) -> u64 {
-        self.engine.run_until_idle(self.max_events_per_op)
+        self.engine.run_until_idle(MAX_EVENTS_PER_OP)
     }
 
     /// Advance simulated time to `deadline`, processing due events.
@@ -550,11 +550,11 @@ impl TapestryNetwork {
         self.engine.inject(origin, Msg::AppLocate { guid, trace: Some(trace) });
     }
 
-    /// Turn on hop tracing with a bounded collector of `cap` records
+    /// Turn on hop tracing with a collector bounded at 4 096 records
     /// (overflow is counted, not stored). Deterministic: records land in
     /// event pop order.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.engine.stats_mut().enable_trace(cap);
+    pub fn enable_trace(&mut self) {
+        self.engine.stats_mut().enable_trace();
     }
 
     /// Repair-ledger facts pending across all live members — the backlog
@@ -783,39 +783,14 @@ impl TapestryNetwork {
         }
     }
 
-    /// Run one §6.4 continual-optimization round on every live node:
-    /// each node shares its per-level neighbor rows with the neighbors at
-    /// that level, restoring Property 2 quality degraded by churn.
-    pub fn optimize_all(&mut self) {
-        self.optimize_all_async();
-        self.run_to_idle();
-    }
-
-    /// Start a §6.4 optimization round without draining.
+    /// Start one §6.4 continual-optimization round on every live node
+    /// without draining: each node shares its per-level neighbor rows
+    /// with the neighbors at that level, restoring Property 2 quality
+    /// degraded by churn.
     pub fn optimize_all_async(&mut self) {
         for &idx in &self.members {
             self.engine.inject(idx, Msg::AppOptimize);
         }
-    }
-
-    /// Locate with retries (Observation 1): with `roots_per_object > 1`
-    /// each attempt picks a random root, so queries tolerate faults on
-    /// individual root paths. Returns the first successful result.
-    pub fn locate_retry(
-        &mut self,
-        origin: NodeIdx,
-        guid: Guid,
-        attempts: usize,
-    ) -> Option<LocateResult> {
-        for _ in 0..attempts.max(1) {
-            match self.locate(origin, guid) {
-                Some(r) if r.server.is_some() => return Some(r),
-                other => {
-                    let _ = other; // lost or not-found: retry on a fresh root
-                }
-            }
-        }
-        None
     }
 
     // ---------------------------- ground truth -----------------------------

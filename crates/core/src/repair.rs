@@ -4,8 +4,8 @@
 //! else. Hooks across `maintain`/`insert`/`node` and the engine's
 //! contact-failure notices record staleness **facts** into a per-node
 //! [`RepairLedger`]; a reactive `RepairTick` timer (armed only while the
-//! ledger is non-empty) releases at most `repairs_per_sec_per_node`
-//! targeted repair tasks per maintenance second. Detection is
+//! ledger is non-empty) releases at most [`REPAIRS_PER_TICK`] targeted
+//! repair tasks per maintenance second. Detection is
 //! beacon-based (§5.2 probe rounds), and a dead neighbor costs a handful
 //! of targeted `(level, digit)` messages, so maintenance cost follows the
 //! churn rate, not the population size.
@@ -61,10 +61,13 @@ pub(crate) enum FactKind {
 }
 
 /// One "maintenance second" of simulated time: 1000 distance units at
-/// the engine's `UNITS_PER_DISTANCE = 1024` granularity. The budget knob
-/// is expressed per maintenance second, and the scheduler fires one tick
-/// per second while a backlog exists.
+/// the engine's `UNITS_PER_DISTANCE = 1024` granularity. The scheduler
+/// fires one tick per second while a backlog exists.
 pub(crate) const REPAIR_TICK: SimTime = SimTime(1_024_000);
+
+/// Repair budget: the tasks one node releases per [`REPAIR_TICK`]. The
+/// rest of a backlog waits for the next tick (`repair.deferred_budget`).
+pub(crate) const REPAIRS_PER_TICK: usize = 16;
 
 /// Backlog cap: a ledger never holds more than this many queued tasks.
 /// Overflow drops the *oldest* entries — under sustained churn the newest
@@ -194,11 +197,9 @@ impl TapestryNode {
     /// Queue a repair task (follow-up work derived from an earlier fact —
     /// counted as an event when it runs, not as new evidence) and make
     /// sure exactly one `RepairTick` is armed while a backlog exists.
-    /// A zero budget never arms: facts accumulate (bounded by the
-    /// ledger's backlog cap) and the run still drains to idle.
     pub(crate) fn schedule_task(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, task: RepairTask) {
         self.repair.push(task);
-        if self.cfg.repairs_per_sec_per_node > 0 && !self.repair.is_empty() && self.repair.arm() {
+        if self.repair.arm() {
             ctx.set_timer(REPAIR_TICK, Timer::RepairTick);
         }
     }
@@ -212,8 +213,7 @@ impl TapestryNode {
             metrics::REPAIR_OVERFLOW.add(ctx, self.repair.overflowed);
             self.repair.overflowed = 0;
         }
-        let budget = self.cfg.repairs_per_sec_per_node as usize;
-        let tasks = self.repair.drain(budget);
+        let tasks = self.repair.drain(REPAIRS_PER_TICK);
         metrics::REPAIR_EVENTS.add(ctx, tasks.len() as u64);
         if !self.repair.is_empty() {
             metrics::REPAIR_DEFERRED_BUDGET.add(ctx, self.repair.len() as u64);

@@ -11,6 +11,11 @@ pub type NodeIdx = usize;
 /// (e.g. a test driver or an application issuing a query).
 pub const EXTERNAL: NodeIdx = usize::MAX;
 
+/// The fixed processing latency every message pays on top of the metric
+/// latency, injected ones included. It also serializes self-sends, which
+/// keeps causality strict even at distance zero.
+const PROC_DELAY: SimTime = SimTime(1);
+
 /// Node behaviour: a deterministic state machine driven by messages and
 /// timers. All outbound effects go through the [`Ctx`] so the engine can
 /// account for every send.
@@ -57,7 +62,6 @@ pub struct Ctx<'a, M, T> {
     queue: &'a mut ShardedQueue<Event<M, T>>,
     seq: &'a mut u64,
     fanned: &'a mut usize,
-    proc_delay: SimTime,
     notified: &'a mut Vec<NodeIdx>,
     listed: &'a mut [bool],
 }
@@ -111,7 +115,7 @@ impl<M, T> Ctx<'_, M, T> {
         let d = if to == self.me { 0.0 } else { self.metric.distance(self.me, to) };
         self.stats.messages += 1;
         self.stats.distance += d;
-        self.now + self.proc_delay + SimTime::from_distance(d)
+        self.now + PROC_DELAY + SimTime::from_distance(d)
     }
 
     /// Arm a timer that fires on this node after `delay`.
@@ -250,7 +254,6 @@ pub struct Engine<A: Actor> {
     actors: Vec<Option<A>>,
     metric: Arc<dyn MetricSpace>,
     stats: SimStats,
-    proc_delay: SimTime,
     /// Total events popped over the engine's lifetime (deliveries, timer
     /// fires, and drops alike) — the denominator of events/sec reporting.
     events_processed: u64,
@@ -292,11 +295,7 @@ impl<A: Actor> Engine<A> {
     pub const BYTES_PER_FANNED: usize = std::mem::size_of::<Fanned>();
 
     /// Create an engine over `metric`; every point starts empty (no node).
-    ///
-    /// `proc_delay` is the fixed per-message processing latency added on
-    /// top of the metric latency (it also serializes self-sends, keeping
-    /// causality strict even at distance zero).
-    pub fn new(metric: Box<dyn MetricSpace>, proc_delay: SimTime) -> Self {
+    pub fn new(metric: Box<dyn MetricSpace>) -> Self {
         let n = metric.len();
         let mut actors = Vec::with_capacity(n);
         actors.resize_with(n, || None);
@@ -308,7 +307,6 @@ impl<A: Actor> Engine<A> {
             actors,
             metric: metric.into(),
             stats: SimStats::default(),
-            proc_delay,
             events_processed: 0,
             events_by_kind: [0; 3],
             handler_ns: [Histogram::default(), Histogram::default(), Histogram::default()],
@@ -417,7 +415,7 @@ impl<A: Actor> Engine<A> {
     /// Inject a message from outside the network; it is delivered to `to`
     /// after the processing delay.
     pub fn inject(&mut self, to: NodeIdx, msg: A::Msg) {
-        let at = self.now + self.proc_delay;
+        let at = self.now + PROC_DELAY;
         self.push(at, to, Event::Deliver { from: EXTERNAL, msg });
     }
 
@@ -500,7 +498,7 @@ impl<A: Actor> Engine<A> {
                 self.stats.dropped += 1;
                 if from != EXTERNAL {
                     let d = if from == node { 0.0 } else { self.metric.distance(node, from) };
-                    let at = self.now + self.proc_delay + SimTime::from_distance(d);
+                    let at = self.now + PROC_DELAY + SimTime::from_distance(d);
                     self.push(at, from, Event::ContactFailed { peer: node });
                 }
             }
@@ -521,7 +519,6 @@ impl<A: Actor> Engine<A> {
             queue: &mut self.queue,
             seq: &mut self.seq,
             fanned: &mut self.fanned,
-            proc_delay: self.proc_delay,
             notified: &mut self.notified,
             listed: &mut self.listed,
         };
@@ -615,7 +612,7 @@ mod tests {
 
     fn engine2() -> Engine<Pinger> {
         let space = RingSpace::even(2, 100.0);
-        let mut e = Engine::new(Box::new(space), SimTime(1));
+        let mut e = Engine::new(Box::new(space));
         e.add_node(0, Pinger { peer: 1, received: 0 });
         e.add_node(1, Pinger { peer: 0, received: 0 });
         e
@@ -638,7 +635,7 @@ mod tests {
         let mut e = engine2();
         e.inject(0, 0);
         e.run_until_idle(10);
-        // Message took proc_delay only (external). Node 0 received at t=1.
+        // Message took PROC_DELAY only (external). Node 0 received at t=1.
         assert_eq!(e.now(), SimTime(1));
         e.inject(0, 1);
         e.run_until_idle(10);
@@ -683,7 +680,7 @@ mod tests {
 
     fn bouncers() -> Engine<Bouncer> {
         let space = RingSpace::even(2, 100.0);
-        let mut e = Engine::new(Box::new(space), SimTime(1));
+        let mut e = Engine::new(Box::new(space));
         e.add_node(0, Bouncer { peer: 1, failures: Vec::new() });
         e.add_node(1, Bouncer { peer: 0, failures: Vec::new() });
         e
@@ -757,7 +754,7 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         let space = RingSpace::even(1, 10.0);
-        let mut e: Engine<Pinger> = Engine::new(Box::new(space), SimTime(1));
+        let mut e: Engine<Pinger> = Engine::new(Box::new(space));
         e.add_node(0, Pinger { peer: 0, received: 0 });
         // Two timers set from outside via a message handler would need a
         // message; instead drive through node_mut + manual push is private,
@@ -928,7 +925,7 @@ mod tests {
         } else {
             Box::new(RingSpace::even(CAST_POINTS, 64.0))
         };
-        let mut e = Engine::new(space, SimTime(1));
+        let mut e = Engine::new(space);
         for i in 0..CAST_POINTS - 1 {
             e.add_node(i, Caster { fan, log: log.clone() });
         }
@@ -1007,7 +1004,7 @@ mod tests {
             }
             fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32, ()>, _timer: ()) {}
         }
-        let mut e = Engine::new(Box::new(RingSpace::even(4, 64.0)), SimTime(1));
+        let mut e = Engine::new(Box::new(RingSpace::even(4, 64.0)));
         for i in 0..4 {
             e.add_node(i, Fan);
         }
@@ -1059,7 +1056,7 @@ mod tests {
         let run = || {
             let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
             let space = RingSpace::even(8, 64.0);
-            let mut e: Engine<Tracer> = Engine::new(Box::new(space), SimTime(1));
+            let mut e: Engine<Tracer> = Engine::new(Box::new(space));
             for i in 0..8 {
                 e.add_node(i, Tracer { log: log.clone() });
             }

@@ -32,7 +32,7 @@
 //! `2^BUCKET_SHIFT` units (`at >> BUCKET_SHIFT`). Invariant: every key
 //! in the `near` binary heap lies in a bucket *before* `horizon`, every
 //! key in a `far` bucket lies *at or after* it. A push below the horizon
-//! (same-instant self-timers, `proc_delay` sends) goes into the heap; a
+//! (same-instant self-timers, `PROC_DELAY` sends) goes into the heap; a
 //! later one is appended, unsorted, to its bucket's `Vec` — O(1) however
 //! many are pending. `pop` takes from the heap, and whenever that leaves
 //! the heap empty while events remain, the earliest bucket is heapified

@@ -30,6 +30,10 @@ pub struct TraceRecord {
     pub at: SimTime,
 }
 
+/// Records a run's trace collector keeps; past it, records are counted
+/// as dropped, not stored.
+const TRACE_CAP: usize = 4096;
+
 /// Bounded ring collector for [`TraceRecord`]s: keeps the first `cap`
 /// records in global event (pop) order and counts the overflow instead of
 /// growing without bound.
@@ -140,13 +144,10 @@ impl SimStats {
         self.hists.get(usize::from(slot.0)).filter(|h| h.count() > 0)
     }
 
-    /// Turn on hop tracing with a ring buffer of `cap` records. Enabling
-    /// is idempotent on the cap; records survive re-enabling.
-    pub fn enable_trace(&mut self, cap: usize) {
-        match &mut self.trace {
-            Some(buf) => buf.cap = cap,
-            None => self.trace = Some(TraceBuf::new(cap)),
-        }
+    /// Turn on hop tracing with a buffer of `TRACE_CAP` records.
+    /// Enabling is idempotent; records survive re-enabling.
+    pub fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(|| TraceBuf::new(TRACE_CAP));
     }
 
     /// Is hop tracing on?

@@ -62,7 +62,7 @@ fn deep_queue_run_is_identical_from_run_to_run() {
     let run = || {
         // 400 000 around: deliveries take up to 200 000 distance units,
         // about 3 000 of the queue's 64-unit buckets.
-        let mut e: Engine<Fan> = Engine::new(Box::new(RingSpace::even(N, 400_000.0)), SimTime(1));
+        let mut e: Engine<Fan> = Engine::new(Box::new(RingSpace::even(N, 400_000.0)));
         for i in 0..N {
             e.add_node(i, Fan::default());
         }

@@ -5,7 +5,7 @@
 //! shrug off nodes that are removed before the driver collects.
 
 use tapestry_metric::RingSpace;
-use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, SimTime};
+use tapestry_sim::{Actor, Ctx, Engine, NodeIdx};
 
 /// Notifies the driver `msg` times on every receipt.
 struct Notifier;
@@ -24,7 +24,7 @@ impl Actor for Notifier {
 }
 
 fn engine(n: usize) -> Engine<Notifier> {
-    let mut e = Engine::new(Box::new(RingSpace::even(n, 1000.0)), SimTime(1));
+    let mut e = Engine::new(Box::new(RingSpace::even(n, 1000.0)));
     for i in 0..n {
         e.add_node(i, Notifier);
     }

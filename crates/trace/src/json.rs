@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use tapestry_sim::{Histogram, SimStats, TraceBuf, EVENT_KINDS};
 
 /// Fixed three-decimal float formatting — the determinism anchor of
-/// every committed artifact (JSON and CSV alike).
+/// every committed artifact and the sweep's console table.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }

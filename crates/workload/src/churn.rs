@@ -1,12 +1,11 @@
-//! Scripted membership dynamics: Poisson join/leave churn, diurnal churn
-//! waves, correlated mass failures, and partition/heal cuts.
+//! Scripted membership dynamics: Poisson join/leave churn, correlated
+//! mass failures, and partition/heal cuts.
 //!
 //! A [`ChurnSpec`] expands into a sorted list of timed [`ChurnEvent`]s at
 //! phase start; the runner interleaves them with the traffic stream. Like
 //! the traffic sources, expansion is a pure function of `(spec, rng)`.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use tapestry_sim::SimTime;
 
 /// One scripted membership dynamic within a phase.
@@ -22,19 +21,6 @@ pub enum ChurnSpec {
         /// Voluntary (Fig. 12) departures when `true`; unannounced kills
         /// (§5.2) when `false`.
         graceful: bool,
-        /// Never shrink the network below this many live nodes.
-        min_nodes: usize,
-    },
-    /// Diurnal churn waves over `cycles` "days": joins crest in the first
-    /// half of each cycle, departures in the second half (sinusoidal
-    /// rate modulation, sampled by thinning).
-    Diurnal {
-        /// Number of join/leave waves across the phase.
-        cycles: u32,
-        /// Expected joins over the whole phase.
-        joins: u64,
-        /// Expected departures over the whole phase.
-        leaves: u64,
         /// Never shrink the network below this many live nodes.
         min_nodes: usize,
     },
@@ -123,15 +109,6 @@ impl ChurnSpec {
                     out.push((t, ChurnEvent::Leave { graceful, min_nodes }));
                 }
             }
-            ChurnSpec::Diurnal { cycles, joins, leaves, min_nodes } => {
-                let cycles = cycles.max(1);
-                for t in wave_times(joins, cycles, false, start, end, rng) {
-                    out.push((t, ChurnEvent::Join));
-                }
-                for t in wave_times(leaves, cycles, true, start, end, rng) {
-                    out.push((t, ChurnEvent::Leave { graceful: true, min_nodes }));
-                }
-            }
             ChurnSpec::MassFailure { at, fraction, correlated } => {
                 out.push((at_time(at), ChurnEvent::MassFailure { fraction, correlated }));
             }
@@ -154,43 +131,6 @@ fn poisson_times(expected: u64, start: SimTime, end: SimTime, rng: &mut StdRng) 
     crate::traffic::Arrival::Poisson { ops: expected }.times(start, end, rng)
 }
 
-/// Sinusoidal-wave event times by thinning: the rate follows
-/// `max(0, sin(2π·cycles·x))` over phase fraction `x` (or its negation
-/// for `antiphase`), normalized to `expected` total arrivals.
-fn wave_times(
-    expected: u64,
-    cycles: u32,
-    antiphase: bool,
-    start: SimTime,
-    end: SimTime,
-    rng: &mut StdRng,
-) -> Vec<SimTime> {
-    if expected == 0 {
-        return Vec::new();
-    }
-    let span = (end.0 - start.0) as f64;
-    // ∫ max(0, sin(2π·c·x)) dx over [0,1] = 1/π, so the peak rate that
-    // yields `expected` arrivals is expected·π/span.
-    let lam_max = expected as f64 * std::f64::consts::PI / span;
-    let mut out = Vec::new();
-    let mut t = start.0 as f64;
-    loop {
-        t += crate::traffic::exp_gap(rng, lam_max);
-        if t >= end.0 as f64 {
-            break;
-        }
-        let x = (t - start.0 as f64) / span;
-        let mut s = (2.0 * std::f64::consts::PI * cycles as f64 * x).sin();
-        if antiphase {
-            s = -s;
-        }
-        if s > 0.0 && rng.gen_range(0.0..1.0) < s {
-            out.push(SimTime(t as u64));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,25 +149,6 @@ mod tests {
         assert!(joins > 25 && joins < 80, "{joins}");
         assert!(leaves > 12 && leaves < 55, "{leaves}");
         assert!(evs.windows(2).all(|w| w[0].0 <= w[1].0), "sorted");
-    }
-
-    #[test]
-    fn diurnal_waves_alternate_join_and_leave_crests() {
-        let spec = ChurnSpec::Diurnal { cycles: 1, joins: 200, leaves: 200, min_nodes: 8 };
-        let evs = spec.events(SimTime(0), SimTime(1_000_000), &mut rng());
-        // With one cycle, joins crest in the first half, leaves in the second.
-        let early_joins =
-            evs.iter().filter(|(t, e)| matches!(e, ChurnEvent::Join) && t.0 < 500_000).count();
-        let late_joins =
-            evs.iter().filter(|(_, e)| matches!(e, ChurnEvent::Join)).count() - early_joins;
-        assert!(early_joins > late_joins * 3, "{early_joins} vs {late_joins}");
-        let late_leaves = evs
-            .iter()
-            .filter(|(t, e)| matches!(e, ChurnEvent::Leave { .. }) && t.0 >= 500_000)
-            .count();
-        let early_leaves =
-            evs.iter().filter(|(_, e)| matches!(e, ChurnEvent::Leave { .. })).count() - late_leaves;
-        assert!(late_leaves > early_leaves * 3, "{early_leaves} vs {late_leaves}");
     }
 
     #[test]

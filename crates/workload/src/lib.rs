@@ -8,8 +8,8 @@
 //!   and flash-crowd arrival processes; uniform, Zipf and hotspot object
 //!   popularity; a read/write mix;
 //! * [`churn`] — scripted membership dynamics: Poisson join/leave,
-//!   diurnal churn waves, correlated mass failures, partition/heal cuts,
-//!   and explicit probe/optimize repair rounds;
+//!   correlated mass failures, partition/heal cuts, and explicit
+//!   probe/optimize repair rounds;
 //! * [`spec`] — the [`ScenarioSpec`] builder composing those generators
 //!   over simulated-time phases with a node-count schedule (plain Rust,
 //!   std-only);
@@ -17,8 +17,8 @@
 //!   spec, harvesting per-op latency/hops/distance into log-bucketed
 //!   [`tapestry_sim::Histogram`]s (p50/p90/p99/p999) and running the
 //!   invariant spot-checks (Properties 1/2, Theorem 2) between phases;
-//! * [`report`] — deterministic JSON/CSV emitters (the JSON written
-//!   through `tapestry_trace::json::JsonWriter`), so
+//! * [`report`] — a deterministic JSON emitter (written through
+//!   `tapestry_trace::json::JsonWriter`), so
 //!   `BENCH_scenarios.json` can be committed and diffed across PRs;
 //! * [`presets`] — the named workloads (`steady-zipf`, `flash-crowd`,
 //!   `churn-storm`, `partition-heal`, `mass-failure`);

@@ -57,19 +57,16 @@ pub fn churn_scale_joins(nodes: usize) -> u64 {
 pub enum ScaleSpace {
     /// Uniform torus at constant density (the default trajectory).
     Torus,
-    /// √n×√n lattice at the same side (exercises exact distance ties).
-    Grid,
     /// Transit-stub topology (§6.2–6.3): the clustered substrate whose
     /// locality optimization previously had no large-n measurement.
     TransitStub,
 }
 
 impl ScaleSpace {
-    /// Parse a `--space` flag value.
+    /// Parse a sweep spec's `space` value.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "torus" => Some(ScaleSpace::Torus),
-            "grid" => Some(ScaleSpace::Grid),
             "transit-stub" => Some(ScaleSpace::TransitStub),
             _ => None,
         }
@@ -100,7 +97,7 @@ pub fn scale_stub_shape(nodes: usize) -> (usize, usize, usize) {
 pub fn scale_preset(nodes: usize, ops: u64, seed: u64, space: ScaleSpace) -> ScenarioSpec {
     let side = scale_side(nodes);
     // Stretch phases so simulated latencies occupy the same fraction of
-    // a phase at every size: with √n sides for the planar spaces, or the
+    // a phase at every size: with the torus's √n side, or the
     // fixed 10_000-unit transit square (~12k diameter with stub spread).
     let stub_shape = scale_stub_shape(nodes);
     let (stretch, nodes) = match space {
@@ -108,7 +105,7 @@ pub fn scale_preset(nodes: usize, ops: u64, seed: u64, space: ScaleSpace) -> Sce
             let (t, s, ns) = stub_shape;
             (12.0, t * s * ns)
         }
-        _ => (side / 1000.0, nodes),
+        ScaleSpace::Torus => (side / 1000.0, nodes),
     };
     let objects = (nodes / 2).max(8);
     let spec = ScenarioSpec::new("scale")
@@ -130,7 +127,6 @@ pub fn scale_preset(nodes: usize, ops: u64, seed: u64, space: ScaleSpace) -> Sce
         );
     let spec = match space {
         ScaleSpace::Torus => spec.torus(side),
-        ScaleSpace::Grid => spec.grid(side),
         ScaleSpace::TransitStub => {
             let (t, s, ns) = stub_shape;
             spec.transit_stub(t, s, ns)
@@ -416,7 +412,7 @@ mod tests {
     #[test]
     fn scale_presets_validate_at_every_size() {
         for n in [1_000, 4_000, 10_000, 25_000] {
-            for space in [ScaleSpace::Torus, ScaleSpace::Grid, ScaleSpace::TransitStub] {
+            for space in [ScaleSpace::Torus, ScaleSpace::TransitStub] {
                 let spec = scale_preset(n, 2000, 42, space);
                 spec.validate().unwrap_or_else(|e| panic!("scale({n}, {space:?}): {e}"));
                 if space == ScaleSpace::TransitStub {
@@ -433,7 +429,6 @@ mod tests {
     #[test]
     fn scale_space_parses_flag_values() {
         assert_eq!(ScaleSpace::parse("torus"), Some(ScaleSpace::Torus));
-        assert_eq!(ScaleSpace::parse("grid"), Some(ScaleSpace::Grid));
         assert_eq!(ScaleSpace::parse("transit-stub"), Some(ScaleSpace::TransitStub));
         assert_eq!(ScaleSpace::parse("mesh"), None);
     }
@@ -478,9 +473,9 @@ mod tests {
 
     #[test]
     fn sweep_preset_applies_every_knob() {
-        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::Grid), None).unwrap();
+        let s = sweep_preset("scale", 256, 500, 42, Some(ScaleSpace::TransitStub), None).unwrap();
         assert_eq!(s.name, "scale");
-        assert!(matches!(s.space, crate::spec::SpaceKind::Grid { .. }));
+        assert!(matches!(s.space, crate::spec::SpaceKind::TransitStub { .. }));
         let c = sweep_preset("churn-scale", 1000, 500, 42, Some(ScaleSpace::Torus), Some(false))
             .unwrap();
         assert_eq!(c.name, "churn-scale-seq");
@@ -491,11 +486,12 @@ mod tests {
     fn sweep_preset_rejects_invalid_knob_combinations() {
         assert!(sweep_preset("nope", 64, 500, 42, None, None).is_err(), "unknown preset");
         assert!(
-            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::Grid), None).is_err(),
+            sweep_preset("steady-zipf", 64, 500, 42, Some(ScaleSpace::TransitStub), None).is_err(),
             "space axis is scale-only"
         );
         assert!(
-            sweep_preset("churn-scale", 1000, 500, 42, Some(ScaleSpace::Grid), None).is_err(),
+            sweep_preset("churn-scale", 1000, 500, 42, Some(ScaleSpace::TransitStub), None)
+                .is_err(),
             "churn-scale runs on the torus only"
         );
         assert!(

@@ -1,16 +1,15 @@
 //! Deterministic scenario reports: per-phase percentile summaries,
-//! drop/availability accounting, invariant spot-check results, and JSON /
-//! CSV emitters stable enough to commit (`BENCH_scenarios.json`) and diff
+//! drop/availability accounting, invariant spot-check results, and a
+//! JSON emitter stable enough to commit (`BENCH_scenarios.json`) and diff
 //! across PRs.
 //!
 //! The JSON goes through `tapestry_trace::json::JsonWriter`, so the
 //! report follows the workspace's one set of JSON conventions (fixed key
-//! order, three-decimal floats); the CSV shares its `f3`.
+//! order, three-decimal floats).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use tapestry_sim::Histogram;
-use tapestry_trace::json::{f3, JsonWriter};
+use tapestry_trace::json::JsonWriter;
 use tapestry_trace::Counter;
 
 /// Percentile summary of one histogram, in the unit of the caller's
@@ -273,52 +272,6 @@ impl ScenarioReport {
         w.close_obj();
         w.close_obj();
     }
-
-    /// Emit the per-phase table as CSV (one row per phase).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        s.push_str(
-            "scenario,phase,sim_start,sim_end,nodes_start,nodes_end,issued,completed,found_live,\
-             found_dead,not_found,lost,writes,rehomed,joins_ok,joins_failed,graceful_leaves,kills,\
-             partitions,latency_p50,latency_p90,latency_p99,latency_p999,hops_p50,hops_p99,\
-             messages,dropped,partition_dropped\n",
-        );
-        for p in &self.phases {
-            let _ = writeln!(
-                s,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                csv_field(&self.scenario),
-                csv_field(&p.name),
-                f3(p.sim_start),
-                f3(p.sim_end),
-                p.nodes_start,
-                p.nodes_end,
-                p.ops.issued,
-                p.ops.completed,
-                p.ops.found_live,
-                p.ops.found_dead,
-                p.ops.not_found,
-                p.ops.lost,
-                p.ops.writes,
-                p.ops.rehomed,
-                p.churn.joins_ok,
-                p.churn.joins_failed,
-                p.churn.graceful_leaves,
-                p.churn.kills,
-                p.churn.partitions,
-                f3(p.latency.p50),
-                f3(p.latency.p90),
-                f3(p.latency.p99),
-                f3(p.latency.p999),
-                f3(p.hops.p50),
-                f3(p.hops.p99),
-                p.messages,
-                p.dropped,
-                p.partition_dropped,
-            );
-        }
-        s
-    }
 }
 
 impl PhaseReport {
@@ -401,16 +354,6 @@ fn write_hist(w: &mut JsonWriter, h: &HistSummary) {
     w.close_obj();
 }
 
-/// RFC-4180 quoting for free-form fields (scenario and phase names come
-/// from user-supplied builder strings).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,29 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_one_row_per_phase_plus_header() {
-        let csv = tiny_report().to_csv();
-        assert_eq!(csv.trim_end().lines().count(), 2);
-        assert!(csv.starts_with("scenario,phase,"));
-        assert!(csv.contains("demo,only,"));
-    }
-
-    #[test]
     fn string_escaping_is_json_safe() {
         let mut r = tiny_report();
         r.scenario = "we\"ird\\name\n".into();
         let j = r.to_json();
         assert!(j.contains("we\\\"ird\\\\name\\n"));
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_commas() {
-        let mut r = tiny_report();
-        r.scenario = "weekday, v2".into();
-        r.phases[0].name = "has \"quotes\"".into();
-        let csv = r.to_csv();
-        let row = csv.lines().nth(1).unwrap();
-        assert!(row.starts_with("\"weekday, v2\",\"has \"\"quotes\"\"\","), "{row}");
     }
 
     #[test]

@@ -241,7 +241,7 @@ fn drive(
     let bootstrap_secs = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
     if spec.trace_sample > 0 {
-        net.enable_trace(spec.trace_cap);
+        net.enable_trace();
     }
     let mut series = (spec.metrics_window > 0).then(|| SeriesSampler::new(spec.metrics_window));
     // Reads issued across the whole run; read `trace_sample·k` carries a
@@ -275,7 +275,6 @@ fn drive(
         seed: spec.seed,
         space: match spec.space {
             SpaceKind::Torus { side } => format!("torus({side:.0})"),
-            SpaceKind::Grid { side } => format!("grid({side:.0})"),
             SpaceKind::TransitStub { transits, stubs_per_transit, nodes_per_stub } => {
                 format!("transit-stub({transits}x{stubs_per_transit}x{nodes_per_stub})")
             }

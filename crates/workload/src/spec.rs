@@ -7,7 +7,7 @@ use crate::churn::ChurnSpec;
 use crate::traffic::{Arrival, Popularity};
 use tapestry_core::{TapestryConfig, MAX_NODES};
 use tapestry_membership::BatchPolicy;
-use tapestry_metric::{GridSpace, MetricSpace, TorusSpace, TransitStubSpace};
+use tapestry_metric::{MetricSpace, TorusSpace, TransitStubSpace};
 use tapestry_sim::SimTime;
 
 /// Which metric substrate the scenario runs over.
@@ -16,11 +16,6 @@ pub enum SpaceKind {
     /// Uniform points on a 2-D torus of the given side (the canonical
     /// growth-restricted metric).
     Torus {
-        /// Side length.
-        side: f64,
-    },
-    /// A √n × √n grid scaled to the given side.
-    Grid {
         /// Side length.
         side: f64,
     },
@@ -166,11 +161,9 @@ pub struct ScenarioSpec {
     pub exhaustive_checks: bool,
     /// Hop-trace sampling: every `trace_sample`-th issued read carries a
     /// trace identity and its routing hops are recorded (0 = tracing off,
-    /// the default — the send path then costs one branch per hop).
+    /// the default — the send path then costs one branch per hop). The
+    /// collector keeps at most 4 096 records and counts the overflow.
     pub trace_sample: u64,
-    /// Capacity of the bounded trace collector; overflow past it is
-    /// counted, not stored.
-    pub trace_cap: usize,
     /// Time-series sampling window in sim-time units (0 = sampler off,
     /// the default). Samples are keyed by sim time, so the series is
     /// byte-identical across runs of the same spec.
@@ -195,7 +188,6 @@ impl ScenarioSpec {
             join_batch: None,
             exhaustive_checks: false,
             trace_sample: 0,
-            trace_cap: 4096,
             metrics_window: 0,
             phases: Vec::new(),
         }
@@ -219,12 +211,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Run over a grid of side `side`.
-    pub fn grid(mut self, side: f64) -> Self {
-        self.space = SpaceKind::Grid { side };
-        self
-    }
-
     /// Run over a transit-stub topology of the given shape. Also sets the
     /// capacity to the shape's node count (the space is not resizable).
     pub fn transit_stub(
@@ -245,14 +231,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Cap the repair scheduler at `per_sec` released tasks per node per
-    /// maintenance second (zero freezes the scheduler without losing
-    /// facts).
-    pub fn repair_budget(mut self, per_sec: u32) -> Self {
-        self.cfg.repairs_per_sec_per_node = per_sec;
-        self
-    }
-
     /// Scripted probe rounds across the whole scenario: each `ProbeAt`
     /// fires one failure-detection round that feeds the repair ledger.
     /// The divisor of every "repairs per node per round" figure.
@@ -267,12 +245,6 @@ impl ScenarioSpec {
     /// off). Joins and repair actions are traced whenever sampling is on.
     pub fn trace_sample(mut self, n: u64) -> Self {
         self.trace_sample = n;
-        self
-    }
-
-    /// Bound the trace collector at `cap` records (overflow is counted).
-    pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap.max(1);
         self
     }
 
@@ -308,15 +280,10 @@ impl ScenarioSpec {
     }
 
     /// Materialize the metric substrate (seeded from the scenario seed).
-    /// A grid rounds the capacity up to the next perfect square.
     pub fn build_space(&self) -> Box<dyn MetricSpace> {
         match self.space {
             SpaceKind::Torus { side } => {
                 Box::new(TorusSpace::random(self.capacity, side, self.seed))
-            }
-            SpaceKind::Grid { side } => {
-                let w = (self.capacity as f64).sqrt().ceil() as usize;
-                Box::new(GridSpace::new(w, w.max(1), side / w.max(1) as f64))
             }
             SpaceKind::TransitStub { transits, stubs_per_transit, nodes_per_stub } => Box::new(
                 TransitStubSpace::new(transits, stubs_per_transit, nodes_per_stub, self.seed),
@@ -406,7 +373,7 @@ impl ScenarioSpec {
                             ));
                         }
                     }
-                    ChurnSpec::Churn { .. } | ChurnSpec::Diurnal { .. } => {}
+                    ChurnSpec::Churn { .. } => {}
                 }
             }
         }

@@ -107,12 +107,12 @@ impl SweepAgg {
         out
     }
 
-    /// Emit the aggregate as CSV, one row per (cell, metric).
-    pub fn to_csv(&self, include_wall: bool) -> String {
+    /// Emit the deterministic metrics as CSV, one row per (cell, metric):
+    /// the table `tapestry-sweep` prints.
+    pub fn to_csv(&self) -> String {
         let mut s = String::from("cell,metric,n,mean,sd,ci95,min,max\n");
         for c in &self.cells {
-            let metrics = if include_wall { &c.wall } else { &c.det };
-            for (name, a) in metrics {
+            for (name, a) in &c.det {
                 let _ = writeln!(
                     s,
                     "{},{},{},{},{},{},{},{}",
@@ -238,7 +238,7 @@ mod tests {
         let shuffled = aggregate(&fixture(&[(3, 6.0), (1, 2.0), (2, 4.0)]));
         assert_eq!(forward.to_json(false), shuffled.to_json(false));
         assert_eq!(forward.to_json(true), shuffled.to_json(true));
-        assert_eq!(forward.to_csv(false), shuffled.to_csv(false));
+        assert_eq!(forward.to_csv(), shuffled.to_csv());
     }
 
     #[test]
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn csv_lists_every_metric_per_cell() {
         let agg = aggregate(&fixture(&[(1, 2.0), (2, 4.0)]));
-        let csv = agg.to_csv(false);
+        let csv = agg.to_csv();
         assert!(csv.starts_with("cell,metric,n,mean,sd,ci95,min,max\n"));
         assert!(csv.contains("g/n16,events,2,3.000,"));
     }

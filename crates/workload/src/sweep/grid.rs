@@ -129,7 +129,6 @@ impl CellSpec {
         if let Some(s) = self.space {
             k.push_str(match s {
                 ScaleSpace::Torus => "/space=torus",
-                ScaleSpace::Grid => "/space=grid",
                 ScaleSpace::TransitStub => "/space=transit-stub",
             });
         }
@@ -345,7 +344,8 @@ fn apply_grid_key(g: &mut GridSpec, key: &str, vals: &[&str]) -> Result<(), Stri
         }
         "space" => {
             g.spaces = parse_axis(vals, "space", |s| {
-                ScaleSpace::parse(s).ok_or_else(|| format!("unknown space '{s}'"))
+                ScaleSpace::parse(s)
+                    .ok_or_else(|| format!("unknown space '{s}' (torus or transit-stub)"))
             })?;
         }
         "batched" => {
@@ -422,7 +422,7 @@ grid tiny
 preset scale
 nodes 16 64
 ops 40
-space default grid
+space default transit-stub
 
 grid churny
 preset churn-scale
@@ -446,7 +446,7 @@ gate wall.events_per_sec min_abs 1000
         // tiny: 2 nodes × 2 spaces; churny: 1 × 2 batching modes.
         assert_eq!(cells.len(), 6);
         assert_eq!(cells[0].key(), "tiny/n16");
-        assert_eq!(cells[3].key(), "tiny/n64/space=grid");
+        assert_eq!(cells[3].key(), "tiny/n64/space=transit-stub");
         assert_eq!(cells[4].key(), "churny/n64");
         assert_eq!(cells[5].key(), "churny/n64/batch=off");
         assert_eq!(s.gates.len(), 3);
@@ -533,6 +533,11 @@ gate wall.events_per_sec min_abs 1000
             err("name x\nseeds 1\ngrid g\npreset steady-zipf\nnodes 8"),
             "grid 'g' is missing an `ops` line"
         );
+        // No committed sweep ran the lattice, so `space` names the two
+        // substrates that have a workload.
+        let grid = err("name x\nseeds 1\ngrid g\npreset scale\nnodes 64\nops 10\nspace grid");
+        assert!(grid.starts_with("line 7: "), "{grid}");
+        assert!(grid.contains("'grid'") && grid.contains("torus") && grid.contains("transit-stub"));
         // There is one maintenance behaviour, one worker per run and one
         // multicast, and no committed spec varied the radix, the join
         // window or the repair budget, so no axis selects any of them.

@@ -155,8 +155,7 @@ pub fn run_one(cell: &CellSpec, seed: u64) -> Result<RunMetrics, String> {
 fn spec_has_joins(spec: &ScenarioSpec) -> bool {
     let mut nodes = spec.initial_nodes;
     for p in &spec.phases {
-        if p.churn.iter().any(|c| matches!(c, ChurnSpec::Churn { .. } | ChurnSpec::Diurnal { .. }))
-        {
+        if p.churn.iter().any(|c| matches!(c, ChurnSpec::Churn { .. })) {
             return true;
         }
         if let Some(t) = p.target_nodes {

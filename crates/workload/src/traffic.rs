@@ -174,8 +174,8 @@ impl Iterator for ArrivalStream<'_> {
 }
 
 /// One exponential inter-arrival gap at `rate` events per time unit
-/// (shared by every Poisson-flavored generator in the crate).
-pub(crate) fn exp_gap(rng: &mut StdRng, rate: f64) -> f64 {
+/// (shared by every Poisson-flavored generator here).
+fn exp_gap(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(0.0..1.0);
     -(1.0 - u).ln() / rate
 }

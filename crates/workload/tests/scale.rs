@@ -58,17 +58,6 @@ fn run_totals_report_engine_work() {
     );
 }
 
-/// The grid variant of the scale family runs and stays deterministic
-/// (exercises the L1 bucket index with its exact distance ties).
-#[test]
-fn scale_grid_variant_is_deterministic() {
-    let run = || {
-        let spec = presets::scale_preset(256, 150, 13, presets::ScaleSpace::Grid);
-        runner::run(&spec).expect("grid scale runs").to_json()
-    };
-    assert_eq!(run(), run());
-}
-
 /// The transit-stub scale point: runs, checks out, and stays
 /// deterministic across repeats (the §6.3 substrate's first large-n
 /// trajectory coverage).

@@ -41,7 +41,6 @@ fn reports_are_bit_identical_across_runs() {
         let a = runner::run(&presets::preset(name, 24, 120, 11).unwrap()).unwrap();
         let b = runner::run(&presets::preset(name, 24, 120, 11).unwrap()).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "{name} must be deterministic");
-        assert_eq!(a.to_csv(), b.to_csv());
     }
     // A different seed must actually change the run.
     let c = runner::run(&presets::preset("flash-crowd", 24, 120, 12).unwrap()).unwrap();

@@ -5,9 +5,9 @@
 //! cargo run --release --example scenario
 //! ```
 //!
-//! The scenario below is a miniature "weekday": a warmup, a diurnal
-//! churn wave under Zipf traffic, then a flash crowd on one hot object —
-//! all deterministic from the single seed. It also shows
+//! The scenario below is a miniature "weekday": a warmup, graceful
+//! join/leave churn under Zipf traffic, then a flash crowd on one hot
+//! object — all deterministic from the single seed. It also shows
 //! `TapestryNetwork::drain_results`, which hands drivers that want raw
 //! per-op results instead of a report each finished locate once.
 
@@ -35,7 +35,7 @@ fn main() {
                 .arrival(Arrival::Poisson { ops: 400 })
                 .popularity(Popularity::Zipf { exponent: 1.1 })
                 .writes(0.1)
-                .churn(ChurnSpec::Diurnal { cycles: 2, joins: 12, leaves: 12, min_nodes: 48 })
+                .churn(ChurnSpec::Churn { joins: 12, leaves: 12, graceful: true, min_nodes: 48 })
                 .churn(ChurnSpec::ProbeAt { at: 0.5 }),
         )
         .phase(
