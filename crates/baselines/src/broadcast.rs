@@ -62,6 +62,10 @@ impl LocatorSystem for Broadcast {
         // contract lives where sets *are* reused: `PrrV0::build`). The
         // `(distance, index)` order matches `NearestIndex` exactly, and
         // an origin that is itself a replica wins at distance 0.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the comparator breaks distance ties by index"
+        )]
         let server = servers.iter().copied().min_by(|&a, &b| {
             let (da, db) = (self.space.distance(origin, a), self.space.distance(origin, b));
             da.partial_cmp(&db).expect("distances are finite").then(a.cmp(&b))

@@ -27,7 +27,10 @@ impl Zone {
     }
 
     /// Distance from a point to this rectangle (0 when inside).
-    #[allow(clippy::needless_range_loop)] // d is a coordinate axis, not an iterator position
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "d is a coordinate axis, not an iterator position"
+    )]
     fn dist_to(&self, p: [f64; 2]) -> f64 {
         let mut s = 0.0;
         for d in 0..2 {

@@ -1,6 +1,7 @@
-// The S_{i,j} double-index notation of §7 is clearest as explicit
-// index loops; suppress clippy's iterator rewrite for the whole file.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "the S_{i,j} double-index notation of §7 is clearest as explicit index loops"
+)]
 use tapestry_id::splitmix64;
 use tapestry_metric::PointIdx;
 

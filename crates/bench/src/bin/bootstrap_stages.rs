@@ -16,6 +16,8 @@
 //! repetition's, for the same reason the other way round: a heap earlier
 //! repetitions have grown says nothing about one mesh.
 
+#![expect(clippy::disallowed_methods, reason = "it times each stage on the wall clock")]
+
 use std::mem::size_of;
 use std::time::Instant;
 use tapestry_core::{

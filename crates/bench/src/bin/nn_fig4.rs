@@ -59,6 +59,11 @@ fn one_trial(k: usize, seed: u64) -> Trial {
                 Some(p) if p.idx != N => p,
                 _ => continue,
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "members is ascending and min_by keeps the first of equals: ties resolve \
+                          to the lowest idx"
+            )]
             let best_member = members
                 .iter()
                 .copied()
@@ -66,9 +71,6 @@ fn one_trial(k: usize, seed: u64) -> Trial {
                     let mid = net.id_of(m);
                     mid.shared_prefix_len(&new_id) == l && mid.digit(l) == j
                 })
-                // members is ascending and min_by keeps the first of
-                // equals: ties resolve to the lowest idx.
-                // tapestry-lint: allow(float-tiebreak)
                 .min_by(|&a, &b| {
                     truth_space.distance(N, a).partial_cmp(&truth_space.distance(N, b)).unwrap()
                 });

@@ -118,8 +118,11 @@ fn main() {
         .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1);
 
-    // Wall-clock below is observation only (throughput/speedup
-    // reporting); the runs themselves are driven on SimTime.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observation only: throughput and speedup reporting; the runs are driven on \
+                  SimTime"
+    )]
     let t0 = std::time::Instant::now();
     let result = run::run_sweep(&spec, workers).unwrap_or_else(|e| fail(&e));
     let total_wall = t0.elapsed().as_secs_f64();

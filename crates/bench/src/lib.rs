@@ -19,6 +19,10 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plain f64 values: equal elements are interchangeable"
+    )]
     v.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
     v[rank.min(v.len() - 1)]

@@ -379,6 +379,10 @@ mod tests {
         merged.sort();
         merged.dedup();
         merged.retain(|r| r.idx != me.idx);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a stable sort over the index-sorted list: equal distances keep index order"
+        )]
         merged.sort_by(|a, b| {
             metric.distance(me.idx, a.idx).total_cmp(&metric.distance(me.idx, b.idx))
         });

@@ -618,6 +618,10 @@ impl TapestryNetwork {
     /// Sort point indices by metric distance to `pivot`, ties broken by
     /// index (used for partition cuts and correlated-failure selection).
     pub fn rank_by_distance(&self, pivot: NodeIdx, mut points: Vec<NodeIdx>) -> Vec<NodeIdx> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the comparator breaks distance ties by index"
+        )]
         points.sort_by(|&a, &b| {
             self.engine
                 .metric()
@@ -995,6 +999,12 @@ impl TapestryNetwork {
                         continue; // self entry
                     }
                     // True closest member with prefix aid[0..l]·j.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "self.members is kept ascending and min_by returns the first of \
+                                  equal elements: ties resolve to the lowest idx, the (distance, \
+                                  index) contract"
+                    )]
                     let best = self
                         .members
                         .iter()
@@ -1003,11 +1013,6 @@ impl TapestryNetwork {
                             let bid = self.ids[b];
                             bid.shared_prefix_len(&aid) == l && bid.digit(l) == j
                         })
-                        // self.members is kept ascending (sorted insert)
-                        // and min_by returns the first of equal elements,
-                        // so ties already resolve to the lowest idx — the
-                        // (distance, index) contract without a .then.
-                        // tapestry-lint: allow(float-tiebreak)
                         .min_by(|&&x, &&y| {
                             self.engine
                                 .metric()

@@ -20,8 +20,8 @@ use crate::messages::{Msg, Timer};
 use crate::node::TapestryNode;
 use crate::refs::NodeRef;
 use std::collections::{BTreeSet, VecDeque};
-use tapestry_sim::{Ctx, NodeIdx, SimTime, TraceRecord};
-use tapestry_trace::{metrics, TraceId};
+use tapestry_sim::{Ctx, NodeIdx, SimTime};
+use tapestry_trace::metrics;
 
 /// The one maintenance behaviour, fact-driven localized repair.
 ///
@@ -226,30 +226,8 @@ impl TapestryNode {
         }
     }
 
-    /// Execute one released repair task. When tracing is on, each task
-    /// leaves one point record (hop/level/distance zero, `trace` = the
-    /// repair sentinel, `to` = the task's target peer) so sampled traces
-    /// show *when* maintenance acted between the op-level hop chains.
+    /// Execute one released repair task.
     fn run_repair(&mut self, ctx: &mut Ctx<'_, Msg, Timer>, task: RepairTask) {
-        if ctx.trace_enabled() {
-            let to = match &task {
-                RepairTask::RemoveDead { peer } | RepairTask::ReRoute { peer } => *peer,
-                RepairTask::SlotRequery { dead, .. } => *dead,
-                RepairTask::Readmit { peer } => peer.idx,
-            };
-            ctx.trace(TraceRecord {
-                trace: TraceId::REPAIR.raw(),
-                kind: "repair",
-                hop: 0,
-                level: 0,
-                digit: 0,
-                from: self.me.idx,
-                to,
-                dist: 0.0,
-                cum_dist: 0.0,
-                at: ctx.now,
-            });
-        }
         match task {
             RepairTask::RemoveDead { peer } => self.repair_remove_dead(ctx, peer),
             RepairTask::SlotRequery { level, digit, dead } => {

@@ -103,13 +103,14 @@ impl TapestryNode {
             RoutedKind::Locate { guid, origin, op, .. } => {
                 // Check for an object pointer at every hop; divert to the
                 // replica closest to the *current* node (§2.2).
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "store.lookup yields entries in deterministic store order and min_by \
+                              keeps the first of equals, so ties resolve identically on every run"
+                )]
                 let best = self
                     .store
                     .lookup(guid)
-                    // store.lookup yields entries in deterministic store
-                    // order and min_by keeps the first of equals, so ties
-                    // resolve identically on every run.
-                    // tapestry-lint: allow(float-tiebreak)
                     .min_by(|a, b| {
                         ctx.distance_to(a.server.idx)
                             .partial_cmp(&ctx.distance_to(b.server.idx))

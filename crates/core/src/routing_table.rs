@@ -787,6 +787,10 @@ mod tests {
     }
 
     fn model_sort(slot: &mut [ModelEntry]) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the comparator breaks distance ties by index"
+        )]
         slot.sort_by(|a, b| a.dist.partial_cmp(&b.dist).unwrap().then(a.nref.idx.cmp(&b.nref.idx)));
     }
 
@@ -798,13 +802,15 @@ mod tests {
         }
         let filled_hole = slot.is_empty();
         if slot.iter().filter(|e| !e.pinned).count() >= cap {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the slot is sorted by (dist, idx) and max_by keeps the last of equals: \
+                          the highest (dist, idx)"
+            )]
             let farthest = slot
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| !e.pinned)
-                // Sorted by (dist, idx) and max_by keeps the last of
-                // equals: the highest (dist, idx) without a .then.
-                // tapestry-lint: allow(float-tiebreak)
                 .max_by(|a, b| a.1.dist.partial_cmp(&b.1.dist).unwrap())
                 .map(|(i, _)| i)
                 .expect("unpinned >= capacity >= 1");
@@ -1065,6 +1071,10 @@ mod tests {
                             })
                             .map(|c| (c, dist(c)))
                             .collect();
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the comparator breaks distance ties by index"
+                        )]
                         fresh.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.idx.cmp(&b.0.idx)));
                         fresh.truncate(rng.gen_range(0..=3));
                         t.extend_unbounded(l, j, fresh.iter().map(|f| f.0));

@@ -103,6 +103,11 @@ fn nearest_neighbor_discovered_by_insertion_theorem3() {
         let mut net = boot(65, 64, seed);
         net.insert_node(64);
         let members: Vec<usize> = net.node_ids().into_iter().filter(|&m| m != 64).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "members are ascending and min_by keeps the first of equals: ties resolve to \
+                      the lowest idx"
+        )]
         let true_nn = members
             .iter()
             .copied()

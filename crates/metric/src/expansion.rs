@@ -67,9 +67,12 @@ pub fn estimate_expansion<S: MetricSpace + ?Sized>(
     if ratios.is_empty() {
         return ExpansionEstimate { c_max: 1.0, c_median: 1.0, samples: 0 };
     }
-    // Sorting plain f64 values: equal elements are interchangeable, so
-    // tie order cannot affect the max/median read below.
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap()); // tapestry-lint: allow(float-tiebreak)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plain f64 values: equal elements are interchangeable, so tie order cannot \
+                  affect the max/median read below"
+    )]
+    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
     ExpansionEstimate {
         c_max: *ratios.last().unwrap(),
         c_median: ratios[ratios.len() / 2],

@@ -65,15 +65,16 @@ impl MetricSpace for Box<dyn MetricSpace> {
 
 /// The member of `candidates` nearest to `from`, excluding `from` itself.
 /// Ground truth for the paper's nearest-neighbor algorithm (§3).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "callers pass candidates in ascending order and min_by keeps the first of equals: \
+              ties resolve to the lowest idx, the (distance, index) contract"
+)]
 pub fn nearest<S: MetricSpace + ?Sized>(
     space: &S,
     from: PointIdx,
     candidates: &[PointIdx],
 ) -> Option<PointIdx> {
-    // Callers pass candidates in deterministic (ascending) order and
-    // min_by keeps the first of equals: ties resolve to the lowest idx,
-    // i.e. the (distance, index) contract.
-    // tapestry-lint: allow(float-tiebreak)
     candidates.iter().copied().filter(|&c| c != from).min_by(|&a, &b| {
         space.distance(from, a).partial_cmp(&space.distance(from, b)).expect("distances are finite")
     })
@@ -88,9 +89,11 @@ pub fn closest_k<S: MetricSpace + ?Sized>(
     k: usize,
 ) -> Vec<PointIdx> {
     let mut v: Vec<PointIdx> = candidates.iter().copied().filter(|&c| c != from).collect();
-    // Stable sort over the caller's deterministic candidate order: equal
-    // distances keep that order — (distance, index) for ascending input.
-    // tapestry-lint: allow(float-tiebreak)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "stable sort over the caller's candidate order: equal distances keep that \
+                  order, (distance, index) for ascending input"
+    )]
     v.sort_by(|&a, &b| {
         space.distance(from, a).partial_cmp(&space.distance(from, b)).expect("distances are finite")
     });

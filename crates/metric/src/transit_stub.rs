@@ -155,9 +155,11 @@ mod tests {
                 }
             }
         }
-        // Plain f64 values; equal elements are interchangeable for the
-        // median assertion below.
-        cross.sort_by(|a, b| a.partial_cmp(b).unwrap()); // tapestry-lint: allow(float-tiebreak)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "plain f64 values: equal elements are interchangeable for the median read"
+        )]
+        cross.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(
             cross[cross.len() / 2] > 5.0 * t,
             "median inter-stub distance should dwarf threshold"

@@ -504,13 +504,12 @@ impl<A: Actor> Engine<A> {
             }
             return true;
         };
-        // Observation only: handler wall time lands in `handler_ns`,
-        // never in simulated state.
-        let started = if self.profile {
-            Some(std::time::Instant::now()) // tapestry-lint: allow(wall-clock)
-        } else {
-            None
-        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observation only: handler wall time lands in `handler_ns`, never in \
+                      simulated state"
+        )]
+        let started = if self.profile { Some(std::time::Instant::now()) } else { None };
         let mut ctx = Ctx {
             now: self.now,
             me: node,

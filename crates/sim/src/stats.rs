@@ -7,9 +7,9 @@ use crate::{Histogram, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Operation identity threaded through the message path (sampled
-    /// locates, joins, or the repair sentinel — the trace layer assigns).
+    /// locates or joins — the trace layer assigns).
     pub trace: u64,
-    /// Operation family: `"locate"`, `"publish"`, `"join"`, `"repair"`.
+    /// Operation family: `"locate"`, `"publish"`, `"join"`.
     pub kind: &'static str,
     /// Hop index within the operation (0 = first forward).
     pub hop: u32,

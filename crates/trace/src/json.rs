@@ -404,7 +404,7 @@ impl<'a> Parser<'a> {
 /// `{"schema":"tapestry-trace/v1","sample":N,"cap":…,"kept":…,"dropped":…,"records":[…]}`.
 ///
 /// `sample` is the driver's 1-in-N locate sampling rate (0 = driver did
-/// not sample locates; joins/repair may still appear).
+/// not sample locates; joins may still appear).
 pub fn trace_json(buf: &TraceBuf, sample: u64) -> String {
     let mut w = JsonWriter::new();
     w.open_obj();

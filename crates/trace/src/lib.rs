@@ -1,7 +1,7 @@
 //! Observability for the Tapestry reproduction, in three pillars:
 //!
 //! 1. **Causal hop tracing** — a [`TraceId`] threaded through the routed
-//!    message path so sampled locate/join/repair operations emit one
+//!    message path so sampled locate and join operations emit one
 //!    [`tapestry_sim::TraceRecord`] per forward into the engine's bounded
 //!    collector. Everything is keyed by **sim time**, so traces are
 //!    byte-identical across runs of the same spec.
@@ -40,17 +40,11 @@ pub use sampler::{EngineObservation, SeriesSample, SeriesSampler};
 ///   runner's issue sequence number;
 /// * **joins** use [`TraceId::join`] — the raw `OpId` value, which packs
 ///   `(node << 40) | counter` and stays below bit 63 for any plausible
-///   population;
-/// * **repair** point records use [`TraceId::REPAIR`] (0) — repair tasks
-///   have no operation id, and minting one just to trace would shift
-///   every later op counter and break report byte-compatibility.
+///   population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
-    /// Sentinel for repair-released point records.
-    pub const REPAIR: TraceId = TraceId(0);
-
     /// Id for the `seq`-th sampled locate issued by a run driver.
     pub fn locate(seq: u64) -> TraceId {
         TraceId((1 << 63) | seq)
@@ -76,8 +70,6 @@ mod tests {
         let locate = TraceId::locate(7);
         let join = TraceId::join((12u64 << 40) | 99);
         assert_ne!(locate, join);
-        assert_ne!(locate, TraceId::REPAIR);
-        assert_ne!(join, TraceId::REPAIR);
         assert!(locate.raw() & (1 << 63) != 0);
         assert!(join.raw() & (1 << 63) == 0, "op ids never reach bit 63");
     }

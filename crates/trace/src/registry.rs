@@ -173,7 +173,7 @@ macro_rules! registry {
             $( MetricDef { name: $name, kind: kind_of!($ty), help: $help } ),*
         ];
         /// Position of each declaration in `REGISTRY`.
-        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[expect(non_camel_case_types, reason = "a variant is named after its metric's static")]
         enum Decl { $( $ident ),* }
         $(
             #[doc = $help]

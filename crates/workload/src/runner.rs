@@ -218,7 +218,6 @@ pub fn run(spec: &ScenarioSpec) -> Result<ScenarioReport, String> {
 /// deterministic report deliberately omits, wall-clock [`RunTiming`]
 /// (bootstrap vs drive) and the run's [`Telemetry`] (hop traces and
 /// time-series samples — empty unless the spec enables them).
-#[allow(clippy::type_complexity)] // the four run artifacts, nothing more
 pub fn run_instrumented(
     spec: &ScenarioSpec,
 ) -> Result<(ScenarioReport, RunTotals, RunTiming, Telemetry), String> {
@@ -227,19 +226,19 @@ pub fn run_instrumented(
 
 /// [`run_instrumented`], also handing back the network as the run left
 /// it (the tests below inspect its tables).
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity, reason = "the four run artifacts and the network, nothing more")]
 fn drive(
     spec: &ScenarioSpec,
 ) -> Result<((ScenarioReport, RunTotals, RunTiming, Telemetry), TapestryNetwork), String> {
     spec.validate()?;
     let space = spec.build_space();
     let total_points = space.len();
-    // Wall-clock here is observation only (RunTiming's bootstrap/drive
-    // split); nothing simulated reads it.
-    let t0 = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
+    #[expect(clippy::disallowed_methods, reason = "observation only: RunTiming's bootstrap time")]
+    let t0 = std::time::Instant::now();
     let mut net = TapestryNetwork::bootstrap(spec.cfg, space, spec.seed, spec.initial_nodes);
     let bootstrap_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now(); // tapestry-lint: allow(wall-clock)
+    #[expect(clippy::disallowed_methods, reason = "observation only: RunTiming's drive time")]
+    let t1 = std::time::Instant::now();
     if spec.trace_sample > 0 {
         net.enable_trace();
     }
@@ -456,7 +455,7 @@ fn random_member(net: &TapestryNetwork, rng: &mut StdRng) -> NodeIdx {
 }
 
 /// Execute one scripted membership event.
-#[allow(clippy::too_many_arguments)] // one slot per membership ledger
+#[expect(clippy::too_many_arguments, reason = "one slot per membership ledger")]
 fn apply_churn(
     ev: ChurnEvent,
     net: &mut TapestryNetwork,

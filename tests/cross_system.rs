@@ -26,6 +26,10 @@ fn tapestry_beats_chord_on_stretch_for_nearby_objects() {
         // Query from the metric-nearest nodes — the locality case the
         // paper's whole design targets.
         let mut origins: Vec<usize> = (0..N).filter(|&o| o != server).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a stable sort over ascending indices: equal distances keep index order"
+        )]
         origins.sort_by(|&a, &b| {
             dist.distance(server, a).partial_cmp(&dist.distance(server, b)).unwrap()
         });
