@@ -1,17 +1,17 @@
 //! The workspace's layer rows, one Criterion target. Microbenchmarks of
-//! the scale-pass hot paths: surrogate-routing
-//! `next_hop` on a realistically filled table, nearest-neighbor queries
-//! through the coordinate index vs the brute-force scan, the static
-//! bootstrap and the Property 1/2 sweeps on a 4 096-node mesh, the
-//! routing table's whole-table passes, name comparison, conversion and
-//! root mapping, and the object store at the size a node's is, raw engine
-//! event dispatch, a send from inside a handler, a fan-out of one message
-//! to 100 targets against a loop of sends, a counter bump, the
-//! event queue at the two depths the benchmark workloads show, and the
-//! driver's per-event result collection. These
-//! are the inner loops a 10k-node scenario run spends its time in; the
-//! scale sweep (`sweeps/scale.spec`) measures them end to end, this file
-//! isolates them.
+//! the scale-pass hot paths: surrogate-routing `next_hop` on a
+//! realistically filled table and whole routes to the root on a 4 096-node
+//! mesh, nearest-neighbor queries through the coordinate index vs the
+//! brute-force scan, the static bootstrap and the Property 1/2 sweeps on a
+//! 4 096-node mesh, the routing table's whole-table passes, name
+//! comparison, conversion and root mapping, and the object store at the
+//! size a node's is, raw engine event dispatch, a send from inside a
+//! handler, a fan-out of one message to 100 targets against a loop of
+//! sends, a counter bump, a histogram sample, the event queue at the two
+//! depths the benchmark workloads show, and the driver's per-event result
+//! collection. These are the inner loops a 10k-node scenario run spends
+//! its time in; the scale sweep (`sweeps/scale.spec`) measures them end
+//! to end, this file isolates them.
 //!
 //! Then whole operations on small networks: static construction,
 //! publication and location on a prebuilt mesh (`overlay/*`, the Figs. 2–3
@@ -28,11 +28,13 @@ use std::mem::size_of;
 use std::sync::Arc;
 use tapestry_baselines::{Can, Chord, LocatorSystem, Pastry, PrrV0};
 use tapestry_core::{
-    Msg, Names, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
+    Hop, Msg, Names, ObjectStore, PtrEntry, RoutingTable, TapestryConfig, TapestryNetwork,
 };
 use tapestry_id::{map_roots, Guid, Id, IdSpace};
 use tapestry_metric::{closest_k, MetricSpace, RingSpace, TorusSpace};
-use tapestry_sim::{Actor, Ctx, Engine, NodeIdx, ShardedQueue, SimStats, SimTime, EXTERNAL};
+use tapestry_sim::{
+    Actor, Ctx, Engine, Histogram, NodeIdx, ShardedQueue, SimStats, SimTime, EXTERNAL,
+};
 use tapestry_trace::metrics;
 
 const N: usize = 4096;
@@ -249,6 +251,13 @@ fn bench_table(c: &mut Criterion) {
     });
 }
 
+/// Surrogate routing: one `next_hop` from level 0 on a full table, and
+/// whole routes on a 4 096-node mesh. The single call starts where every
+/// level is filled; a route also ends at its root, where the deep levels
+/// hold the owner alone and `next_hop` answers `Root` without scanning
+/// them. One `route/walk_to_root_4096` iteration is 256 routes — each
+/// target from an origin 16 members past the last — followed from table
+/// to table until `Root`, so divide the row by 256.
 fn bench_next_hop(c: &mut Criterion) {
     let s = IdSpace::base16();
     let mut rng = StdRng::seed_from_u64(2);
@@ -266,6 +275,26 @@ fn bench_next_hop(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % targets.len();
             black_box(table.next_hop_prr(&targets[i], 0, None, false))
+        })
+    });
+    let net = TapestryNetwork::build(
+        TapestryConfig::default(),
+        Box::new(TorusSpace::random(N, 8000.0, 7)),
+        7,
+    );
+    let members = net.members();
+    c.bench_function("route/walk_to_root_4096", |b| {
+        b.iter(|| {
+            let mut hops = 0usize;
+            for (i, target) in targets.iter().enumerate() {
+                let (mut at, mut level) = (members[i * 16 % members.len()], 0);
+                while let Hop::Forward(next, resolved) =
+                    net.node(at).expect("a member").table().next_hop(target, level, None)
+                {
+                    (at, level, hops) = (next.idx, resolved, hops + 1);
+                }
+            }
+            black_box(hops)
         })
     });
 }
@@ -429,6 +458,33 @@ fn bench_counter_bump(c: &mut Criterion) {
     });
 }
 
+/// A histogram sample as the runner records a locate's latency: one to
+/// six hops of up to 8 192 distance units each, in 1/1 024 units. One
+/// iteration is `RECORDS` samples into one histogram, so divide the row
+/// by that.
+fn bench_histogram_record(c: &mut Criterion) {
+    const RECORDS: usize = 100_000;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let samples: Vec<u64> = (0..4096)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let hops = 1 + x % 6;
+            (0..hops).map(|h| 1 + (x >> (8 + 4 * h)) % (8192 * 1024)).sum()
+        })
+        .collect();
+    let mut h = Histogram::new();
+    c.bench_function("stats/histogram_record", |b| {
+        b.iter(|| {
+            for i in 0..RECORDS {
+                h.record(black_box(samples[i % samples.len()]));
+            }
+            black_box(h.count())
+        })
+    });
+}
+
 /// The event queue in steady state at a fixed depth: pop the next event,
 /// push one due a delivery latency later. `engine/dispatch_256_events`
 /// keeps one event pending, so it sees neither regime the benchmark
@@ -448,7 +504,7 @@ fn bench_queue(c: &mut Criterion) {
     for (name, depth) in
         [("queue/push_pop_deep_500k", 500_000u64), ("queue/push_pop_shallow_1k", 1_000)]
     {
-        // The engine's geometry: 1 024 nodes per range, at most 16.
+        // One queue for the whole run; `new` reads none of its arguments.
         let mut q: ShardedQueue<Payload> = ShardedQueue::new(POINTS, 1024, 16);
         let mut seq = 0u64;
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -670,6 +726,7 @@ criterion_group!(
     bench_send_each,
     bench_send_deliver,
     bench_counter_bump,
+    bench_histogram_record,
     bench_queue,
     bench_collect_idle,
     bench_overlay,
